@@ -1,4 +1,4 @@
-//! Prints every experiment table (EXPERIMENTS.md content).
+//! Prints every experiment table of `fd_bench::experiments`.
 //!
 //! Usage: `cargo run -p fd-bench --bin tables --release [-- --quick]
 //! [-- --store DIR]`

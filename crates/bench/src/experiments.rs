@@ -1,8 +1,8 @@
-//! The experiment suite: one function per paper artifact (DESIGN.md §3).
+//! The experiment suite: one function per paper artifact.
 //!
 //! Every function is deterministic in its seed range and returns a
-//! [`Table`] whose rows are what EXPERIMENTS.md records. The `tables`
-//! binary prints them all.
+//! [`Table`]; the `tables` binary prints them all (see "Quickstart" in
+//! README.md).
 //!
 //! Every simulated experiment is driven by the unified scenario engine:
 //! a [`ScenarioSpec`] names the configuration, the work-stealing [`Runner`]

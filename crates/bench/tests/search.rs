@@ -3,12 +3,12 @@
 //! Every accepted shrink step still violates the original predicate at
 //! the original seed (a trail is a chain of reproducers, not a log of
 //! guesses), the trail and the minimum are bit-identical across thread
-//! counts and both event cores (shrinking is a pure function of
+//! counts (shrinking is a pure function of
 //! `(start, seed, class)`), and a locally minimal witness is a fixed
 //! point — re-shrinking it accepts nothing.
 
 use fd_bench::{classify, probe_specs, scenario_for, shrink, MinimalWitness, RunClass};
-use fd_detectors::scenario::{QueueKind, ReportCache, Runner};
+use fd_detectors::scenario::{ReportCache, Runner};
 use fd_detectors::ViolationClass;
 
 /// A fresh cache-backed runner (leaked: `with_cache` wants `'static`).
@@ -68,18 +68,12 @@ fn shrinking_is_deterministic_across_threads_and_event_cores() {
     let wide = shrink(&runner(4), &start, seed, class);
     assert_eq!(trail_of(&baseline), trail_of(&wide), "threads diverged");
     assert_eq!(baseline.spec.fingerprint(), wide.spec.fingerprint());
-    // Event cores: the calendar queue and the binary heap are
-    // trace-identical, so the checker — and therefore every shrink
-    // accept/reject decision — must match step for step.
-    for queue in [QueueKind::Calendar, QueueKind::BinaryHeap] {
-        let queued = shrink(&runner(0), &start.clone().queue(queue), seed, class);
-        assert_eq!(
-            trail_of(&baseline),
-            trail_of(&queued),
-            "queue {} diverged",
-            queue.name()
-        );
-    }
+    let sequential = shrink(&runner(0), &start, seed, class);
+    assert_eq!(
+        trail_of(&baseline),
+        trail_of(&sequential),
+        "sequential runner diverged"
+    );
 }
 
 /// The minimized validity witness the search emits for the probe spec

@@ -6,8 +6,8 @@
 //! [`crate::rounds`]. They are *not* dead code: `tests/slab_reference.rs`
 //! runs both implementations through the full scenario engine and pins
 //! their scenario fingerprints bit-for-bit equal across process counts,
-//! queue disciplines, thread counts and message adversaries. Any
-//! divergence introduced into the slab automata fails that suite.
+//! thread counts and message adversaries. Any divergence introduced into
+//! the slab automata fails that suite.
 //!
 //! Gated behind the default-on `vec-reference` feature so production
 //! builds can shed it with `--no-default-features`.

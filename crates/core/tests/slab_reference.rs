@@ -7,15 +7,14 @@
 //! failure patterns, oracles, delay sampling, message adversary, decision
 //! checking — and must produce equal [`ScenarioReport::fingerprint`]s:
 //! same event counts, same messages, same decisions, same counters, same
-//! history samples. The grid spans process counts up to the new n = 128
-//! tier, both queue disciplines, sequential and 4-thread runners, and
-//! armed/unarmed adversaries.
+//! history samples. The grid spans process counts up to the n = 128
+//! tier, sequential and 4-thread runners, and armed/unarmed adversaries.
 
 #![cfg(feature = "vec-reference")]
 
 use fd_core::{ConsensusReferenceScenario, ConsensusScenario, KsetReferenceScenario, KsetScenario};
 use fd_detectors::scenario::{Runner, Scenario, ScenarioSpec};
-use fd_sim::{MessageAdversary, MessageRule, QueueKind, Time};
+use fd_sim::{MessageAdversary, MessageRule, Time};
 
 /// The conventional spec at size `n`: `k = z = 2`, `t` maximal (`< n/2`).
 fn base(n: usize) -> ScenarioSpec {
@@ -56,26 +55,24 @@ fn assert_identical(
     assert!(p.metrics.msgs_sent > 0, "{what}: empty run");
 }
 
-/// Tentpole differential: n ∈ {5, 33, 128} × both queues × adversary
-/// off/on, full scenario fingerprints.
+/// Tentpole differential: n ∈ {5, 33, 128} × adversary off/on, full
+/// scenario fingerprints.
 #[test]
 fn kset_slab_matches_reference_across_n_queues_adversary() {
     for n in [5usize, 33, 128] {
         let seeds = if n >= 128 { 1 } else { 2 };
-        for queue in [QueueKind::BinaryHeap, QueueKind::Calendar] {
-            for adv in [false, true] {
-                for seed in 0..seeds {
-                    let mut spec = base(n).seed(seed).queue(queue);
-                    if adv {
-                        spec = spec.adversary(armed());
-                    }
-                    assert_identical(
-                        &KsetScenario,
-                        &KsetReferenceScenario,
-                        &spec,
-                        &format!("kset queue={queue:?} adv={adv}"),
-                    );
+        for adv in [false, true] {
+            for seed in 0..seeds {
+                let mut spec = base(n).seed(seed);
+                if adv {
+                    spec = spec.adversary(armed());
                 }
+                assert_identical(
+                    &KsetScenario,
+                    &KsetReferenceScenario,
+                    &spec,
+                    &format!("kset adv={adv}"),
+                );
             }
         }
     }
@@ -86,20 +83,18 @@ fn kset_slab_matches_reference_across_n_queues_adversary() {
 #[test]
 fn consensus_slab_matches_reference() {
     for n in [5usize, 33] {
-        for queue in [QueueKind::BinaryHeap, QueueKind::Calendar] {
-            for adv in [false, true] {
-                for seed in 0..2 {
-                    let mut spec = base(n).seed(seed).queue(queue);
-                    if adv {
-                        spec = spec.adversary(armed());
-                    }
-                    assert_identical(
-                        &ConsensusScenario,
-                        &ConsensusReferenceScenario,
-                        &spec,
-                        &format!("consensus queue={queue:?} adv={adv}"),
-                    );
+        for adv in [false, true] {
+            for seed in 0..2 {
+                let mut spec = base(n).seed(seed);
+                if adv {
+                    spec = spec.adversary(armed());
                 }
+                assert_identical(
+                    &ConsensusScenario,
+                    &ConsensusReferenceScenario,
+                    &spec,
+                    &format!("consensus adv={adv}"),
+                );
             }
         }
     }

@@ -57,10 +57,9 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
-// Spec authors pick their event core through the spec's `queue` knob and
-// their message adversary through `adversary`; re-export the knobs so they
-// need not depend on `fd_sim` directly.
-pub use fd_sim::QueueKind;
+// Spec authors pick their message adversary through `adversary` and their
+// topology through `topology`; re-export the knobs so they need not depend
+// on `fd_sim` directly.
 pub use fd_sim::{LinkFate, LinkOverride, TopologyEpoch, TopologySchedule};
 pub use fd_sim::{MessageAdversary, MessageRule, RuleAction};
 
@@ -70,10 +69,10 @@ pub use fd_sim::{MessageAdversary, MessageRule, RuleAction};
 /// # The reproducibility contract
 ///
 /// Every recorded number in this repository (tables, `BENCH_sweep.json`,
-/// witness seeds cited in EXPERIMENTS.md) is a function of `(spec, seed)`
-/// alone. That holds only because each consumer of randomness derives its
-/// stream as `root_seed` mixed with a fixed salt below, and draws from it
-/// in a fixed order. Consequently:
+/// the checked-in witnesses; see "Determinism" in README.md) is a function
+/// of `(spec, seed)` alone. That holds only because each consumer of
+/// randomness derives its stream as `root_seed` mixed with a fixed salt
+/// below, and draws from it in a fixed order. Consequently:
 ///
 /// * **changing a salt value** re-keys that consumer's stream and silently
 ///   changes every recorded number of the affected scenarios;
@@ -307,10 +306,6 @@ pub struct ScenarioSpec {
     pub max_time: Time,
     /// Shared-memory horizon (scheduler steps).
     pub max_steps: u64,
-    /// Which event-queue implementation drives the simulator. Both pop in
-    /// the same `(at, seq)` order, so this knob never changes a trace —
-    /// only how fast the run goes (calendar is the default).
-    pub queue: QueueKind,
     /// The message adversary attacking the plain channels (drop /
     /// duplicate / bounded corruption; [`MessageAdversary::None`] is
     /// bit-identical to the pre-adversary engine).
@@ -346,7 +341,6 @@ impl ScenarioSpec {
             seed: 0,
             max_time: Time(100_000),
             max_steps: 200_000,
-            queue: QueueKind::default(),
             adversary: MessageAdversary::None,
             topology: TopologySchedule::None,
             catch_up: false,
@@ -432,12 +426,6 @@ impl ScenarioSpec {
         self
     }
 
-    /// Sets the event-queue implementation (builder style).
-    pub fn queue(mut self, queue: QueueKind) -> Self {
-        self.queue = queue;
-        self
-    }
-
     /// Sets the message adversary (builder style).
     pub fn adversary(mut self, adversary: MessageAdversary) -> Self {
         self.adversary = adversary;
@@ -473,15 +461,7 @@ impl ScenarioSpec {
     /// (the seed is the other half, so one fingerprint covers a whole
     /// sweep).
     ///
-    /// Two knobs are deliberately excluded:
-    ///
-    /// * **`seed`** — it varies per run inside a sweep;
-    /// * **`queue`** — the event-queue choice never changes a trace (the
-    ///   repository's central determinism contract, enforced by the
-    ///   differential suites), so runs on the calendar queue and the heap
-    ///   are *the same run* and may share a cache entry.
-    ///
-    /// Everything else that can shape a run is folded in: sizes and grid
+    /// Every field that can shape a run is folded in: sizes and grid
     /// parameters, oracle choice, crash plan (explicit patterns by
     /// content), delay model and delay rules, GST, horizons, the message
     /// adversary (rules by content), and the catch-up toggle. Uses
@@ -497,7 +477,7 @@ impl ScenarioSpec {
         // Exhaustive destructure, no `..` rest pattern: adding a field to
         // `ScenarioSpec` must fail to compile here until the author
         // decides whether it shapes runs (hash it) or is deliberately
-        // excluded like the two below — a silent omission would hand one
+        // excluded like the seed — a silent omission would hand one
         // spec's cached reports to another.
         let ScenarioSpec {
             n,
@@ -514,7 +494,6 @@ impl ScenarioSpec {
             seed: _, // the cache key's other half
             max_time,
             max_steps,
-            queue: _, // never changes a trace (the determinism contract)
             adversary,
             topology,
             catch_up,
@@ -611,7 +590,6 @@ impl ScenarioSpec {
             max_time: self.max_time,
             delay: self.delay.clone(),
             rules: self.rules.clone(),
-            queue: self.queue,
             adversary: self.adversary.clone(),
             topology: self.topology.clone(),
             ..SimConfig::new(self.n, self.t)
@@ -1027,8 +1005,7 @@ impl ScenarioReport {
     /// message counts, every decision, every published history sample, and
     /// the counters. Two runs are *the same run* iff their fingerprints
     /// match — the currency of the determinism tests (parallel vs
-    /// sequential, calendar queue vs binary heap) and of the bench smoke's
-    /// queue cross-check.
+    /// sequential, cached vs cold, recorded digests).
     ///
     /// Uses [`std::collections::hash_map::DefaultHasher`], which hashes
     /// with fixed keys — the digest is stable across runs and builds of
@@ -1873,18 +1850,7 @@ mod tests {
     }
 
     #[test]
-    fn spec_queue_knob_reaches_sim_config() {
-        let spec = ScenarioSpec::new(5, 2);
-        assert_eq!(spec.queue, QueueKind::Auto, "Auto is the default");
-        assert_eq!(spec.sim_config().queue, QueueKind::Auto);
-        let heap = spec.clone().queue(QueueKind::BinaryHeap);
-        assert_eq!(heap.sim_config().queue, QueueKind::BinaryHeap);
-        let cal = spec.queue(QueueKind::Calendar);
-        assert_eq!(cal.sim_config().queue, QueueKind::Calendar);
-    }
-
-    #[test]
-    fn spec_fingerprint_covers_the_knobs_but_not_seed_or_queue() {
+    fn spec_fingerprint_covers_the_knobs_but_not_seed() {
         fn islands_34() -> Vec<fd_sim::PSet> {
             vec![
                 (0..3).map(ProcessId).collect(),
@@ -1901,11 +1867,11 @@ mod tests {
         let fp = base.fingerprint();
         // Stable across clones and reruns.
         assert_eq!(fp, base.clone().fingerprint());
-        // Seed and queue are deliberately excluded: neither changes what a
-        // sweep computes (seed is the key's other half; the queue never
-        // changes a trace).
+        // Pinned: store keys, run directories and the checked-in witnesses
+        // written by earlier builds hash exactly these fields.
+        assert_eq!(fp, 0x7e59_ce6a_0bca_e0c3, "spec fingerprint encoding moved");
+        // The seed is deliberately excluded: it is the key's other half.
         assert_eq!(fp, base.clone().seed(99).fingerprint());
-        assert_eq!(fp, base.clone().queue(QueueKind::BinaryHeap).fingerprint());
         // Every other knob separates.
         let variants = [
             ScenarioSpec::new(8, 3).kz(2).gst(Time(500)),
@@ -2011,12 +1977,11 @@ mod tests {
         assert_eq!(cache.misses(), 200);
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.entries(), 200);
-        // Warm sweep: bit-identical summary, zero new executions — and the
-        // queue knob may differ, since it never changes a run.
-        for (threads, queue) in [(1usize, QueueKind::Auto), (4, QueueKind::BinaryHeap)] {
+        // Warm sweep: bit-identical summary, zero new executions.
+        for threads in [1usize, 4] {
             let warm = Runner::with_threads(threads)
                 .with_cache(cache)
-                .sweep_summary(&probe, &base.clone().queue(queue), 0..200);
+                .sweep_summary(&probe, &base, 0..200);
             assert_eq!(warm, cold, "threads={threads}");
             assert_eq!(
                 executed.load(Ordering::Relaxed),

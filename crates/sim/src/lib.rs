@@ -82,10 +82,7 @@ pub use adversary::{
 pub use arena::{MsgArena, MsgSlot};
 pub use automaton::{forward_ops, Automaton, Ctx, Op};
 pub use echo::{EchoMsg, EchoRb};
-pub use event::{
-    CalendarQueue, Event, EventCore, EventKind, EventQueue, QueueKind, Scheduler, Staged,
-    AUTO_CALENDAR_MAX_N, DEFAULT_BUCKET_WIDTH,
-};
+pub use event::{Event, EventKind, EventQueue, Scheduler, Staged};
 pub use failure::{FailurePattern, FailurePatternBuilder};
 pub use id::{PSet, PSetIter, ProcessId, MAX_PROCESSES};
 pub use network::{DelayModel, DelayRule, Network};

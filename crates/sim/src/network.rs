@@ -291,8 +291,8 @@ impl Network {
     /// Routes a point-to-point message: draws its delivery time, applies
     /// the message adversary, stores the surviving payload in `arena`, and
     /// schedules the delivery for `to` on the given [`Scheduler`]. This is
-    /// the runtime's send path for *plain* channels; the trait bound keeps
-    /// the network agnostic of which queue implementation a run chose while
+    /// the runtime's send path for *plain* channels; the trait bound lets
+    /// tests and measurement harnesses substitute their own sink while
     /// staying statically dispatched (`?Sized` also admits
     /// `&mut dyn Scheduler` where a trait object is genuinely needed).
     ///
@@ -440,9 +440,8 @@ impl Network {
     /// exact per-recipient order the scalar [`Network::route`] loop
     /// produces, so traces are bit-identical — stages the deliveries into
     /// the caller-recycled `staging` buffer, and inserts them through one
-    /// [`Scheduler::push_batch`] call (one day-lookup per day on the
-    /// calendar queue, one reserve on the heap, instead of full per-push
-    /// bookkeeping `n` times).
+    /// [`Scheduler::push_batch`] call (one reserve on the heap instead of
+    /// `n` capacity checks).
     ///
     /// On the adversary-free path the payload is stored **once** (one arena
     /// slot with `n` pending deliveries): routing the broadcast costs no
@@ -687,34 +686,6 @@ mod tests {
     }
 
     #[test]
-    fn route_schedules_identically_on_both_queue_impls() {
-        use crate::event::{CalendarQueue, EventQueue};
-        let mut heap = EventQueue::new();
-        let mut cal = CalendarQueue::new();
-        let mut arena_a: MsgArena<u64> = MsgArena::new();
-        let mut arena_b: MsgArena<u64> = MsgArena::new();
-        let mut net_a = Network::new(DelayModel::Uniform { lo: 1, hi: 9 }, vec![], rng());
-        let mut net_b = net_a.clone();
-        for i in 0..50u64 {
-            let from = ProcessId(i as usize % 3);
-            let to = ProcessId((i as usize + 1) % 3);
-            let sent = Time(i);
-            net_a.route(&mut heap, &mut arena_a, from, to, sent, i);
-            net_b.route(&mut cal, &mut arena_b, from, to, sent, i);
-        }
-        for _ in 0..50 {
-            let a = heap.pop().unwrap();
-            let b = cal.pop().unwrap();
-            assert_eq!((a.at, a.seq, a.to), (b.at, b.seq, b.to));
-            assert_eq!(
-                take_delivery(&mut arena_a, &a),
-                take_delivery(&mut arena_b, &b)
-            );
-        }
-        assert!(arena_a.is_empty() && arena_b.is_empty());
-    }
-
-    #[test]
     fn adversary_none_routes_identically_to_the_plain_path() {
         // The fast path and an empty-rule adversary must both be
         // draw-for-draw identical to the pre-adversary network.
@@ -860,13 +831,13 @@ mod tests {
     /// The batching contract at the network level: `route_broadcast` is
     /// draw-for-draw and push-for-push identical to the historical
     /// per-recipient `route` loop — including the RNG stream positions it
-    /// leaves behind — with and without an armed adversary, on both queue
-    /// implementations. (Slot numbering differs between the two layouts —
-    /// the batch stores a clean broadcast once — so equality is checked on
-    /// the observable: `(at, seq, to)` and the materialized payloads.)
+    /// leaves behind — with and without an armed adversary. (Slot numbering
+    /// differs between the two layouts — the batch stores a clean broadcast
+    /// once — so equality is checked on the observable: `(at, seq, to)` and
+    /// the materialized payloads.)
     #[test]
     fn route_broadcast_matches_the_scalar_recipient_loop() {
-        use crate::event::{CalendarQueue, EventQueue};
+        use crate::event::EventQueue;
         let adversaries = [
             MessageAdversary::None,
             MessageAdversary::Rules(vec![
@@ -881,7 +852,7 @@ mod tests {
                     .with_adversary(adv.clone(), SplitMix64::new(31).stream(0xADE5));
                 let mut batch_net = scalar_net.clone();
                 let mut scalar_q = EventQueue::new();
-                let mut batch_q = CalendarQueue::new();
+                let mut batch_q = EventQueue::new();
                 let mut scalar_arena: MsgArena<u64> = MsgArena::new();
                 let mut batch_arena: MsgArena<u64> = MsgArena::new();
                 let mut staging = Vec::new();
@@ -1346,7 +1317,7 @@ mod tests {
     /// adversary on top).
     #[test]
     fn route_broadcast_matches_scalar_loop_under_topology() {
-        use crate::event::{CalendarQueue, EventQueue};
+        use crate::event::EventQueue;
         let sched = TopologySchedule::Epochs(vec![TopologyEpoch::new(Time::ZERO, Time(300))
             .islands(islands_2x3())
             .link(LinkOverride::latency(
@@ -1368,7 +1339,7 @@ mod tests {
                 .with_topology(sched.clone(), SplitMix64::new(31).stream(0x7090));
             let mut batch_net = scalar_net.clone();
             let mut scalar_q = EventQueue::new();
-            let mut batch_q = CalendarQueue::new();
+            let mut batch_q = EventQueue::new();
             let mut scalar_arena: MsgArena<u64> = MsgArena::new();
             let mut batch_arena: MsgArena<u64> = MsgArena::new();
             let mut staging = Vec::new();

@@ -5,7 +5,7 @@
 //! independent [`SplitMix64`] streams, so that any reported result is
 //! reproducible bit-for-bit. We deliberately avoid external RNG crates:
 //! schedule stability across dependency upgrades is a correctness
-//! requirement for this repository (see DESIGN.md §5).
+//! requirement for this repository (see "Determinism" in README.md).
 
 /// A SplitMix64 pseudo-random generator (Steele, Lea & Flood 2014).
 ///

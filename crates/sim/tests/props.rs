@@ -4,7 +4,7 @@
 //! exactly.
 
 use fd_sim::{
-    BroadcastEffects, CalendarQueue, Corruptible, DelayModel, DelayRule, EventKind, EventQueue,
+    BroadcastEffects, Corruptible, DelayModel, DelayRule, Event, EventKind, EventQueue,
     FailurePattern, MessageAdversary, MessageRule, MsgArena, Network, PSet, ProcessId, Scheduler,
     SplitMix64, Staged, Time,
 };
@@ -49,77 +49,132 @@ fn event_queue_fifo_among_ties() {
     }
 }
 
-#[test]
-fn calendar_queue_pops_exactly_like_the_heap() {
-    // The Scheduler determinism contract, property-style: any push
-    // sequence (random times, heavy ties, several widths) pops in the
-    // identical (at, seq) order on both implementations.
-    for case in 0..CASES {
-        let mut rng = rng_for(case, 7);
-        let width = 1 + rng.below(8);
-        let mut heap = EventQueue::new();
-        let mut cal = CalendarQueue::with_width(width);
-        let len = 1 + rng.below(300) as usize;
-        for i in 0..len {
-            let t = rng.below(500);
-            heap.push(Time(t), ProcessId(i % 8), EventKind::Step);
-            cal.push(Time(t), ProcessId(i % 8), EventKind::Step);
+/// The [`Scheduler`] contract as an executable model: a `Vec` kept sorted
+/// by `(at, seq)`, with the trait's default one-by-one `push_batch`.
+#[derive(Debug, Default)]
+struct ModelQueue {
+    pending: Vec<Event>,
+    next_seq: u64,
+}
+
+impl Scheduler for ModelQueue {
+    fn push(&mut self, at: Time, to: ProcessId, kind: EventKind) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let pos = self.pending.partition_point(|e| (e.at, e.seq) < (at, seq));
+        self.pending.insert(pos, Event { at, seq, to, kind });
+    }
+
+    fn pop(&mut self) -> Option<Event> {
+        (!self.pending.is_empty()).then(|| self.pending.remove(0))
+    }
+
+    fn peek_time(&self) -> Option<Time> {
+        self.pending.first().map(|e| e.at)
+    }
+
+    fn len(&self) -> usize {
+        self.pending.len()
+    }
+}
+
+/// [`EventQueue`] and [`ModelQueue`] fed the same pushes; every pop asserts
+/// they agree on `peek_time`, `len` and the popped event.
+#[derive(Default)]
+struct Lockstep {
+    heap: EventQueue,
+    model: ModelQueue,
+}
+
+impl Lockstep {
+    fn push(&mut self, at: Time) {
+        let to = ProcessId(at.ticks() as usize % 8);
+        self.heap.push(at, to, EventKind::Step);
+        self.model.push(at, to, EventKind::Step);
+    }
+
+    /// The heap takes its `push_batch` override in one call; the model
+    /// takes the same events one by one.
+    fn push_batch(&mut self, times: impl Iterator<Item = Time>) {
+        let batch: Vec<Staged> = times
+            .map(|at| Staged {
+                at,
+                to: ProcessId(at.ticks() as usize % 8),
+                kind: EventKind::Crash,
+            })
+            .collect();
+        self.heap.push_batch(&batch);
+        for s in &batch {
+            self.model.push(s.at, s.to, s.kind);
         }
-        for _ in 0..len {
-            let a = heap.pop().unwrap();
-            let b = cal.pop().unwrap();
-            assert_eq!(
-                (a.at, a.seq, a.to),
-                (b.at, b.seq, b.to),
-                "case {case} (width {width}) diverged"
-            );
-        }
-        assert!(cal.pop().is_none());
+    }
+
+    fn pop(&mut self, ctx: &str) -> Option<Event> {
+        assert_eq!(self.heap.peek_time(), self.model.peek_time(), "{ctx}");
+        assert_eq!(self.heap.len(), self.model.len(), "{ctx}");
+        let (a, b) = (self.heap.pop(), self.model.pop());
+        assert_eq!(
+            a.map(|e| (e.at, e.seq, e.to, e.kind)),
+            b.map(|e| (e.at, e.seq, e.to, e.kind)),
+            "{ctx}: heap diverged from the model"
+        );
+        a
+    }
+
+    fn drain(&mut self, ctx: &str) {
+        while self.pop(ctx).is_some() {}
+        assert!(self.heap.is_empty() && self.model.is_empty(), "{ctx}");
     }
 }
 
 #[test]
-fn deep_backlog_promotion_pops_exactly_like_the_heap() {
-    // The day-promotion property: an adversarial same-day backlog (random
-    // bursts into a handful of days, pushing buckets far past the
-    // promotion threshold, interleaved with pops and occasional far-future
-    // sparse days) still pops the identical (at, seq) sequence on both
-    // schedulers, for every width.
-    for case in 0..32 {
-        let mut rng = rng_for(case, 11);
-        let width = 1 + rng.below(4);
-        let mut heap = EventQueue::new();
-        let mut cal = CalendarQueue::with_width(width);
-        let mut now = 0u64;
-        for _ in 0..1_500 {
-            let burst = 1 + rng.below(6);
-            for _ in 0..burst {
-                let t = if rng.chance(1, 25) {
-                    now + rng.below(5_000)
-                } else {
-                    now + rng.below(3)
-                };
-                heap.push(Time(t), ProcessId(0), EventKind::Step);
-                cal.push(Time(t), ProcessId(0), EventKind::Step);
+fn event_queue_pops_exactly_like_the_model() {
+    // Any push sequence — random times over ranges narrow enough to force
+    // heavy same-tick ties, with the odd `Time::INFINITY` — pops in the
+    // model's (at, seq) order.
+    for case in 0..CASES {
+        let mut rng = rng_for(case, 7);
+        let span = [4, 50, 500][case as usize % 3];
+        let mut pair = Lockstep::default();
+        for _ in 0..1 + rng.below(300) {
+            if rng.chance(1, 40) {
+                pair.push(Time::INFINITY);
+            } else {
+                pair.push(Time(rng.below(span)));
             }
-            let a = heap.pop().unwrap();
-            let b = cal.pop().unwrap();
-            assert_eq!(
-                (a.at, a.seq),
-                (b.at, b.seq),
-                "case {case} (width {width}) diverged mid-backlog"
-            );
-            now = a.at.ticks();
         }
-        while let Some(a) = heap.pop() {
-            let b = cal.pop().unwrap();
-            assert_eq!(
-                (a.at, a.seq),
-                (b.at, b.seq),
-                "case {case} diverged in drain"
-            );
+        pair.drain(&format!("case {case} (span {span})"));
+    }
+}
+
+#[test]
+fn event_queue_matches_the_model_under_bursts_and_batches() {
+    // The simulator's own shape: near-monotone bursts interleaved with
+    // pops, occasional far-future sparse events, and broadcasts of random
+    // fan-out staged through `push_batch`.
+    for case in 0..32 {
+        let ctx = format!("case {case}");
+        let mut rng = rng_for(case, 11);
+        let mut pair = Lockstep::default();
+        let mut now = 0u64;
+        for _ in 0..600 {
+            if rng.chance(1, 4) {
+                let fanout = 1 + rng.below(33);
+                let at = |_| Time(now + 1 + rng.below(12));
+                pair.push_batch((0..fanout).map(at));
+            } else {
+                for _ in 0..1 + rng.below(6) {
+                    let far = rng.chance(1, 25);
+                    pair.push(Time(now + rng.below(if far { 5_000 } else { 3 })));
+                }
+            }
+            for _ in 0..1 + rng.below(3) {
+                if let Some(e) = pair.pop(&ctx) {
+                    now = e.at.ticks();
+                }
+            }
         }
-        assert!(cal.pop().is_none());
+        pair.drain(&ctx);
     }
 }
 
@@ -150,7 +205,7 @@ fn route_broadcast_equals_scalar_loop_under_every_adversary() {
             )
             .with_adversary(adv.clone(), SplitMix64::new(case).stream(6));
             let mut scalar_net = batch_net.clone();
-            let mut batch_q = CalendarQueue::new();
+            let mut batch_q = ModelQueue::default();
             let mut scalar_q = EventQueue::new();
             let mut batch_arena: MsgArena<u64> = MsgArena::new();
             let mut scalar_arena: MsgArena<u64> = MsgArena::new();
@@ -277,14 +332,14 @@ fn route_case<Q: Scheduler + Default>(
 #[test]
 fn drop_rule_same_seed_same_dropped_set() {
     // Satellite contract: the dropped message set is a pure function of the
-    // seed — across repeated runs and across queue implementations.
+    // seed — across repeated runs, on the heap and on the model queue.
     for case in 0..CASES {
         let adv = MessageAdversary::Rules(vec![MessageRule::drop(35)]);
         let (d1, p1) = route_case::<EventQueue>(case, adv.clone(), 150);
         let (d2, p2) = route_case::<EventQueue>(case, adv.clone(), 150);
         assert_eq!(d1, d2, "case {case}: dropped set not deterministic");
         assert_eq!(p1, p2, "case {case}: surviving schedule not deterministic");
-        let (d3, _) = route_case::<CalendarQueue>(case, adv, 150);
+        let (d3, _) = route_case::<ModelQueue>(case, adv, 150);
         assert_eq!(d1, d3, "case {case}: dropped set depends on the queue");
         assert_eq!(d1.len() + p1.len(), 150);
     }
@@ -296,14 +351,14 @@ fn drop_rule_same_seed_same_dropped_set() {
 
 #[test]
 fn duplication_never_reorders_pop_order_on_either_scheduler() {
-    // Satellite contract: with a duplication adversary in play, both
-    // scheduler implementations still pop the identical (at, seq) sequence,
-    // and that sequence is ascending.
+    // Satellite contract: with a duplication adversary in play, the heap
+    // and the model queue still pop the identical (at, seq) sequence, and
+    // that sequence is ascending.
     for case in 0..CASES {
         let adv = MessageAdversary::Rules(vec![MessageRule::duplicate(40)]);
         let (_, heap) = route_case::<EventQueue>(case, adv.clone(), 120);
-        let (_, cal) = route_case::<CalendarQueue>(case, adv, 120);
-        assert_eq!(heap, cal, "case {case}: queue impls diverged under dup");
+        let (_, model) = route_case::<ModelQueue>(case, adv, 120);
+        assert_eq!(heap, model, "case {case}: heap left the model under dup");
         let mut prev: Option<(Time, u64)> = None;
         for &(at, seq, _, _) in &heap {
             if let Some(p) = prev {

@@ -6,7 +6,7 @@ pub use crate::scenario::DEFAULT_MARGIN;
 use crate::scenario::{AdditionScenario, PsiOmegaScenario, Substrate, TwoWheelsScenario};
 use crate::two_wheels::TwParams;
 pub use fd_detectors::scenario::{
-    sample_oracle, MessageAdversary, MessageRule, QueueKind, ReportCache, RuleAction, SampledSlot,
+    sample_oracle, MessageAdversary, MessageRule, ReportCache, RuleAction, SampledSlot,
 };
 use fd_detectors::scenario::{
     CrashPlan, Flavour, Runner, ScenarioReport, ScenarioSpec, SweepSummary,
@@ -200,9 +200,7 @@ mod tests {
     fn two_wheels_tolerates_a_persistent_mild_drop_adversary() {
         // Unlike the one-shot round broadcasts of the agreement algorithm,
         // the wheels' tasks re-send while dissatisfied — so the built Ω_z
-        // survives a *persistent* (unwindowed) mild drop adversary. The
-        // adversary knob threads through the transform scenarios exactly
-        // like the queue knob does.
+        // survives a *persistent* (unwindowed) mild drop adversary.
         let params = TwParams::optimal(5, 2, 2, 1);
         let base = TwoWheelsScenario::spec(params)
             .gst(Time(400))
@@ -251,25 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn queue_impls_are_fingerprint_identical_for_transformations() {
-        // The queue knob flows through the transformation adapters too:
-        // the two-wheels run (a composed automaton with heavy broadcast
-        // traffic) must be bit-identical on both event cores.
-        let params = TwParams::optimal(5, 2, 2, 1);
-        for seed in 0..4 {
-            let base = TwoWheelsScenario::spec(params)
-                .crashes(CrashPlan::Anarchic { by: Time(300) })
-                .gst(Time(400))
-                .seed(seed)
-                .max_time(Time(40_000));
-            let cal = TwoWheelsScenario::default().run(&base.clone().queue(QueueKind::Calendar));
-            let heap = TwoWheelsScenario::default().run(&base.queue(QueueKind::BinaryHeap));
-            assert_eq!(cal.fingerprint(), heap.fingerprint(), "seed {seed}");
-            assert_eq!(cal.check.ok, heap.check.ok);
-        }
-    }
-
-    #[test]
     fn streamed_two_wheels_sweep_matches_eager_runs() {
         let params = TwParams::optimal(5, 2, 2, 1);
         let summary = sweep_two_wheels_summary(
@@ -313,22 +292,6 @@ mod tests {
         assert_eq!(warm, cold);
         assert_eq!(cache.misses(), 6, "warm sweep recomputed a run");
         assert_eq!(cache.hits(), 6);
-    }
-
-    #[test]
-    fn auto_queue_matches_concrete_queues_through_the_harness() {
-        let params = TwParams::optimal(5, 2, 2, 1);
-        let base = TwoWheelsScenario::spec(params)
-            .crashes(CrashPlan::Anarchic { by: Time(300) })
-            .gst(Time(400))
-            .seed(3)
-            .max_time(Time(40_000));
-        assert_eq!(base.queue, QueueKind::Auto, "Auto is the spec default");
-        let auto = TwoWheelsScenario::default().run(&base.clone());
-        let cal = TwoWheelsScenario::default().run(&base.clone().queue(QueueKind::Calendar));
-        let heap = TwoWheelsScenario::default().run(&base.queue(QueueKind::BinaryHeap));
-        assert_eq!(auto.fingerprint(), cal.fingerprint());
-        assert_eq!(auto.fingerprint(), heap.fingerprint());
     }
 
     #[test]

@@ -85,8 +85,8 @@ pub use fd_detectors::scenario::{
 
 pub use fd_sim::{
     DelayModel, DelayRule, FailurePattern, LinkFate, LinkOverride, MessageAdversary, MessageRule,
-    PSet, ProcessId, QueueKind, RuleAction, Scheduler, SimConfig, Time, TopologyEpoch,
-    TopologySchedule, Trace,
+    PSet, ProcessId, RuleAction, Scheduler, SimConfig, Time, TopologyEpoch, TopologySchedule,
+    Trace,
 };
 
 pub use churn::ChurnKsetScenario;

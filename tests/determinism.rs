@@ -1,6 +1,7 @@
-//! Determinism is a correctness requirement here (DESIGN.md §4): every
-//! reported number must be reproducible bit-for-bit from the seed. These
-//! tests re-run identical configurations and compare full traces.
+//! Determinism is a correctness requirement here (see "Determinism" in
+//! README.md): every reported number must be reproducible bit-for-bit from
+//! the seed. These tests re-run identical configurations and compare full
+//! traces.
 
 use fd_grid::fd_core::KsetScenario;
 use fd_grid::fd_transforms::{run_two_wheels, TwParams};
