@@ -9,6 +9,12 @@
 //! the allocator level, where a regression (a stray `clone`, a rebuilt
 //! `Vec`, a `HashMap` insert) cannot hide.
 //!
+//! A second phase pins the event queue's bucket recycling: with one
+//! broadcast per tick and only the *due* deliveries popped, a dozen ticks
+//! are pending at any time while the queue's timing wheel turns several
+//! full revolutions, and every bucket a tick drains must be reused by a
+//! later tick rather than allocated afresh.
+//!
 //! The probe binary holds exactly one `#[test]` so no concurrently
 //! running test can touch the process-global counter between the
 //! snapshots. Counting is compiled in only under `debug_assertions`
@@ -25,16 +31,27 @@ static ALLOC: CountingAlloc = CountingAlloc::new();
 
 const N: usize = 128;
 
-/// Pops every pending event, consuming the arena payloads the way the
-/// engine does; folds them so the work cannot be optimized away.
-fn drain(q: &mut EventQueue, arena: &mut MsgArena<u64>) -> u64 {
+/// The tick span of `EventQueue`'s wheel (a private constant of
+/// `fd_sim::event`): one revolution of the ring.
+const WHEEL_TICKS: u64 = 64;
+
+/// Pops every pending event due at or before `now`, consuming the arena
+/// payloads the way the engine does; folds them so the work cannot be
+/// optimized away.
+fn drain_due(q: &mut EventQueue, arena: &mut MsgArena<u64>, now: Time) -> u64 {
     let mut acc = 0u64;
-    while let Some(ev) = q.pop() {
+    while q.peek_time().is_some_and(|at| at <= now) {
+        let ev = q.pop().expect("peeked");
         if let EventKind::Deliver { slot, .. } = ev.kind {
             acc = acc.wrapping_add(arena.take(slot));
         }
     }
     acc
+}
+
+/// Pops every pending event.
+fn drain(q: &mut EventQueue, arena: &mut MsgArena<u64>) -> u64 {
+    drain_due(q, arena, Time::INFINITY)
 }
 
 #[test]
@@ -53,9 +70,9 @@ fn routed_broadcast_is_allocation_free_after_warmup() {
     let mut staging: Vec<Staged> = Vec::new();
     let mut acc = 0u64;
     let mut clock = 0u64;
-    // Warm-up at 4× the measured load, so every recycled capacity — heap,
-    // arena slab and free list, staging — strictly dominates what a single
-    // steady-state broadcast needs.
+    // Warm-up at 4× the measured load, so every recycled capacity — queue
+    // buckets, arena slab and free list, staging — strictly dominates what
+    // a single steady-state broadcast needs.
     for _ in 0..320 {
         for burst in 0..4 {
             let from = ProcessId(((clock + burst) % N as u64) as usize);
@@ -97,5 +114,34 @@ fn routed_broadcast_is_allocation_free_after_warmup() {
         after - before,
     );
     assert!(arena.is_empty(), "probe left live payloads");
+
+    // Overlapped regime: one broadcast per tick, only the due deliveries
+    // popped, so ~12 ticks stay pending while the wheel turns. Two
+    // revolutions warm the recycled buckets up to this load; the next
+    // three must not allocate.
+    let mut tick = |clock: &mut u64| {
+        let from = ProcessId((*clock % N as u64) as usize);
+        let now = Time(*clock);
+        net.route_broadcast(&mut q, &mut arena, from, N, now, *clock, &mut staging);
+        *clock += 1;
+        drain_due(&mut q, &mut arena, now)
+    };
+    for _ in 0..2 * WHEEL_TICKS {
+        acc = acc.wrapping_add(tick(&mut clock));
+    }
+    let before = ALLOC.allocations();
+    for _ in 0..3 * WHEEL_TICKS {
+        acc = acc.wrapping_add(tick(&mut clock));
+    }
+    let after = ALLOC.allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "{} heap allocations across three wheel revolutions of overlapped \
+         broadcasts (drained buckets must be recycled, not reallocated)",
+        after - before,
+    );
+    acc = acc.wrapping_add(drain(&mut q, &mut arena));
+    assert!(arena.is_empty(), "overlapped phase left live payloads");
     std::hint::black_box(acc);
 }

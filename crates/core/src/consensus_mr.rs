@@ -140,13 +140,14 @@ impl ConsensusMr {
                 }
                 Stage::AwaitEchoes => {
                     let quorum = ctx.n() - ctx.t();
-                    let slab = *self.echoes.entry(self.r, EchoSlab::default);
+                    let slab = self.echoes.entry(self.r, EchoSlab::default);
                     if slab.count() < quorum {
                         return;
                     }
-                    if let Some(v) = slab.first_val() {
+                    let (first_val, all_non_bot) = (slab.first_val(), slab.all_non_bot());
+                    if let Some(v) = first_val {
                         self.est = v;
-                        if slab.all_non_bot() {
+                        if all_non_bot {
                             ctx.rb_broadcast(MrMsg::Decision { v });
                             self.stage = Stage::Done;
                             return;

@@ -92,7 +92,7 @@ pub enum LeaderInput {
 /// One process of the `Ω_k`-based `k`-set agreement algorithm (Figure 3).
 ///
 /// Round state lives in the bitset slabs of [`crate::rounds`]: sender
-/// dedup and the `n−t` quorum counts are popcounts, the line 07/13 value
+/// dedup is a bit test, the `n−t` quorum counts and the line 07/13 value
 /// choices are running aggregates, and slabs of finished rounds are
 /// recycled — steady-state progress allocates nothing, independent of `n`.
 /// The `vec-reference` feature retains the original `HashMap`-of-`Vec`
@@ -214,18 +214,19 @@ impl KsetOmega {
                 }
                 Stage::Phase2 => {
                     let quorum = ctx.n() - ctx.t();
-                    let slab = *self.p2.entry(self.r, Phase2Slab::default);
+                    let slab = self.p2.entry(self.r, Phase2Slab::default);
                     // Line 11: n−t PHASE2(r) messages.
                     if slab.count() < quorum {
                         return;
                     }
+                    let (min_val, all_non_bot) = (slab.min_val(), slab.all_non_bot());
                     // Line 13: adopt any non-⊥ value (deterministically the
                     // smallest, any choice is correct).
-                    if let Some(v) = slab.min_val() {
+                    if let Some(v) = min_val {
                         self.est = v;
                     }
                     // Line 14: decide if no ⊥ was received.
-                    if slab.all_non_bot() {
+                    if all_non_bot {
                         ctx.rb_broadcast(KsetMsg::Decision { v: self.est });
                         self.stage = Stage::Done;
                         return;

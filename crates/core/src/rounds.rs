@@ -8,8 +8,8 @@
 //! re-evaluation. At n = 1024 that is O(n) allocation churn and O(n²)
 //! scanning per round. The slabs invert the layout:
 //!
-//! * **sender tracking** is a [`PSet`] bitset — duplicate detection and
-//!   quorum counting are word ops and popcounts;
+//! * **sender tracking** is a [`PSet`] bitset plus a running count —
+//!   duplicate detection is a word op and the quorum guard reads a `u32`;
 //! * **aggregates** (`⊥` counts, running minima, first-wins values,
 //!   leader-set tallies) are maintained incrementally at insert time, so
 //!   the round guards read O(1) state instead of rescanning message lists;
@@ -105,11 +105,13 @@ impl<S: RoundSlab> RoundWindow<S> {
 /// Replaces `Vec<(ProcessId, PSet, u64)>`. Estimates are stored in a
 /// per-process array (first message from a sender wins, duplicates are
 /// ignored — exactly the old linear dedup), leader sets are tallied as
-/// they arrive, and the line 05–08 guards become popcounts and word ops.
+/// they arrive, and the line 05–08 guards become counter reads and word ops.
 #[derive(Clone, Debug)]
 pub struct Phase1Slab {
     /// Who has been heard from this round.
     senders: PSet,
+    /// `senders.len()`, kept running so the quorum guard is not a popcount.
+    heard: u32,
     /// `ests[p]` = the estimate of sender `p`'s first message. Only indices
     /// in `senders` are meaningful; stale values from a recycled slab are
     /// never read.
@@ -124,6 +126,7 @@ impl Phase1Slab {
     pub fn new(n: usize) -> Self {
         Phase1Slab {
             senders: PSet::EMPTY,
+            heard: 0,
             ests: vec![0; n],
             lsets: Vec::new(),
         }
@@ -132,10 +135,10 @@ impl Phase1Slab {
     /// Records `PHASE1(leaders, est)` from `from`; first message per
     /// sender wins.
     pub fn insert(&mut self, from: ProcessId, leaders: PSet, est: u64) {
-        if self.senders.contains(from) {
+        if !self.senders.insert(from) {
             return;
         }
-        self.senders.insert(from);
+        self.heard += 1;
         self.ests[from.0] = est;
         match self.lsets.iter_mut().find(|(l, _)| *l == leaders) {
             Some((_, c)) => *c += 1,
@@ -145,7 +148,7 @@ impl Phase1Slab {
 
     /// Distinct senders heard this round (the line 05 quorum count).
     pub fn count(&self) -> usize {
-        self.senders.len()
+        self.heard as usize
     }
 
     /// Whether any sender is a member of `li` (the line 06 guard).
@@ -173,6 +176,7 @@ impl Phase1Slab {
 impl RoundSlab for Phase1Slab {
     fn reset(&mut self) {
         self.senders = PSet::EMPTY;
+        self.heard = 0;
         self.lsets.clear();
         // `ests` is left dirty on purpose: only indices in `senders` are
         // ever read, and those are overwritten at insert time.
@@ -187,6 +191,8 @@ impl RoundSlab for Phase1Slab {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Phase2Slab {
     senders: PSet,
+    /// `senders.len()`, kept running.
+    heard: u32,
     /// How many senders reported `⊥`.
     bots: u32,
     /// Minimum non-`⊥` value seen.
@@ -196,10 +202,10 @@ pub struct Phase2Slab {
 impl Phase2Slab {
     /// Records `PHASE2(aux)` from `from`; first message per sender wins.
     pub fn insert(&mut self, from: ProcessId, aux: Option<u64>) {
-        if self.senders.contains(from) {
+        if !self.senders.insert(from) {
             return;
         }
-        self.senders.insert(from);
+        self.heard += 1;
         match aux {
             None => self.bots += 1,
             Some(v) => {
@@ -213,7 +219,7 @@ impl Phase2Slab {
 
     /// Distinct senders heard this round (the line 11 quorum count).
     pub fn count(&self) -> usize {
-        self.senders.len()
+        self.heard as usize
     }
 
     /// The smallest non-`⊥` value received (line 13).
@@ -268,6 +274,8 @@ impl RoundSlab for CoordSlab {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EchoSlab {
     senders: PSet,
+    /// `senders.len()`, kept running.
+    heard: u32,
     /// How many senders echoed `⊥`.
     bots: u32,
     /// The first non-`⊥` echo in arrival order.
@@ -277,10 +285,10 @@ pub struct EchoSlab {
 impl EchoSlab {
     /// Records `ECHO(aux)` from `from`; first message per sender wins.
     pub fn insert(&mut self, from: ProcessId, aux: Option<u64>) {
-        if self.senders.contains(from) {
+        if !self.senders.insert(from) {
             return;
         }
-        self.senders.insert(from);
+        self.heard += 1;
         match aux {
             None => self.bots += 1,
             Some(v) => {
@@ -293,7 +301,7 @@ impl EchoSlab {
 
     /// Distinct senders heard this round.
     pub fn count(&self) -> usize {
-        self.senders.len()
+        self.heard as usize
     }
 
     /// The first non-`⊥` echo received, if any.

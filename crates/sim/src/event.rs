@@ -1,5 +1,6 @@
 //! The discrete-event core: the [`Scheduler`] contract and its one
-//! implementation, [`EventQueue`] (a binary heap).
+//! implementation, [`EventQueue`] (a FIFO-per-tick timing wheel with a
+//! fallback binary heap).
 //!
 //! The simulator's hot loop is `pop → activate → push*`. Events pop in
 //! ascending `(at, seq)` order, where `seq` is the insertion sequence
@@ -8,10 +9,34 @@
 //! fingerprint is a statement about it, and `crates/sim/tests/props.rs`
 //! checks [`EventQueue`] against a sorted-`Vec` model of the contract.
 //!
+//! Time is integer ticks and the engine pushes almost every event a
+//! handful of ticks ahead of the one it just popped (1–10-tick delays,
+//! 1–5-tick steps), so the key space is monotone and narrow. The queue
+//! exploits that instead of comparing keys:
+//!
+//! * **The wheel.** A ring of `WHEEL_TICKS` buckets covers the window
+//!   `[base, base + WHEEL_TICKS)`, one bucket per tick. Because `seq` is
+//!   assigned in push order, *appending* to the bucket of tick `at` already
+//!   is ascending `(at, seq)` order: `push` is an append, `pop` reads the
+//!   bucket of `base` through a cursor, and neither compares anything.
+//!   `base` only moves inside `pop`, forward past empty buckets.
+//! * **The fallback heap.** Whatever does not fit the window — a far-future
+//!   heal or silence release, `Time::INFINITY`, a push earlier than `base`,
+//!   an identity too wide for a packed node — goes to a small
+//!   `BinaryHeap<Event>`. `pop` returns the smaller `(at, seq)` of the
+//!   wheel's head and the heap's head, so nothing ever migrates between
+//!   the two and arbitrary push times keep the contract. When the wheel is
+//!   empty, `pop` re-bases the window onto the heap event it returns.
+//! * **Memory.** A drained bucket's buffer goes to a spare pool and the
+//!   next tick that needs one takes it from there, so only as many buffers
+//!   as there are concurrently pending ticks (≈ max delay + 1) ever hold
+//!   capacity, and steady-state traffic allocates nothing. Wheel entries
+//!   are packed 24-byte nodes (the tick is the bucket), not 40-byte
+//!   [`Event`]s.
+//!
 //! Events are plain [`Copy`] data: message payloads live in the
 //! [`crate::arena::MsgArena`] and deliveries carry a [`MsgSlot`] handle, so
-//! a queue node's size is fixed regardless of the protocol's message type
-//! and batch insertion is a `memcpy`-class operation.
+//! a queue node's size is fixed regardless of the protocol's message type.
 
 use crate::arena::MsgSlot;
 use crate::id::ProcessId;
@@ -84,9 +109,8 @@ impl PartialOrd for Event {
 ///
 /// Broadcast routing stages all of a broadcast's deliveries into one
 /// (caller-recycled) `Vec<Staged>` and hands them to the scheduler in a
-/// single call, so the queue reserves once instead of once per recipient.
-/// Staged events are `Copy`: the batch is passed by slice and the caller
-/// clears and recycles the buffer.
+/// single call. Staged events are `Copy`: the batch is passed by slice and
+/// the caller clears and recycles the buffer.
 #[derive(Clone, Copy, Debug)]
 pub struct Staged {
     /// When the event fires.
@@ -137,20 +161,125 @@ pub trait Scheduler: std::fmt::Debug {
     }
 }
 
-/// The scheduler every run uses: a [`BinaryHeap`] ordered by `(at, seq)`.
-#[derive(Debug, Default)]
+/// Ticks covered by the wheel's window; a power of two so the bucket of a
+/// tick is a mask. Every delay the engine draws by default is far below it.
+const WHEEL_TICKS: u64 = 64;
+
+/// The ring index of tick `at`.
+fn bucket_of(at: u64) -> usize {
+    (at % WHEEL_TICKS) as usize
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Tag {
+    Deliver,
+    RbDeliver,
+    Step,
+    Join,
+    Crash,
+}
+
+/// A wheel entry: an [`Event`] minus its tick (the bucket holds that), with
+/// the identities narrowed to `u32`.
+#[derive(Clone, Copy, Debug)]
+struct Node {
+    seq: u64,
+    to: u32,
+    from: u32,
+    slot: u32,
+    tag: Tag,
+}
+
+impl Node {
+    /// Packs the event, or `None` if an identity does not fit 32 bits (the
+    /// caller then keeps it whole in the fallback heap).
+    fn pack(seq: u64, to: ProcessId, kind: EventKind) -> Option<Node> {
+        let (tag, from, slot) = match kind {
+            EventKind::Deliver { from, slot } => (Tag::Deliver, from.0, slot.index()),
+            EventKind::RbDeliver { from, slot } => (Tag::RbDeliver, from.0, slot.index()),
+            EventKind::Step => (Tag::Step, 0, 0),
+            EventKind::Join => (Tag::Join, 0, 0),
+            EventKind::Crash => (Tag::Crash, 0, 0),
+        };
+        Some(Node {
+            seq,
+            to: u32::try_from(to.0).ok()?,
+            from: u32::try_from(from).ok()?,
+            slot,
+            tag,
+        })
+    }
+
+    fn unpack(self, at: Time) -> Event {
+        let from = ProcessId(self.from as usize);
+        let slot = MsgSlot::from_raw(self.slot);
+        let kind = match self.tag {
+            Tag::Deliver => EventKind::Deliver { from, slot },
+            Tag::RbDeliver => EventKind::RbDeliver { from, slot },
+            Tag::Step => EventKind::Step,
+            Tag::Join => EventKind::Join,
+            Tag::Crash => EventKind::Crash,
+        };
+        Event {
+            at,
+            seq: self.seq,
+            to: ProcessId(self.to as usize),
+            kind,
+        }
+    }
+}
+
+/// The scheduler every run uses: a timing wheel of per-tick FIFO buckets
+/// over `[base, base + WHEEL_TICKS)`, plus a [`BinaryHeap`] for events
+/// outside that window. See the [module docs](self).
+#[derive(Debug)]
 pub struct EventQueue {
-    heap: BinaryHeap<Event>,
+    /// `ring[bucket_of(t)]` holds the pending events of tick `t`, for `t`
+    /// in the window, in push (= `seq`) order. A bucket has capacity only
+    /// while it has pending events.
+    ring: [Vec<Node>; WHEEL_TICKS as usize],
+    /// First tick of the window. Every tick before it is empty in the ring.
+    base: u64,
+    /// Read position in `base`'s bucket; entries before it have popped.
+    cursor: usize,
+    /// Pending events in the ring.
+    wheel_len: usize,
+    /// Buffers of drained buckets, handed to the next tick that needs one.
+    spare: Vec<Vec<Node>>,
+    /// Pending events that were outside the window when pushed.
+    far: BinaryHeap<Event>,
     next_seq: u64,
+}
+
+impl Default for EventQueue {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl EventQueue {
     /// An empty queue.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            ring: std::array::from_fn(|_| Vec::new()),
+            base: 0,
+            cursor: 0,
+            wheel_len: 0,
+            spare: Vec::new(),
+            far: BinaryHeap::new(),
             next_seq: 0,
         }
+    }
+
+    /// The first tick at or after `base` with a pending wheel event. Only
+    /// meaningful (and only terminating within the window) when the wheel
+    /// is non-empty.
+    fn wheel_head_tick(&self) -> u64 {
+        let mut tick = self.base;
+        while self.ring[bucket_of(tick)].is_empty() {
+            tick += 1;
+        }
+        tick
     }
 }
 
@@ -158,28 +287,59 @@ impl Scheduler for EventQueue {
     fn push(&mut self, at: Time, to: ProcessId, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Event { at, seq, to, kind });
-    }
-
-    fn push_batch(&mut self, batch: &[Staged]) {
-        // One capacity check for the whole broadcast instead of one per
-        // recipient; insertion order (and thus `seq`) is unchanged.
-        self.heap.reserve(batch.len());
-        for s in batch {
-            self.push(s.at, s.to, s.kind);
+        // `checked_sub`, not `wrapping_sub`: once the window has re-based
+        // onto `Time::INFINITY`, small ticks would wrap into it.
+        let in_window = at.0.checked_sub(self.base).is_some_and(|d| d < WHEEL_TICKS);
+        if in_window {
+            if let Some(node) = Node::pack(seq, to, kind) {
+                let bucket = &mut self.ring[bucket_of(at.0)];
+                if bucket.capacity() == 0 {
+                    if let Some(buf) = self.spare.pop() {
+                        *bucket = buf;
+                    }
+                }
+                bucket.push(node);
+                self.wheel_len += 1;
+                return;
+            }
         }
+        self.far.push(Event { at, seq, to, kind });
     }
 
     fn pop(&mut self) -> Option<Event> {
-        self.heap.pop()
+        if self.wheel_len == 0 {
+            // With the ring empty any base is valid: follow the clock, so
+            // the pushes this event causes land in the window again.
+            let ev = self.far.pop()?;
+            self.base = ev.at.0;
+            return Some(ev);
+        }
+        self.base = self.wheel_head_tick();
+        let bucket = &mut self.ring[bucket_of(self.base)];
+        let node = bucket[self.cursor];
+        if let Some(far) = self.far.peek() {
+            if (far.at.0, far.seq) < (self.base, node.seq) {
+                return self.far.pop();
+            }
+        }
+        self.cursor += 1;
+        self.wheel_len -= 1;
+        if self.cursor == bucket.len() {
+            bucket.clear();
+            self.cursor = 0;
+            self.spare.push(std::mem::take(bucket));
+        }
+        Some(node.unpack(Time(self.base)))
     }
 
     fn peek_time(&self) -> Option<Time> {
-        self.heap.peek().map(|e| e.at)
+        let wheel = (self.wheel_len > 0).then(|| Time(self.wheel_head_tick()));
+        let far = self.far.peek().map(|e| e.at);
+        wheel.into_iter().chain(far).min()
     }
 
     fn len(&self) -> usize {
-        self.heap.len()
+        self.wheel_len + self.far.len()
     }
 }
 
@@ -261,6 +421,202 @@ mod tests {
                 (Time::INFINITY, 0),
                 (Time::INFINITY, 2)
             ]
+        );
+    }
+
+    /// The contract as a sorted `Vec`, driven beside the queue: every pop
+    /// checks `len`, `peek_time` and the popped `(at, seq, to, kind)`.
+    #[derive(Default)]
+    struct Checked {
+        q: EventQueue,
+        model: Vec<Event>,
+    }
+
+    impl Checked {
+        fn push(&mut self, at: u64) {
+            let (at, seq) = (Time(at), self.q.next_seq);
+            let to = ProcessId(seq as usize % 5);
+            let kind = deliver(to, seq as u32);
+            self.q.push(at, to, kind);
+            let pos = self.model.partition_point(|e| (e.at, e.seq) < (at, seq));
+            self.model.insert(pos, Event { at, seq, to, kind });
+        }
+
+        /// Pops one event and returns its `(tick, seq)`.
+        fn pop(&mut self) -> (u64, u64) {
+            assert_eq!(self.q.len(), self.model.len());
+            assert_eq!(self.q.peek_time(), self.model.first().map(|e| e.at));
+            let (got, want) = (self.q.pop().unwrap(), self.model.remove(0));
+            assert_eq!(
+                (got.at, got.seq, got.to, got.kind),
+                (want.at, want.seq, want.to, want.kind)
+            );
+            (got.at.0, got.seq)
+        }
+
+        fn drain(&mut self) -> Vec<(u64, u64)> {
+            let popped = (0..self.model.len()).map(|_| self.pop()).collect();
+            assert!(self.q.is_empty() && self.q.pop().is_none());
+            assert_eq!(self.q.peek_time(), None);
+            popped
+        }
+    }
+
+    #[test]
+    fn node_is_packed_and_round_trips_every_kind() {
+        assert_eq!(std::mem::size_of::<Node>(), 24);
+        let (from, slot) = (ProcessId(1023), MsgSlot::from_raw(u32::MAX));
+        for kind in [
+            EventKind::Deliver { from, slot },
+            EventKind::RbDeliver { from, slot },
+            EventKind::Step,
+            EventKind::Join,
+            EventKind::Crash,
+        ] {
+            let e = Node::pack(9, ProcessId(7), kind).unwrap().unpack(Time(3));
+            assert_eq!(
+                (e.at, e.seq, e.to, e.kind),
+                (Time(3), 9, ProcessId(7), kind)
+            );
+        }
+    }
+
+    /// An identity wider than 32 bits cannot be packed: the event keeps its
+    /// place in the order through the fallback heap, untruncated.
+    #[test]
+    fn unpackable_identity_takes_the_fallback_heap() {
+        let wide = ProcessId(u32::MAX as usize + 2);
+        let mut q = EventQueue::new();
+        q.push(Time(1), ProcessId(0), EventKind::Step);
+        q.push(Time(1), wide, EventKind::Step);
+        q.push(Time(1), ProcessId(1), deliver(wide, 0));
+        q.push(Time(1), ProcessId(2), EventKind::Step);
+        assert_eq!((q.wheel_len, q.far.len()), (2, 2));
+        let popped: Vec<(u64, ProcessId)> = std::iter::from_fn(|| q.pop())
+            .map(|e| (e.seq, e.to))
+            .collect();
+        assert_eq!(
+            popped,
+            vec![
+                (0, ProcessId(0)),
+                (1, wide),
+                (2, ProcessId(1)),
+                (3, ProcessId(2))
+            ]
+        );
+    }
+
+    /// `base + W − 1` is the last tick of the window, `base + W` the first
+    /// outside it; they share no bucket and pop in tick order.
+    #[test]
+    fn window_rollover_splits_wheel_and_fallback() {
+        let mut c = Checked::default();
+        c.push(0);
+        assert_eq!(c.pop(), (0, 0));
+        for at in [
+            WHEEL_TICKS,
+            WHEEL_TICKS - 1,
+            WHEEL_TICKS,
+            0,
+            WHEEL_TICKS - 1,
+        ] {
+            c.push(at);
+        }
+        assert_eq!((c.q.wheel_len, c.q.far.len()), (3, 2));
+        let w = WHEEL_TICKS;
+        assert_eq!(
+            c.drain(),
+            vec![(0, 4), (w - 1, 2), (w - 1, 5), (w, 1), (w, 3)]
+        );
+    }
+
+    /// A tick reached first through the fallback heap (pushed while it was
+    /// beyond the window) and later by direct pushes (after `base` caught
+    /// up) pops in `seq` order across the two structures.
+    #[test]
+    fn fallback_and_direct_pushes_on_one_tick_pop_in_seq_order() {
+        let tick = WHEEL_TICKS + 10;
+        let mut c = Checked::default();
+        c.push(tick); // seq 0: beyond the window → fallback
+        c.push(20); // seq 1
+        assert_eq!(c.pop(), (20, 1)); // base = 20: `tick` is inside now
+        c.push(tick); // seq 2: wheel
+        c.push(tick); // seq 3: wheel
+        assert_eq!((c.q.wheel_len, c.q.far.len()), (2, 1));
+        c.push(tick + 1);
+        assert_eq!(
+            c.drain(),
+            vec![(tick, 0), (tick, 2), (tick, 3), (tick + 1, 4)]
+        );
+    }
+
+    /// A push earlier than the last popped tick still pops next.
+    #[test]
+    fn push_before_the_last_popped_tick_pops_first() {
+        let mut c = Checked::default();
+        c.push(30);
+        c.push(31);
+        assert_eq!(c.pop(), (30, 0));
+        c.push(7);
+        c.push(30); // same tick as the drained head bucket
+        c.push(7);
+        assert_eq!(c.drain(), vec![(7, 2), (7, 4), (30, 3), (31, 1)]);
+    }
+
+    /// `Time::INFINITY` sorts last, even after the window re-based onto it
+    /// (`base = u64::MAX` must not overflow the window test).
+    #[test]
+    fn infinity_is_a_tick_like_any_other() {
+        let mut c = Checked::default();
+        c.push(u64::MAX);
+        c.push(3);
+        assert_eq!(c.drain(), vec![(3, 1), (u64::MAX, 0)]);
+        assert_eq!(c.q.base, u64::MAX);
+        c.push(u64::MAX); // in the (one-tick) window
+        c.push(5); // before it
+        c.push(u64::MAX);
+        assert_eq!(c.drain(), vec![(5, 3), (u64::MAX, 2), (u64::MAX, 4)]);
+    }
+
+    /// Once the wheel has emptied, popping a fallback event moves the
+    /// window onto it, so the pushes that follow go to the wheel again.
+    #[test]
+    fn rebases_onto_the_fallback_event_when_the_wheel_is_empty() {
+        let mut c = Checked::default();
+        c.push(2);
+        c.push(5_000);
+        assert_eq!(c.pop(), (2, 0));
+        assert_eq!(c.pop(), (5_000, 1));
+        assert_eq!(c.q.base, 5_000);
+        for d in [3, 1, WHEEL_TICKS - 1, 1] {
+            c.push(5_000 + d);
+        }
+        assert_eq!((c.q.wheel_len, c.q.far.len()), (4, 0));
+        c.drain();
+    }
+
+    /// Drained buckets hand their buffer on: after many revolutions only
+    /// as many buffers exist as ticks were ever pending at once.
+    #[test]
+    fn drained_buckets_are_recycled_across_revolutions() {
+        let mut c = Checked::default();
+        let mut now = 0;
+        for _ in 0..4 * WHEEL_TICKS {
+            for d in 1..=3 {
+                c.push(now + d);
+                c.push(now + d);
+            }
+            for _ in 0..2 {
+                now = c.pop().0;
+            }
+        }
+        c.drain();
+        let buffers = |q: &EventQueue| q.ring.iter().filter(|b| b.capacity() > 0).count();
+        assert_eq!(buffers(&c.q), 0, "an empty ring holds no capacity");
+        assert!(
+            (1..=4).contains(&c.q.spare.len()),
+            "{} buffers for 3 pending ticks",
+            c.q.spare.len()
         );
     }
 

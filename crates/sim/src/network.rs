@@ -440,8 +440,7 @@ impl Network {
     /// exact per-recipient order the scalar [`Network::route`] loop
     /// produces, so traces are bit-identical — stages the deliveries into
     /// the caller-recycled `staging` buffer, and inserts them through one
-    /// [`Scheduler::push_batch`] call (one reserve on the heap instead of
-    /// `n` capacity checks).
+    /// [`Scheduler::push_batch`] call.
     ///
     /// On the adversary-free path the payload is stored **once** (one arena
     /// slot with `n` pending deliveries): routing the broadcast costs no

@@ -351,6 +351,7 @@ impl<A: Automaton, O: OracleSuite> Sim<A, O> {
 
     fn run_core(&mut self, mut stop: impl FnMut(&Trace) -> bool) -> bool {
         let mut stopped_early = false;
+        let events_before = self.events;
         while let Some(ev) = self.queue.pop() {
             if ev.at > self.cfg.max_time {
                 break;
@@ -360,7 +361,6 @@ impl<A: Automaton, O: OracleSuite> Sim<A, O> {
             }
             self.now = ev.at;
             self.events += 1;
-            self.trace.bump(counter::EVENTS, 1);
             let to = ev.to;
             match ev.kind {
                 EventKind::Deliver { from, slot } => {
@@ -421,6 +421,12 @@ impl<A: Automaton, O: OracleSuite> Sim<A, O> {
                 stopped_early = true;
                 break;
             }
+        }
+        // One counter bump per call, not per event: the stop predicate sees
+        // the trace after every event, but nothing reads `sim.events` there.
+        let processed = self.events - events_before;
+        if processed > 0 {
+            self.trace.bump(counter::EVENTS, processed);
         }
         // If the run stopped early the observation window ends at the last
         // event; otherwise (horizon reached or queue drained — after which

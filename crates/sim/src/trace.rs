@@ -159,6 +159,9 @@ pub struct Trace {
     /// Histories, parallel to `slot_ids`.
     hists: Vec<History>,
     decisions: Vec<Decision>,
+    /// The processes in `decisions`, kept as a set so the per-event stop
+    /// predicate does not rebuild it.
+    decided: PSet,
     counters: Vec<(&'static str, u64)>,
     horizon: Time,
 }
@@ -198,6 +201,7 @@ impl Trace {
     /// Records a decision.
     pub fn decide(&mut self, at: Time, by: ProcessId, value: u64) {
         self.decisions.push(Decision { at, by, value });
+        self.decided.insert(by);
     }
 
     /// Increments a named counter.
@@ -266,7 +270,7 @@ impl Trace {
 
     /// The set of processes that decided.
     pub fn deciders(&self) -> PSet {
-        self.decisions.iter().map(|d| d.by).collect()
+        self.decided
     }
 
     /// The set of distinct decided values.

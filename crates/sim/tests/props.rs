@@ -82,19 +82,19 @@ impl Scheduler for ModelQueue {
 /// they agree on `peek_time`, `len` and the popped event.
 #[derive(Default)]
 struct Lockstep {
-    heap: EventQueue,
+    queue: EventQueue,
     model: ModelQueue,
 }
 
 impl Lockstep {
     fn push(&mut self, at: Time) {
         let to = ProcessId(at.ticks() as usize % 8);
-        self.heap.push(at, to, EventKind::Step);
+        self.queue.push(at, to, EventKind::Step);
         self.model.push(at, to, EventKind::Step);
     }
 
-    /// The heap takes its `push_batch` override in one call; the model
-    /// takes the same events one by one.
+    /// The queue takes the batch in one `push_batch` call; the model takes
+    /// the same events one by one.
     fn push_batch(&mut self, times: impl Iterator<Item = Time>) {
         let batch: Vec<Staged> = times
             .map(|at| Staged {
@@ -103,27 +103,27 @@ impl Lockstep {
                 kind: EventKind::Crash,
             })
             .collect();
-        self.heap.push_batch(&batch);
+        self.queue.push_batch(&batch);
         for s in &batch {
             self.model.push(s.at, s.to, s.kind);
         }
     }
 
     fn pop(&mut self, ctx: &str) -> Option<Event> {
-        assert_eq!(self.heap.peek_time(), self.model.peek_time(), "{ctx}");
-        assert_eq!(self.heap.len(), self.model.len(), "{ctx}");
-        let (a, b) = (self.heap.pop(), self.model.pop());
+        assert_eq!(self.queue.peek_time(), self.model.peek_time(), "{ctx}");
+        assert_eq!(self.queue.len(), self.model.len(), "{ctx}");
+        let (a, b) = (self.queue.pop(), self.model.pop());
         assert_eq!(
             a.map(|e| (e.at, e.seq, e.to, e.kind)),
             b.map(|e| (e.at, e.seq, e.to, e.kind)),
-            "{ctx}: heap diverged from the model"
+            "{ctx}: queue diverged from the model"
         );
         a
     }
 
     fn drain(&mut self, ctx: &str) {
         while self.pop(ctx).is_some() {}
-        assert!(self.heap.is_empty() && self.model.is_empty(), "{ctx}");
+        assert!(self.queue.is_empty() && self.model.is_empty(), "{ctx}");
     }
 }
 
@@ -169,6 +169,40 @@ fn event_queue_matches_the_model_under_bursts_and_batches() {
                 }
             }
             for _ in 0..1 + rng.below(3) {
+                if let Some(e) = pair.pop(&ctx) {
+                    now = e.at.ticks();
+                }
+            }
+        }
+        pair.drain(&ctx);
+    }
+}
+
+#[test]
+fn event_queue_matches_the_model_across_the_wheel_window() {
+    // The queue's wheel covers 64 ticks from the last popped one; anything
+    // further goes to its fallback heap. Spans just inside, on and just
+    // beyond that edge (and far beyond it), pushed from a clock that pops
+    // keep moving, make the same tick reachable through both structures.
+    const W: u64 = 64;
+    for case in 0..64 {
+        let mut rng = rng_for(case, 13);
+        let span = [W - 1, W, W + 1, 5_000][case as usize % 4];
+        let ctx = format!("case {case} (span {span})");
+        let mut pair = Lockstep::default();
+        let mut now = 0u64;
+        for _ in 0..400 {
+            if rng.chance(1, 5) {
+                let fanout = 1 + rng.below(17);
+                pair.push_batch((0..fanout).map(|_| Time(now + rng.below(span + 1))));
+            } else {
+                for _ in 0..1 + rng.below(4) {
+                    // One push in eight lands before the clock.
+                    let back = if rng.chance(1, 8) { rng.below(W) } else { 0 };
+                    pair.push(Time((now + rng.below(span + 1)).saturating_sub(back)));
+                }
+            }
+            for _ in 0..rng.below(4) {
                 if let Some(e) = pair.pop(&ctx) {
                     now = e.at.ticks();
                 }
