@@ -15,15 +15,21 @@
 //! full revolutions, and every bucket a tick drains must be reused by a
 //! later tick rather than allocated afresh.
 //!
+//! A third phase pins the Figure 3 Phase-1 round state in the pre-GST
+//! shape, all 128 senders reporting different leader sets: a fresh
+//! `Phase1Slab` absorbs such a round on the one allocation `new` made,
+//! and a slab pooled by its `RoundWindow` absorbs further ones on none.
+//!
 //! The probe binary holds exactly one `#[test]` so no concurrently
 //! running test can touch the process-global counter between the
 //! snapshots. Counting is compiled in only under `debug_assertions`
 //! (see [`CountingAlloc`]); release runs skip the assertions.
 
 use fd_bench::CountingAlloc;
+use fd_core::{Phase1Slab, RoundWindow};
 use fd_sim::{
-    DelayModel, EventKind, EventQueue, MsgArena, Network, ProcessId, Scheduler, SplitMix64, Staged,
-    Time,
+    DelayModel, EventKind, EventQueue, MsgArena, Network, PSet, ProcessId, Scheduler, SplitMix64,
+    Staged, Time,
 };
 
 #[global_allocator]
@@ -143,5 +149,51 @@ fn routed_broadcast_is_allocation_free_after_warmup() {
     );
     acc = acc.wrapping_add(drain(&mut q, &mut arena));
     assert!(arena.is_empty(), "overlapped phase left live payloads");
+
+    // Phase-1 round state: one allocation per slab, none per round — even
+    // when no two senders agree on a leader set.
+    let distinct = |from: usize, r: u32| {
+        PSet::from_iter([ProcessId(from), ProcessId((from + r as usize) % N)])
+    };
+    let before = ALLOC.allocations();
+    let mut fresh = Phase1Slab::new(N);
+    for from in 0..N {
+        fresh.insert(ProcessId(from), distinct(from, 1), 0);
+    }
+    assert_eq!(
+        ALLOC.allocations() - before,
+        1,
+        "a Phase1Slab at n = {N} must be a single allocation, however many \
+         distinct leader sets its first round brings"
+    );
+    acc = acc.wrapping_add(fresh.count() as u64);
+    drop(fresh);
+    let mut window: RoundWindow<Phase1Slab> = RoundWindow::new();
+    let round = |window: &mut RoundWindow<Phase1Slab>, r: u32| {
+        for from in 0..N {
+            window.entry(r, || Phase1Slab::new(N)).insert(
+                ProcessId(from),
+                distinct(from, r),
+                r as u64,
+            );
+        }
+        let slab = window.get(r).expect("entry made above");
+        let aux = slab.majority(N).and_then(|l| slab.min_member_est(l));
+        window.retire_below(r + 1);
+        aux.unwrap_or(1)
+    };
+    acc = acc.wrapping_add(round(&mut window, 1));
+    let before = ALLOC.allocations();
+    for r in 2..8 {
+        acc = acc.wrapping_add(round(&mut window, r));
+    }
+    let after = ALLOC.allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "{} heap allocations across six rounds of {N} all-distinct leader \
+         sets in a pooled Phase1Slab",
+        after - before,
+    );
     std::hint::black_box(acc);
 }

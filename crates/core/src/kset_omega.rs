@@ -92,9 +92,11 @@ pub enum LeaderInput {
 /// One process of the `Ω_k`-based `k`-set agreement algorithm (Figure 3).
 ///
 /// Round state lives in the bitset slabs of [`crate::rounds`]: sender
-/// dedup is a bit test, the `n−t` quorum counts and the line 07/13 value
-/// choices are running aggregates, and slabs of finished rounds are
-/// recycled — steady-state progress allocates nothing, independent of `n`.
+/// dedup is a bit test, the `n−t` quorum counts and the line 13 value
+/// choice are running aggregates, the line 07 majority is a running vote
+/// settled by one recount when the Phase 1 guards pass, and slabs of
+/// finished rounds are recycled — steady-state progress allocates
+/// nothing, independent of `n`.
 /// The `vec-reference` feature retains the original `HashMap`-of-`Vec`
 /// implementation ([`crate::reference::KsetOmegaRef`]) and the
 /// differential suite pins both bit-identical.

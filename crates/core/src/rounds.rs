@@ -10,9 +10,14 @@
 //!
 //! * **sender tracking** is a [`PSet`] bitset plus a running count —
 //!   duplicate detection is a word op and the quorum guard reads a `u32`;
-//! * **aggregates** (`⊥` counts, running minima, first-wins values,
-//!   leader-set tallies) are maintained incrementally at insert time, so
-//!   the round guards read O(1) state instead of rescanning message lists;
+//! * **aggregates** (`⊥` counts, running minima, first-wins values, the
+//!   leader-set majority vote) are maintained incrementally at insert
+//!   time in O(1) per message, so the round guards read O(1) state instead
+//!   of rescanning message lists. The one exception is deliberate: the
+//!   Phase-1 majority is a Boyer–Moore vote plus a recount of the
+//!   candidate when the round's guards pass (see [`Phase1Slab`]), because
+//!   a tally of every distinct leader set is as long as the quorum
+//!   whenever the oracle has not stabilized;
 //! * **storage** is recycled through [`RoundWindow`]: when a process
 //!   enters round `r` it retires every slab below `r` into a pool, and
 //!   future rounds draw from that pool — steady-state progress allocates
@@ -102,48 +107,111 @@ impl<S: RoundSlab> RoundWindow<S> {
 
 /// Round state for Figure 3 **Phase 1**: `PHASE1(r, L, est)` messages.
 ///
-/// Replaces `Vec<(ProcessId, PSet, u64)>`. Estimates are stored in a
-/// per-process array (first message from a sender wins, duplicates are
-/// ignored — exactly the old linear dedup), leader sets are tallied as
-/// they arrive, and the line 05–08 guards become counter reads and word ops.
+/// Replaces `Vec<(ProcessId, PSet, u64)>`. Each sender's first message is
+/// kept as one fixed-width record `[est, l₀ … l_{w−1}]` in a sender-indexed
+/// array (`w = ⌈n/64⌉` words of leader set; duplicates are ignored —
+/// exactly the old linear dedup), and the line 05–06 guards are counter
+/// reads and word ops.
+///
+/// Line 07 needs *the* leader set reported by `2c > n` senders, not a
+/// tally of every set seen — and before GST an `Ω_z` oracle may hand every
+/// sender a different one, so a tally is as long as the quorum. The slab
+/// keeps a Boyer–Moore vote instead: a candidate sender and a vote count,
+/// updated with one `w`-word compare per insert. A set held by a strict
+/// majority of the senders heard is always the surviving candidate, so
+/// [`Phase1Slab::majority`] only has to recount that one row — once per
+/// process per round, and not at all when the votes already settle it.
 #[derive(Clone, Debug)]
 pub struct Phase1Slab {
     /// Who has been heard from this round.
     senders: PSet,
     /// `senders.len()`, kept running so the quorum guard is not a popcount.
     heard: u32,
-    /// `ests[p]` = the estimate of sender `p`'s first message. Only indices
-    /// in `senders` are meaningful; stale values from a recycled slab are
-    /// never read.
-    ests: Vec<u64>,
-    /// Tally of distinct leader sets seen (insertion order, tiny in
-    /// practice: correct processes under one oracle mostly agree).
-    lsets: Vec<(PSet, u32)>,
+    /// Leader-set words per record: `⌈n/64⌉`, or the full [`PSet`] width
+    /// once a set with a member `≥ 64·w` has been seen.
+    w: usize,
+    /// `recs[p·(1+w)..][..1+w]` = `[est, l₀ … l_{w−1}]` of sender `p`'s
+    /// first message. Only records of `senders` are meaningful; stale ones
+    /// from a recycled slab are never read.
+    recs: Vec<u64>,
+    /// Boyer–Moore candidate: the sender whose leader set is the candidate.
+    /// Meaningful only while `votes > 0`.
+    cand: usize,
+    /// Boyer–Moore votes: at least `votes` and at most
+    /// `(heard + votes) / 2` senders reported the candidate's set, and at
+    /// most `(heard − votes) / 2` reported any other one set.
+    votes: u32,
+}
+
+/// Row equality as an inline loop: rows are one to three words wide at the
+/// sizes that run, too short to pay for the `memcmp` call behind `==`.
+#[inline]
+fn same_words(a: &[u64], b: &[u64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x == y)
 }
 
 impl Phase1Slab {
     /// A slab for an `n`-process run.
     pub fn new(n: usize) -> Self {
+        let w = n.div_ceil(64);
         Phase1Slab {
             senders: PSet::EMPTY,
             heard: 0,
-            ests: vec![0; n],
-            lsets: Vec::new(),
+            w,
+            recs: vec![0; n * (1 + w)],
+            cand: 0,
+            votes: 0,
         }
+    }
+
+    /// Where sender `p`'s record starts in `recs`.
+    fn at(&self, p: usize) -> usize {
+        p * (1 + self.w)
+    }
+
+    /// The leader-set words of sender `p`'s record.
+    fn row(&self, p: usize) -> &[u64] {
+        &self.recs[self.at(p) + 1..][..self.w]
     }
 
     /// Records `PHASE1(leaders, est)` from `from`; first message per
     /// sender wins.
     pub fn insert(&mut self, from: ProcessId, leaders: PSet, est: u64) {
-        if !self.senders.insert(from) {
+        if self.senders.contains(from) {
             return;
         }
-        self.heard += 1;
-        self.ests[from.0] = est;
-        match self.lsets.iter_mut().find(|(l, _)| *l == leaders) {
-            Some((_, c)) => *c += 1,
-            None => self.lsets.push((leaders, 1)),
+        let words = leaders.as_words();
+        if words[self.w..].iter().fold(0, |any, &x| any | x) != 0 {
+            self.widen();
         }
+        self.senders.insert(from);
+        self.heard += 1;
+        let (at, w) = (self.at(from.0), self.w);
+        self.recs[at] = est;
+        self.recs[at + 1..][..w].copy_from_slice(&words[..w]);
+        if self.votes == 0 {
+            self.cand = from.0;
+            self.votes = 1;
+        } else if same_words(self.row(self.cand), &words[..w]) {
+            self.votes += 1;
+        } else {
+            self.votes -= 1;
+        }
+    }
+
+    /// Re-lays the records out at the full [`PSet`] width. Leader sets are
+    /// subsets of `Π` in every run, so this is cold: it keeps a set with a
+    /// member `≥ 64·⌈n/64⌉` exact instead of truncating it.
+    #[cold]
+    fn widen(&mut self) {
+        let full = fd_sim::MAX_PROCESSES / 64;
+        let (old, new) = (1 + self.w, 1 + full);
+        let mut recs = vec![0; self.recs.len() / old * new];
+        for p in self.senders {
+            recs[p.0 * new..][..old].copy_from_slice(&self.recs[p.0 * old..][..old]);
+        }
+        self.recs = recs;
+        self.w = full;
     }
 
     /// Distinct senders heard this round (the line 05 quorum count).
@@ -156,20 +224,35 @@ impl Phase1Slab {
         !self.senders.is_disjoint(li)
     }
 
-    /// The leader set reported by a strict majority of senders, if any.
-    /// At most one set can satisfy `2c > n`, so the answer is unique.
+    /// The leader set reported by a strict majority (`2c > n`) of the `n`
+    /// processes, if any. At most one set can satisfy `2c > n`, so the
+    /// answer is unique.
     pub fn majority(&self, n: usize) -> Option<PSet> {
-        self.lsets
-            .iter()
-            .find(|&&(_, c)| 2 * c as usize > n)
-            .map(|&(l, _)| l)
+        let (heard, votes) = (self.heard as usize, self.votes as usize);
+        debug_assert!(heard <= n, "more senders than processes");
+        // `2c > n ≥ heard` makes the set a strict majority of the senders
+        // heard, hence the vote's candidate; and the candidate's count is
+        // at most `(heard + votes) / 2`.
+        if heard + votes <= n {
+            return None;
+        }
+        let l = self.row(self.cand);
+        let c = if votes == heard {
+            heard
+        } else {
+            self.senders
+                .iter()
+                .filter(|p| same_words(self.row(p.0), l))
+                .count()
+        };
+        (2 * c > n).then(|| PSet::from_words(l))
     }
 
     /// The estimate of the smallest-id sender inside `l` (the line 07
     /// `v_L` choice: deterministic, matches the old
     /// `min_by_key(sender)` scan because estimates are first-wins).
     pub fn min_member_est(&self, l: PSet) -> Option<u64> {
-        (self.senders & l).min().map(|p| self.ests[p.0])
+        (self.senders & l).min().map(|p| self.recs[self.at(p.0)])
     }
 }
 
@@ -177,8 +260,8 @@ impl RoundSlab for Phase1Slab {
     fn reset(&mut self) {
         self.senders = PSet::EMPTY;
         self.heard = 0;
-        self.lsets.clear();
-        // `ests` is left dirty on purpose: only indices in `senders` are
+        self.votes = 0;
+        // `recs` is left dirty on purpose: only records of `senders` are
         // ever read, and those are overwritten at insert time.
     }
 }
@@ -386,6 +469,197 @@ mod tests {
         s.insert(pid(2), PSet::EMPTY, 5);
         assert!(s.heard_from(PSet::from_bits(0b100)));
         assert!(!s.heard_from(PSet::from_bits(0b011)));
+    }
+
+    /// The naive Phase-1 aggregate the slab must be indistinguishable
+    /// from: first-wins records in arrival order and a linear tally of
+    /// every distinct leader set.
+    #[derive(Default)]
+    struct Tally {
+        first: Vec<(ProcessId, u64)>,
+        sets: Vec<(PSet, u32)>,
+    }
+
+    impl Tally {
+        fn insert(&mut self, from: ProcessId, leaders: PSet, est: u64) {
+            if self.first.iter().any(|&(p, _)| p == from) {
+                return;
+            }
+            self.first.push((from, est));
+            match self.sets.iter_mut().find(|(l, _)| *l == leaders) {
+                Some((_, c)) => *c += 1,
+                None => self.sets.push((leaders, 1)),
+            }
+        }
+
+        fn heard_from(&self, li: PSet) -> bool {
+            self.first.iter().any(|&(p, _)| li.contains(p))
+        }
+
+        fn majority(&self, n: usize) -> Option<PSet> {
+            self.sets
+                .iter()
+                .find(|&&(_, c)| 2 * c as usize > n)
+                .map(|&(l, _)| l)
+        }
+
+        fn min_member_est(&self, l: PSet) -> Option<u64> {
+            self.first
+                .iter()
+                .filter(|&&(p, _)| l.contains(p))
+                .min_by_key(|&&(p, _)| p)
+                .map(|&(_, est)| est)
+        }
+    }
+
+    /// The sizes of the model differential: row widths 1, 1, 1, 2, 3, 16.
+    const SIZES: [usize; 6] = [1, 5, 64, 65, 130, 1024];
+
+    /// Feeds `msgs` to `slab` and to a fresh [`Tally`] in lockstep and
+    /// compares every observable after every insert.
+    fn lockstep(n: usize, slab: &mut Phase1Slab, msgs: &[(usize, PSet)], what: &str) {
+        let mut tally = Tally::default();
+        for (i, &(from, leaders)) in msgs.iter().enumerate() {
+            let est = 1000 + i as u64;
+            slab.insert(pid(from), leaders, est);
+            tally.insert(pid(from), leaders, est);
+            let at = format!("{what}: n={n}, after insert {i} (from {from})");
+            assert_eq!(slab.count(), tally.first.len(), "count, {at}");
+            let majority = slab.majority(n);
+            assert_eq!(majority, tally.majority(n), "majority, {at}");
+            let probes = [
+                leaders,
+                majority.unwrap_or(PSet::EMPTY),
+                PSet::singleton(pid(from)),
+                PSet::singleton(pid((from + 1) % n)),
+                PSet::full(n),
+                PSet::full(n / 2),
+            ];
+            for l in probes {
+                assert_eq!(slab.heard_from(l), tally.heard_from(l), "heard_from, {at}");
+                assert_eq!(
+                    slab.min_member_est(l),
+                    tally.min_member_est(l),
+                    "min_member_est, {at}"
+                );
+            }
+        }
+    }
+
+    /// `{p_i, p_{i+1}}` in `Π`: distinct for distinct `i` once `n ≥ 3`.
+    fn pair(i: usize, n: usize) -> PSet {
+        PSet::from_iter([pid(i % n), pid((i + 1) % n)])
+    }
+
+    #[test]
+    fn phase1_model_shared_and_all_distinct_sets() {
+        for n in SIZES {
+            let shared: Vec<_> = (0..n).map(|p| (p, pair(n - 1, n))).collect();
+            lockstep(n, &mut Phase1Slab::new(n), &shared, "one shared set");
+            let distinct: Vec<_> = (0..n).rev().map(|p| (p, pair(p, n))).collect();
+            lockstep(n, &mut Phase1Slab::new(n), &distinct, "all-distinct sets");
+        }
+    }
+
+    /// `X₀ A X₁ A X₂ A …`: every `Xᵢ` takes the candidacy and loses it to
+    /// the next `A`, so `A` becomes the candidate only in the tail — with
+    /// `⌊n/2⌋ + 1` copies of `A` the majority appears at the last insert,
+    /// with `⌊n/2⌋` (`2c == n` for even `n`) it just misses.
+    #[test]
+    fn phase1_model_majority_emerges_late_or_just_misses() {
+        for n in SIZES {
+            let a = pair(n - 1, n);
+            for copies in [n / 2 + 1, n / 2] {
+                let others = n - copies;
+                let mut msgs = Vec::new();
+                for i in 0..copies.max(others) {
+                    if i < others {
+                        msgs.push((msgs.len(), pair(i, n)));
+                    }
+                    if i < copies {
+                        msgs.push((msgs.len(), a));
+                    }
+                }
+                let mut slab = Phase1Slab::new(n);
+                lockstep(n, &mut slab, &msgs, "A among distinct sets");
+                // (At n = 1 the only pair is A itself.)
+                if n >= 3 {
+                    let expect = (2 * copies > n).then_some(a);
+                    assert_eq!(slab.majority(n), expect, "n={n}, {copies} copies of A");
+                }
+            }
+        }
+    }
+
+    /// Seeded arrival orders with duplicate senders and leader sets drawn
+    /// from a small pool (so majorities form and dissolve), including sets
+    /// with members `≥ n` and — where the representation has room above
+    /// the row — members `≥ 64·⌈n/64⌉`, which take the widening path
+    /// mid-round. Every slab is recycled through a [`RoundWindow`].
+    #[test]
+    fn phase1_model_seeded_duplicates_wide_members_and_recycling() {
+        for n in SIZES {
+            let mut rng = fd_sim::SplitMix64::new(0x51ab).stream(n as u64);
+            let row_bits = 64 * n.div_ceil(64);
+            let mut pool = vec![PSet::EMPTY, PSet::full(n), pair(0, n), pair(n / 2, n)];
+            if n < fd_sim::MAX_PROCESSES {
+                pool.push(PSet::singleton(pid(n)));
+                pool.push(pair(0, n) | PSet::singleton(pid(row_bits - 1)));
+            }
+            let narrow = pool.len();
+            if row_bits < fd_sim::MAX_PROCESSES {
+                pool.push(PSet::singleton(pid(row_bits)));
+                pool.push(pair(0, n) | PSet::singleton(pid(fd_sim::MAX_PROCESSES - 1)));
+            }
+            let mut window: RoundWindow<Phase1Slab> = RoundWindow::new();
+            for r in 1..=12u32 {
+                // Odd rounds stay inside the row width, so a slab widened
+                // by round r − 1 is also driven on narrow sets afterwards.
+                let sets = if r % 2 == 1 {
+                    &pool[..narrow]
+                } else {
+                    &pool[..]
+                };
+                let favourite = *rng.choose(sets).expect("non-empty pool");
+                let msgs: Vec<_> = (0..rng.range(1, 2 * n as u64))
+                    .map(|_| {
+                        let leaders = if rng.chance(3, 5) {
+                            favourite
+                        } else {
+                            *rng.choose(sets).expect("non-empty pool")
+                        };
+                        (rng.below(n as u64) as usize, leaders)
+                    })
+                    .collect();
+                let slab = window.entry(r, || Phase1Slab::new(n));
+                lockstep(n, slab, &msgs, &format!("seeded round {r}"));
+                window.retire_below(r + 1);
+            }
+        }
+    }
+
+    /// A recycled slab whose previous round had a majority for `C` still
+    /// holds `C` in the rows of senders not yet heard from this round; a
+    /// recount that read them would report `C` again.
+    #[test]
+    fn phase1_model_recycled_slab_ignores_stale_rows() {
+        for n in SIZES.into_iter().filter(|&n| n >= 5) {
+            let (a, b, c) = (pair(0, n), pair(1, n), pair(2, n));
+            let mut window: RoundWindow<Phase1Slab> = RoundWindow::new();
+            let all_c: Vec<_> = (0..n).map(|p| (p, c)).collect();
+            let slab = window.entry(1, || Phase1Slab::new(n));
+            lockstep(n, slab, &all_c, "round with a majority");
+            assert_eq!(slab.majority(n), Some(c));
+            window.retire_below(2);
+            // `A B C C …` with `⌊n/2⌋` copies of C: the votes call for a
+            // recount, it must find `2c ≤ n`, and each of the `⌈n/2⌉ − 2`
+            // senders not heard from still has a stale C row.
+            let mut msgs = vec![(0, a), (1, b)];
+            msgs.extend((2..2 + n / 2).map(|p| (p, c)));
+            let slab = window.entry(2, || unreachable!("round 1's slab is pooled"));
+            lockstep(n, slab, &msgs, "recycled round without one");
+            assert_eq!(slab.majority(n), None);
+        }
     }
 
     #[test]

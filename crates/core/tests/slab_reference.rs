@@ -8,7 +8,8 @@
 //! checking — and must produce equal [`ScenarioReport::fingerprint`]s:
 //! same event counts, same messages, same decisions, same counters, same
 //! history samples. The grid spans process counts up to the n = 128
-//! tier, sequential and 4-thread runners, and armed/unarmed adversaries.
+//! tier and one past it (n = 130, a three-word row), sequential and
+//! 4-thread runners, and armed/unarmed adversaries.
 
 #![cfg(feature = "vec-reference")]
 
@@ -55,11 +56,13 @@ fn assert_identical(
     assert!(p.metrics.msgs_sent > 0, "{what}: empty run");
 }
 
-/// Tentpole differential: n ∈ {5, 33, 128} × adversary off/on, full
-/// scenario fingerprints.
+/// Tentpole differential: n ∈ {5, 33, 128, 130} × adversary off/on, full
+/// scenario fingerprints. `Phase1Slab` stores leader sets in `⌈n/64⌉`-word
+/// rows; 130 adds a width (3) that is neither a `u64`, a `u128` nor the
+/// full `PSet`.
 #[test]
 fn kset_slab_matches_reference_across_n_queues_adversary() {
-    for n in [5usize, 33, 128] {
+    for n in [5usize, 33, 128, 130] {
         let seeds = if n >= 128 { 1 } else { 2 };
         for adv in [false, true] {
             for seed in 0..seeds {

@@ -150,6 +150,26 @@ impl PSet {
         self.0
     }
 
+    /// The full-width word view, borrowed (same layout as [`PSet::words`]).
+    #[inline]
+    pub fn as_words(&self) -> &[u64; WORDS] {
+        &self.0
+    }
+
+    /// The set whose low words are `low` and whose remaining words are
+    /// zero: the inverse of truncating [`PSet::as_words`] to a prefix that
+    /// holds every member.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `low` is longer than the full width.
+    #[inline]
+    pub fn from_words(low: &[u64]) -> Self {
+        let mut words = [0u64; WORDS];
+        words[..low.len()].copy_from_slice(low);
+        PSet(words)
+    }
+
     /// Number of processes in the set.
     pub fn len(self) -> usize {
         self.0.iter().map(|w| w.count_ones() as usize).sum()
@@ -531,5 +551,14 @@ mod tests {
         let w = PSet::singleton(ProcessId(130)).words();
         assert_eq!(w[2], 0b100);
         assert!(w.iter().enumerate().all(|(i, &x)| i == 2 || x == 0));
+    }
+
+    #[test]
+    fn from_words_inverts_a_covering_prefix() {
+        let s = ps(&[0, 63, 64, 130]);
+        assert_eq!(s.as_words(), &s.words());
+        assert_eq!(PSet::from_words(&s.as_words()[..3]), s);
+        assert_eq!(PSet::from_words(s.as_words()), s);
+        assert_eq!(PSet::from_words(&[]), PSet::EMPTY);
     }
 }
