@@ -20,16 +20,23 @@
 //! `Phase1Slab` absorbs such a round on the one allocation `new` made,
 //! and a slab pooled by its `RoundWindow` absorbs further ones on none.
 //!
+//! A fourth phase pins the anarchy-period `Ω_z` read and the delivery
+//! that makes it: a pre-GST `OmegaOracle::trusted` samples its leader
+//! set on the stack, and a `PHASE1` delivered to a `KsetOmega` whose
+//! line 05 quorum already holds — so line 06 runs its set algebra and
+//! re-reads the oracle — allocates nothing either.
+//!
 //! The probe binary holds exactly one `#[test]` so no concurrently
 //! running test can touch the process-global counter between the
 //! snapshots. Counting is compiled in only under `debug_assertions`
 //! (see [`CountingAlloc`]); release runs skip the assertions.
 
 use fd_bench::CountingAlloc;
-use fd_core::{Phase1Slab, RoundWindow};
+use fd_core::{KsetMsg, KsetOmega, Phase1Slab, RoundWindow};
+use fd_detectors::OmegaOracle;
 use fd_sim::{
-    DelayModel, EventKind, EventQueue, MsgArena, Network, PSet, ProcessId, Scheduler, SplitMix64,
-    Staged, Time,
+    Automaton, Ctx, DelayModel, EventKind, EventQueue, FailurePattern, MsgArena, Network,
+    OracleSuite, PSet, ProcessId, Scheduler, SplitMix64, Staged, Time, Trace,
 };
 
 #[global_allocator]
@@ -195,5 +202,51 @@ fn routed_broadcast_is_allocation_free_after_warmup() {
          sets in a pooled Phase1Slab",
         after - before,
     );
+
+    // Anarchy-period oracle reads: `gst` is never reached, so every read
+    // draws a fresh ≤ z-member leader set.
+    let (t, z) = (63, 2);
+    let mut oracle = OmegaOracle::new(FailurePattern::all_correct(N), z, Time::INFINITY, 7);
+    let before = ALLOC.allocations();
+    for now in 0..64 {
+        acc = acc.wrapping_add(oracle.trusted(ProcessId(now % N), Time(now as u64)).len() as u64);
+    }
+    assert_eq!(
+        ALLOC.allocations() - before,
+        0,
+        "a pre-GST Ω_z read must sample its leader set without allocating"
+    );
+
+    // Steady-state PHASE1 deliveries to one process stuck in round 1: it
+    // never hears a member of its L_i and, within one noise window, the
+    // oracle keeps answering L_i, so past the quorum every delivery runs
+    // the whole line 05 → line 06 → oracle-read path and returns.
+    let (me, now) = (ProcessId(0), Time(3));
+    let li = oracle.trusted(me, now);
+    let mut trace = Trace::new();
+    let mut proc = KsetOmega::new(100);
+    let mut ctx = Ctx::with_buffer(me, N, t, now, &mut oracle, &mut trace, Vec::new());
+    proc.on_start(&mut ctx);
+    let mut deliver = |from: usize| {
+        let msg = KsetMsg::Phase1 {
+            r: 1,
+            leaders: distinct(from, 1),
+            est: from as u64,
+        };
+        proc.on_message(ProcessId(from), msg, &mut ctx);
+    };
+    let senders: Vec<usize> = (0..N).filter(|&i| !li.contains(ProcessId(i))).collect();
+    deliver(senders[0]);
+    let before = ALLOC.allocations();
+    for &from in &senders[1..] {
+        deliver(from);
+    }
+    assert_eq!(
+        ALLOC.allocations() - before,
+        0,
+        "PHASE1 deliveries below and past the n − t quorum must not allocate"
+    );
+    assert_eq!(proc.round(), 1, "the probed process must still be waiting");
+    assert!(senders.len() > N - t, "the quorum was never reached");
     std::hint::black_box(acc);
 }

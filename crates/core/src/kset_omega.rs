@@ -186,21 +186,18 @@ impl KsetOmega {
             match self.stage {
                 Stage::Done => return,
                 Stage::Phase1 => {
-                    let quorum = ctx.n() - ctx.t();
-                    let n = ctx.n();
-                    let li = self.li;
-                    let (count, from_leader) = {
-                        let slab = self.p1.entry(self.r, || Phase1Slab::new(n));
-                        (slab.count(), slab.heard_from(li))
-                    };
-                    // Line 05: n−t PHASE1(r) messages.
-                    if count < quorum {
+                    let (n, quorum) = (ctx.n(), ctx.n() - ctx.t());
+                    let slab = self.p1.entry(self.r, || Phase1Slab::new(n));
+                    // Line 05: n−t PHASE1(r) messages. Checked first: it
+                    // rejects most calls, and line 06 costs set algebra.
+                    if slab.count() < quorum {
                         return;
                     }
                     // Line 06: one from a member of L_i, or trusted_i moved.
                     // (`read_leaders` queries the oracle, so it must stay
-                    // short-circuited exactly as before.)
-                    if !from_leader && self.read_leaders(ctx) == li {
+                    // short-circuited: read only once line 05 holds and no
+                    // member of L_i has been heard.)
+                    if !slab.heard_from(self.li) && self.read_leaders(ctx) == self.li {
                         return;
                     }
                     // Lines 07–08: aux_i := v_L if a majority agrees on one

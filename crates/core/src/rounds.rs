@@ -220,6 +220,7 @@ impl Phase1Slab {
     }
 
     /// Whether any sender is a member of `li` (the line 06 guard).
+    #[inline]
     pub fn heard_from(&self, li: PSet) -> bool {
         !self.senders.is_disjoint(li)
     }

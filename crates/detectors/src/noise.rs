@@ -48,10 +48,9 @@ pub fn arbitrary_leader_set(
 ) -> PSet {
     let mut rng = stream(seed, me.0 as u64, window(now, period), 0x001e_ade2);
     let k = rng.range(1, max_size.max(1) as u64) as usize;
-    rng.sample_indices(n, k.min(n))
-        .into_iter()
-        .map(ProcessId)
-        .collect()
+    rng.sample_indices(n, k.min(n), |s| {
+        s.iter().map(|&i| ProcessId(i as usize)).collect()
+    })
 }
 
 /// An arbitrary boolean, stable within one window, keyed by a query set.

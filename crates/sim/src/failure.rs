@@ -64,9 +64,9 @@ impl FailurePattern {
     /// Panics if `f > n`.
     pub fn random(n: usize, f: usize, horizon: Time, rng: &mut SplitMix64) -> Self {
         let mut b = FailurePattern::builder(n);
-        for i in rng.sample_indices(n, f) {
+        for i in rng.sample_indices(n, f, <[u16]>::to_vec) {
             let at = Time(rng.range(0, horizon.ticks()));
-            b = b.crash(ProcessId(i), at);
+            b = b.crash(ProcessId(i as usize), at);
         }
         b.build()
     }
@@ -75,8 +75,8 @@ impl FailurePattern {
     /// starts) — the premise of the paper's zero-degradation property.
     pub fn random_initial(n: usize, f: usize, rng: &mut SplitMix64) -> Self {
         let mut b = FailurePattern::builder(n);
-        for i in rng.sample_indices(n, f) {
-            b = b.crash(ProcessId(i), Time::ZERO);
+        for i in rng.sample_indices(n, f, <[u16]>::to_vec) {
+            b = b.crash(ProcessId(i as usize), Time::ZERO);
         }
         b.build()
     }
@@ -105,12 +105,12 @@ impl FailurePattern {
             2 * f <= n,
             "churn needs 2f ≤ n ids (f crashers + f fresh joiners), got f={f}, n={n}"
         );
-        let ids = rng.sample_indices(n, 2 * f);
+        let ids = rng.sample_indices(n, 2 * f, <[u16]>::to_vec);
         let mut b = FailurePattern::builder(n);
         for j in 0..f {
             let at = Time(rng.range(0, crash_by.ticks()));
-            b = b.crash(ProcessId(ids[j]), at).join(
-                ProcessId(ids[f + j]),
+            b = b.crash(ProcessId(ids[j] as usize), at).join(
+                ProcessId(ids[f + j] as usize),
                 Time(at.ticks().saturating_add(rejoin_after)),
             );
         }

@@ -171,11 +171,13 @@ impl PSet {
     }
 
     /// Number of processes in the set.
+    #[inline]
     pub fn len(self) -> usize {
         self.0.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Whether the set is empty.
+    #[inline]
     pub fn is_empty(self) -> bool {
         self.0 == [0; WORDS]
     }
@@ -217,6 +219,7 @@ impl PSet {
     }
 
     /// Whether the two sets are disjoint.
+    #[inline]
     pub fn is_disjoint(self, other: PSet) -> bool {
         self.0.iter().zip(other.0.iter()).all(|(&a, &b)| a & b == 0)
     }
@@ -230,6 +233,7 @@ impl PSet {
     }
 
     /// The smallest identity in the set, if any.
+    #[inline]
     pub fn min(self) -> Option<ProcessId> {
         self.0
             .iter()

@@ -7,6 +7,8 @@
 //! schedule stability across dependency upgrades is a correctness
 //! requirement for this repository (see "Determinism" in README.md).
 
+use crate::id::MAX_PROCESSES;
+
 /// A SplitMix64 pseudo-random generator (Steele, Lea & Flood 2014).
 ///
 /// Fast, tiny state, passes BigCrush when used as intended; more than enough
@@ -59,15 +61,17 @@ impl SplitMix64 {
     #[inline]
     pub fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "below(0) is meaningless");
-        // Lemire-style rejection to avoid modulo bias.
-        let threshold = bound.wrapping_neg() % bound;
-        loop {
-            let x = self.next_u64();
-            let m = (x as u128).wrapping_mul(bound as u128);
-            if (m as u64) >= threshold {
-                return (m >> 64) as u64;
+        // Lemire's rejection method (no modulo bias). A draw is rejected
+        // only when the low half of the product is below `2^64 mod bound`,
+        // which is itself `< bound`: the division is paid only then.
+        let mut m = (self.next_u64() as u128).wrapping_mul(bound as u128);
+        if (m as u64) < bound {
+            let threshold = bound.wrapping_neg() % bound;
+            while (m as u64) < threshold {
+                m = (self.next_u64() as u128).wrapping_mul(bound as u128);
             }
         }
+        (m >> 64) as u64
     }
 
     /// Uniform value in `[lo, hi]` (inclusive).
@@ -116,17 +120,22 @@ impl SplitMix64 {
         }
     }
 
-    /// Samples `k` distinct indices from `0..n` (in random order).
+    /// Samples `k` distinct indices from `0..n` (in random order) and hands
+    /// them to `f`: the first `k` entries of a full Fisher–Yates shuffle of
+    /// `0..n`, done in a stack buffer, so sampling never allocates.
     ///
     /// # Panics
     ///
-    /// Panics if `k > n`.
-    pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
+    /// Panics if `k > n` or `n > MAX_PROCESSES`.
+    #[inline]
+    pub fn sample_indices<R>(&mut self, n: usize, k: usize, f: impl FnOnce(&[u16]) -> R) -> R {
         assert!(k <= n, "cannot sample {k} from {n}");
-        let mut idx: Vec<usize> = (0..n).collect();
-        self.shuffle(&mut idx);
-        idx.truncate(k);
-        idx
+        let mut idx = [0u16; MAX_PROCESSES];
+        for (i, slot) in idx[..n].iter_mut().enumerate() {
+            *slot = i as u16;
+        }
+        self.shuffle(&mut idx[..n]);
+        f(&idx[..k])
     }
 }
 
@@ -194,9 +203,8 @@ mod tests {
     #[test]
     fn sample_indices_distinct() {
         let mut g = SplitMix64::new(5);
-        let s = g.sample_indices(10, 4);
-        assert_eq!(s.len(), 4);
-        let mut d = s.clone();
+        let mut d = g.sample_indices(10, 4, <[u16]>::to_vec);
+        assert_eq!(d.len(), 4);
         d.sort_unstable();
         d.dedup();
         assert_eq!(d.len(), 4);

@@ -5,7 +5,7 @@
 //! Everything is deterministic in the `(config, pattern, seed)` triple.
 
 use crate::adversary::{BroadcastEffects, MessageAdversary, RouteEffects, TopologySchedule};
-use crate::arena::MsgArena;
+use crate::arena::{MsgArena, MsgSlot};
 use crate::automaton::{Automaton, Ctx, Op};
 use crate::event::{EventKind, EventQueue, Scheduler, Staged};
 use crate::failure::FailurePattern;
@@ -216,10 +216,11 @@ pub struct Sim<A: Automaton, O: OracleSuite> {
     /// copies materialize lazily when the delivery pops (and deliveries to
     /// crashed recipients never pay for a clone at all).
     arena: MsgArena<A::Msg>,
-    /// Recycled operation buffers: the hot loop hands one to each
+    /// The recycled operation buffer: the hot loop hands it to each
     /// activation's [`Ctx`] and takes it back (emptied) after applying the
     /// ops, so steady-state event processing allocates no `Vec<Op>`.
-    op_pool: Vec<Vec<Op<A::Msg>>>,
+    /// Activations never nest, so one buffer is all there is to recycle.
+    ops: Vec<Op<A::Msg>>,
     /// Recycled broadcast staging buffer: every (plain or reliable)
     /// broadcast stages its deliveries here and flushes them through one
     /// [`Scheduler::push_batch`] call, so steady-state broadcasting
@@ -284,7 +285,7 @@ impl<A: Automaton, O: OracleSuite> Sim<A, O> {
             net,
             queue: EventQueue::new(),
             arena: MsgArena::with_capacity(cfg.n),
-            op_pool: Vec::new(),
+            ops: Vec::new(),
             staging: Vec::with_capacity(cfg.n + 1),
             step_rngs: (0..cfg.n)
                 .map(|i| root.stream(0x57E9).stream(i as u64))
@@ -363,40 +364,8 @@ impl<A: Automaton, O: OracleSuite> Sim<A, O> {
             self.events += 1;
             let to = ev.to;
             match ev.kind {
-                EventKind::Deliver { from, slot } => {
-                    if self.fp.is_alive_at(to, self.now) {
-                        let msg = self.arena.take(slot);
-                        self.trace.bump(counter::DELIVERED, 1);
-                        self.activate(
-                            to,
-                            Activation::Message {
-                                from,
-                                msg,
-                                rb: false,
-                            },
-                        );
-                    } else {
-                        // Crashed recipient: drop the delivery without ever
-                        // materializing (cloning) the payload.
-                        self.arena.release(slot);
-                    }
-                }
-                EventKind::RbDeliver { from, slot } => {
-                    if self.fp.is_alive_at(to, self.now) {
-                        let msg = self.arena.take(slot);
-                        self.trace.bump(counter::DELIVERED, 1);
-                        self.activate(
-                            to,
-                            Activation::Message {
-                                from,
-                                msg,
-                                rb: true,
-                            },
-                        );
-                    } else {
-                        self.arena.release(slot);
-                    }
-                }
+                EventKind::Deliver { from, slot } => self.deliver(to, from, slot, false),
+                EventKind::RbDeliver { from, slot } => self.deliver(to, from, slot, true),
                 EventKind::Step => {
                     if self.fp.is_alive_at(to, self.now) && !self.halted[to.0] {
                         self.activate(to, Activation::Step);
@@ -454,37 +423,51 @@ impl<A: Automaton, O: OracleSuite> Sim<A, O> {
         &self.procs[p.0]
     }
 
-    fn activate(&mut self, p: ProcessId, what: Activation<A::Msg>) {
-        let buf = self.op_pool.pop().unwrap_or_default();
-        let ops = {
-            let proc = &mut self.procs[p.0];
-            let mut ctx = Ctx::with_buffer(
-                p,
-                self.cfg.n,
-                self.cfg.t,
-                self.now,
-                &mut self.oracle,
-                &mut self.trace,
-                buf,
-            );
-            match what {
-                Activation::Start => proc.on_start(&mut ctx),
-                Activation::Message {
-                    from,
-                    msg,
-                    rb: false,
-                } => proc.on_message(from, msg, &mut ctx),
-                Activation::Message {
-                    from,
-                    msg,
-                    rb: true,
-                } => proc.on_rb_deliver(from, msg, &mut ctx),
-                Activation::Step => proc.on_step(&mut ctx),
-            }
-            ctx.take_ops()
-        };
-        let emptied = self.apply_ops(p, ops);
-        self.op_pool.push(emptied);
+    /// Splits the engine into what one activation of `p` borrows: its
+    /// automaton, the arena its message (if any) comes out of, and a
+    /// [`Ctx`] over the recycled op buffer.
+    #[inline]
+    fn ctx(&mut self, p: ProcessId) -> (&mut A, &mut MsgArena<A::Msg>, Ctx<'_, A::Msg, O>) {
+        let ctx = Ctx::with_buffer(
+            p,
+            self.cfg.n,
+            self.cfg.t,
+            self.now,
+            &mut self.oracle,
+            &mut self.trace,
+            std::mem::take(&mut self.ops),
+        );
+        (&mut self.procs[p.0], &mut self.arena, ctx)
+    }
+
+    /// Hands one popped delivery to its recipient. The payload goes from
+    /// the arena slot straight into the by-value callback argument — the
+    /// clone [`MsgArena::take`] makes is the only copy — and a crashed
+    /// recipient's delivery is released without materializing it at all.
+    fn deliver(&mut self, to: ProcessId, from: ProcessId, slot: MsgSlot, rb: bool) {
+        if !self.fp.is_alive_at(to, self.now) {
+            self.arena.release(slot);
+            return;
+        }
+        self.trace.bump(counter::DELIVERED, 1);
+        let (proc, arena, mut ctx) = self.ctx(to);
+        if rb {
+            proc.on_rb_deliver(from, arena.take(slot), &mut ctx);
+        } else {
+            proc.on_message(from, arena.take(slot), &mut ctx);
+        }
+        let ops = ctx.take_ops();
+        self.apply_ops(to, ops);
+    }
+
+    fn activate(&mut self, p: ProcessId, what: Activation) {
+        let (proc, _, mut ctx) = self.ctx(p);
+        match what {
+            Activation::Start => proc.on_start(&mut ctx),
+            Activation::Step => proc.on_step(&mut ctx),
+        }
+        let ops = ctx.take_ops();
+        self.apply_ops(p, ops);
     }
 
     /// Records what the adversary did to one routed message. On the clean
@@ -530,9 +513,9 @@ impl<A: Automaton, O: OracleSuite> Sim<A, O> {
         }
     }
 
-    /// Applies the buffered operations and returns the (drained) buffer to
-    /// the caller for recycling.
-    fn apply_ops(&mut self, from: ProcessId, mut ops: Vec<Op<A::Msg>>) -> Vec<Op<A::Msg>> {
+    /// Applies the operations one activation buffered and keeps the
+    /// (drained) buffer for the next one.
+    fn apply_ops(&mut self, from: ProcessId, mut ops: Vec<Op<A::Msg>>) {
         for op in ops.drain(..) {
             match op {
                 Op::Send { to, msg } => {
@@ -572,7 +555,7 @@ impl<A: Automaton, O: OracleSuite> Sim<A, O> {
                 }
             }
         }
-        ops
+        self.ops = ops;
     }
 
     /// Reliable-broadcast semantics (paper §2.1):
@@ -585,13 +568,20 @@ impl<A: Automaton, O: OracleSuite> Sim<A, O> {
         let receivers: PSet = if !self.fp.is_correct(from)
             && self.rb_rng.chance(self.cfg.rb_partial_pct as u64, 100)
         {
-            // Partial broadcast: a random subset of the faulty processes.
-            let faulty: Vec<ProcessId> = self.fp.faulty().iter().collect();
-            let k = self.rb_rng.below(faulty.len() as u64 + 1) as usize;
-            self.rb_rng
-                .sample_indices(faulty.len(), k)
-                .into_iter()
-                .map(|i| faulty[i])
+            // Partial broadcast: a random subset of the faulty processes,
+            // sampled as positions in the increasing-identity order of the
+            // faulty set.
+            let faulty = self.fp.faulty();
+            let len = faulty.len();
+            let k = self.rb_rng.below(len as u64 + 1) as usize;
+            let picked: PSet = self.rb_rng.sample_indices(len, k, |s| {
+                s.iter().map(|&i| ProcessId(i as usize)).collect()
+            });
+            faulty
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| picked.contains(ProcessId(i)))
+                .map(|(_, p)| p)
                 .collect()
         } else {
             PSet::full(self.cfg.n)
@@ -612,9 +602,8 @@ impl<A: Automaton, O: OracleSuite> Sim<A, O> {
     }
 }
 
-enum Activation<M> {
+enum Activation {
     Start,
-    Message { from: ProcessId, msg: M, rb: bool },
     Step,
 }
 

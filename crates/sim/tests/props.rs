@@ -4,10 +4,12 @@
 //! exactly.
 
 use fd_sim::{
-    BroadcastEffects, Corruptible, DelayModel, DelayRule, Event, EventKind, EventQueue,
-    FailurePattern, MessageAdversary, MessageRule, MsgArena, Network, PSet, ProcessId, Scheduler,
-    SplitMix64, Staged, Time,
+    Automaton, BroadcastEffects, Corruptible, Ctx, DelayModel, DelayRule, Event, EventKind,
+    EventQueue, FailurePattern, MessageAdversary, MessageRule, MsgArena, Network, NoOracle,
+    OracleSuite, PSet, ProcessId, Scheduler, Sim, SimConfig, SplitMix64, Staged, Time,
 };
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 const CASES: u64 = 128;
 
@@ -520,4 +522,131 @@ fn splitmix_streams_are_independent_of_order() {
         let mut b2 = root.stream(2);
         assert_eq!(b2.next_u64(), x);
     }
+}
+
+/// `SplitMix64::below` as it was before its fast path: the rejection
+/// threshold (one 64-bit division) computed on every call.
+fn below_reject_loop(g: &mut SplitMix64, bound: u64) -> u64 {
+    let threshold = bound.wrapping_neg() % bound;
+    loop {
+        let m = (g.next_u64() as u128) * (bound as u128);
+        if (m as u64) >= threshold {
+            return (m >> 64) as u64;
+        }
+    }
+}
+
+#[test]
+fn below_equals_the_reject_loop_in_value_and_stream_position() {
+    let mut bounds = vec![1, 2, 3, 1 << 63, u64::MAX];
+    for k in 1..64 {
+        bounds.extend([(1u64 << k) - 1, 1 << k, (1 << k) + 1]);
+    }
+    for case in 0..CASES {
+        let mut new = rng_for(case, 11);
+        let mut old = new.clone();
+        for &bound in &bounds {
+            // Bounds just above 2^63 reject every other draw, so the slow
+            // path is walked as often as the fast one.
+            for _ in 0..8 {
+                assert_eq!(new.below(bound), below_reject_loop(&mut old, bound));
+                assert_eq!(new, old, "stream positions diverged at bound {bound}");
+            }
+        }
+    }
+}
+
+/// `SplitMix64::sample_indices` as it was when it returned a `Vec`.
+fn sample_indices_vec(g: &mut SplitMix64, n: usize, k: usize) -> Vec<usize> {
+    let mut idx: Vec<usize> = (0..n).collect();
+    g.shuffle(&mut idx);
+    idx.truncate(k);
+    idx
+}
+
+#[test]
+fn stack_sampler_equals_the_vec_shuffle_in_value_and_stream_position() {
+    for n in (1..=130).chain([1024]) {
+        for k in (0..=n.min(8)).chain([n]) {
+            let mut new = rng_for(n as u64, 12 + k as u64);
+            let mut old = new.clone();
+            let got = new.sample_indices(n, k, <[u16]>::to_vec);
+            let want = sample_indices_vec(&mut old, n, k);
+            assert!(got.iter().map(|&i| i as usize).eq(want), "n = {n}, k = {k}");
+            assert_eq!(new, old, "stream positions diverged at n = {n}, k = {k}");
+        }
+    }
+}
+
+/// A payload that counts its clones.
+#[derive(Debug)]
+struct Counted(Arc<AtomicUsize>);
+
+impl Clone for Counted {
+    fn clone(&self) -> Self {
+        self.0.fetch_add(1, Ordering::Relaxed);
+        Counted(Arc::clone(&self.0))
+    }
+}
+
+impl Corruptible for Counted {}
+
+/// `p0` broadcasts one [`Counted`] at start; nobody else sends anything.
+struct OneBroadcast(Arc<AtomicUsize>);
+
+impl Automaton for OneBroadcast {
+    type Msg = Counted;
+
+    fn on_start<O: OracleSuite + ?Sized>(&mut self, ctx: &mut Ctx<'_, Counted, O>) {
+        if ctx.me() == ProcessId(0) {
+            ctx.broadcast(Counted(Arc::clone(&self.0)));
+        }
+    }
+
+    fn on_message<O: OracleSuite + ?Sized>(
+        &mut self,
+        _from: ProcessId,
+        _msg: Counted,
+        _ctx: &mut Ctx<'_, Counted, O>,
+    ) {
+    }
+
+    fn on_step<O: OracleSuite + ?Sized>(&mut self, _ctx: &mut Ctx<'_, Counted, O>) {}
+}
+
+/// Through the whole engine, a broadcast costs one clone per delivery to a
+/// live recipient, except that the last delivery to pop moves the payload
+/// out of the arena: `n − c − 1` clones with `c` crashed recipients, or
+/// `n − c` when that last pop is for a crashed recipient (released, never
+/// materialized). Nothing between the arena and `on_message` clones again.
+/// The per-seed counts are the ones the engine produced before deliveries
+/// were handed over slot-direct.
+#[test]
+fn broadcast_through_sim_clones_once_per_live_delivery() {
+    const N: usize = 9;
+    let crashed = [ProcessId(2), ProcessId(5), ProcessId(7)];
+    let mut seen = Vec::new();
+    for seed in 0..12 {
+        let clones = Arc::new(AtomicUsize::new(0));
+        let mut fp = FailurePattern::builder(N);
+        for &p in &crashed {
+            fp = fp.crash(p, Time::ZERO);
+        }
+        let cfg = SimConfig::new(N, 4).seed(seed).max_time(Time(200));
+        let mut sim = Sim::new(
+            cfg,
+            fp.build(),
+            |_| OneBroadcast(Arc::clone(&clones)),
+            NoOracle,
+        );
+        sim.run();
+        let got = clones.load(Ordering::Relaxed);
+        let live = N - crashed.len();
+        assert!(
+            got == live - 1 || got == live,
+            "seed {seed}: {got} clones for {live} live recipients"
+        );
+        seen.push(got);
+    }
+    assert_eq!(seen, [5, 6, 6, 5, 5, 6, 6, 5, 5, 6, 6, 5]);
 }
