@@ -4,15 +4,17 @@
 //! module is the index), all driven by the unified scenario engine. The [`experiments`]
 //! module computes the tables; the `tables` binary prints them
 //! (`cargo run -p fd-bench --bin tables --release`); the `sweep` binary
-//! emits the machine-readable `BENCH_sweep.json` throughput report; the
-//! bench targets (`cargo bench -p fd-bench`) time the same workloads on
-//! the dependency-free [`micro`] harness.
+//! regenerates the committed `BENCH_sweep.json`, a golden of counted
+//! results (runs, passes, events, messages — no wall clock); the bench
+//! targets (`cargo bench -p fd-bench`) time the same workloads on the
+//! dependency-free [`micro`] harness.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod analyze;
 pub mod experiments;
+pub mod flags;
 pub mod json;
 pub mod micro;
 pub mod search;
@@ -34,9 +36,8 @@ pub use store::{
     StoreSummary, SweepStore, STORE_FORMAT, STORE_SHARDS,
 };
 pub use sweep::{
-    adversary_leg, cache_leg, check_baseline, grid_cells, representative_sweep, scaling_curve,
-    store_leg, stream_cell, streaming_sweep, topology_leg, AdversaryLeg, BaselineVerdict, CacheLeg,
-    HealCell, ScalePoint, ScalingCurve, StoreLeg, StreamResult, SweepBenchReport, TopologyLeg,
-    MAX_NEGATIVE_WITNESSES,
+    adversary_leg, grid_cells, representative_sweep, scaling_curve, stream_cell, streaming_sweep,
+    topology_leg, AdversaryLeg, HealCell, ScalePoint, ScalingCurve, StreamResult, SweepBenchReport,
+    TopologyLeg,
 };
 pub use table::Table;

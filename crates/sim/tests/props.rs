@@ -386,7 +386,7 @@ fn drop_rule_same_seed_same_dropped_set() {
 }
 
 #[test]
-fn duplication_never_reorders_pop_order_on_either_scheduler() {
+fn duplication_never_reorders_pop_order() {
     // Satellite contract: with a duplication adversary in play, the heap
     // and the model queue still pop the identical (at, seq) sequence, and
     // that sequence is ascending.

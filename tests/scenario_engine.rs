@@ -248,7 +248,7 @@ mod batching {
     /// The batched engine is fingerprint-identical across n = 5/9/13/33 at
     /// 1/2/4/8 threads (all compared against the sequential baseline).
     #[test]
-    fn broadcast_batching_is_identical_across_scales_threads_and_queues() {
+    fn broadcast_batching_is_identical_across_scales_and_threads() {
         let mut specs = Vec::new();
         for &(n, t) in &[(5usize, 2usize), (9, 4), (13, 6), (33, 16)] {
             for seed in 0..2 {
@@ -428,7 +428,7 @@ mod adversary {
     }
 
     #[test]
-    fn armed_adversary_is_deterministic_across_threads_and_queues() {
+    fn armed_adversary_is_deterministic_across_threads() {
         // An *armed* adversary (drop + dup + corrupt, windowed) is just as
         // deterministic as the clean engine: same seed ⇒ same run at any
         // thread count.
@@ -566,7 +566,7 @@ mod topology {
     }
 
     #[test]
-    fn armed_schedule_is_deterministic_across_threads_and_queues() {
+    fn armed_schedule_is_deterministic_across_threads() {
         // A schedule mixing a partition epoch with an asymmetric latency
         // epoch is as deterministic as the clean engine: same seed ⇒ same
         // run, sequential or work-stealing.
