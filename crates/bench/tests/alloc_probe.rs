@@ -26,6 +26,12 @@
 //! line 05 quorum already holds — so line 06 runs its set algebra and
 //! re-reads the oracle — allocates nothing either.
 //!
+//! A fifth phase pins the composed automata and the register model: once
+//! `TwoWheels`' recycled inner-op buffers and the oracles' memos are
+//! warm, a local step, an answered `INQUIRY` and an absorbed `RESPONSE`
+//! allocate nothing, and `run_shm` allocates for its set-up and the
+//! trace's early growth only — twice the steps, not one allocation more.
+//!
 //! The probe binary holds exactly one `#[test]` so no concurrently
 //! running test can touch the process-global counter between the
 //! snapshots. Counting is compiled in only under `debug_assertions`
@@ -33,11 +39,13 @@
 
 use fd_bench::CountingAlloc;
 use fd_core::{KsetMsg, KsetOmega, Phase1Slab, RoundWindow};
-use fd_detectors::OmegaOracle;
+use fd_detectors::{OmegaOracle, PhiOracle, Scope, SxOracle};
 use fd_sim::{
-    Automaton, Ctx, DelayModel, EventKind, EventQueue, FailurePattern, MsgArena, Network,
-    OracleSuite, PSet, ProcessId, Scheduler, SplitMix64, Staged, Time, Trace,
+    run_shm, Automaton, Ctx, DelayModel, EventKind, EventQueue, FailurePattern, MsgArena, Network,
+    Op, OracleSuite, PSet, ProcessId, Scheduler, ShmConfig, SplitMix64, Staged, SuspectPlusQuery,
+    Time, Trace,
 };
+use fd_transforms::{AdditionShm, TwMsg, TwParams, TwoWheels, UpperMsg};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -65,6 +73,47 @@ fn drain_due(q: &mut EventQueue, arena: &mut MsgArena<u64>, now: Time) -> u64 {
 /// Pops every pending event.
 fn drain(q: &mut EventQueue, arena: &mut MsgArena<u64>) -> u64 {
     drain_due(q, arena, Time::INFINITY)
+}
+
+type WheelOracles = SuspectPlusQuery<SxOracle, PhiOracle>;
+
+/// One cycle of p_1 of a 5-process two-wheels instance, driven the way
+/// `Sim` drives it — one `Ctx` per activation over the recycled top-level
+/// buffer `buf`: a local step (which broadcasts a fresh INQUIRY), an
+/// INQUIRY from p_2 (answered with a RESPONSE) and p_2's RESPONSE to the
+/// outstanding inquiry (which ends the wait). Returns the ops emitted.
+fn wheels_cycle(
+    wheels: &mut TwoWheels,
+    oracle: &mut WheelOracles,
+    trace: &mut Trace,
+    buf: &mut Vec<Op<TwMsg>>,
+    now: u64,
+) -> usize {
+    let mut sent = 0;
+    // `None` is a local step, `Some(m)` a delivery of `m` from p_2.
+    let mut activate = |msg: Option<UpperMsg>| {
+        let ops = std::mem::take(buf);
+        let mut ctx = Ctx::with_buffer(ProcessId(0), 5, 2, Time(now), oracle, trace, ops);
+        match msg {
+            None => wheels.on_step(&mut ctx),
+            Some(m) => wheels.on_message(ProcessId(1), TwMsg::Upper(m), &mut ctx),
+        }
+        *buf = ctx.take_ops();
+        let seq = buf.iter().find_map(|op| match op {
+            Op::Broadcast {
+                msg: TwMsg::Upper(UpperMsg::Inquiry { seq }),
+            } => Some(*seq),
+            _ => None,
+        });
+        sent += buf.len();
+        buf.clear();
+        seq
+    };
+    let seq = activate(None).expect("a step with no wait inquires");
+    activate(Some(UpperMsg::Inquiry { seq: now }));
+    let repr = ProcessId(1);
+    activate(Some(UpperMsg::Response { seq, repr }));
+    sent
 }
 
 #[test]
@@ -248,5 +297,52 @@ fn routed_broadcast_is_allocation_free_after_warmup() {
     );
     assert_eq!(proc.round(), 1, "the probed process must still be waiting");
     assert!(senders.len() > N - t, "the quorum was never reached");
+
+    // Composed automata: see `wheels_cycle`.
+    let (n, t) = (5, 2);
+    let fp = FailurePattern::all_correct(n);
+    let mut oracle = SuspectPlusQuery {
+        suspect: SxOracle::new(fp.clone(), t, 2, Scope::Perpetual, 7),
+        query: PhiOracle::new(fp.clone(), t, 1, Scope::Perpetual, 7),
+    };
+    let mut trace = Trace::new();
+    let mut wheels = TwoWheels::new(ProcessId(0), TwParams::optimal(n, t, 2, 1));
+    let mut buf: Vec<Op<TwMsg>> = Vec::new();
+    for now in 0..8 {
+        wheels_cycle(&mut wheels, &mut oracle, &mut trace, &mut buf, now);
+    }
+    let before = ALLOC.allocations();
+    let mut sent = 0;
+    for now in 8..72 {
+        sent += wheels_cycle(&mut wheels, &mut oracle, &mut trace, &mut buf, now);
+    }
+    assert_eq!(
+        ALLOC.allocations() - before,
+        0,
+        "warmed-up TwoWheels steps, INQUIRY answers and RESPONSE deliveries must not allocate"
+    );
+    assert!(
+        sent >= 2 * 64,
+        "every cycle must emit its INQUIRY and its RESPONSE"
+    );
+
+    // Register model: whatever `run_shm` allocates (processes, memory,
+    // trace, its schedule buffer) it allocates early; the second 10k
+    // steps of the same run add nothing.
+    let mut shm_allocs = |max_steps: u64| {
+        let cfg = ShmConfig {
+            max_steps,
+            ..ShmConfig::new(n, t).seed(7)
+        };
+        let before = ALLOC.allocations();
+        let trace = run_shm(&cfg, &fp, |_| AdditionShm::new(n), &mut oracle);
+        acc = acc.wrapping_add(trace.horizon().0);
+        ALLOC.allocations() - before
+    };
+    let (short, long) = (shm_allocs(10_000), shm_allocs(20_000));
+    assert!(
+        long <= short,
+        "run_shm allocated {long} times over 20k steps but {short} over 10k"
+    );
     std::hint::black_box(acc);
 }

@@ -56,6 +56,9 @@ pub struct RepeatedKset {
     /// buffers swap back and forth so instance boundaries allocate nothing
     /// once warm.
     scratch: Vec<(ProcessId, u32, KsetMsg, bool)>,
+    /// Recycled inner op buffer (empty between activations; see
+    /// [`Ctx::reborrow_inner`]).
+    kset_ops: Vec<Op<KsetMsg>>,
     finished: bool,
 }
 
@@ -73,6 +76,7 @@ impl RepeatedKset {
             kset: KsetOmega::new(proposal(me, 0)),
             buffered: Vec::new(),
             scratch: Vec::new(),
+            kset_ops: Vec::new(),
             finished: false,
         }
     }
@@ -97,9 +101,9 @@ impl RepeatedKset {
     ) {
         let inst = self.cur;
         let kset = &mut self.kset;
-        let ((), mut ops) = ctx.reborrow_inner(|ictx| f(kset, ictx));
-        ops.retain(|op| !matches!(op, Op::Halt));
-        forward_ops(ctx, ops, |inner| RepMsg { inst, inner });
+        ctx.reborrow_inner(&mut self.kset_ops, |ictx| f(kset, ictx));
+        self.kset_ops.retain(|op| !matches!(op, Op::Halt));
+        forward_ops(ctx, &mut self.kset_ops, |inner| RepMsg { inst, inner });
         self.maybe_advance(ctx);
     }
 
@@ -118,8 +122,8 @@ impl RepeatedKset {
             let inst = self.cur;
             // Start the new instance.
             let kset = &mut self.kset;
-            let ((), ops) = ctx.reborrow_inner(|ictx| kset.on_start(ictx));
-            forward_ops(ctx, ops, |inner| RepMsg { inst, inner });
+            ctx.reborrow_inner(&mut self.kset_ops, |ictx| kset.on_start(ictx));
+            forward_ops(ctx, &mut self.kset_ops, |inner| RepMsg { inst, inner });
             // Replay buffered deliveries for this instance (in arrival
             // order), re-buffering later instances and dropping stale
             // ones. The two buffers swap rather than reallocate: `take`
@@ -135,15 +139,15 @@ impl RepeatedKset {
                     std::cmp::Ordering::Greater => self.buffered.push((from, i, msg, rb)),
                     std::cmp::Ordering::Equal => {
                         let kset = &mut self.kset;
-                        let ((), mut ops) = ctx.reborrow_inner(|ictx| {
+                        ctx.reborrow_inner(&mut self.kset_ops, |ictx| {
                             if rb {
                                 kset.on_rb_deliver(from, msg, ictx)
                             } else {
                                 kset.on_message(from, msg, ictx)
                             }
                         });
-                        ops.retain(|op| !matches!(op, Op::Halt));
-                        forward_ops(ctx, ops, |inner| RepMsg { inst, inner });
+                        self.kset_ops.retain(|op| !matches!(op, Op::Halt));
+                        forward_ops(ctx, &mut self.kset_ops, |inner| RepMsg { inst, inner });
                     }
                 }
             }

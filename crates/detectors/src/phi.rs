@@ -157,7 +157,11 @@ impl OracleSuite for PhiOracle {
 #[derive(Clone, Debug)]
 pub struct PsiOracle {
     inner: PhiOracle,
-    chain: Vec<PSet>,
+    /// Every distinct set queried so far, each with whether some other
+    /// entry is incomparable with it. A new pair only ever appears when a
+    /// set is first queried, so the flags are settled at insertion (on
+    /// both sides) and a repeated query is answered by one equality scan.
+    chain: Vec<(PSet, bool)>,
     strict: bool,
     violations: u64,
 }
@@ -194,16 +198,29 @@ impl PsiOracle {
 
 impl OracleSuite for PsiOracle {
     fn query(&mut self, p: ProcessId, x: PSet, now: Time) -> bool {
-        let comparable = self.chain.iter().all(|&prev| prev.comparable(x));
-        if !comparable {
+        let known = self.chain.iter().position(|(prev, _)| *prev == x);
+        let conflicted = match known {
+            Some(i) => self.chain[i].1,
+            None => {
+                let mut conflicted = false;
+                for (prev, flag) in &mut self.chain {
+                    if !prev.comparable(x) {
+                        *flag = true;
+                        conflicted = true;
+                    }
+                }
+                conflicted
+            }
+        };
+        if conflicted {
             self.violations += 1;
             assert!(
                 !self.strict,
                 "Ψ_y containment contract violated: {x} is incomparable with a previous query"
             );
         }
-        if !self.chain.contains(&x) {
-            self.chain.push(x);
+        if known.is_none() {
+            self.chain.push((x, conflicted));
         }
         self.inner.query(p, x, now)
     }
@@ -301,6 +318,69 @@ mod tests {
         let _ = fd.query(ProcessId(0), ps(&[3, 4]), Time(0));
         let _ = fd.query(ProcessId(0), ps(&[4, 5]), Time(0));
         assert_eq!(fd.violations(), 1);
+    }
+
+    /// The containment rule as first written — every query is compared
+    /// against every distinct earlier set — kept as the model the flagged
+    /// chain is checked against.
+    #[derive(Default)]
+    struct TwoScanModel {
+        chain: Vec<PSet>,
+        violations: u64,
+    }
+
+    impl TwoScanModel {
+        /// Records the query; returns whether it violated the contract.
+        fn query(&mut self, x: PSet) -> bool {
+            let comparable = self.chain.iter().all(|&prev| prev.comparable(x));
+            if !comparable {
+                self.violations += 1;
+            }
+            if !self.chain.contains(&x) {
+                self.chain.push(x);
+            }
+            !comparable
+        }
+    }
+
+    #[test]
+    fn psi_matches_the_two_scan_model() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let mut rng = fd_sim::SplitMix64::new(0x9517);
+        // Queries that violate on a set already in the chain: the case the
+        // stored flag (not a fresh comparison) must answer.
+        let mut repeated_violations = 0;
+        for round in 0..200 {
+            let n = 3 + round % 6; // 3..=8
+            let fp = FailurePattern::all_correct(n);
+            // A small pool makes repeats (of clean and of conflicted sets)
+            // common; half the pool is a chain, half is arbitrary.
+            let mut pool: Vec<PSet> = (1..=n / 2 + 1).map(PSet::full).collect();
+            for _ in 0..n / 2 + 1 {
+                pool.push(PSet::from_bits(rng.below(1 << n) as u128));
+            }
+            let queries: Vec<PSet> = (0..40).map(|_| *rng.choose(&pool).unwrap()).collect();
+
+            let phi = || PhiOracle::new(fp.clone(), n - 1, 1, Scope::Perpetual, round as u64);
+            let mut lenient = PsiOracle::lenient(phi());
+            let mut strict = PsiOracle::new(phi());
+            let mut model = TwoScanModel::default();
+            let mut strict_alive = true;
+            for (idx, &x) in queries.iter().enumerate() {
+                let (p, now) = (ProcessId(idx % n), Time(idx as u64));
+                let repeat = model.chain.contains(&x);
+                let violated = model.query(x);
+                repeated_violations += u64::from(repeat && violated);
+                assert_eq!(lenient.query(p, x, now), phi().query(p, x, now));
+                assert_eq!(lenient.violations(), model.violations, "query {idx}");
+                if strict_alive {
+                    let r = catch_unwind(AssertUnwindSafe(|| strict.query(p, x, now)));
+                    assert_eq!(r.is_err(), violated, "strict mode at query {idx}");
+                    strict_alive = !violated;
+                }
+            }
+        }
+        assert!(repeated_violations > 100, "{repeated_violations}");
     }
 
     #[test]

@@ -96,6 +96,9 @@ pub struct SxOracle {
     q: PSet,
     /// The correct process `ℓ ∈ Q` never suspected inside `Q`.
     pivot: ProcessId,
+    /// Per reading process, the correct processes it permanently slanders:
+    /// a per-(i, j) coin, fixed for the whole run.
+    slander: Vec<PSet>,
 }
 
 impl SxOracle {
@@ -147,16 +150,7 @@ impl SxOracle {
             q.insert(p);
         }
         assert_eq!(q.len(), x, "could not assemble a scope of size x");
-        SxOracle {
-            fp,
-            t,
-            x,
-            scope_kind,
-            adv,
-            seed,
-            q,
-            pivot,
-        }
+        Self::with_scope(fp, t, x, scope_kind, seed, q, pivot, adv)
     }
 
     /// As [`SxOracle::with_adversary`] but with an explicitly chosen scope
@@ -180,6 +174,21 @@ impl SxOracle {
         assert_eq!(q.len(), x, "scope must have exactly x members");
         assert!(q.contains(pivot), "pivot must belong to the scope");
         assert!(fp.is_correct(pivot), "pivot must be correct");
+        let slander = (0..fp.n())
+            .map(|i| {
+                let mut s = PSet::new();
+                for j in fp.correct() {
+                    if j.0 == i {
+                        continue;
+                    }
+                    let mut rng = noise::stream(seed, i as u64, j.0 as u64, 0x51a4de4);
+                    if rng.chance(adv.slander_pct as u64, 100) {
+                        s.insert(j);
+                    }
+                }
+                s
+            })
+            .collect();
         SxOracle {
             fp,
             t,
@@ -189,6 +198,7 @@ impl SxOracle {
             seed,
             q,
             pivot,
+            slander,
         }
     }
 
@@ -216,21 +226,6 @@ impl SxOracle {
     pub fn gst(&self) -> Time {
         self.scope_kind.gst()
     }
-
-    fn slander(&self, i: ProcessId) -> PSet {
-        // Per-(i, j) coin, fixed for the whole run.
-        let mut s = PSet::new();
-        for j in self.fp.correct() {
-            if j == i {
-                continue;
-            }
-            let mut rng = noise::stream(self.seed, i.0 as u64, j.0 as u64, 0x51a4de4);
-            if rng.chance(self.adv.slander_pct as u64, 100) {
-                s.insert(j);
-            }
-        }
-        s
-    }
 }
 
 impl OracleSuite for SxOracle {
@@ -249,7 +244,7 @@ impl OracleSuite for SxOracle {
             }
             // …plus permanent slander of unprotected correct processes,
             // which the class permits.
-            base | self.slander(p)
+            base | self.slander[p.0]
         } else {
             // Anarchy period of ◇S_x: anything at all.
             noise::arbitrary_set(self.seed, p, now, self.adv.noise_period, n)

@@ -196,38 +196,45 @@ impl<'a, M, O: OracleSuite + ?Sized> Ctx<'a, M, O> {
 
     /// Runs `f` with a child context typed at a different message alphabet,
     /// sharing this context's clock, oracle and trace, and returns the
-    /// closure's value together with the ops it buffered. Used by wrapper
-    /// automata (e.g. the echo-based reliable broadcast, the two-wheels
-    /// composition) that translate an inner algorithm's operations.
+    /// closure's value. The child buffers its operations into `ops`, which
+    /// the caller owns and recycles across activations exactly as the
+    /// runtime recycles the top-level buffer: it is moved into the child,
+    /// handed back with whatever the closure emitted, and must arrive
+    /// empty. Used by wrapper automata (e.g. the echo-based reliable
+    /// broadcast, the two-wheels composition) that translate an inner
+    /// algorithm's operations, usually through [`forward_ops`].
     pub fn reborrow_inner<M2, R>(
         &mut self,
+        ops: &mut Vec<Op<M2>>,
         f: impl FnOnce(&mut Ctx<'_, M2, O>) -> R,
-    ) -> (R, Vec<Op<M2>>) {
-        let mut child = Ctx {
-            me: self.me,
-            n: self.n,
-            t: self.t,
-            now: self.now,
-            oracle: &mut *self.oracle,
-            trace: &mut *self.trace,
-            ops: Vec::new(),
-        };
+    ) -> R {
+        let mut child = Ctx::with_buffer(
+            self.me,
+            self.n,
+            self.t,
+            self.now,
+            &mut *self.oracle,
+            &mut *self.trace,
+            std::mem::take(ops),
+        );
         let r = f(&mut child);
-        (r, child.ops)
+        *ops = child.ops;
+        r
     }
 }
 
 /// Replays operations buffered by an inner automaton (obtained via
 /// [`Ctx::reborrow_inner`]) into an outer context, translating message
-/// payloads with `f`. This is the plumbing for *composed* automata — e.g.
-/// the two-wheels construction wraps two sub-algorithms whose messages are
-/// embedded into one combined alphabet.
+/// payloads with `f`, and leaves `ops` empty with its capacity intact for
+/// the next activation. This is the plumbing for *composed* automata —
+/// e.g. the two-wheels construction wraps two sub-algorithms whose
+/// messages are embedded into one combined alphabet.
 pub fn forward_ops<M1, M2, O: OracleSuite + ?Sized>(
     ctx: &mut Ctx<'_, M2, O>,
-    ops: Vec<Op<M1>>,
+    ops: &mut Vec<Op<M1>>,
     mut f: impl FnMut(M1) -> M2,
 ) {
-    for op in ops {
+    for op in ops.drain(..) {
         match op {
             Op::Send { to, msg } => ctx.send(to, f(msg)),
             Op::Broadcast { msg } => ctx.broadcast(f(msg)),

@@ -64,6 +64,9 @@ pub struct EchoRb<A: Automaton> {
     inner: A,
     next_seq: u64,
     seen: HashSet<(ProcessId, u64)>,
+    /// Recycled inner op buffer (empty between activations; see
+    /// [`Ctx::reborrow_inner`]).
+    inner_ops: Vec<Op<A::Msg>>,
 }
 
 impl<A: Automaton> EchoRb<A> {
@@ -73,6 +76,7 @@ impl<A: Automaton> EchoRb<A> {
             inner,
             next_seq: 0,
             seen: HashSet::new(),
+            inner_ops: Vec::new(),
         }
     }
 
@@ -84,12 +88,14 @@ impl<A: Automaton> EchoRb<A> {
     /// Runs one inner activation and rewrites its `RBroadcast` ops into
     /// echo messages (self-delivery happens via the network like any other
     /// copy, since we send to ourselves too).
-    fn relay_inner_ops<O: OracleSuite + ?Sized>(
+    fn run_inner<O: OracleSuite + ?Sized>(
         &mut self,
         ctx: &mut Ctx<'_, EchoMsg<A::Msg>, O>,
-        ops: Vec<Op<A::Msg>>,
+        f: impl FnOnce(&mut A, &mut Ctx<'_, A::Msg, O>),
     ) {
-        for op in ops {
+        let inner = &mut self.inner;
+        ctx.reborrow_inner(&mut self.inner_ops, |ictx| f(inner, ictx));
+        for op in self.inner_ops.drain(..) {
             match op {
                 Op::Send { to, msg } => ctx.send(to, EchoMsg::Plain(msg)),
                 Op::Broadcast { msg } => ctx.broadcast(EchoMsg::Plain(msg)),
@@ -107,26 +113,13 @@ impl<A: Automaton> EchoRb<A> {
             }
         }
     }
-
-    /// Activates the inner automaton with a fresh inner context and returns
-    /// its buffered ops.
-    fn run_inner<O: OracleSuite + ?Sized>(
-        ctx: &mut Ctx<'_, EchoMsg<A::Msg>, O>,
-        f: impl FnOnce(&mut Ctx<'_, A::Msg, O>),
-    ) -> Vec<Op<A::Msg>> {
-        // Borrow the outer context's oracle and trace through a shim
-        // context typed at the inner alphabet.
-        ctx.reborrow_inner(f).1
-    }
 }
 
 impl<A: Automaton> Automaton for EchoRb<A> {
     type Msg = EchoMsg<A::Msg>;
 
     fn on_start<O: OracleSuite + ?Sized>(&mut self, ctx: &mut Ctx<'_, Self::Msg, O>) {
-        let inner = &mut self.inner;
-        let ops = Self::run_inner(ctx, |ictx| inner.on_start(ictx));
-        self.relay_inner_ops(ctx, ops);
+        self.run_inner(ctx, |a, ictx| a.on_start(ictx));
     }
 
     fn on_message<O: OracleSuite + ?Sized>(
@@ -137,9 +130,7 @@ impl<A: Automaton> Automaton for EchoRb<A> {
     ) {
         match msg {
             EchoMsg::Plain(m) => {
-                let inner = &mut self.inner;
-                let ops = Self::run_inner(ctx, |ictx| inner.on_message(from, m, ictx));
-                self.relay_inner_ops(ctx, ops);
+                self.run_inner(ctx, |a, ictx| a.on_message(from, m, ictx));
             }
             EchoMsg::Echo {
                 origin,
@@ -154,18 +145,13 @@ impl<A: Automaton> Automaton for EchoRb<A> {
                         seq,
                         payload: payload.clone(),
                     });
-                    let inner = &mut self.inner;
-                    let ops =
-                        Self::run_inner(ctx, |ictx| inner.on_rb_deliver(origin, payload, ictx));
-                    self.relay_inner_ops(ctx, ops);
+                    self.run_inner(ctx, |a, ictx| a.on_rb_deliver(origin, payload, ictx));
                 }
             }
         }
     }
 
     fn on_step<O: OracleSuite + ?Sized>(&mut self, ctx: &mut Ctx<'_, Self::Msg, O>) {
-        let inner = &mut self.inner;
-        let ops = Self::run_inner(ctx, |ictx| inner.on_step(ictx));
-        self.relay_inner_ops(ctx, ops);
+        self.run_inner(ctx, |a, ictx| a.on_step(ictx));
     }
 }

@@ -219,13 +219,13 @@ pub fn run_shm<P: ShmProcess, O: OracleSuite + ?Sized>(
     let mut trace = Trace::new();
     let mut rng = SplitMix64::new(cfg.seed).stream(0x5888);
     let mut now = Time::ZERO;
+    let mut live: Vec<usize> = Vec::with_capacity(cfg.n);
 
     for _ in 0..cfg.max_steps {
         now += rng.range(1, cfg.max_gap.max(1));
         // Schedulable processes: alive now and not halted.
-        let live: Vec<usize> = (0..cfg.n)
-            .filter(|&i| fp.is_alive_at(ProcessId(i), now) && !halted[i])
-            .collect();
+        live.clear();
+        live.extend((0..cfg.n).filter(|&i| fp.is_alive_at(ProcessId(i), now) && !halted[i]));
         let Some(&i) = rng.choose(&live) else { break };
         let mut ctx = ShmCtx {
             me: ProcessId(i),

@@ -127,8 +127,9 @@ impl History {
     }
 
     fn push(&mut self, at: Time, value: FdValue) {
-        if self.samples.last().map(|s| s.value) != Some(value) {
-            self.samples.push(Sample { at, value });
+        match self.samples.last() {
+            Some(s) if s.value == value => {}
+            _ => self.samples.push(Sample { at, value }),
         }
     }
 }

@@ -119,7 +119,8 @@ impl AdditionShm {
                 if ctx.query(x) {
                     // Line 07.
                     self.prev.copy_from_slice(&self.new);
-                    self.live_members = self.live.iter().collect();
+                    self.live_members.clear();
+                    self.live_members.extend(self.live.iter());
                     self.inter = PSet::full(self.n);
                     self.pc = T2Pc::ReadSuspect(0);
                 } else {

@@ -116,6 +116,9 @@ pub struct CatchUp<A: Automaton> {
     /// repair triggers an updated one: a wedged survivor may need exactly
     /// the log that was still in flight when the threshold was crossed.
     repaired_upto: usize,
+    /// Recycled inner op buffer (empty between activations; see
+    /// [`Ctx::reborrow_inner`]).
+    inner_ops: Vec<Op<A::Msg>>,
 }
 
 impl<A: Automaton> CatchUp<A> {
@@ -128,6 +131,7 @@ impl<A: Automaton> CatchUp<A> {
             digests_from: PSet::EMPTY,
             gathered: Vec::new(),
             repaired_upto: 0,
+            inner_ops: Vec::new(),
         }
     }
 
@@ -150,8 +154,8 @@ impl<A: Automaton> CatchUp<A> {
         f: impl FnOnce(&mut A, &mut Ctx<'_, A::Msg, O>),
     ) {
         let inner = &mut self.inner;
-        let ((), ops) = ctx.reborrow_inner(|ictx| f(inner, ictx));
-        for op in ops {
+        ctx.reborrow_inner(&mut self.inner_ops, |ictx| f(inner, ictx));
+        for op in self.inner_ops.drain(..) {
             match op {
                 Op::Send { to, msg } => ctx.send(to, CatchUpMsg::App(msg)),
                 Op::Broadcast { msg } => {

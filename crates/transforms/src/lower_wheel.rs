@@ -32,8 +32,9 @@ pub enum LowerMsg {
     XMove {
         /// The rejected candidate representative.
         lx: ProcessId,
-        /// The scope the candidate was drawn from.
-        xs: PSet,
+        /// The scope the candidate was drawn from, as the [`PSet::bits`]
+        /// mask the receiver keys its buffer on.
+        xs: u128,
     },
 }
 
@@ -146,7 +147,7 @@ impl LowerWheel {
             ctx.bump("lower.x_move");
             ctx.rb_broadcast(LowerMsg::XMove {
                 lx: self.cur.0,
-                xs: self.cur.1,
+                xs: self.cur.1.bits(),
             });
         }
     }
@@ -158,7 +159,7 @@ impl LowerWheel {
         ctx: &mut Ctx<'_, LowerMsg, O>,
     ) {
         let LowerMsg::XMove { lx, xs } = msg;
-        *self.pending.entry((lx, xs.bits())).or_insert(0) += 1;
+        *self.pending.entry((lx, xs)).or_insert(0) += 1;
         self.drain();
         self.refresh_repr(ctx);
     }

@@ -17,7 +17,7 @@
 
 use crate::lower_wheel::{LowerMsg, LowerWheel};
 use crate::upper_wheel::{UpperMsg, UpperWheel};
-use fd_sim::{forward_ops, Automaton, Ctx, OracleSuite, PSet, ProcessId};
+use fd_sim::{forward_ops, Automaton, Ctx, Op, OracleSuite, PSet, ProcessId};
 
 /// Combined message alphabet of the two wheels.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -82,6 +82,10 @@ impl TwParams {
 pub struct TwoWheels {
     lower: LowerWheel,
     upper: UpperWheel,
+    /// Recycled op buffers of the two inner alphabets (empty between
+    /// activations; see [`Ctx::reborrow_inner`]).
+    lower_ops: Vec<Op<LowerMsg>>,
+    upper_ops: Vec<Op<UpperMsg>>,
     params: TwParams,
 }
 
@@ -99,6 +103,8 @@ impl TwoWheels {
         TwoWheels {
             lower: LowerWheel::new(me, p.n, p.x),
             upper: UpperWheel::new(me, p.n, p.t, p.y, p.z),
+            lower_ops: Vec::new(),
+            upper_ops: Vec::new(),
             params: p,
         }
     }
@@ -127,7 +133,7 @@ impl TwoWheels {
     }
 
     /// The current built `trusted_i` (task T6 of Figure 6).
-    pub fn trusted<O: OracleSuite + ?Sized>(&self, ctx: &mut Ctx<'_, UpperMsg, O>) -> PSet {
+    pub fn trusted<M, O: OracleSuite + ?Sized>(&self, ctx: &mut Ctx<'_, M, O>) -> PSet {
         self.upper.trusted(ctx)
     }
 
@@ -137,8 +143,8 @@ impl TwoWheels {
         f: impl FnOnce(&mut LowerWheel, &mut Ctx<'_, LowerMsg, O>),
     ) {
         let lower = &mut self.lower;
-        let ((), ops) = ctx.reborrow_inner(|ictx| f(lower, ictx));
-        forward_ops(ctx, ops, TwMsg::Lower);
+        ctx.reborrow_inner(&mut self.lower_ops, |ictx| f(lower, ictx));
+        forward_ops(ctx, &mut self.lower_ops, TwMsg::Lower);
         // Keep the upper wheel's view of repr_i current (task T5 input).
         self.upper.set_repr(self.lower.repr());
     }
@@ -149,8 +155,8 @@ impl TwoWheels {
         f: impl FnOnce(&mut UpperWheel, &mut Ctx<'_, UpperMsg, O>),
     ) {
         let upper = &mut self.upper;
-        let ((), ops) = ctx.reborrow_inner(|ictx| f(upper, ictx));
-        forward_ops(ctx, ops, TwMsg::Upper);
+        ctx.reborrow_inner(&mut self.upper_ops, |ictx| f(upper, ictx));
+        forward_ops(ctx, &mut self.upper_ops, TwMsg::Upper);
     }
 }
 
@@ -188,5 +194,18 @@ impl Automaton for TwoWheels {
     fn on_step<O: OracleSuite + ?Sized>(&mut self, ctx: &mut Ctx<'_, TwMsg, O>) {
         self.run_lower(ctx, |w, ictx| w.tick(ictx));
         self.run_upper(ctx, |w, ictx| w.tick(ictx));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wheel_messages_fit_a_cache_line() {
+        // Every delivery moves its message several times (arena, op
+        // buffers, the by-value handler argument); sets travel as the
+        // masks the receiver keys on, not as fixed-width `PSet`s.
+        assert!(std::mem::size_of::<TwMsg>() <= 64);
     }
 }

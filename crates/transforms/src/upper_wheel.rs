@@ -31,12 +31,9 @@ use std::collections::BTreeMap;
 
 /// Message alphabet of the upper wheel.
 ///
-/// `LMove` carries two [`PSet`]s (128 bytes each at the n = 1024
-/// frontier), dwarfing the other variants — but boxing them would put a
-/// heap allocation on every L-move, and broadcast payloads are stored
-/// once per broadcast in the message arena anyway, so the inline size
-/// is paid once, not per recipient.
-#[allow(clippy::large_enum_variant)]
+/// `LMove` names its pair by [`PSet::bits`] masks — what the receiver
+/// keys its `pending` buffer on — so the whole alphabet stays a few words
+/// wide however large a [`PSet`] is.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum UpperMsg {
     /// Task T3 line 02.
@@ -54,10 +51,10 @@ pub enum UpperMsg {
     /// `L_MOVE(L, Y)`: the sender saw responses from `Y` but none naming a
     /// member of `L`.
     LMove {
-        /// The rejected candidate leader set.
-        l: PSet,
-        /// The outer set it was drawn from.
-        y: PSet,
+        /// The rejected candidate leader set, as a bitmask.
+        l: u128,
+        /// The outer set it was drawn from, as a bitmask.
+        y: u128,
     },
 }
 
@@ -148,8 +145,9 @@ impl UpperWheel {
         }
     }
 
-    /// Task T6: the `trusted_i` value served to the upper layer.
-    pub fn trusted<O: OracleSuite + ?Sized>(&self, ctx: &mut Ctx<'_, UpperMsg, O>) -> PSet {
+    /// Task T6: the `trusted_i` value served to the upper layer. A pure
+    /// read (oracle queries only, no ops), so any alphabet's context does.
+    pub fn trusted<M, O: OracleSuite + ?Sized>(&self, ctx: &mut Ctx<'_, M, O>) -> PSet {
         let (l, y) = self.cur;
         if ctx.query(y) {
             // All of Y_i crashed: return the smallest process whose
@@ -196,7 +194,10 @@ impl UpperWheel {
         {
             self.sent_for = Some(self.advances);
             ctx.bump("upper.l_move");
-            ctx.rb_broadcast(UpperMsg::LMove { l, y });
+            ctx.rb_broadcast(UpperMsg::LMove {
+                l: l.bits(),
+                y: y.bits(),
+            });
         }
         self.awaiting = false;
     }
@@ -243,7 +244,7 @@ impl UpperWheel {
                 }
             }
             UpperMsg::LMove { l, y } => {
-                *self.pending.entry((l.bits(), y.bits())).or_insert(0) += 1;
+                *self.pending.entry((l, y)).or_insert(0) += 1;
                 self.drain();
                 self.publish_trusted(ctx);
             }
@@ -356,8 +357,8 @@ mod tests {
         w.deliver(
             ProcessId(1),
             UpperMsg::LMove {
-                l: next.0,
-                y: next.1,
+                l: next.0.bits(),
+                y: next.1.bits(),
             },
             &mut ctx,
         );
@@ -367,8 +368,8 @@ mod tests {
         w.deliver(
             ProcessId(1),
             UpperMsg::LMove {
-                l: start.0,
-                y: start.1,
+                l: start.0.bits(),
+                y: start.1.bits(),
             },
             &mut ctx,
         );

@@ -16,7 +16,7 @@ use fd_detectors::scenario::{
     default_proposals, run_to_decision, salt, CrashPlan, Flavour, Scenario, ScenarioReport,
     ScenarioSpec,
 };
-use fd_sim::{forward_ops, Automaton, Ctx, FailurePattern, OracleSuite, ProcessId, Time};
+use fd_sim::{forward_ops, Automaton, Ctx, FailurePattern, Op, OracleSuite, ProcessId, Time};
 use fd_transforms::two_wheels::{TwMsg, TwParams, TwoWheels};
 
 /// Combined message alphabet of the pipeline.
@@ -45,6 +45,10 @@ impl fd_sim::Corruptible for PipeMsg {
 pub struct WheelsPlusKset {
     wheels: TwoWheels,
     kset: KsetOmega,
+    /// Recycled op buffers of the two inner alphabets (empty between
+    /// activations; see [`Ctx::reborrow_inner`]).
+    wheels_ops: Vec<Op<TwMsg>>,
+    kset_ops: Vec<Op<KsetMsg>>,
 }
 
 impl WheelsPlusKset {
@@ -53,6 +57,8 @@ impl WheelsPlusKset {
         WheelsPlusKset {
             wheels: TwoWheels::new(me, params),
             kset: KsetOmega::new(proposal).with_external_leaders(),
+            wheels_ops: Vec::new(),
+            kset_ops: Vec::new(),
         }
     }
 
@@ -67,8 +73,8 @@ impl WheelsPlusKset {
         f: impl FnOnce(&mut TwoWheels, &mut Ctx<'_, TwMsg, O>),
     ) {
         let wheels = &mut self.wheels;
-        let ((), ops) = ctx.reborrow_inner(|ictx| f(wheels, ictx));
-        forward_ops(ctx, ops, PipeMsg::Wheels);
+        ctx.reborrow_inner(&mut self.wheels_ops, |ictx| f(wheels, ictx));
+        forward_ops(ctx, &mut self.wheels_ops, PipeMsg::Wheels);
         self.sync_leaders(ctx);
     }
 
@@ -79,16 +85,13 @@ impl WheelsPlusKset {
     ) {
         self.sync_leaders(ctx);
         let kset = &mut self.kset;
-        let ((), ops) = ctx.reborrow_inner(|ictx| f(kset, ictx));
-        forward_ops(ctx, ops, PipeMsg::Kset);
+        ctx.reborrow_inner(&mut self.kset_ops, |ictx| f(kset, ictx));
+        forward_ops(ctx, &mut self.kset_ops, PipeMsg::Kset);
     }
 
     /// Feeds the wheels' live `trusted_i` into the agreement layer.
     fn sync_leaders<O: OracleSuite + ?Sized>(&mut self, ctx: &mut Ctx<'_, PipeMsg, O>) {
-        let wheels = &self.wheels;
-        let (l, ops) = ctx.reborrow_inner(|ictx| wheels.trusted(ictx));
-        debug_assert!(ops.is_empty());
-        self.kset.set_external_leaders(l);
+        self.kset.set_external_leaders(self.wheels.trusted(ctx));
     }
 }
 
