@@ -15,21 +15,28 @@ use std::path::PathBuf;
 
 const CELLS: u64 = 1_000;
 
-/// A representative persisted cell: realistic counter list, a detail
-/// string that needs escaping, full-range u64s in the metrics.
+/// A persisted cell shaped like the ones a k-set sweep stores: the four
+/// `sim.*` counters (names the decoder interns), a ~70-byte non-ASCII
+/// detail with nothing to escape on a pass (the decoder borrows it from
+/// the line) and one that needs escaping on a failure, one decided value.
 fn sample(seed: u64) -> SlimReport {
+    let ok = !seed.is_multiple_of(7);
     SlimReport {
-        scenario: "store_io_probe",
+        scenario: "kset_omega",
         seed,
         num_faulty: 2,
         check: CheckOutcome {
-            ok: !seed.is_multiple_of(7),
+            ok,
             stabilized_at: Some(Time(400 + seed % 64)),
-            detail: String::from("k-set: decided within bound \"ok\""),
-            class: if seed.is_multiple_of(7) {
-                ViolationClass::Termination
+            detail: String::from(if ok {
+                "validity; 1 distinct decisions ≤ k = 1; termination; decide-once"
             } else {
+                "termination: correct process p3 never decided (\"stuck\" in round 6)"
+            }),
+            class: if ok {
                 ViolationClass::None
+            } else {
+                ViolationClass::Termination
             },
         },
         metrics: Metrics {
@@ -38,14 +45,15 @@ fn sample(seed: u64) -> SlimReport {
             delivered: 1_100 + seed,
             events: 2_500 + seed.wrapping_mul(3),
             max_round: 6,
-            decided_values: vec![seed % 5, (seed + 1) % 5],
+            decided_values: vec![seed % 5],
             first_decision: Some(Time(410)),
             last_decision: Some(Time(470 + seed % 32)),
         },
         counters: vec![
-            ("decisions", 5),
-            ("r1_echo", 20 + seed % 4),
-            ("r2_ready", 18),
+            ("sim.delivered", 1_100 + seed),
+            ("sim.events", 2_500 + seed.wrapping_mul(3)),
+            ("sim.rb_sent", 40),
+            ("sim.sent", 1_200 + seed),
         ],
     }
 }

@@ -1,15 +1,30 @@
-//! Minimal std-only JSON reader/writer for the sweep store.
+//! Minimal std-only JSON for the sweep store: one pull [`Reader`], a
+//! [`Json`] tree built on it, and the emitter.
 //!
 //! The workspace is std-only by constraint, so the store's on-disk format
-//! is parsed with this ~250-line module instead of serde. Two properties
-//! matter more than generality:
+//! is read and written by this module instead of serde. There is one lexer,
+//! [`Reader`], with two consumers: [`parse`] builds a [`Json`] tree from it
+//! (manifests, witness files, reports — documents read once), and the
+//! store's cell decoder pulls a cell's fields straight off it, with no
+//! tree in between (millions of lines per resumed campaign). Three
+//! properties matter more than generality:
 //!
 //! 1. **u64 precision.** Cache salts and seeds are full-range `u64`s; an
-//!    f64 round-trip silently corrupts them above 2^53. Numbers are kept
-//!    as raw token strings and converted on demand (`as_u64` / `as_i64` /
-//!    `as_f64`), so a value survives parse → emit byte-exactly.
+//!    f64 round-trip silently corrupts them above 2^53. The reader hands
+//!    out a number as its raw token ([`Reader::number`]) or as a `u64`
+//!    parsed from that token ([`Reader::u64`]), and the tree keeps the raw
+//!    token (`as_u64` / `as_i64` / `as_f64` convert on demand), so a value
+//!    survives parse → emit byte-exactly.
 //! 2. **Never panic on malformed input.** Store files can be truncated or
-//!    corrupted mid-write; [`parse`] returns `Err`, callers skip the cell.
+//!    corrupted mid-write; every reader method returns `Err`, callers skip
+//!    the cell. That includes hostile nesting: containers deeper than a
+//!    fixed cap are an `Err`, not a stack overflow.
+//! 3. **One grammar.** Both consumers accept exactly the same text, since
+//!    both are the same lexer. It is RFC 8259 plus what the previous
+//!    tree-only parser tolerated and run directories may therefore hold:
+//!    number tokens are any run of `0-9 . e E + -` that `f64` can parse
+//!    (so `+5`, `007`, `1.`), raw control characters may sit inside
+//!    strings, and a lone surrogate escape reads as U+FFFD.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -174,196 +189,357 @@ impl Json {
     }
 }
 
-/// JSON-escapes `s` (with surrounding quotes) into `out`.
-fn escape_into(s: &str, out: &mut String) {
+/// JSON-escapes `s` (with surrounding quotes) into `out`. Runs that need
+/// no escape are copied as one chunk.
+pub(crate) fn escape_into(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut chunk = 0;
+    for (at, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[chunk..at]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
         }
+        chunk = at + 1;
     }
+    out.push_str(&s[chunk..]);
     out.push('"');
 }
 
-/// Parses one JSON document. Trailing non-whitespace is an error, as is any
-/// malformed construct — the store treats a failed parse as a corrupt cell.
+/// Parses one JSON document into a [`Json`] tree. Trailing non-whitespace
+/// is an error, as is any malformed construct or nesting deeper than the
+/// reader's cap — the store treats a failed parse as a corrupt cell.
 pub fn parse(input: &str) -> Result<Json, String> {
-    let bytes = input.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
+    let mut reader = Reader::new(input);
+    let value = reader.tree(&mut String::new())?;
+    reader.end()?;
     Ok(value)
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+/// Containers nested deeper than this are an `Err`, so the recursive
+/// consumers ([`parse`], [`Reader::skip`]) use bounded stack on any input.
+/// Manifests and witness files nest at most 6 deep.
+const MAX_DEPTH: u32 = 128;
+
+/// A pull reader over one JSON document: the module's only lexer.
+///
+/// The caller drives it with the shape it expects — `begin_obj`, then
+/// `key` until it returns `None`, reading or [`skip`](Reader::skip)ping
+/// one value after each key; `begin_arr`, then one value after each `true`
+/// from `more` — and gets an `Err` wherever the text disagrees. Nothing is
+/// allocated: strings without an escape are borrowed from the input, the
+/// others are unescaped into a buffer the caller lends.
+///
+/// The reader is `Copy`: a caller that wants to retry a value under a
+/// different shape saves the reader before the attempt and restores it.
+#[derive(Clone, Copy, Debug)]
+pub struct Reader<'a> {
+    src: &'a str,
+    pos: usize,
+    /// Containers currently open.
+    depth: u32,
+    /// Set by `{` / `[`, cleared by the first `key` / `more` after it:
+    /// whether the next element is the container's first (no comma).
+    fresh: bool,
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
-        Some(_) => parse_number(bytes, pos),
+impl<'a> Reader<'a> {
+    /// A reader at the start of `src`.
+    pub fn new(src: &'a str) -> Self {
+        Reader {
+            src,
+            pos: 0,
+            depth: 0,
+            fresh: false,
+        }
     }
-}
 
-fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("invalid literal at byte {pos}"))
+    /// Skips whitespace and returns the next byte without consuming it.
+    fn peek(&mut self) -> Option<u8> {
+        let bytes = self.src.as_bytes();
+        while let Some(&b) = bytes.get(self.pos) {
+            if !matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
+                return Some(b);
+            }
+            self.pos += 1;
+        }
+        None
     }
-}
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
+    fn open(&mut self, bracket: u8) -> Result<(), String> {
+        if self.peek() != Some(bracket) {
+            return Err(format!(
+                "expected '{}' at byte {}",
+                bracket as char, self.pos
+            ));
+        }
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nested deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.pos += 1;
+        self.depth += 1;
+        self.fresh = true;
+        Ok(())
     }
-    let digits_start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+
+    /// Consumes `{`.
+    pub fn begin_obj(&mut self) -> Result<(), String> {
+        self.open(b'{')
+    }
+
+    /// Consumes `[`.
+    pub fn begin_arr(&mut self) -> Result<(), String> {
+        self.open(b'[')
+    }
+
+    /// Steps to the open container's next element: consumes the comma
+    /// before it (none before the first) and returns `true`, or consumes
+    /// `close` and returns `false`.
+    fn next_element(&mut self, close: u8) -> Result<bool, String> {
+        match (self.peek(), self.fresh) {
+            (Some(b), _) if b == close && self.depth > 0 => {
+                self.pos += 1;
+                self.depth -= 1;
+                self.fresh = false;
+                Ok(false)
+            }
+            (Some(_), true) => {
+                self.fresh = false;
+                Ok(true)
+            }
+            (Some(b','), false) => {
+                self.pos += 1;
+                Ok(true)
+            }
+            _ => Err(format!(
+                "expected ',' or '{}' at byte {}",
+                close as char, self.pos
+            )),
+        }
+    }
+
+    /// Whether the open array has another element; consumes `]` if not.
+    pub fn more(&mut self) -> Result<bool, String> {
+        self.next_element(b']')
+    }
+
+    /// The open object's next key (with its `:` consumed), or `None` once
+    /// `}` is consumed. `buf` is used as in [`Reader::str`].
+    pub fn key<'b>(&mut self, buf: &'b mut String) -> Result<Option<&'b str>, String>
+    where
+        'a: 'b,
     {
-        *pos += 1;
+        if !self.next_element(b'}')? {
+            return Ok(None);
+        }
+        let key = self.str(buf)?;
+        if self.peek() != Some(b':') {
+            return Err(format!("expected ':' at byte {}", self.pos));
+        }
+        self.pos += 1;
+        Ok(Some(key))
     }
-    if *pos == digits_start {
-        return Err(format!("invalid number at byte {start}"));
-    }
-    let raw = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-    // Validate it is a number (f64 accepts every JSON numeric form); the
-    // raw token is what we keep.
-    raw.parse::<f64>()
-        .map_err(|_| format!("invalid number {raw:?} at byte {start}"))?;
-    Ok(Json::Num(raw.to_string()))
-}
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    debug_assert_eq!(bytes.get(*pos), Some(&b'"'));
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                        // Surrogate pairs: only BMP escapes are emitted by
-                        // this module; accept lone surrogates as U+FFFD.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
+    /// Reads a string: borrowed from the input when it has no escape,
+    /// unescaped into `buf` (cleared first) otherwise.
+    pub fn str<'b>(&mut self, buf: &'b mut String) -> Result<&'b str, String>
+    where
+        'a: 'b,
+    {
+        if self.peek() != Some(b'"') {
+            return Err(format!("expected string at byte {}", self.pos));
+        }
+        let src = self.src;
+        let bytes = src.as_bytes();
+        // `"` and `\` are ASCII and never occur inside a multi-byte UTF-8
+        // sequence, so every slice below starts and ends on a scalar
+        // boundary. Unescaped runs are copied (or borrowed) as one chunk.
+        let mut chunk = self.pos + 1;
+        let mut at = chunk;
+        let mut escaped = false;
+        loop {
+            match bytes.get(at) {
+                None => return Err("unterminated string".into()),
+                Some(b'"') => {
+                    self.pos = at + 1;
+                    if !escaped {
+                        return Ok(&src[chunk..at]);
                     }
-                    _ => return Err("bad escape".into()),
+                    buf.push_str(&src[chunk..at]);
+                    return Ok(buf);
                 }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume the longest run of unescaped bytes in one chunk.
-                // `"` and `\` are ASCII and never occur inside a multi-byte
-                // UTF-8 sequence, so stopping at them cannot split a scalar
-                // — the chunk is validated once, keeping parsing linear in
-                // the document size (per-char validation of the remaining
-                // suffix made multi-megabyte manifests quadratic to load).
-                let start = *pos;
-                while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
-                    *pos += 1;
+                Some(b'\\') => {
+                    if !escaped {
+                        buf.clear();
+                        escaped = true;
+                    }
+                    buf.push_str(&src[chunk..at]);
+                    at += 2;
+                    buf.push(match bytes.get(at - 1) {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(b'u') => {
+                            let hex = src.get(at..at + 4).ok_or("truncated \\u escape")?;
+                            let code = u32::from_str_radix(hex, 16)
+                                .map_err(|_| format!("bad \\u escape {hex:?}"))?;
+                            at += 4;
+                            // Surrogate pairs: only BMP escapes are emitted by
+                            // this module; accept lone surrogates as U+FFFD.
+                            char::from_u32(code).unwrap_or('\u{fffd}')
+                        }
+                        _ => return Err("bad escape".into()),
+                    });
+                    chunk = at;
                 }
-                let chunk = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-                out.push_str(chunk);
+                Some(_) => at += 1,
             }
         }
     }
-}
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    *pos += 1; // consume '['
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
+    /// Reads a number and returns its raw token (see the module docs).
+    pub fn number(&mut self) -> Result<&'a str, String> {
+        self.peek();
+        let start = self.pos;
+        let mut digits_only = true;
+        for &b in &self.src.as_bytes()[start..] {
+            match b {
+                b'0'..=b'9' => {}
+                b'.' | b'e' | b'E' | b'+' | b'-' => digits_only = false,
+                _ => break,
             }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}")),
+            self.pos += 1;
         }
+        let raw = &self.src[start..self.pos];
+        // f64 accepts every JSON numeric form; a run of digits needs no
+        // second look.
+        if raw.is_empty() || (!digits_only && raw.parse::<f64>().is_err()) {
+            return Err(format!("invalid number {raw:?} at byte {start}"));
+        }
+        Ok(raw)
     }
-}
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    *pos += 1; // consume '{'
-    let mut map = BTreeMap::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(map));
+    /// Reads a number that is a `u64`.
+    pub fn u64(&mut self) -> Result<u64, String> {
+        let raw = self.number()?;
+        raw.parse().map_err(|_| format!("{raw:?} is not a u64"))
     }
-    loop {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {pos}"));
+
+    /// Reads `null` as `None`, anything else as [`Reader::u64`].
+    pub fn opt_u64(&mut self) -> Result<Option<u64>, String> {
+        if self.lit("null") {
+            return Ok(None);
         }
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos}"));
+        self.u64().map(Some)
+    }
+
+    /// Reads `null`.
+    pub fn null(&mut self) -> Result<(), String> {
+        if self.lit("null") {
+            Ok(())
+        } else {
+            Err(format!("invalid literal at byte {}", self.pos))
         }
-        *pos += 1;
-        let value = parse_value(bytes, pos)?;
-        map.insert(key, value);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(map));
+    }
+
+    /// Reads `true` or `false`.
+    pub fn bool(&mut self) -> Result<bool, String> {
+        if self.lit("true") {
+            Ok(true)
+        } else if self.lit("false") {
+            Ok(false)
+        } else {
+            Err(format!("invalid literal at byte {}", self.pos))
+        }
+    }
+
+    /// Consumes `word` if the next token starts with it.
+    fn lit(&mut self, word: &str) -> bool {
+        self.peek();
+        let found = self.src.as_bytes()[self.pos..].starts_with(word.as_bytes());
+        if found {
+            self.pos += word.len();
+        }
+        found
+    }
+
+    /// Reads one value of any shape and drops it, checking its syntax as
+    /// [`parse`] would. `buf` is scratch for its strings.
+    pub fn skip(&mut self, buf: &mut String) -> Result<(), String> {
+        match self.peek() {
+            Some(b'{') => {
+                self.begin_obj()?;
+                while self.key(buf)?.is_some() {
+                    self.skip(buf)?;
+                }
+                Ok(())
             }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
+            Some(b'[') => {
+                self.begin_arr()?;
+                while self.more()? {
+                    self.skip(buf)?;
+                }
+                Ok(())
+            }
+            Some(b'"') => self.str(buf).map(drop),
+            Some(b't' | b'f') => self.bool().map(drop),
+            Some(b'n') => self.null(),
+            Some(_) => self.number().map(drop),
+            None => Err("unexpected end of input".into()),
+        }
+    }
+
+    /// Reads one value of any shape into a tree.
+    fn tree(&mut self, buf: &mut String) -> Result<Json, String> {
+        match self.peek() {
+            Some(b'{') => {
+                self.begin_obj()?;
+                let mut map = BTreeMap::new();
+                while let Some(key) = self.key(buf)? {
+                    let key = key.to_owned();
+                    map.insert(key, self.tree(buf)?);
+                }
+                Ok(Json::Obj(map))
+            }
+            Some(b'[') => {
+                self.begin_arr()?;
+                let mut items = Vec::new();
+                while self.more()? {
+                    items.push(self.tree(buf)?);
+                }
+                Ok(Json::Arr(items))
+            }
+            Some(b'"') => Ok(Json::Str(self.str(buf)?.to_owned())),
+            Some(b't' | b'f') => self.bool().map(Json::Bool),
+            Some(b'n') => self.null().map(|()| Json::Null),
+            Some(_) => Ok(Json::Num(self.number()?.to_owned())),
+            None => Err("unexpected end of input".into()),
+        }
+    }
+
+    /// Checks that only whitespace is left.
+    pub fn end(&mut self) -> Result<(), String> {
+        match self.peek() {
+            None => Ok(()),
+            Some(_) => Err(format!("trailing data at byte {}", self.pos)),
         }
     }
 }
@@ -426,9 +602,103 @@ mod tests {
             "{\"a\":--3}",
             "\"bad\\escape\"",
             "\"\\u12\"",
+            "[1,]",
+            "[,1]",
+            "{,}",
+            "{\"a\":1,}",
+            "[1}",
+            "{\"a\":1]",
+            "]",
+            "-",
+            "1 2",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} must fail to parse");
         }
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        // 100,000 frames of the old recursive descent overflowed the 8 MB
+        // main-thread stack, let alone a 2 MB test thread's.
+        for open in ["[", "{\"a\":", "[{\"a\":"] {
+            assert!(parse(&open.repeat(100_000)).is_err(), "{open:?} × 100000");
+        }
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nested(MAX_DEPTH as usize)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH as usize + 1)).is_err());
+        let deep = "[".repeat(1 << 20);
+        assert!(Reader::new(&deep).skip(&mut String::new()).is_err());
+    }
+
+    #[test]
+    fn reader_pulls_a_document_without_a_tree() {
+        let doc = r#" {"n": 18446744073709551615, "t": null, "s": "plain — π",
+            "e": "a\"b\\c\/d\u00e9\n", "skip": {"x": [1, {"y": []}, "]"]}, "l": [true, false],
+            "k\u0065y": 7} "#;
+        let mut buf = String::new();
+        let mut r = Reader::new(doc);
+        r.begin_obj().unwrap();
+        assert_eq!(r.key(&mut buf), Ok(Some("n")));
+        assert_eq!(r.u64(), Ok(u64::MAX));
+        assert_eq!(r.key(&mut buf), Ok(Some("t")));
+        assert_eq!(r.opt_u64(), Ok(None));
+        assert_eq!(r.key(&mut buf), Ok(Some("s")));
+        // No escape: the string is a slice of the input, `buf` untouched.
+        let plain = r.str(&mut buf).unwrap();
+        assert_eq!(plain, "plain — π");
+        assert!(doc.as_bytes().as_ptr_range().contains(&plain.as_ptr()));
+        assert_eq!(r.key(&mut buf), Ok(Some("e")));
+        assert_eq!(r.str(&mut buf), Ok("a\"b\\c/dé\n"));
+        assert_eq!(buf, "a\"b\\c/dé\n");
+        assert_eq!(r.key(&mut buf), Ok(Some("skip")));
+        r.skip(&mut buf).unwrap();
+        assert_eq!(r.key(&mut buf), Ok(Some("l")));
+        r.begin_arr().unwrap();
+        assert_eq!(r.more(), Ok(true));
+        assert_eq!(r.bool(), Ok(true));
+        assert_eq!(r.more(), Ok(true));
+        assert_eq!(r.bool(), Ok(false));
+        assert_eq!(r.more(), Ok(false));
+        assert_eq!(r.key(&mut buf), Ok(Some("key")));
+        assert_eq!(r.opt_u64(), Ok(Some(7)));
+        assert_eq!(r.key(&mut buf), Ok(None));
+        assert_eq!(r.end(), Ok(()));
+    }
+
+    #[test]
+    fn reader_rejects_what_the_caller_did_not_expect() {
+        let buf = &mut String::new();
+        assert!(Reader::new("[1]").begin_obj().is_err());
+        assert!(Reader::new("{}").begin_arr().is_err());
+        assert!(Reader::new("\"1\"").u64().is_err());
+        assert!(Reader::new("1").str(buf).is_err());
+        assert!(Reader::new("1").bool().is_err());
+        assert!(Reader::new("{} x").skip(buf).is_ok());
+        for (text, value) in [("1.0", None), ("-1", None), ("1e3", None), ("+5", Some(5))] {
+            assert_eq!(Reader::new(text).u64().ok(), value, "{text}");
+        }
+        assert!(Reader::new("18446744073709551616").u64().is_err());
+        // Closers are checked against the container they close, and none
+        // is accepted with nothing open.
+        assert!(Reader::new("]").more().is_err());
+        assert!(Reader::new("}").key(buf).is_err());
+        let mut r = Reader::new("[1}");
+        r.begin_arr().unwrap();
+        assert_eq!(r.more(), Ok(true));
+        assert_eq!(r.u64(), Ok(1));
+        assert!(r.more().is_err());
+        // A value skipped is a value checked.
+        for bad in ["[1,", "{\"a\":tru}", "\"\\q\"", "nul", "--1", "[1 2]"] {
+            assert!(Reader::new(bad).skip(buf).is_err(), "{bad:?}");
+        }
+        // The reader is `Copy`: a failed attempt is undone by restoring it.
+        let mut r = Reader::new("[\"x\", 2]");
+        r.begin_arr().unwrap();
+        assert_eq!(r.more(), Ok(true));
+        let before = r;
+        assert!(r.u64().is_err());
+        r = before;
+        assert_eq!(r.str(buf), Ok("x"));
     }
 
     #[test]

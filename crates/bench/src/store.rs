@@ -22,6 +22,21 @@
 //!   stale-0/                    # shards archived on a manifest mismatch
 //! ```
 //!
+//! ## Cell codec
+//!
+//! A cell is one line of canonical JSON — keys sorted, no whitespace, so a
+//! run directory stays `grep`-able and a cell has exactly one spelling.
+//! Neither direction builds a [`Json`] tree: [`encode_cell`] writes the
+//! line straight into one exactly-sized `String`, and [`decode_cell`] pulls
+//! the fields straight off a [`json::Reader`] into the [`SlimReport`],
+//! allocating only what the report owns (detail, decided values, counters).
+//! A resumed campaign decodes every stored cell before it computes
+//! anything, so this path is the store's recovery cost. What the decoder
+//! accepts is wider than what the encoder writes — any key order, unknown
+//! members, repeated keys (the last one decides): exactly what reading the
+//! members off a parsed tree accepts, which a `#[cfg(test)]` tree codec
+//! pins on a differential corpus.
+//!
 //! ## Crash safety and batching
 //!
 //! Cells are never written in place: a background writer thread buffers
@@ -32,9 +47,13 @@
 //! or leave a half-visible file. The sweep's critical path pays one clone
 //! and one channel send per computed cell — no I/O, no fsync.
 //!
-//! On open, segments are replayed in generation order (last-wins per key),
-//! corrupt lines are counted and dropped, and multi-segment or corrupted
-//! shards are compacted back to a single clean segment.
+//! On open, the files in `shards/` that carry a segment's exact name are
+//! replayed in generation order (last-wins per key); any other file there
+//! is not the store's and is neither read, counted nor deleted. A line
+//! that does not decode — truncated, garbled, or nested deep enough to be
+//! an attack on a recursive parser — is one corrupt line: counted, dropped,
+//! its cell recomputed. Multi-segment or corruption-scarred shards are
+//! compacted back to a single clean segment.
 //!
 //! ## Mismatch semantics
 //!
@@ -46,7 +65,9 @@
 //! hydrated, every cell is recomputed and rewritten. Never a panic, never
 //! a wrong report — worst case is a cold sweep.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
+use std::fmt::Write as _;
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
@@ -59,7 +80,7 @@ use fd_detectors::scenario::{Metrics, ReportCache, ScenarioSpec, SlimReport, Spi
 use fd_detectors::{CheckOutcome, ViolationClass};
 use fd_sim::Time;
 
-use crate::json::{self, Json};
+use crate::json::{self, escape_into, Json, Reader};
 
 /// On-disk shard count. Independent of the in-memory cache's shard count —
 /// the shard is a storage bucket, not part of the key.
@@ -92,159 +113,288 @@ fn shard_of(key: (u64, u64)) -> usize {
 /// string. `SlimReport` holds `&'static str` scenario and counter names;
 /// cells read back from disk reconstruct them here. The leak is bounded by
 /// the number of distinct scenario/counter names ever stored — a handful.
+///
+/// A run directory repeats that handful in every cell, so each thread keeps
+/// the names it has seen in a small memo of its own and scans it first: a
+/// load takes the pool's lock once per distinct name, not once per
+/// occurrence. Names the memo has no room for go to the pool every time.
 fn intern(s: &str) -> &'static str {
     static POOL: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
-    let pool = POOL.get_or_init(|| Mutex::new(HashSet::new()));
-    let mut pool = pool.lock().unwrap();
-    if let Some(existing) = pool.get(s) {
-        return existing;
+    thread_local! {
+        static SEEN: RefCell<([&'static str; 16], usize)> = const { RefCell::new(([""; 16], 0)) };
     }
-    let leaked: &'static str = Box::leak(s.to_string().into_boxed_str());
-    pool.insert(leaked);
-    leaked
+    SEEN.with_borrow_mut(|(names, len)| {
+        if let Some(seen) = names[..*len].iter().find(|name| **name == s) {
+            return *seen;
+        }
+        let mut pool = POOL
+            .get_or_init(|| Mutex::new(HashSet::new()))
+            .lock()
+            .expect("no panic while the name pool is locked");
+        let name = match pool.get(s) {
+            Some(existing) => *existing,
+            None => {
+                let leaked: &'static str = Box::leak(s.to_string().into_boxed_str());
+                pool.insert(leaked);
+                leaked
+            }
+        };
+        if let Some(slot) = names.get_mut(*len) {
+            *slot = name;
+            *len += 1;
+        }
+        name
+    })
 }
 
 // ---------------------------------------------------------------------------
 // Cell codec
 // ---------------------------------------------------------------------------
+//
+//   {"class":…,"counters":[["name",n],…],"detail":…,"metrics":{"decided":[…],
+//    "delivered":…,"events":…,"first_decision":…,"last_decision":…,
+//    "max_round":…,"msgs_sent":…,"rb_sent":…},"num_faulty":…,"ok":…,"salt":…,
+//    "scenario":…,"seed":…,"stabilized_at":…}
 
-fn opt_time(t: Option<Time>) -> Json {
-    match t {
-        Some(t) => Json::num_u64(t.0),
-        None => Json::Null,
-    }
+/// Bytes of a cell line that are not a value: braces, keys, separators and
+/// the quotes around `class`, `detail` and `scenario`.
+const CELL_LITERALS: usize = 225;
+
+/// Decimal digits of `v`.
+fn digits(v: u64) -> usize {
+    v.checked_ilog10().map_or(1, |d| d as usize + 1)
 }
 
-fn decode_opt_time(v: Option<&Json>) -> Result<Option<Time>, String> {
-    match v {
-        None | Some(Json::Null) => Ok(None),
-        Some(j) => j
-            .as_u64()
-            .map(|t| Some(Time(t)))
-            .ok_or_else(|| "bad time".into()),
+fn opt_time_len(t: Option<Time>) -> usize {
+    t.map_or("null".len(), |t| digits(t.0))
+}
+
+fn push_u64(out: &mut String, v: u64) {
+    let _ = write!(out, "{v}");
+}
+
+fn push_opt_time(out: &mut String, t: Option<Time>) {
+    match t {
+        Some(t) => push_u64(out, t.0),
+        None => out.push_str("null"),
     }
 }
 
 /// Encodes one cell as a single canonical JSON line (no trailing newline).
 pub fn encode_cell(salt: u64, seed: u64, slim: &SlimReport) -> String {
-    let m = &slim.metrics;
-    Json::obj([
-        ("salt", Json::num_u64(salt)),
-        ("seed", Json::num_u64(seed)),
-        ("scenario", Json::str(slim.scenario)),
-        ("num_faulty", Json::num_u64(slim.num_faulty as u64)),
-        ("ok", Json::Bool(slim.check.ok)),
-        ("stabilized_at", opt_time(slim.check.stabilized_at)),
-        ("detail", Json::str(&slim.check.detail)),
-        ("class", Json::str(slim.check.class.name())),
-        (
-            "metrics",
-            Json::obj([
-                ("msgs_sent", Json::num_u64(m.msgs_sent)),
-                ("rb_sent", Json::num_u64(m.rb_sent)),
-                ("delivered", Json::num_u64(m.delivered)),
-                ("events", Json::num_u64(m.events)),
-                ("max_round", Json::num_u64(m.max_round)),
-                (
-                    "decided",
-                    Json::Arr(m.decided_values.iter().map(|&v| Json::num_u64(v)).collect()),
-                ),
-                ("first_decision", opt_time(m.first_decision)),
-                ("last_decision", opt_time(m.last_decision)),
-            ]),
-        ),
-        (
-            "counters",
-            Json::Arr(
-                slim.counters
-                    .iter()
-                    .map(|&(name, v)| Json::Arr(vec![Json::str(name), Json::num_u64(v)]))
-                    .collect(),
-            ),
-        ),
-    ])
-    .emit()
+    let (check, m) = (&slim.check, &slim.metrics);
+    let class = check.class.name();
+    let ok = if check.ok { "true" } else { "false" };
+    // Exact unless `detail` or a name needs escaping, so the line is
+    // allocated once and holds no spare capacity while it waits in a batch.
+    let len = CELL_LITERALS
+        + class.len()
+        + ok.len()
+        + check.detail.len()
+        + slim.scenario.len()
+        + [salt, seed, slim.num_faulty as u64]
+            .iter()
+            .chain([m.msgs_sent, m.rb_sent, m.delivered, m.events, m.max_round].iter())
+            .chain(m.decided_values.iter())
+            .map(|&v| digits(v))
+            .sum::<usize>()
+        + [check.stabilized_at, m.first_decision, m.last_decision]
+            .into_iter()
+            .map(opt_time_len)
+            .sum::<usize>()
+        + m.decided_values.len().saturating_sub(1)
+        + slim.counters.len().saturating_sub(1)
+        + slim
+            .counters
+            .iter()
+            .map(|&(name, v)| "[\"\",]".len() + name.len() + digits(v))
+            .sum::<usize>();
+    let mut out = String::with_capacity(len);
+    out.push_str("{\"class\":\"");
+    out.push_str(class);
+    out.push_str("\",\"counters\":[");
+    for (i, &(name, v)) in slim.counters.iter().enumerate() {
+        out.push_str(if i == 0 { "[" } else { ",[" });
+        escape_into(name, &mut out);
+        out.push(',');
+        push_u64(&mut out, v);
+        out.push(']');
+    }
+    out.push_str("],\"detail\":");
+    escape_into(&check.detail, &mut out);
+    out.push_str(",\"metrics\":{\"decided\":[");
+    for (i, &v) in m.decided_values.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_u64(&mut out, v);
+    }
+    out.push_str("],\"delivered\":");
+    push_u64(&mut out, m.delivered);
+    out.push_str(",\"events\":");
+    push_u64(&mut out, m.events);
+    out.push_str(",\"first_decision\":");
+    push_opt_time(&mut out, m.first_decision);
+    out.push_str(",\"last_decision\":");
+    push_opt_time(&mut out, m.last_decision);
+    out.push_str(",\"max_round\":");
+    push_u64(&mut out, m.max_round);
+    out.push_str(",\"msgs_sent\":");
+    push_u64(&mut out, m.msgs_sent);
+    out.push_str(",\"rb_sent\":");
+    push_u64(&mut out, m.rb_sent);
+    out.push_str("},\"num_faulty\":");
+    push_u64(&mut out, slim.num_faulty as u64);
+    out.push_str(",\"ok\":");
+    out.push_str(ok);
+    out.push_str(",\"salt\":");
+    push_u64(&mut out, salt);
+    out.push_str(",\"scenario\":");
+    escape_into(slim.scenario, &mut out);
+    out.push_str(",\"seed\":");
+    push_u64(&mut out, seed);
+    out.push_str(",\"stabilized_at\":");
+    push_opt_time(&mut out, check.stabilized_at);
+    out.push('}');
+    out
 }
 
 /// Decodes one cell line. Any structural problem — bad JSON, missing field,
 /// wrong type — is an `Err`; the store counts it as corrupt and recomputes.
 pub fn decode_cell(line: &str) -> Result<((u64, u64), SlimReport), String> {
-    let doc = json::parse(line)?;
-    let req_u64 = |key: &str| -> Result<u64, String> {
-        doc.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("missing/bad {key}"))
-    };
-    let salt = req_u64("salt")?;
-    let seed = req_u64("seed")?;
-    let scenario = doc
-        .get("scenario")
-        .and_then(Json::as_str)
-        .ok_or("missing scenario")?;
-    let ok = doc.get("ok").and_then(Json::as_bool).ok_or("missing ok")?;
-    let detail = doc
-        .get("detail")
-        .and_then(Json::as_str)
-        .ok_or("missing detail")?;
-    let class = doc
-        .get("class")
-        .and_then(Json::as_str)
-        .and_then(ViolationClass::from_name)
-        .ok_or("missing/bad class")?;
-    let m = doc.get("metrics").ok_or("missing metrics")?;
-    let m_u64 = |key: &str| -> Result<u64, String> {
-        m.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("missing/bad metrics.{key}"))
-    };
-    let decided = m
-        .get("decided")
-        .and_then(Json::as_arr)
-        .ok_or("missing decided")?
-        .iter()
-        .map(|v| v.as_u64().ok_or("bad decided value"))
-        .collect::<Result<Vec<u64>, _>>()?;
-    let counters = doc
-        .get("counters")
-        .and_then(Json::as_arr)
-        .ok_or("missing counters")?
-        .iter()
-        .map(|pair| {
-            let pair = pair
-                .as_arr()
-                .filter(|p| p.len() == 2)
-                .ok_or("bad counter")?;
-            let name = pair[0].as_str().ok_or("bad counter name")?;
-            let v = pair[1].as_u64().ok_or("bad counter value")?;
-            Ok::<(&'static str, u64), String>((intern(name), v))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let slim = SlimReport {
-        scenario: intern(scenario),
-        seed,
-        num_faulty: req_u64("num_faulty")? as usize,
-        check: CheckOutcome {
-            ok,
-            stabilized_at: decode_opt_time(doc.get("stabilized_at"))?,
-            detail: detail.to_string(),
-            class,
-        },
-        metrics: Metrics {
-            msgs_sent: m_u64("msgs_sent")?,
-            rb_sent: m_u64("rb_sent")?,
-            delivered: m_u64("delivered")?,
-            events: m_u64("events")?,
-            max_round: m_u64("max_round")?,
-            decided_values: decided,
-            first_decision: decode_opt_time(m.get("first_decision"))?,
-            last_decision: decode_opt_time(m.get("last_decision"))?,
-        },
-        counters,
-    };
-    if slim.seed != seed {
-        return Err("seed mismatch".into());
+    let (mut salt, mut seed, mut num_faulty, mut ok) = (None, None, None, None);
+    let (mut scenario, mut detail, mut class) = (None, None, None);
+    let (mut metrics, mut counters) = (None, None);
+    let mut stabilized_at: OptTime = Some(None);
+    // Scratch for strings with escapes; never allocated for the others.
+    let buf = &mut String::new();
+    let mut r = Reader::new(line);
+    r.begin_obj()?;
+    while let Some(key) = r.key(buf)? {
+        match key {
+            "salt" => salt = member(&mut r, buf, |r, _| r.u64())?,
+            "seed" => seed = member(&mut r, buf, |r, _| r.u64())?,
+            "num_faulty" => num_faulty = member(&mut r, buf, |r, _| r.u64())?,
+            "ok" => ok = member(&mut r, buf, |r, _| r.bool())?,
+            "stabilized_at" => stabilized_at = member(&mut r, buf, |r, _| r.opt_u64())?,
+            "scenario" => scenario = member(&mut r, buf, |r, buf| Ok(intern(r.str(buf)?)))?,
+            "detail" => detail = member(&mut r, buf, |r, buf| Ok(r.str(buf)?.to_owned()))?,
+            "class" => {
+                class = member(&mut r, buf, |r, buf| {
+                    ViolationClass::from_name(r.str(buf)?).ok_or_else(|| "bad class".into())
+                })?
+            }
+            "metrics" => metrics = member(&mut r, buf, decode_metrics)?,
+            "counters" => counters = member(&mut r, buf, decode_counters)?,
+            _ => r.skip(buf)?,
+        }
     }
+    r.end()?;
+    let (salt, seed) = (
+        salt.ok_or("missing/bad salt")?,
+        seed.ok_or("missing/bad seed")?,
+    );
+    let slim = SlimReport {
+        scenario: scenario.ok_or("missing/bad scenario")?,
+        seed,
+        num_faulty: num_faulty.ok_or("missing/bad num_faulty")? as usize,
+        check: CheckOutcome {
+            ok: ok.ok_or("missing/bad ok")?,
+            stabilized_at: opt_time(stabilized_at, "stabilized_at")?,
+            detail: detail.ok_or("missing/bad detail")?,
+            class: class.ok_or("missing/bad class")?,
+        },
+        metrics: metrics.ok_or("missing/bad metrics")?,
+        counters: counters.ok_or("missing/bad counters")?,
+    };
     Ok(((salt, seed), slim))
+}
+
+/// Reads one member's value with `read`. A value of another shape is
+/// skipped (its syntax still checked) and reads as `None` — the member is
+/// then as good as absent, unless a later duplicate of its key supplies it.
+fn member<'a, T>(
+    r: &mut Reader<'a>,
+    buf: &mut String,
+    read: impl FnOnce(&mut Reader<'a>, &mut String) -> Result<T, String>,
+) -> Result<Option<T>, String> {
+    let start = *r;
+    match read(r, buf) {
+        Ok(value) => Ok(Some(value)),
+        Err(_) => {
+            *r = start;
+            r.skip(buf)?;
+            Ok(None)
+        }
+    }
+}
+
+/// A `null`-or-`u64` member: `Some(None)` while absent or `null`, `None`
+/// once an occurrence had another shape.
+type OptTime = Option<Option<u64>>;
+
+fn opt_time(t: OptTime, what: &str) -> Result<Option<Time>, String> {
+    Ok(t.ok_or_else(|| format!("bad {what}"))?.map(Time))
+}
+
+/// `[["name", n], …]`: each element an array of exactly a string and a `u64`.
+fn decode_counters(r: &mut Reader, buf: &mut String) -> Result<Vec<(&'static str, u64)>, String> {
+    let mut counters = Vec::new();
+    r.begin_arr()?;
+    while r.more()? {
+        r.begin_arr()?;
+        if !r.more()? {
+            return Err("bad counter".into());
+        }
+        let name = intern(r.str(buf)?);
+        if !r.more()? {
+            return Err("bad counter".into());
+        }
+        counters.push((name, r.u64()?));
+        if r.more()? {
+            return Err("bad counter".into());
+        }
+    }
+    Ok(counters)
+}
+
+fn decode_metrics(r: &mut Reader, buf: &mut String) -> Result<Metrics, String> {
+    let (mut msgs_sent, mut rb_sent, mut delivered, mut events) = (None, None, None, None);
+    let (mut max_round, mut decided) = (None, None);
+    let (mut first_decision, mut last_decision): (OptTime, OptTime) = (Some(None), Some(None));
+    r.begin_obj()?;
+    while let Some(key) = r.key(buf)? {
+        match key {
+            "msgs_sent" => msgs_sent = member(r, buf, |r, _| r.u64())?,
+            "rb_sent" => rb_sent = member(r, buf, |r, _| r.u64())?,
+            "delivered" => delivered = member(r, buf, |r, _| r.u64())?,
+            "events" => events = member(r, buf, |r, _| r.u64())?,
+            "max_round" => max_round = member(r, buf, |r, _| r.u64())?,
+            "first_decision" => first_decision = member(r, buf, |r, _| r.opt_u64())?,
+            "last_decision" => last_decision = member(r, buf, |r, _| r.opt_u64())?,
+            "decided" => {
+                decided = member(r, buf, |r, _| {
+                    let mut decided = Vec::new();
+                    r.begin_arr()?;
+                    while r.more()? {
+                        decided.push(r.u64()?);
+                    }
+                    Ok(decided)
+                })?
+            }
+            _ => r.skip(buf)?,
+        }
+    }
+    Ok(Metrics {
+        msgs_sent: msgs_sent.ok_or("missing/bad metrics.msgs_sent")?,
+        rb_sent: rb_sent.ok_or("missing/bad metrics.rb_sent")?,
+        delivered: delivered.ok_or("missing/bad metrics.delivered")?,
+        events: events.ok_or("missing/bad metrics.events")?,
+        max_round: max_round.ok_or("missing/bad metrics.max_round")?,
+        decided_values: decided.ok_or("missing/bad metrics.decided")?,
+        first_decision: opt_time(first_decision, "first_decision")?,
+        last_decision: opt_time(last_decision, "last_decision")?,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -429,6 +579,17 @@ fn segment_name(shard: usize, generation: u64) -> String {
     format!("s{shard:02}-g{generation:06}.jsonl")
 }
 
+/// The inverse of [`segment_name`], and nothing more: `None` for every file
+/// name this store would not itself have written.
+fn segment_of(name: &str) -> Option<(usize, u64)> {
+    let (shard, generation) = name
+        .strip_prefix('s')?
+        .strip_suffix(".jsonl")?
+        .split_once("-g")?;
+    let (shard, generation) = (shard.parse().ok()?, generation.parse().ok()?);
+    (shard < STORE_SHARDS && segment_name(shard, generation) == name).then_some((shard, generation))
+}
+
 /// Writes `lines` as a single segment: temp file + `sync_all` + atomic
 /// rename. The segment is either fully visible or absent — never partial.
 fn write_segment(
@@ -468,8 +629,10 @@ struct LoadedShards {
     cells: HashMap<(u64, u64), SlimReport>,
     /// Unreadable lines dropped during replay.
     corrupt: u64,
-    /// Highest segment generation seen on disk.
-    max_generation: u64,
+    /// The segments replayed, as `(shard, generation)` in replay order.
+    /// Any other file in the directory is not the store's: never loaded,
+    /// never counted, never deleted.
+    segments: Vec<(usize, u64)>,
     /// Shards that should be compacted (multiple segments, or corruption).
     dirty_shards: Vec<usize>,
 }
@@ -478,29 +641,31 @@ struct LoadedShards {
 fn load_shards(shards_dir: &Path) -> io::Result<LoadedShards> {
     let mut cells = HashMap::new();
     let mut corrupt = 0u64;
-    let mut max_generation = 0u64;
     let mut segments_per_shard = [0u32; STORE_SHARDS];
     let mut corrupt_in_shard = [false; STORE_SHARDS];
-    let mut names: Vec<String> = Vec::new();
+    let mut segments: Vec<(usize, u64)> = Vec::new();
+    let mut bytes = 0u64;
     if shards_dir.is_dir() {
         for entry in fs::read_dir(shards_dir)? {
-            let name = entry?.file_name().to_string_lossy().into_owned();
-            if name.starts_with('s') && name.ends_with(".jsonl") {
-                names.push(name);
+            let entry = entry?;
+            if let Some(segment) = entry.file_name().to_str().and_then(segment_of) {
+                segments.push(segment);
+                bytes += entry.metadata()?.len();
             }
         }
     }
-    // Lexicographic order == generation order (zero-padded names), and
-    // last-wins dedup only cares about order *within* a shard.
-    names.sort();
-    for name in &names {
-        let shard: usize = name[1..3].parse().unwrap_or(0);
-        let generation: u64 = name[5..11].parse().unwrap_or(0);
-        max_generation = max_generation.max(generation);
-        if shard < STORE_SHARDS {
-            segments_per_shard[shard] += 1;
+    // Last-wins dedup only cares about order *within* a shard.
+    segments.sort_unstable();
+    for &(shard, generation) in &segments {
+        segments_per_shard[shard] += 1;
+        let text = fs::read_to_string(shards_dir.join(segment_name(shard, generation)))?;
+        if cells.capacity() == 0 {
+            // Size the map once, for every segment at the first one's bytes
+            // per line (growing it re-hashes and moves every cell so far),
+            // and for no more cells than the bytes on disk could spell.
+            let lines = text.lines().count() as f64 * (bytes as f64 / text.len().max(1) as f64);
+            cells.reserve((lines as usize).min(bytes as usize / CELL_LITERALS));
         }
-        let text = fs::read_to_string(shards_dir.join(name))?;
         for line in text.lines() {
             if line.is_empty() {
                 continue;
@@ -511,9 +676,7 @@ fn load_shards(shards_dir: &Path) -> io::Result<LoadedShards> {
                 }
                 Err(_) => {
                     corrupt += 1;
-                    if shard < STORE_SHARDS {
-                        corrupt_in_shard[shard] = true;
-                    }
+                    corrupt_in_shard[shard] = true;
                 }
             }
         }
@@ -524,7 +687,7 @@ fn load_shards(shards_dir: &Path) -> io::Result<LoadedShards> {
     Ok(LoadedShards {
         cells,
         corrupt,
-        max_generation,
+        segments,
         dirty_shards,
     })
 }
@@ -541,7 +704,11 @@ enum Msg {
 
 struct Writer {
     shards_dir: PathBuf,
-    known: HashSet<(u64, u64)>,
+    /// The cells `open` read back — shared with the store, so a resume
+    /// that computes nothing builds no second key set.
+    loaded: Arc<HashMap<(u64, u64), SlimReport>>,
+    /// Keys this writer has queued or flushed.
+    queued: HashSet<(u64, u64)>,
     buffers: Vec<Vec<String>>,
     generation: u64,
     wrote: Arc<AtomicU64>,
@@ -553,7 +720,7 @@ impl Writer {
             match msg {
                 Msg::Cell(salt, seed, slim) => {
                     let key = (salt, seed);
-                    if !self.known.insert(key) {
+                    if self.loaded.contains_key(&key) || !self.queued.insert(key) {
                         continue; // already on disk or queued
                     }
                     let shard = shard_of(key);
@@ -615,7 +782,7 @@ pub struct StoreSummary {
 #[derive(Debug)]
 pub struct SweepStore {
     dir: PathBuf,
-    cells: HashMap<(u64, u64), SlimReport>,
+    cells: Arc<HashMap<(u64, u64), SlimReport>>,
     corrupt: u64,
     archived_stale: bool,
     manifest: Mutex<Manifest>,
@@ -665,10 +832,10 @@ impl SweepStore {
         manifest.format = STORE_FORMAT;
 
         let loaded = load_shards(&shards_dir)?;
-        let mut generation = loaded.max_generation;
+        let mut generation = loaded.segments.iter().map(|s| s.1).max().unwrap_or(0);
 
         // Compact: rewrite multi-segment or corruption-scarred shards as a
-        // single clean segment, then delete the originals.
+        // single clean segment, then delete the segments it replaces.
         for &shard in &loaded.dirty_shards {
             let lines: Vec<String> = loaded
                 .cells
@@ -677,27 +844,20 @@ impl SweepStore {
                 .map(|(key, slim)| encode_cell(key.0, key.1, slim))
                 .collect();
             generation += 1;
-            let old: Vec<PathBuf> = fs::read_dir(&shards_dir)?
-                .filter_map(|e| e.ok())
-                .map(|e| e.path())
-                .filter(|p| {
-                    p.file_name()
-                        .and_then(|n| n.to_str())
-                        .is_some_and(|n| n.starts_with(&format!("s{shard:02}-")))
-                })
-                .collect();
             if !lines.is_empty() {
                 write_segment(&shards_dir, shard, generation, &lines)?;
             }
-            for path in old {
-                fs::remove_file(path)?;
+            for &(_, old) in loaded.segments.iter().filter(|s| s.0 == shard) {
+                fs::remove_file(shards_dir.join(segment_name(shard, old)))?;
             }
         }
 
+        let cells = Arc::new(loaded.cells);
         let wrote = Arc::new(AtomicU64::new(0));
         let writer = Writer {
             shards_dir,
-            known: loaded.cells.keys().copied().collect(),
+            loaded: Arc::clone(&cells),
+            queued: HashSet::new(),
             buffers: (0..STORE_SHARDS).map(|_| Vec::new()).collect(),
             generation,
             wrote: Arc::clone(&wrote),
@@ -715,7 +875,7 @@ impl SweepStore {
             .collect();
         Ok(SweepStore {
             dir,
-            cells: loaded.cells,
+            cells,
             corrupt: loaded.corrupt,
             archived_stale,
             manifest: Mutex::new(manifest),
@@ -762,7 +922,7 @@ impl SweepStore {
     /// read path.
     pub fn hydrate_into(&self, cache: &ReportCache) -> usize {
         let mut admitted = 0usize;
-        for (key, slim) in &self.cells {
+        for (key, slim) in self.cells.iter() {
             if cache.hydrate(*key, slim.clone()) {
                 admitted += 1;
             }
@@ -924,6 +1084,10 @@ pub fn load_run_dir(dir: impl AsRef<Path>) -> io::Result<RunDir> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fd_core::harness::kset_config;
+    use fd_core::KsetScenario;
+    use fd_detectors::scenario::{CrashPlan, Runner};
+    use fd_sim::SplitMix64;
 
     fn sample_slim(seed: u64) -> SlimReport {
         SlimReport {
@@ -1017,5 +1181,681 @@ mod tests {
         let b = intern("some_counter");
         assert!(std::ptr::eq(a, b));
         assert_eq!(intern("other"), "other");
+        // More names than a thread's memo holds: the overflow is served by
+        // the pool, and another thread gets the very same strings.
+        let names: Vec<String> = (0..40).map(|i| format!("overflow_{i}")).collect();
+        let here: Vec<&'static str> = names.iter().map(|n| intern(n)).collect();
+        let again: Vec<&'static str> = names.iter().map(|n| intern(n)).collect();
+        let there = std::thread::scope(|s| {
+            s.spawn(|| names.iter().map(|n| intern(n)).collect::<Vec<_>>())
+                .join()
+                .unwrap()
+        });
+        for i in 0..names.len() {
+            assert_eq!(here[i], names[i]);
+            assert!(std::ptr::eq(here[i], again[i]) && std::ptr::eq(here[i], there[i]));
+        }
+    }
+
+    #[test]
+    fn segment_names_parse_strictly() {
+        for shard in 0..STORE_SHARDS {
+            for generation in [0, 1, 42, 999_999, 1_000_000, u64::MAX] {
+                let name = segment_name(shard, generation);
+                assert_eq!(segment_of(&name), Some((shard, generation)), "{name}");
+            }
+        }
+        for stray in [
+            "",
+            "s",
+            "s.jsonl",
+            "s1.jsonl",
+            "s01.jsonl",
+            "s01-g.jsonl",
+            "s01-g1.jsonl",
+            "s1-g000001.jsonl",
+            "s001-g000001.jsonl",
+            "sxx-gyyyyyy.jsonl",
+            "s+1-g000001.jsonl",
+            "s01-g+00001.jsonl",
+            "s01-g0000001.jsonl",
+            "s16-g000001.jsonl",
+            "s99-g000001.jsonl",
+            "s01-g000001.jsonl.tmp",
+            ".tmp-s01-g000001",
+            "t01-g000001.jsonl",
+            "s01-h000001.jsonl",
+            "s０１-g000001.jsonl",
+            "sé-g000001.jsonl",
+            "s01-g18446744073709551616.jsonl",
+        ] {
+            assert_eq!(segment_of(stray), None, "{stray:?} is not a segment name");
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // Reference codec: the `Json`-tree round trip the store shipped with
+    // through PR 18, kept to pin the streaming codec against — byte for
+    // byte on encode, verdict for verdict on decode.
+    // -----------------------------------------------------------------
+
+    fn reference_opt_time(t: Option<Time>) -> Json {
+        match t {
+            Some(t) => Json::num_u64(t.0),
+            None => Json::Null,
+        }
+    }
+
+    fn reference_decode_opt_time(v: Option<&Json>) -> Result<Option<Time>, String> {
+        match v {
+            None | Some(Json::Null) => Ok(None),
+            Some(j) => j
+                .as_u64()
+                .map(|t| Some(Time(t)))
+                .ok_or_else(|| "bad time".into()),
+        }
+    }
+
+    fn reference_encode_cell(salt: u64, seed: u64, slim: &SlimReport) -> String {
+        let m = &slim.metrics;
+        Json::obj([
+            ("salt", Json::num_u64(salt)),
+            ("seed", Json::num_u64(seed)),
+            ("scenario", Json::str(slim.scenario)),
+            ("num_faulty", Json::num_u64(slim.num_faulty as u64)),
+            ("ok", Json::Bool(slim.check.ok)),
+            (
+                "stabilized_at",
+                reference_opt_time(slim.check.stabilized_at),
+            ),
+            ("detail", Json::str(&slim.check.detail)),
+            ("class", Json::str(slim.check.class.name())),
+            (
+                "metrics",
+                Json::obj([
+                    ("msgs_sent", Json::num_u64(m.msgs_sent)),
+                    ("rb_sent", Json::num_u64(m.rb_sent)),
+                    ("delivered", Json::num_u64(m.delivered)),
+                    ("events", Json::num_u64(m.events)),
+                    ("max_round", Json::num_u64(m.max_round)),
+                    (
+                        "decided",
+                        Json::Arr(m.decided_values.iter().map(|&v| Json::num_u64(v)).collect()),
+                    ),
+                    ("first_decision", reference_opt_time(m.first_decision)),
+                    ("last_decision", reference_opt_time(m.last_decision)),
+                ]),
+            ),
+            (
+                "counters",
+                Json::Arr(
+                    slim.counters
+                        .iter()
+                        .map(|&(name, v)| Json::Arr(vec![Json::str(name), Json::num_u64(v)]))
+                        .collect(),
+                ),
+            ),
+        ])
+        .emit()
+    }
+
+    fn reference_decode_cell(line: &str) -> Result<((u64, u64), SlimReport), String> {
+        let doc = json::parse(line)?;
+        let req_u64 = |key: &str| -> Result<u64, String> {
+            doc.get(key)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("missing/bad {key}"))
+        };
+        let salt = req_u64("salt")?;
+        let seed = req_u64("seed")?;
+        let scenario = doc
+            .get("scenario")
+            .and_then(Json::as_str)
+            .ok_or("missing scenario")?;
+        let ok = doc.get("ok").and_then(Json::as_bool).ok_or("missing ok")?;
+        let detail = doc
+            .get("detail")
+            .and_then(Json::as_str)
+            .ok_or("missing detail")?;
+        let class = doc
+            .get("class")
+            .and_then(Json::as_str)
+            .and_then(ViolationClass::from_name)
+            .ok_or("missing/bad class")?;
+        let m = doc.get("metrics").ok_or("missing metrics")?;
+        let m_u64 = |key: &str| -> Result<u64, String> {
+            m.get(key)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("missing/bad metrics.{key}"))
+        };
+        let decided = m
+            .get("decided")
+            .and_then(Json::as_arr)
+            .ok_or("missing decided")?
+            .iter()
+            .map(|v| v.as_u64().ok_or("bad decided value"))
+            .collect::<Result<Vec<u64>, _>>()?;
+        let counters = doc
+            .get("counters")
+            .and_then(Json::as_arr)
+            .ok_or("missing counters")?
+            .iter()
+            .map(|pair| {
+                let pair = pair
+                    .as_arr()
+                    .filter(|p| p.len() == 2)
+                    .ok_or("bad counter")?;
+                let name = pair[0].as_str().ok_or("bad counter name")?;
+                let v = pair[1].as_u64().ok_or("bad counter value")?;
+                Ok::<(&'static str, u64), String>((intern(name), v))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let slim = SlimReport {
+            scenario: intern(scenario),
+            seed,
+            num_faulty: req_u64("num_faulty")? as usize,
+            check: CheckOutcome {
+                ok,
+                stabilized_at: reference_decode_opt_time(doc.get("stabilized_at"))?,
+                detail: detail.to_string(),
+                class,
+            },
+            metrics: Metrics {
+                msgs_sent: m_u64("msgs_sent")?,
+                rb_sent: m_u64("rb_sent")?,
+                delivered: m_u64("delivered")?,
+                events: m_u64("events")?,
+                max_round: m_u64("max_round")?,
+                decided_values: decided,
+                first_decision: reference_decode_opt_time(m.get("first_decision"))?,
+                last_decision: reference_decode_opt_time(m.get("last_decision"))?,
+            },
+            counters,
+        };
+        Ok(((salt, seed), slim))
+    }
+
+    // -----------------------------------------------------------------
+    // Differential corpus
+    // -----------------------------------------------------------------
+
+    const EDGE_U64: [u64; 8] = [
+        0,
+        1,
+        9,
+        10,
+        (1 << 53) + 1,
+        u64::MAX - 1,
+        u64::MAX,
+        9_999_999_999_999_999_999,
+    ];
+
+    fn any_u64(rng: &mut SplitMix64) -> u64 {
+        match rng.below(4) {
+            0 => EDGE_U64[rng.below(EDGE_U64.len() as u64) as usize],
+            1 => rng.below(10_000),
+            // Every decimal length from 1 to 20 digits.
+            _ => rng.next_u64() >> rng.below(64),
+        }
+    }
+
+    fn any_time(rng: &mut SplitMix64) -> Option<Time> {
+        rng.chance(2, 3).then(|| Time(any_u64(rng)))
+    }
+
+    /// Plain, quoted, escaped, control, non-BMP and `—π` text, from empty
+    /// to a few hundred bytes.
+    fn any_text(rng: &mut SplitMix64) -> String {
+        const PIECES: [&str; 18] = [
+            "validity; 1 distinct decisions ≤ k = 1; termination; decide-once",
+            "p3 never decided",
+            "\"",
+            "\\",
+            "\\\"",
+            "/",
+            "\n",
+            "\r\t",
+            "\u{8}\u{c}",
+            "\u{0}\u{1}\u{1f}",
+            "\u{7f}",
+            " — π ",
+            "≤",
+            "𝔘𝕟𝕚",
+            "🦀",
+            "\u{fffd}\u{ffff}",
+            "{\"k\":[1,2]}",
+            " ",
+        ];
+        let pieces = match rng.below(8) {
+            0 => 0,
+            1 => 40,
+            _ => rng.range(1, 6),
+        };
+        (0..pieces)
+            .map(|_| PIECES[rng.below(PIECES.len() as u64) as usize])
+            .collect()
+    }
+
+    /// A random cell of class `i mod 11`; its lists are empty, short, or
+    /// `long` elements.
+    fn any_slim(rng: &mut SplitMix64, i: usize, long: u64) -> SlimReport {
+        const SCENARIOS: [&str; 5] = [
+            "kset_omega",
+            "two_wheels(x=2,y=1)",
+            "",
+            "quoted \"name\" \\ — π",
+            "tab\tname",
+        ];
+        const COUNTERS: [&str; 8] = [
+            "sim.delivered",
+            "sim.events",
+            "sim.rb_sent",
+            "sim.sent",
+            "upper.l_move",
+            "",
+            "odd \"counter\"\n",
+            "𝔘.x",
+        ];
+        let list = |rng: &mut SplitMix64| match rng.below(6) {
+            0 => 0,
+            1 => long,
+            _ => rng.range(1, 9),
+        };
+        SlimReport {
+            scenario: SCENARIOS[rng.below(SCENARIOS.len() as u64) as usize],
+            seed: any_u64(rng),
+            num_faulty: any_u64(rng) as usize,
+            check: CheckOutcome {
+                ok: rng.chance(1, 2),
+                stabilized_at: any_time(rng),
+                detail: any_text(rng),
+                class: ViolationClass::ALL[i % ViolationClass::ALL.len()],
+            },
+            metrics: Metrics {
+                msgs_sent: any_u64(rng),
+                rb_sent: any_u64(rng),
+                delivered: any_u64(rng),
+                events: any_u64(rng),
+                max_round: any_u64(rng),
+                decided_values: (0..list(rng)).map(|_| any_u64(rng)).collect(),
+                first_decision: any_time(rng),
+                last_decision: any_time(rng),
+            },
+            counters: (0..list(rng))
+                .map(|_| {
+                    let name = COUNTERS[rng.below(COUNTERS.len() as u64) as usize];
+                    (name, any_u64(rng))
+                })
+                .collect(),
+        }
+    }
+
+    /// Runs both decoders over `line`; they must agree on the verdict and,
+    /// when it is `Ok`, on the cell. Returns the cell.
+    fn both_decode(line: &str) -> Option<((u64, u64), SlimReport)> {
+        match (decode_cell(line), reference_decode_cell(line)) {
+            (Ok(streamed), Ok(tree)) => {
+                assert_eq!(streamed, tree, "decoders disagree on the value of {line:?}");
+                Some(streamed)
+            }
+            (Err(_), Err(_)) => None,
+            (streamed, tree) => panic!(
+                "decoders disagree on {line:?}:\n  streaming: {streamed:?}\n  tree: {tree:?}"
+            ),
+        }
+    }
+
+    #[test]
+    fn streaming_codec_equals_the_tree_codec_on_random_cells() {
+        let mut rng = SplitMix64::new(0x19_C0DEC);
+        let mut classes = HashSet::new();
+        for i in 0..2_500 {
+            let slim = any_slim(&mut rng, i, 150);
+            let salt = any_u64(&mut rng);
+            classes.insert(slim.check.class.name());
+            let line = encode_cell(salt, slim.seed, &slim);
+            assert_eq!(line, reference_encode_cell(salt, slim.seed, &slim));
+            if !line.contains('\\') {
+                assert_eq!(
+                    line.len(),
+                    line.capacity(),
+                    "an escape-free line is sized exactly"
+                );
+            }
+            assert_eq!(both_decode(&line), Some(((salt, slim.seed), slim)));
+        }
+        assert_eq!(classes.len(), ViolationClass::ALL.len());
+    }
+
+    /// Emits `doc` with its object members in a seeded random order and
+    /// random whitespace around every token.
+    fn emit_scrambled(doc: &Json, rng: &mut SplitMix64, out: &mut String) {
+        fn gap(rng: &mut SplitMix64, out: &mut String) {
+            for _ in 0..rng.below(3) {
+                out.push(*rng.choose(&[' ', '\t', '\n', '\r']).unwrap());
+            }
+        }
+        gap(rng, out);
+        match doc {
+            Json::Obj(members) => {
+                let mut members: Vec<_> = members.iter().collect();
+                rng.shuffle(&mut members);
+                out.push('{');
+                for (i, (key, value)) in members.into_iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    gap(rng, out);
+                    escape_into(key, out);
+                    gap(rng, out);
+                    out.push(':');
+                    emit_scrambled(value, rng, out);
+                }
+                gap(rng, out);
+                out.push('}');
+            }
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    emit_scrambled(item, rng, out);
+                }
+                gap(rng, out);
+                out.push(']');
+            }
+            scalar => out.push_str(&scalar.emit()),
+        }
+        gap(rng, out);
+    }
+
+    /// `text` as a JSON string in which every character is written the
+    /// long way: `\uXXXX` (surrogate pairs past the BMP), or the short
+    /// escapes the encoder never emits (`\/`, `\b`, `\f`).
+    fn escape_the_long_way(text: &str, out: &mut String) {
+        out.push('"');
+        for c in text.chars() {
+            match c {
+                '/' => out.push_str("\\/"),
+                '\u{8}' => out.push_str("\\b"),
+                '\u{c}' => out.push_str("\\f"),
+                c => {
+                    for unit in c.encode_utf16(&mut [0; 2]) {
+                        let _ = write!(out, "\\u{unit:04X}");
+                    }
+                }
+            }
+        }
+        out.push('"');
+    }
+
+    #[test]
+    fn streaming_decoder_equals_the_tree_decoder_on_mutated_lines() {
+        let mut rng = SplitMix64::new(0x19_D1FF);
+        let (mut accepted, mut rejected) = (0u32, 0u32);
+        let mut check = |line: &str| -> Option<((u64, u64), SlimReport)> {
+            let cell = both_decode(line);
+            *(if cell.is_some() {
+                &mut accepted
+            } else {
+                &mut rejected
+            }) += 1;
+            cell
+        };
+        for i in 0..33 {
+            let slim = any_slim(&mut rng, i, 12);
+            let salt = any_u64(&mut rng);
+            let cell = Some(((salt, slim.seed), slim.clone()));
+            let line = encode_cell(salt, slim.seed, &slim);
+            let doc = json::parse(&line).unwrap();
+
+            // Truncation at every byte offset: no strict prefix of an
+            // object is a document.
+            for cut in (0..line.len()).filter(|&cut| line.is_char_boundary(cut)) {
+                assert_eq!(check(&line[..cut]), None, "prefix of {cut} bytes");
+            }
+
+            // Single-byte flips, to each of the bytes the grammar cares
+            // about (ASCII over ASCII keeps the line a `&str`).
+            for at in (0..line.len()).filter(|&at| line.as_bytes()[at].is_ascii()) {
+                let flip = *rng.choose(b"\"\\,:{}[]09-+.eEtnu x\t").unwrap();
+                let mut bytes = line.clone().into_bytes();
+                bytes[at] = flip;
+                check(&String::from_utf8(bytes).unwrap());
+            }
+
+            // Permuted keys and inter-token whitespace: the same cell.
+            for _ in 0..8 {
+                let mut scrambled = String::new();
+                emit_scrambled(&doc, &mut rng, &mut scrambled);
+                assert_eq!(check(&scrambled), cell, "{scrambled:?}");
+            }
+
+            // The escapes the encoder never writes, in values and in keys.
+            let mut long = String::from("{\"detail\":");
+            escape_the_long_way(&slim.check.detail, &mut long);
+            long.push_str(",\"scenario\":");
+            escape_the_long_way(slim.scenario, &mut long);
+            long.push(',');
+            escape_the_long_way("salt", &mut long);
+            let _ = write!(long, ":{salt},");
+            let tail = line.replacen("{\"class\"", "\"class\"", 1);
+            long.push_str(&tail);
+            // (`detail`, `scenario` and `salt` now occur twice, the long
+            // spelling first: the canonical one wins, and is equal anyway —
+            // except past the BMP, where a `\u` pair reads as two U+FFFD.)
+            assert_eq!(check(&long), cell, "{long:?}");
+            let long_only = long.replacen(",\"detail\":", ",\"detail_\":", 1);
+            if slim.check.detail.chars().all(|c| (c as u32) < 0x1_0000) {
+                assert_eq!(check(&long_only), cell, "{long_only:?}");
+            } else {
+                let read = check(&long_only).expect("pairs of lone surrogates still read");
+                assert!(read.1.check.detail.contains('\u{fffd}'));
+            }
+
+            // Duplicated keys: the last occurrence alone decides, whatever
+            // an earlier one held.
+            let body = &line[1..];
+            for (earlier, still_ok) in [
+                ("\"salt\":\"x\"", true),
+                ("\"seed\":[1,2]", true),
+                ("\"ok\":null", true),
+                ("\"detail\":7", true),
+                ("\"class\":\"no_such_class\"", true),
+                ("\"stabilized_at\":\"never\"", true),
+                ("\"metrics\":5", true),
+                ("\"metrics\":{\"events\":\"x\"}", true),
+                ("\"counters\":[[\"a\"]]", true),
+                ("\"counters\":[[\"a\",1,2]]", true),
+                ("\"counters\":[[1,\"a\"]]", true),
+                ("\"counters\":{}", true),
+                ("\"salt\":tru", false),
+                ("\"metrics\":{\"events\":}", false),
+            ] {
+                let first = format!("{{{earlier},{body}");
+                assert_eq!(
+                    check(&first),
+                    cell.clone().filter(|_| still_ok),
+                    "{first:?}"
+                );
+                if still_ok {
+                    let last = format!("{},{earlier}}}", &line[..line.len() - 1]);
+                    assert_eq!(check(&last), None, "{last:?}");
+                }
+            }
+            let later_salt = format!("{},\"salt\":{}}}", &line[..line.len() - 1], salt ^ 1);
+            assert_eq!(check(&later_salt).map(|c| c.0), Some((salt ^ 1, slim.seed)));
+            // … inside `metrics` too, and a repeated `metrics` replaces the
+            // earlier one whole rather than merging with it.
+            let inner = line.replacen("\"metrics\":{", "\"metrics\":{\"events\":\"x\",", 1);
+            assert_eq!(check(&inner), cell, "{inner:?}");
+            let partial = format!("{},\"metrics\":{{\"events\":1}}}}", &line[..line.len() - 1]);
+            assert_eq!(check(&partial), None, "{partial:?}");
+
+            // An unknown member — scalar, nested, malformed — at the top
+            // level and inside `metrics`.
+            for (unknown, well_formed) in [
+                ("\"zz\":1", true),
+                ("\"zz\":-1.5e+3", true),
+                ("\"zz\":null", true),
+                ("\"zz\":\"s\\n\\u00e9\"", true),
+                ("\"zz\":{\"a\":[1,{\"b\":[]},\"]\"],\"salt\":0}", true),
+                ("\"\":[[[[]]]]", true),
+                ("\"zz\":[1,", false),
+                ("\"zz\":[1,]", false),
+                ("\"zz\":{\"a\"}", false),
+                ("\"zz\":tru", false),
+                ("\"zz\":nul", false),
+                ("\"zz\":1x", false),
+                ("\"zz\":\"\\q\"", false),
+                ("\"zz\":\"\\u12\"", false),
+                ("\"zz\"", false),
+                ("zz:1", false),
+            ] {
+                let top = format!("{{{unknown},{body}");
+                assert_eq!(check(&top), cell.clone().filter(|_| well_formed), "{top:?}");
+                let nested =
+                    line.replacen("\"metrics\":{", &format!("\"metrics\":{{{unknown},"), 1);
+                assert_eq!(
+                    check(&nested),
+                    cell.clone().filter(|_| well_formed),
+                    "{nested:?}"
+                );
+            }
+
+            // Numbers in other spellings, wherever a `u64` is read. The
+            // reader's number token is the tree parser's, so the two
+            // decoders have no known disagreement: what is not RFC 8259
+            // but was tolerated (`+5`, `007`) is tolerated by both.
+            let spellings = [
+                ("1.0", None),
+                ("1e3", None),
+                ("1E3", None),
+                ("-1", None),
+                ("-0", None),
+                ("1.", None),
+                (".5", None),
+                ("18446744073709551616", None),
+                ("99999999999999999999999", None),
+                ("0x10", None),
+                ("1 2", None),
+                ("", None),
+                ("+5", Some(5)),
+                ("007", Some(7)),
+                ("18446744073709551615", Some(u64::MAX)),
+                (" 12 ", Some(12)),
+            ];
+            for (spelling, value) in spellings {
+                let seeded = format!("{},\"seed\":{spelling}}}", &line[..line.len() - 1]);
+                assert_eq!(check(&seeded).map(|c| c.0 .1), value, "{seeded:?}");
+                for (member, close) in [
+                    ("\"metrics\":{\"rb_sent\":", "}"),
+                    ("\"metrics\":{\"decided\":[3,", "]}"),
+                    ("\"metrics\":{\"last_decision\":", "}"),
+                    ("\"counters\":[[\"c\",", "]]"),
+                    ("\"stabilized_at\":", ""),
+                ] {
+                    let head = if member.starts_with("\"metrics") {
+                        line.replacen("\"metrics\":{", member, 1)
+                    } else {
+                        format!("{},{member}", &line[..line.len() - 1])
+                    };
+                    // The member is cut short after the number, so only
+                    // the verdict is comparable — and only when the
+                    // shortened member is itself complete.
+                    let cut = format!("{head}{spelling}{close}}}");
+                    let read = check(&cut);
+                    if !member.starts_with("\"metrics") {
+                        assert_eq!(read.is_some(), value.is_some(), "{cut:?}");
+                    }
+                }
+            }
+        }
+        assert!(
+            accepted > 5_000 && rejected > 20_000,
+            "{accepted} / {rejected}"
+        );
+    }
+
+    /// A run directory written by the tree codec (PR 18 and before) is read
+    /// by the streaming one as it stands: all hits, nothing corrupt, and
+    /// not a byte of it rewritten.
+    #[test]
+    fn run_dir_written_by_the_tree_codec_resumes_untouched() {
+        assert_eq!(STORE_FORMAT, 2);
+        let dir = std::env::temp_dir().join(format!("fd-store-format-{}", std::process::id()));
+        fs::remove_dir_all(&dir).ok();
+        let shards_dir = dir.join("shards");
+        fs::create_dir_all(&shards_dir).unwrap();
+
+        let spec = kset_config(5, 2, 2)
+            .gst(Time(400))
+            .crashes(CrashPlan::Random {
+                f: 2,
+                by: Time(500),
+            });
+        let sweep = |cache: &'static ReportCache| {
+            Runner::sequential()
+                .with_cache(cache)
+                .sweep_summary(&KsetScenario, &spec, 0..40)
+        };
+        let cold: &'static ReportCache = Box::leak(Box::new(ReportCache::new()));
+        let computed = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&computed);
+        cold.set_spill(Some(Arc::new(move |salt, seed, slim: &SlimReport| {
+            sink.lock().unwrap().push((salt, seed, slim.clone()));
+        })));
+        let cold_summary = sweep(cold);
+        cold.set_spill(None);
+
+        // One segment per non-empty shard, as a closed store leaves them.
+        write_atomic(&dir.join("manifest.json"), &Manifest::fresh().emit()).unwrap();
+        let computed = computed.lock().unwrap();
+        let mut generation = 0;
+        for shard in 0..STORE_SHARDS {
+            let lines: Vec<String> = computed
+                .iter()
+                .filter(|(salt, seed, _)| shard_of((*salt, *seed)) == shard)
+                .map(|(salt, seed, slim)| reference_encode_cell(*salt, *seed, slim))
+                .collect();
+            if !lines.is_empty() {
+                generation += 1;
+                write_segment(&shards_dir, shard, generation, &lines).unwrap();
+            }
+        }
+        let on_disk = || -> Vec<(String, Vec<u8>)> {
+            let mut files: Vec<_> = fs::read_dir(&shards_dir)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .map(|p| {
+                    (
+                        p.file_name().unwrap().to_str().unwrap().to_owned(),
+                        fs::read(&p).unwrap(),
+                    )
+                })
+                .collect();
+            files.sort();
+            files
+        };
+        let written = on_disk();
+
+        let store = SweepStore::open(&dir).unwrap();
+        assert!(!store.archived_stale());
+        assert_eq!((store.loaded(), store.corrupt()), (40, 0));
+        let warm: &'static ReportCache = Box::leak(Box::new(ReportCache::new()));
+        assert_eq!(store.hydrate_into(warm), 40);
+        assert_eq!(sweep(warm), cold_summary);
+        assert_eq!((warm.hits(), warm.misses()), (40, 0));
+        // A cell that is already on disk is not written a second time.
+        let (salt, seed, slim) = &computed[0];
+        store.spill()(*salt, *seed, slim);
+        assert_eq!(store.close().unwrap().wrote, 0);
+        assert_eq!(
+            on_disk(),
+            written,
+            "open must not compact or rewrite a clean directory"
+        );
+        fs::remove_dir_all(&dir).ok();
     }
 }

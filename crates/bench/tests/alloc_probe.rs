@@ -32,13 +32,19 @@
 //! allocate nothing, and `run_shm` allocates for its set-up and the
 //! trace's early growth only — twice the steps, not one allocation more.
 //!
+//! A sixth phase pins the sweep store's cell codec: `encode_cell` makes
+//! the one allocation of the line it returns, and `decode_cell` the three
+//! a `SlimReport` owns (detail, decided values, counters).
+//!
 //! The probe binary holds exactly one `#[test]` so no concurrently
 //! running test can touch the process-global counter between the
 //! snapshots. Counting is compiled in only under `debug_assertions`
 //! (see [`CountingAlloc`]); release runs skip the assertions.
 
-use fd_bench::CountingAlloc;
-use fd_core::{KsetMsg, KsetOmega, Phase1Slab, RoundWindow};
+use fd_bench::{decode_cell, encode_cell, CountingAlloc};
+use fd_core::harness::kset_config;
+use fd_core::{KsetMsg, KsetOmega, KsetScenario, Phase1Slab, RoundWindow};
+use fd_detectors::scenario::Runner;
 use fd_detectors::{OmegaOracle, PhiOracle, Scope, SxOracle};
 use fd_sim::{
     run_shm, Automaton, Ctx, DelayModel, EventKind, EventQueue, FailurePattern, MsgArena, Network,
@@ -344,5 +350,32 @@ fn routed_broadcast_is_allocation_free_after_warmup() {
         long <= short,
         "run_shm allocated {long} times over 20k steps but {short} over 10k"
     );
+
+    // Cell codec: a real k-set cell (non-empty detail, one decided value,
+    // the four `sim.*` counters) encodes into the one `String` it returns
+    // and decodes into the three heap parts a `SlimReport` owns — no
+    // tree, no token strings, no second look-up of an interned name.
+    let spec = kset_config(5, 2, 1).gst(Time(400)).seed(3);
+    let slim = Runner::sequential().run(&KsetScenario, &spec).slim();
+    assert!(!slim.check.detail.is_empty());
+    assert_eq!(slim.metrics.decided_values.len(), 1);
+    assert_eq!(slim.counters.len(), 4);
+    let line = encode_cell(7, 3, &slim);
+    assert_eq!(decode_cell(&line), Ok(((7, 3), slim.clone())));
+    let before = ALLOC.allocations();
+    let again = encode_cell(7, 3, &slim);
+    assert_eq!(
+        ALLOC.allocations() - before,
+        1,
+        "encode_cell must allocate its line and nothing else"
+    );
+    let before = ALLOC.allocations();
+    let decoded = decode_cell(&again);
+    let decode_allocs = ALLOC.allocations() - before;
+    assert!(
+        decode_allocs <= 3,
+        "decode_cell allocated {decode_allocs} times; detail, decided and counters make 3"
+    );
+    acc = acc.wrapping_add(decoded.map_or(0, |(key, _)| key.0));
     std::hint::black_box(acc);
 }

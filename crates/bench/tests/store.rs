@@ -248,3 +248,91 @@ fn garbled_manifest_never_panics() {
     assert_eq!(warm.misses, 3);
     assert_eq!(warm.summary, cold.summary);
 }
+
+/// The shard segments of `dir`, sorted by name.
+fn segments(dir: &Path) -> Vec<PathBuf> {
+    let mut found: Vec<PathBuf> = fs::read_dir(dir.join("shards"))
+        .expect("read shards dir")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|e| e == "jsonl"))
+        .collect();
+    found.sort();
+    found
+}
+
+/// Files in `shards/` that are not segment names — an editor's backup, a
+/// half-typed `touch`, another tool's output — are not the store's: open
+/// must neither index into their names (it used to panic on `s.jsonl`),
+/// nor book them as shard 0 and compact it, nor delete them.
+#[test]
+fn stray_files_in_shards_are_ignored_and_kept() {
+    let dir = scratch("strays");
+    let cold = sweep_session(&dir, 0..12);
+    assert_eq!(cold.wrote, 12);
+    let before = segments(&dir);
+
+    let strays = [
+        "s.jsonl",
+        "s1.jsonl",
+        "sxx-gyyyyyy.jsonl",
+        "s99-g000001.jsonl",
+        "sé-g000001.jsonl",
+    ];
+    for name in strays {
+        fs::write(dir.join("shards").join(name), "not a cell\n").expect("write stray");
+    }
+
+    let warm = sweep_session(&dir, 0..12);
+    assert!(!warm.archived_stale);
+    assert_eq!(warm.corrupt, 0, "stray files must not be read at all");
+    assert_eq!(warm.loaded, 12);
+    assert_eq!(warm.hits, 12, "every real cell must still hit");
+    assert_eq!(warm.misses, 0);
+    assert_eq!(warm.wrote, 0);
+    assert_eq!(warm.summary, cold.summary);
+    for name in strays {
+        let kept = fs::read_to_string(dir.join("shards").join(name)).expect("stray still there");
+        assert_eq!(kept, "not a cell\n", "{name} must be left as it was");
+    }
+    let after: Vec<PathBuf> = segments(&dir)
+        .into_iter()
+        .filter(|p| !strays.iter().any(|s| p.ends_with(s)))
+        .collect();
+    assert_eq!(after, before, "no stray may trigger a compaction");
+}
+
+/// A megabyte of `[` on one line used to overflow the parser's stack and
+/// abort the process; it is one corrupt line like any other.
+#[test]
+fn deeply_nested_garbage_line_is_dropped_and_compacted_away() {
+    let dir = scratch("nested");
+    let cold = sweep_session(&dir, 0..8);
+    assert_eq!(cold.wrote, 8);
+
+    let before = segments(&dir);
+    let scarred = &before[0];
+    let mut text = fs::read_to_string(scarred).expect("read segment");
+    text.push_str(&"[".repeat(1 << 20));
+    text.push('\n');
+    fs::write(scarred, text).expect("scar segment");
+
+    let warm = sweep_session(&dir, 0..8);
+    assert_eq!(warm.corrupt, 1, "the garbage line must be counted");
+    assert_eq!(warm.loaded, 8, "every cell must survive");
+    assert_eq!(warm.hits, 8);
+    assert_eq!(warm.misses, 0);
+    assert_eq!(warm.summary, cold.summary);
+    let after = segments(&dir);
+    assert!(
+        !after.contains(scarred),
+        "the scarred shard must be compacted"
+    );
+    assert_eq!(after.len(), before.len());
+    assert!(after
+        .iter()
+        .all(|p| fs::metadata(p).unwrap().len() < 1 << 20));
+
+    let healed = sweep_session(&dir, 0..8);
+    assert_eq!(healed.corrupt, 0);
+    assert_eq!(healed.hits, 8);
+}
