@@ -30,8 +30,9 @@
 //! nothing.
 //!
 //! Every subcommand parses its arguments once against its own flag set: an
-//! unknown flag, a missing value, or a value that does not parse prints the
-//! usage on stderr and exits with status 2 — nothing runs on a typo.
+//! unknown flag, a flag given twice, a missing value, a value that does not
+//! parse, or `--resume` without `--store` prints the usage on stderr and
+//! exits with status 2 — nothing runs on a typo.
 //!
 //! `--seeds N` (default 25) is the seeds per main-grid cell and `--stream N`
 //! (default 100 000) the seeds of the streaming cell; the adversary leg
@@ -87,6 +88,18 @@ const SEARCH_FLAGS: &Known = &[
     ("--out", true),
 ];
 
+/// `--store DIR` and `--resume`, shared by the main sweep and `search`.
+/// `--resume` asserts that the run directory served every cell, so without
+/// one it would verify nothing — a usage error, not a vacuous pass.
+fn store_opts(f: &Flags) -> Result<(Option<String>, bool), String> {
+    let store = f.text("--store").map(String::from);
+    let resume = f.has("--resume");
+    if resume && store.is_none() {
+        return Err("`--resume` needs `--store DIR`".into());
+    }
+    Ok((store, resume))
+}
+
 /// The main sweep's options.
 struct MainOpts {
     seeds: u64,
@@ -100,12 +113,13 @@ struct MainOpts {
 impl MainOpts {
     fn parse(argv: &[String]) -> Result<Self, String> {
         let f = Flags::parse(argv, MAIN_FLAGS)?;
+        let (store, resume) = store_opts(&f)?;
         Ok(MainOpts {
             seeds: f.num("--seeds", 25)?,
             stream: f.num("--stream", 100_000)?,
             threads: f.num("--threads", 0)?,
-            store: f.text("--store").map(String::from),
-            resume: f.has("--resume"),
+            store,
+            resume,
             out: f.text("--out").unwrap_or("BENCH_sweep.json").into(),
         })
     }
@@ -123,6 +137,7 @@ struct SearchOpts {
 impl SearchOpts {
     fn parse(argv: &[String]) -> Result<Self, String> {
         let f = Flags::parse(argv, SEARCH_FLAGS)?;
+        let (store, resume) = store_opts(&f)?;
         Ok(SearchOpts {
             cfg: SearchConfig {
                 search_seed: f.num("--search-seed", 0)?,
@@ -131,8 +146,8 @@ impl SearchOpts {
                 max_witnesses: f.num("--max-witnesses", 3)?,
             },
             threads: f.num("--threads", 0)?,
-            store: f.text("--store").map(String::from),
-            resume: f.has("--resume"),
+            store,
+            resume,
             out: f.text("--out").unwrap_or("SEARCH_witnesses.json").into(),
         })
     }
@@ -494,12 +509,21 @@ mod tests {
             "--seeds 1O",
             "--threads -1",
             "--stream 2k",
+            "--seeds 2 --seeds 3",
+            "--resume",
         ] {
             assert!(MainOpts::parse(&argv(line)).is_err(), "main: {line}");
         }
-        for line in ["--budget", "--budget many", "--search-seed -4"] {
+        for line in [
+            "--budget",
+            "--budget many",
+            "--search-seed -4",
+            "--budget 2 --seeds-per-spec 1 --resume",
+        ] {
             assert!(SearchOpts::parse(&argv(line)).is_err(), "search: {line}");
         }
+        let twice = SearchOpts::parse(&argv("--budget 2 --budget 3")).err();
+        assert_eq!(twice.as_deref(), Some("`--budget` given twice"));
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! persisted as they finish — rerunning with the same DIR resumes the
 //! swept experiments from disk.
 //!
-//! An unknown flag or a `--store` without a value prints the usage on
-//! stderr and exits with status 2 — nothing runs on a typo.
+//! An unknown flag, a repeated flag or a `--store` without a value prints
+//! the usage on stderr and exits with status 2 — nothing runs on a typo.
 
 use fd_bench::flags::{Flags, Known};
 use fd_bench::SweepStore;
@@ -71,7 +71,13 @@ mod tests {
 
     #[test]
     fn typos_and_missing_values_are_rejected() {
-        for line in ["--quik", "--store", "--store --quick", "--quick runs/x"] {
+        for line in [
+            "--quik",
+            "--store",
+            "--store --quick",
+            "--quick runs/x",
+            "--quick --quick",
+        ] {
             assert!(Flags::parse(&argv(line), FLAGS).is_err(), "{line}");
         }
         let both = argv("--quick --store runs/x");

@@ -14,21 +14,20 @@
 //! inherently scenario-free work.
 
 use crate::table::Table;
-use fd_core::harness::kset_config;
 use fd_core::lower_bound;
 use fd_core::spec;
 use fd_core::{ConsensusScenario, KsetScenario};
 use fd_detectors::scenario::{
-    default_proposals, CrashPlan, Flavour, ReportCache, Runner, Scenario, ScenarioSpec,
-    SweepSummary,
+    default_proposals, sample_oracle, CrashPlan, Flavour, ReportCache, Runner, SampledSlot,
+    Scenario, ScenarioSpec, SweepSummary,
 };
 use fd_detectors::{check, OmegaOracle, PerfectOracle, PhiOracle, Scope, SxOracle};
 use fd_grid::pipeline::PipelineScenario;
 use fd_sim::{FailurePattern, SplitMix64, Time};
 use fd_transforms::witness;
 use fd_transforms::{
-    sample_oracle, AdditionScenario, OmegaToDiamondS, PToPhi, PhiToP, SampledSlot, Substrate,
-    TwParams, TwoWheelsScenario, WeakenPhi,
+    AdditionScenario, OmegaToDiamondS, PToPhi, PhiToP, Substrate, TwParams, TwoWheelsScenario,
+    WeakenPhi,
 };
 
 /// How many seeds per configuration (trimmed in `quick` mode).
@@ -335,7 +334,7 @@ pub fn e4_kset(quick: bool) -> Table {
     for &(n, tt) in &[(5usize, 2usize), (7, 3), (9, 4)] {
         for k in 1..=tt {
             for &f in &[0usize, tt] {
-                let base = kset_config(n, tt, k)
+                let base = KsetScenario::spec(n, tt, k)
                     .crashes(CrashPlan::Random { f, by: Time(500) })
                     .gst(Time(400));
                 let summary = r.sweep_summary(&KsetScenario, &base, 0..runs);
@@ -371,17 +370,17 @@ pub fn e5_zero_degradation(quick: bool) -> Table {
     let rows: &[(&str, ScenarioSpec)] = &[
         (
             "perfect Ω_1, no crashes (oracle efficiency)",
-            kset_config(6, 2, 1).gst(Time::ZERO),
+            KsetScenario::spec(6, 2, 1).gst(Time::ZERO),
         ),
         (
             "perfect Ω_1, 2 initial crashes (zero degradation)",
-            kset_config(6, 2, 1)
+            KsetScenario::spec(6, 2, 1)
                 .gst(Time::ZERO)
                 .crashes(CrashPlan::Initial { f: 2 }),
         ),
         (
             "adversarial ◇-oracle, mid-run crashes (contrast)",
-            kset_config(6, 2, 1)
+            KsetScenario::spec(6, 2, 1)
                 .gst(Time(600))
                 .crashes(CrashPlan::Random {
                     f: 2,
@@ -651,7 +650,7 @@ pub fn e10_baselines(quick: bool) -> Table {
     let tt = 2;
     let runs = seeds(quick);
     let r = runner();
-    let crashy = kset_config(n, tt, 1)
+    let crashy = KsetScenario::spec(n, tt, 1)
         .gst(Time(400))
         .crashes(CrashPlan::Random {
             f: 1,

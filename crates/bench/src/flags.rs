@@ -1,9 +1,10 @@
 //! The strict command-line parser shared by the `sweep` and `tables` bins.
 //!
 //! An invocation is parsed once against the subcommand's flag set: an
-//! unknown flag, a stray argument, a missing value or a value that does not
-//! parse is an `Err` carrying the message the bin prints above its usage
-//! before exiting with status 2 — nothing runs on a typo.
+//! unknown flag, a stray argument, a repeated flag, a missing value or a
+//! value that does not parse is an `Err` carrying the message the bin
+//! prints above its usage before exiting with status 2 — nothing runs on
+//! a typo.
 
 use std::str::FromStr;
 
@@ -25,6 +26,9 @@ impl<'a> Flags<'a> {
                 .iter()
                 .find(|(name, _)| name == arg)
                 .ok_or_else(|| format!("unknown argument `{arg}`"))?;
+            if out.iter().any(|(name, _)| name == arg) {
+                return Err(format!("`{arg}` given twice"));
+            }
             let value = if takes_value {
                 let v = it.next().filter(|v| !v.starts_with("--"));
                 Some(v.ok_or_else(|| format!("`{arg}` needs a value"))?.as_str())

@@ -5,9 +5,9 @@
 //! module computes the tables; the `tables` binary prints them
 //! (`cargo run -p fd-bench --bin tables --release`); the `sweep` binary
 //! regenerates the committed `BENCH_sweep.json`, a golden of counted
-//! results (runs, passes, events, messages — no wall clock); the bench
-//! targets (`cargo bench -p fd-bench`) time the same workloads on the
-//! dependency-free [`micro`] harness.
+//! results (runs, passes, events, messages — no wall clock). Nothing here
+//! times anything: every perf number comes from the repo benchmark
+//! (`BENCHMARK.json`, the `benchmark/` package).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -24,7 +24,7 @@ pub mod table;
 
 pub use analyze::{analyze_run_dirs, AnalyzeReport};
 pub use experiments::all;
-pub use micro::{BenchResult, CountingAlloc, Suite};
+pub use micro::CountingAlloc;
 pub use search::{
     classify, describe_spec, expects_safety_violation, generate, probe_specs, run_search,
     scenario_for, shrink, spec_from_json, spec_to_json, MinimalWitness, RunClass, SearchConfig,

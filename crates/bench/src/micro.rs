@@ -1,19 +1,8 @@
-//! A dependency-free micro-benchmark harness.
-//!
-//! The build environment has no network access, so criterion is not
-//! available; this module provides the small slice of it the benches
-//! need: warmup, timed iterations, median/mean per-iteration times, and
-//! one-line reports on stdout. Bench targets are plain `harness = false`
-//! binaries whose `main` builds a [`Suite`] and calls [`Suite::bench`]
-//! per workload.
-//!
-//! Iteration counts can be tuned without recompiling:
-//! `FD_BENCH_ITERS` (default 10) and `FD_BENCH_WARMUP` (default 2).
+//! The allocation-counting global allocator behind the steady-state
+//! allocation probes (`tests/alloc_probe.rs`, the repo benchmark).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 static HEAP_ALLOCS: AtomicU64 = AtomicU64::new(0);
 
@@ -78,139 +67,5 @@ unsafe impl GlobalAlloc for CountingAlloc {
         #[cfg(debug_assertions)]
         HEAP_ALLOCS.fetch_add(1, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
-    }
-}
-
-/// Timing statistics of one benchmarked workload.
-#[derive(Clone, Debug)]
-pub struct BenchResult {
-    /// Workload name (`group/name`).
-    pub name: String,
-    /// Timed iterations.
-    pub iters: u64,
-    /// Mean wall time per iteration, nanoseconds.
-    pub mean_ns: u64,
-    /// Median wall time per iteration, nanoseconds.
-    pub median_ns: u64,
-    /// Fastest iteration, nanoseconds.
-    pub min_ns: u64,
-    /// Slowest iteration, nanoseconds.
-    pub max_ns: u64,
-}
-
-impl std::fmt::Display for BenchResult {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{:<44} {:>5} iters  median {:>12}  mean {:>12}  range [{} .. {}]",
-            self.name,
-            self.iters,
-            fmt_ns(self.median_ns),
-            fmt_ns(self.mean_ns),
-            fmt_ns(self.min_ns),
-            fmt_ns(self.max_ns),
-        )
-    }
-}
-
-fn fmt_ns(ns: u64) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.3} s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.3} ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.3} µs", ns as f64 / 1e3)
-    } else {
-        format!("{ns} ns")
-    }
-}
-
-fn env_u64(key: &str, default: u64) -> u64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// A group of benchmarked workloads, reported as they complete.
-#[derive(Debug)]
-pub struct Suite {
-    group: String,
-    iters: u64,
-    warmup: u64,
-    results: Vec<BenchResult>,
-}
-
-impl Suite {
-    /// Creates a suite; iteration counts come from `FD_BENCH_ITERS` /
-    /// `FD_BENCH_WARMUP` (defaults 10 / 2).
-    pub fn new(group: impl Into<String>) -> Self {
-        let group = group.into();
-        println!("## bench group: {group}");
-        Suite {
-            group,
-            iters: env_u64("FD_BENCH_ITERS", 10).max(1),
-            warmup: env_u64("FD_BENCH_WARMUP", 2),
-            results: Vec::new(),
-        }
-    }
-
-    /// Overrides the timed iteration count (builder style).
-    pub fn iters(mut self, iters: u64) -> Self {
-        self.iters = iters.max(1);
-        self
-    }
-
-    /// Times `f` (warmup + `iters` runs) and prints one line. The closure's
-    /// return value is black-boxed so the work is not optimized away.
-    pub fn bench<R>(&mut self, name: &str, mut f: impl FnMut() -> R) -> &BenchResult {
-        for _ in 0..self.warmup {
-            black_box(f());
-        }
-        let mut times_ns: Vec<u64> = Vec::with_capacity(self.iters as usize);
-        for _ in 0..self.iters {
-            let t0 = Instant::now();
-            black_box(f());
-            times_ns.push(t0.elapsed().as_nanos() as u64);
-        }
-        times_ns.sort_unstable();
-        let result = BenchResult {
-            name: format!("{}/{}", self.group, name),
-            iters: self.iters,
-            mean_ns: times_ns.iter().sum::<u64>() / self.iters,
-            median_ns: times_ns[times_ns.len() / 2],
-            min_ns: times_ns[0],
-            max_ns: times_ns[times_ns.len() - 1],
-        };
-        println!("{result}");
-        self.results.push(result);
-        self.results.last().expect("just pushed")
-    }
-
-    /// The results recorded so far.
-    pub fn results(&self) -> &[BenchResult] {
-        &self.results
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bench_records_and_orders_stats() {
-        let mut suite = Suite::new("test").iters(3);
-        let r = suite.bench("spin", || (0..1000u64).sum::<u64>()).clone();
-        assert_eq!(r.iters, 3);
-        assert!(r.min_ns <= r.median_ns && r.median_ns <= r.max_ns);
-        assert_eq!(suite.results().len(), 1);
-    }
-
-    #[test]
-    fn ns_formatting() {
-        assert_eq!(fmt_ns(12), "12 ns");
-        assert!(fmt_ns(1_500).contains("µs"));
-        assert!(fmt_ns(2_000_000).contains("ms"));
-        assert!(fmt_ns(3_000_000_000).contains("s"));
     }
 }

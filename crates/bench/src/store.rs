@@ -1084,7 +1084,6 @@ pub fn load_run_dir(dir: impl AsRef<Path>) -> io::Result<RunDir> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fd_core::harness::kset_config;
     use fd_core::KsetScenario;
     use fd_detectors::scenario::{CrashPlan, Runner};
     use fd_sim::SplitMix64;
@@ -1789,7 +1788,7 @@ mod tests {
         let shards_dir = dir.join("shards");
         fs::create_dir_all(&shards_dir).unwrap();
 
-        let spec = kset_config(5, 2, 2)
+        let spec = KsetScenario::spec(5, 2, 2)
             .gst(Time(400))
             .crashes(CrashPlan::Random {
                 f: 2,

@@ -42,7 +42,6 @@
 //! (see [`CountingAlloc`]); release runs skip the assertions.
 
 use fd_bench::{decode_cell, encode_cell, CountingAlloc};
-use fd_core::harness::kset_config;
 use fd_core::{KsetMsg, KsetOmega, KsetScenario, Phase1Slab, RoundWindow};
 use fd_detectors::scenario::Runner;
 use fd_detectors::{OmegaOracle, PhiOracle, Scope, SxOracle};
@@ -355,7 +354,7 @@ fn routed_broadcast_is_allocation_free_after_warmup() {
     // the four `sim.*` counters) encodes into the one `String` it returns
     // and decodes into the three heap parts a `SlimReport` owns — no
     // tree, no token strings, no second look-up of an interned name.
-    let spec = kset_config(5, 2, 1).gst(Time(400)).seed(3);
+    let spec = KsetScenario::spec(5, 2, 1).gst(Time(400)).seed(3);
     let slim = Runner::sequential().run(&KsetScenario, &spec).slim();
     assert!(!slim.check.detail.is_empty());
     assert_eq!(slim.metrics.decided_values.len(), 1);

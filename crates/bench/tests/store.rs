@@ -8,7 +8,6 @@
 //! recomputation, never to a panic or a wrong report.
 
 use fd_bench::SweepStore;
-use fd_core::harness::kset_config;
 use fd_core::KsetScenario;
 use fd_detectors::scenario::{
     CrashPlan, ReportCache, Runner, Scenario, ScenarioSpec, SweepSummary,
@@ -33,7 +32,7 @@ fn scratch(name: &str) -> PathBuf {
 
 /// The single crashy cell every session sweeps (seeds vary per session).
 fn cell_spec() -> ScenarioSpec {
-    kset_config(5, 2, 2)
+    KsetScenario::spec(5, 2, 2)
         .gst(Time(400))
         .crashes(CrashPlan::Random {
             f: 2,

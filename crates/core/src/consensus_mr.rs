@@ -69,9 +69,9 @@ enum Stage {
 /// One process of the MR `◇S` consensus baseline.
 ///
 /// Round state uses the recycled bitset slabs of [`crate::rounds`] (see
-/// [`crate::kset_omega::KsetOmega`] for the rationale); the `vec-reference`
-/// feature keeps the original `HashMap` implementation for the
-/// differential suite.
+/// [`crate::kset_omega::KsetOmega`] for the rationale);
+/// `tests/slab_reference.rs` keeps the original `HashMap` implementation
+/// as its differential reference.
 #[derive(Clone, Debug)]
 pub struct ConsensusMr {
     est: u64,

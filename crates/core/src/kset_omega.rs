@@ -97,13 +97,12 @@ pub enum LeaderInput {
 /// settled by one recount when the Phase 1 guards pass, and slabs of
 /// finished rounds are recycled — steady-state progress allocates
 /// nothing, independent of `n`.
-/// The `vec-reference` feature retains the original `HashMap`-of-`Vec`
-/// implementation ([`crate::reference::KsetOmegaRef`]) and the
-/// differential suite pins both bit-identical.
+/// `tests/slab_reference.rs` retains the original `HashMap`-of-`Vec`
+/// implementation (`KsetOmegaRef`) and pins both bit-identical.
 ///
 /// # Examples
 ///
-/// See [`crate::harness::run_kset_omega`] for the assembled experiment.
+/// See [`crate::scenario::KsetScenario`] for the assembled experiment.
 #[derive(Clone, Debug)]
 pub struct KsetOmega {
     est: u64,

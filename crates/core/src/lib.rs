@@ -12,16 +12,16 @@
 //!   (the paper's reference [18]), used as a baseline;
 //! * [`spec`] — validity / k-agreement / termination checkers;
 //! * [`scenario`] — the [`Scenario`](fd_detectors::Scenario)
-//!   implementations driving the algorithms through the unified engine;
-//! * [`harness`] — thin one-call adapters over the engine.
+//!   implementations driving the algorithms through the unified engine.
 //!
 //! ## Example
 //!
 //! ```
-//! use fd_core::harness::{kset_config, run_kset_omega};
+//! use fd_core::KsetScenario;
+//! use fd_detectors::Scenario;
 //!
 //! // 2-set agreement among 5 processes with an adversarial Ω_2.
-//! let report = run_kset_omega(&kset_config(5, 2, 2).seed(42));
+//! let report = KsetScenario.run(&KsetScenario::spec(5, 2, 2).seed(42));
 //! assert!(report.check.ok, "{}", report.check);
 //! assert!(report.metrics.decided_values.len() <= 2);
 //! ```
@@ -30,23 +30,15 @@
 #![warn(missing_debug_implementations)]
 
 pub mod consensus_mr;
-pub mod harness;
 pub mod kset_omega;
 pub mod lower_bound;
-#[cfg(feature = "vec-reference")]
-pub mod reference;
 pub mod repeated;
 pub mod rounds;
 pub mod scenario;
 pub mod spec;
 
 pub use consensus_mr::{ConsensusMr, MrMsg};
-pub use harness::{kset_config, run_consensus_mr, run_kset_omega, CrashPlan};
 pub use kset_omega::{KsetMsg, KsetOmega, LeaderInput};
-#[cfg(feature = "vec-reference")]
-pub use reference::{
-    ConsensusMrRef, ConsensusReferenceScenario, KsetOmegaRef, KsetReferenceScenario,
-};
 pub use repeated::{run_repeated, run_repeated_spec, RepMsg, RepeatedKset, RepeatedReport};
 pub use rounds::{CoordSlab, EchoSlab, Phase1Slab, Phase2Slab, RoundSlab, RoundWindow};
 pub use scenario::{run_kset_with, ConsensusScenario, KsetScenario, RepeatedScenario};

@@ -25,10 +25,9 @@
 //!
 //! Every aggregate is chosen to be *observationally identical* to the old
 //! list scan (first-wins per sender, minimum over non-`⊥`, the unique
-//! `2c > n` majority). The `vec-reference` feature keeps the original
-//! HashMap automata alive in [`crate::reference`], and
-//! `tests/slab_reference.rs` pins full scenario fingerprints of both
-//! implementations against each other.
+//! `2c > n` majority). The original HashMap automata live on beside
+//! `tests/slab_reference.rs`, which pins full scenario fingerprints of
+//! both implementations against each other.
 
 use fd_sim::{PSet, ProcessId};
 

@@ -1,18 +1,18 @@
 //! The pre-slab round automata, kept verbatim as a differential reference.
 //!
 //! [`KsetOmegaRef`] and [`ConsensusMrRef`] are the `HashMap<u32, Vec<…>>`
-//! implementations that [`crate::kset_omega::KsetOmega`] and
-//! [`crate::consensus_mr::ConsensusMr`] replaced with the bitset slabs of
-//! [`crate::rounds`]. They are *not* dead code: `tests/slab_reference.rs`
-//! runs both implementations through the full scenario engine and pins
-//! their scenario fingerprints bit-for-bit equal across process counts,
-//! thread counts and message adversaries. Any divergence introduced into
-//! the slab automata fails that suite.
+//! implementations that [`fd_core::KsetOmega`] and
+//! [`fd_core::ConsensusMr`] replaced with the bitset slabs of
+//! [`fd_core::rounds`]. They are *not* dead code: `slab_reference.rs`
+//! (this module's only user) runs both implementations through the full
+//! scenario engine and pins their scenario fingerprints bit-for-bit equal
+//! across process counts, thread counts and message adversaries. Any
+//! divergence introduced into the slab automata fails that suite.
 //!
-//! Gated behind the default-on `vec-reference` feature so production
-//! builds can shed it with `--no-default-features`.
+//! Built from `fd_core`'s public items only, so it lives with the test
+//! and no library build carries it.
 
-use crate::spec;
+use fd_core::spec;
 use fd_detectors::scenario::{
     churn_envelope, default_proposals, run_to_decision, salt, ChurnGuarantee, CrashPlan, Flavour,
     OracleVisitor, Scenario, ScenarioReport, ScenarioSpec,
@@ -23,8 +23,8 @@ use fd_sim::{
 };
 use std::collections::HashMap;
 
-use crate::consensus_mr::MrMsg;
-use crate::kset_omega::{KsetMsg, LeaderInput};
+use fd_core::consensus_mr::MrMsg;
+use fd_core::kset_omega::{KsetMsg, LeaderInput};
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum KStage {
@@ -364,7 +364,7 @@ impl Automaton for ConsensusMrRef {
 const _: fn(&mut KsetMsg, u64, &mut SplitMix64) -> bool = <KsetMsg as Corruptible>::corrupt;
 const _: fn(&mut MrMsg, u64, &mut SplitMix64) -> bool = <MrMsg as Corruptible>::corrupt;
 
-/// [`crate::scenario::KsetScenario`], but running [`KsetOmegaRef`] — same
+/// [`fd_core::KsetScenario`], but running [`KsetOmegaRef`] — same
 /// name, same oracle wiring, same check, so its [`ScenarioReport`]
 /// fingerprint is directly comparable to the production scenario's.
 #[derive(Clone, Copy, Debug, Default)]
@@ -410,7 +410,7 @@ impl Scenario for KsetReferenceScenario {
     }
 }
 
-/// [`crate::scenario::ConsensusScenario`], but running [`ConsensusMrRef`].
+/// [`fd_core::ConsensusScenario`], but running [`ConsensusMrRef`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ConsensusReferenceScenario;
 

@@ -1,21 +1,26 @@
 //! Differential suite: the bitset-slab round automata are bit-identical
 //! to the retained `HashMap`-of-`Vec` reference implementations.
 //!
-//! [`KsetOmega`]/[`ConsensusMr`] (slabs, `crate::rounds`) and
-//! [`KsetOmegaRef`]/[`ConsensusMrRef`] (`crate::reference`, the pre-slab
-//! code verbatim) run through the *full* scenario engine — materialized
-//! failure patterns, oracles, delay sampling, message adversary, decision
-//! checking — and must produce equal [`ScenarioReport::fingerprint`]s:
-//! same event counts, same messages, same decisions, same counters, same
-//! history samples. The grid spans process counts up to the n = 128
-//! tier and one past it (n = 130, a three-word row), sequential and
-//! 4-thread runners, and armed/unarmed adversaries.
+//! [`KsetOmega`]/[`ConsensusMr`] (slabs, `fd_core::rounds`) and
+//! [`KsetOmegaRef`]/[`ConsensusMrRef`] (the `reference` module beside this
+//! file, the pre-slab code verbatim) run through the *full* scenario
+//! engine — materialized failure patterns, oracles, delay sampling,
+//! message adversary, decision checking — and must produce equal
+//! [`ScenarioReport::fingerprint`]s: same event counts, same messages,
+//! same decisions, same counters, same history samples. The grid spans
+//! process counts up to the n = 128 tier and one past it (n = 130, a
+//! three-word row), sequential and 4-thread runners, and armed/unarmed
+//! adversaries.
 
-#![cfg(feature = "vec-reference")]
+// Verbatim pre-slab code: the accessors the differential never calls
+// (external leader inputs, `has_decided`, `round`) stay for fidelity.
+#[allow(dead_code)]
+mod reference;
 
-use fd_core::{ConsensusReferenceScenario, ConsensusScenario, KsetReferenceScenario, KsetScenario};
+use fd_core::{ConsensusScenario, KsetScenario};
 use fd_detectors::scenario::{Runner, Scenario, ScenarioSpec};
 use fd_sim::{MessageAdversary, MessageRule, Time};
+use reference::{ConsensusReferenceScenario, KsetReferenceScenario};
 
 /// The conventional spec at size `n`: `k = z = 2`, `t` maximal (`< n/2`).
 fn base(n: usize) -> ScenarioSpec {

@@ -73,15 +73,3 @@ pub use scenario::{
 };
 pub use scripted::{ScriptedOracle, SetSchedule};
 pub use sx::{Scope, SxAdversary, SxOracle};
-
-/// Samples an oracle's `trusted_i` outputs over a time grid into a trace
-/// (kept as a shorthand for [`scenario::sample_oracle`] with
-/// [`SampledSlot::Trusted`]).
-pub fn scripted_sample<O: fd_sim::OracleSuite + ?Sized>(
-    oracle: &mut O,
-    fp: &fd_sim::FailurePattern,
-    horizon: fd_sim::Time,
-    step: u64,
-) -> fd_sim::Trace {
-    scenario::sample_oracle(oracle, fp, horizon, step, SampledSlot::Trusted)
-}

@@ -189,6 +189,7 @@ impl OracleSuite for PairsToOmega {
 mod tests {
     use super::*;
     use crate::check;
+    use crate::scenario::{sample_oracle, SampledSlot};
 
     fn fp() -> FailurePattern {
         FailurePattern::builder(5)
@@ -230,7 +231,7 @@ mod tests {
         // check with the standard Ω checker.
         let fp = fp();
         let mut o = OmegaScopedOracle::new(fp.clone(), PSet::full(5), Time(200), 5);
-        let tr = crate::scripted_sample(&mut o, &fp, Time(8_000), 11);
+        let tr = sample_oracle(&mut o, &fp, Time(8_000), 11, SampledSlot::Trusted);
         assert!(check::omega_z(&tr, &fp, 1, 500).ok);
     }
 
@@ -263,7 +264,7 @@ mod tests {
     fn pairs_to_omega_builds_omega() {
         let fp = fp();
         let mut adapter = PairsToOmega::new(&fp, Time(150), 7);
-        let tr = crate::scripted_sample(&mut adapter, &fp, Time(8_000), 11);
+        let tr = sample_oracle(&mut adapter, &fp, Time(8_000), 11, SampledSlot::Trusted);
         assert!(check::omega_z(&tr, &fp, 1, 500).ok);
     }
 }

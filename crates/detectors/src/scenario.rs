@@ -8,9 +8,8 @@
 //! single runs, multi-seed sweeps, and full grid matrices, sequentially or
 //! in parallel, with bit-identical results either way.
 //!
-//! The engine owns the three pieces that used to be copy-pasted across
-//! `fd_core::harness`, `fd_transforms::harness`, the facade pipeline, and
-//! the bench experiments:
+//! The engine owns the three pieces every `Scenario` impl (`fd_core`,
+//! `fd_transforms`, the facade pipeline) would otherwise repeat:
 //!
 //! * **crash materialization** — [`CrashPlan::materialize`];
 //! * **sim setup** — [`ScenarioSpec::sim_config`] / [`ScenarioSpec::shm_config`]

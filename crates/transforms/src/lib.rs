@@ -20,15 +20,13 @@
 //!   to liveness;
 //! * [`scenario`] — the [`Scenario`](fd_detectors::Scenario)
 //!   implementations driving the transformations through the unified
-//!   engine;
-//! * [`harness`] — thin one-call adapters over the engine.
+//!   engine.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod addition_s;
 pub mod catch_up;
-pub mod harness;
 pub mod inclusion;
 pub mod lower_wheel;
 pub mod psi_omega;
@@ -40,14 +38,12 @@ pub mod witness;
 
 pub use addition_s::{AdditionMp, AdditionShm, Heartbeat};
 pub use catch_up::{CatchUp, CatchUpMsg};
-pub use harness::{
-    run_addition_mp, run_addition_shm, run_psi_omega, run_two_wheels, run_two_wheels_opt,
-    sample_oracle, AdditionFlavour, SampledSlot, DEFAULT_MARGIN,
-};
 pub use inclusion::{OmegaToDiamondS, PToPhi, PhiToP, WeakenPhi};
 pub use lower_wheel::{LowerMsg, LowerWheel};
 pub use psi_omega::PsiToOmega;
 pub use ring::{binom, first_subset, next_subset, MemberRing, NestedRing};
-pub use scenario::{AdditionScenario, PsiOmegaScenario, Substrate, TwoWheelsScenario};
+pub use scenario::{
+    AdditionScenario, PsiOmegaScenario, Substrate, TwoWheelsScenario, DEFAULT_MARGIN,
+};
 pub use two_wheels::{TwMsg, TwParams, TwoWheels};
 pub use upper_wheel::{UpperMsg, UpperWheel};

@@ -288,6 +288,28 @@ mod tests {
         assert!(shm.run(&spec).check.ok);
     }
 
+    #[test]
+    fn two_wheels_tolerates_a_persistent_mild_drop_adversary() {
+        // Unlike the one-shot round broadcasts of the agreement algorithm,
+        // the wheels' tasks re-send while dissatisfied — so the built Ω_z
+        // survives a *persistent* (unwindowed) mild drop adversary.
+        use fd_sim::{MessageAdversary, MessageRule};
+        let params = TwParams::optimal(5, 2, 2, 1);
+        let base = TwoWheelsScenario::spec(params)
+            .gst(Time(400))
+            .max_time(Time(40_000))
+            .seed(1);
+        let sc = TwoWheelsScenario::default();
+        let clean = sc.run(&base);
+        let none = sc.run(&base.clone().adversary(MessageAdversary::None));
+        assert_eq!(clean.fingerprint(), none.fingerprint());
+        let armed = base.adversary(MessageAdversary::Rules(vec![MessageRule::drop(10)]));
+        let rep = sc.run(&armed);
+        assert!(rep.check.ok, "{}", rep.check);
+        assert!(rep.slim().counter("sim.dropped") > 0);
+        assert_eq!(rep.fingerprint(), sc.run(&armed).fingerprint());
+    }
+
     /// Regression for the E12 cache-collision: scenario objects that share
     /// a `name()` but differ in out-of-spec configuration (the throttle)
     /// must not serve each other's cached runs — `cache_tag` keeps their

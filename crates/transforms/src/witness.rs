@@ -20,8 +20,7 @@
 //!   (below `x+y+z = t+2`, Theorem 7) and the Figure 9 addition (below
 //!   `x+y = t+1`, Theorem 13) violate their target class.
 
-use crate::harness::{run_two_wheels, DEFAULT_MARGIN};
-use crate::scenario::PsiOmegaScenario;
+use crate::scenario::{PsiOmegaScenario, TwoWheelsScenario, DEFAULT_MARGIN};
 use crate::two_wheels::TwParams;
 use fd_detectors::scenario::{run_to_horizon, CrashPlan, Scenario, ScenarioReport, ScenarioSpec};
 use fd_detectors::{
@@ -224,8 +223,12 @@ pub fn find_two_wheels_failure(
         !params.feasible(),
         "parameters are feasible; no failure is promised"
     );
+    let base = TwoWheelsScenario::spec(params)
+        .crashes(CrashPlan::Explicit(fp))
+        .gst(gst)
+        .max_time(max_time);
     for seed in seeds {
-        let rep = run_two_wheels(params, fp.clone(), gst, seed, max_time);
+        let rep = TwoWheelsScenario::default().run(&base.with_seed(seed));
         if !rep.check.ok {
             return Some((seed, rep));
         }

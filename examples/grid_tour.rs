@@ -4,10 +4,10 @@
 //!
 //! Run with: `cargo run --example grid_tour`
 
-use fd_grid::fd_detectors::{check, OmegaOracle, PerfectOracle, PhiOracle, Scope, SxOracle};
-use fd_grid::fd_transforms::{
-    sample_oracle, OmegaToDiamondS, PToPhi, PhiToP, SampledSlot, WeakenPhi,
+use fd_grid::fd_detectors::{
+    check, sample_oracle, OmegaOracle, PerfectOracle, PhiOracle, SampledSlot, Scope, SxOracle,
 };
+use fd_grid::fd_transforms::{OmegaToDiamondS, PToPhi, PhiToP, WeakenPhi};
 use fd_grid::{FailurePattern, ProcessId, Time};
 
 fn main() {

@@ -19,16 +19,15 @@
 //! ## Quickstart
 //!
 //! ```
-//! use fd_grid::pipeline::run_pipeline;
-//! use fd_grid::{FailurePattern, Time};
+//! use fd_grid::{PipelineScenario, Scenario, Time};
 //!
 //! // Consensus (z = 1) among 5 processes from ◇S_2 + ◇φ_1 alone
 //! // (t = 2: x + y + z = 2 + 1 + 1 = t + 2, the paper's exact bound).
-//! let report = run_pipeline(
-//!     5, 2, 2, 1,
-//!     FailurePattern::all_correct(5),
-//!     Time(400), 42, Time(120_000),
-//! );
+//! let spec = PipelineScenario::spec(5, 2, 2, 1)
+//!     .gst(Time(400))
+//!     .seed(42)
+//!     .max_time(Time(120_000));
+//! let report = PipelineScenario.run(&spec);
 //! assert!(report.check.ok, "{}", report.check);
 //! ```
 //!
@@ -90,4 +89,4 @@ pub use fd_sim::{
 };
 
 pub use churn::ChurnKsetScenario;
-pub use pipeline::{run_pipeline, PipeMsg, PipelineScenario, WheelsPlusKset};
+pub use pipeline::{PipeMsg, PipelineScenario, WheelsPlusKset};

@@ -13,10 +13,9 @@
 use fd_core::kset_omega::{KsetMsg, KsetOmega};
 use fd_core::spec;
 use fd_detectors::scenario::{
-    default_proposals, run_to_decision, salt, CrashPlan, Flavour, Scenario, ScenarioReport,
-    ScenarioSpec,
+    default_proposals, run_to_decision, salt, Flavour, Scenario, ScenarioReport, ScenarioSpec,
 };
-use fd_sim::{forward_ops, Automaton, Ctx, FailurePattern, Op, OracleSuite, ProcessId, Time};
+use fd_sim::{forward_ops, Automaton, Ctx, Op, OracleSuite, ProcessId};
 use fd_transforms::two_wheels::{TwMsg, TwParams, TwoWheels};
 
 /// Combined message alphabet of the pipeline.
@@ -185,50 +184,22 @@ impl Scenario for PipelineScenario {
     }
 }
 
-/// Runs the full pipeline: `z`-set agreement from `◇S_x + ◇φ_y` alone
-/// (a thin adapter over [`PipelineScenario`]).
-///
-/// # Panics
-///
-/// Panics if `x + y > t + 1` (no `z ≥ 1`) or the pattern violates `t`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_pipeline(
-    n: usize,
-    t: usize,
-    x: usize,
-    y: usize,
-    fp: FailurePattern,
-    gst: Time,
-    seed: u64,
-    max_time: Time,
-) -> ScenarioReport {
-    let spec = PipelineScenario::spec(n, t, x, y)
-        .crashes(CrashPlan::Explicit(fp))
-        .gst(gst)
-        .seed(seed)
-        .max_time(max_time);
-    PipelineScenario.run(&spec)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fd_detectors::scenario::CrashPlan;
+    use fd_sim::{FailurePattern, Time};
 
     #[test]
     fn pipeline_solves_consensus_from_sx_plus_phi() {
         // n = 5, t = 2, x = 2, y = 1 ⇒ z = 1: consensus out of two
         // detectors that each individually cannot solve it.
         for seed in 0..3 {
-            let rep = run_pipeline(
-                5,
-                2,
-                2,
-                1,
-                FailurePattern::all_correct(5),
-                Time(400),
-                seed,
-                Time(120_000),
-            );
+            let spec = PipelineScenario::spec(5, 2, 2, 1)
+                .gst(Time(400))
+                .seed(seed)
+                .max_time(Time(120_000));
+            let rep = PipelineScenario.run(&spec);
             assert!(rep.check.ok, "seed {seed}: {}", rep.check);
             assert_eq!(rep.spec.z, 1);
             assert_eq!(rep.metrics.decided_values.len(), 1);
@@ -259,7 +230,12 @@ mod tests {
             .crash(ProcessId(1), Time(200))
             .crash(ProcessId(4), Time(800))
             .build();
-        let rep = run_pipeline(5, 2, 1, 1, fp, Time(1_000), 7, Time(150_000));
+        let spec = PipelineScenario::spec(5, 2, 1, 1)
+            .crashes(CrashPlan::Explicit(fp))
+            .gst(Time(1_000))
+            .seed(7)
+            .max_time(Time(150_000));
+        let rep = PipelineScenario.run(&spec);
         // x = 1, y = 1 ⇒ z = 2: 2-set agreement.
         assert!(rep.check.ok, "{}", rep.check);
         assert!(rep.metrics.decided_values.len() <= 2);

@@ -3,9 +3,11 @@
 
 use fd_grid::fd_core::lower_bound;
 use fd_grid::fd_transforms::{
-    run_addition_mp, run_psi_omega, run_two_wheels, witness, AdditionFlavour, TwParams,
+    witness, AdditionScenario, PsiOmegaScenario, Substrate, TwParams, TwoWheelsScenario,
 };
-use fd_grid::{FailurePattern, ProcessId, Time};
+use fd_grid::{
+    CrashPlan, FailurePattern, Flavour, PipelineScenario, ProcessId, Scenario, ScenarioSpec, Time,
+};
 
 #[test]
 fn theorem7_two_wheels_exactly_at_bound() {
@@ -20,14 +22,11 @@ fn theorem7_two_wheels_exactly_at_bound() {
             if params.z > t - y + 1 {
                 continue;
             }
+            let base = TwoWheelsScenario::spec(params)
+                .gst(Time(400))
+                .max_time(Time(40_000));
             for seed in 0..3 {
-                let rep = run_two_wheels(
-                    params,
-                    FailurePattern::all_correct(n),
-                    Time(400),
-                    seed,
-                    Time(40_000),
-                );
+                let rep = TwoWheelsScenario::default().run(&base.with_seed(seed));
                 assert!(rep.check.ok, "x={x} y={y} seed {seed}: {}", rep.check);
             }
         }
@@ -62,7 +61,14 @@ fn theorem12_psi_at_and_below_bound() {
             let fp = FailurePattern::builder(n)
                 .crash(ProcessId(0), Time(100))
                 .build();
-            let rep = run_psi_omega(n, t, y, z, fp, Time(400), seed, Time(20_000));
+            let spec = ScenarioSpec::new(n, t)
+                .y(y)
+                .z(z)
+                .crashes(CrashPlan::Explicit(fp))
+                .gst(Time(400))
+                .seed(seed)
+                .max_time(Time(20_000));
+            let rep = PsiOmegaScenario.run(&spec);
             assert!(rep.check.ok, "y={y} z={z} seed {seed}: {}", rep.check);
         }
     }
@@ -80,16 +86,18 @@ fn theorem13_addition_at_and_below_bound() {
             let fp = FailurePattern::builder(n)
                 .crash(ProcessId(3), Time(250))
                 .build();
-            let rep = run_addition_mp(
-                n,
-                t,
-                x,
-                y,
-                fp,
-                AdditionFlavour::Eventual(Time(600)),
-                seed,
-                Time(40_000),
-            );
+            let spec = ScenarioSpec::new(n, t)
+                .x(x)
+                .y(y)
+                .crashes(CrashPlan::Explicit(fp))
+                .gst(Time(600))
+                .seed(seed)
+                .max_time(Time(40_000));
+            let rep = AdditionScenario {
+                substrate: Substrate::MessagePassing,
+                flavour: Flavour::Eventual,
+            }
+            .run(&spec);
             assert!(rep.check.ok, "x={x} y={y} seed {seed}: {}", rep.check);
         }
     }
@@ -111,19 +119,12 @@ fn theorem5_bounds() {
 fn theorem5_sufficiency_composition() {
     // The other direction of Theorem 5's proof: ◇S_x → Ω_z → z-set
     // agreement end to end (the paper's T ∘ A composition).
-    use fd_grid::pipeline::run_pipeline;
+    // y = 0: the transformation input is ◇S_3 alone (φ_0 is trivial).
+    let base = PipelineScenario::spec(5, 2, 3, 0)
+        .gst(Time(300))
+        .max_time(Time(150_000));
     for seed in 0..2 {
-        // y = 0: the transformation input is ◇S_3 alone (φ_0 is trivial).
-        let rep = run_pipeline(
-            5,
-            2,
-            3,
-            0,
-            FailurePattern::all_correct(5),
-            Time(300),
-            seed,
-            Time(150_000),
-        );
+        let rep = PipelineScenario.run(&base.with_seed(seed));
         assert!(rep.check.ok, "seed {seed}: {}", rep.check);
         assert_eq!(rep.spec.z, 1);
     }

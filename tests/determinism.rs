@@ -4,10 +4,9 @@
 //! traces.
 
 use fd_grid::fd_core::KsetScenario;
-use fd_grid::fd_transforms::{run_two_wheels, TwParams};
-use fd_grid::pipeline::run_pipeline;
+use fd_grid::fd_transforms::{TwParams, TwoWheelsScenario};
 use fd_grid::scenario::{CrashPlan, Runner};
-use fd_grid::{FailurePattern, Time, Trace};
+use fd_grid::{PipelineScenario, Scenario, Time, Trace};
 
 fn fingerprint(trace: &Trace) -> (Vec<(u64, usize, u64)>, Vec<String>) {
     let decisions = trace
@@ -68,13 +67,11 @@ fn different_seeds_differ() {
 #[test]
 fn two_wheels_runs_are_reproducible() {
     let run = || {
-        run_two_wheels(
-            TwParams::optimal(5, 2, 2, 1),
-            FailurePattern::all_correct(5),
-            Time(400),
-            13,
-            Time(20_000),
-        )
+        let spec = TwoWheelsScenario::spec(TwParams::optimal(5, 2, 2, 1))
+            .gst(Time(400))
+            .seed(13)
+            .max_time(Time(20_000));
+        TwoWheelsScenario::default().run(&spec)
     };
     let a = run();
     let b = run();
@@ -84,16 +81,11 @@ fn two_wheels_runs_are_reproducible() {
 #[test]
 fn pipeline_runs_are_reproducible() {
     let run = || {
-        run_pipeline(
-            5,
-            2,
-            2,
-            1,
-            FailurePattern::all_correct(5),
-            Time(300),
-            5,
-            Time(120_000),
-        )
+        let spec = PipelineScenario::spec(5, 2, 2, 1)
+            .gst(Time(300))
+            .seed(5)
+            .max_time(Time(120_000));
+        PipelineScenario.run(&spec)
     };
     let a = run();
     let b = run();

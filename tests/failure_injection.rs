@@ -4,8 +4,8 @@
 //! by faulty senders, and maximal crash counts.
 
 use fd_grid::fd_core::{run_kset_with, KsetScenario};
-use fd_grid::fd_transforms::{run_two_wheels, TwParams};
-use fd_grid::scenario::{CrashPlan, Runner};
+use fd_grid::fd_transforms::{TwParams, TwoWheelsScenario};
+use fd_grid::scenario::{CrashPlan, Runner, Scenario};
 use fd_grid::{DelayModel, DelayRule, FailurePattern, PSet, ProcessId, Time};
 
 #[test]
@@ -89,7 +89,12 @@ fn wheels_survive_staggered_crashes() {
             .crash(ProcessId(1), Time(100))
             .crash(ProcessId(4), Time(2_000))
             .build();
-        let rep = run_two_wheels(params, fp, Time(2_500), seed, Time(50_000));
+        let spec = TwoWheelsScenario::spec(params)
+            .crashes(CrashPlan::Explicit(fp))
+            .gst(Time(2_500))
+            .seed(seed)
+            .max_time(Time(50_000));
+        let rep = TwoWheelsScenario::default().run(&spec);
         assert!(rep.check.ok, "seed {seed}: {}", rep.check);
     }
 }
@@ -121,7 +126,12 @@ fn two_wheels_survive_crash_of_scope_members() {
             .crash(ProcessId(0), Time(60))
             .crash(ProcessId(1), Time(120))
             .build();
-        let rep = run_two_wheels(params, fp, Time(700), seed, Time(60_000));
+        let spec = TwoWheelsScenario::spec(params)
+            .crashes(CrashPlan::Explicit(fp))
+            .gst(Time(700))
+            .seed(seed)
+            .max_time(Time(60_000));
+        let rep = TwoWheelsScenario::default().run(&spec);
         assert!(rep.check.ok, "seed {seed}: {}", rep.check);
     }
 }

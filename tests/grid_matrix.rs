@@ -1,11 +1,11 @@
 //! Integration sweep of the Figure 1 grid: every reduction arrow holds
 //! across random adversarial runs; every irreducibility witness fires.
 
-use fd_grid::fd_detectors::{check, OmegaOracle, PerfectOracle, PhiOracle, Scope, SxOracle};
-use fd_grid::fd_sim::SplitMix64;
-use fd_grid::fd_transforms::{
-    sample_oracle, witness, OmegaToDiamondS, PToPhi, PhiToP, SampledSlot, TwParams, WeakenPhi,
+use fd_grid::fd_detectors::{
+    check, sample_oracle, OmegaOracle, PerfectOracle, PhiOracle, SampledSlot, Scope, SxOracle,
 };
+use fd_grid::fd_sim::SplitMix64;
+use fd_grid::fd_transforms::{witness, OmegaToDiamondS, PToPhi, PhiToP, TwParams, WeakenPhi};
 use fd_grid::{FailurePattern, Time};
 
 const N: usize = 6;
