@@ -17,8 +17,9 @@
 //!
 //! A third phase pins the Figure 3 Phase-1 round state in the pre-GST
 //! shape, all 128 senders reporting different leader sets: a fresh
-//! `Phase1Slab` absorbs such a round on the one allocation `new` made,
-//! and a slab pooled by its `RoundWindow` absorbs further ones on none.
+//! `Phase1Slab` absorbs such a round on the one allocation `new` made —
+//! 16 bytes per sender at every `n` — and a slab pooled by its
+//! `RoundWindow` absorbs further ones on none.
 //!
 //! A fourth phase pins the anarchy-period `Ω_z` read and the delivery
 //! that makes it: a pre-GST `OmegaOracle::trusted` samples its leader
@@ -229,6 +230,18 @@ fn routed_broadcast_is_allocation_free_after_warmup() {
     );
     acc = acc.wrapping_add(fresh.count() as u64);
     drop(fresh);
+    // Two words per sender — an estimate and a packed ≤ 4-member leader
+    // set — whatever ⌈n/64⌉ is.
+    for n in [9, 128, 1024] {
+        let (allocs, bytes) = (ALLOC.allocations(), ALLOC.bytes());
+        let slab = Phase1Slab::new(n);
+        assert_eq!(
+            (ALLOC.allocations() - allocs, ALLOC.bytes() - bytes),
+            (1, 16 * n as u64),
+            "Phase1Slab::new({n}) must be one allocation of 16·n bytes"
+        );
+        acc = acc.wrapping_add(slab.count() as u64);
+    }
     let mut window: RoundWindow<Phase1Slab> = RoundWindow::new();
     let round = |window: &mut RoundWindow<Phase1Slab>, r: u32| {
         for from in 0..N {

@@ -107,16 +107,23 @@ impl<S: RoundSlab> RoundWindow<S> {
 /// Round state for Figure 3 **Phase 1**: `PHASE1(r, L, est)` messages.
 ///
 /// Replaces `Vec<(ProcessId, PSet, u64)>`. Each sender's first message is
-/// kept as one fixed-width record `[est, l₀ … l_{w−1}]` in a sender-indexed
-/// array (`w = ⌈n/64⌉` words of leader set; duplicates are ignored —
-/// exactly the old linear dedup), and the line 05–06 guards are counter
-/// reads and word ops.
+/// kept as one fixed-width record in a sender-indexed array (duplicates are
+/// ignored — exactly the old linear dedup), and the line 05–06 guards are
+/// counter reads and word ops.
+///
+/// An `Ω_z` output has at most `z ≤ k` members, so a record is two words,
+/// `[est, ids]`, whatever `n` is: `ids` lists the leader set's members
+/// ascending in four 16-bit lanes, `0xFFFF` filling the unused ones.
+/// The encoding is canonical — one word per set — so word equality *is* set
+/// equality. A set it cannot hold (a fifth member, or a member
+/// `≥ 64·⌈n/64⌉`) re-lays the records out as `[est, l₀ … l₁₅]`, the full
+/// [`PSet`] width, so the slab is exact for every set.
 ///
 /// Line 07 needs *the* leader set reported by `2c > n` senders, not a
 /// tally of every set seen — and before GST an `Ω_z` oracle may hand every
 /// sender a different one, so a tally is as long as the quorum. The slab
 /// keeps a Boyer–Moore vote instead: a candidate sender and a vote count,
-/// updated with one `w`-word compare per insert. A set held by a strict
+/// updated with one row compare per insert. A set held by a strict
 /// majority of the senders heard is always the surviving candidate, so
 /// [`Phase1Slab::majority`] only has to recount that one row — once per
 /// process per round, and not at all when the votes already settle it.
@@ -126,12 +133,14 @@ pub struct Phase1Slab {
     senders: PSet,
     /// `senders.len()`, kept running so the quorum guard is not a popcount.
     heard: u32,
-    /// Leader-set words per record: `⌈n/64⌉`, or the full [`PSet`] width
-    /// once a set with a member `≥ 64·w` has been seen.
-    w: usize,
-    /// `recs[p·(1+w)..][..1+w]` = `[est, l₀ … l_{w−1}]` of sender `p`'s
-    /// first message. Only records of `senders` are meaningful; stale ones
-    /// from a recycled slab are never read.
+    /// `⌈n/64⌉`: the low [`PSet`] words a packable leader set lives in.
+    low: usize,
+    /// Whether records are `[est, ids]`: true until a set that does not
+    /// pack has been seen, false (full-width rows) from then on.
+    packed: bool,
+    /// `recs[p·(1+w)..][..1+w]` = `[est, row]` of sender `p`'s first
+    /// message, `w` being [`Phase1Slab::w`]. Only records of `senders` are
+    /// meaningful; stale ones from a recycled slab are never read.
     recs: Vec<u64>,
     /// Boyer–Moore candidate: the sender whose leader set is the candidate.
     /// Meaningful only while `votes > 0`.
@@ -142,8 +151,54 @@ pub struct Phase1Slab {
     votes: u32,
 }
 
-/// Row equality as an inline loop: rows are one to three words wide at the
-/// sizes that run, too short to pay for the `memcmp` call behind `==`.
+/// Words in a full-width leader-set row.
+const FULL: usize = fd_sim::MAX_PROCESSES / 64;
+
+/// Members a packed `ids` word holds.
+const LANES: u32 = 4;
+
+/// The lane value that is no member: every identity is below it.
+const EMPTY_LANE: u64 = 0xFFFF;
+
+/// The packed form of `leaders`, or `None` if it has more than [`LANES`]
+/// members or one outside its `low` low words.
+///
+/// The default x86-64 target has no `POPCNT`, so the member count is never
+/// taken: the words above `low` are OR-folded (vectorised), and the members
+/// are peeled off the low words one by one, giving up at the fifth.
+#[inline]
+fn pack(leaders: &PSet, low: usize) -> Option<u64> {
+    let words = leaders.as_words();
+    if words[low..].iter().fold(0, |any, &x| any | x) != 0 {
+        return None;
+    }
+    let (mut ids, mut lanes) = (u64::MAX, 0);
+    for (i, &word) in words[..low].iter().enumerate() {
+        let mut rest = word;
+        while rest != 0 {
+            if lanes == LANES {
+                return None;
+            }
+            let id = 64 * i as u64 + u64::from(rest.trailing_zeros());
+            ids ^= (id ^ EMPTY_LANE) << (16 * lanes);
+            lanes += 1;
+            rest &= rest - 1;
+        }
+    }
+    Some(ids)
+}
+
+/// The set a packed `ids` word stands for.
+fn unpack(ids: u64) -> PSet {
+    (0..LANES)
+        .map(|lane| (ids >> (16 * lane)) & EMPTY_LANE)
+        .take_while(|&id| id != EMPTY_LANE)
+        .map(|id| ProcessId(id as usize))
+        .collect()
+}
+
+/// Row equality as an inline loop: too short a compare to pay for the
+/// `memcmp` call behind `==`.
 #[inline]
 fn same_words(a: &[u64], b: &[u64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x == y)
@@ -152,25 +207,43 @@ fn same_words(a: &[u64], b: &[u64]) -> bool {
 impl Phase1Slab {
     /// A slab for an `n`-process run.
     pub fn new(n: usize) -> Self {
-        let w = n.div_ceil(64);
         Phase1Slab {
             senders: PSet::EMPTY,
             heard: 0,
-            w,
-            recs: vec![0; n * (1 + w)],
+            low: n.div_ceil(64),
+            packed: true,
+            recs: vec![0; 2 * n],
             cand: 0,
             votes: 0,
         }
     }
 
+    /// Leader-set words per record.
+    fn w(&self) -> usize {
+        if self.packed {
+            1
+        } else {
+            FULL
+        }
+    }
+
     /// Where sender `p`'s record starts in `recs`.
     fn at(&self, p: usize) -> usize {
-        p * (1 + self.w)
+        p * (1 + self.w())
     }
 
     /// The leader-set words of sender `p`'s record.
     fn row(&self, p: usize) -> &[u64] {
-        &self.recs[self.at(p) + 1..][..self.w]
+        &self.recs[self.at(p) + 1..][..self.w()]
+    }
+
+    /// The leader set of sender `p`'s record.
+    fn leaders(&self, p: usize) -> PSet {
+        if self.packed {
+            unpack(self.recs[self.at(p) + 1])
+        } else {
+            PSet::from_words(self.row(p))
+        }
     }
 
     /// Records `PHASE1(leaders, est)` from `from`; first message per
@@ -179,38 +252,48 @@ impl Phase1Slab {
         if self.senders.contains(from) {
             return;
         }
-        let words = leaders.as_words();
-        if words[self.w..].iter().fold(0, |any, &x| any | x) != 0 {
-            self.widen();
+        let ids = self.packed.then(|| pack(&leaders, self.low)).flatten();
+        if self.packed && ids.is_none() {
+            self.unpack_rows();
         }
         self.senders.insert(from);
         self.heard += 1;
-        let (at, w) = (self.at(from.0), self.w);
+        let at = self.at(from.0);
         self.recs[at] = est;
-        self.recs[at + 1..][..w].copy_from_slice(&words[..w]);
+        let same = match ids {
+            Some(ids) => {
+                self.recs[at + 1] = ids;
+                self.recs[self.at(self.cand) + 1] == ids
+            }
+            None => {
+                self.recs[at + 1..][..FULL].copy_from_slice(leaders.as_words());
+                same_words(self.row(self.cand), leaders.as_words())
+            }
+        };
         if self.votes == 0 {
             self.cand = from.0;
             self.votes = 1;
-        } else if same_words(self.row(self.cand), &words[..w]) {
+        } else if same {
             self.votes += 1;
         } else {
             self.votes -= 1;
         }
     }
 
-    /// Re-lays the records out at the full [`PSet`] width. Leader sets are
-    /// subsets of `Π` in every run, so this is cold: it keeps a set with a
-    /// member `≥ 64·⌈n/64⌉` exact instead of truncating it.
+    /// Re-lays the packed records out at the full [`PSet`] width. An `Ω_z`
+    /// leader set has at most `z` members of `Π` in every run, so this is
+    /// cold: it keeps a set that does not pack exact instead of truncating
+    /// it.
     #[cold]
-    fn widen(&mut self) {
-        let full = fd_sim::MAX_PROCESSES / 64;
-        let (old, new) = (1 + self.w, 1 + full);
-        let mut recs = vec![0; self.recs.len() / old * new];
+    fn unpack_rows(&mut self) {
+        let mut recs = vec![0; self.recs.len() / 2 * (1 + FULL)];
         for p in self.senders {
-            recs[p.0 * new..][..old].copy_from_slice(&self.recs[p.0 * old..][..old]);
+            let rec = &mut recs[p.0 * (1 + FULL)..][..1 + FULL];
+            rec[0] = self.recs[2 * p.0];
+            rec[1..].copy_from_slice(unpack(self.recs[2 * p.0 + 1]).as_words());
         }
         self.recs = recs;
-        self.w = full;
+        self.packed = false;
     }
 
     /// Distinct senders heard this round (the line 05 quorum count).
@@ -245,7 +328,7 @@ impl Phase1Slab {
                 .filter(|p| same_words(self.row(p.0), l))
                 .count()
         };
-        (2 * c > n).then(|| PSet::from_words(l))
+        (2 * c > n).then(|| self.leaders(self.cand))
     }
 
     /// The estimate of the smallest-id sender inside `l` (the line 07
@@ -476,16 +559,16 @@ mod tests {
     /// every distinct leader set.
     #[derive(Default)]
     struct Tally {
-        first: Vec<(ProcessId, u64)>,
+        first: Vec<(ProcessId, PSet, u64)>,
         sets: Vec<(PSet, u32)>,
     }
 
     impl Tally {
         fn insert(&mut self, from: ProcessId, leaders: PSet, est: u64) {
-            if self.first.iter().any(|&(p, _)| p == from) {
+            if self.first.iter().any(|&(p, ..)| p == from) {
                 return;
             }
-            self.first.push((from, est));
+            self.first.push((from, leaders, est));
             match self.sets.iter_mut().find(|(l, _)| *l == leaders) {
                 Some((_, c)) => *c += 1,
                 None => self.sets.push((leaders, 1)),
@@ -493,7 +576,7 @@ mod tests {
         }
 
         fn heard_from(&self, li: PSet) -> bool {
-            self.first.iter().any(|&(p, _)| li.contains(p))
+            self.first.iter().any(|&(p, ..)| li.contains(p))
         }
 
         fn majority(&self, n: usize) -> Option<PSet> {
@@ -506,21 +589,31 @@ mod tests {
         fn min_member_est(&self, l: PSet) -> Option<u64> {
             self.first
                 .iter()
-                .filter(|&&(p, _)| l.contains(p))
-                .min_by_key(|&&(p, _)| p)
-                .map(|&(_, est)| est)
+                .filter(|&&(p, ..)| l.contains(p))
+                .min_by_key(|&&(p, ..)| p)
+                .map(|&(.., est)| est)
         }
     }
 
-    /// The sizes of the model differential: row widths 1, 1, 1, 2, 3, 16.
+    /// The sizes of the model differential: 1, 1, 1, 2, 3 and 16 low words.
     const SIZES: [usize; 6] = [1, 5, 64, 65, 130, 1024];
 
+    /// Every record of `slab` read back as a set, against the model's.
+    fn assert_rows(slab: &Phase1Slab, tally: &Tally, at: &str) {
+        for &(p, leaders, _) in &tally.first {
+            assert_eq!(slab.leaders(p.0), leaders, "row of {p}, {at}");
+        }
+    }
+
     /// Feeds `msgs` to `slab` and to a fresh [`Tally`] in lockstep and
-    /// compares every observable after every insert.
+    /// compares every observable after every insert: the guards' inputs,
+    /// the sender's stored row, and — whenever the layout changed, and at
+    /// the end — every stored row.
     fn lockstep(n: usize, slab: &mut Phase1Slab, msgs: &[(usize, PSet)], what: &str) {
         let mut tally = Tally::default();
         for (i, &(from, leaders)) in msgs.iter().enumerate() {
             let est = 1000 + i as u64;
+            let was_packed = slab.packed;
             slab.insert(pid(from), leaders, est);
             tally.insert(pid(from), leaders, est);
             let at = format!("{what}: n={n}, after insert {i} (from {from})");
@@ -543,7 +636,14 @@ mod tests {
                     "min_member_est, {at}"
                 );
             }
+            if slab.packed == was_packed {
+                let (_, first, _) = tally.first.iter().find(|r| r.0 == pid(from)).unwrap();
+                assert_eq!(slab.leaders(from), *first, "row of the sender, {at}");
+            } else {
+                assert_rows(slab, &tally, &at);
+            }
         }
+        assert_rows(slab, &tally, &format!("{what}: n={n}, at the end"));
     }
 
     /// `{p_i, p_{i+1}}` in `Π`: distinct for distinct `i` once `n ≥ 3`.
@@ -591,30 +691,159 @@ mod tests {
         }
     }
 
+    /// `ids` as a set.
+    fn set_of(ids: &[usize]) -> PSet {
+        ids.iter().map(|&i| pid(i)).collect()
+    }
+
+    /// The packed word is canonical and exact at the lane boundary: up to
+    /// four members pack and read back, a fifth does not, and neither does a
+    /// member outside the low words.
+    #[test]
+    fn phase1_pack_is_canonical_up_to_four_members() {
+        assert_eq!(pack(&PSet::EMPTY, 1), Some(u64::MAX));
+        assert_eq!(pack(&set_of(&[0]), 1), Some(0xFFFF_FFFF_FFFF_0000));
+        assert_eq!(pack(&set_of(&[3, 1]), 1), Some(0xFFFF_FFFF_0003_0001));
+        let four = set_of(&[0, 63, 64, 1023]);
+        assert_eq!(pack(&four, 16), Some(0x03FF_0040_003F_0000));
+        assert_eq!(pack(&four, 15), None, "p1024 lives in word 15");
+        assert_eq!(pack(&(four | PSet::singleton(pid(500))), 16), None);
+        assert_eq!(pack(&PSet::singleton(pid(64)), 1), None);
+        assert_eq!(
+            pack(&PSet::singleton(pid(64)), 2),
+            Some(0xFFFF_FFFF_FFFF_0040)
+        );
+        for l in [
+            PSet::EMPTY,
+            set_of(&[0]),
+            set_of(&[3, 1]),
+            set_of(&[9, 8, 7]),
+            four,
+        ] {
+            assert_eq!(unpack(pack(&l, 16).unwrap()), l);
+        }
+    }
+
+    /// Sets that agree on every lane but one — a different member, or a
+    /// member against an empty lane — are different sets: spread evenly
+    /// over the senders they form no majority, and `⌊n/2⌋ + 1` copies of
+    /// any one of them arriving after the others do.
+    #[test]
+    fn phase1_model_sets_differing_in_one_lane() {
+        let variants = [
+            set_of(&[2, 4, 6, 8]),
+            set_of(&[1, 4, 6, 8]),
+            set_of(&[2, 3, 6, 8]),
+            set_of(&[2, 4, 5, 8]),
+            set_of(&[2, 4, 6, 7]),
+            set_of(&[2, 4, 6]),
+            set_of(&[2, 4]),
+            set_of(&[2]),
+            PSet::EMPTY,
+        ];
+        for n in SIZES {
+            let even: Vec<_> = (0..n).map(|p| (p, variants[p % variants.len()])).collect();
+            let mut slab = Phase1Slab::new(n);
+            lockstep(n, &mut slab, &even, "one-lane variants, evenly");
+            if n >= 3 {
+                assert_eq!(slab.majority(n), None, "n={n}");
+            }
+            for (v, &a) in variants.iter().enumerate() {
+                let others = n - (n / 2 + 1);
+                let msgs: Vec<_> = (0..n)
+                    .map(|p| match p < others {
+                        true => (p, variants[(v + 1 + p % 8) % 9]),
+                        false => (p, a),
+                    })
+                    .collect();
+                let mut slab = Phase1Slab::new(n);
+                lockstep(n, &mut slab, &msgs, "one-lane variants, one ahead");
+                assert!(slab.packed, "no set has a fifth member");
+                assert_eq!(slab.majority(n), Some(a), "n={n}, variant {v}");
+            }
+        }
+    }
+
+    /// `64·⌈n/64⌉`: the first identity outside a packable set's low words.
+    fn low_bits(n: usize) -> usize {
+        64 * n.div_ceil(64)
+    }
+
+    /// Sets of 0, 1, 2, 3 and 4 members that pack at size `n`, some sharing
+    /// their low lanes, some with members `≥ n`.
+    fn packable(n: usize) -> Vec<PSet> {
+        let top = low_bits(n);
+        vec![
+            PSet::EMPTY,
+            set_of(&[0]),
+            pair(0, n),
+            pair(n / 2, n),
+            pair(0, n) | PSet::singleton(pid(top - 1)),
+            set_of(&[0, 1, 2, 3]),
+            (top - 4..top).map(pid).collect(),
+        ]
+    }
+
+    /// Sets that force the full-width layout at size `n`: a fifth member,
+    /// and — where the representation has room above the low words — a
+    /// member `≥ 64·⌈n/64⌉`.
+    fn unpackable(n: usize) -> Vec<PSet> {
+        let top = low_bits(n);
+        let mut sets = vec![set_of(&[0, 1, 2, 3, 4]), PSet::full(n.max(5))];
+        if top < fd_sim::MAX_PROCESSES {
+            sets.push(PSet::singleton(pid(top)));
+            sets.push(pair(0, n) | PSet::singleton(pid(fd_sim::MAX_PROCESSES - 1)));
+        }
+        sets
+    }
+
+    /// A set that does not pack arrives mid-round, after packed records
+    /// already exist: every one of them must come out of the re-layout as
+    /// the exact same set, and the widened slab, recycled, must serve a
+    /// later round of packable sets just as exactly.
+    #[test]
+    fn phase1_model_relayout_mid_round_keeps_packed_rows() {
+        for n in SIZES {
+            let narrow = packable(n);
+            for trigger in unpackable(n) {
+                let mut msgs: Vec<_> = (0..n).map(|p| (p, narrow[p % narrow.len()])).collect();
+                msgs[n / 2].1 = trigger;
+                msgs[n - 1].1 = trigger;
+                let mut window: RoundWindow<Phase1Slab> = RoundWindow::new();
+                let slab = window.entry(1, || Phase1Slab::new(n));
+                lockstep(n, slab, &msgs, "re-layout mid-round");
+                assert!(!slab.packed, "n={n}: {trigger} does not pack");
+                window.retire_below(2);
+                // `A B C C …` with a majority of the three-member C.
+                let c = narrow[4];
+                let mut msgs = vec![(0, narrow[2]), (1 % n, narrow[5])];
+                msgs.extend((0..n).rev().take(n / 2 + 1).map(|p| (p, c)));
+                let slab = window.entry(2, || unreachable!("round 1's slab is pooled"));
+                lockstep(n, slab, &msgs, "packable round on a widened slab");
+                assert!(!slab.packed, "the full-width layout is kept");
+                if n >= 5 {
+                    assert_eq!(slab.majority(n), Some(c), "n={n}");
+                }
+            }
+        }
+    }
+
     /// Seeded arrival orders with duplicate senders and leader sets drawn
-    /// from a small pool (so majorities form and dissolve), including sets
-    /// with members `≥ n` and — where the representation has room above
-    /// the row — members `≥ 64·⌈n/64⌉`, which take the widening path
-    /// mid-round. Every slab is recycled through a [`RoundWindow`].
+    /// from a small pool (so majorities form and dissolve) of 0 to 5 and
+    /// `n` members, including members `≥ n` and `≥ 64·⌈n/64⌉`; the sets
+    /// that do not pack take the re-layout mid-round. Every slab is
+    /// recycled through a [`RoundWindow`].
     #[test]
     fn phase1_model_seeded_duplicates_wide_members_and_recycling() {
         for n in SIZES {
             let mut rng = fd_sim::SplitMix64::new(0x51ab).stream(n as u64);
-            let row_bits = 64 * n.div_ceil(64);
-            let mut pool = vec![PSet::EMPTY, PSet::full(n), pair(0, n), pair(n / 2, n)];
-            if n < fd_sim::MAX_PROCESSES {
-                pool.push(PSet::singleton(pid(n)));
-                pool.push(pair(0, n) | PSet::singleton(pid(row_bits - 1)));
-            }
+            let mut pool = packable(n);
             let narrow = pool.len();
-            if row_bits < fd_sim::MAX_PROCESSES {
-                pool.push(PSet::singleton(pid(row_bits)));
-                pool.push(pair(0, n) | PSet::singleton(pid(fd_sim::MAX_PROCESSES - 1)));
-            }
+            pool.extend(unpackable(n));
             let mut window: RoundWindow<Phase1Slab> = RoundWindow::new();
             for r in 1..=12u32 {
-                // Odd rounds stay inside the row width, so a slab widened
-                // by round r − 1 is also driven on narrow sets afterwards.
+                // Odd rounds draw packable sets only, so a slab widened by
+                // round r − 1 is also driven on those afterwards.
                 let sets = if r % 2 == 1 {
                     &pool[..narrow]
                 } else {

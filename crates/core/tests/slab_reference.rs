@@ -8,8 +8,8 @@
 //! message adversary, decision checking — and must produce equal
 //! [`ScenarioReport::fingerprint`]s: same event counts, same messages,
 //! same decisions, same counters, same history samples. The grid spans
-//! process counts up to the n = 128 tier and one past it (n = 130, a
-//! three-word row), sequential and 4-thread runners, and armed/unarmed
+//! process counts up to the n = 128 tier and one past it (n = 130, three
+//! words of identities), sequential and 4-thread runners, and armed/unarmed
 //! adversaries.
 
 // Verbatim pre-slab code: the accessors the differential never calls
@@ -62,9 +62,9 @@ fn assert_identical(
 }
 
 /// Tentpole differential: n ∈ {5, 33, 128, 130} × adversary off/on, full
-/// scenario fingerprints. `Phase1Slab` stores leader sets in `⌈n/64⌉`-word
-/// rows; 130 adds a width (3) that is neither a `u64`, a `u128` nor the
-/// full `PSet`.
+/// scenario fingerprints. `Phase1Slab` packs a leader set out of its
+/// `⌈n/64⌉` low words; 130 adds a width (3) that is neither a `u64`, a
+/// `u128` nor the full `PSet`.
 #[test]
 fn kset_slab_matches_reference_across_n_queues_adversary() {
     for n in [5usize, 33, 128, 130] {
@@ -83,6 +83,26 @@ fn kset_slab_matches_reference_across_n_queues_adversary() {
                 );
             }
         }
+    }
+}
+
+/// Late-majority rounds: in each of these runs some process's Phase-1
+/// slab hears the majority leader set only after a first sender that
+/// reported a different one (the round straddles GST, or buffers early
+/// messages), so the Boyer–Moore candidacy has to change hands before
+/// line 07 reads it. The grid above has no such round; these specs were
+/// found by running a slab with the vote decrement dropped, which diverges
+/// from the reference on every one of them.
+#[test]
+fn kset_slab_matches_reference_on_late_majority_rounds() {
+    for (n, gst, seed) in [(5, 400, 5), (5, 10, 11), (7, 400, 26), (9, 10, 17)] {
+        let spec = base(n).gst(Time(gst)).seed(seed);
+        assert_identical(
+            &KsetScenario,
+            &KsetReferenceScenario,
+            &spec,
+            &format!("kset late majority gst={gst}"),
+        );
     }
 }
 

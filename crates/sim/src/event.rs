@@ -31,7 +31,7 @@
 //!   next tick that needs one takes it from there, so only as many buffers
 //!   as there are concurrently pending ticks (≈ max delay + 1) ever hold
 //!   capacity, and steady-state traffic allocates nothing. Wheel entries
-//!   are packed 24-byte nodes (the tick is the bucket), not 40-byte
+//!   are packed 16-byte nodes (the tick is the bucket), not 40-byte
 //!   [`Event`]s.
 //!
 //! Events are plain [`Copy`] data: message payloads live in the
@@ -170,60 +170,68 @@ fn bucket_of(at: u64) -> usize {
     (at % WHEEL_TICKS) as usize
 }
 
-#[derive(Clone, Copy, Debug)]
-enum Tag {
-    Deliver,
-    RbDeliver,
-    Step,
-    Join,
-    Crash,
-}
+/// Low bits of [`Node::slot_tag`] that hold the kind's tag; the slot index
+/// has the rest.
+const TAG_BITS: u32 = 3;
+
+const TAG_DELIVER: u32 = 0;
+const TAG_RB_DELIVER: u32 = 1;
+const TAG_STEP: u32 = 2;
+const TAG_JOIN: u32 = 3;
+const TAG_CRASH: u32 = 4;
 
 /// A wheel entry: an [`Event`] minus its tick (the bucket holds that), with
-/// the identities narrowed to `u32`.
+/// the identities narrowed to `u16` and the slot index to 29 bits beside
+/// the kind's tag.
 #[derive(Clone, Copy, Debug)]
 struct Node {
     seq: u64,
-    to: u32,
-    from: u32,
-    slot: u32,
-    tag: Tag,
+    to: u16,
+    from: u16,
+    /// `slot.index() << TAG_BITS | tag`.
+    slot_tag: u32,
 }
 
 impl Node {
-    /// Packs the event, or `None` if an identity does not fit 32 bits (the
-    /// caller then keeps it whole in the fallback heap).
+    /// Packs the event, or `None` if an identity does not fit 16 bits or
+    /// the slot index 29 (the caller then keeps it whole in the fallback
+    /// heap).
     fn pack(seq: u64, to: ProcessId, kind: EventKind) -> Option<Node> {
         let (tag, from, slot) = match kind {
-            EventKind::Deliver { from, slot } => (Tag::Deliver, from.0, slot.index()),
-            EventKind::RbDeliver { from, slot } => (Tag::RbDeliver, from.0, slot.index()),
-            EventKind::Step => (Tag::Step, 0, 0),
-            EventKind::Join => (Tag::Join, 0, 0),
-            EventKind::Crash => (Tag::Crash, 0, 0),
+            EventKind::Deliver { from, slot } => (TAG_DELIVER, from.0, slot.index()),
+            EventKind::RbDeliver { from, slot } => (TAG_RB_DELIVER, from.0, slot.index()),
+            EventKind::Step => (TAG_STEP, 0, 0),
+            EventKind::Join => (TAG_JOIN, 0, 0),
+            EventKind::Crash => (TAG_CRASH, 0, 0),
         };
+        if slot >> (u32::BITS - TAG_BITS) != 0 {
+            return None;
+        }
         Some(Node {
             seq,
-            to: u32::try_from(to.0).ok()?,
-            from: u32::try_from(from).ok()?,
-            slot,
-            tag,
+            to: u16::try_from(to.0).ok()?,
+            from: u16::try_from(from).ok()?,
+            slot_tag: slot << TAG_BITS | tag,
         })
     }
 
     fn unpack(self, at: Time) -> Event {
-        let from = ProcessId(self.from as usize);
-        let slot = MsgSlot::from_raw(self.slot);
-        let kind = match self.tag {
-            Tag::Deliver => EventKind::Deliver { from, slot },
-            Tag::RbDeliver => EventKind::RbDeliver { from, slot },
-            Tag::Step => EventKind::Step,
-            Tag::Join => EventKind::Join,
-            Tag::Crash => EventKind::Crash,
+        let from = ProcessId(usize::from(self.from));
+        let slot = MsgSlot::from_raw(self.slot_tag >> TAG_BITS);
+        let kind = match self.slot_tag & ((1 << TAG_BITS) - 1) {
+            TAG_DELIVER => EventKind::Deliver { from, slot },
+            TAG_RB_DELIVER => EventKind::RbDeliver { from, slot },
+            TAG_STEP => EventKind::Step,
+            TAG_JOIN => EventKind::Join,
+            tag => {
+                debug_assert_eq!(tag, TAG_CRASH, "pack writes no other tag");
+                EventKind::Crash
+            }
         };
         Event {
             at,
             seq: self.seq,
-            to: ProcessId(self.to as usize),
+            to: ProcessId(usize::from(self.to)),
             kind,
         }
     }
@@ -462,48 +470,63 @@ mod tests {
         }
     }
 
+    /// The widest identity and slot index a [`Node`] holds.
+    const MAX_ID: usize = u16::MAX as usize;
+    const MAX_SLOT: u32 = (1 << (u32::BITS - TAG_BITS)) - 1;
+
     #[test]
     fn node_is_packed_and_round_trips_every_kind() {
-        assert_eq!(std::mem::size_of::<Node>(), 24);
-        let (from, slot) = (ProcessId(1023), MsgSlot::from_raw(u32::MAX));
-        for kind in [
-            EventKind::Deliver { from, slot },
-            EventKind::RbDeliver { from, slot },
-            EventKind::Step,
-            EventKind::Join,
-            EventKind::Crash,
-        ] {
-            let e = Node::pack(9, ProcessId(7), kind).unwrap().unpack(Time(3));
-            assert_eq!(
-                (e.at, e.seq, e.to, e.kind),
-                (Time(3), 9, ProcessId(7), kind)
-            );
+        assert_eq!(std::mem::size_of::<Node>(), 16);
+        assert_eq!(MAX_SLOT, (1 << 29) - 1);
+        for (id, slot) in [(0, 0), (1023, 7), (MAX_ID, MAX_SLOT)] {
+            let (from, slot) = (ProcessId(id), MsgSlot::from_raw(slot));
+            for kind in [
+                EventKind::Deliver { from, slot },
+                EventKind::RbDeliver { from, slot },
+                EventKind::Step,
+                EventKind::Join,
+                EventKind::Crash,
+            ] {
+                let e = Node::pack(9, from, kind).unwrap().unpack(Time(3));
+                assert_eq!((e.at, e.seq, e.to, e.kind), (Time(3), 9, from, kind));
+            }
         }
     }
 
-    /// An identity wider than 32 bits cannot be packed: the event keeps its
-    /// place in the order through the fallback heap, untruncated.
+    /// A target or sender past 16 bits, or a slot index past 29, cannot be
+    /// packed: the event keeps its place in the order through the fallback
+    /// heap, untruncated.
     #[test]
     fn unpackable_identity_takes_the_fallback_heap() {
-        let wide = ProcessId(u32::MAX as usize + 2);
+        let wide = ProcessId(MAX_ID + 1);
+        let rb_deliver = |from, slot| EventKind::RbDeliver {
+            from,
+            slot: MsgSlot::from_raw(slot),
+        };
+        let pushes = [
+            (ProcessId(0), EventKind::Step),
+            (wide, EventKind::Step),
+            (ProcessId(1), deliver(wide, 0)),
+            (ProcessId(1), rb_deliver(wide, 0)),
+            (ProcessId(MAX_ID), deliver(ProcessId(MAX_ID), MAX_SLOT)),
+            (ProcessId(2), deliver(ProcessId(2), MAX_SLOT + 1)),
+            (ProcessId(3), rb_deliver(ProcessId(3), MAX_SLOT + 1)),
+            (ProcessId(4), deliver(ProcessId(4), u32::MAX)),
+            (ProcessId(5), EventKind::Step),
+        ];
         let mut q = EventQueue::new();
-        q.push(Time(1), ProcessId(0), EventKind::Step);
-        q.push(Time(1), wide, EventKind::Step);
-        q.push(Time(1), ProcessId(1), deliver(wide, 0));
-        q.push(Time(1), ProcessId(2), EventKind::Step);
-        assert_eq!((q.wheel_len, q.far.len()), (2, 2));
-        let popped: Vec<(u64, ProcessId)> = std::iter::from_fn(|| q.pop())
-            .map(|e| (e.seq, e.to))
+        for (to, kind) in pushes {
+            q.push(Time(1), to, kind);
+        }
+        assert_eq!((q.wheel_len, q.far.len()), (3, 6));
+        let popped: Vec<_> = std::iter::from_fn(|| q.pop())
+            .map(|e| (e.at, e.seq, e.to, e.kind))
             .collect();
-        assert_eq!(
-            popped,
-            vec![
-                (0, ProcessId(0)),
-                (1, wide),
-                (2, ProcessId(1)),
-                (3, ProcessId(2))
-            ]
-        );
+        let pushed: Vec<_> = (0..)
+            .zip(pushes)
+            .map(|(seq, (to, kind))| (Time(1), seq, to, kind))
+            .collect();
+        assert_eq!(popped, pushed);
     }
 
     /// `base + W − 1` is the last tick of the window, `base + W` the first

@@ -107,7 +107,10 @@ impl PSet {
 
     /// The singleton `{p}`.
     pub fn singleton(p: ProcessId) -> Self {
-        assert!(p.0 < MAX_PROCESSES);
+        assert!(
+            p.0 < MAX_PROCESSES,
+            "PSet supports at most {MAX_PROCESSES} processes"
+        );
         let mut words = [0u64; WORDS];
         words[p.0 / 64] = 1u64 << (p.0 % 64);
         PSet(words)
@@ -189,17 +192,28 @@ impl PSet {
     }
 
     /// Inserts `p`; returns `true` if it was not already present.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p.0 ≥ 1024`.
     #[inline]
     pub fn insert(&mut self, p: ProcessId) -> bool {
+        assert!(
+            p.0 < MAX_PROCESSES,
+            "PSet supports at most {MAX_PROCESSES} processes"
+        );
         let fresh = !self.contains(p);
         self.0[p.0 / 64] |= 1u64 << (p.0 % 64);
         fresh
     }
 
-    /// Removes `p`; returns `true` if it was present.
+    /// Removes `p`; returns `true` if it was present. An identity no set
+    /// can hold (`p.0 ≥ 1024`) is simply absent, as for [`PSet::contains`].
     pub fn remove(&mut self, p: ProcessId) -> bool {
         let present = self.contains(p);
-        self.0[p.0 / 64] &= !(1u64 << (p.0 % 64));
+        if present {
+            self.0[p.0 / 64] &= !(1u64 << (p.0 % 64));
+        }
         present
     }
 
@@ -449,6 +463,21 @@ mod tests {
         assert!(s.remove(ProcessId(3)));
         assert!(!s.remove(ProcessId(3)));
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn remove_out_of_range_is_absent_not_a_panic() {
+        let mut s = PSet::full(5);
+        assert!(!s.contains(ProcessId(5000)));
+        assert!(!s.remove(ProcessId(5000)));
+        assert!(!s.remove(ProcessId(MAX_PROCESSES)));
+        assert_eq!(s, PSet::full(5));
+    }
+
+    #[test]
+    #[should_panic(expected = "PSet supports at most 1024 processes")]
+    fn insert_out_of_range_names_the_limit() {
+        PSet::new().insert(ProcessId(MAX_PROCESSES));
     }
 
     #[test]
