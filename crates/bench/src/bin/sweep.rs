@@ -138,11 +138,15 @@ impl SearchOpts {
     fn parse(argv: &[String]) -> Result<Self, String> {
         let f = Flags::parse(argv, SEARCH_FLAGS)?;
         let (store, resume) = store_opts(&f)?;
+        let seeds_per_spec = f.num("--seeds-per-spec", 4)?;
+        if seeds_per_spec == 0 {
+            return Err("`--seeds-per-spec` must be at least 1: zero runs find nothing".into());
+        }
         Ok(SearchOpts {
             cfg: SearchConfig {
                 search_seed: f.num("--search-seed", 0)?,
                 budget: f.num("--budget", 32)?,
-                seeds_per_spec: f.num("--seeds-per-spec", 4)?,
+                seeds_per_spec,
                 max_witnesses: f.num("--max-witnesses", 3)?,
             },
             threads: f.num("--threads", 0)?,
@@ -249,10 +253,11 @@ impl StoreSession {
 }
 
 /// `sweep analyze DIR [DIR ...]` — aggregate run directories into tables.
-fn run_analyze(dirs: &[String]) {
-    let report = fd_bench::analyze_run_dirs(dirs)
-        .unwrap_or_else(|e| panic!("analyze: failed to load run dirs: {e}"));
+/// A directory that does not load is a bad argument like any other.
+fn run_analyze(dirs: &[String]) -> Result<(), String> {
+    let report = fd_bench::analyze_run_dirs(dirs).map_err(|e| format!("analyze: {e}"))?;
     print!("{}", report.render());
+    Ok(())
 }
 
 /// `sweep search ...` — the adversary search campaign: sample the fault
@@ -338,7 +343,7 @@ fn run_search_cmd(o: SearchOpts) {
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let parsed = match argv.first().map(String::as_str) {
-        Some("analyze") => analyze_dirs(&argv[1..]).map(run_analyze),
+        Some("analyze") => analyze_dirs(&argv[1..]).and_then(run_analyze),
         Some("search") => SearchOpts::parse(&argv[1..]).map(run_search_cmd),
         _ => MainOpts::parse(&argv).map(run_sweep),
     };
@@ -471,6 +476,13 @@ mod tests {
         assert!(analyze_dirs(&argv("runs/a --threads")).is_err());
         assert!(analyze_dirs(&[]).is_err());
         assert_eq!(analyze_dirs(&argv("a b")).unwrap().len(), 2);
+        // A well-formed argument that is no run directory fails the same
+        // way, naming the path.
+        let err = run_analyze(&argv("/nonexistent/fd-grid-run")).unwrap_err();
+        assert!(
+            err.contains("`/nonexistent/fd-grid-run` is not a run directory"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -519,6 +531,7 @@ mod tests {
             "--budget many",
             "--search-seed -4",
             "--budget 2 --seeds-per-spec 1 --resume",
+            "--seeds-per-spec 0",
         ] {
             assert!(SearchOpts::parse(&argv(line)).is_err(), "search: {line}");
         }

@@ -1065,9 +1065,20 @@ pub struct RunDir {
     pub corrupt: u64,
 }
 
-/// Loads a run directory without mutating it.
+/// Loads a run directory without mutating it. A path holding neither a
+/// `manifest.json` nor a `shards/` directory is not a run directory:
+/// [`io::ErrorKind::NotFound`], naming it.
 pub fn load_run_dir(dir: impl AsRef<Path>) -> io::Result<RunDir> {
     let dir = dir.as_ref().to_path_buf();
+    if !dir.join("manifest.json").is_file() && !dir.join("shards").is_dir() {
+        return Err(io::Error::new(
+            io::ErrorKind::NotFound,
+            format!(
+                "`{}` is not a run directory (no manifest.json, no shards/)",
+                dir.display()
+            ),
+        ));
+    }
     let manifest = fs::read_to_string(dir.join("manifest.json"))
         .ok()
         .and_then(|text| Manifest::parse(&text).ok())
@@ -1194,6 +1205,32 @@ mod tests {
             assert_eq!(here[i], names[i]);
             assert!(std::ptr::eq(here[i], again[i]) && std::ptr::eq(here[i], there[i]));
         }
+    }
+
+    /// A mistyped path is an error naming it, not an empty run; either a
+    /// manifest or a shards directory alone still loads (a killed first
+    /// invocation leaves just that).
+    #[test]
+    fn load_run_dir_rejects_a_path_that_is_no_run_directory() {
+        let dir = std::env::temp_dir().join(format!("fd-store-typo-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        for missing in [dir.clone(), dir.join("manifest.json")] {
+            let err = load_run_dir(&missing).expect_err("no such run directory");
+            assert_eq!(err.kind(), io::ErrorKind::NotFound);
+            assert!(err.to_string().contains(missing.to_str().unwrap()), "{err}");
+        }
+        // An existing directory that holds neither is no run directory either.
+        fs::create_dir_all(&dir).unwrap();
+        assert_eq!(
+            load_run_dir(&dir).unwrap_err().kind(),
+            io::ErrorKind::NotFound
+        );
+        fs::create_dir_all(dir.join("shards")).unwrap();
+        assert!(load_run_dir(&dir).unwrap().cells.is_empty());
+        fs::remove_dir_all(dir.join("shards")).unwrap();
+        fs::write(dir.join("manifest.json"), "{}").unwrap();
+        assert!(load_run_dir(&dir).unwrap().cells.is_empty());
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

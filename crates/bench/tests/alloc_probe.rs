@@ -9,11 +9,14 @@
 //! the allocator level, where a regression (a stray `clone`, a rebuilt
 //! `Vec`, a `HashMap` insert) cannot hide.
 //!
-//! A second phase pins the event queue's bucket recycling: with one
+//! A second phase pins the event queue's page recycling: with one
 //! broadcast per tick and only the *due* deliveries popped, a dozen ticks
 //! are pending at any time while the queue's timing wheel turns several
-//! full revolutions, and every bucket a tick drains must be reused by a
-//! later tick rather than allocated afresh.
+//! full revolutions, and every page a tick drains must be reused by a
+//! later tick rather than allocated afresh. A broadcast storm on a fresh
+//! queue then pins the pool's size: what it leaves resident is what was
+//! pending at the peak plus a partial page per tick, not a buffer per
+//! tick as large as the largest burst.
 //!
 //! A third phase pins the Figure 3 Phase-1 round state in the pre-GST
 //! shape, all 128 senders reporting different leader sets: a fresh
@@ -61,6 +64,9 @@ const N: usize = 128;
 /// The tick span of `EventQueue`'s wheel (a private constant of
 /// `fd_sim::event`): one revolution of the ring.
 const WHEEL_TICKS: u64 = 64;
+
+/// Nodes per page of `EventQueue`'s pool (likewise private).
+const PAGE: usize = 128;
 
 /// Pops every pending event due at or before `now`, consuming the arena
 /// payloads the way the engine does; folds them so the work cannot be
@@ -206,11 +212,43 @@ fn routed_broadcast_is_allocation_free_after_warmup() {
         after - before,
         0,
         "{} heap allocations across three wheel revolutions of overlapped \
-         broadcasts (drained buckets must be recycled, not reallocated)",
+         broadcasts (drained pages must be recycled, not reallocated)",
         after - before,
     );
     acc = acc.wrapping_add(drain(&mut q, &mut arena));
     assert!(arena.is_empty(), "overlapped phase left live payloads");
+
+    // A storm on a fresh queue: 16 broadcasts a tick, the due deliveries
+    // popped, so ~13k nodes are pending over a dozen ticks. The pool a
+    // drained queue keeps is bounded by that peak — its pages, one partial
+    // page per tick of the ring at most, the growth step's eighth — where
+    // per-tick buffers would each have kept their largest burst.
+    let mut storm = EventQueue::new();
+    let mut peak = 0;
+    for now in 0..24u64 {
+        for burst in 0..16 {
+            let from = ProcessId(((now + burst) % N as u64) as usize);
+            net.route_broadcast(
+                &mut storm,
+                &mut arena,
+                from,
+                N,
+                Time(now),
+                now ^ burst,
+                &mut staging,
+            );
+        }
+        peak = peak.max(storm.len());
+        acc = acc.wrapping_add(drain_due(&mut storm, &mut arena, Time(now)));
+    }
+    acc = acc.wrapping_add(drain(&mut storm, &mut arena));
+    assert!(peak > 10_000, "the storm peaked at {peak} pending events");
+    let bound = peak.div_ceil(PAGE) + WHEEL_TICKS as usize;
+    assert!(
+        storm.node_capacity() <= bound * PAGE,
+        "a drained storm left {} nodes of pool for a peak of {peak} pending ({bound} pages allowed)",
+        storm.node_capacity(),
+    );
 
     // Phase-1 round state: one allocation per slab, none per round — even
     // when no two senders agree on a leader set.

@@ -19,9 +19,9 @@
 //!   a tally of every distinct leader set is as long as the quorum
 //!   whenever the oracle has not stabilized;
 //! * **storage** is recycled through [`RoundWindow`]: when a process
-//!   enters round `r` it retires every slab below `r` into a pool, and
-//!   future rounds draw from that pool — steady-state progress allocates
-//!   nothing.
+//!   enters round `r` it resets every slab below `r` where it sits in the
+//!   window's one vector, and future rounds take those over — steady-state
+//!   progress allocates nothing and moves no slab.
 //!
 //! Every aggregate is chosen to be *observationally identical* to the old
 //! list scan (first-wins per sender, minimum over non-`⊥`, the unique
@@ -38,69 +38,73 @@ pub trait RoundSlab {
     fn reset(&mut self);
 }
 
-/// A sliding window of per-round slabs with pooled recycling.
+/// A sliding window of per-round slabs, recycled in place.
 ///
 /// Rounds only move forward: the automaton reads the slab of its *current*
 /// round, buffers slabs for *future* rounds (messages can arrive early),
 /// and never looks at past rounds again. [`RoundWindow::retire_below`]
-/// exploits that — retired slabs go to a free pool and are handed back out
+/// exploits that — a retired slab is reset where it is and handed back out
 /// by [`RoundWindow::entry`], so a long run touches a bounded set of
-/// allocations no matter how many rounds it takes.
+/// allocations no matter how many rounds it takes, and the window is one
+/// vector no longer than the most rounds ever live at once.
 #[derive(Clone, Debug, Default)]
 pub struct RoundWindow<S> {
-    /// Live (round, slab) pairs — current and future rounds, unordered.
-    active: Vec<(u32, S)>,
-    /// Retired slabs awaiting reuse.
-    pool: Vec<S>,
+    /// `(round, slab)` pairs, unordered. Round [`RETIRED`] marks a reset
+    /// slab awaiting reuse; the others are live — current and future
+    /// rounds.
+    slabs: Vec<(u32, S)>,
 }
+
+/// The round number of a retired slab. Rounds start at 1.
+const RETIRED: u32 = 0;
 
 impl<S: RoundSlab> RoundWindow<S> {
     /// An empty window.
     pub fn new() -> Self {
-        RoundWindow {
-            active: Vec::new(),
-            pool: Vec::new(),
-        }
+        RoundWindow { slabs: Vec::new() }
     }
 
-    /// The slab for round `r`, created (from the pool if possible, else by
-    /// `make`) if absent.
+    /// The slab for round `r ≥ 1`, created (out of a retired one if
+    /// possible, else by `make`) if absent.
     pub fn entry(&mut self, r: u32, make: impl FnOnce() -> S) -> &mut S {
-        if let Some(i) = self.active.iter().position(|(rr, _)| *rr == r) {
-            return &mut self.active[i].1;
+        debug_assert_ne!(r, RETIRED, "rounds start at 1");
+        let round_at = |slabs: &[(u32, S)], r| slabs.iter().position(|(rr, _)| *rr == r);
+        // Once per message the round is there; once per round it is not.
+        if let Some(i) = round_at(&self.slabs, r) {
+            return &mut self.slabs[i].1;
         }
-        let slab = self.pool.pop().unwrap_or_else(make);
-        self.active.push((r, slab));
-        &mut self.active.last_mut().expect("just pushed").1
+        let i = round_at(&self.slabs, RETIRED).unwrap_or_else(|| {
+            self.slabs.push((RETIRED, make()));
+            self.slabs.len() - 1
+        });
+        self.slabs[i].0 = r;
+        &mut self.slabs[i].1
     }
 
-    /// The slab for round `r`, if one exists.
+    /// The slab for round `r ≥ 1`, if one exists.
     pub fn get(&self, r: u32) -> Option<&S> {
-        self.active.iter().find(|(rr, _)| *rr == r).map(|(_, s)| s)
+        debug_assert_ne!(r, RETIRED, "rounds start at 1");
+        self.slabs.iter().find(|(rr, _)| *rr == r).map(|(_, s)| s)
     }
 
-    /// Retires every slab for a round `< r` into the pool.
+    /// Retires every slab for a round `< r`: resets it for reuse.
     pub fn retire_below(&mut self, r: u32) {
-        let mut i = 0;
-        while i < self.active.len() {
-            if self.active[i].0 < r {
-                let (_, mut s) = self.active.swap_remove(i);
-                s.reset();
-                self.pool.push(s);
-            } else {
-                i += 1;
+        for (rr, slab) in &mut self.slabs {
+            if *rr != RETIRED && *rr < r {
+                slab.reset();
+                *rr = RETIRED;
             }
         }
     }
 
     /// Number of live (current + future) rounds.
     pub fn len(&self) -> usize {
-        self.active.len()
+        self.slabs.iter().filter(|(rr, _)| *rr != RETIRED).count()
     }
 
     /// Whether no round is live.
     pub fn is_empty(&self) -> bool {
-        self.active.is_empty()
+        self.len() == 0
     }
 }
 
@@ -519,6 +523,64 @@ mod tests {
         w.entry(5, CoordSlab::default).record(42);
         w.retire_below(3);
         assert_eq!(w.get(5).unwrap().est(), Some(42));
+    }
+
+    /// A slab that is nothing but what was written to it since its last
+    /// reset.
+    #[derive(Debug, Default)]
+    struct Marks(Vec<u64>);
+
+    impl RoundSlab for Marks {
+        fn reset(&mut self) {
+            self.0.clear();
+        }
+    }
+
+    /// Seeded `entry` / `get` / `retire_below` sequences against a
+    /// `HashMap` of live rounds: a round's slab holds exactly what was
+    /// written to it (so a recycled one came back reset, and no two rounds
+    /// share one), `len` counts live rounds only, retired rounds are gone,
+    /// and `make` runs only when every slab made so far is live — the
+    /// window never holds more slabs than rounds were ever live at once.
+    #[test]
+    fn window_matches_a_map_model_and_reuses_before_it_makes() {
+        use std::collections::HashMap;
+        for seed in 0..16u64 {
+            let mut rng = fd_sim::SplitMix64::new(0x3a7e).stream(seed);
+            let mut w: RoundWindow<Marks> = RoundWindow::new();
+            let mut model: HashMap<u32, Vec<u64>> = HashMap::new();
+            let (mut cur, mut made, mut most_live) = (1u32, 0usize, 0usize);
+            for step in 0..2_000u64 {
+                let r = cur + rng.below(4) as u32;
+                match rng.below(5) {
+                    0 => {
+                        cur += rng.below(3) as u32;
+                        w.retire_below(cur);
+                        model.retain(|&r, _| r >= cur);
+                    }
+                    1 => assert_eq!(w.get(r).map(|s| &s.0), model.get(&r), "round {r}"),
+                    _ => {
+                        let live_before = model.len();
+                        let slab = w.entry(r, || {
+                            made += 1;
+                            Marks::default()
+                        });
+                        slab.0.push(step);
+                        let marks = model.entry(r).or_default();
+                        marks.push(step);
+                        assert_eq!(slab.0, *marks, "seed {seed}: round {r} at step {step}");
+                        most_live = most_live.max(model.len());
+                        assert_eq!(
+                            made, most_live,
+                            "seed {seed}: {live_before} rounds were live"
+                        );
+                    }
+                }
+                assert_eq!((w.len(), w.is_empty()), (model.len(), model.is_empty()));
+                assert!((1..cur).rev().take(8).all(|r| w.get(r).is_none()));
+            }
+            assert!(most_live >= 4 && cur > 100, "seed {seed}: a weak draw");
+        }
     }
 
     #[test]

@@ -27,12 +27,20 @@
 //!   wheel's head and the heap's head, so nothing ever migrates between
 //!   the two and arbitrary push times keep the contract. When the wheel is
 //!   empty, `pop` re-bases the window onto the heap event it returns.
-//! * **Memory.** A drained bucket's buffer goes to a spare pool and the
-//!   next tick that needs one takes it from there, so only as many buffers
-//!   as there are concurrently pending ticks (≈ max delay + 1) ever hold
-//!   capacity, and steady-state traffic allocates nothing. Wheel entries
-//!   are packed 16-byte nodes (the tick is the bucket), not 40-byte
-//!   [`Event`]s.
+//! * **Memory.** Buckets own no buffer: a bucket is a chain of fixed-size
+//!   *pages* drawn from one pool shared by every tick — a flat `Vec` of
+//!   nodes in which page `p` is `nodes[p·PAGE..][..PAGE]`, a `next` link
+//!   per page and a free list threaded through the same links. `push`
+//!   writes after the bucket's last node, taking a free page when the tick
+//!   is empty or its last page is full; `pop` hands a page back the moment
+//!   its cursor leaves it. The pool grows by an eighth of itself (at least
+//!   one page, `reserve_exact`, never by doubling) and only when every page
+//!   is in a chain, so its capacity — resident for the whole run — is at
+//!   most 9/8 of the most pages ever pending at once plus one page: live
+//!   nodes plus one partial page per pending tick, not (pending ticks) ×
+//!   (the largest burst any of them ever saw). Steady-state traffic
+//!   allocates nothing. Wheel entries are packed 16-byte nodes (the tick is
+//!   the bucket), not 40-byte [`Event`]s.
 //!
 //! Events are plain [`Copy`] data: message payloads live in the
 //! [`crate::arena::MsgArena`] and deliveries carry a [`MsgSlot`] handle, so
@@ -183,7 +191,7 @@ const TAG_CRASH: u32 = 4;
 /// A wheel entry: an [`Event`] minus its tick (the bucket holds that), with
 /// the identities narrowed to `u16` and the slot index to 29 bits beside
 /// the kind's tag.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct Node {
     seq: u64,
     to: u16,
@@ -237,23 +245,57 @@ impl Node {
     }
 }
 
+/// Nodes per page of the pool: 2 KiB. Smaller pages waste less on the one
+/// partial page each pending tick holds, larger ones chain less often;
+/// ROADMAP item 2 has the readings this was chosen from. A power of two,
+/// so that an empty bucket's `last` reads as "no room" (see [`Bucket`]).
+const PAGE: usize = 128;
+const _: () = assert!(PAGE.is_power_of_two());
+
+/// The null page link: end of a chain, empty bucket, empty free list.
+const NO_PAGE: u32 = u32::MAX;
+
+/// The pending events of one tick, in push (= `seq`) order: a chain of
+/// pool pages, every page full but (possibly) the last.
+#[derive(Clone, Copy, Debug)]
+struct Bucket {
+    /// First page of the chain, [`NO_PAGE`] when the tick has no pending
+    /// event.
+    head: u32,
+    /// Pool index of the node written last, in the chain's last page.
+    /// When it is the last slot of its page there is no room: the next push
+    /// takes a fresh page. An empty bucket's is `u32::MAX`, which reads the
+    /// same way (`PAGE` divides 2³²).
+    last: u32,
+}
+
+const EMPTY_BUCKET: Bucket = Bucket {
+    head: NO_PAGE,
+    last: u32::MAX,
+};
+
 /// The scheduler every run uses: a timing wheel of per-tick FIFO buckets
 /// over `[base, base + WHEEL_TICKS)`, plus a [`BinaryHeap`] for events
 /// outside that window. See the [module docs](self).
 #[derive(Debug)]
 pub struct EventQueue {
-    /// `ring[bucket_of(t)]` holds the pending events of tick `t`, for `t`
-    /// in the window, in push (= `seq`) order. A bucket has capacity only
-    /// while it has pending events.
-    ring: [Vec<Node>; WHEEL_TICKS as usize],
+    /// `ring[bucket_of(t)]` chains the pending events of tick `t`, for `t`
+    /// in the window.
+    ring: [Bucket; WHEEL_TICKS as usize],
+    /// The page pool: page `p` is `nodes[p·PAGE..][..PAGE]`.
+    nodes: Vec<Node>,
+    /// `next[p]`: the page after `p` in its bucket's chain or in the free
+    /// list, [`NO_PAGE`] at the end of either.
+    next: Vec<u32>,
+    /// First page of the free list.
+    free: u32,
     /// First tick of the window. Every tick before it is empty in the ring.
     base: u64,
-    /// Read position in `base`'s bucket; entries before it have popped.
+    /// Read position in the head page of `base`'s bucket; entries before
+    /// it have popped.
     cursor: usize,
     /// Pending events in the ring.
     wheel_len: usize,
-    /// Buffers of drained buckets, handed to the next tick that needs one.
-    spare: Vec<Vec<Node>>,
     /// Pending events that were outside the window when pushed.
     far: BinaryHeap<Event>,
     next_seq: u64,
@@ -269,14 +311,23 @@ impl EventQueue {
     /// An empty queue.
     pub fn new() -> Self {
         EventQueue {
-            ring: std::array::from_fn(|_| Vec::new()),
+            ring: [EMPTY_BUCKET; WHEEL_TICKS as usize],
+            nodes: Vec::new(),
+            next: Vec::new(),
+            free: NO_PAGE,
             base: 0,
             cursor: 0,
             wheel_len: 0,
-            spare: Vec::new(),
             far: BinaryHeap::new(),
             next_seq: 0,
         }
+    }
+
+    /// Wheel nodes the queue holds memory for, pending or not: the page
+    /// pool's capacity, which only ever grows (see the [module docs](self)
+    /// for its bound).
+    pub fn node_capacity(&self) -> usize {
+        self.nodes.capacity()
     }
 
     /// The first tick at or after `base` with a pending wheel event. Only
@@ -284,10 +335,37 @@ impl EventQueue {
     /// is non-empty.
     fn wheel_head_tick(&self) -> u64 {
         let mut tick = self.base;
-        while self.ring[bucket_of(tick)].is_empty() {
+        while self.ring[bucket_of(tick)].head == NO_PAGE {
             tick += 1;
         }
         tick
+    }
+
+    /// Takes a page off the free list, growing the pool first if the list
+    /// is empty.
+    #[inline]
+    fn take_page(&mut self) -> u32 {
+        if self.free == NO_PAGE {
+            self.grow();
+        }
+        let page = self.free;
+        self.free = std::mem::replace(&mut self.next[page as usize], NO_PAGE);
+        page
+    }
+
+    /// Adds an eighth of the pool (at least one page) to it, all of it
+    /// free: whatever the pool grows to stays resident for the rest of the
+    /// run, so it does not double.
+    #[cold]
+    fn grow(&mut self) {
+        let pages = self.next.len();
+        let more = (pages / 8).max(1);
+        self.nodes.reserve_exact(more * PAGE);
+        self.nodes.resize((pages + more) * PAGE, Node::default());
+        for page in pages..pages + more {
+            self.next.push(self.free);
+            self.free = page as u32;
+        }
     }
 }
 
@@ -300,13 +378,20 @@ impl Scheduler for EventQueue {
         let in_window = at.0.checked_sub(self.base).is_some_and(|d| d < WHEEL_TICKS);
         if in_window {
             if let Some(node) = Node::pack(seq, to, kind) {
-                let bucket = &mut self.ring[bucket_of(at.0)];
-                if bucket.capacity() == 0 {
-                    if let Some(buf) = self.spare.pop() {
-                        *bucket = buf;
+                let tick = bucket_of(at.0);
+                let Bucket { head, last } = self.ring[tick];
+                let mut slot = last.wrapping_add(1);
+                if (slot as usize).is_multiple_of(PAGE) {
+                    let page = self.take_page();
+                    if head == NO_PAGE {
+                        self.ring[tick].head = page;
+                    } else {
+                        self.next[last as usize / PAGE] = page;
                     }
+                    slot = page * PAGE as u32;
                 }
-                bucket.push(node);
+                self.nodes[slot as usize] = node;
+                self.ring[tick].last = slot;
                 self.wheel_len += 1;
                 return;
             }
@@ -324,7 +409,9 @@ impl Scheduler for EventQueue {
         }
         self.base = self.wheel_head_tick();
         let bucket = &mut self.ring[bucket_of(self.base)];
-        let node = bucket[self.cursor];
+        let page = bucket.head;
+        let slot = page as usize * PAGE + self.cursor;
+        let node = self.nodes[slot];
         if let Some(far) = self.far.peek() {
             if (far.at.0, far.seq) < (self.base, node.seq) {
                 return self.far.pop();
@@ -332,10 +419,15 @@ impl Scheduler for EventQueue {
         }
         self.cursor += 1;
         self.wheel_len -= 1;
-        if self.cursor == bucket.len() {
-            bucket.clear();
+        let drained = slot as u32 == bucket.last;
+        if drained || self.cursor == PAGE {
+            // The cursor leaves the page: back to the free list with it.
             self.cursor = 0;
-            self.spare.push(std::mem::take(bucket));
+            bucket.head = std::mem::replace(&mut self.next[page as usize], self.free);
+            self.free = page;
+            if drained {
+                bucket.last = u32::MAX;
+            }
         }
         Some(node.unpack(Time(self.base)))
     }
@@ -355,6 +447,7 @@ impl Scheduler for EventQueue {
 mod tests {
     use super::*;
     use crate::rng::SplitMix64;
+    use std::collections::BTreeMap;
 
     /// A delivery kind whose payload lives nowhere: queue-level tests only
     /// exercise ordering, never dereference the slot.
@@ -432,12 +525,42 @@ mod tests {
         );
     }
 
-    /// The contract as a sorted `Vec`, driven beside the queue: every pop
-    /// checks `len`, `peek_time` and the popped `(at, seq, to, kind)`.
-    #[derive(Default)]
+    /// The contract as a sorted map, driven beside the queue: every pop
+    /// checks `len`, `peek_time` and the popped `(at, seq, to, kind)`, and
+    /// every push and pop the page pool's invariants.
     struct Checked {
         q: EventQueue,
-        model: Vec<Event>,
+        model: BTreeMap<(Time, u64), Event>,
+        /// Pending wheel events per ring bucket.
+        pending: [usize; WHEEL_TICKS as usize],
+        /// The most pool pages that were ever in chains at once.
+        high_water: usize,
+    }
+
+    impl Default for Checked {
+        fn default() -> Self {
+            Checked {
+                q: EventQueue::new(),
+                model: BTreeMap::new(),
+                pending: [0; WHEEL_TICKS as usize],
+                high_water: 0,
+            }
+        }
+    }
+
+    /// Pool pages by where they are: `(in the buckets' chains, on the free
+    /// list)`, each chain walked to its end.
+    fn pages(q: &EventQueue) -> (usize, usize) {
+        let chain = |mut page: u32| {
+            let mut len = 0;
+            while page != NO_PAGE {
+                len += 1;
+                page = q.next[page as usize];
+            }
+            len
+        };
+        let in_chains = q.ring.iter().map(|b| chain(b.head)).sum();
+        (in_chains, chain(q.free))
     }
 
     impl Checked {
@@ -445,20 +568,26 @@ mod tests {
             let (at, seq) = (Time(at), self.q.next_seq);
             let to = ProcessId(seq as usize % 5);
             let kind = deliver(to, seq as u32);
+            let in_wheel = self.q.wheel_len;
             self.q.push(at, to, kind);
-            let pos = self.model.partition_point(|e| (e.at, e.seq) < (at, seq));
-            self.model.insert(pos, Event { at, seq, to, kind });
+            self.pending[bucket_of(at.0)] += self.q.wheel_len - in_wheel;
+            self.model.insert((at, seq), Event { at, seq, to, kind });
+            self.assert_pool_invariants();
         }
 
         /// Pops one event and returns its `(tick, seq)`.
         fn pop(&mut self) -> (u64, u64) {
             assert_eq!(self.q.len(), self.model.len());
-            assert_eq!(self.q.peek_time(), self.model.first().map(|e| e.at));
-            let (got, want) = (self.q.pop().unwrap(), self.model.remove(0));
+            let first = self.model.first_key_value().map(|(&(at, _), _)| at);
+            assert_eq!(self.q.peek_time(), first);
+            let in_wheel = self.q.wheel_len;
+            let (got, (_, want)) = (self.q.pop().unwrap(), self.model.pop_first().unwrap());
             assert_eq!(
                 (got.at, got.seq, got.to, got.kind),
                 (want.at, want.seq, want.to, want.kind)
             );
+            self.pending[bucket_of(got.at.0)] -= in_wheel - self.q.wheel_len;
+            self.assert_pool_invariants();
             (got.at.0, got.seq)
         }
 
@@ -467,6 +596,44 @@ mod tests {
             assert!(self.q.is_empty() && self.q.pop().is_none());
             assert_eq!(self.q.peek_time(), None);
             popped
+        }
+
+        /// * A tick's chain is exactly as long as its pending nodes need:
+        ///   `⌈pending / PAGE⌉` pages, one more when what the cursor has
+        ///   read of the head page makes the rest straddle another;
+        /// * every page is in a chain or on the free list;
+        /// * the pool holds at most 9/8 of the most pages ever in chains at
+        ///   once, plus one page.
+        fn assert_pool_invariants(&mut self) {
+            let q = &self.q;
+            assert_eq!(self.pending.iter().sum::<usize>(), q.wheel_len);
+            // Only the bucket being drained is read through the cursor.
+            let draining = (0..WHEEL_TICKS)
+                .map(|d| bucket_of(q.base.wrapping_add(d)))
+                .find(|&b| self.pending[b] > 0);
+            let mut want = 0;
+            for (tick, &n) in self.pending.iter().enumerate() {
+                let bucket = q.ring[tick];
+                assert_eq!(n == 0, bucket.head == NO_PAGE, "tick {tick}");
+                if n == 0 {
+                    continue;
+                }
+                let read = if draining == Some(tick) { q.cursor } else { 0 };
+                assert!(read < PAGE, "the cursor stayed on a page it had read");
+                want += (read + n).div_ceil(PAGE);
+                assert_eq!((read + n - 1) % PAGE, bucket.last as usize % PAGE);
+            }
+            let (in_chains, free) = pages(q);
+            assert_eq!(in_chains, want, "pages in chains");
+            assert_eq!(in_chains + free, q.next.len(), "pages not lost");
+            assert_eq!(q.nodes.len(), q.next.len() * PAGE);
+            self.high_water = self.high_water.max(in_chains);
+            assert!(
+                q.node_capacity() <= (self.high_water * 9 / 8 + 1) * PAGE,
+                "{} nodes of capacity for a high-water mark of {} pages",
+                q.node_capacity(),
+                self.high_water
+            );
         }
     }
 
@@ -618,8 +785,9 @@ mod tests {
         c.drain();
     }
 
-    /// Drained buckets hand their buffer on: after many revolutions only
-    /// as many buffers exist as ticks were ever pending at once.
+    /// A drained tick hands its pages on: after many revolutions the pool
+    /// is as large as the most ticks ever pending at once, every page of it
+    /// is free, and an empty ring holds none.
     #[test]
     fn drained_buckets_are_recycled_across_revolutions() {
         let mut c = Checked::default();
@@ -629,18 +797,58 @@ mod tests {
                 c.push(now + d);
                 c.push(now + d);
             }
-            for _ in 0..2 {
+            for _ in 0..6 {
                 now = c.pop().0;
             }
         }
         c.drain();
-        let buffers = |q: &EventQueue| q.ring.iter().filter(|b| b.capacity() > 0).count();
-        assert_eq!(buffers(&c.q), 0, "an empty ring holds no capacity");
+        let pool = c.q.next.len();
+        assert_eq!(pages(&c.q), (0, pool), "an empty ring holds no page");
+        assert_eq!(pool, c.high_water, "a small pool grows a page at a time");
         assert!(
-            (1..=4).contains(&c.q.spare.len()),
-            "{} buffers for 3 pending ticks",
-            c.q.spare.len()
+            (3..=4).contains(&pool),
+            "{pool} pages for 3 to 4 pending ticks"
         );
+    }
+
+    /// A seeded push/pop storm, the order contract and the pool invariants
+    /// checked after every operation: fan-outs of 1 to 4,096 (many pages
+    /// per tick, and counts around the page size), delays 0 to 63 (delay 0
+    /// pushes into the bucket being drained), pushes at the tick just
+    /// popped (the bucket may just have emptied) and pushes beyond the
+    /// window that interleave the fallback heap.
+    #[test]
+    fn pool_invariants_hold_under_a_seeded_storm() {
+        for seed in 0..4u64 {
+            let mut rng = SplitMix64::new(seed ^ 0x9A6E);
+            let mut c = Checked::default();
+            let mut now = 0;
+            for _ in 0..40 {
+                let fan_out = match rng.below(4) {
+                    0 => rng.range(1, 4),
+                    1 => rng.range(PAGE as u64 - 2, PAGE as u64 + 3),
+                    2 => rng.range(1, 600),
+                    _ => rng.range(1, 4_097),
+                };
+                let delay = match rng.below(3) {
+                    0 => 0,
+                    _ => rng.below(WHEEL_TICKS),
+                };
+                for _ in 0..fan_out {
+                    let far = rng.chance(1, 50);
+                    c.push(now + if far { WHEEL_TICKS + delay } else { delay });
+                }
+                for _ in 0..rng.range(0, 2 * fan_out + 2).min(c.model.len() as u64) {
+                    now = c.pop().0;
+                    if rng.chance(1, 8) {
+                        c.push(now);
+                    }
+                }
+            }
+            c.drain();
+            assert_eq!(pages(&c.q).0, 0, "seed {seed}");
+            assert!(c.high_water > 4_096 / PAGE, "seed {seed}: no deep tick");
+        }
     }
 
     /// `push_batch` is observationally identical to pushing one by one —

@@ -91,4 +91,4 @@ pub use rng::SplitMix64;
 pub use runtime::{counter, RunReport, Sim, SimConfig};
 pub use shm::{run_shm, RegAddr, SharedMem, ShmConfig, ShmCtx, ShmProcess};
 pub use time::Time;
-pub use trace::{slot, Decision, FdValue, History, Sample, Trace};
+pub use trace::{slot, Decision, FdValue, History, Sample, Samples, Trace};

@@ -5,6 +5,13 @@
 //! publish their observable outputs — suspicion sets, trusted sets,
 //! representatives, decisions — into the [`Trace`], which deduplicates
 //! consecutive identical values so histories stay compact step functions.
+//!
+//! The values of those step functions are round numbers, single processes,
+//! booleans and small sets, so a [`History`] stores a change point in 24
+//! bytes whatever its kind — time, tag, one word — and keeps only sets with
+//! a member `≥ 64` out of line, in a per-history side table. The 144-byte
+//! [`Sample`] (an [`FdValue`] holds a full-width [`PSet`]) is what readers
+//! get, decoded on the fly by the [`Samples`] view.
 
 use crate::id::{PSet, ProcessId};
 use crate::time::Time;
@@ -96,29 +103,59 @@ pub struct Decision {
     pub value: u64,
 }
 
+/// A change point as a [`History`] stores it: 24 bytes, whatever the value.
+///
+/// A `Num`, `Proc` or `Flag` is its `word`; so is a set confined to
+/// identities below 64 (its mask — every set of a run with `n ≤ 64`). Only a
+/// wider set lives outside the record, in the history's side table, with
+/// `word` its index there.
+#[derive(Clone, Copy, Debug)]
+struct Stored {
+    at: Time,
+    word: u64,
+    tag: Tag,
+}
+
+/// What a [`Stored::word`] is.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Tag {
+    Num,
+    Proc,
+    Flag,
+    /// The mask of a set with no member `≥ 64`.
+    Set,
+    /// An index into [`History::wide`].
+    WideSet,
+}
+
 /// The step-function history of one `(process, slot)` variable.
 #[derive(Clone, Debug, Default)]
 pub struct History {
-    samples: Vec<Sample>,
+    samples: Vec<Stored>,
+    /// The sets of the [`Tag::WideSet`] samples, in sample order.
+    wide: Vec<PSet>,
 }
 
 impl History {
     /// All change points, in time order.
-    pub fn samples(&self) -> &[Sample] {
-        &self.samples
+    pub fn samples(&self) -> Samples<'_> {
+        Samples {
+            stored: &self.samples,
+            wide: &self.wide,
+        }
     }
 
     /// The value holding at time `at` (the last change at or before `at`).
     pub fn value_at(&self, at: Time) -> Option<FdValue> {
         match self.samples.partition_point(|s| s.at <= at) {
             0 => None,
-            i => Some(self.samples[i - 1].value),
+            i => Some(self.samples().decode(self.samples[i - 1]).value),
         }
     }
 
     /// The final value of the history.
     pub fn last(&self) -> Option<FdValue> {
-        self.samples.last().map(|s| s.value)
+        self.samples().last().map(|s| s.value)
     }
 
     /// The time of the last change.
@@ -127,12 +164,98 @@ impl History {
     }
 
     fn push(&mut self, at: Time, value: FdValue) {
-        match self.samples.last() {
-            Some(s) if s.value == value => {}
-            _ => self.samples.push(Sample { at, value }),
+        let last = self.samples.last();
+        let (tag, word) = match value {
+            FdValue::Num(v) => (Tag::Num, v),
+            FdValue::Proc(p) => (Tag::Proc, p.0 as u64),
+            FdValue::Flag(b) => (Tag::Flag, u64::from(b)),
+            FdValue::Set(s) => match s.as_words() {
+                // (OR-folded, not `all`: the fold vectorises.)
+                [mask, rest @ ..] if rest.iter().fold(0, |any, &w| any | w) == 0 => {
+                    (Tag::Set, *mask)
+                }
+                _ => {
+                    // A fresh index equals no stored one: a wide set is
+                    // compared by value, here.
+                    if last
+                        .is_some_and(|l| l.tag == Tag::WideSet && self.wide[l.word as usize] == s)
+                    {
+                        return;
+                    }
+                    self.wide.push(s);
+                    (Tag::WideSet, self.wide.len() as u64 - 1)
+                }
+            },
+        };
+        if last.is_some_and(|l| l.tag == tag && l.word == word) {
+            return;
         }
+        self.samples.push(Stored { at, word, tag });
     }
 }
+
+/// The change points of a [`History`], in time order: a `Copy` view that
+/// decodes each stored record into a [`Sample`] as it is read, usable like
+/// the slice it replaces (`len`, `first`, `last`, `iter`, `for s in …`).
+#[derive(Clone, Copy, Debug)]
+pub struct Samples<'a> {
+    stored: &'a [Stored],
+    wide: &'a [PSet],
+}
+
+impl<'a> Samples<'a> {
+    /// Number of change points.
+    pub fn len(self) -> usize {
+        self.stored.len()
+    }
+
+    /// Whether the variable was never published.
+    pub fn is_empty(self) -> bool {
+        self.stored.is_empty()
+    }
+
+    /// The earliest change point.
+    pub fn first(self) -> Option<Sample> {
+        self.stored.first().map(|&s| self.decode(s))
+    }
+
+    /// The latest change point.
+    pub fn last(self) -> Option<Sample> {
+        self.stored.last().map(|&s| self.decode(s))
+    }
+
+    /// The view itself: it is its own iterator.
+    pub fn iter(self) -> Samples<'a> {
+        self
+    }
+
+    fn decode(self, s: Stored) -> Sample {
+        let value = match s.tag {
+            Tag::Num => FdValue::Num(s.word),
+            Tag::Proc => FdValue::Proc(ProcessId(s.word as usize)),
+            Tag::Flag => FdValue::Flag(s.word != 0),
+            Tag::Set => FdValue::Set(PSet::from_words(&[s.word])),
+            Tag::WideSet => FdValue::Set(self.wide[s.word as usize]),
+        };
+        Sample { at: s.at, value }
+    }
+}
+
+impl Iterator for Samples<'_> {
+    type Item = Sample;
+
+    fn next(&mut self) -> Option<Sample> {
+        let (&first, rest) = self.stored.split_first()?;
+        self.stored = rest;
+        Some(self.decode(first))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.stored.len(), Some(self.stored.len()))
+    }
+}
+
+impl ExactSizeIterator for Samples<'_> {}
 
 /// Everything recorded during one run.
 ///
@@ -234,6 +357,7 @@ impl Trace {
     pub fn history(&self, p: ProcessId, slot: u32) -> &History {
         static EMPTY: History = History {
             samples: Vec::new(),
+            wide: Vec::new(),
         };
         self.ranges
             .get(p.0)
@@ -380,43 +504,110 @@ mod tests {
         assert_eq!(sparse.histories().count(), 1);
     }
 
-    /// Model check for the struct-of-arrays storage: interleaved publishes
-    /// across processes and slots (repeatedly forcing new-slot inserts in
-    /// the middle of the arenas) must match a naive `BTreeMap` reference
-    /// sample for sample, through both `histories()` and `history()`.
+    /// Model check for the struct-of-arrays storage and the packed samples:
+    /// interleaved publishes across processes and slots (repeatedly forcing
+    /// new-slot inserts in the middle of the arenas) must match a naive
+    /// `BTreeMap` of `Vec<Sample>` sample for sample, through
+    /// `histories()`, `history()` and every `History` reader. The values
+    /// are of all four kinds, drawn from a pool small enough that
+    /// consecutive duplicates are common: numbers, processes and flags that
+    /// share a word (`Num(0)`, `Proc(p_1)`, `Flag(false)`, the empty set),
+    /// sets that fit the mask word (member 63 included) and sets that do
+    /// not (members 64, 127, 1,023), so narrow and wide sets alternate and
+    /// equal wide sets meet back to back.
     #[test]
     fn soa_storage_matches_a_map_model_under_interleaved_publishes() {
         use std::collections::BTreeMap;
+        let set = |ids: &[usize]| FdValue::Set(ids.iter().map(|&i| ProcessId(i)).collect());
+        let wide = |v: FdValue| matches!(v, FdValue::Set(s) if s.max() >= Some(ProcessId(64)));
+        let pool = [
+            FdValue::Num(0),
+            FdValue::Num(1),
+            FdValue::Num(u64::MAX),
+            FdValue::Proc(ProcessId(0)),
+            FdValue::Proc(ProcessId(1)),
+            FdValue::Flag(false),
+            FdValue::Flag(true),
+            set(&[]),
+            set(&[0]),
+            set(&[0, 63]),
+            set(&[64]),
+            set(&[0, 64]),
+            set(&[0, 63, 127]),
+            set(&[1023]),
+            set(&[0, 63, 1023]),
+        ];
         let mut t = Trace::new();
         let mut model: BTreeMap<(usize, u32), Vec<Sample>> = BTreeMap::new();
+        let (mut elided_wide, mut wide_after_narrow) = (0, 0);
         let mut x: u64 = 0x9E3779B97F4A7C15;
-        for step in 0..2_000u64 {
+        for step in 0..6_000u64 {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
             let p = (x % 7) as usize;
             let slot = ((x >> 8) % 6) as u32;
-            let value = FdValue::Num((x >> 16) % 3);
+            // Half the draws stay among the sets, so wide sets repeat.
+            let value = match (x >> 16) % 2 {
+                0 => pool[(x >> 24) as usize % pool.len()],
+                _ => pool[7 + (x >> 24) as usize % (pool.len() - 7)],
+            };
             let at = Time(step);
             t.publish(ProcessId(p), slot, at, value);
             let h = model.entry((p, slot)).or_default();
-            if h.last().map(|s| s.value) != Some(value) {
-                h.push(Sample { at, value });
+            match h.last().map(|s| s.value) {
+                Some(last) if last == value => elided_wide += usize::from(wide(value)),
+                last => {
+                    let narrow_set = matches!(last, Some(l @ FdValue::Set(_)) if !wide(l));
+                    wide_after_narrow += usize::from(wide(value) && narrow_set);
+                    h.push(Sample { at, value });
+                }
             }
         }
-        let got: Vec<((usize, u32), &[Sample])> = t
+        assert!(elided_wide > 50 && wide_after_narrow > 50, "a weak draw");
+        let got: Vec<((usize, u32), Vec<Sample>)> = t
             .histories()
-            .map(|((p, s), h)| ((p.0, s), h.samples()))
+            .map(|((p, s), h)| ((p.0, s), h.samples().collect()))
             .collect();
-        let want: Vec<((usize, u32), &[Sample])> =
-            model.iter().map(|(k, v)| (*k, v.as_slice())).collect();
+        let want: Vec<((usize, u32), Vec<Sample>)> =
+            model.iter().map(|(k, v)| (*k, v.clone())).collect();
         assert_eq!(got, want);
         for (&(p, slot), samples) in &model {
-            assert_eq!(t.history(ProcessId(p), slot).samples(), samples.as_slice());
+            let h = t.history(ProcessId(p), slot);
+            let view = h.samples();
+            assert_eq!(view.iter().collect::<Vec<_>>(), *samples);
+            assert_eq!((view.len(), view.is_empty()), (samples.len(), false));
+            assert_eq!(view.iter().len(), samples.len());
+            assert_eq!(view.first(), samples.first().copied());
+            assert_eq!(view.last(), samples.last().copied());
+            assert_eq!(h.last(), samples.last().map(|s| s.value));
+            assert_eq!(h.last_change(), samples.last().map(|s| s.at));
+            // One side-table entry per stored wide sample: an elided
+            // duplicate adds none.
+            let stored_wide = samples.iter().filter(|s| wide(s.value)).count();
+            assert_eq!(h.wide.len(), stored_wide, "side table of ({p}, {slot})");
+            // `value_at` before, on and between the change points.
+            if let Some(before) = samples[0].at.0.checked_sub(1) {
+                assert_eq!(h.value_at(Time(before)), None);
+            }
+            for (i, s) in samples.iter().enumerate() {
+                assert_eq!(h.value_at(s.at), Some(s.value));
+                let next = samples.get(i + 1).map_or(Time::INFINITY, |n| n.at);
+                if next.0 - s.at.0 > 1 {
+                    assert_eq!(h.value_at(Time(next.0 - 1)), Some(s.value));
+                }
+            }
         }
         // Never-published pairs still read as empty.
         assert!(t.history(ProcessId(0), 77).samples().is_empty());
         assert!(t.history(ProcessId(50), 0).samples().is_empty());
+        assert_eq!(t.history(ProcessId(50), 0).samples().first(), None);
+    }
+
+    /// What `publish` writes per change point, whatever the value's kind.
+    #[test]
+    fn a_stored_sample_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Stored>(), 24);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""Turn a shim.c dump into self / inclusive / allocator-attribution tables.
+"""Turn a shim.c dump into self / inclusive / allocator-attribution tables,
+or (--heap) a heapshim.c dump into a live-heap census.
 
     python3 tools/sigprof/resolve.py run.prof path/to/binary
+    python3 tools/sigprof/resolve.py --heap run.heap path/to/binary
 
 Frames inside the binary are resolved with `addr2line -f -C -i` (build with
 CARGO_PROFILE_RELEASE_DEBUG=1 so inlined callees get their own rows); the
@@ -13,7 +15,8 @@ MsgArena::take` is a memmove, `<- System::alloc` is malloc).
 
 Every sample's first two frames are the shim's handler and the kernel's
 signal trampoline; the third is the interrupted instruction itself and the
-rest are return addresses (one past the call, hence the -1).
+rest are return addresses (one past the call, hence the -1). A heap dump's
+stacks are return addresses throughout, and begin inside the shim.
 """
 
 import collections
@@ -35,16 +38,18 @@ ALLOCATOR = re.compile(
 PLUMBING = re.compile(r"^<?(alloc|core|std)::|^<\w+ as |^main$|^_start$")
 
 
-def parse(path):
+def parse(path, marker, lead):
+    """The dump's mappings and its stacks: the lines after `marker`, each
+    `lead` decimal fields, then hex frames."""
     maps, stacks, in_stacks = [], [], False
     with open(path) as f:
         for line in f:
-            if line.startswith("STACKS"):
+            if line.startswith(marker):
                 in_stacks = True
             elif in_stacks:
-                frames = [int(a, 16) for a in line.split()]
-                if len(frames) > 2:
-                    stacks.append(frames[2:])
+                fields = line.split()
+                head = [int(x) for x in fields[:lead]]
+                stacks.append((head, [int(a, 16) for a in fields[lead:]]))
             else:
                 parts = line.split()
                 lo, hi = (int(x, 16) for x in parts[0].split("-"))
@@ -90,12 +95,10 @@ def symbolize(binary, base, addrs):
     return table
 
 
-def main():
-    if len(sys.argv) != 3:
-        sys.exit("usage: resolve.py <dump> <binary>")
-    profile, binary = sys.argv[1], os.path.realpath(sys.argv[2])
-
-    maps, stacks = parse(profile)
+def namer(profile, binary, maps, stacks, exact_first):
+    """A function from a stack to its function names, innermost first and
+    inlines expanded. Every frame is a return address (resolved one byte
+    back, inside the call), except the first when `exact_first`."""
     mine = [(lo, hi) for lo, hi, path in maps if path == binary]
     if not mine:
         # Moved or rebuilt since the run (maps then says "(deleted)"), or
@@ -106,13 +109,12 @@ def main():
     top = max(hi for _, hi in mine)
 
     def pc(sample, depth):
-        return sample[depth] - (1 if depth else 0)
+        return sample[depth] - (0 if exact_first and depth == 0 else 1)
 
     inside = {pc(s, d) for s in stacks for d in range(len(s)) if base <= pc(s, d) < top}
     names = symbolize(binary, base, inside)
 
     def frames(sample):
-        """Function names of one sample, innermost first, inlines expanded."""
         out = []
         for d in range(len(sample)):
             a = pc(sample, d)
@@ -122,6 +124,20 @@ def main():
                 where = next((p for lo, hi, p in maps if lo <= a < hi), "")
                 out.append(f"[{os.path.basename(where) or 'anon'}]")
         return out
+
+    return frames
+
+
+def asked(fs):
+    """The nearest frame of `fs` that is neither the allocator nor the
+    plumbing between it and the code that asked."""
+    return next((f for f in fs if not ALLOCATOR.search(f) and not PLUMBING.search(f)), "?")
+
+
+def profile_tables(profile, binary):
+    maps, stacks = parse(profile, "STACKS", 0)
+    stacks = [s[2:] for _, s in stacks if len(s) > 2]
+    frames = namer(profile, binary, maps, stacks, exact_first=True)
 
     self_, incl, sites = (collections.Counter() for _ in range(3))
     in_allocator = 0
@@ -136,8 +152,7 @@ def main():
         entry = next((i for i, f in enumerate(fs) if ALLOCATOR.search(f)), None)
         if entry is not None:
             in_allocator += 1
-            asked = (f for f in fs[entry:] if not ALLOCATOR.search(f) and not PLUMBING.search(f))
-            sites[next(asked, "?")] += 1
+            sites[asked(fs[entry:])] += 1
 
     total = len(stacks)
     # Frames on nearly every stack are the process's way into the work,
@@ -155,6 +170,40 @@ def main():
     table("inclusive (samples with the function on the stack; std and rows above 90% omitted)", incl)
     print(f"\nallocator frames: {in_allocator} samples, {100 * in_allocator / total:.2f}% of all")
     table("allocator samples by the nearest caller outside std", sites)
+
+
+def heap_census(profile, binary):
+    """Live bytes and blocks by the nearest caller outside std, each row
+    with its three heaviest block sizes."""
+    maps, blocks = parse(profile, "BLOCKS", 1)
+    frames = namer(profile, binary, maps, [s for _, s in blocks], exact_first=False)
+    sizes_by = collections.defaultdict(collections.Counter)  # caller -> size -> blocks
+    for (size,), stack in blocks:
+        fs = frames(stack)
+        shim = fs[0]  # the stack starts in the shim's own mapping
+        sizes_by[asked([f for f in fs if f != shim])][size] += 1
+    rows = sorted(
+        ((sum(b * c for b, c in sizes.items()), sum(sizes.values()), who)
+         for who, sizes in sizes_by.items()),
+        reverse=True,
+    )
+    total = sum(size for size, _, _ in rows)
+    print(f"{total} live bytes in {len(blocks)} blocks, {os.path.basename(profile)}, "
+          f"{os.path.basename(binary)}")
+    print("\nlive bytes by the nearest caller outside std (share, bytes, blocks, caller, "
+          "largest block sizes as count x bytes)")
+    for size, count, who in rows[:ROWS]:
+        top = sorted(sizes_by[who].items(), key=lambda kv: -kv[0] * kv[1])[:3]
+        shapes = ", ".join(f"{c} x {b}" for b, c in top)
+        print(f"{100 * size / total:6.2f}%  {size:9d}  {count:5d}  {who}  [{shapes}]")
+
+
+def main():
+    args = [a for a in sys.argv[1:] if a != "--heap"]
+    if len(args) != 2:
+        sys.exit("usage: resolve.py [--heap] <dump> <binary>")
+    tables = heap_census if "--heap" in sys.argv[1:] else profile_tables
+    tables(args[0], os.path.realpath(args[1]))
 
 
 if __name__ == "__main__":
