@@ -57,7 +57,7 @@
 
 use fd_bench::flags::{Flags, Known};
 use fd_bench::sweep::SCALING_NS;
-use fd_bench::{InvocationRecord, SearchConfig, SweepBenchReport, SweepStore};
+use fd_bench::{fresh_cache, SearchConfig, StoreSession, SweepBenchReport, SweepStore};
 use fd_detectors::scenario::{ReportCache, Runner};
 
 const USAGE: &str = "\
@@ -174,81 +174,24 @@ fn runner_for(threads: usize) -> Runner {
     }
 }
 
-/// A fresh report cache. Leaked: `Runner::with_cache` wants `'static`, and
-/// the bin runs one campaign per process.
-fn new_cache() -> &'static ReportCache {
-    Box::leak(Box::new(ReportCache::new()))
-}
-
-/// `--store DIR`: an open run directory and the report cache it hydrated,
-/// which spills every newly computed cell back into it.
-struct StoreSession {
-    store: SweepStore,
+/// `--store DIR`: opens the run directory behind `cache` and says so.
+fn open_session(
+    dir: &str,
     cache: &'static ReportCache,
+    register: impl FnOnce(&SweepStore),
+) -> StoreSession {
+    let session = StoreSession::open(dir, cache, register)
+        .unwrap_or_else(|e| panic!("open --store {dir}: {e}"));
+    println!("{}", session.opened());
+    session
 }
 
-impl StoreSession {
-    /// Opens (or creates) `dir`, lets `register` record the campaign's
-    /// specs in its manifest, and hydrates `cache` from the cells on disk.
-    fn open(dir: &str, cache: &'static ReportCache, register: impl FnOnce(&SweepStore)) -> Self {
-        let store = SweepStore::open(dir).unwrap_or_else(|e| panic!("open --store {dir}: {e}"));
-        register(&store);
-        let hydrated = store.hydrate_into(cache);
-        cache.set_spill(Some(store.spill()));
-        // Commit the manifest before computing anything: a killed campaign
-        // then leaves a trusted, resumable run directory behind.
-        store
-            .commit_manifest()
-            .unwrap_or_else(|e| panic!("store commit manifest: {e}"));
-        println!(
-            "store: opened {dir} — {} cell(s) on disk, {hydrated} hydrated, {} corrupt line(s){}",
-            store.loaded(),
-            store.corrupt(),
-            if store.archived_stale() {
-                ", stale shards archived"
-            } else {
-                ""
-            },
-        );
-        StoreSession { store, cache }
-    }
-
-    /// Records this invocation of `runs` runs, flushes and closes the
-    /// directory. With `resume`, aborts unless every run (for `search`,
-    /// shrink candidates included) was served from it.
-    fn close(self, runs: u64, wall_us: u64, resume: bool) {
-        let StoreSession { store, cache } = self;
-        let wrote = store.flush().unwrap_or_else(|e| panic!("store flush: {e}"));
-        store.record_invocation(InvocationRecord {
-            runs,
-            hits: cache.hits(),
-            misses: cache.misses(),
-            wrote,
-            wall_us,
-        });
-        let dir = store.dir().display().to_string();
-        store.close().unwrap_or_else(|e| panic!("store close: {e}"));
-        println!(
-            "store: closed {dir} — wrote {wrote} new cell(s), {} hits / {} misses this run \
-             ({} hydrated, {} capped)",
-            cache.hits(),
-            cache.misses(),
-            cache.hydrated(),
-            cache.capped_inserts(),
-        );
-        if resume {
-            assert!(
-                cache.hydrated() > 0,
-                "--resume: the store hydrated nothing (empty or mismatched run dir)"
-            );
-            assert_eq!(
-                cache.misses(),
-                0,
-                "--resume: cells were recomputed instead of served from the store"
-            );
-            assert_eq!(cache.hits(), runs, "--resume: not every run was a hit");
-            println!("store: resume verified — all {runs} runs served from the run directory");
-        }
+/// Closes the run directory and says what it wrote; aborts if `--resume`
+/// was asked for and the directory did not serve every run.
+fn close_session(session: StoreSession, runs: u64, wall_us: u64, resume: bool) {
+    match session.close(runs, wall_us, resume) {
+        Ok(line) => println!("{line}"),
+        Err(msg) => panic!("{msg}"),
     }
 }
 
@@ -271,9 +214,9 @@ fn run_search_cmd(o: SearchOpts) {
     // candidates, and the cache turns repeats into lookups. With --store
     // the cache additionally hydrates from / spills to the run directory,
     // making a killed campaign resumable without recomputing any cell.
-    let cache = new_cache();
+    let cache = fresh_cache();
     let session = o.store.as_deref().map(|dir| {
-        StoreSession::open(dir, cache, |store| {
+        open_session(dir, cache, |store| {
             for (i, spec) in fd_bench::generate(cfg).iter().enumerate() {
                 let scenario = fd_bench::scenario_for(spec);
                 store.register_spec(
@@ -321,7 +264,7 @@ fn run_search_cmd(o: SearchOpts) {
         );
     }
     if let Some(session) = session {
-        session.close(s.runs, wall_us, o.resume);
+        close_session(session, s.runs, wall_us, o.resume);
     }
     std::fs::write(&o.out, report.to_json_string()).expect("write witness report");
     println!("wrote {}", o.out);
@@ -358,7 +301,7 @@ fn run_sweep(o: MainOpts) {
     // --store DIR: the grid and stream cells hydrate from the run
     // directory and persist into it as they land.
     let session = o.store.as_deref().map(|dir| {
-        StoreSession::open(dir, new_cache(), |store| {
+        open_session(dir, fresh_cache(), |store| {
             let tag = {
                 use fd_detectors::scenario::Scenario as _;
                 fd_core::KsetScenario.cache_tag()
@@ -371,7 +314,7 @@ fn run_sweep(o: MainOpts) {
         })
     });
     let grid_runner = match &session {
-        Some(session) => runner.with_cache(session.cache),
+        Some(session) => runner.with_cache(session.cache()),
         None => runner,
     };
     // The run directory's invocation log keeps a wall time; the report
@@ -381,7 +324,7 @@ fn run_sweep(o: MainOpts) {
     let stream = fd_bench::streaming_sweep(o.stream, grid_runner);
     if let Some(session) = session {
         let runs = cells.iter().map(|c| c.runs).sum::<u64>() + stream.runs;
-        session.close(runs, t0.elapsed().as_micros() as u64, o.resume);
+        close_session(session, runs, t0.elapsed().as_micros() as u64, o.resume);
     }
     let report = SweepBenchReport {
         cells,

@@ -3,18 +3,19 @@
 //! Usage: `cargo run -p fd-bench --bin tables --release [-- --quick]
 //! [-- --store DIR]`
 //!
-//! `--store DIR` opens DIR as a durable run directory (see
-//! `fd_bench::store`): previously computed sweep cells hydrate the global
-//! report cache before the experiments run, and newly computed cells are
-//! persisted as they finish — rerunning with the same DIR resumes the
-//! swept experiments from disk.
+//! `--store DIR` opens DIR as a durable run directory (the same
+//! `fd_bench::StoreSession` as `sweep --store`): previously computed sweep
+//! cells hydrate the report cache before the experiments run, and newly
+//! computed cells are persisted as they finish — rerunning with the same
+//! DIR resumes the swept experiments from disk. Store status goes to
+//! stderr; stdout is the tables.
 //!
 //! An unknown flag, a repeated flag or a `--store` without a value prints
 //! the usage on stderr and exits with status 2 — nothing runs on a typo.
 
 use fd_bench::flags::{Flags, Known};
-use fd_bench::SweepStore;
-use fd_detectors::scenario::ReportCache;
+use fd_bench::{fresh_cache, StoreSession};
+use fd_detectors::scenario::Runner;
 
 const USAGE: &str = "usage: tables [--quick] [--store DIR]";
 
@@ -27,15 +28,18 @@ fn main() {
         std::process::exit(2);
     });
     let quick = flags.has("--quick");
-    let store = flags.text("--store").map(|dir| {
-        let store = SweepStore::open(dir).unwrap_or_else(|e| panic!("open --store {dir}: {e}"));
-        let hydrated = fd_bench::experiments::attach_store(&store);
-        eprintln!(
-            "store: opened {dir} — {} cell(s) on disk, {hydrated} hydrated",
-            store.loaded()
-        );
-        store
+    // --store DIR: the swept cells hydrate from the run directory and
+    // persist into it as they land.
+    let session = flags.text("--store").map(|dir| {
+        let session = StoreSession::open(dir, fresh_cache(), |_| {})
+            .unwrap_or_else(|e| panic!("open --store {dir}: {e}"));
+        eprintln!("{}", session.opened());
+        session
     });
+    let runner = match &session {
+        Some(session) => Runner::parallel().with_cache(session.cache()),
+        None => Runner::parallel(),
+    };
     println!(
         "# Experiment tables — Irreducibility and Additivity of Set \
          Agreement-oriented Failure Detector Classes (PODC 2006)"
@@ -45,19 +49,20 @@ fn main() {
         if quick { "quick" } else { "full" },
         fd_bench::experiments::seeds(quick)
     );
-    for table in fd_bench::all(quick) {
+    // The run directory's invocation log keeps a wall time; the tables do
+    // not.
+    let t0 = std::time::Instant::now();
+    for table in fd_bench::all(quick, runner) {
         println!("{table}");
     }
-    if let Some(store) = store {
-        let cache = ReportCache::global();
-        let dir = store.dir().display().to_string();
-        let summary = store.close().unwrap_or_else(|e| panic!("store close: {e}"));
-        eprintln!(
-            "store: closed {dir} — wrote {} new cell(s), {} hits / {} misses this run",
-            summary.wrote,
-            cache.hits(),
-            cache.misses(),
-        );
+    if let Some(session) = session {
+        // Every swept run is one cache lookup.
+        let cache = session.cache();
+        let runs = cache.hits() + cache.misses();
+        match session.close(runs, t0.elapsed().as_micros() as u64, false) {
+            Ok(line) => eprintln!("{line}"),
+            Err(msg) => panic!("{msg}"),
+        }
     }
 }
 

@@ -4,26 +4,34 @@
 //! [`Table`]; the `tables` binary prints them all (see "Quickstart" in
 //! README.md).
 //!
-//! Every simulated experiment is driven by the unified scenario engine:
-//! a [`ScenarioSpec`] names the configuration, the work-stealing [`Runner`]
-//! streams it seed by seed (in parallel — results are identical to a
-//! sequential run), and `Runner::sweep_summary` / `Runner::sweep_fold`
+//! Every swept experiment is driven by the unified scenario engine: a
+//! [`ScenarioSpec`] names the configuration, the [`Runner`] the caller
+//! hands in streams it seed by seed (in parallel — results are identical to
+//! a sequential run), and `Runner::sweep_summary` / `Runner::sweep_fold`
 //! condense each run into a [`SweepSummary`] cell the moment it finishes,
-//! so no experiment retains per-run traces. The remaining bespoke loops
-//! (E1, E2, E6) audit oracles or search for witness runs, which is
-//! inherently scenario-free work.
+//! so no experiment retains per-run traces. When the runner carries a
+//! [`ReportCache`](fd_detectors::scenario::ReportCache) with a store
+//! session behind it (`tables --store`), every swept cell persists as it
+//! lands and a rerun resumes those cells from disk.
+//!
+//! E1, E2 and E6 do not sweep a `(spec, seed)` grid: E1 audits oracles and
+//! adapters directly (no automaton runs), E2 and E6 hunt for a witness run
+//! and stop at the first seed that shows one. E11 reads the per-instance
+//! statistics of `run_repeated`, which a slim report does not carry. None
+//! of the four flows through the runner, so its cache and the store never
+//! see them and they recompute on every invocation.
 
 use crate::table::Table;
 use fd_core::lower_bound;
 use fd_core::spec;
 use fd_core::{ConsensusScenario, KsetScenario};
 use fd_detectors::scenario::{
-    default_proposals, sample_oracle, CrashPlan, Flavour, ReportCache, Runner, SampledSlot,
-    Scenario, ScenarioSpec, SweepSummary,
+    default_proposals, sample_oracle, CrashPlan, Flavour, Runner, SampledSlot, Scenario,
+    ScenarioSpec, SweepSummary,
 };
 use fd_detectors::{check, OmegaOracle, PerfectOracle, PhiOracle, Scope, SxOracle};
 use fd_grid::pipeline::PipelineScenario;
-use fd_sim::{FailurePattern, SplitMix64, Time};
+use fd_sim::{FailurePattern, OracleSuite, SplitMix64, Time, Trace};
 use fd_transforms::witness;
 use fd_transforms::{
     AdditionScenario, OmegaToDiamondS, PToPhi, PhiToP, Substrate, TwParams, TwoWheelsScenario,
@@ -39,29 +47,6 @@ pub fn seeds(quick: bool) -> u64 {
     }
 }
 
-/// The runner every experiment sweeps with: parallel, and backed by the
-/// process-wide [`ReportCache::global`] so overlapping grids across
-/// experiments (the E4/E10 sharing pattern) and repeated invocations of
-/// one experiment compute each `(spec, seed)` cell exactly once — a cache
-/// hit folds the stored report, bit-identical to a fresh run.
-fn runner() -> Runner {
-    Runner::parallel().with_cache(ReportCache::global())
-}
-
-/// Makes the experiment suite durable: hydrates the global report cache
-/// from `store` and registers its spill hook, so every swept experiment
-/// cell is persisted into the run directory as it is computed and a rerun
-/// against the same directory resumes from disk (the `tables` binary's
-/// `--store DIR`). Returns the number of cells hydrated. The bespoke
-/// oracle-audit loops (E1, E2, E6) don't flow through the runner, so they
-/// recompute regardless — by design, they are scenario-free.
-pub fn attach_store(store: &crate::store::SweepStore) -> usize {
-    let cache = ReportCache::global();
-    let hydrated = store.hydrate_into(cache);
-    cache.set_spill(Some(store.spill()));
-    hydrated
-}
-
 fn random_fp(n: usize, t: usize, seed: u64, horizon: Time) -> FailurePattern {
     CrashPlan::Anarchic { by: horizon }.materialize(n, t, seed)
 }
@@ -69,124 +54,70 @@ fn random_fp(n: usize, t: usize, seed: u64, horizon: Time) -> FailurePattern {
 /// **E1 — Figure 1 grid, bold arrows.** Every structural reduction's output
 /// is sampled over adversarial runs and checked against the target class.
 pub fn e1_grid_reductions(quick: bool) -> Table {
+    const N: usize = 6;
+    const T: usize = 2; // resilience bound
+    const HORIZON: Time = Time(8_000);
+    const GST: Time = Time(1_000);
+    fn sample<O: OracleSuite>(mut oracle: O, fp: &FailurePattern, which: SampledSlot) -> Trace {
+        sample_oracle(&mut oracle, fp, HORIZON, 13, which)
+    }
+    /// One bold arrow: its label, the mechanism realising it, and the audit
+    /// of one adversarial run — build the source-class oracle (under its
+    /// adapter, if the arrow has one) over `fp` from `seed`, and check what
+    /// it outputs against the target class.
+    type Arrow = (&'static str, &'static str, fn(&FailurePattern, u64) -> bool);
+    let arrows: &[Arrow] = &[
+        // The identity arrows are checked by verifying the stronger
+        // oracle's samples against the weaker class.
+        ("S_3 → S_2, S_3 → ◇S_3", "identity", |fp, seed| {
+            let o = SxOracle::new(fp.clone(), T, 3, Scope::Perpetual, seed);
+            let tr = sample(o, fp, SampledSlot::Suspected);
+            check::s_x(&tr, fp, 2, 500, 0).ok && check::diamond_s_x(&tr, fp, 3, 500).ok
+        }),
+        ("◇S_3 → ◇S_2", "identity", |fp, seed| {
+            let o = SxOracle::new(fp.clone(), T, 3, Scope::Eventual(GST), seed);
+            check::diamond_s_x(&sample(o, fp, SampledSlot::Suspected), fp, 2, 500).ok
+        }),
+        ("Ω_2 → Ω_3", "identity", |fp, seed| {
+            let o = OmegaOracle::new(fp.clone(), 2, GST, seed);
+            check::omega_z(&sample(o, fp, SampledSlot::Trusted), fp, 3, 500).ok
+        }),
+        ("φ_2 → φ_1", "WeakenPhi adapter", |fp, seed| {
+            let inner = PhiOracle::new(fp.clone(), T, 2, Scope::Perpetual, seed);
+            let mut weak = WeakenPhi::new(inner, T, 1);
+            check::audit_phi(&mut weak, fp, T, 1, Time::ZERO, HORIZON).ok
+        }),
+        ("Ω_1 → ◇S", "suspect Π \\ trusted", |fp, seed| {
+            let ds = OmegaToDiamondS::new(OmegaOracle::new(fp.clone(), 1, GST, seed), N);
+            check::diamond_s_x(&sample(ds, fp, SampledSlot::Suspected), fp, N, 500).ok
+        }),
+        ("φ_t → P", "singleton queries", |fp, seed| {
+            let inner = PhiOracle::new(fp.clone(), T, T, Scope::Perpetual, seed);
+            let p = PhiToP::new(inner, N);
+            check::perfect_p(&sample(p, fp, SampledSlot::Suspected), fp, 500).ok
+        }),
+        ("P → φ_t", "X ⊆ suspected", |fp, seed| {
+            let inner = PerfectOracle::new(fp.clone(), Scope::Perpetual, seed);
+            let mut phi = PToPhi::new(inner, T);
+            check::audit_phi(&mut phi, fp, T, T, Time::ZERO, HORIZON).ok
+        }),
+    ];
     let mut t = Table::new(
         "E1 — Figure 1 grid, reductions (bold arrows)",
         &["arrow", "mechanism", "runs", "pass"],
     );
-    let n = 6;
-    let tt = 2; // resilience bound
-    let horizon = Time(8_000);
-    let gst = Time(1_000);
     let runs = seeds(quick);
-
-    // S_x → S_{x−1}, ◇S_x → ◇S_{x−1}, S_x → ◇S_x: identity, checked by
-    // verifying the stronger oracle's samples against the weaker class.
-    let mut pass = 0;
-    for seed in 0..runs {
-        let fp = random_fp(n, tt, seed, Time(2_000));
-        let mut o = SxOracle::new(fp.clone(), tt, 3, Scope::Perpetual, seed);
-        let tr = sample_oracle(&mut o, &fp, horizon, 13, SampledSlot::Suspected);
-        let ok = check::s_x(&tr, &fp, 2, 500, 0).ok && check::diamond_s_x(&tr, &fp, 3, 500).ok;
-        pass += ok as u64;
+    for &(arrow, mechanism, audit) in arrows {
+        let pass = (0..runs)
+            .filter(|&seed| audit(&random_fp(N, T, seed, Time(2_000)), seed))
+            .count();
+        t.row(vec![
+            arrow.into(),
+            mechanism.into(),
+            runs.to_string(),
+            pass.to_string(),
+        ]);
     }
-    t.row(vec![
-        "S_3 → S_2, S_3 → ◇S_3".into(),
-        "identity".into(),
-        runs.to_string(),
-        pass.to_string(),
-    ]);
-
-    // ◇S_{x} → ◇S_{x-1}.
-    let mut pass = 0;
-    for seed in 0..runs {
-        let fp = random_fp(n, tt, seed, Time(2_000));
-        let mut o = SxOracle::new(fp.clone(), tt, 3, Scope::Eventual(gst), seed);
-        let tr = sample_oracle(&mut o, &fp, horizon, 13, SampledSlot::Suspected);
-        pass += check::diamond_s_x(&tr, &fp, 2, 500).ok as u64;
-    }
-    t.row(vec![
-        "◇S_3 → ◇S_2".into(),
-        "identity".into(),
-        runs.to_string(),
-        pass.to_string(),
-    ]);
-
-    // Ω_z → Ω_{z+1}: identity.
-    let mut pass = 0;
-    for seed in 0..runs {
-        let fp = random_fp(n, tt, seed, Time(2_000));
-        let mut o = OmegaOracle::new(fp.clone(), 2, gst, seed);
-        let tr = sample_oracle(&mut o, &fp, horizon, 13, SampledSlot::Trusted);
-        pass += check::omega_z(&tr, &fp, 3, 500).ok as u64;
-    }
-    t.row(vec![
-        "Ω_2 → Ω_3".into(),
-        "identity".into(),
-        runs.to_string(),
-        pass.to_string(),
-    ]);
-
-    // φ_2 → φ_1: WeakenPhi adapter, audited directly.
-    let mut pass = 0;
-    for seed in 0..runs {
-        let fp = random_fp(n, tt, seed, Time(2_000));
-        let inner = PhiOracle::new(fp.clone(), tt, 2, Scope::Perpetual, seed);
-        let mut weak = WeakenPhi::new(inner, tt, 1);
-        pass += check::audit_phi(&mut weak, &fp, tt, 1, Time::ZERO, horizon).ok as u64;
-    }
-    t.row(vec![
-        "φ_2 → φ_1".into(),
-        "WeakenPhi adapter".into(),
-        runs.to_string(),
-        pass.to_string(),
-    ]);
-
-    // Ω_1 → ◇S: complement adapter.
-    let mut pass = 0;
-    for seed in 0..runs {
-        let fp = random_fp(n, tt, seed, Time(2_000));
-        let inner = OmegaOracle::new(fp.clone(), 1, gst, seed);
-        let mut ds = OmegaToDiamondS::new(inner, n);
-        let tr = sample_oracle(&mut ds, &fp, horizon, 13, SampledSlot::Suspected);
-        pass += check::diamond_s_x(&tr, &fp, n, 500).ok as u64;
-    }
-    t.row(vec![
-        "Ω_1 → ◇S".into(),
-        "suspect Π \\ trusted".into(),
-        runs.to_string(),
-        pass.to_string(),
-    ]);
-
-    // φ_t → P: singleton-query adapter.
-    let mut pass = 0;
-    for seed in 0..runs {
-        let fp = random_fp(n, tt, seed, Time(2_000));
-        let inner = PhiOracle::new(fp.clone(), tt, tt, Scope::Perpetual, seed);
-        let mut p = PhiToP::new(inner, n);
-        let tr = sample_oracle(&mut p, &fp, horizon, 13, SampledSlot::Suspected);
-        pass += check::perfect_p(&tr, &fp, 500).ok as u64;
-    }
-    t.row(vec![
-        "φ_t → P".into(),
-        "singleton queries".into(),
-        runs.to_string(),
-        pass.to_string(),
-    ]);
-
-    // P → φ_t: subset-of-suspected adapter.
-    let mut pass = 0;
-    for seed in 0..runs {
-        let fp = random_fp(n, tt, seed, Time(2_000));
-        let inner = PerfectOracle::new(fp.clone(), Scope::Perpetual, seed);
-        let mut phi = PToPhi::new(inner, tt);
-        pass += check::audit_phi(&mut phi, &fp, tt, tt, Time::ZERO, horizon).ok as u64;
-    }
-    t.row(vec![
-        "P → φ_t".into(),
-        "X ⊆ suspected".into(),
-        runs.to_string(),
-        pass.to_string(),
-    ]);
     t.note("paper claim: every bold arrow of Figure 1 is a valid reduction — expect pass = runs");
     t
 }
@@ -258,7 +189,7 @@ pub fn e2_irreducibility(quick: bool) -> Table {
 /// **E3 — Figure 2 / Theorem 7: the additivity boundary.** Sweep `(x, y)`;
 /// at `z = t+2−x−y` the construction must pass, at `z−1` it must fail for
 /// some run.
-pub fn e3_additivity_boundary(quick: bool) -> Table {
+pub fn e3_additivity_boundary(quick: bool, r: Runner) -> Table {
     let mut t = Table::new(
         "E3 — additivity boundary: ◇S_x + ◇φ_y → Ω_z iff x+y+z ≥ t+2 (Figure 2, Thm 7)",
         &["n", "t", "x", "y", "z=t+2−x−y", "pass@z", "fail found @z−1"],
@@ -266,7 +197,6 @@ pub fn e3_additivity_boundary(quick: bool) -> Table {
     let n = 5;
     let tt = 2;
     let runs = seeds(quick);
-    let r = runner();
     for x in 1..=3usize {
         for y in 0..=2usize {
             if x + y > tt + 1 {
@@ -314,7 +244,7 @@ pub fn e3_additivity_boundary(quick: bool) -> Table {
 }
 
 /// **E4 — Figure 3 / Theorems 1–4: Ω_k-based k-set agreement.**
-pub fn e4_kset(quick: bool) -> Table {
+pub fn e4_kset(quick: bool, r: Runner) -> Table {
     let mut t = Table::new(
         "E4 — Ω_k-based k-set agreement (Figure 3): spec checks and costs",
         &[
@@ -330,7 +260,6 @@ pub fn e4_kset(quick: bool) -> Table {
         ],
     );
     let runs = seeds(quick);
-    let r = runner();
     for &(n, tt) in &[(5usize, 2usize), (7, 3), (9, 4)] {
         for k in 1..=tt {
             for &f in &[0usize, tt] {
@@ -360,13 +289,12 @@ pub fn e4_kset(quick: bool) -> Table {
 }
 
 /// **E5 — §3.2: oracle efficiency and zero degradation.**
-pub fn e5_zero_degradation(quick: bool) -> Table {
+pub fn e5_zero_degradation(quick: bool, r: Runner) -> Table {
     let mut t = Table::new(
         "E5 — oracle efficiency & zero degradation (§3.2)",
         &["scenario", "runs", "decided in round 1"],
     );
     let runs = seeds(quick) * 2;
-    let r = runner();
     let rows: &[(&str, ScenarioSpec)] = &[
         (
             "perfect Ω_1, no crashes (oracle efficiency)",
@@ -451,7 +379,7 @@ pub fn e6_lower_bounds(quick: bool) -> Table {
 }
 
 /// **E7 — Figures 4–7: wheel convergence and quiescence.**
-pub fn e7_wheels(quick: bool) -> Table {
+pub fn e7_wheels(quick: bool, r: Runner) -> Table {
     let mut t = Table::new(
         "E7 — two-wheels behaviour (Figures 4–7): convergence and quiescence",
         &[
@@ -469,7 +397,6 @@ pub fn e7_wheels(quick: bool) -> Table {
     let n = 5;
     let tt = 2;
     let runs = seeds(quick);
-    let r = runner();
     for &(x, y) in &[(1usize, 1usize), (2, 0), (2, 1), (3, 0), (1, 2), (3, 1)] {
         if x + y > tt + 1 {
             continue;
@@ -514,7 +441,7 @@ pub fn e7_wheels(quick: bool) -> Table {
 }
 
 /// **E8 — Figure 8 / Theorem 12: Ψ_y → Ω_z at and below the bound.**
-pub fn e8_psi(quick: bool) -> Table {
+pub fn e8_psi(quick: bool, r: Runner) -> Table {
     let mut t = Table::new(
         "E8 — Ψ_y → Ω_z (Figure 8): y + z ≥ t + 1 is tight (Thm 12)",
         &["n", "t", "y", "z", "y+z", "runs", "Ω_z pass"],
@@ -522,7 +449,6 @@ pub fn e8_psi(quick: bool) -> Table {
     let n = 5;
     let tt = 2;
     let runs = seeds(quick);
-    let r = runner();
     for &(y, z) in &[(1usize, 2usize), (2, 1), (1, 1), (2, 2)] {
         let crashes = if y + z <= tt {
             // Below the bound: use the witness pattern that elects a
@@ -558,7 +484,7 @@ pub fn e8_psi(quick: bool) -> Table {
 
 /// **E9 — Figure 9 / Theorem 13: φ_y + S_x → S at and below the bound,
 /// shared-memory and message-passing.**
-pub fn e9_addition(quick: bool) -> Table {
+pub fn e9_addition(quick: bool, r: Runner) -> Table {
     let mut t = Table::new(
         "E9 — φ_y + S_x → S (Figure 9): x + y > t is tight (Thm 13)",
         &["substrate", "flavour", "x", "y", "x+y", "runs", "S/◇S pass"],
@@ -566,7 +492,6 @@ pub fn e9_addition(quick: bool) -> Table {
     let n = 5;
     let tt = 2;
     let runs = seeds(quick);
-    let r = runner();
     for &(x, y) in &[(2usize, 1usize), (1, 2), (2, 2)] {
         let base = ScenarioSpec::new(n, tt)
             .x(x)
@@ -633,7 +558,7 @@ pub fn e9_addition(quick: bool) -> Table {
 
 /// **E10 — baselines: Figure 3 at k=1 vs MR ◇S consensus vs the full
 /// pipeline (◇S_x + ◇φ_y → Ω_1 → consensus).**
-pub fn e10_baselines(quick: bool) -> Table {
+pub fn e10_baselines(quick: bool, r: Runner) -> Table {
     let mut t = Table::new(
         "E10 — consensus baselines: rounds / messages / decision time",
         &[
@@ -649,7 +574,6 @@ pub fn e10_baselines(quick: bool) -> Table {
     let n = 5;
     let tt = 2;
     let runs = seeds(quick);
-    let r = runner();
     let crashy = KsetScenario::spec(n, tt, 1)
         .gst(Time(400))
         .crashes(CrashPlan::Random {
@@ -751,14 +675,13 @@ pub fn e11_repeated(quick: bool) -> Table {
 /// **E12 — ablation: the wheels' broadcast throttle.** Both variants are
 /// correct; the throttle (one X_MOVE/L_MOVE per pair instance) is what
 /// keeps message counts near the information-theoretic minimum.
-pub fn e12_throttle_ablation(quick: bool) -> Table {
+pub fn e12_throttle_ablation(quick: bool, r: Runner) -> Table {
     let mut t = Table::new(
         "E12 — ablation: one-broadcast-per-pair-instance throttle in the wheels",
         &["variant", "runs", "Ω_z pass", "avg X_MOVE", "avg L_MOVE"],
     );
     let params = TwParams::optimal(5, 2, 2, 0); // z = 2, ◇S_2 alone
     let runs = seeds(quick).min(8);
-    let r = runner();
     for &(throttled, label) in &[
         (true, "throttled (default)"),
         (false, "paper-literal re-broadcast"),
@@ -793,21 +716,22 @@ pub fn e12_throttle_ablation(quick: bool) -> Table {
     t
 }
 
-/// Runs every experiment.
-pub fn all(quick: bool) -> Vec<Table> {
+/// Runs every experiment; the swept ones (E3–E5, E7–E10, E12) through
+/// `runner`.
+pub fn all(quick: bool, runner: Runner) -> Vec<Table> {
     vec![
         e1_grid_reductions(quick),
         e2_irreducibility(quick),
-        e3_additivity_boundary(quick),
-        e4_kset(quick),
-        e5_zero_degradation(quick),
+        e3_additivity_boundary(quick, runner),
+        e4_kset(quick, runner),
+        e5_zero_degradation(quick, runner),
         e6_lower_bounds(quick),
-        e7_wheels(quick),
-        e8_psi(quick),
-        e9_addition(quick),
-        e10_baselines(quick),
+        e7_wheels(quick, runner),
+        e8_psi(quick, runner),
+        e9_addition(quick, runner),
+        e10_baselines(quick, runner),
         e11_repeated(quick),
-        e12_throttle_ablation(quick),
+        e12_throttle_ablation(quick, runner),
     ]
 }
 
@@ -817,7 +741,7 @@ mod tests {
 
     #[test]
     fn quick_e5_all_single_round() {
-        let t = e5_zero_degradation(true);
+        let t = e5_zero_degradation(true, Runner::parallel());
         // Perfect-oracle rows decide in round 1 in every run.
         assert!(t.rows[0][2].starts_with(&format!("{}", seeds(true) * 2)));
         assert!(t.rows[1][2].starts_with(&format!("{}", seeds(true) * 2)));
@@ -825,7 +749,7 @@ mod tests {
 
     #[test]
     fn quick_e8_boundary_row_fails() {
-        let t = e8_psi(true);
+        let t = e8_psi(true, Runner::parallel());
         // Row with y+z = 2 (y=1, z=1) must have 0 passes.
         let row = t.rows.iter().find(|r| r[4] == "2").unwrap();
         assert!(row[6].starts_with("0/"), "boundary row passed: {row:?}");

@@ -171,6 +171,44 @@ impl Json {
     }
 }
 
+/// Typed member access for documents that are read once into a struct
+/// (manifests, witness files): each accessor is `get` + `as_…` with an
+/// `Err` that names the key and the type the caller wanted.
+impl Json {
+    /// The member `key` of an object.
+    pub fn at(&self, key: &str) -> Result<&Json, String> {
+        self.get(key).ok_or_else(|| format!("missing `{key}`"))
+    }
+
+    /// The member `key`, which must be a number that fits a `u64`.
+    pub fn u64_at(&self, key: &str) -> Result<u64, String> {
+        self.at(key)?
+            .as_u64()
+            .ok_or_else(|| format!("`{key}` is not a u64"))
+    }
+
+    /// The member `key`, which must be a string.
+    pub fn str_at(&self, key: &str) -> Result<&str, String> {
+        self.at(key)?
+            .as_str()
+            .ok_or_else(|| format!("`{key}` is not a string"))
+    }
+
+    /// The member `key`, which must be a bool.
+    pub fn bool_at(&self, key: &str) -> Result<bool, String> {
+        self.at(key)?
+            .as_bool()
+            .ok_or_else(|| format!("`{key}` is not a bool"))
+    }
+
+    /// The member `key`, which must be an array.
+    pub fn arr_at(&self, key: &str) -> Result<&[Json], String> {
+        self.at(key)?
+            .as_arr()
+            .ok_or_else(|| format!("`{key}` is not an array"))
+    }
+}
+
 /// Convenience constructors for building values to emit.
 impl Json {
     /// A number value from a `u64`.

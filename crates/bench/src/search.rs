@@ -836,61 +836,82 @@ impl MinimalWitness {
     }
 
     /// Parses a witness document (inverse of [`MinimalWitness::to_json`]).
+    /// A document whose spec steps outside what the engine's constructors
+    /// accept is an `Err` naming the field, never a panic at replay.
     pub fn from_json(doc: &Json) -> Result<MinimalWitness, String> {
-        let schema = doc
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or("witness: missing schema")?;
+        let schema = doc.str_at("schema")?;
         if schema != WITNESS_SCHEMA {
-            return Err(format!("witness: unknown schema {schema:?}"));
+            return Err(format!("unknown schema {schema:?}"));
         }
-        let field = |k: &str| doc.get(k).ok_or_else(|| format!("witness: missing {k}"));
-        let str_field = |k: &str| {
-            field(k).and_then(|v| {
-                v.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("witness: {k} is not a string"))
+        let class_name = doc.str_at("class")?;
+        let class = ViolationClass::from_name(class_name)
+            .ok_or_else(|| format!("unknown class {class_name:?}"))?;
+        let shrink_steps = members(doc, "shrink_steps", |step| {
+            Ok(ShrinkStepRecord {
+                pass: step.str_at("pass")?.to_string(),
+                description: step.str_at("description")?.to_string(),
             })
-        };
-        let u64_field = |k: &str| {
-            field(k).and_then(|v| {
-                v.as_u64()
-                    .ok_or_else(|| format!("witness: {k} is not a u64"))
-            })
-        };
-        let class_name = str_field("class")?;
-        let class = ViolationClass::from_name(&class_name)
-            .ok_or_else(|| format!("witness: unknown class {class_name:?}"))?;
-        let mut shrink_steps = Vec::new();
-        for step in field("shrink_steps")?
-            .as_arr()
-            .ok_or("witness: shrink_steps is not an array")?
-        {
-            shrink_steps.push(ShrinkStepRecord {
-                pass: step
-                    .get("pass")
-                    .and_then(Json::as_str)
-                    .ok_or("witness: step missing pass")?
-                    .to_string(),
-                description: step
-                    .get("description")
-                    .and_then(Json::as_str)
-                    .ok_or("witness: step missing description")?
-                    .to_string(),
-            });
-        }
+        })?;
         Ok(MinimalWitness {
-            scenario: str_field("scenario")?,
-            description: str_field("description")?,
-            fingerprint: u64_field("fingerprint")?,
-            seed: u64_field("seed")?,
+            scenario: doc.str_at("scenario")?.to_string(),
+            description: doc.str_at("description")?.to_string(),
+            fingerprint: doc.u64_at("fingerprint")?,
+            seed: doc.u64_at("seed")?,
             class,
-            detail: str_field("detail")?,
-            events: u64_field("events")?,
+            detail: doc.str_at("detail")?.to_string(),
+            events: doc.u64_at("events")?,
             shrink_steps,
-            spec: spec_from_json(field("spec")?)?,
+            spec: member(doc, "spec", spec_from_json)?,
         })
     }
+}
+
+/// Decodes the member `key` of `doc`; an error from inside it is prefixed
+/// with the key, so nested failures read as a path (`spec: adversary[0]:
+/// `pct` is 300 …`).
+fn member<T>(
+    doc: &Json,
+    key: &str,
+    decode: impl FnOnce(&Json) -> Result<T, String>,
+) -> Result<T, String> {
+    decode(doc.at(key)?).map_err(|e| format!("{key}: {e}"))
+}
+
+/// Decodes every element of the array member `key` of `doc`.
+fn members<T>(
+    doc: &Json,
+    key: &str,
+    decode: impl Fn(&Json) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    doc.arr_at(key)?
+        .iter()
+        .enumerate()
+        .map(|(i, item)| decode(item).map_err(|e| format!("{key}[{i}]: {e}")))
+        .collect()
+}
+
+/// The member `key` as a count that must lie in `range`; `why` says who
+/// requires it. Witness files are outside input: a value the engine's
+/// constructors would assert on fails the load here, by name.
+fn bounded_at(
+    doc: &Json,
+    key: &str,
+    range: std::ops::RangeInclusive<u64>,
+    why: &str,
+) -> Result<usize, String> {
+    let v = doc.u64_at(key)?;
+    if range.contains(&v) {
+        // The callers' ranges end at `MAX_PROCESSES` or 100.
+        Ok(v as usize)
+    } else {
+        let (lo, hi) = range.into_inner();
+        Err(format!("`{key}` is {v}, outside {lo}..={hi} ({why})"))
+    }
+}
+
+/// The member `key` as a percentage.
+fn pct_at(doc: &Json, key: &str) -> Result<u8, String> {
+    bounded_at(doc, key, 0..=100, "a percentage").map(|pct| pct as u8)
 }
 
 fn pset_to_json(set: PSet) -> Json {
@@ -905,14 +926,14 @@ fn pset_from_json(doc: &Json) -> Result<PSet, String> {
     if doc.as_str() == Some("all") {
         return Ok(PSet::full(MAX_PROCESSES));
     }
-    let ids = doc.as_arr().ok_or("pset: not \"all\" or an id array")?;
+    let ids = doc.as_arr().ok_or("not \"all\" or an id array")?;
     let mut set = PSet::new();
     for id in ids {
-        let id = id.as_u64().ok_or("pset: non-numeric id")? as usize;
-        if id >= MAX_PROCESSES {
-            return Err(format!("pset: id {id} out of range"));
-        }
-        set.insert(ProcessId(id));
+        match id.as_u64() {
+            Some(id) if id < MAX_PROCESSES as u64 => set.insert(ProcessId(id as usize)),
+            Some(id) => return Err(format!("id {id} out of range")),
+            None => return Err("non-numeric id".into()),
+        };
     }
     Ok(set)
 }
@@ -946,7 +967,7 @@ fn oracle_from_tag(tag: &str) -> Result<OracleChoice, String> {
         "sx_plus_phi:eventual" => OracleChoice::SxPlusPhi(Flavour::Eventual),
         "perfect:perpetual" => OracleChoice::Perfect(Flavour::Perpetual),
         "perfect:eventual" => OracleChoice::Perfect(Flavour::Eventual),
-        other => return Err(format!("spec: unknown oracle {other:?}")),
+        other => return Err(format!("unknown oracle {other:?}")),
     })
 }
 
@@ -979,33 +1000,30 @@ fn crashes_to_json(crashes: &CrashPlan) -> Json {
     }
 }
 
-fn crashes_from_json(doc: &Json) -> Result<CrashPlan, String> {
-    let kind = doc
-        .get("kind")
-        .and_then(Json::as_str)
-        .ok_or("crashes: missing kind")?;
-    let u64_field = |k: &str| {
-        doc.get(k)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("crashes: missing {k}"))
-    };
-    Ok(match kind {
+/// `t` bounds the crash count of the randomized plans and `n` the churn
+/// plan, exactly as `CrashPlan::materialize` asserts.
+fn crashes_from_json(doc: &Json, n: usize, t: usize) -> Result<CrashPlan, String> {
+    let f_at = |key| bounded_at(doc, key, 0..=t as u64, "crashes exceed the bound t");
+    Ok(match doc.str_at("kind")? {
         "none" => CrashPlan::None,
         "random" => CrashPlan::Random {
-            f: u64_field("f")? as usize,
-            by: Time(u64_field("by")?),
+            f: f_at("f")?,
+            by: Time(doc.u64_at("by")?),
         },
-        "initial" => CrashPlan::Initial {
-            f: u64_field("f")? as usize,
-        },
+        "initial" => CrashPlan::Initial { f: f_at("f")? },
         "anarchic" => CrashPlan::Anarchic {
-            by: Time(u64_field("by")?),
+            by: Time(doc.u64_at("by")?),
         },
+        "churn" if 2 * t > n => {
+            return Err(format!(
+                "`kind` is churn, which needs 2t ≤ n (t = {t}, n = {n})"
+            ))
+        }
         "churn" => CrashPlan::Churn {
-            crash_by: Time(u64_field("crash_by")?),
-            rejoin_after: u64_field("rejoin_after")?,
+            crash_by: Time(doc.u64_at("crash_by")?),
+            rejoin_after: doc.u64_at("rejoin_after")?,
         },
-        other => return Err(format!("crashes: unportable kind {other:?}")),
+        other => return Err(format!("unportable kind {other:?}")),
     })
 }
 
@@ -1033,28 +1051,19 @@ fn delay_to_json(delay: &DelayModel) -> Json {
 }
 
 fn delay_from_json(doc: &Json) -> Result<DelayModel, String> {
-    let kind = doc
-        .get("kind")
-        .and_then(Json::as_str)
-        .ok_or("delay: missing kind")?;
-    let u64_field = |k: &str| {
-        doc.get(k)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("delay: missing {k}"))
-    };
-    Ok(match kind {
-        "fixed" => DelayModel::Fixed(u64_field("d")?),
+    Ok(match doc.str_at("kind")? {
+        "fixed" => DelayModel::Fixed(doc.u64_at("d")?),
         "uniform" => DelayModel::Uniform {
-            lo: u64_field("lo")?,
-            hi: u64_field("hi")?,
+            lo: doc.u64_at("lo")?,
+            hi: doc.u64_at("hi")?,
         },
         "spiky" => DelayModel::Spiky {
-            lo: u64_field("lo")?,
-            hi: u64_field("hi")?,
-            spike_pct: u64_field("spike_pct")? as u8,
-            factor: u64_field("factor")?,
+            lo: doc.u64_at("lo")?,
+            hi: doc.u64_at("hi")?,
+            spike_pct: pct_at(doc, "spike_pct")?,
+            factor: doc.u64_at("factor")?,
         },
-        other => return Err(format!("delay: unknown kind {other:?}")),
+        other => return Err(format!("unknown kind {other:?}")),
     })
 }
 
@@ -1072,17 +1081,12 @@ fn delay_rule_to_json(rule: &DelayRule) -> Json {
 }
 
 fn delay_rule_from_json(doc: &Json) -> Result<DelayRule, String> {
-    let u64_field = |k: &str| {
-        doc.get(k)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("delay rule: missing {k}"))
-    };
     Ok(DelayRule {
-        from: pset_from_json(doc.get("from").ok_or("delay rule: missing from")?)?,
-        to: pset_from_json(doc.get("to").ok_or("delay rule: missing to")?)?,
-        active_from: Time(u64_field("active_from")?),
-        active_to: Time(u64_field("active_to")?),
-        deliver_not_before: Time(u64_field("deliver_not_before")?),
+        from: member(doc, "from", pset_from_json)?,
+        to: member(doc, "to", pset_from_json)?,
+        active_from: Time(doc.u64_at("active_from")?),
+        active_to: Time(doc.u64_at("active_to")?),
+        deliver_not_before: Time(doc.u64_at("deliver_not_before")?),
     })
 }
 
@@ -1107,26 +1111,21 @@ fn message_rule_to_json(rule: &MessageRule) -> Json {
 }
 
 fn message_rule_from_json(doc: &Json) -> Result<MessageRule, String> {
-    let u64_field = |k: &str| {
-        doc.get(k)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("message rule: missing {k}"))
-    };
-    let action = match doc.get("action").and_then(Json::as_str) {
-        Some("drop") => RuleAction::Drop,
-        Some("duplicate") => RuleAction::Duplicate,
-        Some("corrupt") => RuleAction::Corrupt {
-            bound: u64_field("bound")?,
+    let action = match doc.str_at("action")? {
+        "drop" => RuleAction::Drop,
+        "duplicate" => RuleAction::Duplicate,
+        "corrupt" => RuleAction::Corrupt {
+            bound: doc.u64_at("bound")?,
         },
-        other => return Err(format!("message rule: unknown action {other:?}")),
+        other => return Err(format!("unknown action {other:?}")),
     };
     Ok(MessageRule {
         action,
-        pct: u64_field("pct")? as u8,
-        from: pset_from_json(doc.get("from").ok_or("message rule: missing from")?)?,
-        to: pset_from_json(doc.get("to").ok_or("message rule: missing to")?)?,
-        active_from: Time(u64_field("active_from")?),
-        active_to: Time(u64_field("active_to")?),
+        pct: pct_at(doc, "pct")?,
+        from: member(doc, "from", pset_from_json)?,
+        to: member(doc, "to", pset_from_json)?,
+        active_from: Time(doc.u64_at("active_from")?),
+        active_to: Time(doc.u64_at("active_to")?),
     })
 }
 
@@ -1165,134 +1164,123 @@ fn epoch_to_json(ep: &TopologyEpoch) -> Json {
 }
 
 fn epoch_from_json(doc: &Json) -> Result<TopologyEpoch, String> {
-    let u64_field = |k: &str| {
-        doc.get(k)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("epoch: missing {k}"))
-    };
-    let mut ep = TopologyEpoch::new(Time(u64_field("from")?), Time(u64_field("until")?));
-    for island in doc
-        .get("islands")
-        .and_then(Json::as_arr)
-        .ok_or("epoch: missing islands")?
-    {
-        ep.islands.push(pset_from_json(island)?);
-    }
-    for o in doc
-        .get("overrides")
-        .and_then(Json::as_arr)
-        .ok_or("epoch: missing overrides")?
-    {
-        let latency = match o.get("latency").ok_or("override: missing latency")? {
+    let mut ep = TopologyEpoch::new(Time(doc.u64_at("from")?), Time(doc.u64_at("until")?));
+    ep.islands = members(doc, "islands", pset_from_json)?;
+    ep.overrides = members(doc, "overrides", |o| {
+        let latency = match o.at("latency")? {
             Json::Null => None,
-            lat => {
-                let pair = lat.as_arr().ok_or("override: latency is not a pair")?;
-                match pair {
-                    [lo, hi] => Some((
-                        lo.as_u64().ok_or("override: bad latency lo")?,
-                        hi.as_u64().ok_or("override: bad latency hi")?,
-                    )),
-                    _ => return Err("override: latency is not a pair".into()),
-                }
-            }
+            Json::Arr(pair) => match pair.as_slice() {
+                [lo, hi] => Some((
+                    lo.as_u64().ok_or("latency lo is not a u64")?,
+                    hi.as_u64().ok_or("latency hi is not a u64")?,
+                )),
+                _ => return Err("`latency` is not a pair".into()),
+            },
+            _ => return Err("`latency` is not null or a pair".into()),
         };
-        ep.overrides.push(LinkOverride {
-            from: pset_from_json(o.get("from").ok_or("override: missing from")?)?,
-            to: pset_from_json(o.get("to").ok_or("override: missing to")?)?,
+        Ok(LinkOverride {
+            from: member(o, "from", pset_from_json)?,
+            to: member(o, "to", pset_from_json)?,
             latency,
-        });
-    }
+        })
+    })?;
     Ok(ep)
 }
 
 /// Encodes every behavior-relevant field of a spec as canonical JSON.
 /// Excluded by design: `seed` (carried at the witness level).
 pub fn spec_to_json(spec: &ScenarioSpec) -> Json {
+    // Exhaustive destructure, no `..` rest pattern (as in
+    // `ScenarioSpec::fingerprint`): a new spec field fails to compile here
+    // until the witness format carries it or names it as excluded.
+    let ScenarioSpec {
+        n,
+        t,
+        x,
+        y,
+        z,
+        k,
+        oracle,
+        crashes,
+        delay,
+        rules,
+        gst,
+        seed: _,
+        max_time,
+        max_steps,
+        adversary,
+        topology,
+        catch_up,
+    } = spec;
+    let count = |v: &usize| Json::num_u64(*v as u64);
     Json::obj([
-        ("n", Json::num_u64(spec.n as u64)),
-        ("t", Json::num_u64(spec.t as u64)),
-        ("x", Json::num_u64(spec.x as u64)),
-        ("y", Json::num_u64(spec.y as u64)),
-        ("z", Json::num_u64(spec.z as u64)),
-        ("k", Json::num_u64(spec.k as u64)),
-        ("oracle", Json::str(oracle_tag(spec.oracle))),
-        ("crashes", crashes_to_json(&spec.crashes)),
-        ("delay", delay_to_json(&spec.delay)),
+        ("n", count(n)),
+        ("t", count(t)),
+        ("x", count(x)),
+        ("y", count(y)),
+        ("z", count(z)),
+        ("k", count(k)),
+        ("oracle", Json::str(oracle_tag(*oracle))),
+        ("crashes", crashes_to_json(crashes)),
+        ("delay", delay_to_json(delay)),
         (
             "delay_rules",
-            Json::Arr(spec.rules.iter().map(delay_rule_to_json).collect()),
+            Json::Arr(rules.iter().map(delay_rule_to_json).collect()),
         ),
-        ("gst", Json::num_u64(spec.gst.0)),
-        ("max_time", Json::num_u64(spec.max_time.0)),
-        ("max_steps", Json::num_u64(spec.max_steps)),
+        ("gst", Json::num_u64(gst.0)),
+        ("max_time", Json::num_u64(max_time.0)),
+        ("max_steps", Json::num_u64(*max_steps)),
         (
             "adversary",
-            Json::Arr(
-                spec.adversary
-                    .rules()
-                    .iter()
-                    .map(message_rule_to_json)
-                    .collect(),
-            ),
+            Json::Arr(adversary.rules().iter().map(message_rule_to_json).collect()),
         ),
         (
             "topology",
-            Json::Arr(spec.topology.epochs().iter().map(epoch_to_json).collect()),
+            Json::Arr(topology.epochs().iter().map(epoch_to_json).collect()),
         ),
-        ("catch_up", Json::Bool(spec.catch_up)),
+        ("catch_up", Json::Bool(*catch_up)),
     ])
 }
 
 /// Parses a spec document (inverse of [`spec_to_json`]); the decoded
 /// spec fingerprints identically to the encoded one.
+///
+/// The document is outside input, so every parameter is held to what the
+/// constructors it will reach assert — `SimConfig::new` (`2 ≤ n`, `t < n`),
+/// `PSet` (`n ≤ MAX_PROCESSES`), `SxOracle` (`1 ≤ x ≤ n`), `PhiOracle`
+/// (`y ≤ t`), `OmegaOracle` (`1 ≤ z ≤ n`), `CrashPlan::materialize` —
+/// and percentages to `0..=100`: an out-of-range value is an `Err` naming
+/// the field, where an `as` cast would have wrapped it (`"pct": 300` → 44)
+/// or the engine would have panicked mid-replay.
 pub fn spec_from_json(doc: &Json) -> Result<ScenarioSpec, String> {
-    let u64_field = |k: &str| {
-        doc.get(k)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("spec: missing {k}"))
-    };
-    let mut spec = ScenarioSpec::new(u64_field("n")? as usize, u64_field("t")? as usize);
-    spec.x = u64_field("x")? as usize;
-    spec.y = u64_field("y")? as usize;
-    spec.z = u64_field("z")? as usize;
-    spec.k = u64_field("k")? as usize;
-    spec.oracle = oracle_from_tag(
-        doc.get("oracle")
-            .and_then(Json::as_str)
-            .ok_or("spec: missing oracle")?,
+    let n = bounded_at(
+        doc,
+        "n",
+        2..=MAX_PROCESSES as u64,
+        "the engine's process range",
     )?;
-    spec.crashes = crashes_from_json(doc.get("crashes").ok_or("spec: missing crashes")?)?;
-    spec.delay = delay_from_json(doc.get("delay").ok_or("spec: missing delay")?)?;
-    spec.rules = doc
-        .get("delay_rules")
-        .and_then(Json::as_arr)
-        .ok_or("spec: missing delay_rules")?
-        .iter()
-        .map(delay_rule_from_json)
-        .collect::<Result<_, _>>()?;
-    spec.gst = Time(u64_field("gst")?);
-    spec.max_time = Time(u64_field("max_time")?);
-    spec.max_steps = u64_field("max_steps")?;
-    spec.adversary = MessageAdversary::from_rules(
-        doc.get("adversary")
-            .and_then(Json::as_arr)
-            .ok_or("spec: missing adversary")?
-            .iter()
-            .map(message_rule_from_json)
-            .collect::<Result<_, _>>()?,
-    );
-    spec.topology = TopologySchedule::from_epochs(
-        doc.get("topology")
-            .and_then(Json::as_arr)
-            .ok_or("spec: missing topology")?
-            .iter()
-            .map(epoch_from_json)
-            .collect::<Result<_, _>>()?,
-    );
-    spec.catch_up = doc
-        .get("catch_up")
-        .and_then(Json::as_bool)
-        .ok_or("spec: missing catch_up")?;
+    let t = bounded_at(
+        doc,
+        "t",
+        0..=n as u64 - 1,
+        "the resilience bound needs t < n",
+    )?;
+    let mut spec = ScenarioSpec::new(n, t);
+    spec.x = bounded_at(doc, "x", 1..=n as u64, "the scope of S_x")?;
+    spec.y = bounded_at(doc, "y", 0..=t as u64, "φ_y needs y ≤ t")?;
+    spec.z = bounded_at(doc, "z", 1..=n as u64, "the leader sets of Ω_z")?;
+    spec.k = bounded_at(doc, "k", 1..=n as u64, "k-set agreement")?;
+    spec.oracle = oracle_from_tag(doc.str_at("oracle")?)?;
+    spec.crashes = member(doc, "crashes", |c| crashes_from_json(c, n, t))?;
+    spec.delay = member(doc, "delay", delay_from_json)?;
+    spec.rules = members(doc, "delay_rules", delay_rule_from_json)?;
+    spec.gst = Time(doc.u64_at("gst")?);
+    spec.max_time = Time(doc.u64_at("max_time")?);
+    spec.max_steps = doc.u64_at("max_steps")?;
+    spec.adversary =
+        MessageAdversary::from_rules(members(doc, "adversary", message_rule_from_json)?);
+    spec.topology = TopologySchedule::from_epochs(members(doc, "topology", epoch_from_json)?);
+    spec.catch_up = doc.bool_at("catch_up")?;
     Ok(spec)
 }
 

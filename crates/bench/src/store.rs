@@ -507,64 +507,39 @@ impl Manifest {
         .emit()
     }
 
+    /// `format` and `engine` decide whether the directory is ours and must
+    /// be there; a missing `specs` or `invocations` list reads as empty
+    /// and a missing invocation tally as 0 (bookkeeping, not identity).
     fn parse(text: &str) -> Result<Manifest, String> {
         let doc = json::parse(text)?;
-        let format = doc
-            .get("format")
-            .and_then(Json::as_u64)
-            .ok_or("missing format")?;
-        let engine = doc
-            .get("engine")
-            .and_then(Json::as_str)
-            .ok_or("missing engine")?
-            .to_string();
         let specs = doc
-            .get("specs")
-            .and_then(Json::as_arr)
+            .arr_at("specs")
             .unwrap_or(&[])
             .iter()
             .map(|s| {
-                Ok::<SpecEntry, String>(SpecEntry {
-                    label: s
-                        .get("label")
-                        .and_then(Json::as_str)
-                        .ok_or("bad spec label")?
-                        .to_string(),
-                    scenario: s
-                        .get("scenario")
-                        .and_then(Json::as_str)
-                        .ok_or("bad spec scenario")?
-                        .to_string(),
-                    fingerprint: s
-                        .get("fingerprint")
-                        .and_then(Json::as_u64)
-                        .ok_or("bad spec fingerprint")?,
-                    salt: s
-                        .get("salt")
-                        .and_then(Json::as_u64)
-                        .ok_or("bad spec salt")?,
+                Ok(SpecEntry {
+                    label: s.str_at("label")?.to_string(),
+                    scenario: s.str_at("scenario")?.to_string(),
+                    fingerprint: s.u64_at("fingerprint")?,
+                    salt: s.u64_at("salt")?,
                 })
             })
-            .collect::<Result<Vec<_>, _>>()?;
+            .collect::<Result<Vec<_>, String>>()?;
         let invocations = doc
-            .get("invocations")
-            .and_then(Json::as_arr)
+            .arr_at("invocations")
             .unwrap_or(&[])
             .iter()
-            .map(|inv| {
-                let f = |key: &str| inv.get(key).and_then(Json::as_u64).unwrap_or(0);
-                InvocationRecord {
-                    runs: f("runs"),
-                    hits: f("hits"),
-                    misses: f("misses"),
-                    wrote: f("wrote"),
-                    wall_us: f("wall_us"),
-                }
+            .map(|inv| InvocationRecord {
+                runs: inv.u64_at("runs").unwrap_or(0),
+                hits: inv.u64_at("hits").unwrap_or(0),
+                misses: inv.u64_at("misses").unwrap_or(0),
+                wrote: inv.u64_at("wrote").unwrap_or(0),
+                wall_us: inv.u64_at("wall_us").unwrap_or(0),
             })
             .collect();
         Ok(Manifest {
-            format,
-            engine,
+            format: doc.u64_at("format")?,
+            engine: doc.str_at("engine")?.to_string(),
             specs,
             invocations,
         })
@@ -1045,6 +1020,120 @@ fn archive_shards(dir: &Path, shards_dir: &Path) -> io::Result<()> {
         }
     }
     fs::create_dir_all(shards_dir)
+}
+
+// ---------------------------------------------------------------------------
+// StoreSession: what `--store DIR` means, for every bin
+// ---------------------------------------------------------------------------
+
+/// A fresh report cache for one campaign. Leaked: `Runner::with_cache`
+/// wants `'static` (the runner stays `Copy`), and a bin runs one campaign
+/// per process.
+pub fn fresh_cache() -> &'static ReportCache {
+    Box::leak(Box::new(ReportCache::new()))
+}
+
+/// `--store DIR` as `sweep`, `sweep search` and `tables` all spell it: an
+/// open run directory and the report cache it hydrated, which spills every
+/// newly computed cell back into it. The session prints nothing —
+/// [`StoreSession::opened`] and [`StoreSession::close`] hand the bin a
+/// status line for the channel of its choice (`tables` keeps stdout for the
+/// tables).
+#[derive(Debug)]
+pub struct StoreSession {
+    store: SweepStore,
+    cache: &'static ReportCache,
+    hydrated: usize,
+}
+
+impl StoreSession {
+    /// Opens (or creates) `dir`, lets `register` record the campaign's
+    /// specs in its manifest, hydrates `cache` from the cells on disk and
+    /// points the cache's spill hook at the directory.
+    pub fn open(
+        dir: impl AsRef<Path>,
+        cache: &'static ReportCache,
+        register: impl FnOnce(&SweepStore),
+    ) -> io::Result<StoreSession> {
+        let store = SweepStore::open(dir)?;
+        register(&store);
+        let hydrated = store.hydrate_into(cache);
+        cache.set_spill(Some(store.spill()));
+        // Commit the manifest before computing anything: a killed campaign
+        // then leaves a trusted, resumable run directory behind.
+        store.commit_manifest()?;
+        Ok(StoreSession {
+            store,
+            cache,
+            hydrated,
+        })
+    }
+
+    /// The cache this session hydrated; sweep through
+    /// `runner.with_cache(session.cache())`.
+    pub fn cache(&self) -> &'static ReportCache {
+        self.cache
+    }
+
+    /// One line on what the open found.
+    pub fn opened(&self) -> String {
+        format!(
+            "store: opened {} — {} cell(s) on disk, {} hydrated, {} corrupt line(s){}",
+            self.store.dir().display(),
+            self.store.loaded(),
+            self.hydrated,
+            self.store.corrupt(),
+            if self.store.archived_stale() {
+                ", stale shards archived"
+            } else {
+                ""
+            },
+        )
+    }
+
+    /// Records this invocation of `runs` runs, flushes and closes the
+    /// directory; `Ok` carries one line on what was written. With `resume`
+    /// it is an `Err` unless every run (for `search`, shrink candidates
+    /// included) was served from the directory.
+    pub fn close(self, runs: u64, wall_us: u64, resume: bool) -> Result<String, String> {
+        let StoreSession { store, cache, .. } = self;
+        let wrote = store.flush().map_err(|e| format!("store flush: {e}"))?;
+        let (hits, misses) = (cache.hits(), cache.misses());
+        store.record_invocation(InvocationRecord {
+            runs,
+            hits,
+            misses,
+            wrote,
+            wall_us,
+        });
+        let dir = store.dir().display().to_string();
+        store.close().map_err(|e| format!("store close: {e}"))?;
+        let mut line = format!(
+            "store: closed {dir} — wrote {wrote} new cell(s), {hits} hits / {misses} misses \
+             this run ({} hydrated, {} capped)",
+            cache.hydrated(),
+            cache.capped_inserts(),
+        );
+        if resume {
+            let refused = if cache.hydrated() == 0 {
+                Some("the store hydrated nothing (empty or mismatched run dir)")
+            } else if misses != 0 {
+                Some("cells were recomputed instead of served from the store")
+            } else if hits != runs {
+                Some("not every run was a hit")
+            } else {
+                None
+            };
+            if let Some(why) = refused {
+                return Err(format!("{line}\n--resume: {why}"));
+            }
+            let _ = write!(
+                line,
+                "\nstore: resume verified — all {runs} runs served from the run directory"
+            );
+        }
+        Ok(line)
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -7,10 +7,12 @@
 //! with `cargo run --release -p fd-bench --bin tables -- --quick | tail -n +4`
 //! only when the PR says which theorem's numbers moved and why.
 
+use fd_detectors::scenario::Runner;
+
 #[test]
 fn quick_tables_match_the_committed_golden() {
     let golden = include_str!("golden/tables_quick.md");
-    let rendered: String = fd_bench::all(true)
+    let rendered: String = fd_bench::all(true, Runner::parallel())
         .iter()
         .map(|table| format!("{table}\n"))
         .collect();

@@ -7,6 +7,7 @@
 //! `(start, seed, class)`), and a locally minimal witness is a fixed
 //! point — re-shrinking it accepts nothing.
 
+use fd_bench::json::{self, Json};
 use fd_bench::{classify, probe_specs, scenario_for, shrink, MinimalWitness, RunClass};
 use fd_detectors::scenario::{ReportCache, Runner};
 use fd_detectors::ViolationClass;
@@ -83,7 +84,7 @@ const MINIMAL_VALIDITY_WITNESS: &str = r#"{"class":"validity","description":"n=5
 
 #[test]
 fn a_minimal_witness_is_a_fixed_point() {
-    let doc = fd_bench::json::parse(MINIMAL_VALIDITY_WITNESS).expect("parse witness");
+    let doc = json::parse(MINIMAL_VALIDITY_WITNESS).expect("parse witness");
     let witness = MinimalWitness::from_json(&doc).expect("decode witness");
     let again = shrink(&runner(0), &witness.spec, witness.seed, witness.class);
     assert!(
@@ -96,4 +97,107 @@ fn a_minimal_witness_is_a_fixed_point() {
             .collect::<Vec<_>>()
     );
     assert_eq!(again.spec.fingerprint(), witness.fingerprint);
+}
+
+/// `doc` with the value at the dotted `path` (object keys, array indices)
+/// replaced by the JSON text `value` — or, for `""`, the member removed.
+fn edited(doc: &Json, path: &str, value: &str) -> Json {
+    let (head, rest) = path.split_once('.').unwrap_or((path, ""));
+    let mut doc = doc.clone();
+    match &mut doc {
+        Json::Obj(members) if !rest.is_empty() => {
+            let child = edited(&members[head], rest, value);
+            members.insert(head.to_string(), child);
+        }
+        Json::Obj(members) if value.is_empty() => {
+            members.remove(head);
+        }
+        Json::Obj(members) => {
+            members.insert(head.to_string(), json::parse(value).expect(value));
+        }
+        Json::Arr(items) => {
+            let at: usize = head.parse().expect("array index");
+            items[at] = edited(&items[at], rest, value);
+        }
+        other => panic!("{path} walks into {other:?}"),
+    }
+    doc
+}
+
+/// A witness file is outside input: a value the engine's constructors
+/// would assert on — or an `as` cast would silently wrap — must fail the
+/// load with an error naming the field. Before the decoder range-checked,
+/// `"pct": 300` loaded as 44 %, `"spike_pct": 256` as 0, and `"n": 5000`,
+/// `t ≥ n` or `"z": 0` panicked inside the engine at replay.
+#[test]
+fn out_of_range_witness_fields_fail_the_load_by_name() {
+    let witness = json::parse(MINIMAL_VALIDITY_WITNESS).expect("parse witness");
+    const SPIKY: &str = r#"{"kind":"spiky","lo":1,"hi":10,"spike_pct":256,"factor":2}"#;
+    const CHURN: &str = r#"{"kind":"churn","crash_by":10,"rejoin_after":5}"#;
+    // (path under the witness, replacement, what the error must name)
+    let rejected = [
+        ("spec.adversary.0.pct", "300", "`pct` is 300"),
+        ("spec.adversary.0.pct", "101", "`pct` is 101"),
+        (
+            "spec.adversary.0.pct",
+            "18446744073709551616",
+            "`pct` is not a u64",
+        ),
+        ("spec.delay", SPIKY, "`spike_pct` is 256"),
+        ("spec.n", "5000", "`n` is 5000"),
+        ("spec.n", "1", "`n` is 1"),
+        ("spec.n", "0", "`n` is 0"),
+        ("spec.n", r#""five""#, "`n` is not a u64"),
+        ("spec.t", "5", "`t` is 5"),
+        ("spec.t", "4096", "`t` is 4096"),
+        ("spec.k", "0", "`k` is 0"),
+        ("spec.k", "6", "`k` is 6"),
+        ("spec.x", "0", "`x` is 0"),
+        ("spec.x", "6", "`x` is 6"),
+        ("spec.y", "3", "`y` is 3"),
+        ("spec.z", "0", "`z` is 0"),
+        ("spec.z", "6", "`z` is 6"),
+        (
+            "spec.crashes",
+            r#"{"kind":"random","f":3,"by":9}"#,
+            "`f` is 3",
+        ),
+        ("spec.crashes", r#"{"kind":"initial","f":9}"#, "`f` is 9"),
+        ("spec.crashes", r#"{"kind":"explicit"}"#, "unportable kind"),
+        ("spec.adversary.0.from", "[0,5000]", "from: id 5000"),
+        ("spec.gst", "", "missing `gst`"),
+        ("spec.catch_up", "1", "`catch_up` is not a bool"),
+        ("spec.topology", r#""none""#, "`topology` is not an array"),
+        ("seed", r#""0""#, "`seed` is not a u64"),
+        ("class", r#""liveliness""#, "unknown class"),
+    ];
+    for (path, value, names) in rejected {
+        let err = MinimalWitness::from_json(&edited(&witness, path, value))
+            .err()
+            .unwrap_or_else(|| panic!("{path} := {value} was accepted"));
+        assert!(err.contains(names), "{path} := {value}: {err}");
+    }
+    // Churn needs 2t ≤ n, as `CrashPlan::materialize` asserts.
+    let crowded = edited(&edited(&witness, "spec.crashes", CHURN), "spec.n", "3");
+    let err = MinimalWitness::from_json(&crowded).unwrap_err();
+    assert!(err.contains("2t ≤ n"), "{err}");
+    // The bounds themselves are accepted: the checks are not off by one.
+    let accepted = [
+        ("spec.adversary.0.pct", "100"),
+        ("spec.adversary.0.pct", "0"),
+        ("spec.n", "1024"),
+        ("spec.t", "4"),
+        ("spec.k", "5"),
+        ("spec.x", "5"),
+        ("spec.y", "0"),
+        ("spec.y", "2"),
+        ("spec.z", "5"),
+        ("spec.crashes", CHURN),
+        ("spec.crashes", r#"{"kind":"initial","f":2}"#),
+    ];
+    for (path, value) in accepted {
+        if let Err(err) = MinimalWitness::from_json(&edited(&witness, path, value)) {
+            panic!("{path} := {value} was rejected: {err}");
+        }
+    }
 }

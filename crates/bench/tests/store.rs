@@ -7,7 +7,7 @@
 //! (corrupted cell lines, tampered or garbled manifests) degrades to
 //! recomputation, never to a panic or a wrong report.
 
-use fd_bench::SweepStore;
+use fd_bench::{StoreSession, SweepStore};
 use fd_core::KsetScenario;
 use fd_detectors::scenario::{
     CrashPlan, ReportCache, Runner, Scenario, ScenarioSpec, SweepSummary,
@@ -334,4 +334,34 @@ fn deeply_nested_garbage_line_is_dropped_and_compacted_away() {
     let healed = sweep_session(&dir, 0..8);
     assert_eq!(healed.corrupt, 0);
     assert_eq!(healed.hits, 8);
+}
+
+/// The whole experiment suite through `--store`, as `tables` runs it: a
+/// cold pass into a fresh run directory, then a new "process" — the
+/// directory reopened into a fresh cache — whose swept experiments are all
+/// hits and whose tables are the cold pass's, byte for byte.
+#[test]
+fn experiment_suite_resumes_from_a_store_session() {
+    let dir = scratch("tables");
+    let pass = |resume: bool| {
+        let cache = fd_bench::fresh_cache();
+        let session = StoreSession::open(&dir, cache, |_| {}).expect("open run dir");
+        let rendered: String = fd_bench::all(true, Runner::parallel().with_cache(cache))
+            .iter()
+            .map(|table| format!("{table}\n"))
+            .collect();
+        let runs = cache.hits() + cache.misses();
+        let closed = session.close(runs, 0, resume);
+        cache.set_spill(None);
+        (rendered, cache.hits(), cache.misses(), closed)
+    };
+    let (cold, _, cold_misses, closed) = pass(false);
+    assert!(cold_misses > 0, "a fresh directory serves nothing");
+    closed.expect("cold close");
+    let (warm, warm_hits, warm_misses, closed) = pass(true);
+    assert_eq!(warm_misses, 0, "the reopened directory serves every cell");
+    assert!(warm_hits >= cold_misses, "every cold cell is a warm hit");
+    let line = closed.expect("`--resume` contract: all hits, none recomputed");
+    assert!(line.contains("wrote 0 new cell(s)"), "{line}");
+    assert_eq!(warm, cold, "resumed tables diverged from the cold ones");
 }

@@ -67,9 +67,8 @@ pub use omega_s::{check_omega_scoped, OmegaScopedOracle, PairsToOmega};
 pub use perfect::PerfectOracle;
 pub use phi::{PhiAdversary, PhiOracle, PsiOracle};
 pub use scenario::{
-    default_proposals, sample_oracle, BoxedOracle, CrashPlan, Flavour, Metrics, OracleChoice,
-    OracleVisitor, ReportCache, Runner, SampledSlot, Scenario, ScenarioReport, ScenarioSpec,
-    SweepSummary,
+    default_proposals, sample_oracle, CrashPlan, Flavour, Metrics, OracleChoice, OracleVisitor,
+    ReportCache, Runner, SampledSlot, Scenario, ScenarioReport, ScenarioSpec, SweepSummary,
 };
 pub use scripted::{ScriptedOracle, SetSchedule};
 pub use sx::{Scope, SxAdversary, SxOracle};

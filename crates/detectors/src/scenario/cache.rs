@@ -1,0 +1,244 @@
+//! [`ReportCache`]: the content-addressed, sharded cache of completed runs
+//! the [`Runner`](super::Runner)'s streaming sweeps consult, with the two
+//! hooks a durable store needs.
+
+use super::report::SlimReport;
+use super::spec::ScenarioSpec;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+
+/// Shard count of the [`ReportCache`] (a power of two; the shard index is
+/// taken from the key hash's low bits).
+const CACHE_SHARDS: usize = 16;
+
+/// Default entry cap of a [`ReportCache`] (~a few hundred bytes per
+/// [`SlimReport`], so the default bounds the cache at low hundreds of MB).
+pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 20;
+
+/// A content-addressed cache of completed runs, keyed on
+/// `(`[`ScenarioSpec::fingerprint`]` ⊕ scenario name, seed)` and storing
+/// [`SlimReport`]s — the constant-size currency of streaming sweeps.
+///
+/// Runs are pure functions of `(scenario, spec, seed)` (the repository's
+/// determinism contract), which is what makes caching sound: a hit returns
+/// exactly the report a fresh run would produce, bit for bit, so cached
+/// sweeps fold to bit-identical summaries while skipping the simulation
+/// entirely. Overlapping experiment grids (E4/E10-style shared cells) and
+/// repeated sweeps therefore compute each `(spec, seed)` cell once.
+///
+/// The map is sharded (`CACHE_SHARDS` mutexes, shard picked by key hash)
+/// so parallel sweep workers rarely contend; hit/miss tallies are atomics
+/// surfaced into `BENCH_sweep.json`. Insertion stops (deterministically —
+/// the cached *values* are pure, so skipping an insert can never change a
+/// result) once the capacity is reached.
+///
+/// **When to bypass it**: anything measuring *throughput* (the bench legs
+/// gate uncached runners), and anything whose spec mutates state outside
+/// the report — engine scenarios never do. Attach a cache explicitly via
+/// [`Runner::with_cache`](super::Runner::with_cache); the default runner never caches.
+///
+/// # Durability hooks
+///
+/// The cache itself is process-local, but it exposes the two hooks a
+/// durable store needs to make sweeps resumable across processes:
+///
+/// * [`ReportCache::hydrate`] inserts an already-computed cell (read back
+///   from disk) without touching the hit/miss tallies or the spill hook —
+///   subsequent sweeps then hit it exactly as if this process had computed
+///   it;
+/// * [`ReportCache::set_spill`] registers a callback invoked once per
+///   *computed* insert (never for hits, never for hydrated cells) with the
+///   cell's key and [`SlimReport`], so a store can persist fresh cells as
+///   they are produced. The callback runs on the sweep worker that
+///   computed the run — keep it cheap (hand off to a writer thread; see
+///   `fd_bench::store`). It fires even when the capacity cap skips the
+///   in-memory insert: durability must not degrade when the process-local
+///   map fills.
+pub struct ReportCache {
+    shards: Vec<Mutex<HashMap<(u64, u64), SlimReport>>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    /// Computed inserts skipped because the shard was at capacity (the
+    /// cache never evicts; it stops admitting instead — deterministic, and
+    /// sound because cached values are pure).
+    capped: AtomicU64,
+    /// Cells seeded from a durable store via [`ReportCache::hydrate`].
+    hydrated: AtomicU64,
+    spill: Mutex<Option<Arc<SpillFn>>>,
+    per_shard_capacity: usize,
+}
+
+/// The durable-store callback type of [`ReportCache::set_spill`]: invoked
+/// as `(spec_salt, seed, report)` once per computed cell.
+pub type SpillFn = dyn Fn(u64, u64, &SlimReport) + Send + Sync;
+
+impl std::fmt::Debug for ReportCache {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ReportCache")
+            .field("entries", &self.entries())
+            .field("hits", &self.hits())
+            .field("misses", &self.misses())
+            .field("capped_inserts", &self.capped_inserts())
+            .field("hydrated", &self.hydrated())
+            .field("spill", &self.spill.lock().unwrap().is_some())
+            .field("per_shard_capacity", &self.per_shard_capacity)
+            .finish()
+    }
+}
+
+impl Default for ReportCache {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl ReportCache {
+    /// An empty cache with the default capacity.
+    pub fn new() -> Self {
+        Self::with_capacity(DEFAULT_CACHE_CAPACITY)
+    }
+
+    /// An empty cache capped at `capacity` entries (rounded up to a
+    /// multiple of the shard count).
+    pub fn with_capacity(capacity: usize) -> Self {
+        ReportCache {
+            shards: (0..CACHE_SHARDS)
+                .map(|_| Mutex::new(HashMap::new()))
+                .collect(),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            capped: AtomicU64::new(0),
+            hydrated: AtomicU64::new(0),
+            spill: Mutex::new(None),
+            per_shard_capacity: capacity.div_ceil(CACHE_SHARDS).max(1),
+        }
+    }
+
+    /// The scenario-plus-spec half of a cache key: the scenario's
+    /// [`Scenario::cache_tag`](super::Scenario::cache_tag) (which must cover any out-of-spec knobs)
+    /// mixed with the spec fingerprint. Public because it *is* the
+    /// content-address contract — a durable store persisting cells under
+    /// `(salt, seed)` keys (see `fd_bench::store`) must derive the salt
+    /// exactly as the in-memory sweeps do, or hydrated cells would never
+    /// be looked up. Like [`ScenarioSpec::fingerprint`], the value is
+    /// stable across runs and builds of one toolchain but is not an
+    /// on-disk format across toolchains — which is why stores record the
+    /// engine version in their manifest.
+    pub fn salt(tag: &str, spec: &ScenarioSpec) -> u64 {
+        let mut h = DefaultHasher::new();
+        tag.hash(&mut h);
+        spec.fingerprint().hash(&mut h);
+        h.finish()
+    }
+
+    #[inline]
+    fn shard(&self, key: (u64, u64)) -> &Mutex<HashMap<(u64, u64), SlimReport>> {
+        // Mix both halves so sweeps (varying seeds) spread across shards.
+        let mix = key.0 ^ key.1.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        &self.shards[(mix as usize) & (CACHE_SHARDS - 1)]
+    }
+
+    /// Looks up one run; tallies a hit or a miss.
+    pub(super) fn lookup(&self, key: (u64, u64)) -> Option<SlimReport> {
+        let found = self.shard(key).lock().unwrap().get(&key).cloned();
+        match found {
+            Some(slim) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                Some(slim)
+            }
+            None => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+        }
+    }
+
+    /// Stores one computed run (the in-memory insert is a no-op once the
+    /// shard is at capacity, tallied in [`ReportCache::capped_inserts`]),
+    /// then hands the cell to the spill hook, if one is registered — the
+    /// spill fires even for capped inserts, so a durable store keeps
+    /// persisting after the process-local map fills.
+    pub(super) fn insert(&self, key: (u64, u64), slim: SlimReport) {
+        {
+            let mut shard = self.shard(key).lock().unwrap();
+            if shard.len() < self.per_shard_capacity {
+                shard.insert(key, slim.clone());
+            } else {
+                self.capped.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let spill = self.spill.lock().unwrap().clone();
+        if let Some(spill) = spill {
+            spill(key.0, key.1, &slim);
+        }
+    }
+
+    /// Seeds one already-computed cell (read back from a durable store)
+    /// under the standard `(spec salt, seed)` key. Neither the hit/miss
+    /// tallies nor the spill hook fire — the cell was not computed here and
+    /// is already persisted. Respects the capacity cap (a skipped insert is
+    /// tallied in [`ReportCache::capped_inserts`] and only costs a
+    /// recompute later). Returns whether the cell was admitted.
+    pub fn hydrate(&self, key: (u64, u64), slim: SlimReport) -> bool {
+        let mut shard = self.shard(key).lock().unwrap();
+        if shard.len() < self.per_shard_capacity {
+            shard.insert(key, slim);
+            drop(shard);
+            self.hydrated.fetch_add(1, Ordering::Relaxed);
+            true
+        } else {
+            self.capped.fetch_add(1, Ordering::Relaxed);
+            false
+        }
+    }
+
+    /// Registers (or clears) the durable-store spill hook. See the type
+    /// docs: the callback observes every *computed* cell, keyed exactly as
+    /// the cache stores it.
+    pub fn set_spill(&self, spill: Option<Arc<SpillFn>>) {
+        *self.spill.lock().unwrap() = spill;
+    }
+
+    /// Completed-run lookups served from the cache so far.
+    pub fn hits(&self) -> u64 {
+        self.hits.load(Ordering::Relaxed)
+    }
+
+    /// Lookups that fell through to a real run so far.
+    pub fn misses(&self) -> u64 {
+        self.misses.load(Ordering::Relaxed)
+    }
+
+    /// Inserts (computed or hydrated) skipped because the target shard was
+    /// at capacity. The cache never evicts — it stops admitting — so this
+    /// is the "eviction" observability counter: a nonzero value means the
+    /// in-memory cache is full and store hydration is partially effective.
+    pub fn capped_inserts(&self) -> u64 {
+        self.capped.load(Ordering::Relaxed)
+    }
+
+    /// Cells admitted via [`ReportCache::hydrate`] so far.
+    pub fn hydrated(&self) -> u64 {
+        self.hydrated.load(Ordering::Relaxed)
+    }
+
+    /// Number of cached runs.
+    pub fn entries(&self) -> usize {
+        self.shards.iter().map(|s| s.lock().unwrap().len()).sum()
+    }
+
+    /// Drops every entry and zeroes the tallies (the spill hook, if any,
+    /// stays registered).
+    pub fn clear(&self) {
+        for s in &self.shards {
+            s.lock().unwrap().clear();
+        }
+        self.hits.store(0, Ordering::Relaxed);
+        self.misses.store(0, Ordering::Relaxed);
+        self.capped.store(0, Ordering::Relaxed);
+        self.hydrated.store(0, Ordering::Relaxed);
+    }
+}

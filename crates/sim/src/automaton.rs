@@ -256,9 +256,9 @@ pub fn forward_ops<M1, M2, O: OracleSuite + ?Sized>(
 /// `Ctx<'_, Msg, O>` compile to static oracle calls for whatever concrete
 /// bundle the run was built with. The generic methods make the trait
 /// non-object-safe, which is deliberate — automata are always statically
-/// known to the engine ([`crate::Sim`] is generic over `A`), and the one
-/// sanctioned type-erasure point of the stack is the oracle side's
-/// `Box<dyn OracleSuite>` shim, not the automaton side.
+/// known to the engine ([`crate::Sim`] is generic over `A`), and so are
+/// oracles: a runtime oracle choice is resolved to its concrete type
+/// before the run starts, never erased behind a `dyn`.
 pub trait Automaton {
     /// The message alphabet of the algorithm. The
     /// [`Corruptible`](crate::adversary::Corruptible) bound is what lets

@@ -54,33 +54,18 @@ pub trait OracleSuite {
     }
 }
 
-/// The **monomorphization boundary** of the engine — and, by design, the
-/// *only* double-indirection site in the whole stack.
+/// A borrowed bundle is a bundle, so a caller can lend its oracle to a run
+/// and keep it afterwards.
 ///
-/// The activation hot loop is generic end to end: `Sim<A, O>` threads its
-/// concrete `O: OracleSuite` through [`crate::Ctx`] into every
-/// [`crate::Automaton`] callback, so oracle reads compile to static calls.
-/// Callers that pick the oracle at runtime (the scenario layer's
-/// `OracleChoice`) erase it into a `Box<dyn OracleSuite>` *once*, at the
-/// spec boundary, and this impl lets that box satisfy the same generic
-/// `O: OracleSuite` bound — paying one vtable hop per oracle read
-/// (`Box` deref + dynamic call) on that path only. Keep it that way: any
-/// new erased-oracle plumbing should route through this impl rather than
-/// adding another `dyn OracleSuite` parameter somewhere in the loop.
-impl OracleSuite for Box<dyn OracleSuite + '_> {
-    fn suspected(&mut self, p: ProcessId, now: Time) -> PSet {
-        (**self).suspected(p, now)
-    }
-
-    fn trusted(&mut self, p: ProcessId, now: Time) -> PSet {
-        (**self).trusted(p, now)
-    }
-
-    fn query(&mut self, p: ProcessId, x: PSet, now: Time) -> bool {
-        (**self).query(p, x, now)
-    }
-}
-
+/// There is no impl for a boxed trait object, on purpose. The activation
+/// hot loop is generic end to end: `Sim<A, O>` threads its concrete
+/// `O: OracleSuite` through [`crate::Ctx`] into every [`crate::Automaton`]
+/// callback, so oracle reads compile to static calls. Callers that pick
+/// the oracle at runtime (the scenario layer's `OracleChoice`) resolve it
+/// to a concrete type once, at the spec boundary
+/// (`ScenarioSpec::with_oracle` + `OracleVisitor` in `fd-detectors`), and
+/// run the whole simulation inside that monomorphic continuation — the
+/// stack has no erased-oracle path.
 impl<O: OracleSuite + ?Sized> OracleSuite for &mut O {
     fn suspected(&mut self, p: ProcessId, now: Time) -> PSet {
         (**self).suspected(p, now)

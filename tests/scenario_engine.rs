@@ -128,12 +128,14 @@ fn parallel_sweep_is_bit_identical_to_sequential() {
 #[test]
 fn skewed_grid_is_trace_identical_across_thread_counts() {
     // Cells with wildly different run lengths — small n failure-free next
-    // to n=13 anarchic — are exactly where the old one-chunk-per-thread
-    // split idled cores. The work-stealing runner must still produce
-    // trace-fingerprint-identical reports at every thread count.
+    // to n=13 anarchic — are exactly where a one-chunk-per-thread split
+    // idles cores. The work-stealing runner must still produce
+    // trace-fingerprint-identical reports at every thread count. 36 specs
+    // are more than any fold window below (threads × 4 ≤ 32), so `grid`
+    // parks run-ahead workers and drains the reorder buffer on the way.
     let mut specs = Vec::new();
     for &(n, t) in &[(5usize, 2usize), (9, 4), (13, 6)] {
-        for seed in 0..4 {
+        for seed in 0..6 {
             specs.push(
                 KsetScenario::spec(n, t, 2)
                     .gst(Time(400))
@@ -146,7 +148,8 @@ fn skewed_grid_is_trace_identical_across_thread_counts() {
     let seq = Runner::sequential().grid(&KsetScenario, &specs);
     assert_eq!(seq.len(), specs.len());
     let seq_prints: Vec<String> = seq.iter().map(fingerprint).collect();
-    for threads in [2usize, 4, 8, 64] {
+    for threads in [1usize, 2, 3, 8, 64] {
+        assert!(threads == 64 || specs.len() > threads * 4);
         let par = Runner::with_threads(threads).grid(&KsetScenario, &specs);
         let par_prints: Vec<String> = par.iter().map(fingerprint).collect();
         assert_eq!(seq_prints, par_prints, "threads={threads} diverged");
@@ -1025,14 +1028,28 @@ mod witnesses {
 
 #[test]
 fn grid_matrix_runs_in_spec_order() {
-    let specs: Vec<_> = SCALES
-        .iter()
-        .map(|&(n, t)| KsetScenario::spec(n, t, 1).gst(Time(300)).seed(9))
+    // Every scale, twelve seeds each, interleaved: 36 specs, more than the
+    // widest fold window below (8 × 4), so the order is the fold's doing.
+    let specs: Vec<_> = (0..12 * SCALES.len())
+        .map(|i| {
+            let (n, t) = SCALES[i % SCALES.len()];
+            KsetScenario::spec(n, t, 1)
+                .gst(Time(300))
+                .seed(9 + (i / SCALES.len()) as u64)
+        })
         .collect();
-    let reports = Runner::parallel().grid(&KsetScenario, &specs);
-    assert_eq!(reports.len(), SCALES.len());
-    for (rep, &(n, _)) in reports.iter().zip(SCALES) {
-        assert_eq!(rep.spec.n, n, "grid order scrambled");
-        assert!(rep.check.ok, "n={n}: {}", rep.check);
+    for threads in [1usize, 2, 3, 8] {
+        assert!(specs.len() > threads * 4);
+        let reports = Runner::with_threads(threads).grid(&KsetScenario, &specs);
+        assert_eq!(reports.len(), specs.len());
+        for (rep, spec) in reports.iter().zip(&specs) {
+            let (n, seed) = (spec.n, spec.seed);
+            assert_eq!(
+                (rep.spec.n, rep.seed()),
+                (n, seed),
+                "threads={threads}: grid order scrambled"
+            );
+            assert!(rep.check.ok, "n={n} seed={seed}: {}", rep.check);
+        }
     }
 }
