@@ -405,6 +405,88 @@ mod adversary {
         }
     }
 
+    /// Fingerprints of runs whose traffic includes unicasts (the upper
+    /// wheel's `Response`s, catch-up's `Digest` replies), recorded on the
+    /// PR-24 engine, where a unicast still took the scalar `Network::route`.
+    /// Every [`PR3_DIGESTS`] run is broadcasts and R-broadcasts only, so
+    /// this table is what pins the send path: clean two-wheels (2 seeds),
+    /// two-wheels under a drop rule and under a latency epoch (both take
+    /// the per-recipient path), the pipeline, churn + catch-up (2 seeds)
+    /// and the partition-during-join probe.
+    const UNICAST_DIGESTS: [u64; 8] = [
+        0x8fb4097984f9ab05,
+        0xb79e4ccaf7c7e9b9,
+        0x725826b7bdf52c96,
+        0xc110402423bc4580,
+        0xe098a27f0972c1ac,
+        0x7fffd67ac39a868d,
+        0xf00cc2eea392f16f,
+        0xcb95a324dd198eb9,
+    ];
+
+    fn unicast_runs() -> Vec<(&'static dyn Scenario, fd_grid::ScenarioSpec)> {
+        use fd_grid::fd_transforms::{TwParams, TwoWheelsScenario};
+        use fd_grid::{ChurnKsetScenario, LinkOverride, PSet, PipelineScenario};
+        use fd_grid::{TopologyEpoch, TopologySchedule};
+        const WHEELS: &TwoWheelsScenario = &TwoWheelsScenario { throttled: true };
+        let wheels = TwoWheelsScenario::spec(TwParams::optimal(5, 2, 2, 1))
+            .gst(Time(400))
+            .max_time(Time(40_000));
+        let latency = TopologySchedule::Epochs(vec![TopologyEpoch::new(Time::ZERO, Time(2_000))
+            .link(LinkOverride::latency(
+                (0..5).map(ProcessId).collect(),
+                PSet::singleton(ProcessId(4)),
+                40,
+                120,
+            ))]);
+        let churn = ChurnKsetScenario::spec(6, 2, 1)
+            .gst(Time(300))
+            .max_time(Time(60_000));
+        let churn_clean = churn.clone().crashes(CrashPlan::Churn {
+            crash_by: Time(150),
+            rejoin_after: 500,
+        });
+        let probe = FailurePattern::builder(6)
+            .crash(ProcessId(1), Time(100))
+            .join(ProcessId(5), Time(600))
+            .build();
+        let churn_probe = churn
+            .crashes(CrashPlan::Explicit(probe))
+            .topology(TopologySchedule::partition_until(
+                vec![(0..5).map(ProcessId).collect(), PSet::singleton(ProcessId(5))],
+                Time(1_200),
+            ));
+        vec![
+            (WHEELS, wheels.with_seed(0)),
+            (WHEELS, wheels.with_seed(1)),
+            (
+                WHEELS,
+                wheels
+                    .with_seed(1)
+                    .adversary(MessageAdversary::Rules(vec![MessageRule::drop(10)])),
+            ),
+            (WHEELS, wheels.with_seed(0).topology(latency)),
+            (
+                &PipelineScenario,
+                PipelineScenario::spec(5, 2, 2, 1)
+                    .gst(Time(400))
+                    .max_time(Time(120_000)),
+            ),
+            (&ChurnKsetScenario, churn_clean.with_seed(0)),
+            (&ChurnKsetScenario, churn_clean.with_seed(1)),
+            (&ChurnKsetScenario, churn_probe),
+        ]
+    }
+
+    #[test]
+    fn unicast_runs_match_recorded_digests() {
+        let got: Vec<u64> = unicast_runs()
+            .iter()
+            .map(|(scenario, spec)| scenario.run(spec).fingerprint())
+            .collect();
+        assert_eq!(got, UNICAST_DIGESTS, "{got:#018x?}");
+    }
+
     /// The tentpole differential at full width: the explicit-`None` grid is
     /// fingerprint-identical to the default grid across the mixed
     /// n = 5 / 9 / 13 differential grid at 1 / 2 / 4 / 8 threads.
