@@ -57,7 +57,7 @@
 
 use fd_bench::flags::{Flags, Known};
 use fd_bench::sweep::SCALING_NS;
-use fd_bench::{fresh_cache, SearchConfig, StoreSession, SweepBenchReport, SweepStore};
+use fd_bench::{SearchConfig, StoreSession, SweepBenchReport, SweepStore};
 use fd_detectors::scenario::{ReportCache, Runner};
 
 const USAGE: &str = "\
@@ -166,7 +166,7 @@ fn analyze_dirs(argv: &[String]) -> Result<&[String], String> {
     }
 }
 
-fn runner_for(threads: usize) -> Runner {
+fn runner_for(threads: usize) -> Runner<'static> {
     if threads == 0 {
         Runner::parallel()
     } else {
@@ -174,14 +174,10 @@ fn runner_for(threads: usize) -> Runner {
     }
 }
 
-/// `--store DIR`: opens the run directory behind `cache` and says so.
-fn open_session(
-    dir: &str,
-    cache: &'static ReportCache,
-    register: impl FnOnce(&SweepStore),
-) -> StoreSession {
-    let session = StoreSession::open(dir, cache, register)
-        .unwrap_or_else(|e| panic!("open --store {dir}: {e}"));
+/// `--store DIR`: opens the run directory and says so.
+fn open_session(dir: &str, register: impl FnOnce(&SweepStore)) -> StoreSession {
+    let session =
+        StoreSession::open(dir, register).unwrap_or_else(|e| panic!("open --store {dir}: {e}"));
     println!("{}", session.opened());
     session
 }
@@ -214,9 +210,8 @@ fn run_search_cmd(o: SearchOpts) {
     // candidates, and the cache turns repeats into lookups. With --store
     // the cache additionally hydrates from / spills to the run directory,
     // making a killed campaign resumable without recomputing any cell.
-    let cache = fresh_cache();
     let session = o.store.as_deref().map(|dir| {
-        open_session(dir, cache, |store| {
+        open_session(dir, |store| {
             for (i, spec) in fd_bench::generate(cfg).iter().enumerate() {
                 let scenario = fd_bench::scenario_for(spec);
                 store.register_spec(
@@ -227,7 +222,8 @@ fn run_search_cmd(o: SearchOpts) {
             }
         })
     });
-    let runner = runner.with_cache(cache);
+    let scratch = ReportCache::new();
+    let runner = runner.with_cache(session.as_ref().map_or(&scratch, StoreSession::cache));
     let t0 = std::time::Instant::now();
     let report = fd_bench::run_search(&runner, cfg);
     let wall_us = t0.elapsed().as_micros() as u64;
@@ -301,7 +297,7 @@ fn run_sweep(o: MainOpts) {
     // --store DIR: the grid and stream cells hydrate from the run
     // directory and persist into it as they land.
     let session = o.store.as_deref().map(|dir| {
-        open_session(dir, fresh_cache(), |store| {
+        open_session(dir, |store| {
             let tag = {
                 use fd_detectors::scenario::Scenario as _;
                 fd_core::KsetScenario.cache_tag()

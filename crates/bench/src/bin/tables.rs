@@ -14,7 +14,7 @@
 //! the usage on stderr and exits with status 2 — nothing runs on a typo.
 
 use fd_bench::flags::{Flags, Known};
-use fd_bench::{fresh_cache, StoreSession};
+use fd_bench::StoreSession;
 use fd_detectors::scenario::Runner;
 
 const USAGE: &str = "usage: tables [--quick] [--store DIR]";
@@ -31,8 +31,8 @@ fn main() {
     // --store DIR: the swept cells hydrate from the run directory and
     // persist into it as they land.
     let session = flags.text("--store").map(|dir| {
-        let session = StoreSession::open(dir, fresh_cache(), |_| {})
-            .unwrap_or_else(|e| panic!("open --store {dir}: {e}"));
+        let session =
+            StoreSession::open(dir, |_| {}).unwrap_or_else(|e| panic!("open --store {dir}: {e}"));
         eprintln!("{}", session.opened());
         session
     });

@@ -17,7 +17,7 @@
 //! E1, E2 and E6 do not sweep a `(spec, seed)` grid: E1 audits oracles and
 //! adapters directly (no automaton runs), E2 and E6 hunt for a witness run
 //! and stop at the first seed that shows one. E11 reads the per-instance
-//! statistics of `run_repeated`, which a slim report does not carry. None
+//! statistics of `run_repeated_spec`, which a slim report does not carry. None
 //! of the four flows through the runner, so its cache and the store never
 //! see them and they recompute on every invocation.
 
@@ -651,7 +651,11 @@ pub fn e11_repeated(quick: bool) -> Table {
                 FailurePattern::random(n, f, Time(80), &mut rng)
             };
             let oracle = fd_detectors::OmegaOracle::new(fp.clone(), 1, Time(gst), seed ^ 0xE11);
-            let rep = fd_core::repeated::run_repeated(n, tt, 1, m, fp, oracle, seed, Time(600_000));
+            let spec = ScenarioSpec::new(n, tt)
+                .kz(1)
+                .seed(seed)
+                .max_time(Time(600_000));
+            let rep = fd_core::run_repeated_spec(&spec, m, fp, oracle);
             pass += rep.spec.ok as u64;
             let mut prev = Time::ZERO;
             for (i, s) in rep.per_instance.iter().enumerate() {

@@ -32,8 +32,8 @@ pub use search::{
     SEARCH_SCHEMA, WITNESS_SCHEMA,
 };
 pub use store::{
-    decode_cell, encode_cell, fresh_cache, load_run_dir, InvocationRecord, Manifest, RunDir,
-    SpecEntry, StoreSession, StoreSummary, SweepStore, STORE_FORMAT, STORE_SHARDS,
+    decode_cell, encode_cell, load_run_dir, InvocationRecord, Manifest, RunDir, SpecEntry,
+    StoreSession, StoreSummary, SweepStore, STORE_FORMAT, STORE_SHARDS,
 };
 pub use sweep::{
     adversary_leg, grid_cells, representative_sweep, scaling_curve, stream_cell, streaming_sweep,

@@ -349,7 +349,7 @@ pub struct ShrinkOutcome {
 }
 
 struct Shrinker<'a> {
-    runner: &'a Runner,
+    runner: &'a Runner<'a>,
     seed: u64,
     class: ViolationClass,
     runs: u64,

@@ -96,8 +96,9 @@ pub const STORE_FORMAT: u64 = 2;
 const BATCH: usize = 128;
 
 fn engine_version() -> String {
-    // The package version plus the debug/release split: a salt is only
-    // guaranteed reproducible by the same build flavor of the same engine.
+    // The package version alone. Debug and release builds share it on
+    // purpose: the salt's `DefaultHasher` (fixed keys) and the engine are
+    // the same in both, so either build resumes the other's directory.
     format!("fd-bench {}", env!("CARGO_PKG_VERSION"))
 }
 
@@ -988,9 +989,10 @@ impl SweepStore {
 
     fn shutdown(&mut self) -> io::Result<()> {
         if let Some(tx) = self.tx.take() {
-            // Explicit sentinel: the spill closure may hold Sender clones
-            // forever (it lives in a leaked 'static cache), so the writer
-            // cannot rely on channel disconnect to stop.
+            // Explicit sentinel: the spill closure holds Sender clones for
+            // as long as its cache lives — which may be longer than this
+            // store (a process-wide cache reused across stores) — so the
+            // writer cannot rely on channel disconnect to stop.
             let _ = tx.send(Msg::Shutdown);
         }
         if let Some(handle) = self.writer.take() {
@@ -1026,38 +1028,31 @@ fn archive_shards(dir: &Path, shards_dir: &Path) -> io::Result<()> {
 // StoreSession: what `--store DIR` means, for every bin
 // ---------------------------------------------------------------------------
 
-/// A fresh report cache for one campaign. Leaked: `Runner::with_cache`
-/// wants `'static` (the runner stays `Copy`), and a bin runs one campaign
-/// per process.
-pub fn fresh_cache() -> &'static ReportCache {
-    Box::leak(Box::new(ReportCache::new()))
-}
-
 /// `--store DIR` as `sweep`, `sweep search` and `tables` all spell it: an
-/// open run directory and the report cache it hydrated, which spills every
-/// newly computed cell back into it. The session prints nothing —
-/// [`StoreSession::opened`] and [`StoreSession::close`] hand the bin a
-/// status line for the channel of its choice (`tables` keeps stdout for the
-/// tables).
+/// open run directory and the report cache it owns and hydrated, which
+/// spills every newly computed cell back into it. The session prints
+/// nothing — [`StoreSession::opened`] and [`StoreSession::close`] hand the
+/// bin a status line for the channel of its choice (`tables` keeps stdout
+/// for the tables).
 #[derive(Debug)]
 pub struct StoreSession {
     store: SweepStore,
-    cache: &'static ReportCache,
+    cache: ReportCache,
     hydrated: usize,
 }
 
 impl StoreSession {
     /// Opens (or creates) `dir`, lets `register` record the campaign's
-    /// specs in its manifest, hydrates `cache` from the cells on disk and
-    /// points the cache's spill hook at the directory.
+    /// specs in its manifest, hydrates a fresh cache from the cells on disk
+    /// and points the cache's spill hook at the directory.
     pub fn open(
         dir: impl AsRef<Path>,
-        cache: &'static ReportCache,
         register: impl FnOnce(&SweepStore),
     ) -> io::Result<StoreSession> {
         let store = SweepStore::open(dir)?;
         register(&store);
-        let hydrated = store.hydrate_into(cache);
+        let cache = ReportCache::new();
+        let hydrated = store.hydrate_into(&cache);
         cache.set_spill(Some(store.spill()));
         // Commit the manifest before computing anything: a killed campaign
         // then leaves a trusted, resumable run directory behind.
@@ -1071,8 +1066,8 @@ impl StoreSession {
 
     /// The cache this session hydrated; sweep through
     /// `runner.with_cache(session.cache())`.
-    pub fn cache(&self) -> &'static ReportCache {
-        self.cache
+    pub fn cache(&self) -> &ReportCache {
+        &self.cache
     }
 
     /// One line on what the open found.
@@ -1920,12 +1915,12 @@ mod tests {
                 f: 2,
                 by: Time(500),
             });
-        let sweep = |cache: &'static ReportCache| {
+        let sweep = |cache: &ReportCache| {
             Runner::sequential()
                 .with_cache(cache)
                 .sweep_summary(&KsetScenario, &spec, 0..40)
         };
-        let cold: &'static ReportCache = Box::leak(Box::new(ReportCache::new()));
+        let cold = &ReportCache::new();
         let computed = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&computed);
         cold.set_spill(Some(Arc::new(move |salt, seed, slim: &SlimReport| {
@@ -1968,7 +1963,7 @@ mod tests {
         let store = SweepStore::open(&dir).unwrap();
         assert!(!store.archived_stale());
         assert_eq!((store.loaded(), store.corrupt()), (40, 0));
-        let warm: &'static ReportCache = Box::leak(Box::new(ReportCache::new()));
+        let warm = &ReportCache::new();
         assert_eq!(store.hydrate_into(warm), 40);
         assert_eq!(sweep(warm), cold_summary);
         assert_eq!((warm.hits(), warm.misses()), (40, 0));

@@ -12,9 +12,8 @@ use fd_bench::{classify, probe_specs, scenario_for, shrink, MinimalWitness, RunC
 use fd_detectors::scenario::{ReportCache, Runner};
 use fd_detectors::ViolationClass;
 
-/// A fresh cache-backed runner (leaked: `with_cache` wants `'static`).
-fn runner(threads: usize) -> Runner {
-    let cache: &'static ReportCache = Box::leak(Box::new(ReportCache::new()));
+/// A runner backed by `cache`.
+fn runner(threads: usize, cache: &ReportCache) -> Runner<'_> {
     let runner = if threads == 0 {
         Runner::sequential()
     } else {
@@ -36,7 +35,7 @@ fn probe_violation() -> (fd_detectors::scenario::ScenarioSpec, u64, ViolationCla
 #[test]
 fn every_trail_spec_still_reproduces_the_violation() {
     let (start, seed, class) = probe_violation();
-    let outcome = shrink(&runner(0), &start, seed, class);
+    let outcome = shrink(&runner(0, &ReportCache::new()), &start, seed, class);
     assert!(!outcome.trail.is_empty(), "the probe must shrink");
     for step in &outcome.trail {
         let rep = scenario_for(&step.spec).run(&step.spec.clone().seed(seed));
@@ -57,7 +56,7 @@ fn every_trail_spec_still_reproduces_the_violation() {
 #[test]
 fn shrinking_is_deterministic_across_threads_and_event_cores() {
     let (start, seed, class) = probe_violation();
-    let baseline = shrink(&runner(1), &start, seed, class);
+    let baseline = shrink(&runner(1, &ReportCache::new()), &start, seed, class);
     let trail_of = |o: &fd_bench::ShrinkOutcome| {
         o.trail
             .iter()
@@ -66,10 +65,10 @@ fn shrinking_is_deterministic_across_threads_and_event_cores() {
     };
     // Thread counts: shrink candidates are single-seed runs, which the
     // runner executes sequentially regardless — same trail, same minimum.
-    let wide = shrink(&runner(4), &start, seed, class);
+    let wide = shrink(&runner(4, &ReportCache::new()), &start, seed, class);
     assert_eq!(trail_of(&baseline), trail_of(&wide), "threads diverged");
     assert_eq!(baseline.spec.fingerprint(), wide.spec.fingerprint());
-    let sequential = shrink(&runner(0), &start, seed, class);
+    let sequential = shrink(&runner(0, &ReportCache::new()), &start, seed, class);
     assert_eq!(
         trail_of(&baseline),
         trail_of(&sequential),
@@ -86,7 +85,12 @@ const MINIMAL_VALIDITY_WITNESS: &str = r#"{"class":"validity","description":"n=5
 fn a_minimal_witness_is_a_fixed_point() {
     let doc = json::parse(MINIMAL_VALIDITY_WITNESS).expect("parse witness");
     let witness = MinimalWitness::from_json(&doc).expect("decode witness");
-    let again = shrink(&runner(0), &witness.spec, witness.seed, witness.class);
+    let again = shrink(
+        &runner(0, &ReportCache::new()),
+        &witness.spec,
+        witness.seed,
+        witness.class,
+    );
     assert!(
         again.trail.is_empty(),
         "re-shrinking the minimum accepted steps: {:?}",
@@ -97,6 +101,37 @@ fn a_minimal_witness_is_a_fixed_point() {
             .collect::<Vec<_>>()
     );
     assert_eq!(again.spec.fingerprint(), witness.fingerprint);
+}
+
+/// The decoder accepts any `u64` delay or epoch bound, so the engine must
+/// replay them: a `Fixed(u64::MAX)` delay and a cut that heals at
+/// `u64::MAX` deliver at `Time::INFINITY` (after the horizon) instead of
+/// overflowing `Time` — a panic in debug, in release a message arriving
+/// before it was sent or an rb crossing a permanent cut.
+#[test]
+fn endless_delays_and_cuts_replay_without_overflow() {
+    let witness = edited(
+        &json::parse(MINIMAL_VALIDITY_WITNESS).expect("parse witness"),
+        "spec.max_time",
+        "3000",
+    );
+    // Churn: the joiners broadcast at their join time, so `t ≥ 1`.
+    const CHURN: &str = r#"{"kind":"churn","crash_by":10,"rejoin_after":5}"#;
+    const NEVER: &str = r#"{"kind":"fixed","d":18446744073709551615}"#;
+    const CUT: &str =
+        r#"[{"from":0,"until":18446744073709551615,"islands":[[0,1,2,3],[4]],"overrides":[]}]"#;
+    let slow = edited(
+        &edited(&witness, "spec.delay", NEVER),
+        "spec.crashes",
+        CHURN,
+    );
+    // Nothing arrives; the mainland decides and its DECISION rb is held
+    // at the cut for ever.
+    for (doc, deciders) in [(slow, 0), (edited(&witness, "spec.topology", CUT), 4)] {
+        let w = MinimalWitness::from_json(&doc).expect("decode witness");
+        let rep = scenario_for(&w.spec).run(&w.spec.clone().seed(w.seed));
+        assert_eq!(rep.trace.deciders().len(), deciders, "{}", rep.check);
+    }
 }
 
 /// `doc` with the value at the dotted `path` (object keys, array indices)

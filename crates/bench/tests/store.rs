@@ -58,9 +58,8 @@ fn sweep_session(dir: &Path, seeds: Range<u64>) -> Session {
     let store = SweepStore::open(dir).expect("open run dir");
     let spec = cell_spec();
     store.register_spec("n5_t2_k2_f2", &KsetScenario.cache_tag(), &spec);
-    // Leaked because `Runner::with_cache` wants `'static` (the runner
-    // stays `Copy`); each session deliberately starts from a cold cache.
-    let cache: &'static ReportCache = Box::leak(Box::new(ReportCache::new()));
+    // Each session deliberately starts from a cold cache.
+    let cache = &ReportCache::new();
     let loaded = store.loaded();
     let corrupt = store.corrupt();
     let archived_stale = store.archived_stale();
@@ -70,7 +69,6 @@ fn sweep_session(dir: &Path, seeds: Range<u64>) -> Session {
     let summary = runner.sweep_summary(&KsetScenario, &spec, seeds);
     store.flush().expect("flush");
     let closed = store.close().expect("close");
-    cache.set_spill(None);
     Session {
         summary,
         hits: cache.hits(),
@@ -95,7 +93,7 @@ fn early_manifest_commit_survives_a_kill() {
         let spec = cell_spec();
         store.register_spec("n5_t2_k2_f2", &KsetScenario.cache_tag(), &spec);
         store.commit_manifest().expect("commit manifest");
-        let cache: &'static ReportCache = Box::leak(Box::new(ReportCache::new()));
+        let cache = &ReportCache::new();
         cache.set_spill(Some(store.spill()));
         let runner = Runner::sequential().with_cache(cache);
         let _ = runner.sweep_summary(&KsetScenario, &spec, 0..6);
@@ -344,16 +342,19 @@ fn deeply_nested_garbage_line_is_dropped_and_compacted_away() {
 fn experiment_suite_resumes_from_a_store_session() {
     let dir = scratch("tables");
     let pass = |resume: bool| {
-        let cache = fd_bench::fresh_cache();
-        let session = StoreSession::open(&dir, cache, |_| {}).expect("open run dir");
+        let session = StoreSession::open(&dir, |_| {}).expect("open run dir");
+        let cache = session.cache();
         let rendered: String = fd_bench::all(true, Runner::parallel().with_cache(cache))
             .iter()
             .map(|table| format!("{table}\n"))
             .collect();
-        let runs = cache.hits() + cache.misses();
-        let closed = session.close(runs, 0, resume);
-        cache.set_spill(None);
-        (rendered, cache.hits(), cache.misses(), closed)
+        let (hits, misses) = (cache.hits(), cache.misses());
+        (
+            rendered,
+            hits,
+            misses,
+            session.close(hits + misses, 0, resume),
+        )
     };
     let (cold, _, cold_misses, closed) = pass(false);
     assert!(cold_misses > 0, "a fresh directory serves nothing");

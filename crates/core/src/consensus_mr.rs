@@ -221,15 +221,14 @@ mod tests {
         // ◇S = ◇S_n.
         let oracle = SxOracle::new(fp.clone(), t, n, Scope::Eventual(Time(gst)), seed);
         let cfg = SimConfig::new(n, t).seed(seed).max_time(Time(100_000));
-        let mut sim = Sim::new(
+        let sim = Sim::new(
             cfg,
             fp.clone(),
             |p| ConsensusMr::new(10 + p.0 as u64),
             oracle,
         );
         let correct = fp.correct();
-        sim.run_until(move |tr| tr.deciders().is_superset(correct))
-            .trace
+        sim.run_into_trace(move |tr| tr.deciders().is_superset(correct))
     }
 
     #[test]

@@ -306,15 +306,14 @@ mod tests {
         let fp = FailurePattern::all_correct(n);
         let oracle = OmegaOracle::new(fp.clone(), z, Time(gst), seed);
         let cfg = SimConfig::new(n, t).seed(seed).max_time(Time(60_000));
-        let mut sim = Sim::new(
+        let sim = Sim::new(
             cfg,
             fp.clone(),
             |p| KsetOmega::new(100 + p.0 as u64),
             oracle,
         );
         let correct = fp.correct();
-        sim.run_until(move |tr| tr.deciders().is_superset(correct))
-            .trace
+        sim.run_into_trace(move |tr| tr.deciders().is_superset(correct))
     }
 
     #[test]
@@ -350,12 +349,12 @@ mod tests {
         let fp = FailurePattern::all_correct(4);
         let oracle = OmegaOracle::perfect(fp.clone(), 1, 3);
         let cfg = SimConfig::new(4, 1).seed(3);
-        let mut sim = Sim::new(cfg, fp.clone(), |p| KsetOmega::new(p.0 as u64), oracle);
+        let sim = Sim::new(cfg, fp.clone(), |p| KsetOmega::new(p.0 as u64), oracle);
         let correct = fp.correct();
-        let rep = sim.run_until(move |tr| tr.deciders().is_superset(correct));
+        let trace = sim.run_into_trace(move |tr| tr.deciders().is_superset(correct));
         // Oracle efficiency: every process stays in round 1.
         for i in 0..4 {
-            let h = rep.trace.history(ProcessId(i), slot::ROUND);
+            let h = trace.history(ProcessId(i), slot::ROUND);
             assert_eq!(h.last(), Some(FdValue::Num(1)), "{i} left round 1");
         }
     }

@@ -242,28 +242,11 @@ pub struct RepeatedReport {
     pub msgs_sent: u64,
 }
 
-/// Runs `instances` successive `k`-set agreement instances and checks the
-/// specification of every one of them.
+/// Runs `instances` successive `spec.k`-set agreement instances under
+/// `spec` and checks the specification of every one of them.
 ///
 /// A process's `i`-th decision (in its own decision order) is its
 /// instance-`i` decision; validity is checked against [`proposal`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_repeated(
-    n: usize,
-    t: usize,
-    k: usize,
-    instances: u32,
-    fp: FailurePattern,
-    oracle: impl fd_sim::OracleSuite,
-    seed: u64,
-    max_time: Time,
-) -> RepeatedReport {
-    let spec = ScenarioSpec::new(n, t).kz(k).seed(seed).max_time(max_time);
-    run_repeated_spec(&spec, instances, fp, oracle)
-}
-
-/// As [`run_repeated`], driven by a [`ScenarioSpec`] (the engine-native
-/// entry point; `spec.k` is the per-instance agreement degree).
 pub fn run_repeated_spec(
     spec: &ScenarioSpec,
     instances: u32,
@@ -358,7 +341,13 @@ mod tests {
         for seed in 0..3 {
             let fp = FailurePattern::all_correct(5);
             let oracle = OmegaOracle::new(fp.clone(), 1, Time(300), seed);
-            let rep = run_repeated(5, 2, 1, 5, fp, oracle, seed, Time(400_000));
+            let rep = {
+                let spec = ScenarioSpec::new(5, 2)
+                    .kz(1)
+                    .seed(seed)
+                    .max_time(Time(400_000));
+                run_repeated_spec(&spec, 5, fp, oracle)
+            };
             assert!(rep.spec.ok, "seed {seed}: {}", rep.spec);
             assert_eq!(rep.per_instance.len(), 5);
             for s in &rep.per_instance {
@@ -371,7 +360,13 @@ mod tests {
     fn instances_decide_in_order() {
         let fp = FailurePattern::all_correct(4);
         let oracle = OmegaOracle::perfect(fp.clone(), 1, 1);
-        let rep = run_repeated(4, 1, 1, 3, fp, oracle, 2, Time(200_000));
+        let rep = {
+            let spec = ScenarioSpec::new(4, 1)
+                .kz(1)
+                .seed(2)
+                .max_time(Time(200_000));
+            run_repeated_spec(&spec, 3, fp, oracle)
+        };
         assert!(rep.spec.ok, "{}", rep.spec);
         let mut prev = Time::ZERO;
         for s in &rep.per_instance {
@@ -388,7 +383,13 @@ mod tests {
                 .crash(ProcessId(3), Time(90))
                 .build();
             let oracle = OmegaOracle::new(fp.clone(), 1, Time(200), seed);
-            let rep = run_repeated(5, 2, 1, 4, fp, oracle, seed, Time(400_000));
+            let rep = {
+                let spec = ScenarioSpec::new(5, 2)
+                    .kz(1)
+                    .seed(seed)
+                    .max_time(Time(400_000));
+                run_repeated_spec(&spec, 4, fp, oracle)
+            };
             assert!(rep.spec.ok, "seed {seed}: {}", rep.spec);
         }
     }
@@ -397,7 +398,13 @@ mod tests {
     fn two_set_repeated() {
         let fp = FailurePattern::all_correct(5);
         let oracle = OmegaOracle::new(fp.clone(), 2, Time(250), 7);
-        let rep = run_repeated(5, 2, 2, 3, fp, oracle, 7, Time(400_000));
+        let rep = {
+            let spec = ScenarioSpec::new(5, 2)
+                .kz(2)
+                .seed(7)
+                .max_time(Time(400_000));
+            run_repeated_spec(&spec, 3, fp, oracle)
+        };
         assert!(rep.spec.ok, "{}", rep.spec);
         for s in &rep.per_instance {
             assert!(s.distinct_values.len() <= 2);

@@ -43,8 +43,8 @@ fn trusted_reads(fp: FailurePattern, t: usize, z: usize, gst: u64, horizon: u64)
     };
     let cfg = SimConfig::new(fp.n(), t).seed(seed).max_time(Time(horizon));
     let correct = fp.correct();
-    let mut sim = Sim::new(cfg, fp, |p| KsetOmega::new(100 + p.0 as u64), &mut oracle);
-    sim.run_until(move |tr| tr.deciders().is_superset(correct));
+    let sim = Sim::new(cfg, fp, |p| KsetOmega::new(100 + p.0 as u64), &mut oracle);
+    sim.run_into_trace(move |tr| tr.deciders().is_superset(correct));
     (oracle.reads, oracle.hash)
 }
 

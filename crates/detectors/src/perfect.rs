@@ -52,7 +52,7 @@ impl PerfectOracle {
         for i in 0..self.fp.n() {
             let p = ProcessId(i);
             if let Some(tc) = self.fp.crash_time(p) {
-                if now >= tc.saturating_add(self.detection_lag) {
+                if now >= tc + self.detection_lag {
                     s.insert(p);
                 }
             }

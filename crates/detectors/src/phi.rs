@@ -137,7 +137,7 @@ impl OracleSuite for PhiOracle {
                 noise::arbitrary_bool(self.seed, p, x, now, self.adv.noise_period)
             }
             _ => match self.fp.all_crashed_by(x) {
-                Some(tc) if now >= tc.saturating_add(self.adv.liveness_lag) => true,
+                Some(tc) if now >= tc + self.adv.liveness_lag => true,
                 Some(_) => {
                     // All members faulty but not yet (stably) crashed.
                     matches!(self.scope, Scope::Eventual(_)) && self.adv.early_true_for_doomed

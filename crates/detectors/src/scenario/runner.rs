@@ -37,14 +37,15 @@ pub trait Scenario: Sync {
 
 /// Executes scenarios: single runs, multi-seed sweeps, grid matrices —
 /// sequentially or on a thread pool, with identical results either way.
-/// Optionally consults a [`ReportCache`] for its streaming sweeps.
+/// Optionally consults a [`ReportCache`] it borrows for `'c` in its
+/// streaming sweeps.
 #[derive(Clone, Copy, Debug)]
-pub struct Runner {
+pub struct Runner<'c> {
     threads: usize,
-    cache: Option<&'static ReportCache>,
+    cache: Option<&'c ReportCache>,
 }
 
-impl Runner {
+impl Runner<'static> {
     /// A strictly sequential runner.
     pub fn sequential() -> Self {
         Runner {
@@ -70,20 +71,24 @@ impl Runner {
             cache: None,
         }
     }
+}
 
+impl<'c> Runner<'c> {
     /// Consults `cache` in the streaming sweeps ([`Runner::sweep_fold`] /
     /// [`Runner::sweep_summary`]): cache-hit seeds skip the simulation and
     /// fold the stored [`SlimReport`] — bit-identical to a cold sweep,
     /// because runs are pure in `(scenario, spec, seed)`. Misses run and
-    /// populate the cache. The `'static` bound keeps the runner `Copy`;
-    /// hand it a deliberately leaked instance, one per campaign.
-    pub fn with_cache(mut self, cache: &'static ReportCache) -> Self {
-        self.cache = Some(cache);
-        self
+    /// populate the cache. The runner stays `Copy`: it only borrows the
+    /// cache, which outlives every sweep through it.
+    pub fn with_cache<'d>(self, cache: &'d ReportCache) -> Runner<'d> {
+        Runner {
+            threads: self.threads,
+            cache: Some(cache),
+        }
     }
 
     /// The cache this runner consults, if any.
-    pub fn cache(&self) -> Option<&'static ReportCache> {
+    pub fn cache(&self) -> Option<&'c ReportCache> {
         self.cache
     }
 

@@ -493,7 +493,7 @@ impl Scenario for CountingProbe<'_> {
 
 #[test]
 fn cached_sweep_is_bit_identical_and_never_reruns() {
-    let cache: &'static ReportCache = Box::leak(Box::new(ReportCache::new()));
+    let cache = &ReportCache::new();
     let executed = AtomicU64::new(0);
     let probe = CountingProbe(&executed);
     let base = ScenarioSpec::new(5, 2).crashes(CrashPlan::Anarchic { by: Time(50) });
@@ -535,7 +535,7 @@ fn cached_sweep_is_bit_identical_and_never_reruns() {
 
 #[test]
 fn cache_capacity_caps_insertions_without_changing_results() {
-    let cache: &'static ReportCache = Box::leak(Box::new(ReportCache::with_capacity(16)));
+    let cache = &ReportCache::with_capacity(16);
     let base = ScenarioSpec::new(5, 2);
     let runner = Runner::sequential().with_cache(cache);
     let a = runner.sweep_summary(&Probe, &base, 0..100);
@@ -557,7 +557,7 @@ fn cache_capacity_caps_insertions_without_changing_results() {
 
 #[test]
 fn spill_hook_observes_every_computed_cell_exactly_once() {
-    let cache: &'static ReportCache = Box::leak(Box::new(ReportCache::with_capacity(16)));
+    let cache = &ReportCache::with_capacity(16);
     let spilled: Arc<Mutex<Vec<(u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&spilled);
     cache.set_spill(Some(Arc::new(move |salt, seed, _slim| {
@@ -598,13 +598,13 @@ fn spill_hook_observes_every_computed_cell_exactly_once() {
 
 #[test]
 fn hydrated_cells_serve_hits_without_tallying() {
-    let cache: &'static ReportCache = Box::leak(Box::new(ReportCache::new()));
+    let cache = &ReportCache::new();
     let executed = AtomicU64::new(0);
     let probe = CountingProbe(&executed);
     let base = ScenarioSpec::new(5, 2);
     // Compute the cells once in a scratch cache, capturing them via the
     // spill hook — exactly what a durable store does on a cold run.
-    let scratch: &'static ReportCache = Box::leak(Box::new(ReportCache::new()));
+    let scratch = &ReportCache::new();
     let captured: Arc<Mutex<Vec<(u64, u64, SlimReport)>>> = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&captured);
     scratch.set_spill(Some(Arc::new(move |salt, seed, slim| {

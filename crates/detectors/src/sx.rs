@@ -237,7 +237,7 @@ impl OracleSuite for SxOracle {
             for j in 0..n {
                 let pj = ProcessId(j);
                 if let Some(tc) = self.fp.crash_time(pj) {
-                    if now >= tc.saturating_add(self.adv.completeness_lag) {
+                    if now >= tc + self.adv.completeness_lag {
                         base.insert(pj);
                     }
                 }

@@ -6,7 +6,7 @@
 //! corrupts in-flight state, and fault-tolerant protocols are classically
 //! evaluated under message loss and duplication, not just crashes. This
 //! module adds that opponent as an *opt-in* layer applied inside
-//! [`crate::network::Network::route`]:
+//! [`crate::network::Network::route_to`]:
 //!
 //! * [`MessageAdversary::None`] — today's reliable channels, **bit-identical**
 //!   to a simulator without this module: no RNG stream is consumed, no
@@ -188,7 +188,7 @@ impl MessageRule {
 pub enum MessageAdversary {
     /// Reliable channels (the paper's base model). Guaranteed bit-identical
     /// to the pre-adversary simulator: the fast path in
-    /// [`crate::network::Network::route`] touches no RNG stream.
+    /// [`crate::network::Network::route_to`] touches no RNG stream.
     #[default]
     None,
     /// Apply these rules, in order, to every routed point-to-point message.
@@ -548,57 +548,26 @@ impl TopologySchedule {
     }
 }
 
-/// What the adversary did to one routed message (all-false on the clean
-/// path). The runtime turns set flags into trace counters, so reports can
-/// cite how many messages were dropped / duplicated / corrupted.
+/// What the adversary and the topology did to one routed send, counted
+/// per recipient copy (all zero on the clean path): returned by
+/// [`crate::network::Network::route_to`], so the runtime bumps each trace
+/// counter once per send and reports can cite how many messages were
+/// dropped / duplicated / corrupted / severed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RouteEffects {
-    /// The message was lost.
-    pub dropped: bool,
-    /// A second copy was scheduled.
-    pub duplicated: bool,
-    /// The payload was mutated.
-    pub corrupted: bool,
-    /// The message was cut by the topology schedule (structural, counted
-    /// separately from probabilistic `dropped`).
-    pub severed: bool,
-}
-
-impl RouteEffects {
-    /// Whether the adversary left the message alone.
-    #[inline]
-    pub fn is_clean(&self) -> bool {
-        !(self.dropped || self.duplicated || self.corrupted || self.severed)
-    }
-}
-
-/// What the adversary did across one whole broadcast (the counted sum of
-/// the per-recipient [`RouteEffects`]): returned by
-/// [`crate::network::Network::route_broadcast`] so the runtime bumps each
-/// trace counter once per broadcast instead of once per recipient.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BroadcastEffects {
-    /// Recipients whose copy was lost.
+    /// Copies that were lost.
     pub dropped: u64,
-    /// Recipients for whom a second copy was scheduled.
+    /// Copies for which a second delivery was scheduled.
     pub duplicated: u64,
-    /// Recipients whose copy was mutated.
+    /// Copies whose payload was mutated.
     pub corrupted: u64,
-    /// Recipients whose copy was cut by the topology schedule.
+    /// Copies cut by the topology schedule (structural, counted separately
+    /// from probabilistic `dropped`).
     pub severed: u64,
 }
 
-impl BroadcastEffects {
-    /// Folds one recipient's effects into the totals.
-    #[inline]
-    pub fn absorb(&mut self, fx: RouteEffects) {
-        self.dropped += fx.dropped as u64;
-        self.duplicated += fx.duplicated as u64;
-        self.corrupted += fx.corrupted as u64;
-        self.severed += fx.severed as u64;
-    }
-
-    /// Whether the adversary left the whole broadcast alone.
+impl RouteEffects {
+    /// Whether the adversary and the topology left every copy alone.
     #[inline]
     pub fn is_clean(&self) -> bool {
         self.dropped == 0 && self.duplicated == 0 && self.corrupted == 0 && self.severed == 0
@@ -632,7 +601,7 @@ pub trait Corruptible {
 ///
 /// `bound == 0` is a **no-op that consumes zero draws** and returns
 /// `false`. A *matching* `Corrupt { bound: 0 }` rule still consumes its
-/// one per-rule `chance` draw in [`crate::network::Network::route`] (the
+/// one per-rule `chance` draw in [`crate::network::Network::route_to`] (the
 /// per-rule draw happens before the action runs and is required for
 /// stream stability — every matching rule costs exactly one `chance`
 /// regardless of action or outcome), but no corruption draws follow and
@@ -818,12 +787,12 @@ mod tests {
     fn route_effects_clean() {
         assert!(RouteEffects::default().is_clean());
         assert!(!RouteEffects {
-            dropped: true,
+            dropped: 1,
             ..Default::default()
         }
         .is_clean());
         assert!(!RouteEffects {
-            severed: true,
+            severed: 2,
             ..Default::default()
         }
         .is_clean());

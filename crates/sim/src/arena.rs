@@ -49,7 +49,7 @@ struct Slot<M> {
 
 /// Reference-counted storage for the payloads of scheduled deliveries.
 ///
-/// The simulator owns one arena per run; the network allocates into it on
+/// The simulator owns one arena per run; the network stages into it on
 /// every route and the engine consumes from it on every delivery pop. See
 /// the [module docs](self) for the layout rationale.
 #[derive(Debug)]
@@ -84,42 +84,33 @@ impl<M> MsgArena<M> {
         }
     }
 
-    fn insert(&mut self, msg: M, refs: u32) -> MsgSlot {
+    /// Stores `msg` with its delivery count not yet known — the one way a
+    /// payload enters the arena. The routing paths stage the payload,
+    /// emit one event per recipient (plus one per duplicate), and then
+    /// [`MsgArena::commit`] the final count.
+    pub fn stage(&mut self, msg: M) -> MsgSlot {
         self.live += 1;
         match self.free.pop() {
             Some(i) => {
                 let s = &mut self.slots[i as usize];
                 debug_assert!(s.msg.is_none(), "free-list slot still holds a payload");
                 s.msg = Some(msg);
-                s.refs = refs;
+                s.refs = 0;
                 MsgSlot(i)
             }
             None => {
                 let i = u32::try_from(self.slots.len()).expect("arena exceeds u32 slots");
                 self.slots.push(Slot {
                     msg: Some(msg),
-                    refs,
+                    refs: 0,
                 });
                 MsgSlot(i)
             }
         }
     }
 
-    /// Stores `msg` with `refs` pending deliveries (`refs ≥ 1`).
-    pub fn alloc(&mut self, msg: M, refs: u32) -> MsgSlot {
-        debug_assert!(refs > 0, "alloc with zero refs leaks; use stage/commit");
-        self.insert(msg, refs)
-    }
-
-    /// Stores `msg` with its delivery count not yet known — the batched
-    /// routing paths stage the payload first, emit one event per recipient,
-    /// and then [`MsgArena::commit`] the final count.
-    pub fn stage(&mut self, msg: M) -> MsgSlot {
-        self.insert(msg, 0)
-    }
-
     /// Sets the delivery count of a [`MsgArena::stage`]d slot. A count of
-    /// zero (a broadcast that reached nobody) frees the slot immediately.
+    /// zero (a send that reached nobody) frees the slot immediately.
     pub fn commit(&mut self, slot: MsgSlot, refs: u32) {
         let s = &mut self.slots[slot.0 as usize];
         debug_assert_eq!(s.refs, 0, "commit on an already-committed slot");
@@ -130,11 +121,6 @@ impl<M> MsgArena<M> {
         } else {
             s.refs = refs;
         }
-    }
-
-    /// Adds one pending delivery to an existing slot (message duplication).
-    pub fn retain(&mut self, slot: MsgSlot) {
-        self.slots[slot.0 as usize].refs += 1;
     }
 
     /// Consumes one delivery of `slot`'s payload: clones while other
@@ -191,10 +177,17 @@ impl<M> MsgArena<M> {
 mod tests {
     use super::*;
 
+    /// Stages `msg` and commits `refs` deliveries in one go.
+    fn put<M>(a: &mut MsgArena<M>, msg: M, refs: u32) -> MsgSlot {
+        let s = a.stage(msg);
+        a.commit(s, refs);
+        s
+    }
+
     #[test]
     fn take_clones_then_moves() {
         let mut a: MsgArena<String> = MsgArena::new();
-        let s = a.alloc("hello".to_owned(), 3);
+        let s = put(&mut a, "hello".to_owned(), 3);
         assert_eq!(a.live(), 1);
         assert_eq!(a.take(s), "hello");
         assert_eq!(a.take(s), "hello");
@@ -206,9 +199,9 @@ mod tests {
     #[test]
     fn slots_are_recycled() {
         let mut a: MsgArena<u64> = MsgArena::new();
-        let s1 = a.alloc(1, 1);
+        let s1 = put(&mut a, 1, 1);
         assert_eq!(a.take(s1), 1);
-        let s2 = a.alloc(2, 1);
+        let s2 = put(&mut a, 2, 1);
         assert_eq!(s1, s2, "freed slot must be reused");
         assert_eq!(a.capacity(), 1, "no new slot was created");
         assert_eq!(a.take(s2), 2);
@@ -217,7 +210,7 @@ mod tests {
     #[test]
     fn release_skips_the_clone_and_frees() {
         let mut a: MsgArena<u64> = MsgArena::new();
-        let s = a.alloc(7, 2);
+        let s = put(&mut a, 7, 2);
         a.release(s);
         assert_eq!(a.live(), 1);
         assert_eq!(a.take(s), 7, "last consumer still gets the payload");
@@ -232,28 +225,21 @@ mod tests {
         a.commit(s, 0);
         assert!(a.is_empty());
         // And the slot is back on the free list.
-        let s2 = a.alloc(10, 1);
+        let s2 = put(&mut a, 10, 1);
         assert_eq!(s, s2);
         assert_eq!(a.take(s2), 10);
     }
 
+    /// A committed count is exactly the number of deliveries the slot
+    /// serves — two for a duplicated unicast.
     #[test]
     fn stage_commit_counts_like_alloc() {
         let mut a: MsgArena<u64> = MsgArena::new();
         let s = a.stage(5);
         a.commit(s, 2);
         assert_eq!(a.take(s), 5);
+        assert_eq!(a.live(), 1);
         assert_eq!(a.take(s), 5);
-        assert!(a.is_empty());
-    }
-
-    #[test]
-    fn retain_adds_a_delivery() {
-        let mut a: MsgArena<u64> = MsgArena::new();
-        let s = a.alloc(4, 1);
-        a.retain(s);
-        assert_eq!(a.take(s), 4);
-        assert_eq!(a.take(s), 4);
         assert!(a.is_empty());
     }
 

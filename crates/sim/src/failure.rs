@@ -109,10 +109,9 @@ impl FailurePattern {
         let mut b = FailurePattern::builder(n);
         for j in 0..f {
             let at = Time(rng.range(0, crash_by.ticks()));
-            b = b.crash(ProcessId(ids[j] as usize), at).join(
-                ProcessId(ids[f + j] as usize),
-                Time(at.ticks().saturating_add(rejoin_after)),
-            );
+            b = b
+                .crash(ProcessId(ids[j] as usize), at)
+                .join(ProcessId(ids[f + j] as usize), at + rejoin_after);
         }
         b.build()
     }

@@ -52,9 +52,9 @@
 //!
 //! let cfg = SimConfig::new(5, 1).seed(1);
 //! let fp = FailurePattern::all_correct(5);
-//! let mut sim = Sim::new(cfg, fp, |_| MinId { heard: vec![], decided: false }, NoOracle);
-//! let report = sim.run();
-//! assert_eq!(report.trace.deciders().len(), 5);
+//! let sim = Sim::new(cfg, fp, |_| MinId { heard: vec![], decided: false }, NoOracle);
+//! let trace = sim.run_into_trace(|_| false);
+//! assert_eq!(trace.deciders().len(), 5);
 //! ```
 
 #![warn(missing_docs)]
@@ -76,8 +76,8 @@ pub mod time;
 pub mod trace;
 
 pub use adversary::{
-    corrupt_u64, BroadcastEffects, Corruptible, LinkFate, LinkOverride, MessageAdversary,
-    MessageRule, RouteEffects, RuleAction, TopologyEpoch, TopologySchedule,
+    corrupt_u64, Corruptible, LinkFate, LinkOverride, MessageAdversary, MessageRule, RouteEffects,
+    RuleAction, TopologyEpoch, TopologySchedule,
 };
 pub use arena::{MsgArena, MsgSlot};
 pub use automaton::{forward_ops, Automaton, Ctx, Op};
@@ -88,7 +88,7 @@ pub use id::{PSet, PSetIter, ProcessId, MAX_PROCESSES};
 pub use network::{DelayModel, DelayRule, Network};
 pub use oracle::{NoOracle, OracleSuite, SuspectPlusQuery};
 pub use rng::SplitMix64;
-pub use runtime::{counter, RunReport, Sim, SimConfig};
+pub use runtime::{counter, Sim, SimConfig};
 pub use shm::{run_shm, RegAddr, SharedMem, ShmConfig, ShmCtx, ShmProcess};
 pub use time::Time;
 pub use trace::{slot, Decision, FdValue, History, Sample, Samples, Trace};

@@ -9,14 +9,18 @@
 //! adversaries of Theorems 8–11 are expressed ("all messages sent by the
 //! processes of `E` between τ and τ₁ are delayed until after τ₁").
 //!
-//! Payloads are not carried by the scheduled events: every routing path
-//! stores the message once in the run's [`MsgArena`] and schedules `Copy`
-//! events holding a [`crate::arena::MsgSlot`] handle — a clean broadcast is
-//! one arena insert plus `n` index writes, not `n` clones of `M`.
+//! Two channels, one routing method each: [`Network::route_to`] carries
+//! `send` and `broadcast` over the plain links (a unicast is a
+//! one-recipient broadcast; [`Network::route_broadcast`] is its `0..n`
+//! call), and [`Network::route_protected`] carries reliable-broadcast
+//! deliveries, which the message adversary cannot touch. Both stage the
+//! payload once in the run's [`MsgArena`], push `Copy` events holding a
+//! [`crate::arena::MsgSlot`] handle through one [`Scheduler::push_batch`],
+//! and commit the slot's delivery count — a clean broadcast is one arena
+//! insert plus `n` index writes, not `n` clones of `M`.
 
 use crate::adversary::{
-    BroadcastEffects, Corruptible, LinkFate, MessageAdversary, RouteEffects, RuleAction,
-    TopologySchedule,
+    Corruptible, LinkFate, MessageAdversary, RouteEffects, RuleAction, TopologySchedule,
 };
 use crate::arena::MsgArena;
 use crate::event::{EventKind, Scheduler, Staged};
@@ -144,14 +148,14 @@ pub struct Network {
 /// Draws one delivery time from `delay` + `rules` using `rng`. Together
 /// with its draw-identical batched twin [`sample_delivery_bulk`], this is
 /// the *only* place a delivery time is ever sampled:
-/// [`Network::delivery_time`], every scalar and batched route path (regular
-/// copies draw from the delay stream, duplicate copies from the adversary
-/// stream), and the protected reliable-broadcast path all funnel through
-/// these two. Part of the reproducibility contract: the delay draw happens
-/// *before* the message adversary is consulted (see
-/// [`Network::route_with`]), so the delivered subset of messages keeps
-/// exactly the delivery times it would have had in a clean run, and
-/// adding/removing adversary rules never shifts this stream.
+/// [`Network::delivery_time`], both route paths (regular copies draw from
+/// the delay stream, duplicate copies from the adversary stream), and the
+/// protected reliable-broadcast path all funnel through these two. Part
+/// of the reproducibility contract: the delay draw happens *before* the
+/// message adversary is consulted (see [`Network::route_with`]), so the
+/// delivered subset of messages keeps exactly the delivery times it would
+/// have had in a clean run, and adding/removing adversary rules never
+/// shifts this stream.
 #[inline]
 fn sample_delivery(
     delay: &DelayModel,
@@ -288,101 +292,152 @@ impl Network {
         sample_delivery(&self.delay, &self.rules, &mut self.rng, from, to, sent_at)
     }
 
-    /// Routes a point-to-point message: draws its delivery time, applies
-    /// the message adversary, stores the surviving payload in `arena`, and
-    /// schedules the delivery for `to` on the given [`Scheduler`]. This is
-    /// the runtime's send path for *plain* channels; the trait bound lets
-    /// tests and measurement harnesses substitute their own sink while
-    /// staying statically dispatched (`?Sized` also admits
-    /// `&mut dyn Scheduler` where a trait object is genuinely needed).
+    /// Routes one send of `msg` by `from` to every process in `recipients`
+    /// — a unicast is `once(to)`, a broadcast `0..n` — over the plain
+    /// channels the message adversary attacks: draws the delivery times,
+    /// applies the topology schedule and the adversary, stages the
+    /// surviving deliveries into the caller-recycled `staging` buffer and
+    /// inserts them through one [`Scheduler::push_batch`] call. The
+    /// `?Sized` bound admits `&mut dyn Scheduler` where a trait object is
+    /// genuinely needed.
     ///
-    /// Returns what the adversary did ([`RouteEffects::default`] on the
-    /// clean path). With [`MessageAdversary::None`] this is draw-for-draw
-    /// identical to the pre-adversary simulator.
+    /// On the clean path (no adversary, no topology epoch covering the send
+    /// time) the payload is stored **once** — one arena slot with one
+    /// pending delivery per recipient, no clone of `M` at all — and the
+    /// delays come from one bulk pass, draw for draw what a per-recipient
+    /// loop would draw. Otherwise each recipient's copy goes through the
+    /// per-recipient core (the payload moves into the last copy), so each
+    /// link can have its own fate and each copy is attacked apart.
     ///
-    /// The delay draw happens before the adversary is consulted, even for
-    /// messages that end up dropped — so the delivered subset keeps exactly
-    /// the delivery times it would have had in the clean run. Dropped
-    /// payloads never touch the arena.
-    pub fn route<M: Clone + Corruptible, Q: Scheduler + ?Sized>(
+    /// Returns the counted sum of what the adversary and the topology did
+    /// across the recipients ([`RouteEffects::is_clean`] under
+    /// [`MessageAdversary::None`] and no epoch). `staging` must arrive
+    /// empty and is cleared again before returning.
+    // The arena + recycled staging buffer are what keep a send
+    // allocation-free; folding them into a params struct would only move
+    // the argument count somewhere less legible.
+    #[allow(clippy::too_many_arguments)]
+    pub fn route_to<M: Clone + Corruptible, Q: Scheduler + ?Sized>(
         &mut self,
         queue: &mut Q,
         arena: &mut MsgArena<M>,
         from: ProcessId,
-        to: ProcessId,
+        recipients: impl IntoIterator<Item = ProcessId>,
         sent_at: Time,
         msg: M,
+        staging: &mut Vec<Staged>,
     ) -> RouteEffects {
-        self.route_with(arena, from, to, sent_at, msg, |at, to, kind| {
-            queue.push(at, to, kind)
-        })
+        debug_assert!(staging.is_empty(), "staging buffer must arrive empty");
+        let fx = if self.adversary.is_none() && self.topology.epoch_at(sent_at).is_none() {
+            let slot = arena.stage(msg);
+            sample_delivery_bulk(
+                &self.delay,
+                &self.rules,
+                &mut self.rng,
+                from,
+                recipients,
+                sent_at,
+                |to, at| {
+                    staging.push(Staged {
+                        at,
+                        to,
+                        kind: EventKind::Deliver { from, slot },
+                    });
+                },
+            );
+            arena.commit(slot, staging.len() as u32);
+            RouteEffects::default()
+        } else {
+            self.route_with(arena, from, recipients, sent_at, msg, staging)
+        };
+        queue.push_batch(staging);
+        staging.clear();
+        fx
     }
 
-    /// The one routing core every plain-channel path shares: draws the
-    /// delivery time, applies the message adversary (corruption mutates the
-    /// still-owned payload *before* it is stored), allocates the arena
-    /// slot, and *emits* the resulting event(s) — directly into a scheduler
-    /// for the scalar [`Network::route`], into a staging buffer for
-    /// [`Network::route_broadcast`]. Keeping it in one place is what pins
-    /// the draw-order contract down: delay draw first (from the delay
-    /// stream), then one `chance` draw per in-scope rule per message in
+    /// [`Network::route_to`] every process `0..n`: the runtime's
+    /// `Op::Broadcast`.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    pub fn route_broadcast<M: Clone + Corruptible, Q: Scheduler + ?Sized>(
+        &mut self,
+        queue: &mut Q,
+        arena: &mut MsgArena<M>,
+        from: ProcessId,
+        n: usize,
+        sent_at: Time,
+        msg: M,
+        staging: &mut Vec<Staged>,
+    ) -> RouteEffects {
+        let recipients = (0..n).map(ProcessId);
+        self.route_to(queue, arena, from, recipients, sent_at, msg, staging)
+    }
+
+    /// The per-recipient path of [`Network::route_to`], one copy per
+    /// recipient in iteration order (every copy but the last is a clone;
+    /// the last takes the payload): draws the delivery time, applies the
+    /// message adversary (corruption mutates the still-owned copy *before*
+    /// it is stored), stages one arena slot per surviving copy and pushes
+    /// its delivery (or two) onto `staging`. Keeping it in one place is
+    /// what pins the draw-order contract down: per copy, delay draw first
+    /// (from the delay stream), then one `chance` draw per in-scope rule in
     /// rule order (from the adversary stream), then one extra delay draw
-    /// per duplicate (adversary stream again). A duplicated message stores
-    /// its payload once (one slot, two pending deliveries); the original is
-    /// emitted first, so at equal delivery times it keeps the smaller
+    /// per duplicate (adversary stream again). A duplicated copy stores its
+    /// payload once (one slot, two pending deliveries); the original is
+    /// staged first, so at equal delivery times it keeps the smaller
     /// sequence number.
     ///
     /// The topology schedule is resolved *before* the message adversary
-    /// (structure trumps probability): a severed message consumes its base
+    /// (structure trumps probability): a severed copy consumes its base
     /// delay draw — keeping the delay stream at clean-run positions — and
     /// is then lost with zero adversary draws; a latency override replaces
     /// the drawn delivery time with one draw from the topology stream
-    /// (again leaving the delay stream clean-run-identical) and the message
+    /// (again leaving the delay stream clean-run-identical) and the copy
     /// then faces the adversary rules as usual. Duplicates of a
-    /// latency-overridden message keep the base-model delay from the
-    /// adversary stream, like every duplicate.
-    #[inline]
+    /// latency-overridden copy keep the base-model delay from the adversary
+    /// stream, like every duplicate. Dropped and severed copies never touch
+    /// the arena.
     fn route_with<M: Clone + Corruptible>(
         &mut self,
         arena: &mut MsgArena<M>,
         from: ProcessId,
-        to: ProcessId,
+        recipients: impl IntoIterator<Item = ProcessId>,
         sent_at: Time,
-        mut msg: M,
-        mut emit: impl FnMut(Time, ProcessId, EventKind),
+        msg: M,
+        staging: &mut Vec<Staged>,
     ) -> RouteEffects {
-        let fate = if self.topology.is_none() {
-            LinkFate::Open
-        } else {
-            self.topology.fate(from, to, sent_at)
-        };
-        if self.adversary.is_none() && matches!(fate, LinkFate::Open) {
-            let at = self.delivery_time(from, to, sent_at);
-            let slot = arena.alloc(msg, 1);
-            emit(at, to, EventKind::Deliver { from, slot });
-            return RouteEffects::default();
-        }
-        let mut at = self.delivery_time(from, to, sent_at);
-        match fate {
-            LinkFate::Open => {}
-            LinkFate::Severed { .. } => {
-                // Cut: lost structurally, no adversary draws, no arena slot.
-                // The base delay draw above already happened, so delivered
-                // messages keep their clean-run times.
-                return RouteEffects {
-                    severed: true,
-                    ..RouteEffects::default()
-                };
-            }
-            LinkFate::Latency { lo, hi } => {
-                at = sent_at + self.topo_rng.range(lo.min(hi), hi.max(lo)).max(1);
-            }
-        }
         let mut fx = RouteEffects::default();
-        {
+        let mut recipients = recipients.into_iter().peekable();
+        let mut payload = Some(msg);
+        'copies: while let Some(to) = recipients.next() {
+            let mut msg = match recipients.peek() {
+                Some(_) => payload.clone(),
+                None => payload.take(),
+            }
+            .expect("one payload per copy");
+            let fate = if self.topology.is_none() {
+                LinkFate::Open
+            } else {
+                self.topology.fate(from, to, sent_at)
+            };
+            let mut at = self.delivery_time(from, to, sent_at);
+            let (mut duplicated, mut corrupted) = (false, false);
+            match fate {
+                LinkFate::Open => {}
+                LinkFate::Severed { .. } => {
+                    // Cut: lost structurally, no adversary draws, no arena
+                    // slot. The base delay draw above already happened, so
+                    // delivered copies keep their clean-run times.
+                    fx.severed += 1;
+                    continue;
+                }
+                LinkFate::Latency { lo, hi } => {
+                    at = sent_at + self.topo_rng.range(lo.min(hi), hi.max(lo)).max(1);
+                }
+            }
             // Disjoint-field borrows: rules read-only, adversary stream
-            // mutable. One `chance` draw per in-scope rule per message, in
-            // rule order — the determinism contract of the dropped set.
+            // mutable. One `chance` draw per in-scope rule per copy, in rule
+            // order — the determinism contract of the dropped set.
             let Network {
                 adversary, adv_rng, ..
             } = self;
@@ -394,121 +449,58 @@ impl Network {
                     RuleAction::Drop => {
                         // Lost: nothing is scheduled or stored, later rules
                         // are moot, and earlier duplications/corruptions of
-                        // this message are moot too — only the drop is
-                        // reported.
-                        return RouteEffects {
-                            dropped: true,
-                            ..RouteEffects::default()
-                        };
+                        // this copy are moot too — only the drop counts.
+                        fx.dropped += 1;
+                        continue 'copies;
                     }
-                    RuleAction::Duplicate => fx.duplicated = true,
+                    RuleAction::Duplicate => duplicated = true,
                     RuleAction::Corrupt { bound } => {
-                        // Only plain deliveries carry corruptible payloads
-                        // here: rb deliveries never reach route() at all
-                        // (route_protected), keeping the rb exemption
-                        // structural rather than incidental. The payload is
-                        // still owned at this point, so corruption happens
-                        // in place, before the arena ever sees it.
-                        fx.corrupted |= msg.corrupt(bound, adv_rng);
+                        // Only plain deliveries carry corruptible payloads:
+                        // rb deliveries take `route_protected`, which never
+                        // consults the adversary, keeping the rb exemption
+                        // structural rather than incidental. The copy is
+                        // still owned here, so corruption happens in place,
+                        // before the arena ever sees it.
+                        corrupted |= msg.corrupt(bound, adv_rng);
                     }
                 }
             }
-        }
-        if fx.duplicated {
-            // The copy's delay comes from the adversary stream, so the
-            // next regular message's delay draw is unaffected. One slot
-            // with two pending deliveries — the payload is stored once.
-            let Network {
-                delay,
-                rules,
-                adv_rng,
-                ..
-            } = self;
-            let dup_at = sample_delivery(delay, rules, adv_rng, from, to, sent_at);
-            let slot = arena.alloc(msg, 2);
-            emit(at, to, EventKind::Deliver { from, slot });
-            emit(dup_at, to, EventKind::Deliver { from, slot });
-        } else {
-            let slot = arena.alloc(msg, 1);
-            emit(at, to, EventKind::Deliver { from, slot });
-        }
-        fx
-    }
-
-    /// Routes one broadcast of `msg` by `from` to processes `0..n`: draws
-    /// all `n` delivery delays in a single pass — draw for draw in the
-    /// exact per-recipient order the scalar [`Network::route`] loop
-    /// produces, so traces are bit-identical — stages the deliveries into
-    /// the caller-recycled `staging` buffer, and inserts them through one
-    /// [`Scheduler::push_batch`] call.
-    ///
-    /// On the adversary-free path the payload is stored **once** (one arena
-    /// slot with `n` pending deliveries): routing the broadcast costs no
-    /// clone of `M` at all — the per-recipient copies materialize lazily at
-    /// delivery time. With an armed adversary each recipient's copy is
-    /// routed (and possibly independently corrupted) separately, exactly as
-    /// the scalar loop would.
-    ///
-    /// Returns the counted sum of what the adversary did across the
-    /// broadcast ([`BroadcastEffects::is_clean`] under
-    /// [`MessageAdversary::None`]). `staging` must arrive empty and is
-    /// cleared again before returning.
-    // The arena + recycled staging buffer are exactly why the batch
-    // path exists; folding them into a params struct would only move
-    // the argument count somewhere less legible.
-    #[allow(clippy::too_many_arguments)]
-    pub fn route_broadcast<M: Clone + Corruptible, Q: Scheduler + ?Sized>(
-        &mut self,
-        queue: &mut Q,
-        arena: &mut MsgArena<M>,
-        from: ProcessId,
-        n: usize,
-        sent_at: Time,
-        msg: M,
-        staging: &mut Vec<Staged>,
-    ) -> BroadcastEffects {
-        debug_assert!(staging.is_empty(), "staging buffer must arrive empty");
-        let mut fx = BroadcastEffects::default();
-        if self.adversary.is_none() && self.topology.epoch_at(sent_at).is_none() {
-            // Fast path: one arena slot for the whole storm, all n delays
-            // drawn in one bulk pass, no per-recipient adversary branching
-            // or model re-matching. A topology epoch covering the send time
-            // forces the per-recipient loop below, because each link can
-            // have a different fate.
             let slot = arena.stage(msg);
-            sample_delivery_bulk(
-                &self.delay,
-                &self.rules,
-                &mut self.rng,
-                from,
-                (0..n).map(ProcessId),
-                sent_at,
-                |to, at| {
-                    staging.push(Staged {
-                        at,
-                        to,
-                        kind: EventKind::Deliver { from, slot },
-                    });
-                },
-            );
-            arena.commit(slot, staging.len() as u32);
-        } else {
-            for i in 0..n {
-                let to = ProcessId(i);
-                let one = self.route_with(arena, from, to, sent_at, msg.clone(), |at, to, kind| {
-                    staging.push(Staged { at, to, kind })
+            staging.push(Staged {
+                at,
+                to,
+                kind: EventKind::Deliver { from, slot },
+            });
+            if duplicated {
+                // The copy's delay comes from the adversary stream, so the
+                // next regular message's delay draw is unaffected. One slot
+                // with two pending deliveries — the payload is stored once.
+                let Network {
+                    delay,
+                    rules,
+                    adv_rng,
+                    ..
+                } = self;
+                let dup_at = sample_delivery(delay, rules, adv_rng, from, to, sent_at);
+                staging.push(Staged {
+                    at: dup_at,
+                    to,
+                    kind: EventKind::Deliver { from, slot },
                 });
-                fx.absorb(one);
             }
+            arena.commit(slot, 1 + duplicated as u32);
+            fx.duplicated += duplicated as u64;
+            fx.corrupted += corrupted as u64;
         }
-        queue.push_batch(staging);
-        staging.clear();
         fx
     }
 
-    /// Routes a message on a channel the adversary cannot touch — the
-    /// runtime's path for reliable-broadcast deliveries, whose axioms (no
-    /// loss, no alteration, no duplication) are a premise of the model.
+    /// Routes one reliable-broadcast delivery of `msg` to each process in
+    /// `receivers`, on a channel the message adversary cannot touch — the
+    /// rb axioms (no loss, no alteration, no duplication) are a premise of
+    /// the model. The payload is stored once (one slot, one pending
+    /// delivery per receiver), delays are drawn in iteration order, and
+    /// the deliveries go in through one [`Scheduler::push_batch`] call.
     ///
     /// The topology schedule *delays* rb messages but never loses them: a
     /// severed link holds the message until just past the epoch's heal
@@ -516,54 +508,9 @@ impl Network {
     /// synchronizing into one mega-tick), and a latency override replaces
     /// the drawn delivery time. This is exactly the model's delay-only
     /// adversary — arbitrary finite delays over reliable channels.
-    pub fn route_protected<M, Q: Scheduler + ?Sized>(
-        &mut self,
-        queue: &mut Q,
-        arena: &mut MsgArena<M>,
-        from: ProcessId,
-        to: ProcessId,
-        sent_at: Time,
-        msg: M,
-    ) {
-        let mut at = self.delivery_time(from, to, sent_at);
-        if !self.topology.is_none() {
-            at = Self::protected_fate(&self.topology, &mut self.topo_rng, from, to, sent_at, at);
-        }
-        let slot = arena.alloc(msg, 1);
-        queue.push(at, to, EventKind::RbDeliver { from, slot });
-    }
-
-    /// Applies the topology schedule to one protected delivery: severed
-    /// links hold the message until just past `heal`, latency overrides
-    /// replace the base draw. Shared by the scalar and batched rb paths so
-    /// the two stay draw-for-draw identical.
-    #[inline]
-    fn protected_fate(
-        topology: &TopologySchedule,
-        topo_rng: &mut SplitMix64,
-        from: ProcessId,
-        to: ProcessId,
-        sent_at: Time,
-        at: Time,
-    ) -> Time {
-        match topology.fate(from, to, sent_at) {
-            LinkFate::Open => at,
-            LinkFate::Severed { heal } => at.max(heal + topo_rng.range(0, 3)),
-            LinkFate::Latency { lo, hi } => sent_at + topo_rng.range(lo.min(hi), hi.max(lo)).max(1),
-        }
-    }
-
-    /// The batched [`Network::route_protected`]: one reliable-broadcast
-    /// delivery of `msg` per process in `receivers`, delays drawn in
-    /// iteration order (identical to the scalar loop), the payload stored
-    /// once (one slot, one pending delivery per receiver), inserted through
-    /// a single [`Scheduler::push_batch`] call. `staging` must arrive empty
-    /// and is cleared again before returning.
-    // The arena + recycled staging buffer are exactly why the batch
-    // path exists; folding them into a params struct would only move
-    // the argument count somewhere less legible.
+    /// `staging` must arrive empty and is cleared again before returning.
     #[allow(clippy::too_many_arguments)]
-    pub fn route_protected_batch<M, Q: Scheduler + ?Sized>(
+    pub fn route_protected<M, Q: Scheduler + ?Sized>(
         &mut self,
         queue: &mut Q,
         arena: &mut MsgArena<M>,
@@ -593,9 +540,10 @@ impl Network {
             );
         } else {
             // A topology epoch covers this send: each link can have its own
-            // fate, so fall back to the scalar sampler per receiver (base
-            // delay draw first, draw-identical to the clean bulk pass, then
-            // the protected fate from the topology stream).
+            // fate, so draw per receiver (base delay first, draw-identical
+            // to the clean bulk pass, then the fate from the topology
+            // stream). Severed links hold the message until just past the
+            // heal; latency overrides replace the base draw.
             let Network {
                 delay,
                 rules,
@@ -606,7 +554,13 @@ impl Network {
             } = self;
             for to in receivers {
                 let base = sample_delivery(delay, rules, rng, from, to, sent_at);
-                let at = Self::protected_fate(topology, topo_rng, from, to, sent_at, base);
+                let at = match topology.fate(from, to, sent_at) {
+                    LinkFate::Open => base,
+                    LinkFate::Severed { heal } => base.max(heal + topo_rng.range(0, 3)),
+                    LinkFate::Latency { lo, hi } => {
+                        sent_at + topo_rng.range(lo.min(hi), hi.max(lo)).max(1)
+                    }
+                };
                 staging.push(Staged {
                     at,
                     to,
@@ -623,19 +577,106 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Event;
+    use crate::adversary::{LinkOverride, MessageRule, TopologyEpoch};
+    use crate::event::{Event, EventQueue};
+    use std::iter::once;
+
+    const P0: ProcessId = ProcessId(0);
+    const P1: ProcessId = ProcessId(1);
 
     fn rng() -> SplitMix64 {
         SplitMix64::new(99)
     }
 
-    /// Pops a delivery's `(from, payload)` out of its queue's arena.
-    fn take_delivery<M: Clone>(arena: &mut MsgArena<M>, e: &Event) -> (ProcessId, M) {
-        match e.kind {
-            EventKind::Deliver { from, slot } | EventKind::RbDeliver { from, slot } => {
-                (from, arena.take(slot))
+    /// One side of a routing test: a network with its own queue and arena.
+    struct Lane {
+        net: Network,
+        q: EventQueue,
+        arena: MsgArena<u64>,
+    }
+
+    impl Lane {
+        fn new(net: Network) -> Self {
+            Lane {
+                net,
+                q: EventQueue::new(),
+                arena: MsgArena::new(),
             }
-            ref k => panic!("expected a delivery, got {k:?}"),
+        }
+
+        /// One unicast: [`Network::route_to`] a single recipient.
+        fn send(&mut self, from: ProcessId, to: ProcessId, at: Time, msg: u64) -> RouteEffects {
+            let (q, arena) = (&mut self.q, &mut self.arena);
+            self.net
+                .route_to(q, arena, from, once(to), at, msg, &mut Vec::new())
+        }
+
+        /// `n` unicasts to `0..n` in recipient order, effects summed.
+        fn unicasts(&mut self, from: ProcessId, n: usize, at: Time, msg: u64) -> RouteEffects {
+            let mut sum = RouteEffects::default();
+            for to in (0..n).map(ProcessId) {
+                let fx = self.send(from, to, at, msg);
+                sum.dropped += fx.dropped;
+                sum.duplicated += fx.duplicated;
+                sum.corrupted += fx.corrupted;
+                sum.severed += fx.severed;
+            }
+            sum
+        }
+
+        fn broadcast(&mut self, from: ProcessId, n: usize, at: Time, msg: u64) -> RouteEffects {
+            let (q, arena, mut staging) = (&mut self.q, &mut self.arena, Vec::new());
+            let fx = self
+                .net
+                .route_broadcast(q, arena, from, n, at, msg, &mut staging);
+            assert!(staging.is_empty(), "staging must be cleared");
+            fx
+        }
+
+        fn rb(
+            &mut self,
+            from: ProcessId,
+            to: impl IntoIterator<Item = ProcessId>,
+            at: Time,
+            m: u64,
+        ) {
+            let (q, arena, mut staging) = (&mut self.q, &mut self.arena, Vec::new());
+            self.net
+                .route_protected(q, arena, from, to, at, m, &mut staging);
+            assert!(staging.is_empty(), "staging must be cleared");
+        }
+
+        /// Pops the next delivery as `(event, from, payload)`.
+        fn pop(&mut self) -> Option<(Event, ProcessId, u64)> {
+            let e = self.q.pop()?;
+            match e.kind {
+                EventKind::Deliver { from, slot } | EventKind::RbDeliver { from, slot } => {
+                    Some((e, from, self.arena.take(slot)))
+                }
+                k => panic!("expected a delivery, got {k:?}"),
+            }
+        }
+
+        /// Drains this lane beside `other`, which must pop the same
+        /// `(at, seq, to)` with the same `(from, payload)` and nothing
+        /// more; both arenas end empty. Slot numbering may differ (a batch
+        /// stores a clean send once), so only the observable is compared.
+        fn drain_beside(&mut self, other: &mut Lane) -> Vec<(Event, ProcessId, u64)> {
+            let mut popped = Vec::new();
+            while let Some((a, from, msg)) = self.pop() {
+                let (b, b_from, b_msg) = other.pop().expect("the other lane drained first");
+                assert_eq!(
+                    (a.at, a.seq, a.to, from, msg),
+                    (b.at, b.seq, b.to, b_from, b_msg)
+                );
+                popped.push((a, from, msg));
+            }
+            assert!(other.q.is_empty(), "this lane drained first");
+            assert!(
+                self.arena.is_empty() && other.arena.is_empty(),
+                "arena leak"
+            );
+            popped
         }
     }
 
@@ -651,6 +692,43 @@ mod tests {
         let mut net = Network::new(DelayModel::Fixed(0), vec![], rng());
         let at = net.delivery_time(ProcessId(0), ProcessId(1), Time(10));
         assert_eq!(at, Time(11));
+    }
+
+    /// A delay past the end of the clock arrives at `Time::INFINITY` — it
+    /// neither panics on the addition nor wraps to before the send.
+    #[test]
+    fn delivery_time_saturates_at_infinity() {
+        let spike = DelayModel::Spiky {
+            lo: u64::MAX / 2,
+            hi: u64::MAX / 2,
+            spike_pct: 100,
+            factor: 4,
+        };
+        for model in [DelayModel::Fixed(u64::MAX), spike] {
+            let mut lane = Lane::new(Network::new(model.clone(), vec![], rng()));
+            lane.broadcast(P0, 3, Time(7), 1);
+            while let Some((e, ..)) = lane.pop() {
+                assert_eq!(e.at, Time::INFINITY, "{model:?}");
+            }
+        }
+    }
+
+    /// An R-broadcast across a cut that never heals is held until
+    /// `Time::INFINITY`, not wrapped around by the release jitter.
+    #[test]
+    fn protected_route_across_an_endless_cut_saturates() {
+        let sched = TopologySchedule::partition_until(islands_2x3(), Time::INFINITY);
+        let mut lane = Lane::new(
+            Network::new(DelayModel::default(), vec![], rng())
+                .with_topology(sched, SplitMix64::new(5).stream(0x7090)),
+        );
+        for t in [Time(0), Time(10), Time(20)] {
+            lane.rb(P0, PSet::full(6), t, 9);
+        }
+        assert_eq!(lane.q.len(), 18, "rb never loses a message");
+        while let Some((e, ..)) = lane.pop() {
+            assert_eq!(e.at == Time::INFINITY, e.to.0 >= 3, "{e:?}");
+        }
     }
 
     #[test]
@@ -688,54 +766,31 @@ mod tests {
     fn adversary_none_routes_identically_to_the_plain_path() {
         // The fast path and an empty-rule adversary must both be
         // draw-for-draw identical to the pre-adversary network.
-        let mut plain = Network::new(DelayModel::Uniform { lo: 1, hi: 9 }, vec![], rng());
-        let mut none = Network::new(DelayModel::Uniform { lo: 1, hi: 9 }, vec![], rng())
-            .with_adversary(MessageAdversary::None, SplitMix64::new(77));
-        use crate::event::EventQueue;
-        let mut q1 = EventQueue::new();
-        let mut q2 = EventQueue::new();
-        let mut arena1: MsgArena<u64> = MsgArena::new();
-        let mut arena2: MsgArena<u64> = MsgArena::new();
+        let net = || Network::new(DelayModel::Uniform { lo: 1, hi: 9 }, vec![], rng());
+        let mut plain = Lane::new(net());
+        let mut none = Lane::new(net().with_adversary(MessageAdversary::None, SplitMix64::new(77)));
         for i in 0..100u64 {
             let from = ProcessId(i as usize % 4);
             let to = ProcessId((i as usize + 1) % 4);
-            let fx = plain.route(&mut q1, &mut arena1, from, to, Time(i), i);
-            assert!(fx.is_clean());
-            let fx = none.route(&mut q2, &mut arena2, from, to, Time(i), i);
-            assert!(fx.is_clean());
+            assert!(plain.send(from, to, Time(i), i).is_clean());
+            assert!(none.send(from, to, Time(i), i).is_clean());
         }
-        for _ in 0..100 {
-            let a = q1.pop().unwrap();
-            let b = q2.pop().unwrap();
-            assert_eq!((a.at, a.seq, a.to), (b.at, b.seq, b.to));
-            assert_eq!(
-                take_delivery(&mut arena1, &a),
-                take_delivery(&mut arena2, &b)
-            );
-        }
+        assert_eq!(plain.drain_beside(&mut none).len(), 100);
     }
 
     #[test]
     fn drop_rule_loses_messages_deterministically() {
-        use crate::event::EventQueue;
-        let adv = MessageAdversary::Rules(vec![crate::adversary::MessageRule::drop(40)]);
+        let adv = MessageAdversary::Rules(vec![MessageRule::drop(40)]);
         let run = || {
-            let mut net = Network::new(DelayModel::Fixed(3), vec![], rng())
-                .with_adversary(adv.clone(), SplitMix64::new(5).stream(0xADE5));
-            let mut q = EventQueue::new();
-            let mut arena: MsgArena<u64> = MsgArena::new();
-            let mut dropped = Vec::new();
-            for i in 0..200u64 {
-                let fx = net.route(&mut q, &mut arena, ProcessId(0), ProcessId(1), Time(i), i);
-                if fx.dropped {
-                    dropped.push(i);
-                }
-            }
-            let mut delivered = Vec::new();
-            while let Some(e) = q.pop() {
-                delivered.push(take_delivery(&mut arena, &e).1);
-            }
-            assert!(arena.is_empty(), "drained queue must drain the arena");
+            let mut lane = Lane::new(
+                Network::new(DelayModel::Fixed(3), vec![], rng())
+                    .with_adversary(adv.clone(), SplitMix64::new(5).stream(0xADE5)),
+            );
+            let dropped: Vec<u64> = (0..200u64)
+                .filter(|&i| lane.send(P0, P1, Time(i), i).dropped == 1)
+                .collect();
+            let delivered: Vec<u64> = std::iter::from_fn(|| lane.pop()).map(|d| d.2).collect();
+            assert!(lane.arena.is_empty(), "drained queue must drain the arena");
             (dropped, delivered)
         };
         let (d1, del1) = run();
@@ -748,48 +803,35 @@ mod tests {
 
     #[test]
     fn duplicate_rule_schedules_a_second_copy() {
-        use crate::event::EventQueue;
-        let adv = MessageAdversary::Rules(vec![crate::adversary::MessageRule::duplicate(100)]);
-        let mut net = Network::new(DelayModel::Fixed(2), vec![], rng())
-            .with_adversary(adv, SplitMix64::new(9));
-        let mut q = EventQueue::new();
-        let mut arena: MsgArena<u64> = MsgArena::new();
-        let fx = net.route(&mut q, &mut arena, ProcessId(0), ProcessId(1), Time(10), 42);
-        assert!(fx.duplicated && !fx.dropped && !fx.corrupted);
-        assert_eq!(q.len(), 2);
-        assert_eq!(arena.live(), 1, "both copies share one stored payload");
-        let a = q.pop().unwrap();
-        let b = q.pop().unwrap();
+        let adv = MessageAdversary::Rules(vec![MessageRule::duplicate(100)]);
+        let mut lane = Lane::new(
+            Network::new(DelayModel::Fixed(2), vec![], rng())
+                .with_adversary(adv, SplitMix64::new(9)),
+        );
+        let fx = lane.send(P0, P1, Time(10), 42);
+        assert_eq!((fx.duplicated, fx.dropped, fx.corrupted), (1, 0, 0));
+        assert_eq!(lane.q.len(), 2);
+        assert_eq!(lane.arena.live(), 1, "both copies share one stored payload");
+        let (a, _, x) = lane.pop().unwrap();
+        let (b, _, y) = lane.pop().unwrap();
         assert!(a.at <= b.at);
-        for e in [a, b] {
-            assert_eq!(take_delivery(&mut arena, &e).1, 42);
-        }
-        assert!(arena.is_empty());
+        assert_eq!((x, y), (42, 42));
+        assert!(lane.arena.is_empty());
     }
 
     #[test]
     fn corrupt_rule_stays_within_bound() {
-        use crate::event::EventQueue;
         let bound = 5u64;
-        let adv = MessageAdversary::Rules(vec![crate::adversary::MessageRule::corrupt(100, bound)]);
-        let mut net = Network::new(DelayModel::Fixed(1), vec![], rng())
-            .with_adversary(adv, SplitMix64::new(13));
-        let mut q = EventQueue::new();
-        let mut arena: MsgArena<u64> = MsgArena::new();
+        let adv = MessageAdversary::Rules(vec![MessageRule::corrupt(100, bound)]);
+        let mut lane = Lane::new(
+            Network::new(DelayModel::Fixed(1), vec![], rng())
+                .with_adversary(adv, SplitMix64::new(13)),
+        );
         let mut corrupted = 0;
         for i in 0..100u64 {
             let payload = 1_000 + i;
-            let fx = net.route(
-                &mut q,
-                &mut arena,
-                ProcessId(0),
-                ProcessId(1),
-                Time(i),
-                payload,
-            );
-            corrupted += fx.corrupted as u32;
-            let e = q.pop().unwrap();
-            let (_, msg) = take_delivery(&mut arena, &e);
+            corrupted += lane.send(P0, P1, Time(i), payload).corrupted;
+            let (.., msg) = lane.pop().unwrap();
             assert!(msg.abs_diff(payload) <= bound, "{payload} -> {msg}");
         }
         assert!(corrupted > 50, "100% corruption rule fired {corrupted}/100");
@@ -797,126 +839,72 @@ mod tests {
 
     #[test]
     fn protected_route_ignores_the_adversary() {
-        use crate::event::EventQueue;
-        let adv = MessageAdversary::Rules(vec![crate::adversary::MessageRule::drop(100)]);
-        let mut net = Network::new(DelayModel::Fixed(1), vec![], rng())
-            .with_adversary(adv, SplitMix64::new(3));
-        let mut q = EventQueue::new();
-        let mut arena: MsgArena<u64> = MsgArena::new();
-        net.route_protected(&mut q, &mut arena, ProcessId(0), ProcessId(1), Time(0), 7);
-        assert_eq!(q.len(), 1, "rb deliveries must never be dropped");
-        let e = q.pop().unwrap();
-        assert_eq!(take_delivery(&mut arena, &e), (ProcessId(0), 7));
+        let adv = MessageAdversary::Rules(vec![MessageRule::drop(100)]);
+        let mut lane = Lane::new(
+            Network::new(DelayModel::Fixed(1), vec![], rng())
+                .with_adversary(adv, SplitMix64::new(3)),
+        );
+        lane.rb(P0, once(P1), Time(0), 7);
+        assert_eq!(lane.q.len(), 1, "rb deliveries must never be dropped");
+        let (_, from, msg) = lane.pop().unwrap();
+        assert_eq!((from, msg), (P0, 7));
     }
 
     #[test]
     fn windowed_drop_only_fires_inside_the_window() {
-        use crate::event::EventQueue;
-        let adv = MessageAdversary::Rules(vec![
-            crate::adversary::MessageRule::drop(100).window(Time::ZERO, Time(50))
-        ]);
-        let mut net = Network::new(DelayModel::Fixed(1), vec![], rng())
-            .with_adversary(adv, SplitMix64::new(4));
-        let mut q = EventQueue::new();
-        let mut arena: MsgArena<u64> = MsgArena::new();
+        let adv =
+            MessageAdversary::Rules(vec![MessageRule::drop(100).window(Time::ZERO, Time(50))]);
+        let mut lane = Lane::new(
+            Network::new(DelayModel::Fixed(1), vec![], rng())
+                .with_adversary(adv, SplitMix64::new(4)),
+        );
         for t in [0u64, 49, 50, 100] {
-            let fx = net.route(&mut q, &mut arena, ProcessId(0), ProcessId(1), Time(t), t);
-            assert_eq!(fx.dropped, t < 50, "send at {t}");
+            let fx = lane.send(P0, P1, Time(t), t);
+            assert_eq!(fx.dropped, (t < 50) as u64, "send at {t}");
         }
-        assert_eq!(q.len(), 2);
-        assert_eq!(arena.live(), 2, "dropped payloads never touch the arena");
+        assert_eq!(lane.q.len(), 2);
+        assert_eq!(
+            lane.arena.live(),
+            2,
+            "dropped payloads never touch the arena"
+        );
     }
 
     /// The batching contract at the network level: `route_broadcast` is
-    /// draw-for-draw and push-for-push identical to the historical
-    /// per-recipient `route` loop — including the RNG stream positions it
-    /// leaves behind — with and without an armed adversary. (Slot numbering
-    /// differs between the two layouts — the batch stores a clean broadcast
-    /// once — so equality is checked on the observable: `(at, seq, to)` and
-    /// the materialized payloads.)
+    /// draw-for-draw and push-for-push identical to `n` unicasts in
+    /// recipient order — including the RNG stream positions it leaves
+    /// behind — with and without an armed adversary.
     #[test]
     fn route_broadcast_matches_the_scalar_recipient_loop() {
-        use crate::event::EventQueue;
         let adversaries = [
             MessageAdversary::None,
             MessageAdversary::Rules(vec![
-                crate::adversary::MessageRule::drop(15),
-                crate::adversary::MessageRule::duplicate(20),
-                crate::adversary::MessageRule::corrupt(25, 4),
+                MessageRule::drop(15),
+                MessageRule::duplicate(20),
+                MessageRule::corrupt(25, 4),
             ]),
         ];
         for adv in adversaries {
             for n in [2usize, 5, 9, 33] {
-                let mut scalar_net = Network::new(DelayModel::default(), vec![], rng())
+                let net = Network::new(DelayModel::default(), vec![], rng())
                     .with_adversary(adv.clone(), SplitMix64::new(31).stream(0xADE5));
-                let mut batch_net = scalar_net.clone();
-                let mut scalar_q = EventQueue::new();
-                let mut batch_q = EventQueue::new();
-                let mut scalar_arena: MsgArena<u64> = MsgArena::new();
-                let mut batch_arena: MsgArena<u64> = MsgArena::new();
-                let mut staging = Vec::new();
+                let (mut unicast, mut batch) = (Lane::new(net.clone()), Lane::new(net));
                 for round in 0..40u64 {
                     let from = ProcessId(round as usize % n);
-                    let sent = Time(round * 3);
-                    let msg = 1_000 + round;
-                    let mut scalar_fx = crate::adversary::BroadcastEffects::default();
-                    for i in 0..n {
-                        scalar_fx.absorb(scalar_net.route(
-                            &mut scalar_q,
-                            &mut scalar_arena,
-                            from,
-                            ProcessId(i),
-                            sent,
-                            msg,
-                        ));
-                    }
-                    let batch_fx = batch_net.route_broadcast(
-                        &mut batch_q,
-                        &mut batch_arena,
-                        from,
-                        n,
-                        sent,
-                        msg,
-                        &mut staging,
+                    let (sent, msg) = (Time(round * 3), 1_000 + round);
+                    let fx = unicast.unicasts(from, n, sent, msg);
+                    assert_eq!(
+                        fx,
+                        batch.broadcast(from, n, sent, msg),
+                        "n={n} round={round}"
                     );
-                    assert!(staging.is_empty(), "staging must be cleared");
-                    assert_eq!(scalar_fx, batch_fx, "n={n} round={round}");
-                    // An interleaved scalar send keeps proving the stream
+                    // An interleaved unicast keeps proving the stream
                     // positions agree after every broadcast.
-                    let fx_a = scalar_net.route(
-                        &mut scalar_q,
-                        &mut scalar_arena,
-                        from,
-                        ProcessId((round as usize + 1) % n),
-                        sent,
-                        round,
-                    );
-                    let fx_b = batch_net.route(
-                        &mut batch_q,
-                        &mut batch_arena,
-                        from,
-                        ProcessId((round as usize + 1) % n),
-                        sent,
-                        round,
-                    );
-                    assert_eq!(fx_a, fx_b, "n={n} round={round}");
+                    let to = ProcessId((round as usize + 1) % n);
+                    let fx = unicast.send(from, to, sent, round);
+                    assert_eq!(fx, batch.send(from, to, sent, round), "n={n} round={round}");
                 }
-                loop {
-                    match (scalar_q.pop(), batch_q.pop()) {
-                        (None, None) => break,
-                        (a, b) => {
-                            let a = a.expect("scalar drained first");
-                            let b = b.expect("batch drained first");
-                            assert_eq!((a.at, a.seq, a.to), (b.at, b.seq, b.to), "n={n}");
-                            assert_eq!(
-                                take_delivery(&mut scalar_arena, &a),
-                                take_delivery(&mut batch_arena, &b),
-                                "n={n}"
-                            );
-                        }
-                    }
-                }
-                assert!(scalar_arena.is_empty() && batch_arena.is_empty(), "n={n}");
+                unicast.drain_beside(&mut batch);
             }
         }
     }
@@ -1020,50 +1008,21 @@ mod tests {
         }
     }
 
-    /// Same contract for the protected (reliable-broadcast) path.
+    /// Same contract for the protected (reliable-broadcast) path: one
+    /// `route_protected` to a receiver set equals one per receiver.
     #[test]
-    fn route_protected_batch_matches_the_scalar_loop() {
-        use crate::event::EventQueue;
-        let mut scalar_net = Network::new(DelayModel::default(), vec![], rng());
-        let mut batch_net = scalar_net.clone();
-        let mut scalar_q = EventQueue::new();
-        let mut batch_q = EventQueue::new();
-        let mut scalar_arena: MsgArena<u64> = MsgArena::new();
-        let mut batch_arena: MsgArena<u64> = MsgArena::new();
-        let mut staging = Vec::new();
+    fn route_protected_matches_the_per_receiver_loop() {
+        let net = Network::new(DelayModel::default(), vec![], rng());
+        let (mut each, mut batch) = (Lane::new(net.clone()), Lane::new(net));
         for round in 0..30u64 {
             let from = ProcessId(round as usize % 7);
             let receivers = PSet::full(7);
             for to in receivers {
-                scalar_net.route_protected(
-                    &mut scalar_q,
-                    &mut scalar_arena,
-                    from,
-                    to,
-                    Time(round),
-                    round,
-                );
+                each.rb(from, once(to), Time(round), round);
             }
-            batch_net.route_protected_batch(
-                &mut batch_q,
-                &mut batch_arena,
-                from,
-                receivers,
-                Time(round),
-                round,
-                &mut staging,
-            );
+            batch.rb(from, receivers, Time(round), round);
         }
-        while let Some(a) = scalar_q.pop() {
-            let b = batch_q.pop().unwrap();
-            assert_eq!((a.at, a.seq, a.to), (b.at, b.seq, b.to));
-            assert_eq!(
-                take_delivery(&mut scalar_arena, &a),
-                take_delivery(&mut batch_arena, &b)
-            );
-        }
-        assert!(batch_q.pop().is_none());
-        assert!(scalar_arena.is_empty() && batch_arena.is_empty());
+        each.drain_beside(&mut batch);
     }
 
     #[test]
@@ -1118,16 +1077,11 @@ mod tests {
 
     // --- topology schedule ---
 
-    use crate::adversary::{LinkOverride, TopologyEpoch, TopologySchedule};
-
     fn islands_2x3() -> Vec<PSet> {
-        let a: PSet = [ProcessId(0), ProcessId(1), ProcessId(2)]
-            .into_iter()
-            .collect();
-        let b: PSet = [ProcessId(3), ProcessId(4), ProcessId(5)]
-            .into_iter()
-            .collect();
-        vec![a, b]
+        vec![
+            (0..3).map(ProcessId).collect(),
+            (3..6).map(ProcessId).collect(),
+        ]
     }
 
     /// The tentpole's determinism contract: installing
@@ -1136,32 +1090,21 @@ mod tests {
     /// stream positions, on plain and protected paths alike.
     #[test]
     fn topology_none_is_bit_identical_to_plain() {
-        use crate::event::EventQueue;
-        let mut plain = Network::new(DelayModel::default(), vec![], rng());
-        let mut explicit = Network::new(DelayModel::default(), vec![], rng())
-            .with_topology(TopologySchedule::None, SplitMix64::new(123));
-        let mut q1 = EventQueue::new();
-        let mut q2 = EventQueue::new();
-        let mut a1: MsgArena<u64> = MsgArena::new();
-        let mut a2: MsgArena<u64> = MsgArena::new();
-        let mut staging = Vec::new();
+        let net = || Network::new(DelayModel::default(), vec![], rng());
+        let mut plain = Lane::new(net());
+        let mut explicit =
+            Lane::new(net().with_topology(TopologySchedule::None, SplitMix64::new(123)));
         for i in 0..60u64 {
             let from = ProcessId(i as usize % 6);
             let to = ProcessId((i as usize + 1) % 6);
-            let fx1 = plain.route(&mut q1, &mut a1, from, to, Time(i), i);
-            let fx2 = explicit.route(&mut q2, &mut a2, from, to, Time(i), i);
-            assert_eq!(fx1, fx2);
-            plain.route_protected(&mut q1, &mut a1, from, to, Time(i), i + 500);
-            explicit.route_protected(&mut q2, &mut a2, from, to, Time(i), i + 500);
-            plain.route_broadcast(&mut q1, &mut a1, from, 6, Time(i), i, &mut staging);
-            explicit.route_broadcast(&mut q2, &mut a2, from, 6, Time(i), i, &mut staging);
+            let t = Time(i);
+            assert_eq!(plain.send(from, to, t, i), explicit.send(from, to, t, i));
+            for lane in [&mut plain, &mut explicit] {
+                lane.rb(from, once(to), t, i + 500);
+                lane.broadcast(from, 6, t, i);
+            }
         }
-        while let Some(a) = q1.pop() {
-            let b = q2.pop().unwrap();
-            assert_eq!((a.at, a.seq, a.to), (b.at, b.seq, b.to));
-            assert_eq!(take_delivery(&mut a1, &a), take_delivery(&mut a2, &b));
-        }
-        assert!(q2.pop().is_none());
+        plain.drain_beside(&mut explicit);
     }
 
     /// Plain messages crossing a severed cut are lost structurally: no
@@ -1170,223 +1113,140 @@ mod tests {
     /// the base delay draw happens before the fate is applied.
     #[test]
     fn severed_links_drop_structurally_and_heal_at_the_edge() {
-        use crate::event::EventQueue;
         let heal = Time(500);
         let sched = TopologySchedule::partition_until(islands_2x3(), heal);
-        let mut cut = Network::new(DelayModel::default(), vec![], rng())
-            .with_topology(sched, SplitMix64::new(7).stream(0x7090));
-        let mut free = Network::new(DelayModel::default(), vec![], rng());
-        let mut qc = EventQueue::new();
-        let mut qf = EventQueue::new();
-        let mut ac: MsgArena<u64> = MsgArena::new();
-        let mut af: MsgArena<u64> = MsgArena::new();
-        let mut severed = 0u32;
+        let net = || Network::new(DelayModel::default(), vec![], rng());
+        let mut cut = Lane::new(net().with_topology(sched, SplitMix64::new(7).stream(0x7090)));
+        let mut free = Lane::new(net());
+        let mut severed = 0;
         for i in 0..120u64 {
             let from = ProcessId(i as usize % 6);
             let to = ProcessId((i as usize * 5 + 1) % 6);
             // Straddle the heal: sends after 500 all go through.
             let sent = Time(i * 5);
-            let fx_c = cut.route(&mut qc, &mut ac, from, to, sent, i);
-            let fx_f = free.route(&mut qf, &mut af, from, to, sent, i);
-            assert!(fx_f.is_clean());
+            let fx = cut.send(from, to, sent, i);
+            assert!(free.send(from, to, sent, i).is_clean());
             let crosses = (from.0 < 3) != (to.0 < 3);
             let expect_severed = crosses && sent < heal;
-            assert_eq!(fx_c.severed, expect_severed, "i={i}");
-            assert!(!fx_c.dropped, "severed is counted separately from dropped");
-            severed += fx_c.severed as u32;
+            assert_eq!(fx.severed, expect_severed as u64, "i={i}");
+            assert_eq!(fx.dropped, 0, "severed is counted separately from dropped");
+            severed += fx.severed;
         }
         assert!(severed > 0, "the cut severed nothing");
         // Every message the cut run delivered arrives at its clean-run time.
-        let mut clean: std::collections::HashMap<u64, Time> = std::collections::HashMap::new();
-        while let Some(e) = qf.pop() {
-            let (_, payload) = take_delivery(&mut af, &e);
-            clean.insert(payload, e.at);
-        }
-        let mut delivered = 0u32;
-        while let Some(e) = qc.pop() {
-            let (_, payload) = take_delivery(&mut ac, &e);
+        let clean: std::collections::HashMap<u64, Time> = std::iter::from_fn(|| free.pop())
+            .map(|(e, _, payload)| (payload, e.at))
+            .collect();
+        let mut delivered = 0;
+        while let Some((e, _, payload)) = cut.pop() {
             assert_eq!(clean[&payload], e.at, "payload {payload}");
             delivered += 1;
         }
         assert_eq!(delivered + severed, 120);
-        assert!(ac.is_empty(), "severed payloads must never touch the arena");
+        assert!(
+            cut.arena.is_empty(),
+            "severed payloads must never touch the arena"
+        );
     }
 
     /// A latency override replaces the base delay with a draw from the
     /// topology stream, leaving the delay stream at clean-run positions.
     #[test]
     fn latency_override_draws_from_the_topology_stream() {
-        use crate::event::EventQueue;
         let (lo, hi) = (200u64, 300u64);
         let ep = TopologyEpoch::new(Time::ZERO, Time(1_000)).link(LinkOverride::latency(
-            PSet::singleton(ProcessId(0)),
-            PSet::singleton(ProcessId(1)),
+            PSet::singleton(P0),
+            PSet::singleton(P1),
             lo,
             hi,
         ));
-        let mut slow = Network::new(DelayModel::Uniform { lo: 1, hi: 9 }, vec![], rng())
-            .with_topology(
-                TopologySchedule::Epochs(vec![ep]),
-                SplitMix64::new(7).stream(0x7090),
-            );
-        let mut free = Network::new(DelayModel::Uniform { lo: 1, hi: 9 }, vec![], rng());
-        let mut qs = EventQueue::new();
-        let mut as_: MsgArena<u64> = MsgArena::new();
+        let net = || Network::new(DelayModel::Uniform { lo: 1, hi: 9 }, vec![], rng());
+        let mut slow = Lane::new(net().with_topology(
+            TopologySchedule::Epochs(vec![ep]),
+            SplitMix64::new(7).stream(0x7090),
+        ));
+        let mut free = net();
         for i in 0..50u64 {
             let sent = Time(i * 10);
             // Overridden direction: delivery inside [sent+lo, sent+hi].
-            let fx = slow.route(&mut qs, &mut as_, ProcessId(0), ProcessId(1), sent, i);
+            let fx = slow.send(P0, P1, sent, i);
             assert!(fx.is_clean(), "latency override is not an attack");
-            let e = qs.pop().unwrap();
-            assert!(
-                (sent + lo..=sent + hi).contains(&e.at),
-                "i={i}: {:?} outside [{:?}, {:?}]",
-                e.at,
-                sent + lo,
-                sent + hi
-            );
-            take_delivery(&mut as_, &e);
+            let (e, ..) = slow.pop().unwrap();
+            assert!((sent + lo..=sent + hi).contains(&e.at), "i={i}: {e:?}");
             // The *delay* stream stays clean-run-identical: the overridden
             // send above still consumed its base draw, so after burning
             // that draw on the free network the next clean send (the
             // non-overridden reverse direction) must agree draw-for-draw.
-            let _ = free.delivery_time(ProcessId(0), ProcessId(1), sent);
-            let expect = free.delivery_time(ProcessId(1), ProcessId(0), sent);
-            let fx = slow.route(&mut qs, &mut as_, ProcessId(1), ProcessId(0), sent, i);
-            assert!(fx.is_clean());
-            let a = qs.pop().unwrap();
-            assert_eq!(a.at, expect, "delay stream diverged at i={i}");
-            take_delivery(&mut as_, &a);
+            let _ = free.delivery_time(P0, P1, sent);
+            let expect = free.delivery_time(P1, P0, sent);
+            assert!(slow.send(P1, P0, sent, i).is_clean());
+            let (e, ..) = slow.pop().unwrap();
+            assert_eq!(e.at, expect, "delay stream diverged at i={i}");
         }
     }
 
     /// rb messages crossing a severed cut are *delayed until the heal*,
     /// never lost — the axioms of the protected channel survive the
-    /// partition — and the batched path matches the scalar one.
+    /// partition — and one send to every receiver matches one per receiver.
     #[test]
     fn protected_route_is_delayed_until_heal_never_lost() {
-        use crate::event::EventQueue;
         let heal = Time(400);
         let sched = TopologySchedule::partition_until(islands_2x3(), heal);
-        let mut scalar = Network::new(DelayModel::default(), vec![], rng())
-            .with_topology(sched.clone(), SplitMix64::new(21).stream(0x7090));
-        let mut batch = scalar.clone();
-        let mut qs = EventQueue::new();
-        let mut qb = EventQueue::new();
-        let mut as_: MsgArena<u64> = MsgArena::new();
-        let mut ab: MsgArena<u64> = MsgArena::new();
-        let mut staging = Vec::new();
+        let net = Network::new(DelayModel::default(), vec![], rng())
+            .with_topology(sched, SplitMix64::new(21).stream(0x7090));
+        let (mut each, mut batch) = (Lane::new(net.clone()), Lane::new(net));
         let receivers = PSet::full(6);
         for round in 0..40u64 {
             let from = ProcessId(round as usize % 6);
             let sent = Time(round * 20);
             for to in receivers {
-                scalar.route_protected(&mut qs, &mut as_, from, to, sent, round);
+                each.rb(from, once(to), sent, round);
             }
-            batch.route_protected_batch(
-                &mut qb,
-                &mut ab,
-                from,
-                receivers,
-                sent,
-                round,
-                &mut staging,
-            );
+            batch.rb(from, receivers, sent, round);
         }
-        let mut total = 0u32;
-        while let Some(a) = qs.pop() {
-            let b = qb.pop().unwrap();
-            assert_eq!((a.at, a.seq, a.to), (b.at, b.seq, b.to));
-            let (src, payload) = take_delivery(&mut as_, &a);
-            assert_eq!((src, payload), take_delivery(&mut ab, &b));
-            let sent = Time(payload * 20);
-            let crosses = (src.0 < 3) != (a.to.0 < 3);
-            if crosses && sent < heal {
-                assert!(a.at >= heal, "cross-cut rb delivered before the heal");
+        let popped = each.drain_beside(&mut batch);
+        assert_eq!(popped.len(), 40 * 6, "rb must never lose a message");
+        for (e, src, payload) in popped {
+            let crosses = (src.0 < 3) != (e.to.0 < 3);
+            if crosses && Time(payload * 20) < heal {
+                assert!(e.at >= heal, "cross-cut rb delivered before the heal");
             }
-            total += 1;
         }
-        assert!(qb.pop().is_none());
-        assert_eq!(total, 40 * 6, "rb must never lose a message");
-        assert!(as_.is_empty() && ab.is_empty());
     }
 
-    /// `route_broadcast` under a topology schedule matches the scalar
-    /// per-recipient loop draw-for-draw (with and without an armed message
-    /// adversary on top).
+    /// `route_broadcast` under a topology schedule matches `n` unicasts
+    /// draw-for-draw (with and without an armed message adversary on top).
     #[test]
     fn route_broadcast_matches_scalar_loop_under_topology() {
-        use crate::event::EventQueue;
         let sched = TopologySchedule::Epochs(vec![TopologyEpoch::new(Time::ZERO, Time(300))
             .islands(islands_2x3())
             .link(LinkOverride::latency(
-                PSet::singleton(ProcessId(0)),
+                PSet::singleton(P0),
                 PSet::singleton(ProcessId(3)),
                 50,
                 80,
             ))]);
         let adversaries = [
             MessageAdversary::None,
-            MessageAdversary::Rules(vec![
-                crate::adversary::MessageRule::drop(15),
-                crate::adversary::MessageRule::duplicate(20),
-            ]),
+            MessageAdversary::Rules(vec![MessageRule::drop(15), MessageRule::duplicate(20)]),
         ];
         for adv in adversaries {
-            let mut scalar_net = Network::new(DelayModel::default(), vec![], rng())
+            let net = Network::new(DelayModel::default(), vec![], rng())
                 .with_adversary(adv.clone(), SplitMix64::new(31).stream(0xADE5))
                 .with_topology(sched.clone(), SplitMix64::new(31).stream(0x7090));
-            let mut batch_net = scalar_net.clone();
-            let mut scalar_q = EventQueue::new();
-            let mut batch_q = EventQueue::new();
-            let mut scalar_arena: MsgArena<u64> = MsgArena::new();
-            let mut batch_arena: MsgArena<u64> = MsgArena::new();
-            let mut staging = Vec::new();
+            let (mut unicast, mut batch) = (Lane::new(net.clone()), Lane::new(net));
             let n = 6usize;
             for round in 0..40u64 {
                 let from = ProcessId(round as usize % n);
                 // Straddles the heal at 300.
-                let sent = Time(round * 10);
-                let msg = 1_000 + round;
-                let mut scalar_fx = BroadcastEffects::default();
-                for i in 0..n {
-                    scalar_fx.absorb(scalar_net.route(
-                        &mut scalar_q,
-                        &mut scalar_arena,
-                        from,
-                        ProcessId(i),
-                        sent,
-                        msg,
-                    ));
-                }
-                let batch_fx = batch_net.route_broadcast(
-                    &mut batch_q,
-                    &mut batch_arena,
-                    from,
-                    n,
-                    sent,
-                    msg,
-                    &mut staging,
-                );
-                assert_eq!(scalar_fx, batch_fx, "round={round}");
+                let (sent, msg) = (Time(round * 10), 1_000 + round);
+                let fx = batch.broadcast(from, n, sent, msg);
+                assert_eq!(unicast.unicasts(from, n, sent, msg), fx, "round={round}");
                 if sent < Time(300) && from.0 != 0 {
-                    assert!(batch_fx.severed > 0, "round={round}: cut severed nothing");
+                    assert!(fx.severed > 0, "round={round}: cut severed nothing");
                 }
             }
-            loop {
-                match (scalar_q.pop(), batch_q.pop()) {
-                    (None, None) => break,
-                    (a, b) => {
-                        let a = a.expect("scalar drained first");
-                        let b = b.expect("batch drained first");
-                        assert_eq!((a.at, a.seq, a.to), (b.at, b.seq, b.to));
-                        assert_eq!(
-                            take_delivery(&mut scalar_arena, &a),
-                            take_delivery(&mut batch_arena, &b)
-                        );
-                    }
-                }
-            }
+            unicast.drain_beside(&mut batch);
         }
     }
 }

@@ -4,7 +4,7 @@
 //! [`crate::network`], under a [`FailurePattern`], recording a [`Trace`].
 //! Everything is deterministic in the `(config, pattern, seed)` triple.
 
-use crate::adversary::{BroadcastEffects, MessageAdversary, RouteEffects, TopologySchedule};
+use crate::adversary::{MessageAdversary, RouteEffects, TopologySchedule};
 use crate::arena::{MsgArena, MsgSlot};
 use crate::automaton::{Automaton, Ctx, Op};
 use crate::event::{EventKind, EventQueue, Scheduler, Staged};
@@ -151,19 +151,6 @@ impl SimConfig {
     }
 }
 
-/// Outcome of a run.
-#[derive(Clone, Debug)]
-pub struct RunReport {
-    /// Everything observed during the run.
-    pub trace: Trace,
-    /// Time of the last processed event.
-    pub end: Time,
-    /// Number of processed events.
-    pub events: u64,
-    /// Whether the run stopped because the early-stop predicate fired.
-    pub stopped_early: bool,
-}
-
 /// The simulation engine.
 ///
 /// # Examples
@@ -197,9 +184,9 @@ pub struct RunReport {
 ///
 /// let cfg = SimConfig::new(4, 1).seed(7);
 /// let fp = FailurePattern::all_correct(4);
-/// let mut sim = Sim::new(cfg, fp, |_p| Hello::default(), NoOracle);
-/// let report = sim.run();
-/// assert_eq!(report.trace.deciders().len(), 4);
+/// let sim = Sim::new(cfg, fp, |_p| Hello::default(), NoOracle);
+/// let trace = sim.run_into_trace(|_| false);
+/// assert_eq!(trace.deciders().len(), 4);
 /// ```
 pub struct Sim<A: Automaton, O: OracleSuite> {
     cfg: SimConfig,
@@ -221,8 +208,8 @@ pub struct Sim<A: Automaton, O: OracleSuite> {
     /// ops, so steady-state event processing allocates no `Vec<Op>`.
     /// Activations never nest, so one buffer is all there is to recycle.
     ops: Vec<Op<A::Msg>>,
-    /// Recycled broadcast staging buffer: every (plain or reliable)
-    /// broadcast stages its deliveries here and flushes them through one
+    /// Recycled staging buffer: every send (unicast, broadcast or
+    /// R-broadcast) stages its deliveries here and flushes them through one
     /// [`Scheduler::push_batch`] call, so steady-state broadcasting
     /// allocates nothing per recipient either.
     staging: Vec<Staged>,
@@ -325,34 +312,15 @@ impl<A: Automaton, O: OracleSuite> Sim<A, O> {
         self.step_rngs[p.0].range(self.cfg.step_min, self.cfg.step_max)
     }
 
-    /// Runs until the horizon, event cap, or queue exhaustion.
-    pub fn run(&mut self) -> RunReport {
-        self.run_until(|_| false)
-    }
-
     /// Runs until `stop(&trace)` returns true (checked after each event),
-    /// the horizon, the event cap, or queue exhaustion.
-    pub fn run_until(&mut self, stop: impl FnMut(&Trace) -> bool) -> RunReport {
-        let stopped_early = self.run_core(stop);
-        RunReport {
-            trace: self.trace.clone(),
-            end: self.now,
-            events: self.events,
-            stopped_early,
-        }
-    }
-
-    /// As [`Sim::run_until`], but consumes the simulator and moves the
-    /// trace out instead of cloning it — the scenario engine's hot path,
-    /// where the trace is the only thing the caller keeps.
-    pub fn run_into_trace(mut self, stop: impl FnMut(&Trace) -> bool) -> Trace {
-        self.run_core(stop);
-        self.trace
-    }
-
-    fn run_core(&mut self, mut stop: impl FnMut(&Trace) -> bool) -> bool {
+    /// the horizon, the event cap, or queue exhaustion, and hands back the
+    /// trace — the one way to drive a run. `|_| false` runs to the horizon.
+    ///
+    /// The trace's horizon is the last event's time if `stop` fired, else
+    /// the configured `max_time`; its `sim.events` counter is the number
+    /// of processed events.
+    pub fn run_into_trace(mut self, mut stop: impl FnMut(&Trace) -> bool) -> Trace {
         let mut stopped_early = false;
-        let events_before = self.events;
         while let Some(ev) = self.queue.pop() {
             if ev.at > self.cfg.max_time {
                 break;
@@ -391,11 +359,10 @@ impl<A: Automaton, O: OracleSuite> Sim<A, O> {
                 break;
             }
         }
-        // One counter bump per call, not per event: the stop predicate sees
+        // One counter bump per run, not per event: the stop predicate sees
         // the trace after every event, but nothing reads `sim.events` there.
-        let processed = self.events - events_before;
-        if processed > 0 {
-            self.trace.bump(counter::EVENTS, processed);
+        if self.events > 0 {
+            self.trace.bump(counter::EVENTS, self.events);
         }
         // If the run stopped early the observation window ends at the last
         // event; otherwise (horizon reached or queue drained — after which
@@ -405,22 +372,7 @@ impl<A: Automaton, O: OracleSuite> Sim<A, O> {
         } else {
             self.cfg.max_time
         });
-        stopped_early
-    }
-
-    /// The recorded trace so far.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// The failure pattern of this run.
-    pub fn failure_pattern(&self) -> &FailurePattern {
-        &self.fp
-    }
-
-    /// Immutable access to a process automaton (for post-run inspection).
-    pub fn process(&self, p: ProcessId) -> &A {
-        &self.procs[p.0]
+        self.trace
     }
 
     /// Splits the engine into what one activation of `p` borrows: its
@@ -470,46 +422,24 @@ impl<A: Automaton, O: OracleSuite> Sim<A, O> {
         self.apply_ops(p, ops);
     }
 
-    /// Records what the adversary did to one routed message. On the clean
-    /// path (and always under [`MessageAdversary::None`]) this bumps
-    /// nothing, keeping adversary-free traces bit-identical.
+    /// Records what the adversary and the topology did to one routed
+    /// send, one bump per non-zero counter. On the clean path (and always
+    /// under [`MessageAdversary::None`]) this bumps nothing, keeping
+    /// adversary-free traces bit-identical.
     #[inline]
     fn note_effects(&mut self, fx: RouteEffects) {
         if fx.is_clean() {
             return;
         }
-        if fx.dropped {
-            self.trace.bump(counter::DROPPED, 1);
-        }
-        if fx.duplicated {
-            self.trace.bump(counter::DUPLICATED, 1);
-        }
-        if fx.corrupted {
-            self.trace.bump(counter::CORRUPTED, 1);
-        }
-        if fx.severed {
-            self.trace.bump(counter::PARTITIONED, 1);
-        }
-    }
-
-    /// As [`Sim::note_effects`] for a whole broadcast: the counter totals
-    /// are identical to bumping per recipient, in one call.
-    #[inline]
-    fn note_broadcast_effects(&mut self, fx: BroadcastEffects) {
-        if fx.is_clean() {
-            return;
-        }
-        if fx.dropped > 0 {
-            self.trace.bump(counter::DROPPED, fx.dropped);
-        }
-        if fx.duplicated > 0 {
-            self.trace.bump(counter::DUPLICATED, fx.duplicated);
-        }
-        if fx.corrupted > 0 {
-            self.trace.bump(counter::CORRUPTED, fx.corrupted);
-        }
-        if fx.severed > 0 {
-            self.trace.bump(counter::PARTITIONED, fx.severed);
+        for (name, by) in [
+            (counter::DROPPED, fx.dropped),
+            (counter::DUPLICATED, fx.duplicated),
+            (counter::CORRUPTED, fx.corrupted),
+            (counter::PARTITIONED, fx.severed),
+        ] {
+            if by > 0 {
+                self.trace.bump(name, by);
+            }
         }
     }
 
@@ -519,18 +449,24 @@ impl<A: Automaton, O: OracleSuite> Sim<A, O> {
         for op in ops.drain(..) {
             match op {
                 Op::Send { to, msg } => {
+                    // A unicast is a one-recipient broadcast: same staged
+                    // path, same draws as the `to` copy of a broadcast.
                     self.trace.bump(counter::SENT, 1);
-                    let fx =
-                        self.net
-                            .route(&mut self.queue, &mut self.arena, from, to, self.now, msg);
+                    let fx = self.net.route_to(
+                        &mut self.queue,
+                        &mut self.arena,
+                        from,
+                        std::iter::once(to),
+                        self.now,
+                        msg,
+                        &mut self.staging,
+                    );
                     self.note_effects(fx);
                 }
                 Op::Broadcast { msg } => {
-                    // Batched: all n delivery delays drawn in one pass (in
-                    // the per-recipient order the old loop produced, so
-                    // traces are unchanged), the payload stored once in the
-                    // arena, and all deliveries inserted through a single
-                    // `push_batch`.
+                    // All n delivery delays drawn in one pass, the payload
+                    // stored once in the arena, and all deliveries inserted
+                    // through a single `push_batch`.
                     self.trace.bump(counter::SENT, self.cfg.n as u64);
                     let fx = self.net.route_broadcast(
                         &mut self.queue,
@@ -541,7 +477,7 @@ impl<A: Automaton, O: OracleSuite> Sim<A, O> {
                         msg,
                         &mut self.staging,
                     );
-                    self.note_broadcast_effects(fx);
+                    self.note_effects(fx);
                 }
                 Op::RBroadcast { msg } => {
                     self.trace.bump(counter::RB_SENT, 1);
@@ -590,7 +526,7 @@ impl<A: Automaton, O: OracleSuite> Sim<A, O> {
         // loss, alteration, or duplication) are a premise of the model.
         // Batched like plain broadcasts: delays drawn in receiver order,
         // one `push_batch` insert.
-        self.net.route_protected_batch(
+        self.net.route_protected(
             &mut self.queue,
             &mut self.arena,
             from,
@@ -655,9 +591,9 @@ mod tests {
     fn all_correct_everyone_decides() {
         let cfg = SimConfig::new(5, 1).seed(3);
         let fp = FailurePattern::all_correct(5);
-        let mut sim = Sim::new(cfg, fp, counter, NoOracle);
-        let rep = sim.run();
-        assert_eq!(rep.trace.deciders(), PSet::full(5));
+        let sim = Sim::new(cfg, fp, counter, NoOracle);
+        let rep = sim.run_into_trace(|_| false);
+        assert_eq!(rep.deciders(), PSet::full(5));
     }
 
     #[test]
@@ -666,10 +602,10 @@ mod tests {
         let fp = FailurePattern::builder(5)
             .crash(ProcessId(2), Time::ZERO)
             .build();
-        let mut sim = Sim::new(cfg, fp, counter, NoOracle);
-        let rep = sim.run();
-        assert!(!rep.trace.deciders().contains(ProcessId(2)));
-        assert_eq!(rep.trace.deciders().len(), 4);
+        let sim = Sim::new(cfg, fp, counter, NoOracle);
+        let rep = sim.run_into_trace(|_| false);
+        assert!(!rep.deciders().contains(ProcessId(2)));
+        assert_eq!(rep.deciders().len(), 4);
     }
 
     #[test]
@@ -679,12 +615,12 @@ mod tests {
             let fp = FailurePattern::builder(6)
                 .crash(ProcessId(0), Time(7))
                 .build();
-            let mut sim = Sim::new(cfg, fp, counter, NoOracle);
-            let rep = sim.run();
+            let sim = Sim::new(cfg, fp, counter, NoOracle);
+            let rep = sim.run_into_trace(|_| false);
             (
-                rep.events,
-                rep.trace.counter(counter::SENT),
-                rep.trace.decisions().to_vec(),
+                rep.counter(counter::EVENTS),
+                rep.counter(counter::SENT),
+                rep.decisions().to_vec(),
             )
         };
         assert_eq!(run(11), run(11));
@@ -695,10 +631,10 @@ mod tests {
     fn early_stop_predicate() {
         let cfg = SimConfig::new(4, 1).seed(5);
         let fp = FailurePattern::all_correct(4);
-        let mut sim = Sim::new(cfg, fp, counter, NoOracle);
-        let rep = sim.run_until(|t| !t.decisions().is_empty());
-        assert!(rep.stopped_early);
-        assert!(!rep.trace.decisions().is_empty());
+        let sim = Sim::new(cfg, fp, counter, NoOracle);
+        let rep = sim.run_into_trace(|t| !t.decisions().is_empty());
+        assert!(rep.horizon() < Time(50_000), "stopped before the horizon");
+        assert!(!rep.decisions().is_empty());
     }
 
     /// An automaton that publishes its round on every step and halts at 3.
@@ -729,11 +665,11 @@ mod tests {
     fn halt_stops_steps() {
         let cfg = SimConfig::new(2, 0).seed(6);
         let fp = FailurePattern::all_correct(2);
-        let mut sim = Sim::new(cfg, fp, |_| Stepper { rounds: 0 }, NoOracle);
-        let rep = sim.run();
+        let sim = Sim::new(cfg, fp, |_| Stepper { rounds: 0 }, NoOracle);
+        let rep = sim.run_into_trace(|_| false);
         for i in 0..2 {
             assert_eq!(
-                rep.trace.history(ProcessId(i), slot::ROUND).last(),
+                rep.history(ProcessId(i), slot::ROUND).last(),
                 Some(FdValue::Num(3))
             );
         }
@@ -749,17 +685,17 @@ mod tests {
             .crash(ProcessId(0), Time(30))
             .join(ProcessId(2), Time(50))
             .build();
-        let mut sim = Sim::new(cfg, fp, counter, NoOracle);
-        let rep = sim.run();
+        let sim = Sim::new(cfg, fp, counter, NoOracle);
+        let rep = sim.run_into_trace(|_| false);
         // p1/p3 hear p0's pre-crash broadcast, each other, and eventually
         // p2 — enough for n - t = 3. The joiner itself missed every t≈0
         // broadcast and nobody rebroadcasts, so it hears only itself and
         // must not decide.
-        assert!(rep.trace.deciders().contains(ProcessId(1)));
-        assert!(rep.trace.deciders().contains(ProcessId(3)));
-        assert!(!rep.trace.deciders().contains(ProcessId(2)));
+        assert!(rep.deciders().contains(ProcessId(1)));
+        assert!(rep.deciders().contains(ProcessId(3)));
+        assert!(!rep.deciders().contains(ProcessId(2)));
         // No delivery reached p2 before its join time.
-        assert!(rep.events > 0);
+        assert!(rep.counter(counter::EVENTS) > 0);
     }
 
     #[test]
@@ -768,10 +704,10 @@ mod tests {
         let fp = FailurePattern::builder(3)
             .join(ProcessId(2), Time(10_000))
             .build();
-        let mut sim = Sim::new(cfg, fp, counter, NoOracle);
-        let rep = sim.run();
+        let sim = Sim::new(cfg, fp, counter, NoOracle);
+        let rep = sim.run_into_trace(|_| false);
         // The run completes without panicking and the joiner does nothing.
-        assert!(!rep.trace.deciders().contains(ProcessId(2)));
+        assert!(!rep.deciders().contains(ProcessId(2)));
     }
 
     #[test]
@@ -782,9 +718,9 @@ mod tests {
             .join(ProcessId(1), Time(20))
             .crash(ProcessId(1), Time(20))
             .build();
-        let mut sim = Sim::new(cfg, fp, counter, NoOracle);
-        let rep = sim.run();
-        assert!(!rep.trace.deciders().contains(ProcessId(1)));
+        let sim = Sim::new(cfg, fp, counter, NoOracle);
+        let rep = sim.run_into_trace(|_| false);
+        assert!(!rep.deciders().contains(ProcessId(1)));
     }
 
     /// Regression for the hoisted step clamping: a degenerate
@@ -797,13 +733,12 @@ mod tests {
             let mut cfg = SimConfig::new(5, 1).seed(17);
             cfg.step_min = step_min;
             cfg.step_max = step_max;
-            let mut sim = Sim::new(cfg, FailurePattern::all_correct(5), counter, NoOracle);
-            let rep = sim.run();
+            let sim = Sim::new(cfg, FailurePattern::all_correct(5), counter, NoOracle);
+            let rep = sim.run_into_trace(|_| false);
             (
-                rep.events,
-                rep.end,
-                rep.trace.counter(counter::SENT),
-                rep.trace.decisions().to_vec(),
+                rep.counter(counter::EVENTS),
+                rep.counter(counter::SENT),
+                rep.decisions().to_vec(),
             )
         };
         assert_eq!(run(0, 5), run(1, 5), "step_min = 0 must act as 1");
@@ -827,14 +762,13 @@ mod tests {
             let fp = FailurePattern::builder(6)
                 .crash(ProcessId(1), Time(30))
                 .build();
-            let mut sim = Sim::new(cfg, fp, counter, NoOracle);
-            let rep = sim.run();
+            let sim = Sim::new(cfg, fp, counter, NoOracle);
+            let rep = sim.run_into_trace(|_| false);
             (
-                rep.events,
-                rep.end,
-                rep.trace.counter(counter::SENT),
-                rep.trace.counter(counter::DELIVERED),
-                rep.trace.decisions().to_vec(),
+                rep.counter(counter::EVENTS),
+                rep.counter(counter::SENT),
+                rep.counter(counter::DELIVERED),
+                rep.decisions().to_vec(),
             )
         };
         let base = run(MessageAdversary::None);
@@ -847,25 +781,28 @@ mod tests {
         let run = |adv: MessageAdversary| {
             let cfg = SimConfig::new(5, 1).seed(11).adversary(adv);
             let fp = FailurePattern::all_correct(5);
-            let mut sim = Sim::new(cfg, fp, counter, NoOracle);
-            sim.run()
+            let sim = Sim::new(cfg, fp, counter, NoOracle);
+            sim.run_into_trace(|_| false)
         };
         let clean = run(MessageAdversary::None);
         let attacked = run(adv.clone());
-        let dropped = attacked.trace.counter(counter::DROPPED);
+        let dropped = attacked.counter(counter::DROPPED);
         assert!(dropped > 0, "30% drop lost nothing");
         assert_eq!(
-            attacked.trace.counter(counter::DELIVERED) + dropped,
-            attacked.trace.counter(counter::SENT),
+            attacked.counter(counter::DELIVERED) + dropped,
+            attacked.counter(counter::SENT),
             "every sent message is either delivered or counted dropped"
         );
-        assert_eq!(clean.trace.counter(counter::DROPPED), 0);
+        assert_eq!(clean.counter(counter::DROPPED), 0);
         // Determinism: the attacked run reproduces bit-identically.
         let again = run(adv);
-        assert_eq!(attacked.events, again.events);
         assert_eq!(
-            attacked.trace.counter(counter::DROPPED),
-            again.trace.counter(counter::DROPPED)
+            attacked.counter(counter::EVENTS),
+            again.counter(counter::EVENTS)
+        );
+        assert_eq!(
+            attacked.counter(counter::DROPPED),
+            again.counter(counter::DROPPED)
         );
     }
 
@@ -874,13 +811,13 @@ mod tests {
         let adv = MessageAdversary::Rules(vec![crate::adversary::MessageRule::duplicate(50)]);
         let cfg = SimConfig::new(5, 1).seed(12).adversary(adv);
         let fp = FailurePattern::all_correct(5);
-        let mut sim = Sim::new(cfg, fp, counter, NoOracle);
-        let rep = sim.run();
-        let dup = rep.trace.counter(counter::DUPLICATED);
+        let sim = Sim::new(cfg, fp, counter, NoOracle);
+        let rep = sim.run_into_trace(|_| false);
+        let dup = rep.counter(counter::DUPLICATED);
         assert!(dup > 0, "50% duplication duplicated nothing");
         assert_eq!(
-            rep.trace.counter(counter::DELIVERED),
-            rep.trace.counter(counter::SENT) + dup,
+            rep.counter(counter::DELIVERED),
+            rep.counter(counter::SENT) + dup,
             "each duplicate is one extra delivery"
         );
     }
@@ -921,10 +858,10 @@ mod tests {
         let adv = MessageAdversary::Rules(vec![crate::adversary::MessageRule::drop(100)]);
         let cfg = SimConfig::new(4, 1).seed(5).adversary(adv);
         let fp = FailurePattern::all_correct(4);
-        let mut sim = Sim::new(cfg, fp, |_| RbOnly { decided: false }, NoOracle);
-        let rep = sim.run();
-        assert_eq!(rep.trace.deciders().len(), 4);
-        assert_eq!(rep.trace.counter(counter::DROPPED), 0, "nothing plain sent");
+        let sim = Sim::new(cfg, fp, |_| RbOnly { decided: false }, NoOracle);
+        let rep = sim.run_into_trace(|_| false);
+        assert_eq!(rep.deciders().len(), 4);
+        assert_eq!(rep.counter(counter::DROPPED), 0, "nothing plain sent");
     }
 
     #[test]
@@ -955,9 +892,9 @@ mod tests {
         let fp = FailurePattern::builder(3)
             .crash(ProcessId(0), Time(1))
             .build();
-        let mut sim = Sim::new(cfg, fp, |_| Once, NoOracle);
-        let rep = sim.run();
-        assert!(rep.trace.deciders().contains(ProcessId(1)));
-        assert!(rep.trace.deciders().contains(ProcessId(2)));
+        let sim = Sim::new(cfg, fp, |_| Once, NoOracle);
+        let rep = sim.run_into_trace(|_| false);
+        assert!(rep.deciders().contains(ProcessId(1)));
+        assert!(rep.deciders().contains(ProcessId(2)));
     }
 }

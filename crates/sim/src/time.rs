@@ -24,13 +24,10 @@ impl Time {
     /// The start of the run.
     pub const ZERO: Time = Time(0);
 
-    /// A time later than every event of any finite run.
+    /// A time later than every event of any finite run. Adding ticks
+    /// saturates here: a delay past the end of the `u64` clock arrives
+    /// "never", not before it was sent.
     pub const INFINITY: Time = Time(u64::MAX);
-
-    /// Saturating tick addition.
-    pub fn saturating_add(self, d: u64) -> Time {
-        Time(self.0.saturating_add(d))
-    }
 
     /// The raw tick count.
     pub fn ticks(self) -> u64 {
@@ -41,13 +38,13 @@ impl Time {
 impl Add<u64> for Time {
     type Output = Time;
     fn add(self, d: u64) -> Time {
-        Time(self.0 + d)
+        Time(self.0.saturating_add(d))
     }
 }
 
 impl AddAssign<u64> for Time {
     fn add_assign(&mut self, d: u64) {
-        self.0 += d;
+        *self = *self + d;
     }
 }
 
@@ -91,7 +88,11 @@ mod tests {
     fn ordering_and_extremes() {
         assert!(Time::ZERO < Time(1));
         assert!(Time(1) < Time::INFINITY);
-        assert_eq!(Time::INFINITY.saturating_add(1), Time::INFINITY);
+        assert_eq!(Time::INFINITY + 1, Time::INFINITY);
+        assert_eq!(Time(1) + u64::MAX, Time::INFINITY);
+        let mut t = Time(u64::MAX - 1);
+        t += 5;
+        assert_eq!(t, Time::INFINITY);
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! exactly.
 
 use fd_sim::{
-    Automaton, BroadcastEffects, Corruptible, Ctx, DelayModel, DelayRule, Event, EventKind,
-    EventQueue, FailurePattern, MessageAdversary, MessageRule, MsgArena, Network, NoOracle,
-    OracleSuite, PSet, ProcessId, Scheduler, Sim, SimConfig, SplitMix64, Staged, Time,
+    Automaton, Corruptible, Ctx, DelayModel, DelayRule, Event, EventKind, EventQueue,
+    FailurePattern, MessageAdversary, MessageRule, MsgArena, Network, NoOracle, OracleSuite, PSet,
+    ProcessId, RouteEffects, Scheduler, Sim, SimConfig, SplitMix64, Staged, Time,
 };
+use std::iter::once;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -215,8 +216,9 @@ fn event_queue_matches_the_model_across_the_wheel_window() {
 }
 
 /// Stages a broadcast through `route_broadcast` and replays the identical
-/// sends through the scalar `route` loop on an independent network clone;
-/// both the queue contents and the adversary effect totals must agree.
+/// sends as `n` unicasts (`route_to` one recipient each) on an independent
+/// network clone; both the queue contents and the adversary effect totals
+/// must agree.
 #[test]
 fn route_broadcast_equals_scalar_loop_under_every_adversary() {
     let adversaries = || {
@@ -258,16 +260,21 @@ fn route_broadcast_equals_scalar_loop_under_every_adversary() {
                     round,
                     &mut staging,
                 );
-                let mut scalar_fx = BroadcastEffects::default();
+                let mut scalar_fx = RouteEffects::default();
                 for i in 0..n {
-                    scalar_fx.absorb(scalar_net.route(
+                    let fx = scalar_net.route_to(
                         &mut scalar_q,
                         &mut scalar_arena,
                         from,
-                        ProcessId(i),
+                        once(ProcessId(i)),
                         sent,
                         round,
-                    ));
+                        &mut staging,
+                    );
+                    scalar_fx.dropped += fx.dropped;
+                    scalar_fx.duplicated += fx.duplicated;
+                    scalar_fx.corrupted += fx.corrupted;
+                    scalar_fx.severed += fx.severed;
                 }
                 assert_eq!(batch_fx, scalar_fx, "case {case} round {round} n {n}");
             }
@@ -344,14 +351,15 @@ fn route_case<Q: Scheduler + Default>(
     .with_adversary(adv, SplitMix64::new(case).stream(2));
     let mut q = Q::default();
     let mut arena: MsgArena<u64> = MsgArena::new();
+    let mut staging = Vec::new();
     let mut dropped = Vec::new();
     let mut rng = rng_for(case, 9);
     for i in 0..len as u64 {
         let from = ProcessId(rng.below(5) as usize);
-        let to = ProcessId(rng.below(5) as usize);
+        let to = once(ProcessId(rng.below(5) as usize));
         let sent = Time(rng.below(300));
-        let fx = net.route(&mut q, &mut arena, from, to, sent, i);
-        if fx.dropped {
+        let fx = net.route_to(&mut q, &mut arena, from, to, sent, i, &mut staging);
+        if fx.dropped == 1 {
             dropped.push(i);
         }
     }
@@ -433,15 +441,17 @@ fn corruption_stays_within_declared_bound() {
         .with_adversary(adv, SplitMix64::new(case).stream(4));
         let mut q = EventQueue::new();
         let mut arena: MsgArena<u64> = MsgArena::new();
+        let mut staging = Vec::new();
         for i in 0..80u64 {
             let payload = 10_000 + i * 100;
-            net.route(
+            net.route_to(
                 &mut q,
                 &mut arena,
                 ProcessId(0),
-                ProcessId(1),
+                once(ProcessId(1)),
                 Time(i),
                 payload,
+                &mut staging,
             );
             let e = q.pop().unwrap();
             let EventKind::Deliver { slot, .. } = e.kind else {
@@ -633,13 +643,13 @@ fn broadcast_through_sim_clones_once_per_live_delivery() {
             fp = fp.crash(p, Time::ZERO);
         }
         let cfg = SimConfig::new(N, 4).seed(seed).max_time(Time(200));
-        let mut sim = Sim::new(
+        let sim = Sim::new(
             cfg,
             fp.build(),
             |_| OneBroadcast(Arc::clone(&clones)),
             NoOracle,
         );
-        sim.run();
+        sim.run_into_trace(|_| false);
         let got = clones.load(Ordering::Relaxed);
         let live = N - crashed.len();
         assert!(

@@ -359,16 +359,16 @@ mod tests {
             .adversary(adversary);
         let fp = churn_fp();
         if wrap {
-            let mut sim = Sim::new(
+            let sim = Sim::new(
                 cfg,
                 fp,
                 |_| CatchUp::new(RbToken { decided: false }),
                 NoOracle,
             );
-            sim.run().trace
+            sim.run_into_trace(|_| false)
         } else {
-            let mut sim = Sim::new(cfg, fp, |_| RbToken { decided: false }, NoOracle);
-            sim.run().trace
+            let sim = Sim::new(cfg, fp, |_| RbToken { decided: false }, NoOracle);
+            sim.run_into_trace(|_| false)
         }
     }
 
@@ -424,15 +424,15 @@ mod tests {
     fn on_time_processes_never_request_state() {
         let cfg = SimConfig::new(4, 1).seed(9).max_time(Time(2_000));
         let fp = FailurePattern::all_correct(4);
-        let mut sim = Sim::new(
+        let sim = Sim::new(
             cfg,
             fp,
             |_| CatchUp::new(RbToken { decided: false }),
             NoOracle,
         );
-        let rep = sim.run();
-        assert_eq!(rep.trace.counter(counter::JOIN_REQ), 0);
-        assert_eq!(rep.trace.counter(counter::DIGEST), 0);
-        assert_eq!(rep.trace.deciders().len(), 4);
+        let trace = sim.run_into_trace(|_| false);
+        assert_eq!(trace.counter(counter::JOIN_REQ), 0);
+        assert_eq!(trace.counter(counter::DIGEST), 0);
+        assert_eq!(trace.deciders().len(), 4);
     }
 }

@@ -203,8 +203,8 @@ mod tests {
     ) -> (Trace, FailurePattern) {
         let oracle = SxOracle::new(fp.clone(), t, x, Scope::Eventual(Time(gst)), seed);
         let cfg = SimConfig::new(n, t).seed(seed).max_time(Time(30_000));
-        let mut sim = Sim::new(cfg, fp.clone(), |p| LowerWheel::new(p, n, x), oracle);
-        (sim.run().trace, fp)
+        let sim = Sim::new(cfg, fp.clone(), |p| LowerWheel::new(p, n, x), oracle);
+        (sim.run_into_trace(|_| false), fp)
     }
 
     /// Theorem 6's postcondition, checked on the REPR histories.

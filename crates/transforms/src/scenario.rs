@@ -321,7 +321,7 @@ mod tests {
         let unthrottled = TwoWheelsScenario { throttled: false };
         assert_eq!(throttled.name(), unthrottled.name());
         assert_ne!(throttled.cache_tag(), unthrottled.cache_tag());
-        let cache: &'static ReportCache = Box::leak(Box::new(ReportCache::new()));
+        let cache = &ReportCache::new();
         let runner = fd_detectors::scenario::Runner::sequential().with_cache(cache);
         let spec = TwoWheelsScenario::spec(crate::two_wheels::TwParams::optimal(5, 2, 2, 0))
             .crashes(CrashPlan::Random {

@@ -215,7 +215,7 @@ mod tests {
             .gst(Time(400))
             .seed(1)
             .max_time(Time(120_000));
-        let cache: &'static ReportCache = Box::leak(Box::new(ReportCache::new()));
+        let cache = &ReportCache::new();
         let runner = Runner::with_threads(2).with_cache(cache);
         let cold = runner.sweep_summary(&PipelineScenario, &base, 0..3);
         let warm = runner.sweep_summary(&PipelineScenario, &base, 0..3);

@@ -30,11 +30,9 @@ fn axiomatic_rb_satisfies_spec() {
         let fp = fp(n, seed);
         let oracle = OmegaOracle::new(fp.clone(), 1, Time(300), seed);
         let cfg = SimConfig::new(n, 2).seed(seed).max_time(Time(80_000));
-        let mut sim = Sim::new(cfg, fp.clone(), |p| KsetOmega::new(p.0 as u64), oracle);
+        let sim = Sim::new(cfg, fp.clone(), |p| KsetOmega::new(p.0 as u64), oracle);
         let correct = fp.correct();
-        let trace = sim
-            .run_until(move |tr| tr.deciders().is_superset(correct))
-            .trace;
+        let trace = sim.run_into_trace(move |tr| tr.deciders().is_superset(correct));
         let proposals: Vec<u64> = (0..n as u64).collect();
         let out = spec::kset_spec(&trace, &fp, 1, &proposals);
         assert!(out.ok, "seed {seed}: {out}");
@@ -48,16 +46,14 @@ fn echo_rb_satisfies_same_spec() {
         let fp = fp(n, seed);
         let oracle = OmegaOracle::new(fp.clone(), 1, Time(300), seed);
         let cfg = SimConfig::new(n, 2).seed(seed).max_time(Time(80_000));
-        let mut sim = Sim::new(
+        let sim = Sim::new(
             cfg,
             fp.clone(),
             |p| EchoRb::new(KsetOmega::new(p.0 as u64)),
             oracle,
         );
         let correct = fp.correct();
-        let trace = sim
-            .run_until(move |tr| tr.deciders().is_superset(correct))
-            .trace;
+        let trace = sim.run_into_trace(move |tr| tr.deciders().is_superset(correct));
         let proposals: Vec<u64> = (0..n as u64).collect();
         let out = spec::kset_spec(&trace, &fp, 1, &proposals);
         assert!(out.ok, "seed {seed} (echo): {out}");
@@ -73,16 +69,14 @@ fn echo_rb_works_for_two_set_agreement() {
             .build();
         let oracle = OmegaOracle::new(fp.clone(), 2, Time(300), seed);
         let cfg = SimConfig::new(n, 2).seed(seed).max_time(Time(80_000));
-        let mut sim = Sim::new(
+        let sim = Sim::new(
             cfg,
             fp.clone(),
             |p| EchoRb::new(KsetOmega::new(p.0 as u64)),
             oracle,
         );
         let correct = fp.correct();
-        let trace = sim
-            .run_until(move |tr| tr.deciders().is_superset(correct))
-            .trace;
+        let trace = sim.run_into_trace(move |tr| tr.deciders().is_superset(correct));
         let proposals: Vec<u64> = (0..n as u64).collect();
         let out = spec::kset_spec(&trace, &fp, 2, &proposals);
         assert!(out.ok, "seed {seed}: {out}");

@@ -292,7 +292,7 @@ mod batching {
     #[test]
     fn cached_kset_sweep_is_bit_identical_and_computes_nothing() {
         use fd_grid::scenario::ReportCache;
-        let cache: &'static ReportCache = Box::leak(Box::new(ReportCache::new()));
+        let cache = &ReportCache::new();
         let base = KsetScenario::spec(5, 2, 2)
             .gst(Time(400))
             .max_time(Time(30_000))
@@ -450,12 +450,16 @@ mod adversary {
             .crash(ProcessId(1), Time(100))
             .join(ProcessId(5), Time(600))
             .build();
-        let churn_probe = churn
-            .crashes(CrashPlan::Explicit(probe))
-            .topology(TopologySchedule::partition_until(
-                vec![(0..5).map(ProcessId).collect(), PSet::singleton(ProcessId(5))],
-                Time(1_200),
-            ));
+        let churn_probe =
+            churn
+                .crashes(CrashPlan::Explicit(probe))
+                .topology(TopologySchedule::partition_until(
+                    vec![
+                        (0..5).map(ProcessId).collect(),
+                        PSet::singleton(ProcessId(5)),
+                    ],
+                    Time(1_200),
+                ));
         vec![
             (WHEELS, wheels.with_seed(0)),
             (WHEELS, wheels.with_seed(1)),
