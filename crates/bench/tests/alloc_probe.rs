@@ -21,8 +21,11 @@
 //! A third phase pins the Figure 3 Phase-1 round state in the pre-GST
 //! shape, all 128 senders reporting different leader sets: a fresh
 //! `Phase1Slab` absorbs such a round on the one allocation `new` made —
-//! 16 bytes per sender at every `n` — and a slab pooled by its
-//! `RoundWindow` absorbs further ones on none.
+//! 16 bytes per sender at every `n`, plus the `⌈n/64⌉`-word sender bitset
+//! at its head — and a slab pooled by its `RoundWindow` absorbs further
+//! ones on none. The Phase-2 and echo slabs hold nothing on the heap but a
+//! sender row of at most `⌈n/64⌉` words: their windows allocate in the
+//! first round only, the window's one slot and the row's growth.
 //!
 //! A fourth phase pins the anarchy-period `Ω_z` read and the delivery
 //! that makes it: a pre-GST `OmegaOracle::trusted` samples its leader
@@ -46,7 +49,9 @@
 //! (see [`CountingAlloc`]); release runs skip the assertions.
 
 use fd_bench::{decode_cell, encode_cell, CountingAlloc};
-use fd_core::{KsetMsg, KsetOmega, KsetScenario, Phase1Slab, RoundWindow};
+use fd_core::{
+    EchoSlab, KsetMsg, KsetOmega, KsetScenario, Phase1Slab, Phase2Slab, RoundSlab, RoundWindow,
+};
 use fd_detectors::scenario::Runner;
 use fd_detectors::{OmegaOracle, PhiOracle, Scope, SxOracle};
 use fd_sim::{
@@ -85,6 +90,39 @@ fn drain_due(q: &mut EventQueue, arena: &mut MsgArena<u64>, now: Time) -> u64 {
 /// Pops every pending event.
 fn drain(q: &mut EventQueue, arena: &mut MsgArena<u64>) -> u64 {
     drain_due(q, arena, Time::INFINITY)
+}
+
+/// Drives a `RoundWindow<S>` through eight rounds in which every one of
+/// `n` senders is heard, in ascending order, each round retired before the
+/// next. Returns the allocations of round 1, the bytes its last allocating
+/// insert asked for (the sender row's final size: senders arrive in
+/// ascending order, so the row grows one word at a time) and the
+/// allocations of rounds 2–8.
+fn sender_rows<S: RoundSlab + Default>(
+    n: usize,
+    insert: impl Fn(&mut S, ProcessId),
+    count: impl Fn(&S) -> usize,
+) -> (u64, u64, u64) {
+    let mut window: RoundWindow<S> = RoundWindow::new();
+    let (mut first, mut row_bytes) = (0, 0);
+    let before = ALLOC.allocations();
+    for r in 1..=8 {
+        if r == 2 {
+            first = ALLOC.allocations() - before;
+        }
+        let slab = window.entry(r, S::default);
+        for from in 0..n {
+            let (allocs, bytes) = (ALLOC.allocations(), ALLOC.bytes());
+            insert(slab, ProcessId(from));
+            if ALLOC.allocations() > allocs {
+                row_bytes = ALLOC.bytes() - bytes;
+            }
+        }
+        assert_eq!(count(slab), n, "round {r}");
+        window.retire_below(r + 1);
+    }
+    let later = ALLOC.allocations() - before - first;
+    (first, row_bytes, later)
 }
 
 type WheelOracles = SuspectPlusQuery<SxOracle, PhiOracle>;
@@ -269,16 +307,38 @@ fn routed_broadcast_is_allocation_free_after_warmup() {
     acc = acc.wrapping_add(fresh.count() as u64);
     drop(fresh);
     // Two words per sender — an estimate and a packed ≤ 4-member leader
-    // set — whatever ⌈n/64⌉ is.
+    // set — whatever ⌈n/64⌉ is, after the ⌈n/64⌉ words of sender bitset.
     for n in [9, 128, 1024] {
         let (allocs, bytes) = (ALLOC.allocations(), ALLOC.bytes());
         let slab = Phase1Slab::new(n);
         assert_eq!(
             (ALLOC.allocations() - allocs, ALLOC.bytes() - bytes),
-            (1, 16 * n as u64),
-            "Phase1Slab::new({n}) must be one allocation of 16·n bytes"
+            (1, 16 * n as u64 + 8 * n.div_ceil(64) as u64),
+            "Phase1Slab::new({n}) must be one allocation of 16·n + 8·⌈n/64⌉ bytes"
         );
         acc = acc.wrapping_add(slab.count() as u64);
+    }
+    // Phase-2 and echo round state, eight rounds of every sender.
+    for n in [9, 128, 1024] {
+        let phase2 = sender_rows(
+            n,
+            |s: &mut Phase2Slab, p| s.insert(p, None),
+            Phase2Slab::count,
+        );
+        let echo = sender_rows(
+            n,
+            |s: &mut EchoSlab, p| s.insert(p, Some(1)),
+            EchoSlab::count,
+        );
+        let words = n.div_ceil(64) as u64;
+        for (what, rows) in [("Phase2Slab", phase2), ("EchoSlab", echo)] {
+            assert_eq!(
+                rows,
+                (1 + words, 8 * words, 0),
+                "RoundWindow<{what}> at n = {n}: (round-1 allocations, the row's \
+                 last size in bytes, allocations in rounds 2–8)"
+            );
+        }
     }
     let mut window: RoundWindow<Phase1Slab> = RoundWindow::new();
     let round = |window: &mut RoundWindow<Phase1Slab>, r: u32| {

@@ -8,8 +8,11 @@
 //! re-evaluation. At n = 1024 that is O(n) allocation churn and O(n²)
 //! scanning per round. The slabs invert the layout:
 //!
-//! * **sender tracking** is a [`PSet`] bitset plus a running count —
-//!   duplicate detection is a word op and the quorum guard reads a `u32`;
+//! * **sender tracking** is a `⌈n/64⌉`-word bitset plus a running count —
+//!   duplicate detection is a word op and the quorum guard reads a `u32`.
+//!   No slab embeds a full-width [`PSet`]: [`Phase1Slab`]'s bitset is the
+//!   head of its one record allocation, and [`Phase2Slab`] / [`EchoSlab`]
+//!   grow theirs to the widest sender heard and keep it across recycling;
 //! * **aggregates** (`⊥` counts, running minima, first-wins values, the
 //!   leader-set majority vote) are maintained incrementally at insert
 //!   time in O(1) per message, so the round guards read O(1) state instead
@@ -46,7 +49,8 @@ pub trait RoundSlab {
 /// exploits that — a retired slab is reset where it is and handed back out
 /// by [`RoundWindow::entry`], so a long run touches a bounded set of
 /// allocations no matter how many rounds it takes, and the window is one
-/// vector no longer than the most rounds ever live at once.
+/// vector whose capacity is the most rounds ever live at once: it grows
+/// one slab at a time, never by doubling.
 #[derive(Clone, Debug, Default)]
 pub struct RoundWindow<S> {
     /// `(round, slab)` pairs, unordered. Round [`RETIRED`] marks a reset
@@ -74,6 +78,7 @@ impl<S: RoundSlab> RoundWindow<S> {
             return &mut self.slabs[i].1;
         }
         let i = round_at(&self.slabs, RETIRED).unwrap_or_else(|| {
+            self.slabs.reserve_exact(1);
             self.slabs.push((RETIRED, make()));
             self.slabs.len() - 1
         });
@@ -131,28 +136,34 @@ impl<S: RoundSlab> RoundWindow<S> {
 /// majority of the senders heard is always the surviving candidate, so
 /// [`Phase1Slab::majority`] only has to recount that one row — once per
 /// process per round, and not at all when the votes already settle it.
+///
+/// Who has been heard from is a bitset of the same `⌈n/64⌉` words, kept
+/// at the head of the record allocation: the slab is one allocation of
+/// `16·n + 8·⌈n/64⌉` bytes.
 #[derive(Clone, Debug)]
 pub struct Phase1Slab {
-    /// Who has been heard from this round.
-    senders: PSet,
-    /// `senders.len()`, kept running so the quorum guard is not a popcount.
-    heard: u32,
-    /// `⌈n/64⌉`: the low [`PSet`] words a packable leader set lives in.
-    low: usize,
-    /// Whether records are `[est, ids]`: true until a set that does not
-    /// pack has been seen, false (full-width rows) from then on.
-    packed: bool,
-    /// `recs[p·(1+w)..][..1+w]` = `[est, row]` of sender `p`'s first
-    /// message, `w` being [`Phase1Slab::w`]. Only records of `senders` are
-    /// meaningful; stale ones from a recycled slab are never read.
+    /// `recs[..low]`: the senders heard from this round, word `w` holding
+    /// identities `64w .. 64w + 63` as in a [`PSet`]. Then
+    /// `recs[low + p·(1+w)..][..1+w]` = `[est, row]` of sender `p`'s first
+    /// message, `w` being [`Phase1Slab::w`]. Only records of heard senders
+    /// are meaningful; stale ones from a recycled slab are never read.
     recs: Vec<u64>,
+    /// The number of senders heard, kept running so the quorum guard is not
+    /// a popcount.
+    heard: u32,
+    /// `⌈n/64⌉`: the words of the sender bitset, and the low [`PSet`] words
+    /// a packable leader set lives in.
+    low: u32,
     /// Boyer–Moore candidate: the sender whose leader set is the candidate.
     /// Meaningful only while `votes > 0`.
-    cand: usize,
+    cand: u32,
     /// Boyer–Moore votes: at least `votes` and at most
     /// `(heard + votes) / 2` senders reported the candidate's set, and at
     /// most `(heard − votes) / 2` reported any other one set.
     votes: u32,
+    /// Whether records are `[est, ids]`: true until a set that does not
+    /// pack has been seen, false (full-width rows) from then on.
+    packed: bool,
 }
 
 /// Words in a full-width leader-set row.
@@ -211,15 +222,26 @@ fn same_words(a: &[u64], b: &[u64]) -> bool {
 impl Phase1Slab {
     /// A slab for an `n`-process run.
     pub fn new(n: usize) -> Self {
+        let low = n.div_ceil(64);
         Phase1Slab {
-            senders: PSet::EMPTY,
+            recs: vec![0; low + 2 * n],
             heard: 0,
-            low: n.div_ceil(64),
-            packed: true,
-            recs: vec![0; 2 * n],
+            low: low as u32,
             cand: 0,
             votes: 0,
+            packed: true,
         }
+    }
+
+    /// The sender bitset's words.
+    #[inline]
+    fn senders(&self) -> &[u64] {
+        &self.recs[..self.low as usize]
+    }
+
+    /// The senders heard this round, as a set.
+    fn sender_set(&self) -> PSet {
+        PSet::from_words(self.senders())
     }
 
     /// Leader-set words per record.
@@ -233,7 +255,7 @@ impl Phase1Slab {
 
     /// Where sender `p`'s record starts in `recs`.
     fn at(&self, p: usize) -> usize {
-        p * (1 + self.w())
+        self.low as usize + p * (1 + self.w())
     }
 
     /// The leader-set words of sender `p`'s record.
@@ -253,29 +275,35 @@ impl Phase1Slab {
     /// Records `PHASE1(leaders, est)` from `from`; first message per
     /// sender wins.
     pub fn insert(&mut self, from: ProcessId, leaders: PSet, est: u64) {
-        if self.senders.contains(from) {
+        let (word, bit) = (from.0 / 64, 1u64 << (from.0 % 64));
+        debug_assert!(word < self.low as usize, "sender {from} outside Π");
+        if self.recs[word] & bit != 0 {
             return;
         }
-        let ids = self.packed.then(|| pack(&leaders, self.low)).flatten();
+        let ids = self
+            .packed
+            .then(|| pack(&leaders, self.low as usize))
+            .flatten();
         if self.packed && ids.is_none() {
             self.unpack_rows();
         }
-        self.senders.insert(from);
+        self.recs[word] |= bit;
         self.heard += 1;
         let at = self.at(from.0);
         self.recs[at] = est;
+        let cand = self.cand as usize;
         let same = match ids {
             Some(ids) => {
                 self.recs[at + 1] = ids;
-                self.recs[self.at(self.cand) + 1] == ids
+                self.recs[self.at(cand) + 1] == ids
             }
             None => {
                 self.recs[at + 1..][..FULL].copy_from_slice(leaders.as_words());
-                same_words(self.row(self.cand), leaders.as_words())
+                same_words(self.row(cand), leaders.as_words())
             }
         };
         if self.votes == 0 {
-            self.cand = from.0;
+            self.cand = from.0 as u32;
             self.votes = 1;
         } else if same {
             self.votes += 1;
@@ -290,11 +318,15 @@ impl Phase1Slab {
     /// it.
     #[cold]
     fn unpack_rows(&mut self) {
-        let mut recs = vec![0; self.recs.len() / 2 * (1 + FULL)];
-        for p in self.senders {
-            let rec = &mut recs[p.0 * (1 + FULL)..][..1 + FULL];
-            rec[0] = self.recs[2 * p.0];
-            rec[1..].copy_from_slice(unpack(self.recs[2 * p.0 + 1]).as_words());
+        let low = self.low as usize;
+        let n = (self.recs.len() - low) / 2;
+        let mut recs = vec![0; low + n * (1 + FULL)];
+        recs[..low].copy_from_slice(self.senders());
+        for p in self.sender_set() {
+            let (est, ids) = (self.recs[low + 2 * p.0], self.recs[low + 2 * p.0 + 1]);
+            let rec = &mut recs[low + p.0 * (1 + FULL)..][..1 + FULL];
+            rec[0] = est;
+            rec[1..].copy_from_slice(unpack(ids).as_words());
         }
         self.recs = recs;
         self.packed = false;
@@ -308,7 +340,10 @@ impl Phase1Slab {
     /// Whether any sender is a member of `li` (the line 06 guard).
     #[inline]
     pub fn heard_from(&self, li: PSet) -> bool {
-        !self.senders.is_disjoint(li)
+        self.senders()
+            .iter()
+            .zip(li.as_words())
+            .any(|(&s, &l)| s & l != 0)
     }
 
     /// The leader set reported by a strict majority (`2c > n`) of the `n`
@@ -323,33 +358,74 @@ impl Phase1Slab {
         if heard + votes <= n {
             return None;
         }
-        let l = self.row(self.cand);
+        let cand = self.cand as usize;
+        let l = self.row(cand);
         let c = if votes == heard {
             heard
         } else {
-            self.senders
+            self.sender_set()
                 .iter()
                 .filter(|p| same_words(self.row(p.0), l))
                 .count()
         };
-        (2 * c > n).then(|| self.leaders(self.cand))
+        (2 * c > n).then(|| self.leaders(cand))
     }
 
     /// The estimate of the smallest-id sender inside `l` (the line 07
     /// `v_L` choice: deterministic, matches the old
     /// `min_by_key(sender)` scan because estimates are first-wins).
     pub fn min_member_est(&self, l: PSet) -> Option<u64> {
-        (self.senders & l).min().map(|p| self.recs[self.at(p.0)])
+        let (i, word) = self
+            .senders()
+            .iter()
+            .zip(l.as_words())
+            .map(|(&s, &l)| s & l)
+            .enumerate()
+            .find(|&(_, word)| word != 0)?;
+        let p = 64 * i + word.trailing_zeros() as usize;
+        Some(self.recs[self.at(p)])
     }
 }
 
 impl RoundSlab for Phase1Slab {
     fn reset(&mut self) {
-        self.senders = PSet::EMPTY;
+        let low = self.low as usize;
+        self.recs[..low].fill(0);
         self.heard = 0;
         self.votes = 0;
-        // `recs` is left dirty on purpose: only records of `senders` are
-        // ever read, and those are overwritten at insert time.
+        // The records are left dirty on purpose: only records of heard
+        // senders are ever read, and those are overwritten at insert time.
+    }
+}
+
+/// A sender bitset of at most `⌈n/64⌉` words: grown exactly to the word of
+/// the widest sender heard, zeroed (not freed) on recycling.
+#[derive(Clone, Debug, Default)]
+struct SenderRow(Vec<u64>);
+
+impl SenderRow {
+    /// Adds `p`; returns `true` if it was not already present.
+    #[inline]
+    fn insert(&mut self, p: ProcessId) -> bool {
+        let (word, bit) = (p.0 / 64, 1u64 << (p.0 % 64));
+        if word >= self.0.len() {
+            self.grow(word + 1);
+        }
+        let fresh = self.0[word] & bit == 0;
+        self.0[word] |= bit;
+        fresh
+    }
+
+    /// Widens the row to `words` words, allocating exactly those.
+    #[cold]
+    fn grow(&mut self, words: usize) {
+        self.0.reserve_exact(words - self.0.len());
+        self.0.resize(words, 0);
+    }
+
+    /// Empties the row, keeping its width.
+    fn clear(&mut self) {
+        self.0.fill(0);
     }
 }
 
@@ -358,10 +434,10 @@ impl RoundSlab for Phase1Slab {
 /// Replaces `Vec<(ProcessId, Option<u64>)>`. The line 13 adoption is a
 /// running minimum over non-`⊥` values and the line 14 decision guard is
 /// a `⊥` counter — no list, no rescan.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct Phase2Slab {
-    senders: PSet,
-    /// `senders.len()`, kept running.
+    senders: SenderRow,
+    /// The number of senders heard, kept running.
     heard: u32,
     /// How many senders reported `⊥`.
     bots: u32,
@@ -405,7 +481,10 @@ impl Phase2Slab {
 
 impl RoundSlab for Phase2Slab {
     fn reset(&mut self) {
-        *self = Phase2Slab::default();
+        self.senders.clear();
+        self.heard = 0;
+        self.bots = 0;
+        self.min_val = None;
     }
 }
 
@@ -441,10 +520,10 @@ impl RoundSlab for CoordSlab {
 /// Replaces `Vec<(ProcessId, Option<u64>)>`. The baseline adopts the
 /// *first* non-`⊥` echo in arrival order, so the aggregate is a
 /// set-once value plus a `⊥` counter.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct EchoSlab {
-    senders: PSet,
-    /// `senders.len()`, kept running.
+    senders: SenderRow,
+    /// The number of senders heard, kept running.
     heard: u32,
     /// How many senders echoed `⊥`.
     bots: u32,
@@ -487,7 +566,10 @@ impl EchoSlab {
 
 impl RoundSlab for EchoSlab {
     fn reset(&mut self) {
-        *self = EchoSlab::default();
+        self.senders.clear();
+        self.heard = 0;
+        self.bots = 0;
+        self.first_val = None;
     }
 }
 
@@ -964,6 +1046,46 @@ mod tests {
         s.insert(pid(2), None);
         assert!(!s.all_non_bot());
         assert_eq!(s.count(), 3);
+    }
+
+    /// A sender row widens to the word of the widest sender heard, exactly,
+    /// tells duplicates apart across words, and is zeroed — not freed or
+    /// narrowed — by recycling.
+    #[test]
+    fn sender_rows_grow_exactly_and_survive_recycling() {
+        fn drive<S: RoundSlab + Default>(
+            insert: impl Fn(&mut S, ProcessId),
+            count: impl Fn(&S) -> usize,
+            row: impl Fn(&S) -> &SenderRow,
+        ) {
+            let mut w: RoundWindow<S> = RoundWindow::new();
+            let s = w.entry(1, S::default);
+            let mut widths = Vec::new();
+            for p in [0, 63, 64, 0, 1023, 64, 1023, 5] {
+                insert(s, pid(p));
+                widths.push((row(s).0.len(), row(s).0.capacity()));
+            }
+            assert_eq!(count(s), 5);
+            let want = [1, 1, 2, 2, 16, 16, 16, 16];
+            assert_eq!(widths, want.map(|w| (w, w)));
+            w.retire_below(2);
+            let s = w.entry(2, || unreachable!("round 1's slab is pooled"));
+            assert_eq!((count(s), row(s).0.as_slice()), (0, &[0; 16][..]));
+            for p in [1023, 1023, 7] {
+                insert(s, pid(p));
+            }
+            assert_eq!((count(s), row(s).0.capacity()), (2, 16));
+        }
+        drive(
+            |s: &mut Phase2Slab, p| s.insert(p, None),
+            Phase2Slab::count,
+            |s| &s.senders,
+        );
+        drive(
+            |s: &mut EchoSlab, p| s.insert(p, None),
+            EchoSlab::count,
+            |s| &s.senders,
+        );
     }
 
     #[test]

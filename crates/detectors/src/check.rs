@@ -846,6 +846,109 @@ mod tests {
         assert!(!never_slanders(&bad, &fp).ok);
     }
 
+    /// Each correct process of [`fp`] publishes `before` at tick 1 and
+    /// `after` at `at`; the crashed p4 publishes `before` at tick 1.
+    fn switch_at(slot: u32, horizon: u64, at: u64, before: PSet, after: PSet) -> Trace {
+        let mut tr = base_trace(horizon);
+        for i in 0..4 {
+            tr.publish(ProcessId(i), slot, Time(1), FdValue::Set(before));
+            if i < 3 {
+                tr.publish(ProcessId(i), slot, Time(at), FdValue::Set(after));
+            }
+        }
+        tr
+    }
+
+    /// "Eventually" means at least `margin` ticks before the horizon: a
+    /// property that takes hold at exactly `horizon − margin` passes, one
+    /// that takes hold a tick later fails, for every eventual checker.
+    #[test]
+    fn eventual_checkers_pass_at_horizon_minus_margin_and_fail_a_tick_later() {
+        const MARGIN: u64 = 100;
+        let (fp, horizon) = (fp(), 1000);
+        let edge = horizon - MARGIN;
+        let all = PSet::full(4);
+        type Checker = fn(&Trace, &FailurePattern) -> CheckOutcome;
+        let checkers: [(&str, u32, PSet, PSet, Checker); 3] = [
+            // Every correct process suspects the crashed p4 from `at` on.
+            (
+                "completeness",
+                slot::SUSPECTED,
+                PSet::EMPTY,
+                ps(&[3]),
+                |tr, fp| strong_completeness(tr, fp, MARGIN),
+            ),
+            // Everyone suspects everyone until `at`, then only p4: the best
+            // scope of 3 (ℓ, a correct peer, the crashed p4) holds from `at`.
+            ("accuracy", slot::SUSPECTED, all, ps(&[3]), |tr, fp| {
+                limited_scope_accuracy(tr, fp, 3, false, MARGIN, 0)
+            }),
+            // The correct processes agree on {p1, p2} from `at` on.
+            (
+                "leadership",
+                slot::TRUSTED,
+                ps(&[3]),
+                ps(&[0, 1]),
+                |tr, fp| eventual_leadership(tr, fp, 2, MARGIN),
+            ),
+        ];
+        for (what, slot, before, after, check) in checkers {
+            let out = check(&switch_at(slot, horizon, edge, before, after), &fp);
+            assert!(out.ok, "{what} at horizon − margin: {out}");
+            assert_eq!(out.stabilized_at, Some(Time(edge)), "{what}");
+            let out = check(&switch_at(slot, horizon, edge + 1, before, after), &fp);
+            assert!(!out.ok, "{what} a tick later: {out}");
+            assert!(out.detail.contains("margin"), "{what}: {out}");
+        }
+    }
+
+    /// `Ω_z` bounds the eventual leader set by `z` whatever the set's
+    /// representation: at n = 70 a set with a member ≥ 64 is stored out of
+    /// line by the trace, and z + 1 such members are still one too many.
+    #[test]
+    fn leadership_rejects_z_plus_one_members_stored_out_of_line() {
+        let (n, z) = (70, 2);
+        let fp = FailurePattern::all_correct(n);
+        let trusting = |l: PSet| {
+            let mut tr = base_trace(1000);
+            for i in 0..n {
+                tr.publish(ProcessId(i), slot::TRUSTED, Time(1), FdValue::Set(l));
+            }
+            eventual_leadership(&tr, &fp, z, 100)
+        };
+        let out = trusting(ps(&[5, 64, 69]));
+        assert!(!out.ok, "{out}");
+        assert!(out.detail.contains("3 members"), "{out}");
+        let out = trusting(ps(&[64, 69]));
+        assert!(out.ok, "{out}");
+    }
+
+    /// A crash takes effect at its tick: suspecting p4 (crash at 50) at
+    /// tick 49 is slander, at tick 50 it is not.
+    #[test]
+    fn never_slanders_from_the_crash_tick_on() {
+        let fp = fp();
+        let suspecting_at = |at| {
+            let mut tr = base_trace(1000);
+            tr.publish(
+                ProcessId(0),
+                slot::SUSPECTED,
+                Time(1),
+                FdValue::Set(PSet::EMPTY),
+            );
+            tr.publish(
+                ProcessId(0),
+                slot::SUSPECTED,
+                Time(at),
+                FdValue::Set(ps(&[3])),
+            );
+            never_slanders(&tr, &fp)
+        };
+        let out = suspecting_at(49);
+        assert!(!out.ok && out.class == ViolationClass::Slander, "{out}");
+        assert!(suspecting_at(50).ok);
+    }
+
     #[test]
     fn outcome_and_combines() {
         let a = CheckOutcome::pass(Some(Time(5)), "a");

@@ -22,7 +22,8 @@
 //!   `base` only moves inside `pop`, forward past empty buckets.
 //! * **The fallback heap.** Whatever does not fit the window — a far-future
 //!   heal or silence release, `Time::INFINITY`, a push earlier than `base`,
-//!   an identity too wide for a packed node — goes to a small
+//!   an identity too wide for a packed node, a `seq` more than `u32::MAX`
+//!   past its page's first — goes to a small
 //!   `BinaryHeap<Event>`. `pop` returns the smaller `(at, seq)` of the
 //!   wheel's head and the heap's head, so nothing ever migrates between
 //!   the two and arbitrary push times keep the contract. When the wheel is
@@ -39,8 +40,10 @@
 //!   most 9/8 of the most pages ever pending at once plus one page: live
 //!   nodes plus one partial page per pending tick, not (pending ticks) ×
 //!   (the largest burst any of them ever saw). Steady-state traffic
-//!   allocates nothing. Wheel entries are packed 16-byte nodes (the tick is
-//!   the bucket), not 40-byte [`Event`]s.
+//!   allocates nothing. Wheel entries are packed 12-byte nodes, not 40-byte
+//!   [`Event`]s: the tick is the bucket, and `seq` is a `u32` offset from
+//!   the `u64` sequence number of its page's first node, kept per page
+//!   beside the page's link.
 //!
 //! Events are plain [`Copy`] data: message payloads live in the
 //! [`crate::arena::MsgArena`] and deliveries carry a [`MsgSlot`] handle, so
@@ -189,11 +192,12 @@ const TAG_JOIN: u32 = 3;
 const TAG_CRASH: u32 = 4;
 
 /// A wheel entry: an [`Event`] minus its tick (the bucket holds that), with
-/// the identities narrowed to `u16` and the slot index to 29 bits beside
-/// the kind's tag.
+/// `seq` stored as an offset from its page's first, the identities
+/// narrowed to `u16` and the slot index to 29 bits beside the kind's tag.
 #[derive(Clone, Copy, Debug, Default)]
 struct Node {
-    seq: u64,
+    /// `seq` minus [`EventQueue::first_seq`] of the node's page.
+    seq_off: u32,
     to: u16,
     from: u16,
     /// `slot.index() << TAG_BITS | tag`.
@@ -204,7 +208,7 @@ impl Node {
     /// Packs the event, or `None` if an identity does not fit 16 bits or
     /// the slot index 29 (the caller then keeps it whole in the fallback
     /// heap).
-    fn pack(seq: u64, to: ProcessId, kind: EventKind) -> Option<Node> {
+    fn pack(seq_off: u32, to: ProcessId, kind: EventKind) -> Option<Node> {
         let (tag, from, slot) = match kind {
             EventKind::Deliver { from, slot } => (TAG_DELIVER, from.0, slot.index()),
             EventKind::RbDeliver { from, slot } => (TAG_RB_DELIVER, from.0, slot.index()),
@@ -216,14 +220,15 @@ impl Node {
             return None;
         }
         Some(Node {
-            seq,
+            seq_off,
             to: u16::try_from(to.0).ok()?,
             from: u16::try_from(from).ok()?,
             slot_tag: slot << TAG_BITS | tag,
         })
     }
 
-    fn unpack(self, at: Time) -> Event {
+    /// The event, given its tick and its page's first `seq`.
+    fn unpack(self, at: Time, first_seq: u64) -> Event {
         let from = ProcessId(usize::from(self.from));
         let slot = MsgSlot::from_raw(self.slot_tag >> TAG_BITS);
         let kind = match self.slot_tag & ((1 << TAG_BITS) - 1) {
@@ -238,14 +243,14 @@ impl Node {
         };
         Event {
             at,
-            seq: self.seq,
+            seq: first_seq + u64::from(self.seq_off),
             to: ProcessId(usize::from(self.to)),
             kind,
         }
     }
 }
 
-/// Nodes per page of the pool: 2 KiB. Smaller pages waste less on the one
+/// Nodes per page of the pool: 1.5 KiB. Smaller pages waste less on the one
 /// partial page each pending tick holds, larger ones chain less often;
 /// ROADMAP item 2 has the readings this was chosen from. A power of two,
 /// so that an empty bucket's `last` reads as "no room" (see [`Bucket`]).
@@ -287,6 +292,11 @@ pub struct EventQueue {
     /// `next[p]`: the page after `p` in its bucket's chain or in the free
     /// list, [`NO_PAGE`] at the end of either.
     next: Vec<u32>,
+    /// `first_seq[p]`: the `seq` of the first node written to page `p` since
+    /// it left the free list, which every [`Node::seq_off`] in it counts
+    /// from. A push whose offset would not fit a `u32` takes the fallback
+    /// heap instead.
+    first_seq: Vec<u64>,
     /// First page of the free list.
     free: u32,
     /// First tick of the window. Every tick before it is empty in the ring.
@@ -314,6 +324,7 @@ impl EventQueue {
             ring: [EMPTY_BUCKET; WHEEL_TICKS as usize],
             nodes: Vec::new(),
             next: Vec::new(),
+            first_seq: Vec::new(),
             free: NO_PAGE,
             base: 0,
             cursor: 0,
@@ -362,41 +373,71 @@ impl EventQueue {
         let more = (pages / 8).max(1);
         self.nodes.reserve_exact(more * PAGE);
         self.nodes.resize((pages + more) * PAGE, Node::default());
+        self.next.reserve_exact(more);
+        self.first_seq.reserve_exact(more);
         for page in pages..pages + more {
             self.next.push(self.free);
             self.free = page as u32;
         }
+        self.first_seq.resize(pages + more, 0);
+    }
+
+    /// Appends the event to tick `at`'s bucket, or returns `false` if its
+    /// node does not pack.
+    #[inline]
+    fn push_wheel(&mut self, at: u64, seq: u64, to: ProcessId, kind: EventKind) -> bool {
+        let Some(mut node) = Node::pack(0, to, kind) else {
+            return false;
+        };
+        let tick = bucket_of(at);
+        let Bucket { head, last } = self.ring[tick];
+        let mut slot = last.wrapping_add(1);
+        if (slot as usize).is_multiple_of(PAGE) {
+            // A fresh page counts from this push.
+            let page = self.take_page();
+            if head == NO_PAGE {
+                self.ring[tick].head = page;
+            } else {
+                self.next[last as usize / PAGE] = page;
+            }
+            self.first_seq[page as usize] = seq;
+            slot = page * PAGE as u32;
+        } else {
+            // A partial one from its first node, if the offset fits.
+            let Ok(off) = u32::try_from(seq - self.first_seq[last as usize / PAGE]) else {
+                return false;
+            };
+            node.seq_off = off;
+        }
+        self.nodes[slot as usize] = node;
+        self.ring[tick].last = slot;
+        self.wheel_len += 1;
+        true
+    }
+
+    /// Keeps the event whole in the fallback heap. Out of line: it is the
+    /// rare case, and the inlined [`Scheduler::push`] stays small without it.
+    #[cold]
+    fn push_far(&mut self, event: Event) {
+        self.far.push(event);
     }
 }
 
+// `push` is `#[inline]` so that the routing loops, which are instantiated
+// in other crates, compile it in: its page-base arithmetic then costs
+// nothing measurable per event. Inlining `pop` into the run loop measured
+// slower, so it stays a call.
 impl Scheduler for EventQueue {
+    #[inline]
     fn push(&mut self, at: Time, to: ProcessId, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
         // `checked_sub`, not `wrapping_sub`: once the window has re-based
         // onto `Time::INFINITY`, small ticks would wrap into it.
         let in_window = at.0.checked_sub(self.base).is_some_and(|d| d < WHEEL_TICKS);
-        if in_window {
-            if let Some(node) = Node::pack(seq, to, kind) {
-                let tick = bucket_of(at.0);
-                let Bucket { head, last } = self.ring[tick];
-                let mut slot = last.wrapping_add(1);
-                if (slot as usize).is_multiple_of(PAGE) {
-                    let page = self.take_page();
-                    if head == NO_PAGE {
-                        self.ring[tick].head = page;
-                    } else {
-                        self.next[last as usize / PAGE] = page;
-                    }
-                    slot = page * PAGE as u32;
-                }
-                self.nodes[slot as usize] = node;
-                self.ring[tick].last = slot;
-                self.wheel_len += 1;
-                return;
-            }
+        if !(in_window && self.push_wheel(at.0, seq, to, kind)) {
+            self.push_far(Event { at, seq, to, kind });
         }
-        self.far.push(Event { at, seq, to, kind });
     }
 
     fn pop(&mut self) -> Option<Event> {
@@ -412,8 +453,10 @@ impl Scheduler for EventQueue {
         let page = bucket.head;
         let slot = page as usize * PAGE + self.cursor;
         let node = self.nodes[slot];
+        let first_seq = self.first_seq[page as usize];
         if let Some(far) = self.far.peek() {
-            if (far.at.0, far.seq) < (self.base, node.seq) {
+            let seq = first_seq + u64::from(node.seq_off);
+            if (far.at.0, far.seq) < (self.base, seq) {
                 return self.far.pop();
             }
         }
@@ -429,7 +472,7 @@ impl Scheduler for EventQueue {
                 bucket.last = u32::MAX;
             }
         }
-        Some(node.unpack(Time(self.base)))
+        Some(node.unpack(Time(self.base), first_seq))
     }
 
     fn peek_time(&self) -> Option<Time> {
@@ -603,7 +646,11 @@ mod tests {
         ///   read of the head page makes the rest straddle another;
         /// * every page is in a chain or on the free list;
         /// * the pool holds at most 9/8 of the most pages ever in chains at
-        ///   once, plus one page.
+        ///   once, plus one page;
+        /// * a chained page's base is the `seq` of its first node (offset
+        ///   0), so it is ≤ every node's `seq` in it; the pending nodes of a
+        ///   chain ascend from page to page, and no `seq` is one not yet
+        ///   handed out.
         fn assert_pool_invariants(&mut self) {
             let q = &self.q;
             assert_eq!(self.pending.iter().sum::<usize>(), q.wheel_len);
@@ -622,6 +669,19 @@ mod tests {
                 assert!(read < PAGE, "the cursor stayed on a page it had read");
                 want += (read + n).div_ceil(PAGE);
                 assert_eq!((read + n - 1) % PAGE, bucket.last as usize % PAGE);
+                let (mut page, mut from, mut prev) = (bucket.head, read, None);
+                while page != NO_PAGE {
+                    let p = page as usize;
+                    let to = match q.next[p] {
+                        NO_PAGE => bucket.last as usize % PAGE + 1,
+                        _ => PAGE,
+                    };
+                    let seq = |i: usize| q.first_seq[p] + u64::from(q.nodes[p * PAGE + i].seq_off);
+                    assert_eq!(seq(0), q.first_seq[p], "tick {tick}: page {p}'s base");
+                    assert!(prev < Some(seq(from)), "tick {tick}: page {p} out of order");
+                    assert!(seq(from) <= seq(to - 1) && seq(to - 1) < q.next_seq);
+                    (page, from, prev) = (q.next[p], 0, Some(seq(to - 1)));
+                }
             }
             let (in_chains, free) = pages(q);
             assert_eq!(in_chains, want, "pages in chains");
@@ -643,7 +703,7 @@ mod tests {
 
     #[test]
     fn node_is_packed_and_round_trips_every_kind() {
-        assert_eq!(std::mem::size_of::<Node>(), 16);
+        assert_eq!(std::mem::size_of::<Node>(), 12);
         assert_eq!(MAX_SLOT, (1 << 29) - 1);
         for (id, slot) in [(0, 0), (1023, 7), (MAX_ID, MAX_SLOT)] {
             let (from, slot) = (ProcessId(id), MsgSlot::from_raw(slot));
@@ -654,8 +714,11 @@ mod tests {
                 EventKind::Join,
                 EventKind::Crash,
             ] {
-                let e = Node::pack(9, from, kind).unwrap().unpack(Time(3));
-                assert_eq!((e.at, e.seq, e.to, e.kind), (Time(3), 9, from, kind));
+                for (first, off) in [(0, 9), (1 << 40, u32::MAX)] {
+                    let e = Node::pack(off, from, kind).unwrap().unpack(Time(3), first);
+                    let seq = first + u64::from(off);
+                    assert_eq!((e.at, e.seq, e.to, e.kind), (Time(3), seq, from, kind));
+                }
             }
         }
     }
@@ -694,6 +757,35 @@ mod tests {
             .map(|(seq, (to, kind))| (Time(1), seq, to, kind))
             .collect();
         assert_eq!(popped, pushed);
+    }
+
+    /// A `seq` more than `u32::MAX` past its page's first does not fit the
+    /// page's 32-bit offsets: it takes the fallback heap, keeping its exact
+    /// `seq` and its place in the order, while a push that opens a page
+    /// counts from its own `seq` and stays in the wheel.
+    #[test]
+    fn seq_offset_overflow_takes_the_fallback_heap() {
+        let (s, page) = (1u64 << 32, PAGE as u64);
+        let mut c = Checked::default();
+        c.push(1); // seq 0 opens tick 1's page
+        c.q.next_seq = s;
+        c.push(1); // 2³² past seq 0: fallback
+        assert_eq!((c.q.wheel_len, c.q.far.len()), (1, 1));
+        c.push(2); // opens tick 2's page at s + 1
+        c.push(1); // fallback
+        for _ in 0..page {
+            c.push(3); // fills tick 3's first page, from s + 3
+        }
+        let t = c.q.next_seq + u64::from(u32::MAX);
+        c.q.next_seq = t;
+        c.push(3); // opens tick 3's next page at t
+        c.push(3); // one past it
+        c.push(2); // 2³² + 130 past tick 2's base: fallback
+        assert_eq!((c.q.wheel_len, c.q.far.len()), (PAGE + 4, 3));
+        let mut want = vec![(1, 0), (1, s), (1, s + 2), (2, s + 1), (2, t + 2)];
+        want.extend((s + 3..s + 3 + page).map(|seq| (3, seq)));
+        want.extend([(3, t), (3, t + 1)]);
+        assert_eq!(c.drain(), want);
     }
 
     /// `base + W − 1` is the last tick of the window, `base + W` the first

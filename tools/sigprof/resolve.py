@@ -22,6 +22,7 @@ stacks are return addresses throughout, and begin inside the shim.
 import collections
 import os
 import re
+import signal
 import subprocess
 import sys
 
@@ -199,6 +200,9 @@ def heap_census(profile, binary):
 
 
 def main():
+    # Die quietly when the reader goes away (`resolve.py … | head`), as a
+    # command-line filter should, instead of a BrokenPipeError traceback.
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     args = [a for a in sys.argv[1:] if a != "--heap"]
     if len(args) != 2:
         sys.exit("usage: resolve.py [--heap] <dump> <binary>")
