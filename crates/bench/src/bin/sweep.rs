@@ -215,7 +215,7 @@ fn run_search_cmd(o: SearchOpts) {
             for (i, spec) in fd_bench::generate(cfg).iter().enumerate() {
                 let scenario = fd_bench::scenario_for(spec);
                 store.register_spec(
-                    &format!("search[{i}] {}", fd_bench::describe_spec(spec)),
+                    &format!("search[{i}] {}", spec.describe()),
                     &scenario.cache_tag(),
                     spec,
                 );

@@ -15,21 +15,22 @@
 pub mod analyze;
 pub mod experiments;
 pub mod flags;
-pub mod json;
 pub mod micro;
 pub mod search;
 pub mod store;
 pub mod sweep;
 pub mod table;
 
+pub use fd_detectors::json;
+
 pub use analyze::{analyze_run_dirs, AnalyzeReport};
 pub use experiments::all;
 pub use micro::CountingAlloc;
 pub use search::{
     classify, describe_spec, expects_safety_violation, generate, probe_specs, run_search,
-    scenario_for, shrink, spec_from_json, spec_to_json, MinimalWitness, RunClass, SearchConfig,
-    SearchReport, SearchStats, ShrinkOutcome, ShrinkStep, ShrinkStepRecord, UnexpectedViolation,
-    SEARCH_SCHEMA, WITNESS_SCHEMA,
+    scenario_for, shrink, MinimalWitness, RunClass, SearchConfig, SearchReport, SearchStats,
+    ShrinkOutcome, ShrinkStep, ShrinkStepRecord, UnexpectedViolation, SEARCH_SCHEMA,
+    WITNESS_SCHEMA,
 };
 pub use store::{
     decode_cell, encode_cell, load_run_dir, InvocationRecord, Manifest, RunDir, SpecEntry,

@@ -37,12 +37,12 @@
 
 use crate::json::Json;
 use fd_core::KsetScenario;
-use fd_detectors::scenario::{CrashPlan, Flavour, OracleChoice, Runner, ScenarioSpec, SlimReport};
+use fd_detectors::scenario::{CrashPlan, Runner, ScenarioSpec, SlimReport};
 use fd_detectors::{CheckOutcome, Scenario, ViolationClass};
 use fd_grid::ChurnKsetScenario;
 use fd_sim::{
-    DelayModel, DelayRule, LinkOverride, MessageAdversary, MessageRule, PSet, ProcessId,
-    RuleAction, SplitMix64, Time, TopologyEpoch, TopologySchedule, MAX_PROCESSES,
+    DelayModel, DelayRule, MessageAdversary, MessageRule, PSet, ProcessId, RuleAction, SplitMix64,
+    Time, TopologyEpoch, TopologySchedule, MAX_PROCESSES,
 };
 use std::collections::BTreeSet;
 
@@ -124,26 +124,10 @@ fn run_one(runner: &Runner, spec: &ScenarioSpec, seed: u64) -> SlimReport {
         .expect("single-seed sweep produces exactly one report")
 }
 
-/// One line summarizing a spec for labels and witness descriptions.
+/// One line summarizing a spec for labels and witness descriptions:
+/// [`ScenarioSpec::describe`], under the name the benchmark package uses.
 pub fn describe_spec(spec: &ScenarioSpec) -> String {
-    let mut s = format!(
-        "n={} t={} k={} gst={} horizon={} adv={} topo={} crashes={:?}",
-        spec.n,
-        spec.t,
-        spec.k,
-        spec.gst.0,
-        spec.max_time.0,
-        spec.adversary.describe(),
-        spec.topology.describe(),
-        spec.crashes,
-    );
-    if !spec.rules.is_empty() {
-        s.push_str(&format!(" delay_rules={}", spec.rules.len()));
-    }
-    if spec.catch_up {
-        s.push_str(" catch_up");
-    }
-    s
+    spec.describe()
 }
 
 // ---------------------------------------------------------------------------
@@ -831,7 +815,7 @@ impl MinimalWitness {
                         .collect(),
                 ),
             ),
-            ("spec", spec_to_json(&self.spec)),
+            ("spec", self.spec.to_json()),
         ])
     }
 
@@ -846,7 +830,7 @@ impl MinimalWitness {
         let class_name = doc.str_at("class")?;
         let class = ViolationClass::from_name(class_name)
             .ok_or_else(|| format!("unknown class {class_name:?}"))?;
-        let shrink_steps = members(doc, "shrink_steps", |step| {
+        let shrink_steps = doc.decode_each_at("shrink_steps", |step| {
             Ok(ShrinkStepRecord {
                 pass: step.str_at("pass")?.to_string(),
                 description: step.str_at("description")?.to_string(),
@@ -861,427 +845,9 @@ impl MinimalWitness {
             detail: doc.str_at("detail")?.to_string(),
             events: doc.u64_at("events")?,
             shrink_steps,
-            spec: member(doc, "spec", spec_from_json)?,
+            spec: doc.decode_at("spec", ScenarioSpec::from_json)?,
         })
     }
-}
-
-/// Decodes the member `key` of `doc`; an error from inside it is prefixed
-/// with the key, so nested failures read as a path (`spec: adversary[0]:
-/// `pct` is 300 …`).
-fn member<T>(
-    doc: &Json,
-    key: &str,
-    decode: impl FnOnce(&Json) -> Result<T, String>,
-) -> Result<T, String> {
-    decode(doc.at(key)?).map_err(|e| format!("{key}: {e}"))
-}
-
-/// Decodes every element of the array member `key` of `doc`.
-fn members<T>(
-    doc: &Json,
-    key: &str,
-    decode: impl Fn(&Json) -> Result<T, String>,
-) -> Result<Vec<T>, String> {
-    doc.arr_at(key)?
-        .iter()
-        .enumerate()
-        .map(|(i, item)| decode(item).map_err(|e| format!("{key}[{i}]: {e}")))
-        .collect()
-}
-
-/// The member `key` as a count that must lie in `range`; `why` says who
-/// requires it. Witness files are outside input: a value the engine's
-/// constructors would assert on fails the load here, by name.
-fn bounded_at(
-    doc: &Json,
-    key: &str,
-    range: std::ops::RangeInclusive<u64>,
-    why: &str,
-) -> Result<usize, String> {
-    let v = doc.u64_at(key)?;
-    if range.contains(&v) {
-        // The callers' ranges end at `MAX_PROCESSES` or 100.
-        Ok(v as usize)
-    } else {
-        let (lo, hi) = range.into_inner();
-        Err(format!("`{key}` is {v}, outside {lo}..={hi} ({why})"))
-    }
-}
-
-/// The member `key` as a percentage.
-fn pct_at(doc: &Json, key: &str) -> Result<u8, String> {
-    bounded_at(doc, key, 0..=100, "a percentage").map(|pct| pct as u8)
-}
-
-fn pset_to_json(set: PSet) -> Json {
-    if set == PSet::full(MAX_PROCESSES) {
-        Json::str("all")
-    } else {
-        Json::Arr(set.iter().map(|p| Json::num_u64(p.0 as u64)).collect())
-    }
-}
-
-fn pset_from_json(doc: &Json) -> Result<PSet, String> {
-    if doc.as_str() == Some("all") {
-        return Ok(PSet::full(MAX_PROCESSES));
-    }
-    let ids = doc.as_arr().ok_or("not \"all\" or an id array")?;
-    let mut set = PSet::new();
-    for id in ids {
-        match id.as_u64() {
-            Some(id) if id < MAX_PROCESSES as u64 => set.insert(ProcessId(id as usize)),
-            Some(id) => return Err(format!("id {id} out of range")),
-            None => return Err("non-numeric id".into()),
-        };
-    }
-    Ok(set)
-}
-
-fn oracle_tag(oracle: OracleChoice) -> &'static str {
-    match oracle {
-        OracleChoice::None => "none",
-        OracleChoice::Omega => "omega",
-        OracleChoice::Sx(Flavour::Perpetual) => "sx:perpetual",
-        OracleChoice::Sx(Flavour::Eventual) => "sx:eventual",
-        OracleChoice::Phi(Flavour::Perpetual) => "phi:perpetual",
-        OracleChoice::Phi(Flavour::Eventual) => "phi:eventual",
-        OracleChoice::Psi => "psi",
-        OracleChoice::SxPlusPhi(Flavour::Perpetual) => "sx_plus_phi:perpetual",
-        OracleChoice::SxPlusPhi(Flavour::Eventual) => "sx_plus_phi:eventual",
-        OracleChoice::Perfect(Flavour::Perpetual) => "perfect:perpetual",
-        OracleChoice::Perfect(Flavour::Eventual) => "perfect:eventual",
-    }
-}
-
-fn oracle_from_tag(tag: &str) -> Result<OracleChoice, String> {
-    Ok(match tag {
-        "none" => OracleChoice::None,
-        "omega" => OracleChoice::Omega,
-        "sx:perpetual" => OracleChoice::Sx(Flavour::Perpetual),
-        "sx:eventual" => OracleChoice::Sx(Flavour::Eventual),
-        "phi:perpetual" => OracleChoice::Phi(Flavour::Perpetual),
-        "phi:eventual" => OracleChoice::Phi(Flavour::Eventual),
-        "psi" => OracleChoice::Psi,
-        "sx_plus_phi:perpetual" => OracleChoice::SxPlusPhi(Flavour::Perpetual),
-        "sx_plus_phi:eventual" => OracleChoice::SxPlusPhi(Flavour::Eventual),
-        "perfect:perpetual" => OracleChoice::Perfect(Flavour::Perpetual),
-        "perfect:eventual" => OracleChoice::Perfect(Flavour::Eventual),
-        other => return Err(format!("unknown oracle {other:?}")),
-    })
-}
-
-fn crashes_to_json(crashes: &CrashPlan) -> Json {
-    match *crashes {
-        CrashPlan::None => Json::obj([("kind", Json::str("none"))]),
-        CrashPlan::Random { f, by } => Json::obj([
-            ("kind", Json::str("random")),
-            ("f", Json::num_u64(f as u64)),
-            ("by", Json::num_u64(by.0)),
-        ]),
-        CrashPlan::Initial { f } => Json::obj([
-            ("kind", Json::str("initial")),
-            ("f", Json::num_u64(f as u64)),
-        ]),
-        CrashPlan::Anarchic { by } => {
-            Json::obj([("kind", Json::str("anarchic")), ("by", Json::num_u64(by.0))])
-        }
-        CrashPlan::Churn {
-            crash_by,
-            rejoin_after,
-        } => Json::obj([
-            ("kind", Json::str("churn")),
-            ("crash_by", Json::num_u64(crash_by.0)),
-            ("rejoin_after", Json::num_u64(rejoin_after)),
-        ]),
-        // Explicit patterns carry an arbitrary authored history; they are
-        // never produced by the generator and are not portable as JSON.
-        CrashPlan::Explicit(_) => Json::obj([("kind", Json::str("explicit"))]),
-    }
-}
-
-/// `t` bounds the crash count of the randomized plans and `n` the churn
-/// plan, exactly as `CrashPlan::materialize` asserts.
-fn crashes_from_json(doc: &Json, n: usize, t: usize) -> Result<CrashPlan, String> {
-    let f_at = |key| bounded_at(doc, key, 0..=t as u64, "crashes exceed the bound t");
-    Ok(match doc.str_at("kind")? {
-        "none" => CrashPlan::None,
-        "random" => CrashPlan::Random {
-            f: f_at("f")?,
-            by: Time(doc.u64_at("by")?),
-        },
-        "initial" => CrashPlan::Initial { f: f_at("f")? },
-        "anarchic" => CrashPlan::Anarchic {
-            by: Time(doc.u64_at("by")?),
-        },
-        "churn" if 2 * t > n => {
-            return Err(format!(
-                "`kind` is churn, which needs 2t ≤ n (t = {t}, n = {n})"
-            ))
-        }
-        "churn" => CrashPlan::Churn {
-            crash_by: Time(doc.u64_at("crash_by")?),
-            rejoin_after: doc.u64_at("rejoin_after")?,
-        },
-        other => return Err(format!("unportable kind {other:?}")),
-    })
-}
-
-fn delay_to_json(delay: &DelayModel) -> Json {
-    match *delay {
-        DelayModel::Fixed(d) => Json::obj([("kind", Json::str("fixed")), ("d", Json::num_u64(d))]),
-        DelayModel::Uniform { lo, hi } => Json::obj([
-            ("kind", Json::str("uniform")),
-            ("lo", Json::num_u64(lo)),
-            ("hi", Json::num_u64(hi)),
-        ]),
-        DelayModel::Spiky {
-            lo,
-            hi,
-            spike_pct,
-            factor,
-        } => Json::obj([
-            ("kind", Json::str("spiky")),
-            ("lo", Json::num_u64(lo)),
-            ("hi", Json::num_u64(hi)),
-            ("spike_pct", Json::num_u64(spike_pct as u64)),
-            ("factor", Json::num_u64(factor)),
-        ]),
-    }
-}
-
-fn delay_from_json(doc: &Json) -> Result<DelayModel, String> {
-    Ok(match doc.str_at("kind")? {
-        "fixed" => DelayModel::Fixed(doc.u64_at("d")?),
-        "uniform" => DelayModel::Uniform {
-            lo: doc.u64_at("lo")?,
-            hi: doc.u64_at("hi")?,
-        },
-        "spiky" => DelayModel::Spiky {
-            lo: doc.u64_at("lo")?,
-            hi: doc.u64_at("hi")?,
-            spike_pct: pct_at(doc, "spike_pct")?,
-            factor: doc.u64_at("factor")?,
-        },
-        other => return Err(format!("unknown kind {other:?}")),
-    })
-}
-
-fn delay_rule_to_json(rule: &DelayRule) -> Json {
-    Json::obj([
-        ("from", pset_to_json(rule.from)),
-        ("to", pset_to_json(rule.to)),
-        ("active_from", Json::num_u64(rule.active_from.0)),
-        ("active_to", Json::num_u64(rule.active_to.0)),
-        (
-            "deliver_not_before",
-            Json::num_u64(rule.deliver_not_before.0),
-        ),
-    ])
-}
-
-fn delay_rule_from_json(doc: &Json) -> Result<DelayRule, String> {
-    Ok(DelayRule {
-        from: member(doc, "from", pset_from_json)?,
-        to: member(doc, "to", pset_from_json)?,
-        active_from: Time(doc.u64_at("active_from")?),
-        active_to: Time(doc.u64_at("active_to")?),
-        deliver_not_before: Time(doc.u64_at("deliver_not_before")?),
-    })
-}
-
-fn message_rule_to_json(rule: &MessageRule) -> Json {
-    let (action, bound) = match rule.action {
-        RuleAction::Drop => ("drop", None),
-        RuleAction::Duplicate => ("duplicate", None),
-        RuleAction::Corrupt { bound } => ("corrupt", Some(bound)),
-    };
-    let mut pairs = vec![
-        ("action", Json::str(action)),
-        ("pct", Json::num_u64(rule.pct as u64)),
-        ("from", pset_to_json(rule.from)),
-        ("to", pset_to_json(rule.to)),
-        ("active_from", Json::num_u64(rule.active_from.0)),
-        ("active_to", Json::num_u64(rule.active_to.0)),
-    ];
-    if let Some(bound) = bound {
-        pairs.push(("bound", Json::num_u64(bound)));
-    }
-    Json::obj(pairs)
-}
-
-fn message_rule_from_json(doc: &Json) -> Result<MessageRule, String> {
-    let action = match doc.str_at("action")? {
-        "drop" => RuleAction::Drop,
-        "duplicate" => RuleAction::Duplicate,
-        "corrupt" => RuleAction::Corrupt {
-            bound: doc.u64_at("bound")?,
-        },
-        other => return Err(format!("unknown action {other:?}")),
-    };
-    Ok(MessageRule {
-        action,
-        pct: pct_at(doc, "pct")?,
-        from: member(doc, "from", pset_from_json)?,
-        to: member(doc, "to", pset_from_json)?,
-        active_from: Time(doc.u64_at("active_from")?),
-        active_to: Time(doc.u64_at("active_to")?),
-    })
-}
-
-fn epoch_to_json(ep: &TopologyEpoch) -> Json {
-    Json::obj([
-        ("from", Json::num_u64(ep.from.0)),
-        ("until", Json::num_u64(ep.until.0)),
-        (
-            "islands",
-            Json::Arr(ep.islands.iter().map(|i| pset_to_json(*i)).collect()),
-        ),
-        (
-            "overrides",
-            Json::Arr(
-                ep.overrides
-                    .iter()
-                    .map(|o| {
-                        Json::obj([
-                            ("from", pset_to_json(o.from)),
-                            ("to", pset_to_json(o.to)),
-                            (
-                                "latency",
-                                match o.latency {
-                                    None => Json::Null,
-                                    Some((lo, hi)) => {
-                                        Json::Arr(vec![Json::num_u64(lo), Json::num_u64(hi)])
-                                    }
-                                },
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn epoch_from_json(doc: &Json) -> Result<TopologyEpoch, String> {
-    let mut ep = TopologyEpoch::new(Time(doc.u64_at("from")?), Time(doc.u64_at("until")?));
-    ep.islands = members(doc, "islands", pset_from_json)?;
-    ep.overrides = members(doc, "overrides", |o| {
-        let latency = match o.at("latency")? {
-            Json::Null => None,
-            Json::Arr(pair) => match pair.as_slice() {
-                [lo, hi] => Some((
-                    lo.as_u64().ok_or("latency lo is not a u64")?,
-                    hi.as_u64().ok_or("latency hi is not a u64")?,
-                )),
-                _ => return Err("`latency` is not a pair".into()),
-            },
-            _ => return Err("`latency` is not null or a pair".into()),
-        };
-        Ok(LinkOverride {
-            from: member(o, "from", pset_from_json)?,
-            to: member(o, "to", pset_from_json)?,
-            latency,
-        })
-    })?;
-    Ok(ep)
-}
-
-/// Encodes every behavior-relevant field of a spec as canonical JSON.
-/// Excluded by design: `seed` (carried at the witness level).
-pub fn spec_to_json(spec: &ScenarioSpec) -> Json {
-    // Exhaustive destructure, no `..` rest pattern (as in
-    // `ScenarioSpec::fingerprint`): a new spec field fails to compile here
-    // until the witness format carries it or names it as excluded.
-    let ScenarioSpec {
-        n,
-        t,
-        x,
-        y,
-        z,
-        k,
-        oracle,
-        crashes,
-        delay,
-        rules,
-        gst,
-        seed: _,
-        max_time,
-        max_steps,
-        adversary,
-        topology,
-        catch_up,
-    } = spec;
-    let count = |v: &usize| Json::num_u64(*v as u64);
-    Json::obj([
-        ("n", count(n)),
-        ("t", count(t)),
-        ("x", count(x)),
-        ("y", count(y)),
-        ("z", count(z)),
-        ("k", count(k)),
-        ("oracle", Json::str(oracle_tag(*oracle))),
-        ("crashes", crashes_to_json(crashes)),
-        ("delay", delay_to_json(delay)),
-        (
-            "delay_rules",
-            Json::Arr(rules.iter().map(delay_rule_to_json).collect()),
-        ),
-        ("gst", Json::num_u64(gst.0)),
-        ("max_time", Json::num_u64(max_time.0)),
-        ("max_steps", Json::num_u64(*max_steps)),
-        (
-            "adversary",
-            Json::Arr(adversary.rules().iter().map(message_rule_to_json).collect()),
-        ),
-        (
-            "topology",
-            Json::Arr(topology.epochs().iter().map(epoch_to_json).collect()),
-        ),
-        ("catch_up", Json::Bool(*catch_up)),
-    ])
-}
-
-/// Parses a spec document (inverse of [`spec_to_json`]); the decoded
-/// spec fingerprints identically to the encoded one.
-///
-/// The document is outside input, so every parameter is held to what the
-/// constructors it will reach assert — `SimConfig::new` (`2 ≤ n`, `t < n`),
-/// `PSet` (`n ≤ MAX_PROCESSES`), `SxOracle` (`1 ≤ x ≤ n`), `PhiOracle`
-/// (`y ≤ t`), `OmegaOracle` (`1 ≤ z ≤ n`), `CrashPlan::materialize` —
-/// and percentages to `0..=100`: an out-of-range value is an `Err` naming
-/// the field, where an `as` cast would have wrapped it (`"pct": 300` → 44)
-/// or the engine would have panicked mid-replay.
-pub fn spec_from_json(doc: &Json) -> Result<ScenarioSpec, String> {
-    let n = bounded_at(
-        doc,
-        "n",
-        2..=MAX_PROCESSES as u64,
-        "the engine's process range",
-    )?;
-    let t = bounded_at(
-        doc,
-        "t",
-        0..=n as u64 - 1,
-        "the resilience bound needs t < n",
-    )?;
-    let mut spec = ScenarioSpec::new(n, t);
-    spec.x = bounded_at(doc, "x", 1..=n as u64, "the scope of S_x")?;
-    spec.y = bounded_at(doc, "y", 0..=t as u64, "φ_y needs y ≤ t")?;
-    spec.z = bounded_at(doc, "z", 1..=n as u64, "the leader sets of Ω_z")?;
-    spec.k = bounded_at(doc, "k", 1..=n as u64, "k-set agreement")?;
-    spec.oracle = oracle_from_tag(doc.str_at("oracle")?)?;
-    spec.crashes = member(doc, "crashes", |c| crashes_from_json(c, n, t))?;
-    spec.delay = member(doc, "delay", delay_from_json)?;
-    spec.rules = members(doc, "delay_rules", delay_rule_from_json)?;
-    spec.gst = Time(doc.u64_at("gst")?);
-    spec.max_time = Time(doc.u64_at("max_time")?);
-    spec.max_steps = doc.u64_at("max_steps")?;
-    spec.adversary =
-        MessageAdversary::from_rules(members(doc, "adversary", message_rule_from_json)?);
-    spec.topology = TopologySchedule::from_epochs(members(doc, "topology", epoch_from_json)?);
-    spec.catch_up = doc.bool_at("catch_up")?;
-    Ok(spec)
 }
 
 // ---------------------------------------------------------------------------
@@ -1422,7 +988,7 @@ pub fn run_search(runner: &Runner, cfg: &SearchConfig) -> SearchReport {
                     stats.violations += 1;
                     if !expects_safety_violation(spec) {
                         unexpected.push(UnexpectedViolation {
-                            description: describe_spec(spec),
+                            description: spec.describe(),
                             fingerprint: spec.fingerprint(),
                             seed: slim.seed,
                             class: slim.check.class,
@@ -1445,7 +1011,7 @@ pub fn run_search(runner: &Runner, cfg: &SearchConfig) -> SearchReport {
                     }
                     witnesses.push(MinimalWitness {
                         scenario: scenario_for(&outcome.spec).name().to_string(),
-                        description: describe_spec(&outcome.spec),
+                        description: outcome.spec.describe(),
                         fingerprint: outcome.spec.fingerprint(),
                         seed: slim.seed,
                         class: fin.check.class,
@@ -1479,95 +1045,6 @@ pub fn run_search(runner: &Runner, cfg: &SearchConfig) -> SearchReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
-
-    fn kitchen_sink_spec() -> ScenarioSpec {
-        let mut island_a = PSet::new();
-        island_a.insert(ProcessId(0));
-        island_a.insert(ProcessId(1));
-        let mut island_b = PSet::new();
-        island_b.insert(ProcessId(2));
-        ScenarioSpec::new(6, 2)
-            .kz(2)
-            .x(3)
-            .y(2)
-            .oracle(OracleChoice::SxPlusPhi(Flavour::Eventual))
-            .crashes(CrashPlan::Churn {
-                crash_by: Time(900),
-                rejoin_after: 77,
-            })
-            .delay(DelayModel::Spiky {
-                lo: 2,
-                hi: 9,
-                spike_pct: 13,
-                factor: 11,
-            })
-            .rule(DelayRule::silence_until(
-                PSet::full(6),
-                PSet::full(6),
-                Time(250),
-            ))
-            .gst(Time(400))
-            .max_time(Time(5_000))
-            .max_steps(9_999)
-            .adversary(MessageAdversary::from_rules(vec![
-                MessageRule::drop(30).window(Time(10), Time(90)),
-                MessageRule::corrupt(15, 4).links(island_a, PSet::full(6)),
-            ]))
-            .topology(TopologySchedule::from_epochs(vec![TopologyEpoch::new(
-                Time(100),
-                Time(2_000),
-            )
-            .islands(vec![island_a, island_b])
-            .link(LinkOverride::latency(island_a, island_b, 5, 25))
-            .link(LinkOverride::silence(island_b, island_a))]))
-            .catch_up(true)
-    }
-
-    #[test]
-    fn spec_codec_round_trips_every_field() {
-        let spec = kitchen_sink_spec();
-        let doc = spec_to_json(&spec);
-        let back = spec_from_json(&doc).expect("decode kitchen-sink spec");
-        assert_eq!(spec.fingerprint(), back.fingerprint());
-        // Canonical: re-encoding the decoded spec is byte-identical.
-        assert_eq!(doc.emit(), spec_to_json(&back).emit());
-        // And survives a parse of the emitted text.
-        let reparsed = json::parse(&doc.emit()).expect("parse emitted spec");
-        assert_eq!(
-            spec_from_json(&reparsed)
-                .expect("decode reparsed")
-                .fingerprint(),
-            spec.fingerprint()
-        );
-    }
-
-    #[test]
-    fn spec_codec_covers_every_oracle_and_infinity() {
-        let oracles = [
-            OracleChoice::None,
-            OracleChoice::Omega,
-            OracleChoice::Sx(Flavour::Perpetual),
-            OracleChoice::Sx(Flavour::Eventual),
-            OracleChoice::Phi(Flavour::Perpetual),
-            OracleChoice::Phi(Flavour::Eventual),
-            OracleChoice::Psi,
-            OracleChoice::SxPlusPhi(Flavour::Perpetual),
-            OracleChoice::SxPlusPhi(Flavour::Eventual),
-            OracleChoice::Perfect(Flavour::Perpetual),
-            OracleChoice::Perfect(Flavour::Eventual),
-        ];
-        for oracle in oracles {
-            let spec = ScenarioSpec::new(4, 1)
-                .oracle(oracle)
-                .adversary(MessageAdversary::from_rules(vec![MessageRule::drop(10)]));
-            let back = spec_from_json(&spec_to_json(&spec)).expect("decode");
-            assert_eq!(back.oracle, oracle);
-            // The unscoped rule's window end is Time::INFINITY (u64::MAX):
-            // must survive the numeric codec exactly.
-            assert_eq!(back.adversary.rules()[0].active_to, Time::INFINITY);
-        }
-    }
 
     #[test]
     fn classify_follows_the_safety_split() {

@@ -58,12 +58,14 @@
 //! ## Mismatch semantics
 //!
 //! The manifest records the store format and the engine version that wrote
-//! the directory. The cache salt is a `DefaultHasher` digest — stable for
-//! one build, but not a cross-toolchain contract — so when the manifest
-//! does not match this binary, [`SweepStore::open`] archives the existing
-//! shards to a `stale-N/` subdirectory and starts clean: nothing is
-//! hydrated, every cell is recomputed and rewritten. Never a panic, never
-//! a wrong report — worst case is a cold sweep.
+//! the directory. The cache salt is FNV-1a-64 of the scenario tag and the
+//! spec fingerprint, itself FNV-1a-64 of the spec's canonical bytes, so a
+//! key means the same thing on every build, toolchain and platform; only a
+//! new format or engine version invalidates a directory. When the
+//! manifest does not match this binary, [`SweepStore::open`] archives the
+//! existing shards to a `stale-N/` subdirectory and starts clean: nothing
+//! is hydrated, every cell is recomputed and rewritten. Never a panic,
+//! never a wrong report — worst case is a cold sweep.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
@@ -86,9 +88,11 @@ use crate::json::{self, escape_into, Json, Reader};
 /// the shard is a storage bucket, not part of the key.
 pub const STORE_SHARDS: usize = 16;
 
-/// Store format version; bumped on any layout or codec change.
+/// Store format version; bumped on any layout, codec or key change.
 /// v2: cells carry the machine-readable `class` of a failed check.
-pub const STORE_FORMAT: u64 = 2;
+/// v3: salts are FNV-1a-64 of the canonical spec bytes, not `DefaultHasher`
+/// digests.
+pub const STORE_FORMAT: u64 = 3;
 
 /// Cells buffered per shard before the writer flushes a segment. Small
 /// enough that an interrupted sweep loses little; large enough that a
@@ -96,9 +100,10 @@ pub const STORE_FORMAT: u64 = 2;
 const BATCH: usize = 128;
 
 fn engine_version() -> String {
-    // The package version alone. Debug and release builds share it on
-    // purpose: the salt's `DefaultHasher` (fixed keys) and the engine are
-    // the same in both, so either build resumes the other's directory.
+    // The package version alone. Builds share it on purpose: the salt is a
+    // fixed hash of fixed bytes and the engine is the same in each, so any
+    // build — debug or release, any toolchain — resumes another's
+    // directory.
     format!("fd-bench {}", env!("CARGO_PKG_VERSION"))
 }
 
@@ -1900,10 +1905,11 @@ mod tests {
 
     /// A run directory written by the tree codec (PR 18 and before) is read
     /// by the streaming one as it stands: all hits, nothing corrupt, and
-    /// not a byte of it rewritten.
+    /// not a byte of it rewritten. (The cell lines are unchanged since;
+    /// format 3 changed only the salts they are keyed by.)
     #[test]
     fn run_dir_written_by_the_tree_codec_resumes_untouched() {
-        assert_eq!(STORE_FORMAT, 2);
+        assert_eq!(STORE_FORMAT, 3);
         let dir = std::env::temp_dir().join(format!("fd-store-format-{}", std::process::id()));
         fs::remove_dir_all(&dir).ok();
         let shards_dir = dir.join("shards");

@@ -79,7 +79,7 @@ fn shrinking_is_deterministic_across_threads_and_event_cores() {
 /// The minimized validity witness the search emits for the probe spec
 /// (checked in as a regression document in `tests/scenario_engine.rs`
 /// at the workspace root; duplicated here only as a fixed-point input).
-const MINIMAL_VALIDITY_WITNESS: &str = r#"{"class":"validity","description":"n=5 t=2 k=1 gst=1 horizon=28 adv=corrupt15b4 topo=none crashes=None","detail":"validity: p3 decided 99 which was never proposed","events":137,"fingerprint":5376062410596091573,"scenario":"kset_omega","schema":"fd-minimal-witness/1","seed":0,"shrink_steps":[],"spec":{"adversary":[{"action":"corrupt","active_from":0,"active_to":21,"bound":4,"from":"all","pct":15,"to":"all"}],"catch_up":false,"crashes":{"kind":"none"},"delay":{"hi":10,"kind":"uniform","lo":1},"delay_rules":[],"gst":1,"k":1,"max_steps":200000,"max_time":28,"n":5,"oracle":"omega","t":2,"topology":[],"x":1,"y":1,"z":1}}"#;
+const MINIMAL_VALIDITY_WITNESS: &str = r#"{"class":"validity","description":"n=5 t=2 adversary=[{\"action\":\"corrupt\",\"active_from\":0,\"active_to\":21,\"bound\":4,\"from\":\"all\",\"pct\":15,\"to\":\"all\"}] gst=1 max_time=28","detail":"validity: p3 decided 99 which was never proposed","events":137,"fingerprint":11130984197085071070,"scenario":"kset_omega","schema":"fd-minimal-witness/1","seed":0,"shrink_steps":[],"spec":{"adversary":[{"action":"corrupt","active_from":0,"active_to":21,"bound":4,"from":"all","pct":15,"to":"all"}],"catch_up":false,"crashes":{"kind":"none"},"delay":{"hi":10,"kind":"uniform","lo":1},"delay_rules":[],"gst":1,"k":1,"max_steps":200000,"max_time":28,"n":5,"oracle":"omega","t":2,"topology":[],"x":1,"y":1,"z":1}}"#;
 
 #[test]
 fn a_minimal_witness_is_a_fixed_point() {
@@ -198,7 +198,12 @@ fn out_of_range_witness_fields_fail_the_load_by_name() {
             "`f` is 3",
         ),
         ("spec.crashes", r#"{"kind":"initial","f":9}"#, "`f` is 9"),
-        ("spec.crashes", r#"{"kind":"explicit"}"#, "unportable kind"),
+        (
+            "spec.crashes",
+            r#"{"kind":"explicit"}"#,
+            "missing `crash_at`",
+        ),
+        ("spec.crashes", r#"{"kind":"meteor"}"#, "unknown kind"),
         ("spec.adversary.0.from", "[0,5000]", "from: id 5000"),
         ("spec.gst", "", "missing `gst`"),
         ("spec.catch_up", "1", "`catch_up` is not a bool"),
@@ -229,6 +234,10 @@ fn out_of_range_witness_fields_fail_the_load_by_name() {
         ("spec.z", "5"),
         ("spec.crashes", CHURN),
         ("spec.crashes", r#"{"kind":"initial","f":2}"#),
+        (
+            "spec.crashes",
+            r#"{"kind":"explicit","crash_at":[null,null,null,null,3],"start_at":[0,0,0,0,0]}"#,
+        ),
     ];
     for (path, value) in accepted {
         if let Err(err) = MinimalWitness::from_json(&edited(&witness, path, value)) {

@@ -194,6 +194,10 @@ mod tests {
         let default_run = KsetScenario.run(&base);
         let none = KsetScenario.run(&base.clone().adversary(MessageAdversary::None));
         assert_eq!(default_run.fingerprint(), none.fingerprint());
+        // So is an empty rule list, which is why the spec encoding spells
+        // it as `None`.
+        let empty = KsetScenario.run(&base.clone().adversary(MessageAdversary::Rules(vec![])));
+        assert_eq!(default_run.fingerprint(), empty.fingerprint());
         // Within-tolerance attack on a failure-free run: silencing one
         // sender (≤ t) is crash-equivalent — the n − t quorums never needed
         // it — and duplication is always harmless. Uniform drops, by
@@ -232,6 +236,10 @@ mod tests {
         let default_run = KsetScenario.run(&base);
         let none = KsetScenario.run(&base.clone().topology(TopologySchedule::None));
         assert_eq!(default_run.fingerprint(), none.fingerprint());
+        // So is an empty epoch list, which the spec encoding spells as
+        // `None`.
+        let empty = KsetScenario.run(&base.clone().topology(TopologySchedule::Epochs(vec![])));
+        assert_eq!(default_run.fingerprint(), empty.fingerprint());
         // {0,1,2,3} | {4}: the big island holds n - t = 3 quorums and (for
         // this seed) the post-GST leader, so it decides on its own; the
         // isolated p4 cannot — its round-1 phase messages are severed — but

@@ -1,13 +1,18 @@
-//! Minimal std-only JSON for the sweep store: one pull [`Reader`], a
-//! [`Json`] tree built on it, and the emitter.
+//! Minimal std-only JSON: one pull [`Reader`], a [`Json`] tree built on
+//! it, the tree's emitter, and a streaming [`Writer`].
 //!
-//! The workspace is std-only by constraint, so the store's on-disk format
-//! is read and written by this module instead of serde. There is one lexer,
+//! The workspace is std-only by constraint, so every JSON document — the
+//! canonical spec encoding ([`ScenarioSpec::canonical`](crate::scenario::ScenarioSpec::canonical)),
+//! witness files, the sweep store's cells and manifests, reports — is read
+//! and written by this module instead of serde. There is one lexer,
 //! [`Reader`], with two consumers: [`parse`] builds a [`Json`] tree from it
 //! (manifests, witness files, reports — documents read once), and the
 //! store's cell decoder pulls a cell's fields straight off it, with no
-//! tree in between (millions of lines per resumed campaign). Three
-//! properties matter more than generality:
+//! tree in between (millions of lines per resumed campaign). On the way
+//! out, [`Writer`] streams canonical text into any [`fmt::Write`] sink
+//! with no tree either: the spec encoder writes through it into a `String`
+//! or straight into the fingerprint hasher. Three properties matter more
+//! than generality:
 //!
 //! 1. **u64 precision.** Cache salts and seeds are full-range `u64`s; an
 //!    f64 round-trip silently corrupts them above 2^53. The reader hands
@@ -27,7 +32,7 @@
 //!    strings, and a lone surrogate escape reads as U+FFFD.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt;
 
 /// A parsed JSON value. Numbers keep their raw token text (see module docs);
 /// objects use a [`BTreeMap`] so iteration — and re-emission — is canonical.
@@ -207,6 +212,31 @@ impl Json {
             .as_arr()
             .ok_or_else(|| format!("`{key}` is not an array"))
     }
+
+    /// The member `key`, decoded by `decode`; an error from inside it is
+    /// prefixed with the key, so nested failures read as a path
+    /// (`spec: adversary[0]: `pct` is 300 …`).
+    pub fn decode_at<T>(
+        &self,
+        key: &str,
+        decode: impl FnOnce(&Json) -> Result<T, String>,
+    ) -> Result<T, String> {
+        decode(self.at(key)?).map_err(|e| format!("{key}: {e}"))
+    }
+
+    /// Every element of the array member `key`, decoded by `decode`; an
+    /// error is prefixed with `key[i]`.
+    pub fn decode_each_at<T>(
+        &self,
+        key: &str,
+        decode: impl Fn(&Json) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        self.arr_at(key)?
+            .iter()
+            .enumerate()
+            .map(|(i, item)| decode(item).map_err(|e| format!("{key}[{i}]: {e}")))
+            .collect()
+    }
 }
 
 /// Convenience constructors for building values to emit.
@@ -229,8 +259,9 @@ impl Json {
 
 /// JSON-escapes `s` (with surrounding quotes) into `out`. Runs that need
 /// no escape are copied as one chunk.
-pub(crate) fn escape_into(s: &str, out: &mut String) {
-    out.push('"');
+pub fn escape_into(s: &str, out: &mut impl fmt::Write) {
+    // Writing to a `String` or a hasher cannot fail.
+    let _ = out.write_str("\"");
     let mut chunk = 0;
     for (at, b) in s.bytes().enumerate() {
         let escape = match b {
@@ -242,16 +273,139 @@ pub(crate) fn escape_into(s: &str, out: &mut String) {
             0..=0x1f => "",
             _ => continue,
         };
-        out.push_str(&s[chunk..at]);
-        if escape.is_empty() {
-            let _ = write!(out, "\\u{b:04x}");
+        let _ = out.write_str(&s[chunk..at]);
+        let _ = if escape.is_empty() {
+            write!(out, "\\u{b:04x}")
         } else {
-            out.push_str(escape);
-        }
+            out.write_str(escape)
+        };
         chunk = at + 1;
     }
-    out.push_str(&s[chunk..]);
-    out.push('"');
+    let _ = out.write_str(&s[chunk..]);
+    let _ = out.write_str("\"");
+}
+
+/// A streaming emitter of compact JSON into any [`fmt::Write`] sink — a
+/// `String`, or a hasher that digests the text without keeping it
+/// ([`fd_sim::Fnv1a64`]). It is driven like the [`Reader`] in reverse:
+/// `begin_obj`, then [`key`](Writer::key) before each member's value, then
+/// `end_obj`; `begin_arr`, then [`item`](Writer::item) before each element,
+/// then `end_arr`. The writer places the commas; it does not check the
+/// shape.
+///
+/// Output is canonical — byte-equal to [`Json::emit`] of its own parse —
+/// when the caller writes each object's members in ascending key order.
+/// Nothing is allocated.
+#[derive(Debug)]
+pub struct Writer<'w, W: fmt::Write> {
+    out: &'w mut W,
+    /// Set by `{` / `[`, cleared by the first `key` / `item` after it.
+    fresh: bool,
+}
+
+impl<'w, W: fmt::Write> Writer<'w, W> {
+    /// A writer appending to `out`.
+    pub fn new(out: &'w mut W) -> Self {
+        Writer { out, fresh: false }
+    }
+
+    fn put(&mut self, s: &str) {
+        // Writing to a `String` or a hasher cannot fail.
+        let _ = self.out.write_str(s);
+    }
+
+    fn open(&mut self, bracket: &str) {
+        self.put(bracket);
+        self.fresh = true;
+    }
+
+    fn close(&mut self, bracket: &str) {
+        self.put(bracket);
+        self.fresh = false;
+    }
+
+    fn separate(&mut self) {
+        if !std::mem::replace(&mut self.fresh, false) {
+            self.put(",");
+        }
+    }
+
+    /// Writes `{`.
+    pub fn begin_obj(&mut self) {
+        self.open("{");
+    }
+
+    /// Writes `}`.
+    pub fn end_obj(&mut self) {
+        self.close("}");
+    }
+
+    /// Writes `[`.
+    pub fn begin_arr(&mut self) {
+        self.open("[");
+    }
+
+    /// Writes `]`.
+    pub fn end_arr(&mut self) {
+        self.close("]");
+    }
+
+    /// Starts the open object's next member: the comma before it (none
+    /// before the first), `key` and `:`. Its value is written next. Keys
+    /// are identifiers and are written as they are, unescaped.
+    pub fn key(&mut self, key: &'static str) {
+        debug_assert!(
+            !key.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\'),
+            "{key:?} needs escaping"
+        );
+        self.separate();
+        self.put("\"");
+        self.put(key);
+        self.put("\":");
+    }
+
+    /// Starts the open array's next element (the comma before it, none
+    /// before the first). The element is written next.
+    pub fn item(&mut self) {
+        self.separate();
+    }
+
+    /// Writes a `u64` as its exact decimal token.
+    pub fn u64(&mut self, v: u64) {
+        const DIGITS: &str = "0123456789";
+        if v < 10 {
+            let v = v as usize;
+            return self.put(&DIGITS[v..v + 1]);
+        }
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        let mut rest = v;
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        // ASCII digits only.
+        self.put(std::str::from_utf8(&digits[at..]).unwrap_or_default());
+    }
+
+    /// Writes `true` or `false`.
+    pub fn bool(&mut self, v: bool) {
+        self.put(if v { "true" } else { "false" });
+    }
+
+    /// Writes `null`.
+    pub fn null(&mut self) {
+        self.put("null");
+    }
+
+    /// Writes a string, escaped.
+    pub fn str(&mut self, v: &str) {
+        escape_into(v, self.out);
+    }
 }
 
 /// Parses one JSON document into a [`Json`] tree. Trailing non-whitespace
@@ -280,6 +434,10 @@ const MAX_DEPTH: u32 = 128;
 ///
 /// The reader is `Copy`: a caller that wants to retry a value under a
 /// different shape saves the reader before the attempt and restores it.
+///
+/// Its lexing methods are `#[inline]`: the store's cell decoder calls them
+/// once per token from another crate, and without LTO nothing else lets
+/// them inline there.
 #[derive(Clone, Copy, Debug)]
 pub struct Reader<'a> {
     src: &'a str,
@@ -293,6 +451,7 @@ pub struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     /// A reader at the start of `src`.
+    #[inline]
     pub fn new(src: &'a str) -> Self {
         Reader {
             src,
@@ -303,6 +462,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Skips whitespace and returns the next byte without consuming it.
+    #[inline]
     fn peek(&mut self) -> Option<u8> {
         let bytes = self.src.as_bytes();
         while let Some(&b) = bytes.get(self.pos) {
@@ -314,6 +474,7 @@ impl<'a> Reader<'a> {
         None
     }
 
+    #[inline]
     fn open(&mut self, bracket: u8) -> Result<(), String> {
         if self.peek() != Some(bracket) {
             return Err(format!(
@@ -334,11 +495,13 @@ impl<'a> Reader<'a> {
     }
 
     /// Consumes `{`.
+    #[inline]
     pub fn begin_obj(&mut self) -> Result<(), String> {
         self.open(b'{')
     }
 
     /// Consumes `[`.
+    #[inline]
     pub fn begin_arr(&mut self) -> Result<(), String> {
         self.open(b'[')
     }
@@ -346,6 +509,7 @@ impl<'a> Reader<'a> {
     /// Steps to the open container's next element: consumes the comma
     /// before it (none before the first) and returns `true`, or consumes
     /// `close` and returns `false`.
+    #[inline]
     fn next_element(&mut self, close: u8) -> Result<bool, String> {
         match (self.peek(), self.fresh) {
             (Some(b), _) if b == close && self.depth > 0 => {
@@ -370,12 +534,14 @@ impl<'a> Reader<'a> {
     }
 
     /// Whether the open array has another element; consumes `]` if not.
+    #[inline]
     pub fn more(&mut self) -> Result<bool, String> {
         self.next_element(b']')
     }
 
     /// The open object's next key (with its `:` consumed), or `None` once
     /// `}` is consumed. `buf` is used as in [`Reader::str`].
+    #[inline]
     pub fn key<'b>(&mut self, buf: &'b mut String) -> Result<Option<&'b str>, String>
     where
         'a: 'b,
@@ -393,6 +559,7 @@ impl<'a> Reader<'a> {
 
     /// Reads a string: borrowed from the input when it has no escape,
     /// unescaped into `buf` (cleared first) otherwise.
+    #[inline]
     pub fn str<'b>(&mut self, buf: &'b mut String) -> Result<&'b str, String>
     where
         'a: 'b,
@@ -454,6 +621,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a number and returns its raw token (see the module docs).
+    #[inline]
     pub fn number(&mut self) -> Result<&'a str, String> {
         self.peek();
         let start = self.pos;
@@ -476,12 +644,14 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a number that is a `u64`.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, String> {
         let raw = self.number()?;
         raw.parse().map_err(|_| format!("{raw:?} is not a u64"))
     }
 
     /// Reads `null` as `None`, anything else as [`Reader::u64`].
+    #[inline]
     pub fn opt_u64(&mut self) -> Result<Option<u64>, String> {
         if self.lit("null") {
             return Ok(None);
@@ -490,6 +660,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads `null`.
+    #[inline]
     pub fn null(&mut self) -> Result<(), String> {
         if self.lit("null") {
             Ok(())
@@ -499,6 +670,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads `true` or `false`.
+    #[inline]
     pub fn bool(&mut self) -> Result<bool, String> {
         if self.lit("true") {
             Ok(true)
@@ -510,6 +682,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Consumes `word` if the next token starts with it.
+    #[inline]
     fn lit(&mut self, word: &str) -> bool {
         self.peek();
         let found = self.src.as_bytes()[self.pos..].starts_with(word.as_bytes());
@@ -574,6 +747,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Checks that only whitespace is left.
+    #[inline]
     pub fn end(&mut self) -> Result<(), String> {
         match self.peek() {
             None => Ok(()),
@@ -737,6 +911,46 @@ mod tests {
         assert!(r.u64().is_err());
         r = before;
         assert_eq!(r.str(buf), Ok("x"));
+    }
+
+    #[test]
+    fn writer_streams_what_the_tree_emits() {
+        let mut out = String::new();
+        let mut w = Writer::new(&mut out);
+        w.begin_obj();
+        w.key("a");
+        w.begin_arr();
+        for v in [0, 7, u64::MAX] {
+            w.item();
+            w.u64(v);
+        }
+        w.item();
+        w.begin_obj();
+        w.end_obj();
+        w.item();
+        w.begin_arr();
+        w.end_arr();
+        w.end_arr();
+        w.key("b");
+        w.bool(true);
+        w.key("c");
+        w.null();
+        w.key("d");
+        w.str("x\n\u{1}—π");
+        w.end_obj();
+        assert_eq!(
+            out,
+            "{\"a\":[0,7,18446744073709551615,{},[]],\"b\":true,\"c\":null,\"d\":\"x\\n\\u0001—π\"}"
+        );
+        assert_eq!(parse(&out).unwrap().emit(), out);
+        // A hasher is a sink like any other.
+        let mut h = fd_sim::Fnv1a64::new();
+        let mut w = Writer::new(&mut h);
+        w.begin_arr();
+        w.item();
+        w.str("foobar");
+        w.end_arr();
+        assert_eq!(h.finish(), fd_sim::fnv1a64(b"[\"foobar\"]"));
     }
 
     #[test]

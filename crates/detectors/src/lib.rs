@@ -46,12 +46,15 @@
 //! single runs, multi-seed sweeps, and grid matrices (in parallel, with
 //! results identical to a sequential run), producing one
 //! [`ScenarioReport`] type consumed uniformly by checkers, tables, and
-//! benches.
+//! benches. A spec has one encoding, its canonical JSON
+//! ([`ScenarioSpec::canonical`], written with [`json`]); its fingerprint
+//! and its one-line description are both derived from it.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod check;
+pub mod json;
 pub mod noise;
 pub mod omega;
 pub mod omega_s;

@@ -4,9 +4,8 @@
 
 use super::report::SlimReport;
 use super::spec::ScenarioSpec;
-use std::collections::hash_map::DefaultHasher;
+use fd_sim::Fnv1a64;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -117,20 +116,22 @@ impl ReportCache {
         }
     }
 
-    /// The scenario-plus-spec half of a cache key: the scenario's
-    /// [`Scenario::cache_tag`](super::Scenario::cache_tag) (which must cover any out-of-spec knobs)
-    /// mixed with the spec fingerprint. Public because it *is* the
-    /// content-address contract — a durable store persisting cells under
-    /// `(salt, seed)` keys (see `fd_bench::store`) must derive the salt
-    /// exactly as the in-memory sweeps do, or hydrated cells would never
-    /// be looked up. Like [`ScenarioSpec::fingerprint`], the value is
-    /// stable across runs and builds of one toolchain but is not an
-    /// on-disk format across toolchains — which is why stores record the
-    /// engine version in their manifest.
+    /// The scenario-plus-spec half of a cache key: FNV-1a-64 of the
+    /// scenario's [`Scenario::cache_tag`](super::Scenario::cache_tag)
+    /// (which must cover any out-of-spec knobs), a `0xff` byte (never part
+    /// of UTF-8 text, so no tag is a prefix of another's encoding), then the
+    /// spec [fingerprint](ScenarioSpec::fingerprint) as 8 little-endian
+    /// bytes. Public because it *is* the content-address contract — a
+    /// durable store persisting cells under `(salt, seed)` keys (see
+    /// `fd_bench::store`) must derive the salt exactly as the in-memory
+    /// sweeps do, or hydrated cells would never be looked up. Like the
+    /// fingerprint, it is a format: the same on every build, toolchain and
+    /// platform.
     pub fn salt(tag: &str, spec: &ScenarioSpec) -> u64 {
-        let mut h = DefaultHasher::new();
-        tag.hash(&mut h);
-        spec.fingerprint().hash(&mut h);
+        let mut h = Fnv1a64::new();
+        h.write(tag.as_bytes());
+        h.write(&[0xff]);
+        h.write(&spec.fingerprint().to_le_bytes());
         h.finish()
     }
 

@@ -49,8 +49,12 @@
 //! One file per piece, one way to do each thing, everything re-exported
 //! here so callers keep writing `fd_detectors::scenario::X`:
 //!
-//! * `spec` — [`ScenarioSpec`] and its builder, [`CrashPlan`],
-//!   [`ScenarioSpec::fingerprint`], the [`salt`] constants;
+//! * `spec` — [`ScenarioSpec`] and its builder, [`CrashPlan`], the
+//!   [`salt`] constants;
+//! * `codec` — the spec's one encoding, [`ScenarioSpec::canonical`], and
+//!   its views: [`ScenarioSpec::fingerprint`] (FNV-1a-64 of it),
+//!   [`ScenarioSpec::to_json`] / [`ScenarioSpec::from_json`] and
+//!   [`ScenarioSpec::describe`];
 //! * `oracle` — [`ScenarioSpec::with_oracle`] + [`OracleVisitor`], the only
 //!   way a runtime [`OracleChoice`] becomes an oracle, and
 //!   [`sample_oracle`];
@@ -62,6 +66,7 @@
 //! * `summary` — [`SweepSummary`].
 
 mod cache;
+mod codec;
 mod oracle;
 mod report;
 mod runner;

@@ -1,14 +1,13 @@
 //! The spec half of the engine: [`ScenarioSpec`] and its builder,
-//! [`CrashPlan`] materialization, the spec [fingerprint](ScenarioSpec::fingerprint)
-//! and the [`salt`] constants every consumer of randomness is keyed by.
+//! [`CrashPlan`] materialization and the [`salt`] constants every consumer
+//! of randomness is keyed by. The spec's encoding and its
+//! [fingerprint](ScenarioSpec::fingerprint) are in `codec`.
 
 use crate::Scope;
 use fd_sim::{
-    DelayModel, DelayRule, FailurePattern, MessageAdversary, ProcessId, RuleAction, ShmConfig,
-    SimConfig, SplitMix64, Time, TopologySchedule,
+    DelayModel, DelayRule, FailurePattern, MessageAdversary, ShmConfig, SimConfig, SplitMix64,
+    Time, TopologySchedule,
 };
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 
 /// Seed-mixing constants, one per oracle role, so that the detectors of a
 /// bundle draw from independent streams of the run's root seed.
@@ -398,133 +397,6 @@ impl ScenarioSpec {
     /// Materializes the crash plan for this spec.
     pub fn materialize(&self) -> FailurePattern {
         self.crashes.materialize(self.n, self.t, self.seed)
-    }
-
-    /// A stable 64-bit content digest of every run-shaping knob of this
-    /// spec *except* the seed — the spec half of a [`ReportCache`](super::ReportCache) key
-    /// (the seed is the other half, so one fingerprint covers a whole
-    /// sweep).
-    ///
-    /// Every field that can shape a run is folded in: sizes and grid
-    /// parameters, oracle choice, crash plan (explicit patterns by
-    /// content), delay model and delay rules, GST, horizons, the message
-    /// adversary (rules by content), and the catch-up toggle. Uses
-    /// [`DefaultHasher`], which hashes with fixed keys: stable across runs
-    /// and builds of one toolchain, but not an on-disk format.
-    pub fn fingerprint(&self) -> u64 {
-        fn flavour_tag(f: Flavour) -> u8 {
-            match f {
-                Flavour::Perpetual => 0,
-                Flavour::Eventual => 1,
-            }
-        }
-        // Exhaustive destructure, no `..` rest pattern: adding a field to
-        // `ScenarioSpec` must fail to compile here until the author
-        // decides whether it shapes runs (hash it) or is deliberately
-        // excluded like the seed — a silent omission would hand one
-        // spec's cached reports to another.
-        let ScenarioSpec {
-            n,
-            t,
-            x,
-            y,
-            z,
-            k,
-            oracle,
-            crashes,
-            delay,
-            rules,
-            gst,
-            seed: _, // the cache key's other half
-            max_time,
-            max_steps,
-            adversary,
-            topology,
-            catch_up,
-        } = self;
-        let mut h = DefaultHasher::new();
-        (n, t, x, y, z, k).hash(&mut h);
-        match *oracle {
-            OracleChoice::None => 0u8.hash(&mut h),
-            OracleChoice::Omega => 1u8.hash(&mut h),
-            OracleChoice::Sx(f) => (2u8, flavour_tag(f)).hash(&mut h),
-            OracleChoice::Phi(f) => (3u8, flavour_tag(f)).hash(&mut h),
-            OracleChoice::Psi => 4u8.hash(&mut h),
-            OracleChoice::SxPlusPhi(f) => (5u8, flavour_tag(f)).hash(&mut h),
-            OracleChoice::Perfect(f) => (6u8, flavour_tag(f)).hash(&mut h),
-        }
-        match crashes {
-            CrashPlan::None => 0u8.hash(&mut h),
-            CrashPlan::Random { f, by } => (1u8, f, by.ticks()).hash(&mut h),
-            CrashPlan::Initial { f } => (2u8, f).hash(&mut h),
-            CrashPlan::Anarchic { by } => (3u8, by.ticks()).hash(&mut h),
-            CrashPlan::Churn {
-                crash_by,
-                rejoin_after,
-            } => (4u8, crash_by.ticks(), rejoin_after).hash(&mut h),
-            CrashPlan::Explicit(fp) => {
-                (5u8, fp.n()).hash(&mut h);
-                for p in (0..fp.n()).map(ProcessId) {
-                    fp.crash_time(p).map(|t| t.ticks()).hash(&mut h);
-                    fp.start_time(p).ticks().hash(&mut h);
-                }
-            }
-        }
-        match *delay {
-            DelayModel::Fixed(d) => (0u8, d).hash(&mut h),
-            DelayModel::Uniform { lo, hi } => (1u8, lo, hi).hash(&mut h),
-            DelayModel::Spiky {
-                lo,
-                hi,
-                spike_pct,
-                factor,
-            } => (2u8, lo, hi, spike_pct, factor).hash(&mut h),
-        }
-        rules.len().hash(&mut h);
-        for r in rules {
-            r.from.words().hash(&mut h);
-            r.to.words().hash(&mut h);
-            (
-                r.active_from.ticks(),
-                r.active_to.ticks(),
-                r.deliver_not_before.ticks(),
-            )
-                .hash(&mut h);
-        }
-        (gst.ticks(), max_time.ticks(), max_steps).hash(&mut h);
-        let adv_rules = adversary.rules();
-        (adversary.is_none(), adv_rules.len()).hash(&mut h);
-        for r in adv_rules {
-            match r.action {
-                RuleAction::Drop => 0u8.hash(&mut h),
-                RuleAction::Duplicate => 1u8.hash(&mut h),
-                RuleAction::Corrupt { bound } => (2u8, bound).hash(&mut h),
-            }
-            r.pct.hash(&mut h);
-            r.from.words().hash(&mut h);
-            r.to.words().hash(&mut h);
-            (r.active_from.ticks(), r.active_to.ticks()).hash(&mut h);
-        }
-        // Topology by full content: epoch boundaries, island membership,
-        // and override link sets/latencies all shape the run, so any
-        // single-tick or single-member difference must change the digest
-        // (the cache-poisoning guard for the sweep store).
-        let epochs = topology.epochs();
-        (topology.is_none(), epochs.len()).hash(&mut h);
-        for ep in epochs {
-            (ep.from.ticks(), ep.until.ticks(), ep.islands.len()).hash(&mut h);
-            for island in &ep.islands {
-                island.words().hash(&mut h);
-            }
-            ep.overrides.len().hash(&mut h);
-            for o in &ep.overrides {
-                o.from.words().hash(&mut h);
-                o.to.words().hash(&mut h);
-                o.latency.hash(&mut h);
-            }
-        }
-        catch_up.hash(&mut h);
-        h.finish()
     }
 
     /// The message-passing simulator configuration for this spec.

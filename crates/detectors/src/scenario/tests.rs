@@ -167,6 +167,8 @@ fn spec_adversary_knob_reaches_sim_config() {
     assert_eq!(armed.with_seed(9).adversary.describe(), "drop10");
 }
 
+// ---- codec.rs --------------------------------------------------------------
+
 #[test]
 fn spec_fingerprint_covers_the_knobs_but_not_seed() {
     fn islands_34() -> Vec<fd_sim::PSet> {
@@ -185,9 +187,19 @@ fn spec_fingerprint_covers_the_knobs_but_not_seed() {
     let fp = base.fingerprint();
     // Stable across clones and reruns.
     assert_eq!(fp, base.clone().fingerprint());
-    // Pinned: store keys, run directories and the checked-in witnesses
-    // written by earlier builds hash exactly these fields.
-    assert_eq!(fp, 0x7e59_ce6a_0bca_e0c3, "spec fingerprint encoding moved");
+    // Pinned twice, so a failure says which moved: the canonical bytes
+    // (the encoding), and their FNV-1a-64 (the hash). Store keys, run
+    // directories and the checked-in witnesses hash exactly these bytes.
+    assert_eq!(
+        base.canonical(),
+        r#"{"adversary":[],"catch_up":false,"crashes":{"kind":"none"},"#.to_owned()
+            + r#""delay":{"hi":10,"kind":"uniform","lo":1},"delay_rules":[],"gst":500,"k":2,"#
+            + r#""max_steps":200000,"max_time":100000,"n":7,"oracle":"omega","t":3,"#
+            + r#""topology":[],"x":1,"y":1,"z":2}"#,
+        "spec encoding moved"
+    );
+    assert_eq!(fp, fd_sim::fnv1a64(base.canonical().as_bytes()));
+    assert_eq!(fp, 0x6d28_4461_30dd_7e5b, "spec fingerprint hash moved");
     // The seed is deliberately excluded: it is the key's other half.
     assert_eq!(fp, base.clone().seed(99).fingerprint());
     // Every other knob separates.
@@ -218,13 +230,11 @@ fn spec_fingerprint_covers_the_knobs_but_not_seed() {
             .adversary(MessageAdversary::Rules(vec![MessageRule::drop(10)])),
         base.clone()
             .adversary(MessageAdversary::Rules(vec![MessageRule::drop(11)])),
-        base.clone().adversary(MessageAdversary::Rules(vec![])),
         base.clone().catch_up(true),
-        // Topology schedules: empty-but-set, a partition, the same
+        // Topology schedules: a partition, the same
         // partition with its epoch boundary moved one tick, the same
         // partition with one island member moved across the cut, and a
         // latency override (cache-poisoning guards for the store).
-        base.clone().topology(TopologySchedule::Epochs(vec![])),
         base.clone()
             .topology(TopologySchedule::partition_until(islands_34(), Time(500))),
         base.clone()
@@ -267,6 +277,173 @@ fn spec_fingerprint_covers_the_knobs_but_not_seed() {
     prints.push(fp);
     let unique: std::collections::BTreeSet<u64> = prints.iter().copied().collect();
     assert_eq!(unique.len(), prints.len(), "spec fingerprints collided");
+    // Empty rule and epoch lists run exactly as `None` does (pinned by the
+    // k-set scenario's knob tests), so they share its encoding.
+    for same in [
+        base.clone().adversary(MessageAdversary::Rules(vec![])),
+        base.clone().topology(TopologySchedule::Epochs(vec![])),
+    ] {
+        assert_eq!(same.canonical(), base.canonical());
+    }
+}
+
+/// A spec with every knob off its default: every encoder branch but the
+/// other variants of each enum, which the tests below cover.
+fn kitchen_sink_spec() -> ScenarioSpec {
+    let island_a: PSet = [ProcessId(0), ProcessId(1)].into_iter().collect();
+    let island_b = PSet::singleton(ProcessId(2));
+    ScenarioSpec::new(6, 2)
+        .kz(2)
+        .x(3)
+        .y(2)
+        .oracle(OracleChoice::SxPlusPhi(Flavour::Eventual))
+        .crashes(CrashPlan::Churn {
+            crash_by: Time(900),
+            rejoin_after: 77,
+        })
+        .delay(DelayModel::Spiky {
+            lo: 2,
+            hi: 9,
+            spike_pct: 13,
+            factor: 11,
+        })
+        .rule(DelayRule::silence_until(
+            PSet::full(6),
+            PSet::full(6),
+            Time(250),
+        ))
+        .gst(Time(400))
+        .max_time(Time(5_000))
+        .max_steps(9_999)
+        .adversary(MessageAdversary::from_rules(vec![
+            MessageRule::drop(30).window(Time(10), Time(90)),
+            MessageRule::duplicate(5),
+            MessageRule::corrupt(15, 4).links(island_a, PSet::full(6)),
+        ]))
+        .topology(TopologySchedule::from_epochs(vec![TopologyEpoch::new(
+            Time(100),
+            Time(2_000),
+        )
+        .islands(vec![island_a, island_b])
+        .link(LinkOverride::latency(island_a, island_b, 5, 25))
+        .link(LinkOverride::silence(island_b, island_a))]))
+        .catch_up(true)
+}
+
+/// One spec per variant of every encoded enum, plus the kitchen sink.
+fn every_variant() -> Vec<ScenarioSpec> {
+    let base = ScenarioSpec::new(6, 2);
+    let mut specs = vec![kitchen_sink_spec()];
+    specs.extend(
+        [
+            OracleChoice::None,
+            OracleChoice::Omega,
+            OracleChoice::Sx(Flavour::Perpetual),
+            OracleChoice::Sx(Flavour::Eventual),
+            OracleChoice::Phi(Flavour::Perpetual),
+            OracleChoice::Phi(Flavour::Eventual),
+            OracleChoice::Psi,
+            OracleChoice::SxPlusPhi(Flavour::Perpetual),
+            OracleChoice::SxPlusPhi(Flavour::Eventual),
+            OracleChoice::Perfect(Flavour::Perpetual),
+            OracleChoice::Perfect(Flavour::Eventual),
+        ]
+        .map(|o| base.clone().oracle(o)),
+    );
+    specs.extend(
+        [
+            CrashPlan::Random { f: 2, by: Time(40) },
+            CrashPlan::Initial { f: 1 },
+            CrashPlan::Anarchic { by: Time(7) },
+            CrashPlan::Explicit(
+                FailurePattern::builder(6)
+                    .crash(ProcessId(1), Time(9))
+                    .crash(ProcessId(4), Time::ZERO)
+                    .join(ProcessId(5), Time(30))
+                    .build(),
+            ),
+        ]
+        .map(|c| base.clone().crashes(c)),
+    );
+    specs.push(base.clone().delay(DelayModel::Fixed(u64::MAX)));
+    specs
+}
+
+#[test]
+fn spec_codec_round_trips_every_field() {
+    for spec in every_variant() {
+        let text = spec.canonical();
+        // Canonical: sorted keys and compact spelling, byte for byte what
+        // the tree emitter writes for the parsed text.
+        assert_eq!(crate::json::parse(&text).unwrap().emit(), text);
+        // The fingerprint is the hash of exactly these bytes.
+        assert_eq!(spec.fingerprint(), fd_sim::fnv1a64(text.as_bytes()));
+        // Decoding is the inverse, and re-encodes byte-identically.
+        let back = ScenarioSpec::from_json(&spec.to_json()).expect("decode");
+        assert_eq!(back.canonical(), text);
+        assert_eq!(back.fingerprint(), spec.fingerprint());
+    }
+}
+
+#[test]
+fn spec_codec_covers_every_oracle_and_infinity() {
+    let mut prints = std::collections::BTreeSet::new();
+    for spec in every_variant() {
+        let back = ScenarioSpec::from_json(&spec.to_json()).expect("decode");
+        assert_eq!(back.oracle, spec.oracle);
+        assert_eq!(format!("{:?}", back.crashes), format!("{:?}", spec.crashes));
+        assert!(prints.insert(spec.fingerprint()), "{}", spec.describe());
+    }
+    // An unscoped rule's window end is Time::INFINITY (u64::MAX): it must
+    // survive the numeric codec exactly.
+    let spec = ScenarioSpec::new(4, 1)
+        .adversary(MessageAdversary::from_rules(vec![MessageRule::drop(10)]));
+    let back = ScenarioSpec::from_json(&spec.to_json()).expect("decode");
+    assert_eq!(back.adversary.rules()[0].active_to, Time::INFINITY);
+}
+
+#[test]
+fn explicit_patterns_decode_only_for_their_n() {
+    let spec = ScenarioSpec::new(3, 1).crashes(CrashPlan::Explicit(
+        FailurePattern::builder(3)
+            .crash(ProcessId(2), Time(5))
+            .build(),
+    ));
+    assert!(spec
+        .canonical()
+        .contains(r#""crashes":{"crash_at":[null,null,5],"kind":"explicit","start_at":[0,0,0]}"#));
+    let mut doc = spec.to_json();
+    let crate::json::Json::Obj(members) = &mut doc else {
+        unreachable!()
+    };
+    members.insert("n".into(), crate::json::Json::num_u64(4));
+    let err = ScenarioSpec::from_json(&doc).unwrap_err();
+    assert!(
+        err.starts_with("crashes: an explicit pattern needs"),
+        "{err}"
+    );
+}
+
+#[test]
+fn describe_names_what_differs_from_the_defaults() {
+    assert_eq!(ScenarioSpec::new(5, 2).describe(), "n=5 t=2");
+    assert_eq!(
+        ScenarioSpec::new(7, 3).kz(2).gst(Time(500)).describe(),
+        "n=7 t=3 gst=500 k=2 z=2"
+    );
+    let armed = ScenarioSpec::new(5, 2)
+        .max_time(Time(28))
+        .adversary(MessageAdversary::from_rules(vec![MessageRule::corrupt(
+            15, 4,
+        )]));
+    assert_eq!(
+        armed.describe(),
+        r#"n=5 t=2 adversary=[{"action":"corrupt","active_from":0,"#.to_owned()
+            + r#""active_to":18446744073709551615,"bound":4,"from":"all","pct":15,"to":"all"}] "#
+            + "max_time=28"
+    );
+    // The seed is not part of a spec's encoding.
+    assert_eq!(armed.clone().seed(9).describe(), armed.describe());
 }
 
 // ---- oracle.rs -------------------------------------------------------------
@@ -489,6 +666,19 @@ impl Scenario for CountingProbe<'_> {
         self.0.fetch_add(1, Ordering::Relaxed);
         Probe.run(spec)
     }
+}
+
+#[test]
+fn cache_salt_is_fnv_of_the_tag_and_the_fingerprint() {
+    let spec = ScenarioSpec::new(7, 3).kz(2).gst(Time(500));
+    let mut bytes = b"kset_omega\xff".to_vec();
+    bytes.extend(spec.fingerprint().to_le_bytes());
+    let salt = ReportCache::salt("kset_omega", &spec);
+    assert_eq!(salt, fd_sim::fnv1a64(&bytes));
+    // Pinned: run directories are keyed by it on every build.
+    assert_eq!(salt, 0xda50_c2d4_3289_00f1);
+    assert_ne!(salt, ReportCache::salt("kset_churn", &spec));
+    assert_eq!(salt, ReportCache::salt("kset_omega", &spec.with_seed(3)));
 }
 
 #[test]

@@ -20,7 +20,9 @@
 //! [`Sim`], which records a [`Trace`] — the raw material for the
 //! property checkers in the `fd-detectors` crate.
 //!
-//! Everything is deterministic in a single `u64` seed.
+//! Everything is deterministic in a single `u64` seed. Digests that are
+//! written down (spec fingerprints, store keys) use the owned hash in
+//! [`fnv`], never `std`'s unspecified `DefaultHasher`.
 //!
 //! ## Quick example
 //!
@@ -66,6 +68,7 @@ pub mod automaton;
 pub mod echo;
 pub mod event;
 pub mod failure;
+pub mod fnv;
 pub mod id;
 pub mod network;
 pub mod oracle;
@@ -84,6 +87,7 @@ pub use automaton::{forward_ops, Automaton, Ctx, Op};
 pub use echo::{EchoMsg, EchoRb};
 pub use event::{Event, EventKind, EventQueue, Scheduler, Staged};
 pub use failure::{FailurePattern, FailurePatternBuilder};
+pub use fnv::{fnv1a64, Fnv1a64};
 pub use id::{PSet, PSetIter, ProcessId, MAX_PROCESSES};
 pub use network::{DelayModel, DelayRule, Network};
 pub use oracle::{NoOracle, OracleSuite, SuspectPlusQuery};

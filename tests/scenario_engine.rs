@@ -1059,20 +1059,20 @@ mod witnesses {
     /// Validity broken by live corruption: 15% of messages corrupted
     /// (bound 4) in the first 21 ticks of a 28-tick horizon is enough
     /// for a never-proposed value to be adopted and decided by p3.
-    const VALIDITY_CORRUPTION: &str = r#"{"class":"validity","description":"n=5 t=2 k=1 gst=1 horizon=28 adv=corrupt15b4 topo=none crashes=None","detail":"validity: p3 decided 99 which was never proposed","events":137,"fingerprint":5376062410596091573,"scenario":"kset_omega","schema":"fd-minimal-witness/1","seed":0,"shrink_steps":[{"description":"shrank horizon 60000 -> 67","pass":"shrink-horizon"},{"description":"shrank gst 300 -> 26","pass":"shrink-gst"},{"description":"shrank horizon 67 -> 47","pass":"shrink-horizon"},{"description":"shrank gst 26 -> 1","pass":"shrink-gst"},{"description":"shrank horizon 47 -> 28","pass":"shrink-horizon"},{"description":"shrank rule #0 pct 40 -> 15","pass":"shrink-rule-pct"},{"description":"shrank rule #0 corruption bound 7 -> 4","pass":"shrink-rule-bound"},{"description":"clamped rule #0 window to horizon","pass":"narrow-rule-window"},{"description":"shrank rule #0 window end 29 -> 21","pass":"narrow-rule-window"}],"spec":{"adversary":[{"action":"corrupt","active_from":0,"active_to":21,"bound":4,"from":"all","pct":15,"to":"all"}],"catch_up":false,"crashes":{"kind":"none"},"delay":{"hi":10,"kind":"uniform","lo":1},"delay_rules":[],"gst":1,"k":1,"max_steps":200000,"max_time":28,"n":5,"oracle":"omega","t":2,"topology":[],"x":1,"y":1,"z":1}}"#;
+    const VALIDITY_CORRUPTION: &str = r#"{"class":"validity","description":"n=5 t=2 adversary=[{\"action\":\"corrupt\",\"active_from\":0,\"active_to\":21,\"bound\":4,\"from\":\"all\",\"pct\":15,\"to\":\"all\"}] gst=1 max_time=28","detail":"validity: p3 decided 99 which was never proposed","events":137,"fingerprint":11130984197085071070,"scenario":"kset_omega","schema":"fd-minimal-witness/1","seed":0,"shrink_steps":[{"description":"shrank horizon 60000 -> 67","pass":"shrink-horizon"},{"description":"shrank gst 300 -> 26","pass":"shrink-gst"},{"description":"shrank horizon 67 -> 47","pass":"shrink-horizon"},{"description":"shrank gst 26 -> 1","pass":"shrink-gst"},{"description":"shrank horizon 47 -> 28","pass":"shrink-horizon"},{"description":"shrank rule #0 pct 40 -> 15","pass":"shrink-rule-pct"},{"description":"shrank rule #0 corruption bound 7 -> 4","pass":"shrink-rule-bound"},{"description":"clamped rule #0 window to horizon","pass":"narrow-rule-window"},{"description":"shrank rule #0 window end 29 -> 21","pass":"narrow-rule-window"}],"spec":{"adversary":[{"action":"corrupt","active_from":0,"active_to":21,"bound":4,"from":"all","pct":15,"to":"all"}],"catch_up":false,"crashes":{"kind":"none"},"delay":{"hi":10,"kind":"uniform","lo":1},"delay_rules":[],"gst":1,"k":1,"max_steps":200000,"max_time":28,"n":5,"oracle":"omega","t":2,"topology":[],"x":1,"y":1,"z":1}}"#;
 
     /// 1-agreement broken by a whisper of corruption: a *3%* corruption
     /// rate (bound 2) active only in tick [0, 1) of a 13-tick horizon
     /// still splits the decision — two legitimate proposals both
     /// decided. The shrinker's 19-step trail took this from a
     /// 60000-tick, 40%-corruption probe.
-    const AGREEMENT_CORRUPTION: &str = r#"{"class":"agreement","description":"n=5 t=2 k=1 gst=0 horizon=13 adv=corrupt3b2 topo=none crashes=None","detail":"agreement: 2 distinct values decided ([101, 102]) > k = 1","events":63,"fingerprint":8758345542322556047,"scenario":"kset_omega","schema":"fd-minimal-witness/1","seed":1,"shrink_steps":[{"description":"shrank horizon 60000 -> 318","pass":"shrink-horizon"},{"description":"shrank gst 300 -> 297","pass":"shrink-gst"},{"description":"shrank rule #0 corruption bound 7 -> 2","pass":"shrink-rule-bound"},{"description":"shrank gst 297 -> 275","pass":"shrink-gst"},{"description":"shrank horizon 318 -> 296","pass":"shrink-horizon"},{"description":"shrank gst 275 -> 248","pass":"shrink-gst"},{"description":"shrank horizon 296 -> 273","pass":"shrink-horizon"},{"description":"shrank gst 248 -> 167","pass":"shrink-gst"},{"description":"shrank horizon 273 -> 194","pass":"shrink-horizon"},{"description":"shrank gst 167 -> 22","pass":"shrink-gst"},{"description":"shrank horizon 194 -> 48","pass":"shrink-horizon"},{"description":"shrank gst 22 -> 1","pass":"shrink-gst"},{"description":"shrank horizon 48 -> 28","pass":"shrink-horizon"},{"description":"shrank rule #0 pct 40 -> 9","pass":"shrink-rule-pct"},{"description":"shrank gst 1 -> 0","pass":"shrink-gst"},{"description":"shrank horizon 28 -> 13","pass":"shrink-horizon"},{"description":"shrank rule #0 pct 9 -> 3","pass":"shrink-rule-pct"},{"description":"clamped rule #0 window to horizon","pass":"narrow-rule-window"},{"description":"shrank rule #0 window end 14 -> 1","pass":"narrow-rule-window"}],"spec":{"adversary":[{"action":"corrupt","active_from":0,"active_to":1,"bound":2,"from":"all","pct":3,"to":"all"}],"catch_up":false,"crashes":{"kind":"none"},"delay":{"hi":10,"kind":"uniform","lo":1},"delay_rules":[],"gst":0,"k":1,"max_steps":200000,"max_time":13,"n":5,"oracle":"omega","t":2,"topology":[],"x":1,"y":1,"z":1}}"#;
+    const AGREEMENT_CORRUPTION: &str = r#"{"class":"agreement","description":"n=5 t=2 adversary=[{\"action\":\"corrupt\",\"active_from\":0,\"active_to\":1,\"bound\":2,\"from\":\"all\",\"pct\":3,\"to\":\"all\"}] gst=0 max_time=13","detail":"agreement: 2 distinct values decided ([101, 102]) > k = 1","events":63,"fingerprint":14510577873027147604,"scenario":"kset_omega","schema":"fd-minimal-witness/1","seed":1,"shrink_steps":[{"description":"shrank horizon 60000 -> 318","pass":"shrink-horizon"},{"description":"shrank gst 300 -> 297","pass":"shrink-gst"},{"description":"shrank rule #0 corruption bound 7 -> 2","pass":"shrink-rule-bound"},{"description":"shrank gst 297 -> 275","pass":"shrink-gst"},{"description":"shrank horizon 318 -> 296","pass":"shrink-horizon"},{"description":"shrank gst 275 -> 248","pass":"shrink-gst"},{"description":"shrank horizon 296 -> 273","pass":"shrink-horizon"},{"description":"shrank gst 248 -> 167","pass":"shrink-gst"},{"description":"shrank horizon 273 -> 194","pass":"shrink-horizon"},{"description":"shrank gst 167 -> 22","pass":"shrink-gst"},{"description":"shrank horizon 194 -> 48","pass":"shrink-horizon"},{"description":"shrank gst 22 -> 1","pass":"shrink-gst"},{"description":"shrank horizon 48 -> 28","pass":"shrink-horizon"},{"description":"shrank rule #0 pct 40 -> 9","pass":"shrink-rule-pct"},{"description":"shrank gst 1 -> 0","pass":"shrink-gst"},{"description":"shrank horizon 28 -> 13","pass":"shrink-horizon"},{"description":"shrank rule #0 pct 9 -> 3","pass":"shrink-rule-pct"},{"description":"clamped rule #0 window to horizon","pass":"narrow-rule-window"},{"description":"shrank rule #0 window end 14 -> 1","pass":"narrow-rule-window"}],"spec":{"adversary":[{"action":"corrupt","active_from":0,"active_to":1,"bound":2,"from":"all","pct":3,"to":"all"}],"catch_up":false,"crashes":{"kind":"none"},"delay":{"hi":10,"kind":"uniform","lo":1},"delay_rules":[],"gst":0,"k":1,"max_steps":200000,"max_time":13,"n":5,"oracle":"omega","t":2,"topology":[],"x":1,"y":1,"z":1}}"#;
 
     /// A *sampled* (not probe) spec from the fuzzed space: n=4 under
     /// fixed delay, a full-silence delay rule until tick 67, and 3%
     /// corruption — the shrinker dropped one whole message rule and the
     /// crash plan on its way to this 264-event validity reproducer.
-    const VALIDITY_SILENCE_CORRUPTION: &str = r#"{"class":"validity","description":"n=4 t=1 k=1 gst=85 horizon=109 adv=corrupt3b2 topo=none crashes=None delay_rules=1","detail":"validity: p1 decided 99 which was never proposed","events":264,"fingerprint":2209958412508335786,"scenario":"kset_omega","schema":"fd-minimal-witness/1","seed":0,"shrink_steps":[{"description":"dropped message rule #0","pass":"drop-adv-rule"},{"description":"removed crash plan","pass":"weaken-crashes"},{"description":"shrank horizon 2000 -> 199","pass":"shrink-horizon"},{"description":"shrank gst 300 -> 175","pass":"shrink-gst"},{"description":"shrank gst 175 -> 85","pass":"shrink-gst"},{"description":"shrank horizon 199 -> 109","pass":"shrink-horizon"},{"description":"shrank rule #0 pct 11 -> 3","pass":"shrink-rule-pct"},{"description":"shrank rule #0 corruption bound 7 -> 2","pass":"shrink-rule-bound"},{"description":"clamped rule #0 window to horizon","pass":"narrow-rule-window"},{"description":"shrank rule #0 window end 110 -> 100","pass":"narrow-rule-window"}],"spec":{"adversary":[{"action":"corrupt","active_from":0,"active_to":100,"bound":2,"from":"all","pct":3,"to":"all"}],"catch_up":false,"crashes":{"kind":"none"},"delay":{"d":5,"kind":"fixed"},"delay_rules":[{"active_from":0,"active_to":67,"deliver_not_before":67,"from":[0,1,2,3],"to":[0,1,2,3]}],"gst":85,"k":1,"max_steps":200000,"max_time":109,"n":4,"oracle":"omega","t":1,"topology":[],"x":1,"y":1,"z":1}}"#;
+    const VALIDITY_SILENCE_CORRUPTION: &str = r#"{"class":"validity","description":"n=4 t=1 adversary=[{\"action\":\"corrupt\",\"active_from\":0,\"active_to\":100,\"bound\":2,\"from\":\"all\",\"pct\":3,\"to\":\"all\"}] delay={\"d\":5,\"kind\":\"fixed\"} delay_rules=[{\"active_from\":0,\"active_to\":67,\"deliver_not_before\":67,\"from\":[0,1,2,3],\"to\":[0,1,2,3]}] gst=85 max_time=109","detail":"validity: p1 decided 99 which was never proposed","events":264,"fingerprint":17110066388413079971,"scenario":"kset_omega","schema":"fd-minimal-witness/1","seed":0,"shrink_steps":[{"description":"dropped message rule #0","pass":"drop-adv-rule"},{"description":"removed crash plan","pass":"weaken-crashes"},{"description":"shrank horizon 2000 -> 199","pass":"shrink-horizon"},{"description":"shrank gst 300 -> 175","pass":"shrink-gst"},{"description":"shrank gst 175 -> 85","pass":"shrink-gst"},{"description":"shrank horizon 199 -> 109","pass":"shrink-horizon"},{"description":"shrank rule #0 pct 11 -> 3","pass":"shrink-rule-pct"},{"description":"shrank rule #0 corruption bound 7 -> 2","pass":"shrink-rule-bound"},{"description":"clamped rule #0 window to horizon","pass":"narrow-rule-window"},{"description":"shrank rule #0 window end 110 -> 100","pass":"narrow-rule-window"}],"spec":{"adversary":[{"action":"corrupt","active_from":0,"active_to":100,"bound":2,"from":"all","pct":3,"to":"all"}],"catch_up":false,"crashes":{"kind":"none"},"delay":{"d":5,"kind":"fixed"},"delay_rules":[{"active_from":0,"active_to":67,"deliver_not_before":67,"from":[0,1,2,3],"to":[0,1,2,3]}],"gst":85,"k":1,"max_steps":200000,"max_time":109,"n":4,"oracle":"omega","t":1,"topology":[],"x":1,"y":1,"z":1}}"#;
 
     const WITNESSES: [(&str, ViolationClass); 3] = [
         (VALIDITY_CORRUPTION, ViolationClass::Validity),
