@@ -17,7 +17,7 @@
 //!                               # per-invocation bookkeeping
 //!   shards/
 //!     s03-g000001.jsonl         # cell segments: one canonical-JSON cell
-//!     s03-g000002.jsonl         # per line, sharded by key hash, ordered
+//!     s03-g000002.jsonl         # per line, sharded as the cache is, ordered
 //!     ...                       # by generation (last write wins)
 //!   stale-0/                    # shards archived on a manifest mismatch
 //! ```
@@ -29,9 +29,11 @@
 //! Neither direction builds a [`Json`] tree: [`encode_cell`] writes the
 //! line straight into one exactly-sized `String`, and [`decode_cell`] pulls
 //! the fields straight off a [`json::Reader`] into the [`SlimReport`],
-//! allocating only what the report owns (detail, decided values, counters).
-//! A resumed campaign decodes every stored cell before it computes
-//! anything, so this path is the store's recovery cost. What the decoder
+//! allocating only what the report owns (detail, decided values, counters),
+//! the two lists once each at exactly their length, since the decoded
+//! report is the copy a resume keeps. A resumed campaign decodes every
+//! stored cell before it computes anything, so this path is the store's
+//! recovery cost. What the decoder
 //! accepts is wider than what the encoder writes — any key order, unknown
 //! members, repeated keys (the last one decides): exactly what reading the
 //! members off a parsed tree accepts, which a `#[cfg(test)]` tree codec
@@ -54,6 +56,18 @@
 //! an attack on a recursive parser — is one corrupt line: counted, dropped,
 //! its cell recomputed. Multi-segment or corruption-scarred shards are
 //! compacted back to a single clean segment.
+//!
+//! ## One resident copy
+//!
+//! The store shards by the report cache's own shard function
+//! ([`ReportCache::shard_of`]), so open decodes each cell straight into
+//! the map of the cache shard it belongs to, and
+//! [`SweepStore::hydrate_into`] hands those maps over instead of cloning
+//! them: a resumed cell is resident once, and an empty cache shard adopts
+//! its map without re-hashing a key. The store keeps none of them; the
+//! writer thread deduplicates against its own set of the keys on disk,
+//! built at open, so a cell already persisted is never written twice even
+//! after its report has moved into a cache.
 //!
 //! ## Mismatch semantics
 //!
@@ -78,15 +92,19 @@ use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
-use fd_detectors::scenario::{Metrics, ReportCache, ScenarioSpec, SlimReport, SpillFn};
+use fd_detectors::scenario::{
+    CellMap, Metrics, ReportCache, ScenarioSpec, SlimReport, SpillFn, CACHE_SHARDS,
+};
 use fd_detectors::{CheckOutcome, ViolationClass};
 use fd_sim::Time;
 
 use crate::json::{self, escape_into, Json, Reader};
 
-/// On-disk shard count. Independent of the in-memory cache's shard count —
-/// the shard is a storage bucket, not part of the key.
-pub const STORE_SHARDS: usize = 16;
+/// On-disk shard count: the cache's own. Segment `sNN` holds the cells of
+/// cache shard `NN` ([`ReportCache::shard_of`]), so a loaded shard is a
+/// cache shard's map, ready to be adopted whole. The shard is a storage
+/// bucket, not part of the key.
+pub const STORE_SHARDS: usize = CACHE_SHARDS;
 
 /// Store format version; bumped on any layout, codec or key change.
 /// v2: cells carry the machine-readable `class` of a failed check.
@@ -105,10 +123,6 @@ fn engine_version() -> String {
     // build — debug or release, any toolchain — resumes another's
     // directory.
     format!("fd-bench {}", env!("CARGO_PKG_VERSION"))
-}
-
-fn shard_of(key: (u64, u64)) -> usize {
-    ((key.0 ^ key.1.wrapping_mul(0x9E37_79B9_7F4A_7C15)) % STORE_SHARDS as u64) as usize
 }
 
 // ---------------------------------------------------------------------------
@@ -343,11 +357,38 @@ fn opt_time(t: OptTime, what: &str) -> Result<Option<Time>, String> {
     Ok(t.ok_or_else(|| format!("bad {what}"))?.map(Time))
 }
 
+/// Elements a decoded list gathers on the stack before it allocates.
+const LIST_ON_STACK: usize = 16;
+
+/// The elements `next` yields until it yields `None`, as a `Vec` allocated
+/// once at exactly their number — a decoded cell is what a resumed campaign
+/// keeps resident, so growth slack would stay with it. A list longer than
+/// [`LIST_ON_STACK`] grows as a `Vec` from there.
+fn exact_list<T: Copy>(
+    blank: T,
+    mut next: impl FnMut() -> Result<Option<T>, String>,
+) -> Result<Vec<T>, String> {
+    let mut head = [blank; LIST_ON_STACK];
+    for len in 0..LIST_ON_STACK {
+        match next()? {
+            Some(v) => head[len] = v,
+            None => return Ok(head[..len].to_vec()),
+        }
+    }
+    let mut list = head.to_vec();
+    while let Some(v) = next()? {
+        list.push(v);
+    }
+    Ok(list)
+}
+
 /// `[["name", n], …]`: each element an array of exactly a string and a `u64`.
 fn decode_counters(r: &mut Reader, buf: &mut String) -> Result<Vec<(&'static str, u64)>, String> {
-    let mut counters = Vec::new();
     r.begin_arr()?;
-    while r.more()? {
+    exact_list(("", 0), || {
+        if !r.more()? {
+            return Ok(None);
+        }
         r.begin_arr()?;
         if !r.more()? {
             return Err("bad counter".into());
@@ -356,12 +397,12 @@ fn decode_counters(r: &mut Reader, buf: &mut String) -> Result<Vec<(&'static str
         if !r.more()? {
             return Err("bad counter".into());
         }
-        counters.push((name, r.u64()?));
+        let counter = (name, r.u64()?);
         if r.more()? {
             return Err("bad counter".into());
         }
-    }
-    Ok(counters)
+        Ok(Some(counter))
+    })
 }
 
 fn decode_metrics(r: &mut Reader, buf: &mut String) -> Result<Metrics, String> {
@@ -380,12 +421,8 @@ fn decode_metrics(r: &mut Reader, buf: &mut String) -> Result<Metrics, String> {
             "last_decision" => last_decision = member(r, buf, |r, _| r.opt_u64())?,
             "decided" => {
                 decided = member(r, buf, |r, _| {
-                    let mut decided = Vec::new();
                     r.begin_arr()?;
-                    while r.more()? {
-                        decided.push(r.u64()?);
-                    }
-                    Ok(decided)
+                    exact_list(0, || r.more()?.then(|| r.u64()).transpose())
                 })?
             }
             _ => r.skip(buf)?,
@@ -606,8 +643,10 @@ fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
 }
 
 struct LoadedShards {
-    /// Deduped cells, last write wins.
-    cells: HashMap<(u64, u64), SlimReport>,
+    /// Deduped cells, last write wins, one map per shard: `maps[s]` holds
+    /// the cells [`ReportCache::shard_of`] puts in shard `s`, whichever
+    /// segment they were read from.
+    maps: Vec<CellMap>,
     /// Unreadable lines dropped during replay.
     corrupt: u64,
     /// The segments replayed, as `(shard, generation)` in replay order.
@@ -620,18 +659,18 @@ struct LoadedShards {
 
 /// Replays every segment under `shards_dir` in generation order.
 fn load_shards(shards_dir: &Path) -> io::Result<LoadedShards> {
-    let mut cells = HashMap::new();
+    let mut maps: Vec<CellMap> = (0..STORE_SHARDS).map(|_| CellMap::new()).collect();
     let mut corrupt = 0u64;
     let mut segments_per_shard = [0u32; STORE_SHARDS];
     let mut corrupt_in_shard = [false; STORE_SHARDS];
     let mut segments: Vec<(usize, u64)> = Vec::new();
-    let mut bytes = 0u64;
+    let mut bytes = [0u64; STORE_SHARDS];
     if shards_dir.is_dir() {
         for entry in fs::read_dir(shards_dir)? {
             let entry = entry?;
             if let Some(segment) = entry.file_name().to_str().and_then(segment_of) {
                 segments.push(segment);
-                bytes += entry.metadata()?.len();
+                bytes[segment.0] += entry.metadata()?.len();
             }
         }
     }
@@ -640,12 +679,14 @@ fn load_shards(shards_dir: &Path) -> io::Result<LoadedShards> {
     for &(shard, generation) in &segments {
         segments_per_shard[shard] += 1;
         let text = fs::read_to_string(shards_dir.join(segment_name(shard, generation)))?;
-        if cells.capacity() == 0 {
-            // Size the map once, for every segment at the first one's bytes
-            // per line (growing it re-hashes and moves every cell so far),
-            // and for no more cells than the bytes on disk could spell.
+        if segments_per_shard[shard] == 1 {
+            // Size the shard's map once, for all its segments at the first
+            // one's bytes per line (growing it re-hashes and moves every
+            // cell so far), and for no more cells than its bytes on disk
+            // could spell.
+            let bytes = bytes[shard];
             let lines = text.lines().count() as f64 * (bytes as f64 / text.len().max(1) as f64);
-            cells.reserve((lines as usize).min(bytes as usize / CELL_LITERALS));
+            maps[shard].reserve((lines as usize).min(bytes as usize / CELL_LITERALS));
         }
         for line in text.lines() {
             if line.is_empty() {
@@ -653,7 +694,7 @@ fn load_shards(shards_dir: &Path) -> io::Result<LoadedShards> {
             }
             match decode_cell(line) {
                 Ok((key, slim)) => {
-                    cells.insert(key, slim);
+                    maps[ReportCache::shard_of(key)].insert(key, slim);
                 }
                 Err(_) => {
                     corrupt += 1;
@@ -666,7 +707,7 @@ fn load_shards(shards_dir: &Path) -> io::Result<LoadedShards> {
         .filter(|&s| segments_per_shard[s] > 1 || corrupt_in_shard[s])
         .collect();
     Ok(LoadedShards {
-        cells,
+        maps,
         corrupt,
         segments,
         dirty_shards,
@@ -685,11 +726,9 @@ enum Msg {
 
 struct Writer {
     shards_dir: PathBuf,
-    /// The cells `open` read back — shared with the store, so a resume
-    /// that computes nothing builds no second key set.
-    loaded: Arc<HashMap<(u64, u64), SlimReport>>,
-    /// Keys this writer has queued or flushed.
-    queued: HashSet<(u64, u64)>,
+    /// The keys on disk at open, then every key this writer has queued or
+    /// flushed. Its own set: the loaded cells themselves move into a cache.
+    keys: HashSet<(u64, u64)>,
     buffers: Vec<Vec<String>>,
     generation: u64,
     wrote: Arc<AtomicU64>,
@@ -701,10 +740,10 @@ impl Writer {
             match msg {
                 Msg::Cell(salt, seed, slim) => {
                     let key = (salt, seed);
-                    if self.loaded.contains_key(&key) || !self.queued.insert(key) {
+                    if !self.keys.insert(key) {
                         continue; // already on disk or queued
                     }
-                    let shard = shard_of(key);
+                    let shard = ReportCache::shard_of(key);
                     self.buffers[shard].push(encode_cell(salt, seed, &slim));
                     if self.buffers[shard].len() >= BATCH {
                         self.flush_shard(shard)?;
@@ -763,7 +802,11 @@ pub struct StoreSummary {
 #[derive(Debug)]
 pub struct SweepStore {
     dir: PathBuf,
-    cells: Arc<HashMap<(u64, u64), SlimReport>>,
+    /// The cells read back at open, one map per cache shard, until
+    /// [`SweepStore::hydrate_into`] moves them into a cache.
+    maps: Mutex<Vec<CellMap>>,
+    /// Cells read back at open.
+    loaded: usize,
     corrupt: u64,
     archived_stale: bool,
     manifest: Mutex<Manifest>,
@@ -818,10 +861,8 @@ impl SweepStore {
         // Compact: rewrite multi-segment or corruption-scarred shards as a
         // single clean segment, then delete the segments it replaces.
         for &shard in &loaded.dirty_shards {
-            let lines: Vec<String> = loaded
-                .cells
+            let lines: Vec<String> = loaded.maps[shard]
                 .iter()
-                .filter(|(key, _)| shard_of(**key) == shard)
                 .map(|(key, slim)| encode_cell(key.0, key.1, slim))
                 .collect();
             generation += 1;
@@ -833,12 +874,13 @@ impl SweepStore {
             }
         }
 
-        let cells = Arc::new(loaded.cells);
+        let cells: usize = loaded.maps.iter().map(CellMap::len).sum();
+        let mut keys = HashSet::with_capacity(cells);
+        keys.extend(loaded.maps.iter().flat_map(CellMap::keys).copied());
         let wrote = Arc::new(AtomicU64::new(0));
         let writer = Writer {
             shards_dir,
-            loaded: Arc::clone(&cells),
-            queued: HashSet::new(),
+            keys,
             buffers: (0..STORE_SHARDS).map(|_| Vec::new()).collect(),
             generation,
             wrote: Arc::clone(&wrote),
@@ -856,7 +898,8 @@ impl SweepStore {
             .collect();
         Ok(SweepStore {
             dir,
-            cells,
+            maps: Mutex::new(loaded.maps),
+            loaded: cells,
             corrupt: loaded.corrupt,
             archived_stale,
             manifest: Mutex::new(manifest),
@@ -874,7 +917,7 @@ impl SweepStore {
 
     /// Cells read back from the directory at open.
     pub fn loaded(&self) -> usize {
-        self.cells.len()
+        self.loaded
     }
 
     /// Corrupt lines dropped at open.
@@ -892,23 +935,21 @@ impl SweepStore {
         self.wrote.load(Ordering::Relaxed)
     }
 
-    /// A read-only view of the loaded cells.
-    pub fn cells(&self) -> &HashMap<(u64, u64), SlimReport> {
-        &self.cells
-    }
-
-    /// Seeds `cache` with every loaded cell; returns how many were
-    /// admitted. Warm lookups then flow through the unchanged
-    /// `Runner::with_cache` path — the store never sits on the sweep's
-    /// read path.
+    /// Moves every loaded cell into `cache` ([`ReportCache::hydrate`]);
+    /// returns how many were admitted. The store keeps no copy: a cleared
+    /// cache adopts its per-shard maps whole, so a resumed cell is resident
+    /// once, and a second call admits nothing ([`SweepStore::loaded`] still
+    /// counts the cells read at open). Warm lookups then flow through the
+    /// unchanged `Runner::with_cache` path — the store never sits on the
+    /// sweep's read path.
     pub fn hydrate_into(&self, cache: &ReportCache) -> usize {
-        let mut admitted = 0usize;
-        for (key, slim) in self.cells.iter() {
-            if cache.hydrate(*key, slim.clone()) {
-                admitted += 1;
-            }
-        }
-        admitted
+        let maps = std::mem::take(
+            &mut *self
+                .maps
+                .lock()
+                .expect("no panic while the loaded maps are locked"),
+        );
+        cache.hydrate(maps)
     }
 
     /// The spill hook to register on the cache
@@ -985,7 +1026,7 @@ impl SweepStore {
     pub fn close(mut self) -> io::Result<StoreSummary> {
         self.shutdown()?;
         Ok(StoreSummary {
-            loaded: self.cells.len(),
+            loaded: self.loaded,
             corrupt: self.corrupt,
             wrote: self.wrote.load(Ordering::Relaxed),
             archived_stale: self.archived_stale,
@@ -1176,7 +1217,7 @@ pub fn load_run_dir(dir: impl AsRef<Path>) -> io::Result<RunDir> {
     Ok(RunDir {
         dir,
         manifest,
-        cells: loaded.cells,
+        cells: loaded.maps.into_iter().flatten().collect(),
         corrupt: loaded.corrupt,
     })
 }
@@ -1185,7 +1226,7 @@ pub fn load_run_dir(dir: impl AsRef<Path>) -> io::Result<RunDir> {
 mod tests {
     use super::*;
     use fd_core::KsetScenario;
-    use fd_detectors::scenario::{CrashPlan, Runner};
+    use fd_detectors::scenario::{CrashPlan, Runner, Scenario};
     use fd_sim::SplitMix64;
 
     fn sample_slim(seed: u64) -> SlimReport {
@@ -1355,6 +1396,53 @@ mod tests {
             "s01-g18446744073709551616.jsonl",
         ] {
             assert_eq!(segment_of(stray), None, "{stray:?} is not a segment name");
+        }
+    }
+
+    /// The segment a key is written to, pinned to names the store's own
+    /// former shard function (`mix % 16`) gave, before the store took the
+    /// cache's (`mix & 15`): the on-disk layout did not move.
+    #[test]
+    fn segment_of_a_key_is_pinned() {
+        let spec = KsetScenario::spec(5, 2, 2)
+            .gst(Time(400))
+            .crashes(CrashPlan::Random {
+                f: 2,
+                by: Time(500),
+            });
+        let salt = ReportCache::salt(&KsetScenario.cache_tag(), &spec);
+        for (key, name) in [
+            ((salt, 0), "s06-g000001.jsonl"),
+            ((salt, 1), "s03-g000001.jsonl"),
+            ((salt, 2), "s12-g000001.jsonl"),
+            ((salt, 3), "s09-g000001.jsonl"),
+            ((salt, 4), "s02-g000001.jsonl"),
+            ((salt, 5), "s15-g000001.jsonl"),
+            ((0, 0), "s00-g000001.jsonl"),
+            ((1, 0), "s01-g000001.jsonl"),
+            ((0, 1), "s05-g000001.jsonl"),
+            ((u64::MAX, 7), "s12-g000001.jsonl"),
+            ((0xDEAD_BEEF, 42), "s13-g000001.jsonl"),
+            ((12345, 3), "s06-g000001.jsonl"),
+        ] {
+            assert_eq!(segment_name(ReportCache::shard_of(key), 1), name, "{key:?}");
+        }
+    }
+
+    /// `decided` and `counters` decode at exactly their length up to the
+    /// on-stack bound, and correctly past it.
+    #[test]
+    fn decoded_lists_are_exact_up_to_the_stack_bound() {
+        for len in [0, 1, LIST_ON_STACK - 1, LIST_ON_STACK, LIST_ON_STACK + 1, 40] {
+            let mut slim = sample_slim(len as u64);
+            slim.metrics.decided_values = (0..len as u64).collect();
+            slim.counters = (0..len as u64).map(|v| ("c", v)).collect();
+            let (_, decoded) = decode_cell(&encode_cell(1, slim.seed, &slim)).unwrap();
+            assert_eq!(decoded, slim, "{len} elements");
+            if len <= LIST_ON_STACK {
+                assert_eq!(decoded.metrics.decided_values.capacity(), len);
+                assert_eq!(decoded.counters.capacity(), len);
+            }
         }
     }
 
@@ -1942,7 +2030,7 @@ mod tests {
         for shard in 0..STORE_SHARDS {
             let lines: Vec<String> = computed
                 .iter()
-                .filter(|(salt, seed, _)| shard_of((*salt, *seed)) == shard)
+                .filter(|(salt, seed, _)| ReportCache::shard_of((*salt, *seed)) == shard)
                 .map(|(salt, seed, slim)| reference_encode_cell(*salt, *seed, slim))
                 .collect();
             if !lines.is_empty() {

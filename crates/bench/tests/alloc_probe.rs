@@ -41,18 +41,23 @@
 //!
 //! A sixth phase pins the sweep store's cell codec: `encode_cell` makes
 //! the one allocation of the line it returns, and `decode_cell` the three
-//! a `SlimReport` owns (detail, decided values, counters).
+//! a `SlimReport` owns (detail, decided values, counters), the two lists
+//! at exactly their length — a resumed cell is resident as decoded. A
+//! list past the decoder's on-stack bound still decodes. Then
+//! `SweepStore::hydrate_into` hands the decoded cells to an empty cache
+//! without allocating at all: the store's per-shard maps become the
+//! cache's shards.
 //!
 //! The probe binary holds exactly one `#[test]` so no concurrently
 //! running test can touch the process-global counter between the
 //! snapshots. Counting is compiled in only under `debug_assertions`
 //! (see [`CountingAlloc`]); release runs skip the assertions.
 
-use fd_bench::{decode_cell, encode_cell, CountingAlloc};
+use fd_bench::{decode_cell, encode_cell, CountingAlloc, SweepStore};
 use fd_core::{
     EchoSlab, KsetMsg, KsetOmega, KsetScenario, Phase1Slab, Phase2Slab, RoundSlab, RoundWindow,
 };
-use fd_detectors::scenario::Runner;
+use fd_detectors::scenario::{ReportCache, Runner};
 use fd_detectors::{OmegaOracle, PhiOracle, Scope, SxOracle};
 use fd_sim::{
     run_shm, Automaton, Ctx, DelayModel, EventKind, EventQueue, FailurePattern, MsgArena, Network,
@@ -486,6 +491,50 @@ fn routed_broadcast_is_allocation_free_after_warmup() {
         decode_allocs <= 3,
         "decode_cell allocated {decode_allocs} times; detail, decided and counters make 3"
     );
-    acc = acc.wrapping_add(decoded.map_or(0, |(key, _)| key.0));
+    let (key, decoded) = decoded.expect("the cell decodes");
+    let (decided, counters) = (&decoded.metrics.decided_values, &decoded.counters);
+    assert_eq!(
+        (decided.capacity(), counters.capacity()),
+        (decided.len(), counters.len()),
+        "decoded lists must be exactly sized: they are what a resume keeps"
+    );
+    acc = acc.wrapping_add(key.0);
+    // Past the decoder's on-stack bound of 16, a list grows as a `Vec`.
+    let mut wide = slim.clone();
+    wide.counters = (0..20u64)
+        .map(|v| (slim.counters[v as usize % 4].0, v))
+        .collect();
+    assert_eq!(
+        decode_cell(&encode_cell(7, 3, &wide)),
+        Ok(((7, 3), wide)),
+        "a 20-counter cell must decode"
+    );
+
+    // Hydrate: a reopened run directory's cells move into an empty cache.
+    let dir = std::env::temp_dir().join(format!("fd-alloc-probe-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = SweepStore::open(&dir).expect("open run dir");
+    let spill = store.spill();
+    for seed in 0..40 {
+        spill(7, seed, &slim);
+    }
+    drop(spill);
+    store.close().expect("close run dir");
+    let store = SweepStore::open(&dir).expect("reopen run dir");
+    // The writer thread allocates as it starts; let it settle into its
+    // idle wait before counting.
+    store.flush().expect("flush");
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    let cache = ReportCache::new();
+    let before = ALLOC.allocations();
+    let admitted = store.hydrate_into(&cache);
+    assert_eq!(
+        ALLOC.allocations() - before,
+        0,
+        "hydrate_into must move the decoded cells, not copy them"
+    );
+    assert_eq!((admitted, store.loaded(), cache.entries()), (40, 40, 40));
+    store.close().expect("close run dir");
+    std::fs::remove_dir_all(&dir).expect("remove run dir");
     std::hint::black_box(acc);
 }

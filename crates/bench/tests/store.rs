@@ -7,10 +7,10 @@
 //! (corrupted cell lines, tampered or garbled manifests) degrades to
 //! recomputation, never to a panic or a wrong report.
 
-use fd_bench::{StoreSession, SweepStore};
+use fd_bench::{load_run_dir, StoreSession, SweepStore};
 use fd_core::KsetScenario;
 use fd_detectors::scenario::{
-    CrashPlan, ReportCache, Runner, Scenario, ScenarioSpec, SweepSummary,
+    CrashPlan, ReportCache, Runner, Scenario, ScenarioSpec, SlimReport, SweepSummary,
 };
 use fd_sim::Time;
 use std::fs;
@@ -365,4 +365,120 @@ fn experiment_suite_resumes_from_a_store_session() {
     let line = closed.expect("`--resume` contract: all hits, none recomputed");
     assert!(line.contains("wrote 0 new cell(s)"), "{line}");
     assert_eq!(warm, cold, "resumed tables diverged from the cold ones");
+}
+
+/// Every report of `seeds` a sweep through `cache` folds, in seed order.
+fn swept_reports(cache: &ReportCache, seeds: Range<u64>) -> Vec<SlimReport> {
+    Runner::sequential().with_cache(cache).sweep_fold(
+        &KsetScenario,
+        &cell_spec(),
+        seeds,
+        Vec::new(),
+        |reports, slim| reports.push(slim),
+    )
+}
+
+/// The cells of `dir` as a read-only load decodes them, in seed order.
+fn decoded(dir: &Path) -> Vec<SlimReport> {
+    let salt = ReportCache::salt(&KsetScenario.cache_tag(), &cell_spec());
+    let mut cells = load_run_dir(dir).expect("load run dir").cells;
+    (0..cells.len() as u64)
+        .map(|seed| cells.remove(&(salt, seed)).expect("every seed on disk"))
+        .collect()
+}
+
+/// `hydrate_into` moves the loaded cells: the first call admits them all,
+/// every one then hits with the report its line decodes to, and a second
+/// call — into the same cache or another — has nothing left to admit,
+/// while `loaded` still counts what was on disk.
+#[test]
+fn hydrate_into_moves_every_cell_once() {
+    let dir = scratch("move");
+    assert_eq!(sweep_session(&dir, 0..16).wrote, 16);
+    let store = SweepStore::open(&dir).expect("open run dir");
+    let cache = &ReportCache::new();
+    assert_eq!(store.hydrate_into(cache), 16);
+    assert_eq!(store.hydrate_into(cache), 0);
+    assert_eq!(store.hydrate_into(&ReportCache::new()), 0);
+    assert_eq!((store.loaded(), cache.hydrated(), cache.entries()), (16, 16, 16));
+    assert_eq!(swept_reports(cache, 0..16), decoded(&dir));
+    assert_eq!((cache.hits(), cache.misses()), (16, 0));
+    assert_eq!(store.close().expect("close").loaded, 16);
+}
+
+/// A cache that already holds entries, or whose cap is below the cells on
+/// disk, takes the cells one at a time: every loaded cell is either
+/// admitted or tallied as capped, and exactly the admitted ones hit.
+#[test]
+fn hydrate_into_a_busy_or_capped_cache_accounts_for_every_cell() {
+    let dir = scratch("busy");
+    let cold = sweep_session(&dir, 0..40);
+
+    let busy = &ReportCache::new();
+    swept_reports(busy, 100..110);
+    let store = SweepStore::open(&dir).expect("open run dir");
+    assert_eq!(store.hydrate_into(busy), 40);
+    assert_eq!((busy.capped_inserts(), busy.entries()), (0, 50));
+    let before = busy.hits();
+    assert_eq!(swept_reports(busy, 0..40), decoded(&dir));
+    assert_eq!((busy.hits() - before, busy.misses()), (40, 10));
+    store.close().expect("close");
+
+    // One entry per shard: at most 16 of the 40 cells fit.
+    let capped = &ReportCache::with_capacity(1);
+    let store = SweepStore::open(&dir).expect("open run dir");
+    let admitted = store.hydrate_into(capped);
+    assert!(admitted <= 16, "the cap must cut some cells");
+    assert_eq!(admitted as u64 + capped.capped_inserts(), store.loaded() as u64);
+    assert_eq!(capped.hydrated(), admitted as u64);
+    let summary = Runner::sequential()
+        .with_cache(capped)
+        .sweep_summary(&KsetScenario, &cell_spec(), 0..40);
+    assert_eq!(summary, cold.summary);
+    assert_eq!(capped.hits(), admitted as u64, "exactly the admitted cells hit");
+    store.close().expect("close");
+}
+
+/// The writer dedups against the keys on disk at open, not against the
+/// cells: once the reports have moved into a cache, spilling one of them
+/// again still writes nothing.
+#[test]
+fn spilling_a_resumed_cell_writes_nothing() {
+    let dir = scratch("respill");
+    sweep_session(&dir, 0..8);
+    let salt = ReportCache::salt(&KsetScenario.cache_tag(), &cell_spec());
+    let store = SweepStore::open(&dir).expect("open run dir");
+    let cache = &ReportCache::new();
+    assert_eq!(store.hydrate_into(cache), 8);
+    let spill = store.spill();
+    for (seed, slim) in decoded(&dir).iter().enumerate() {
+        spill(salt, seed as u64, slim);
+    }
+    assert_eq!(store.flush().expect("flush"), 0);
+    assert_eq!(store.close().expect("close").wrote, 0);
+}
+
+/// A cell line moved by hand into another shard's segment file is still
+/// the store's: it loads, hydrates into the shard its key belongs to, and
+/// hits — and, the segment counts unchanged, nothing is compacted.
+#[test]
+fn a_cell_in_another_shards_segment_still_hydrates_and_hits() {
+    let dir = scratch("misplaced");
+    let cold = sweep_session(&dir, 0..16);
+    let found = segments(&dir);
+    assert!(found.len() >= 2, "16 cells span several shards");
+    let (from, to) = (&found[0], &found[1]);
+    let text = fs::read_to_string(from).expect("read segment");
+    let (moved, rest) = text.split_once('\n').expect("a segment holds a line");
+    fs::write(from, rest).expect("rewrite source segment");
+    let mut target = fs::read_to_string(to).expect("read target segment");
+    target.push_str(moved);
+    target.push('\n');
+    fs::write(to, target).expect("rewrite target segment");
+
+    let warm = sweep_session(&dir, 0..16);
+    assert_eq!((warm.loaded, warm.corrupt, warm.hydrated), (16, 0, 16));
+    assert_eq!((warm.hits, warm.misses, warm.wrote), (16, 0, 0));
+    assert_eq!(warm.summary, cold.summary);
+    assert_eq!(segments(&dir), found, "no compaction");
 }

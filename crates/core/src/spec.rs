@@ -70,12 +70,19 @@ pub fn decide_once(trace: &Trace) -> CheckOutcome {
     CheckOutcome::pass(None, "decide-once")
 }
 
-/// The full `k`-set agreement specification.
+/// The full `k`-set agreement specification. A safety violation outranks a
+/// liveness one: a process that decides twice fails the run as
+/// [`ViolationClass::DecideOnce`] even when a correct process also never
+/// decided. (`and` keeps its first failure, so decide-once is conjoined
+/// before termination when it fails; a pass still reads "validity; …;
+/// termination; decide-once".)
 pub fn kset_spec(trace: &Trace, fp: &FailurePattern, k: usize, proposals: &[u64]) -> CheckOutcome {
-    validity(trace, proposals)
-        .and(k_agreement(trace, k))
-        .and(termination(trace, fp))
-        .and(decide_once(trace))
+    let safety = validity(trace, proposals).and(k_agreement(trace, k));
+    let once = decide_once(trace);
+    if !once.ok {
+        return safety.and(once);
+    }
+    safety.and(termination(trace, fp)).and(once)
 }
 
 #[cfg(test)]
@@ -132,5 +139,28 @@ mod tests {
         let out = kset_spec(&tr, &fp(), 2, &[5, 6]);
         assert!(out.ok, "{out}");
         assert!(!kset_spec(&tr, &fp(), 1, &[5, 6]).ok);
+        assert_eq!(
+            out.detail,
+            "validity; 2 distinct decisions ≤ k = 2; termination; decide-once"
+        );
+    }
+
+    /// p1 decides twice while the correct p2 never decides: the duplicate
+    /// is a safety violation and must be what the run fails on, not the
+    /// missing decision — `fd_bench::search` books termination failures as
+    /// honest liveness refusals.
+    #[test]
+    fn duplicate_decision_outranks_missing_decision() {
+        let mut tr = Trace::new();
+        tr.decide(Time(1), ProcessId(0), 5);
+        tr.decide(Time(2), ProcessId(0), 5);
+        assert!(!termination(&tr, &fp()).ok);
+        let out = kset_spec(&tr, &fp(), 1, &[5]);
+        assert!(!out.ok);
+        assert_eq!(out.class, ViolationClass::DecideOnce, "{out}");
+        assert_eq!(out.detail, "p1 decided twice");
+        // An earlier safety failure still comes first.
+        let invalid = kset_spec(&tr, &fp(), 1, &[6]);
+        assert_eq!(invalid.class, ViolationClass::Validity, "{invalid}");
     }
 }

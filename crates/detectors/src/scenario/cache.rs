@@ -11,7 +11,11 @@ use std::sync::{Arc, Mutex};
 
 /// Shard count of the [`ReportCache`] (a power of two; the shard index is
 /// taken from the key hash's low bits).
-const CACHE_SHARDS: usize = 16;
+pub const CACHE_SHARDS: usize = 16;
+
+/// One shard's worth of cached runs, keyed `(spec salt, seed)` — what
+/// [`ReportCache::hydrate`] takes, one map per shard.
+pub type CellMap = HashMap<(u64, u64), SlimReport>;
 
 /// Default entry cap of a [`ReportCache`] (~a few hundred bytes per
 /// [`SlimReport`], so the default bounds the cache at low hundreds of MB).
@@ -44,10 +48,12 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 20;
 /// The cache itself is process-local, but it exposes the two hooks a
 /// durable store needs to make sweeps resumable across processes:
 ///
-/// * [`ReportCache::hydrate`] inserts an already-computed cell (read back
-///   from disk) without touching the hit/miss tallies or the spill hook —
-///   subsequent sweeps then hit it exactly as if this process had computed
-///   it;
+/// * [`ReportCache::hydrate`] takes already-computed cells (read back from
+///   disk, partitioned by [`ReportCache::shard_of`]) without touching the
+///   hit/miss tallies or the spill hook — subsequent sweeps then hit them
+///   exactly as if this process had computed them. An empty shard adopts
+///   its map whole, so the decoded cells *are* the cache's entries: no
+///   clone, no re-hash;
 /// * [`ReportCache::set_spill`] registers a callback invoked once per
 ///   *computed* insert (never for hits, never for hydrated cells) with the
 ///   cell's key and [`SlimReport`], so a store can persist fresh cells as
@@ -57,7 +63,7 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 20;
 ///   in-memory insert: durability must not degrade when the process-local
 ///   map fills.
 pub struct ReportCache {
-    shards: Vec<Mutex<HashMap<(u64, u64), SlimReport>>>,
+    shards: Vec<Mutex<CellMap>>,
     hits: AtomicU64,
     misses: AtomicU64,
     /// Computed inserts skipped because the shard was at capacity (the
@@ -135,11 +141,20 @@ impl ReportCache {
         h.finish()
     }
 
+    /// The shard (`0..CACHE_SHARDS`) that holds `key`. Public so a durable
+    /// store can decode its cells straight into per-shard maps that
+    /// [`ReportCache::hydrate`] then adopts whole; `fd_bench::store` also
+    /// names its on-disk segments by it.
     #[inline]
-    fn shard(&self, key: (u64, u64)) -> &Mutex<HashMap<(u64, u64), SlimReport>> {
+    pub fn shard_of(key: (u64, u64)) -> usize {
         // Mix both halves so sweeps (varying seeds) spread across shards.
         let mix = key.0 ^ key.1.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        &self.shards[(mix as usize) & (CACHE_SHARDS - 1)]
+        (mix as usize) & (CACHE_SHARDS - 1)
+    }
+
+    #[inline]
+    fn shard(&self, key: (u64, u64)) -> &Mutex<CellMap> {
+        &self.shards[Self::shard_of(key)]
     }
 
     /// Looks up one run; tallies a hit or a miss.
@@ -177,23 +192,43 @@ impl ReportCache {
         }
     }
 
-    /// Seeds one already-computed cell (read back from a durable store)
-    /// under the standard `(spec salt, seed)` key. Neither the hit/miss
-    /// tallies nor the spill hook fire — the cell was not computed here and
-    /// is already persisted. Respects the capacity cap (a skipped insert is
-    /// tallied in [`ReportCache::capped_inserts`] and only costs a
-    /// recompute later). Returns whether the cell was admitted.
-    pub fn hydrate(&self, key: (u64, u64), slim: SlimReport) -> bool {
-        let mut shard = self.shard(key).lock().unwrap();
-        if shard.len() < self.per_shard_capacity {
-            shard.insert(key, slim);
-            drop(shard);
-            self.hydrated.fetch_add(1, Ordering::Relaxed);
-            true
-        } else {
-            self.capped.fetch_add(1, Ordering::Relaxed);
-            false
+    /// Seeds already-computed cells (read back from a durable store) under
+    /// their standard `(spec salt, seed)` keys; `shards[i]` should hold the
+    /// cells of shard `i` (see [`ReportCache::shard_of`]). Neither the
+    /// hit/miss tallies nor the spill hook fire — the cells were not
+    /// computed here and are already persisted. Returns how many cells were
+    /// admitted.
+    ///
+    /// An empty shard that the map fits within the capacity cap adopts the
+    /// map whole — moved, not cloned or re-hashed. Any other map (a shard
+    /// already holding entries, one the cap would cut, one holding a key of
+    /// another shard) is admitted cell by cell, each into its own shard,
+    /// until that shard is at capacity; a skipped cell is tallied in
+    /// [`ReportCache::capped_inserts`] and only costs a recompute later.
+    pub fn hydrate(&self, shards: impl IntoIterator<Item = CellMap>) -> usize {
+        let mut admitted = 0;
+        for (i, cells) in shards.into_iter().enumerate() {
+            let own = self.shards.get(i);
+            if let Some(shard) = own.filter(|_| cells.keys().all(|&key| Self::shard_of(key) == i)) {
+                let mut shard = shard.lock().unwrap();
+                if shard.is_empty() && cells.len() <= self.per_shard_capacity {
+                    admitted += cells.len();
+                    *shard = cells;
+                    continue;
+                }
+            }
+            for (key, slim) in cells {
+                let mut shard = self.shard(key).lock().unwrap();
+                if shard.len() < self.per_shard_capacity {
+                    shard.insert(key, slim);
+                    admitted += 1;
+                } else {
+                    self.capped.fetch_add(1, Ordering::Relaxed);
+                }
+            }
         }
+        self.hydrated.fetch_add(admitted as u64, Ordering::Relaxed);
+        admitted
     }
 
     /// Registers (or clears) the durable-store spill hook. See the type
@@ -221,7 +256,7 @@ impl ReportCache {
         self.capped.load(Ordering::Relaxed)
     }
 
-    /// Cells admitted via [`ReportCache::hydrate`] so far.
+    /// Cells admitted by [`ReportCache::hydrate`] so far.
     pub fn hydrated(&self) -> u64 {
         self.hydrated.load(Ordering::Relaxed)
     }
@@ -231,11 +266,14 @@ impl ReportCache {
         self.shards.iter().map(|s| s.lock().unwrap().len()).sum()
     }
 
-    /// Drops every entry and zeroes the tallies (the spill hook, if any,
-    /// stays registered).
+    /// Drops every entry, frees the shard tables and zeroes the tallies
+    /// (the spill hook, if any, stays registered). A cache that is cleared
+    /// and then hydrated adopts a store's maps in place of its tables, so
+    /// tables kept for reuse would only sit allocated beside those maps
+    /// while the store decodes them.
     pub fn clear(&self) {
         for s in &self.shards {
-            s.lock().unwrap().clear();
+            *s.lock().unwrap() = CellMap::new();
         }
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);

@@ -75,7 +75,7 @@ mod summary;
 #[cfg(test)]
 mod tests;
 
-pub use cache::{ReportCache, SpillFn, DEFAULT_CACHE_CAPACITY};
+pub use cache::{CellMap, ReportCache, SpillFn, CACHE_SHARDS, DEFAULT_CACHE_CAPACITY};
 pub use oracle::{sample_oracle, OracleVisitor, SampledSlot};
 pub use report::{
     churn_envelope, default_proposals, run_scenario_until, run_to_decision, run_to_horizon,

@@ -775,7 +775,7 @@ fn spill_hook_observes_every_computed_cell_exactly_once() {
         metrics: Metrics::default(),
         counters: Vec::new(),
     };
-    cache.hydrate((1, 7), slim);
+    cache.hydrate([CellMap::from([((1, 7), slim)])]);
     assert_eq!(spilled.lock().unwrap().len(), 100);
     cache.set_spill(None);
     runner.sweep_summary(&Probe, &base.clone().k(2), 0..5);
@@ -804,10 +804,13 @@ fn hydrated_cells_serve_hits_without_tallying() {
         .with_cache(scratch)
         .sweep_summary(&probe, &base, 0..50);
     assert_eq!(executed.load(Ordering::Relaxed), 50);
-    // Hydrate a fresh cache from the captured cells ("reopen").
+    // Hydrate a fresh cache from the captured cells ("reopen"), one map
+    // per shard as a store decodes them.
+    let mut shards: Vec<CellMap> = (0..CACHE_SHARDS).map(|_| CellMap::new()).collect();
     for (salt, seed, slim) in captured.lock().unwrap().iter() {
-        assert!(cache.hydrate((*salt, *seed), slim.clone()));
+        shards[ReportCache::shard_of((*salt, *seed))].insert((*salt, *seed), slim.clone());
     }
+    assert_eq!(cache.hydrate(shards), 50);
     assert_eq!(cache.hydrated(), 50);
     assert_eq!((cache.hits(), cache.misses()), (0, 0));
     let warm = Runner::sequential()
@@ -820,6 +823,45 @@ fn hydrated_cells_serve_hits_without_tallying() {
         "hydrated cells must serve as hits"
     );
     assert_eq!((cache.hits(), cache.misses()), (50, 0));
+}
+
+/// Whatever index a map is handed in under — its own shard's, another's,
+/// one past the last shard — each cell lands in the shard its key belongs
+/// to, and the cap and the tallies count cell by cell.
+#[test]
+fn hydrate_routes_every_cell_to_its_own_shard() {
+    let cell = |seed: u64| {
+        let slim = SlimReport {
+            scenario: "probe",
+            seed,
+            num_faulty: 0,
+            check: CheckOutcome::pass(None, "ok"),
+            metrics: Metrics::default(),
+            counters: Vec::new(),
+        };
+        ((9, seed), slim)
+    };
+    let jumbled = || -> Vec<CellMap> {
+        let mut maps: Vec<CellMap> = (0..CACHE_SHARDS + 2).map(|_| CellMap::new()).collect();
+        for seed in 0..64 {
+            let (key, slim) = cell(seed);
+            maps[seed as usize % (CACHE_SHARDS + 2)].insert(key, slim);
+        }
+        maps
+    };
+    let cache = ReportCache::new();
+    assert_eq!(cache.hydrate(jumbled()), 64);
+    assert_eq!((cache.entries(), cache.hydrated()), (64, 64));
+    for seed in 0..64 {
+        assert_eq!(cache.lookup((9, seed)), Some(cell(seed).1), "seed {seed}");
+    }
+    assert_eq!((cache.hits(), cache.misses(), cache.capped_inserts()), (64, 0, 0));
+
+    // One entry per shard: 16 admitted, the other 48 tallied as capped.
+    let capped = ReportCache::with_capacity(CACHE_SHARDS);
+    assert_eq!(capped.hydrate(jumbled()), CACHE_SHARDS);
+    assert_eq!(capped.capped_inserts(), 64 - CACHE_SHARDS as u64);
+    assert_eq!(capped.hydrated(), CACHE_SHARDS as u64);
 }
 
 // ---- runner.rs -------------------------------------------------------------

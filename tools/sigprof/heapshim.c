@@ -1,6 +1,6 @@
 /* LD_PRELOAD live-heap census: every block the program holds, with the
- * stack that allocated it, dumped the moment the live heap first reaches a
- * threshold.
+ * stack that allocated it, dumped each time the live heap climbs to a
+ * threshold; the dump file holds the last such crossing.
  *
  *   cc -O2 -fPIC -shared -o heapshim.so heapshim.c
  *   LD_PRELOAD=./heapshim.so <binary> <args>            # prints the peak
@@ -14,7 +14,10 @@
  * live block per line: its size, then space-separated hex return addresses,
  * innermost first. `resolve.py --heap` turns it into a table. At exit the
  * peak of live bytes goes to stderr: run once for it, then again with
- * HEAP_THRESH just below it to see what the peak consists of.
+ * HEAP_THRESH just below it to see what the peak consists of. The shim
+ * re-arms once the live heap falls back below the threshold, so a phase
+ * that reaches it after an earlier one did (a timed loop after its set-up)
+ * overwrites the earlier dump.
  */
 #define _GNU_SOURCE
 #include <execinfo.h>
@@ -40,6 +43,8 @@ struct block {
 
 static struct block table[SLOTS];
 static size_t live_bytes, live_blocks, peak_bytes, peak_blocks, thresh;
+/* dumped: 0 never, 1 at or above the threshold since the last dump, 2
+ * fallen back below it since (armed again). */
 static int ready, dumped, lock;
 /* initial-exec: a preloaded library's TLS is allocated at start-up, so
  * reading the guard never allocates. */
@@ -96,7 +101,7 @@ static void track(void *p, size_t size) {
             peak_bytes = live_bytes;
             peak_blocks = live_blocks;
         }
-        if (thresh && !dumped && live_bytes >= thresh) {
+        if (thresh && dumped != 1 && live_bytes >= thresh) {
             dumped = 1;
             dump();
         }
@@ -112,6 +117,8 @@ static void track(void *p, size_t size) {
             }
         }
         table[i].at = NULL;
+        if (dumped == 1 && live_bytes < thresh)
+            dumped = 2;
     }
     __atomic_clear(&lock, __ATOMIC_RELEASE);
     busy = 0;
