@@ -1,7 +1,7 @@
 //! `sweep analyze` — aggregate run directories into tables.
 //!
-//! Consumes one or more run directories written by `sweep --store DIR`
-//! (see [`crate::store`]) and renders:
+//! Consumes one or more run directories written by `tables --store DIR`
+//! or `sweep search --store DIR` (see [`crate::store`]) and renders:
 //!
 //! - a **per-spec table**: runs, pass rate, mean events / messages /
 //!   rounds, and mean decision time, one row per registered spec (cells

@@ -1,23 +1,11 @@
-//! Regenerates `BENCH_sweep.json`: the counted results (runs, passes,
-//! events, messages, drops, severed links — no wall clock) of the main
-//! grid, a large single-cell streaming sweep that holds only `O(threads)`
-//! full reports in memory, and the adversary, topology and `n`-scaling
-//! legs. The report is a pure function of `--seeds` and `--stream`, so the
-//! flagless command reproduces the committed file byte for byte at any
-//! `--threads`.
-//!
-//! Usage: `cargo run -p fd-bench --bin sweep --release [-- --seeds N]
-//! [-- --stream N] [-- --threads N] [-- --store DIR] [-- --resume]
-//! [-- --out PATH]`
-//!
-//! Or, to aggregate previously written run directories:
-//! `cargo run -p fd-bench --bin sweep --release -- analyze DIR [DIR ...]`
-//!
-//! Or, to run the adversary search campaign (sample the fault space,
-//! classify outcomes, shrink checker violations to minimal witnesses):
-//! `cargo run -p fd-bench --bin sweep --release -- search [--budget N]
-//! [--search-seed S] [--seeds-per-spec N] [--max-witnesses N]
-//! [--threads N] [--store DIR] [--resume] [--out PATH]`
+//! Two subcommands and no flagless mode (every counted experiment result
+//! is a `tables` golden). The adversary search campaign samples the fault
+//! space, classifies outcomes and shrinks checker violations to minimal
+//! witnesses: `cargo run -p fd-bench --bin sweep --release -- search
+//! [--budget N] [--search-seed S] [--seeds-per-spec N] [--max-witnesses N]
+//! [--threads N] [--store DIR] [--resume] [--out PATH]`. `analyze`
+//! aggregates run directories written by `search --store` or
+//! `tables --store`: `sweep analyze DIR [DIR ...]`.
 //!
 //! The search campaign is deterministic in `--search-seed`: reruns —
 //! at any `--threads` — emit a byte-identical witness report. It exits
@@ -27,55 +15,21 @@
 //! not found and shrunk. With `--store DIR` every computed cell — shrink
 //! candidates included — persists to the run directory, and a rerun
 //! resumes from it; `--resume` asserts the resumed campaign recomputed
-//! nothing.
+//! nothing. `--threads 0` (the default) uses all available cores.
 //!
-//! Every subcommand parses its arguments once against its own flag set: an
-//! unknown flag, a flag given twice, a missing value, a value that does not
-//! parse, or `--resume` without `--store` prints the usage on stderr and
-//! exits with status 2 — nothing runs on a typo.
-//!
-//! `--seeds N` (default 25) is the seeds per main-grid cell and `--stream N`
-//! (default 100 000) the seeds of the streaming cell; the adversary leg
-//! (drop 10% + duplicate 10% before GST, 2 seeds per cell), the topology
-//! leg (2 seeds per heal cell) and the scaling curve (`n` = 256, 512, 1024,
-//! one seed each) have one shape. `--threads 0` (the default) uses all
-//! available cores. The run aborts if a main-grid, streaming or scaling
-//! run fails its spec check, or if one of the four findings does not hold
-//! (churn + catch-up stays live under the adversary and under a
-//! partition-during-join, bare churn stays safety-only, the heal-time
-//! phase diagram flips); the attacked grid's and the heal cells' pass
-//! *rates* are recorded, not gated (uniform drops are outside the
-//! algorithm's liveness tolerance by design; past-horizon heals *must*
-//! fail).
-//!
-//! `--store DIR` makes the main grid + streaming cells durable: DIR is
-//! opened (or created) as a run directory, its cells hydrate the report
-//! cache before the sweep, and every newly computed cell is persisted
-//! crash-safely as it finishes. A rerun against the same DIR resumes with
-//! pure cache hits and a byte-identical report. `--resume` asserts exactly
-//! that (0 misses, >0 hydrated cells) — CI's kill-and-resume gate.
+//! A usage error — no or an unknown subcommand, an unknown, repeated,
+//! valueless or unparsable flag, `--resume` without `--store` — prints the
+//! usage on stderr and exits with status 2: nothing runs on a typo.
 
 use fd_bench::flags::{Flags, Known};
-use fd_bench::sweep::SCALING_NS;
-use fd_bench::{SearchConfig, StoreSession, SweepBenchReport, SweepStore};
+use fd_bench::{SearchConfig, StoreSession};
 use fd_detectors::scenario::{ReportCache, Runner};
 
 const USAGE: &str = "\
-usage: sweep [--seeds N] [--stream N] [--threads N] [--store DIR] [--resume]
-             [--out PATH]
-       sweep analyze DIR [DIR ...]
+usage: sweep analyze DIR [DIR ...]
        sweep search [--budget N] [--search-seed S] [--seeds-per-spec N]
              [--max-witnesses N] [--threads N] [--store DIR] [--resume]
              [--out PATH]";
-
-const MAIN_FLAGS: &Known = &[
-    ("--seeds", true),
-    ("--stream", true),
-    ("--threads", true),
-    ("--store", true),
-    ("--resume", false),
-    ("--out", true),
-];
 
 const SEARCH_FLAGS: &Known = &[
     ("--budget", true),
@@ -87,43 +41,6 @@ const SEARCH_FLAGS: &Known = &[
     ("--resume", false),
     ("--out", true),
 ];
-
-/// `--store DIR` and `--resume`, shared by the main sweep and `search`.
-/// `--resume` asserts that the run directory served every cell, so without
-/// one it would verify nothing — a usage error, not a vacuous pass.
-fn store_opts(f: &Flags) -> Result<(Option<String>, bool), String> {
-    let store = f.text("--store").map(String::from);
-    let resume = f.has("--resume");
-    if resume && store.is_none() {
-        return Err("`--resume` needs `--store DIR`".into());
-    }
-    Ok((store, resume))
-}
-
-/// The main sweep's options.
-struct MainOpts {
-    seeds: u64,
-    stream: u64,
-    threads: usize,
-    store: Option<String>,
-    resume: bool,
-    out: String,
-}
-
-impl MainOpts {
-    fn parse(argv: &[String]) -> Result<Self, String> {
-        let f = Flags::parse(argv, MAIN_FLAGS)?;
-        let (store, resume) = store_opts(&f)?;
-        Ok(MainOpts {
-            seeds: f.num("--seeds", 25)?,
-            stream: f.num("--stream", 100_000)?,
-            threads: f.num("--threads", 0)?,
-            store,
-            resume,
-            out: f.text("--out").unwrap_or("BENCH_sweep.json").into(),
-        })
-    }
-}
 
 /// The `search` subcommand's options.
 struct SearchOpts {
@@ -137,7 +54,7 @@ struct SearchOpts {
 impl SearchOpts {
     fn parse(argv: &[String]) -> Result<Self, String> {
         let f = Flags::parse(argv, SEARCH_FLAGS)?;
-        let (store, resume) = store_opts(&f)?;
+        let (store, resume) = f.store()?;
         let seeds_per_spec = f.num("--seeds-per-spec", 4)?;
         if seeds_per_spec == 0 {
             return Err("`--seeds-per-spec` must be at least 1: zero runs find nothing".into());
@@ -150,10 +67,27 @@ impl SearchOpts {
                 max_witnesses: f.num("--max-witnesses", 3)?,
             },
             threads: f.num("--threads", 0)?,
-            store,
+            store: store.map(String::from),
             resume,
             out: f.text("--out").unwrap_or("SEARCH_witnesses.json").into(),
         })
+    }
+}
+
+/// One invocation: a subcommand and its arguments, parsed.
+enum Command<'a> {
+    Analyze(&'a [String]),
+    Search(SearchOpts),
+}
+
+impl<'a> Command<'a> {
+    fn parse(argv: &'a [String]) -> Result<Self, String> {
+        match argv.first().map(String::as_str) {
+            Some("analyze") => analyze_dirs(&argv[1..]).map(Command::Analyze),
+            Some("search") => SearchOpts::parse(&argv[1..]).map(Command::Search),
+            Some(other) => Err(format!("unknown subcommand `{other}`")),
+            None => Err("a subcommand is required".into()),
+        }
     }
 }
 
@@ -163,31 +97,6 @@ fn analyze_dirs(argv: &[String]) -> Result<&[String], String> {
         Some(flag) => Err(format!("unknown argument `{flag}`")),
         None if argv.is_empty() => Err("analyze needs at least one run directory".into()),
         None => Ok(argv),
-    }
-}
-
-fn runner_for(threads: usize) -> Runner<'static> {
-    if threads == 0 {
-        Runner::parallel()
-    } else {
-        Runner::with_threads(threads)
-    }
-}
-
-/// `--store DIR`: opens the run directory and says so.
-fn open_session(dir: &str, register: impl FnOnce(&SweepStore)) -> StoreSession {
-    let session =
-        StoreSession::open(dir, register).unwrap_or_else(|e| panic!("open --store {dir}: {e}"));
-    println!("{}", session.opened());
-    session
-}
-
-/// Closes the run directory and says what it wrote; aborts if `--resume`
-/// was asked for and the directory did not serve every run.
-fn close_session(session: StoreSession, runs: u64, wall_us: u64, resume: bool) {
-    match session.close(runs, wall_us, resume) {
-        Ok(line) => println!("{line}"),
-        Err(msg) => panic!("{msg}"),
     }
 }
 
@@ -205,13 +114,16 @@ fn run_analyze(dirs: &[String]) -> Result<(), String> {
 /// shrink each expected violation to a minimal witness.
 fn run_search_cmd(o: SearchOpts) {
     let cfg = &o.cfg;
-    let runner = runner_for(o.threads);
+    let runner = match o.threads {
+        0 => Runner::parallel(),
+        threads => Runner::with_threads(threads),
+    };
     // Always cache-backed: the shrinker's fixed-point loop re-visits
     // candidates, and the cache turns repeats into lookups. With --store
     // the cache additionally hydrates from / spills to the run directory,
     // making a killed campaign resumable without recomputing any cell.
     let session = o.store.as_deref().map(|dir| {
-        open_session(dir, |store| {
+        let session = StoreSession::open(dir, |store| {
             for (i, spec) in fd_bench::generate(cfg).iter().enumerate() {
                 let scenario = fd_bench::scenario_for(spec);
                 store.register_spec(
@@ -221,6 +133,9 @@ fn run_search_cmd(o: SearchOpts) {
                 );
             }
         })
+        .unwrap_or_else(|e| panic!("open --store {dir}: {e}"));
+        println!("{}", session.opened());
+        session
     });
     let scratch = ReportCache::new();
     let runner = runner.with_cache(session.as_ref().map_or(&scratch, StoreSession::cache));
@@ -260,7 +175,11 @@ fn run_search_cmd(o: SearchOpts) {
         );
     }
     if let Some(session) = session {
-        close_session(session, s.runs, wall_us, o.resume);
+        // With --resume, aborts unless the directory served every run.
+        match session.close(s.runs, wall_us, o.resume) {
+            Ok(line) => println!("{line}"),
+            Err(msg) => panic!("{msg}"),
+        }
     }
     std::fs::write(&o.out, report.to_json_string()).expect("write witness report");
     println!("wrote {}", o.out);
@@ -281,120 +200,16 @@ fn run_search_cmd(o: SearchOpts) {
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = match argv.first().map(String::as_str) {
-        Some("analyze") => analyze_dirs(&argv[1..]).and_then(run_analyze),
-        Some("search") => SearchOpts::parse(&argv[1..]).map(run_search_cmd),
-        _ => MainOpts::parse(&argv).map(run_sweep),
-    };
-    if let Err(msg) = parsed {
+    let ran = Command::parse(&argv).and_then(|command| match command {
+        Command::Analyze(dirs) => run_analyze(dirs),
+        Command::Search(o) => {
+            run_search_cmd(o);
+            Ok(())
+        }
+    });
+    if let Err(msg) = ran {
         eprintln!("sweep: {msg}\n{USAGE}");
         std::process::exit(2);
-    }
-}
-
-fn run_sweep(o: MainOpts) {
-    let runner = runner_for(o.threads);
-    // --store DIR: the grid and stream cells hydrate from the run
-    // directory and persist into it as they land.
-    let session = o.store.as_deref().map(|dir| {
-        open_session(dir, |store| {
-            let tag = {
-                use fd_detectors::scenario::Scenario as _;
-                fd_core::KsetScenario.cache_tag()
-            };
-            for (label, spec, _) in fd_bench::grid_cells(o.seeds) {
-                store.register_spec(&label, &tag, &spec);
-            }
-            let (slabel, sspec) = fd_bench::stream_cell();
-            store.register_spec(&format!("stream_{slabel}"), &tag, &sspec);
-        })
-    });
-    let grid_runner = match &session {
-        Some(session) => runner.with_cache(session.cache()),
-        None => runner,
-    };
-    // The run directory's invocation log keeps a wall time; the report
-    // does not.
-    let t0 = std::time::Instant::now();
-    let cells = fd_bench::representative_sweep(o.seeds, grid_runner);
-    let stream = fd_bench::streaming_sweep(o.stream, grid_runner);
-    if let Some(session) = session {
-        let runs = cells.iter().map(|c| c.runs).sum::<u64>() + stream.runs;
-        close_session(session, runs, t0.elapsed().as_micros() as u64, o.resume);
-    }
-    let report = SweepBenchReport {
-        cells,
-        stream,
-        adversary_leg: fd_bench::adversary_leg(runner),
-        topology_leg: fd_bench::topology_leg(runner),
-        scaling: fd_bench::scaling_curve(&SCALING_NS, runner),
-    };
-    let (stream, adv, topo) = (&report.stream, &report.adversary_leg, &report.topology_leg);
-    println!(
-        "grid sweep: {} runs ({} passed), {} events",
-        report.total_runs(),
-        report.total_passes(),
-        report.total_events(),
-    );
-    println!(
-        "streaming sweep: {} runs ({} passed), {} events, O(threads) reports held",
-        stream.runs, stream.passes, stream.events,
-    );
-    println!(
-        "adversary leg ({}): {}/{} runs passed, {} dropped, {} duplicated",
-        adv.adversary, adv.passes, adv.runs, adv.dropped, adv.duplicated,
-    );
-    println!(
-        "topology leg ({}): {}/{} runs passed, {} severed — heal grid [{}], \
-         negative witness seeds {:?}",
-        topo.schedule,
-        topo.passes,
-        topo.runs,
-        topo.severed,
-        topo.cells
-            .iter()
-            .map(|c| format!("{}:{}/{}", c.heal, c.passes, c.runs))
-            .collect::<Vec<_>>()
-            .join(", "),
-        topo.negative_witness_seeds,
-    );
-    for p in &report.scaling.points {
-        println!("scaling curve (n={}): {} events", p.n, p.events);
-    }
-    std::fs::write(&o.out, report.to_json_string()).expect("write BENCH_sweep.json");
-    println!("wrote {}", o.out);
-    assert_eq!(
-        report.total_passes(),
-        report.total_runs(),
-        "grid sweep had failing cells"
-    );
-    assert_eq!(
-        stream.passes, stream.runs,
-        "streaming sweep had failing runs"
-    );
-    assert!(
-        adv.churn_catchup_live,
-        "churn + catch-up failed the liveness envelope under the adversary"
-    );
-    assert!(
-        adv.churn_safety_only,
-        "churn without catch-up no longer scores safety-only"
-    );
-    assert!(
-        topo.churn_partition_live,
-        "churn + catch-up failed liveness under a partition-during-join"
-    );
-    assert!(
-        topo.liveness_flip,
-        "heal-time phase diagram did not flip: earliest heal must pass, \
-         past-horizon heal must fail"
-    );
-    for p in &report.scaling.points {
-        assert_eq!(
-            p.passes, p.runs,
-            "scaling point n={} failed its spec check",
-            p.n
-        );
     }
 }
 
@@ -408,8 +223,10 @@ mod tests {
 
     #[test]
     fn unknown_flags_and_stray_arguments_are_rejected() {
-        for line in ["--sedes 3", "--seeds 3 extra", "bench"] {
-            assert!(MainOpts::parse(&argv(line)).is_err(), "main: {line}");
+        // No flagless mode: a bare `sweep` or a flag before the subcommand
+        // is a usage error.
+        for line in ["", "--seeds 3", "--sedes 3", "bench", "search extra"] {
+            assert!(Command::parse(&argv(line)).is_err(), "{line}");
         }
         assert!(SearchOpts::parse(&argv("--seeds 3")).is_err());
         assert!(analyze_dirs(&argv("runs/a --threads")).is_err());
@@ -428,47 +245,29 @@ mod tests {
     fn removed_flags_are_rejected() {
         // The event-core flags are spelled in pieces so a tree-wide grep
         // for them stays empty; the rest left with the report's timing
-        // fields and optional legs.
-        let gone_flags = [
-            "queue",
-            "compare",
-            "large",
-            concat!("auto", "-queue"),
-            "cache",
-            "store-leg",
-            "adv",
-            "adv-drop",
-            "adv-dup",
-            "topo",
-            "curve",
-            "n-max",
-            "baseline",
-            "profile",
-        ];
-        for gone in gone_flags {
-            let line = format!("--seeds 1 --{gone} 0");
-            let err = MainOpts::parse(&argv(&line)).err().expect(&line);
-            assert!(err.contains(&format!("`--{gone}`")), "{err}");
+        // fields and optional legs, and `seeds`/`stream` with the
+        // flagless mode itself.
+        let gone_flags = concat!(
+            "queue compare large auto",
+            "-queue cache store-leg adv adv-drop adv-dup topo curve n-max baseline profile \
+             seeds stream"
+        );
+        for gone in gone_flags.split_whitespace() {
+            for line in [format!("--{gone} 0"), format!("search --{gone} 0")] {
+                let err = Command::parse(&argv(&line)).err().expect(&line);
+                assert!(err.contains(&format!("`--{gone}`")), "{err}");
+            }
         }
     }
 
     #[test]
     fn missing_and_unparsable_values_are_rejected() {
         for line in [
-            "--seeds",
-            "--seeds --threads 2",
-            "--seeds 1O",
-            "--threads -1",
-            "--stream 2k",
-            "--seeds 2 --seeds 3",
-            "--resume",
-        ] {
-            assert!(MainOpts::parse(&argv(line)).is_err(), "main: {line}");
-        }
-        for line in [
             "--budget",
             "--budget many",
             "--search-seed -4",
+            "--threads -1",
+            "--threads --budget 2",
             "--budget 2 --seeds-per-spec 1 --resume",
             "--seeds-per-spec 0",
         ] {
@@ -480,20 +279,6 @@ mod tests {
 
     #[test]
     fn every_surviving_flag_is_accepted() {
-        let o = MainOpts::parse(&argv(
-            "--seeds 3 --stream 7 --threads 2 --store d --resume --out o.json",
-        ))
-        .unwrap();
-        assert_eq!((o.seeds, o.stream, o.threads), (3, 7, 2));
-        assert_eq!(o.store.as_deref(), Some("d"));
-        assert_eq!(o.out, "o.json");
-        assert!(o.resume);
-
-        let d = MainOpts::parse(&[]).unwrap();
-        assert_eq!((d.seeds, d.stream, d.threads), (25, 100_000, 0));
-        assert_eq!(d.out, "BENCH_sweep.json");
-        assert!(!d.resume && d.store.is_none());
-
         let s = SearchOpts::parse(&argv(
             "--budget 9 --search-seed 5 --seeds-per-spec 2 --max-witnesses 1 --threads 3 \
              --store d --resume --out w.json",
@@ -503,5 +288,10 @@ mod tests {
         assert_eq!((s.cfg.seeds_per_spec, s.cfg.max_witnesses), (2, 1));
         assert_eq!((s.threads, s.resume, s.out.as_str()), (3, true, "w.json"));
         assert_eq!(s.store.as_deref(), Some("d"));
+
+        let analyze = argv("analyze a b");
+        assert!(matches!(Command::parse(&analyze), Ok(Command::Analyze(d)) if d.len() == 2));
+        let search = argv("search --budget 2");
+        assert!(matches!(Command::parse(&search), Ok(Command::Search(_))));
     }
 }

@@ -1,36 +1,54 @@
-//! Prints every experiment table of `fd_bench::experiments`.
+//! Prints every experiment table of `fd_bench::experiments` (E1–E15);
+//! after its first three lines, the output is `tests/golden/tables_quick.md`
+//! with `--quick` and `tests/golden/tables_full.md` without.
 //!
 //! Usage: `cargo run -p fd-bench --bin tables --release [-- --quick]
-//! [-- --store DIR]`
+//! [-- --store DIR [--resume]]`
 //!
-//! `--store DIR` opens DIR as a durable run directory (the same
-//! `fd_bench::StoreSession` as `sweep --store`): previously computed sweep
-//! cells hydrate the report cache before the experiments run, and newly
-//! computed cells are persisted as they finish — rerunning with the same
-//! DIR resumes the swept experiments from disk. Store status goes to
-//! stderr; stdout is the tables.
-//!
-//! An unknown flag, a repeated flag or a `--store` without a value prints
-//! the usage on stderr and exits with status 2 — nothing runs on a typo.
+//! `--store DIR` opens DIR as a durable run directory (the
+//! `fd_bench::StoreSession` `sweep search --store` uses too): stored cells
+//! hydrate the report cache, new cells persist as they finish, and a rerun
+//! resumes from disk. `--resume` aborts unless every swept run was served
+//! from the directory. Store status goes to stderr; stdout is the tables.
+//! A usage error (unknown, repeated or valueless flag, `--resume` without
+//! `--store`) prints the usage on stderr and exits with status 2.
 
 use fd_bench::flags::{Flags, Known};
 use fd_bench::StoreSession;
 use fd_detectors::scenario::Runner;
 
-const USAGE: &str = "usage: tables [--quick] [--store DIR]";
+const USAGE: &str = "usage: tables [--quick] [--store DIR [--resume]]";
 
-const FLAGS: &Known = &[("--quick", false), ("--store", true)];
+const FLAGS: &Known = &[("--quick", false), ("--store", true), ("--resume", false)];
+
+/// One invocation's options.
+struct Opts<'a> {
+    quick: bool,
+    store: Option<&'a str>,
+    resume: bool,
+}
+
+impl<'a> Opts<'a> {
+    fn parse(argv: &'a [String]) -> Result<Self, String> {
+        let f = Flags::parse(argv, FLAGS)?;
+        let (store, resume) = f.store()?;
+        Ok(Opts {
+            quick: f.has("--quick"),
+            store,
+            resume,
+        })
+    }
+}
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let flags = Flags::parse(&argv, FLAGS).unwrap_or_else(|msg| {
+    let o = Opts::parse(&argv).unwrap_or_else(|msg| {
         eprintln!("tables: {msg}\n{USAGE}");
         std::process::exit(2);
     });
-    let quick = flags.has("--quick");
     // --store DIR: the swept cells hydrate from the run directory and
     // persist into it as they land.
-    let session = flags.text("--store").map(|dir| {
+    let session = o.store.map(|dir| {
         let session =
             StoreSession::open(dir, |_| {}).unwrap_or_else(|e| panic!("open --store {dir}: {e}"));
         eprintln!("{}", session.opened());
@@ -46,20 +64,20 @@ fn main() {
     );
     println!(
         "\nmode: {} (seeds per configuration: {})",
-        if quick { "quick" } else { "full" },
-        fd_bench::experiments::seeds(quick)
+        if o.quick { "quick" } else { "full" },
+        fd_bench::experiments::seeds(o.quick)
     );
     // The run directory's invocation log keeps a wall time; the tables do
     // not.
     let t0 = std::time::Instant::now();
-    for table in fd_bench::all(quick, runner) {
+    for table in fd_bench::all(o.quick, runner) {
         println!("{table}");
     }
     if let Some(session) = session {
         // Every swept run is one cache lookup.
         let cache = session.cache();
         let runs = cache.hits() + cache.misses();
-        match session.close(runs, t0.elapsed().as_micros() as u64, false) {
+        match session.close(runs, t0.elapsed().as_micros() as u64, o.resume) {
             Ok(line) => eprintln!("{line}"),
             Err(msg) => panic!("{msg}"),
         }
@@ -82,14 +100,17 @@ mod tests {
             "--store --quick",
             "--quick runs/x",
             "--quick --quick",
+            "--resume",
+            "--quick --resume",
+            "--store d --resume --resume",
         ] {
-            assert!(Flags::parse(&argv(line), FLAGS).is_err(), "{line}");
+            assert!(Opts::parse(&argv(line)).is_err(), "{line}");
         }
-        let both = argv("--quick --store runs/x");
-        let f = Flags::parse(&both, FLAGS).unwrap();
-        assert!(f.has("--quick"));
-        assert_eq!(f.text("--store"), Some("runs/x"));
-        let none = Flags::parse(&[], FLAGS).unwrap();
-        assert!(!none.has("--quick") && none.text("--store").is_none());
+        let all = argv("--quick --store d --resume");
+        let o = Opts::parse(&all).unwrap();
+        assert!(o.quick && o.resume);
+        assert_eq!(o.store, Some("d"));
+        let none = Opts::parse(&[]).unwrap();
+        assert!(!none.quick && !none.resume && none.store.is_none());
     }
 }

@@ -1,8 +1,10 @@
-//! The experiment suite: one function per paper artifact.
+//! The experiment suite: one function per paper artifact (E1–E12), then
+//! Figure 3 under a message adversary (E13), partition heal time against
+//! the termination horizon (E14), and events vs `n` (E15).
 //!
 //! Every function is deterministic in its seed range and returns a
-//! [`Table`]; the `tables` binary prints them all (see "Quickstart" in
-//! README.md).
+//! [`Table`]; the `tables` binary prints them all, and its two renderings
+//! are the goldens `tests/golden/tables_{quick,full}.md`.
 //!
 //! Every swept experiment is driven by the unified scenario engine: a
 //! [`ScenarioSpec`] names the configuration, the [`Runner`] the caller
@@ -19,19 +21,26 @@
 //! and stop at the first seed that shows one. E11 reads the per-instance
 //! statistics of `run_repeated_spec`, which a slim report does not carry. None
 //! of the four flows through the runner, so its cache and the store never
-//! see them and they recompute on every invocation.
+//! see them and they recompute on every invocation. E13 and E14 build
+//! every row from full reports through `Runner::sweep` — their verdicts
+//! read decider sets, which a slim report does not carry — so they bypass
+//! the cache too.
 
 use crate::table::Table;
 use fd_core::lower_bound;
 use fd_core::spec;
 use fd_core::{ConsensusScenario, KsetScenario};
 use fd_detectors::scenario::{
-    default_proposals, sample_oracle, CrashPlan, Flavour, Runner, SampledSlot, Scenario,
-    ScenarioSpec, SweepSummary,
+    default_proposals, sample_oracle, CrashPlan, Flavour, MessageAdversary, MessageRule, Runner,
+    SampledSlot, Scenario, ScenarioReport, ScenarioSpec, SweepSummary,
 };
 use fd_detectors::{check, OmegaOracle, PerfectOracle, PhiOracle, Scope, SxOracle};
 use fd_grid::pipeline::PipelineScenario;
-use fd_sim::{FailurePattern, OracleSuite, SplitMix64, Time, Trace};
+use fd_grid::ChurnKsetScenario;
+use fd_sim::counter::{DROPPED, DUPLICATED, EVENTS, PARTITIONED, SENT};
+use fd_sim::{
+    FailurePattern, OracleSuite, PSet, ProcessId, SplitMix64, Time, TopologySchedule, Trace,
+};
 use fd_transforms::witness;
 use fd_transforms::{
     AdditionScenario, OmegaToDiamondS, PToPhi, PhiToP, Substrate, TwParams, TwoWheelsScenario,
@@ -233,7 +242,7 @@ pub fn e3_additivity_boundary(quick: bool, r: Runner) -> Table {
                 tt.to_string(),
                 x.to_string(),
                 y.to_string(),
-                format!("{} (pass {})", params.z, summary.pass_cell()),
+                params.z.to_string(),
                 summary.pass_cell(),
                 below,
             ]);
@@ -617,7 +626,7 @@ pub fn e10_baselines(quick: bool, r: Runner) -> Table {
         summary
             .avg_decision_time()
             .map(|d| d.to_string())
-            .unwrap_or_else(|| "0".into()),
+            .unwrap_or_else(|| "-".into()),
     ]);
     t.note("shape expected: the oracle-fed algorithms decide fast; the pipeline pays the wheels' message overhead (inquiry/response traffic) but needs no Ω oracle");
     t
@@ -720,7 +729,268 @@ pub fn e12_throttle_ablation(quick: bool, r: Runner) -> Table {
     t
 }
 
-/// Runs every experiment; the swept ones (E3–E5, E7–E10, E12) through
+/// Seeds per cell of E13 and E14, one shape in both modes.
+const LEG_SEEDS: u64 = 2;
+
+fn verdict(holds: bool) -> &'static str {
+    if holds {
+        "holds"
+    } else {
+        "FAILS"
+    }
+}
+
+/// The churn probe E13 and E14 attack: six processes, one early crash (so
+/// the quorum keeps slack) and process 5 joining late, at tick 600.
+fn churn_probe_spec() -> ScenarioSpec {
+    let fp = FailurePattern::builder(6)
+        .crash(ProcessId(1), Time(100))
+        .join(ProcessId(5), Time(600))
+        .build();
+    ChurnKsetScenario::spec(6, 2, 1)
+        .gst(Time(300))
+        .max_time(Time(60_000))
+        .crashes(CrashPlan::Explicit(fp))
+}
+
+/// A row of E13 or E14: `label`, runs, passes, then each trace counter in
+/// `counters` summed over `reps`.
+fn leg_row(label: &str, reps: &[ScenarioReport], counters: &[&str]) -> Vec<String> {
+    let passes = reps.iter().filter(|rep| rep.check.ok).count();
+    let mut row = vec![
+        label.into(),
+        reps.len().to_string(),
+        format!("{passes}/{}", reps.len()),
+    ];
+    let sum = |c: &&str| reps.iter().map(|rep| rep.trace.counter(c)).sum::<u64>();
+    row.extend(counters.iter().map(|c| sum(c).to_string()));
+    row
+}
+
+/// The seeds of the runs in `reps` that satisfy `pred`, comma-separated.
+fn seeds_where(reps: &[ScenarioReport], pred: impl Fn(&ScenarioReport) -> bool) -> String {
+    let seeds: Vec<String> = reps
+        .iter()
+        .filter(|rep| pred(rep))
+        .map(|rep| rep.seed().to_string())
+        .collect();
+    seeds.join(", ")
+}
+
+/// **E13 — message adversary: Figure 3 under loss, and churn catch-up.**
+/// The failure-free `k = 2` ladder up to `n = 65` under pre-GST drops and
+/// duplicates (a degradation curve: uniform drops are outside Figure 3's
+/// liveness tolerance), then the churn probe under a drop window closing
+/// at the join: live with catch-up, safety-only without.
+pub fn e13_adversary(r: Runner) -> Table {
+    let (gst, pct) = (Time(400), 10);
+    let adv = MessageAdversary::Rules(vec![
+        MessageRule::drop(pct).window(Time::ZERO, gst),
+        MessageRule::duplicate(pct).window(Time::ZERO, gst),
+    ]);
+    let mut t = Table::new(
+        format!(
+            "E13 — message adversary: Figure 3 (k = 2) under {} before GST, and churn catch-up",
+            adv.describe()
+        ),
+        &[
+            "cell",
+            "runs",
+            "pass",
+            "events",
+            "msgs",
+            "dropped",
+            "duplicated",
+        ],
+    );
+    let row = |label: &str, reps: &[ScenarioReport]| {
+        leg_row(label, reps, &[EVENTS, SENT, DROPPED, DUPLICATED])
+    };
+    let mut all = Vec::new();
+    for (n, tt) in [(5, 2), (9, 4), (17, 8), (33, 16), (65, 32)] {
+        // Failure-free: crashes would eat the quorum slack that lets the
+        // window's permanent losses be absorbed at all.
+        let spec = KsetScenario::spec(n, tt, 2)
+            .gst(gst)
+            .adversary(adv.clone())
+            .crashes(CrashPlan::None);
+        let reps = r.sweep(&KsetScenario, &spec, 0..LEG_SEEDS);
+        t.row(row(&format!("adv_n{n}_t{tt}_k2_f0"), &reps));
+        all.extend(reps);
+    }
+    t.row(row("all adv cells", &all));
+    // Quorum slack (one crash < t) + a drop window closing at the join:
+    // the configuration whose liveness the catch-up layer restores (see
+    // fd_grid::churn for the boundary discussion).
+    let churn = churn_probe_spec().adversary(MessageAdversary::Rules(vec![
+        MessageRule::drop(pct).window(Time::ZERO, Time(600)),
+        MessageRule::duplicate(pct).window(Time::ZERO, Time(1_200)),
+    ]));
+    let live = r.sweep(&ChurnKsetScenario, &churn, 0..LEG_SEEDS);
+    t.row(row("churn n6, catch-up", &live));
+    let bare = r.sweep(&ChurnKsetScenario, &churn.catch_up(false), 0..LEG_SEEDS);
+    t.row(row("churn n6, no catch-up", &bare));
+    // On some seeds every decision lands after the join and the joiner
+    // decides via the (exempt) reliable broadcast anyway; at least one
+    // seed must witness the genuinely stuck joiner.
+    let stuck = seeds_where(&bare, |rep| !rep.trace.deciders().contains(ProcessId(5)));
+    let safety_only = bare
+        .iter()
+        .all(|rep| rep.check.ok && rep.check.detail.contains("liveness not claimed"));
+    t.note(format!(
+        "finding: churn + catch-up passes the liveness envelope under the adversary — {}",
+        verdict(live.iter().all(|rep| rep.check.ok))
+    ));
+    t.note(format!(
+        "finding: without catch-up every churn run is scored safety-only and the joiner stays \
+         undecided at seed(s) [{stuck}] — {}",
+        verdict(safety_only && !stuck.is_empty())
+    ));
+    t.note("the adv cells' pass rate is a degradation curve: uniform drops are outside Figure 3's liveness tolerance by design");
+    t
+}
+
+/// **E14 — partition heal time vs the termination horizon.** A
+/// `{0..3} | {4}` cut on `n = 5, t = 2, k = 2` heals from two decades below
+/// the horizon (`max_time = 100_000`) to twice past it. The cut process can
+/// only decide through the heal-delayed `DECISION` reliable broadcast, so
+/// pass ⇔ Ω leader in the mainland ∧ heal before the horizon: the
+/// past-horizon cell must fail, and its seeds with `n − 1` deciders are
+/// negative witnesses. Last, a joiner comes up inside a partition and
+/// catch-up must carry it across the heal.
+pub fn e14_heal_time(r: Runner) -> Table {
+    let n = 5usize;
+    let horizon = Time(100_000);
+    let spec_at = |heal: u64| {
+        let islands = vec![
+            (0..n - 1).map(ProcessId).collect(),
+            PSet::singleton(ProcessId(n - 1)),
+        ];
+        KsetScenario::spec(n, 2, 2)
+            .gst(Time(400))
+            .max_time(horizon)
+            .topology(TopologySchedule::partition_until(islands, Time(heal)))
+    };
+    let mut t = Table::new(
+        format!(
+            "E14 — heal time vs the horizon: Figure 3 (n = {n}, k = 2) with {{0..{}}} | {{{}}} \
+             cut until the heal, max_time {}",
+            n - 2,
+            n - 1,
+            horizon.ticks()
+        ),
+        &[
+            "cell",
+            "runs",
+            "pass",
+            "events",
+            "severed",
+            "min deciders",
+            "negative witnesses",
+        ],
+    );
+    let deciders = |rep: &ScenarioReport| rep.trace.deciders().len();
+    let row = |label: &str, reps: &[ScenarioReport], witnesses: String| {
+        let mut row = leg_row(label, reps, &[EVENTS, PARTITIONED]);
+        row.push(reps.iter().map(deciders).min().unwrap_or(0).to_string());
+        row.push(witnesses);
+        row
+    };
+    let mut all = Vec::new();
+    let mut passes = Vec::new();
+    for heal in [200, 2_000, 20_000, 200_000] {
+        let reps = r.sweep(&KsetScenario, &spec_at(heal), 0..LEG_SEEDS);
+        let witnesses = if heal > horizon.ticks() {
+            seeds_where(&reps, |rep| !rep.check.ok && deciders(rep) == n - 1)
+        } else {
+            "-".into()
+        };
+        t.row(row(&format!("heal {heal}"), &reps, witnesses));
+        passes.push(reps.iter().filter(|rep| rep.check.ok).count());
+        all.extend(reps);
+    }
+    t.row(row("all heal cells", &all, "-".into()));
+    // The joiner comes up *inside* the partition; catch-up's retry loop
+    // must carry it across the heal.
+    let islands = vec![
+        (0..5).map(ProcessId).collect(),
+        PSet::singleton(ProcessId(5)),
+    ];
+    let churn =
+        churn_probe_spec().topology(TopologySchedule::partition_until(islands, Time(1_200)));
+    let reps = r.sweep(&ChurnKsetScenario, &churn, 0..LEG_SEEDS);
+    t.row(row("churn n6, joiner cut until 1200", &reps, "-".into()));
+    let churn_live = reps.iter().all(|rep| {
+        rep.check.ok
+            && rep.trace.deciders().contains(ProcessId(5))
+            && rep.trace.counter(PARTITIONED) > 0
+    });
+    t.note(format!(
+        "schedule at heal 200: {}; a negative witness is a past-horizon seed with the {} \
+         mainland processes deciding alone",
+        spec_at(200).topology.describe(),
+        n - 1
+    ));
+    t.note(format!(
+        "finding: the diagram flips — the earliest heal passes, the past-horizon heal never does — {}",
+        verdict(passes[0] > 0 && passes[3] == 0)
+    ));
+    t.note(format!(
+        "finding: churn + catch-up decides the joiner through a partition that spans its join — {}",
+        verdict(churn_live)
+    ));
+    t
+}
+
+/// **E15 — events vs `n`.** One failure-free Figure 3 run (`k = 2`,
+/// maximal `t`) per `n`: up to 64 in quick mode, 256, 512 and 1024
+/// ([`fd_sim::MAX_PROCESSES`]) in full mode. The spec check still applies,
+/// so a silent wrong answer at `n = 1024` shows as a failed pass.
+pub fn e15_scaling(quick: bool, r: Runner) -> Table {
+    let ns: &[usize] = if quick {
+        &[16, 32, 64]
+    } else {
+        &[256, 512, 1024]
+    };
+    events_vs_n(ns, r)
+}
+
+/// E15 at the sizes in `ns`.
+///
+/// # Panics
+///
+/// Panics if any `n` exceeds [`fd_sim::MAX_PROCESSES`].
+fn events_vs_n(ns: &[usize], r: Runner) -> Table {
+    let mut t = Table::new(
+        "E15 — events vs n: Figure 3 (k = 2, t = (n−1)/2), failure-free, GST 100, one seed per n",
+        &["n", "t", "runs", "pass", "events", "msgs"],
+    );
+    for &n in ns {
+        assert!(
+            n <= fd_sim::MAX_PROCESSES,
+            "scaling point n={n} exceeds MAX_PROCESSES={}",
+            fd_sim::MAX_PROCESSES
+        );
+        let tt = (n - 1) / 2;
+        // A short GST: every pre-GST tick buys another O(n²)-message
+        // round of churn — at n = 1024 the standard gst = 400 alone is
+        // tens of millions of events before the oracle lets anyone decide.
+        let spec = KsetScenario::spec(n, tt, 2).gst(Time(100));
+        let summary = r.sweep_summary(&KsetScenario, &spec, 0..1);
+        t.row(vec![
+            n.to_string(),
+            tt.to_string(),
+            summary.runs.to_string(),
+            summary.pass_cell(),
+            summary.total_events.to_string(),
+            summary.total_msgs.to_string(),
+        ]);
+    }
+    t.note("expect pass = runs at every n; events grow about 4× per doubling of n — every round is O(n²) messages");
+    t
+}
+
+/// Runs every experiment; the swept ones (E3–E5, E7–E10, E12–E15) through
 /// `runner`.
 pub fn all(quick: bool, runner: Runner) -> Vec<Table> {
     vec![
@@ -736,6 +1006,9 @@ pub fn all(quick: bool, runner: Runner) -> Vec<Table> {
         e10_baselines(quick, runner),
         e11_repeated(quick),
         e12_throttle_ablation(quick, runner),
+        e13_adversary(runner),
+        e14_heal_time(runner),
+        e15_scaling(quick, runner),
     ]
 }
 
@@ -757,5 +1030,71 @@ mod tests {
         // Row with y+z = 2 (y=1, z=1) must have 0 passes.
         let row = t.rows.iter().find(|r| r[4] == "2").unwrap();
         assert!(row[6].starts_with("0/"), "boundary row passed: {row:?}");
+    }
+
+    /// The row of `t` labelled `label`.
+    fn row<'t>(t: &'t Table, label: &str) -> &'t [String] {
+        t.rows.iter().find(|r| r[0] == label).expect(label)
+    }
+
+    fn count(cell: &str) -> u64 {
+        cell.parse().expect(cell)
+    }
+
+    #[test]
+    fn adversary_leg_gates_hold() {
+        let t = e13_adversary(Runner::parallel());
+        assert!(t.title.contains("drop10+dup10"), "{}", t.title);
+        // Churn + catch-up live, bare churn safety-only.
+        for finding in &t.notes[..2] {
+            assert!(finding.ends_with("— holds"), "{finding}");
+        }
+        let total = row(&t, "all adv cells");
+        assert!(count(&total[5]) > 0, "drop rules never fired");
+        assert!(count(&total[6]) > 0, "dup rules never fired");
+        let last = t.rows.iter().rfind(|r| r[0].starts_with("adv_"));
+        assert_eq!(last.unwrap()[0], "adv_n65_t32_k2_f0");
+    }
+
+    #[test]
+    fn topology_leg_gates_hold_and_the_diagram_flips() {
+        let t = e14_heal_time(Runner::parallel());
+        // The diagram flips, the partition-during-join does not wedge.
+        for finding in &t.notes[1..] {
+            assert!(finding.ends_with("— holds"), "{finding}");
+        }
+        assert!(count(&row(&t, "all heal cells")[4]) > 0, "nothing severed");
+        assert_eq!(t.rows[0][0], "heal 200");
+        let last = row(&t, "heal 200000");
+        assert!(last[2].starts_with("0/"), "past-horizon heal must fail");
+        assert_eq!(last[5], "4", "mainland decides alone");
+        // Seed 0's Ω leader sits in the mainland, so the past-horizon cell
+        // records it as an honest negative witness: liveness rejected with
+        // the four mainland deciders in safe agreement. Every
+        // mainland-leader seed at that heal qualifies, in seed order.
+        let witnesses: Vec<u64> = last[6].split(", ").map(count).collect();
+        assert_eq!(witnesses.first(), Some(&0));
+        assert!(witnesses.windows(2).all(|w| w[0] < w[1]), "{witnesses:?}");
+    }
+
+    #[test]
+    fn e13_to_e15_render_identically_at_every_thread_count() {
+        let render = |r: Runner| {
+            [e13_adversary(r), e14_heal_time(r), e15_scaling(true, r)].map(|t| t.to_string())
+        };
+        let sequential = render(Runner::sequential());
+        for threads in [2, 4] {
+            assert_eq!(
+                sequential,
+                render(Runner::with_threads(threads)),
+                "{threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds MAX_PROCESSES")]
+    fn scaling_curve_rejects_oversized_n() {
+        events_vs_n(&[fd_sim::MAX_PROCESSES + 1], Runner::sequential());
     }
 }

@@ -62,4 +62,17 @@ impl<'a> Flags<'a> {
                 .map_err(|_| format!("`{name} {v}`: not a valid number")),
         }
     }
+
+    /// `--store DIR` and `--resume`, shared by `tables` and `sweep search`.
+    /// `--resume` asserts that the run directory served every cell, so
+    /// without `--store` it would verify nothing — a usage error, not a
+    /// vacuous pass.
+    pub fn store(&self) -> Result<(Option<&'a str>, bool), String> {
+        let store = self.text("--store");
+        let resume = self.has("--resume");
+        if resume && store.is_none() {
+            return Err("`--resume` needs `--store DIR`".into());
+        }
+        Ok((store, resume))
+    }
 }

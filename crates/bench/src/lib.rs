@@ -1,13 +1,16 @@
 //! # fd-bench — experiment harness regenerating every paper artifact
 //!
-//! One experiment per figure/theorem of the paper (the [`experiments`]
-//! module is the index), all driven by the unified scenario engine. The [`experiments`]
+//! One experiment per figure/theorem of the paper, plus the adversary,
+//! heal-time and scaling studies (the [`experiments`] module is the
+//! index), all driven by the unified scenario engine. The [`experiments`]
 //! module computes the tables; the `tables` binary prints them
-//! (`cargo run -p fd-bench --bin tables --release`); the `sweep` binary
-//! regenerates the committed `BENCH_sweep.json`, a golden of counted
-//! results (runs, passes, events, messages — no wall clock). Nothing here
-//! times anything: every perf number comes from the repo benchmark
-//! (`BENCHMARK.json`, the `benchmark/` package).
+//! (`cargo run -p fd-bench --bin tables --release`), and its two
+//! renderings are the goldens of counted results (runs, passes, events,
+//! messages — no wall clock): `tests/golden/tables_quick.md` and
+//! `tests/golden/tables_full.md`. The `sweep` binary runs the adversary
+//! search and aggregates run directories. Nothing here times anything:
+//! every perf number comes from the repo benchmark (`BENCHMARK.json`, the
+//! `benchmark/` package).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -18,7 +21,6 @@ pub mod flags;
 pub mod micro;
 pub mod search;
 pub mod store;
-pub mod sweep;
 pub mod table;
 
 pub use fd_detectors::json;
@@ -35,10 +37,5 @@ pub use search::{
 pub use store::{
     decode_cell, encode_cell, load_run_dir, InvocationRecord, Manifest, RunDir, SpecEntry,
     StoreSession, StoreSummary, SweepStore, STORE_FORMAT, STORE_SHARDS,
-};
-pub use sweep::{
-    adversary_leg, grid_cells, representative_sweep, scaling_curve, stream_cell, streaming_sweep,
-    topology_leg, AdversaryLeg, HealCell, ScalePoint, ScalingCurve, StreamResult, SweepBenchReport,
-    TopologyLeg,
 };
 pub use table::Table;

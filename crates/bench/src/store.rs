@@ -458,7 +458,7 @@ pub struct SpecEntry {
     pub salt: u64,
 }
 
-/// Bookkeeping for one `sweep --store` invocation, appended to the manifest.
+/// Bookkeeping for one `--store` invocation, appended to the manifest.
 #[derive(Clone, Debug, PartialEq)]
 pub struct InvocationRecord {
     /// Total runs requested.
@@ -1074,7 +1074,7 @@ fn archive_shards(dir: &Path, shards_dir: &Path) -> io::Result<()> {
 // StoreSession: what `--store DIR` means, for every bin
 // ---------------------------------------------------------------------------
 
-/// `--store DIR` as `sweep`, `sweep search` and `tables` all spell it: an
+/// `--store DIR` as `sweep search` and `tables` both spell it: an
 /// open run directory and the report cache it owns and hydrated, which
 /// spills every newly computed cell back into it. The session prints
 /// nothing — [`StoreSession::opened`] and [`StoreSession::close`] hand the
@@ -1433,7 +1433,14 @@ mod tests {
     /// on-stack bound, and correctly past it.
     #[test]
     fn decoded_lists_are_exact_up_to_the_stack_bound() {
-        for len in [0, 1, LIST_ON_STACK - 1, LIST_ON_STACK, LIST_ON_STACK + 1, 40] {
+        for len in [
+            0,
+            1,
+            LIST_ON_STACK - 1,
+            LIST_ON_STACK,
+            LIST_ON_STACK + 1,
+            40,
+        ] {
             let mut slim = sample_slim(len as u64);
             slim.metrics.decided_values = (0..len as u64).collect();
             slim.counters = (0..len as u64).map(|v| ("c", v)).collect();

@@ -43,40 +43,26 @@ impl Table {
 impl fmt::Display for Table {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "\n### {}\n", self.title)?;
-        let widths: Vec<usize> = self
-            .headers
-            .iter()
-            .enumerate()
-            .map(|(i, h)| {
-                self.rows
-                    .iter()
-                    .map(|r| r[i].len())
-                    .chain(std::iter::once(h.len()))
-                    .max()
-                    .unwrap_or(0)
+        // Widths count characters, as `{:<w$}` pads: `→` is one column.
+        let widths: Vec<usize> = (0..self.headers.len())
+            .map(|i| {
+                let cells = self.rows.iter().chain(std::iter::once(&self.headers));
+                cells.map(|r| r[i].chars().count()).max().unwrap_or(0)
             })
             .collect();
-        let fmt_row = |cells: &[String]| -> String {
-            let padded: Vec<String> = cells
+        let padded = |cells: &[String]| -> String {
+            let cells: Vec<String> = cells
                 .iter()
                 .zip(&widths)
-                .map(|(c, w)| format!("{c:<w$}"))
+                .map(|(c, w)| format!(" {c:<w$} "))
                 .collect();
-            format!("| {} |", padded.join(" | "))
+            cells.join("|")
         };
-        writeln!(f, "{}", fmt_row(&self.headers))?;
-        let dashes: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
-        writeln!(
-            f,
-            "|{}|",
-            dashes
-                .iter()
-                .map(|d| format!("-{d}-"))
-                .collect::<Vec<_>>()
-                .join("|")
-        )?;
+        let dashes: Vec<String> = widths.iter().map(|w| "-".repeat(w + 2)).collect();
+        writeln!(f, "|{}|", padded(&self.headers))?;
+        writeln!(f, "|{}|", dashes.join("|"))?;
         for r in &self.rows {
-            writeln!(f, "{}", fmt_row(r))?;
+            writeln!(f, "|{}|", padded(r))?;
         }
         for n in &self.notes {
             writeln!(f, "\n> {n}")?;
@@ -98,6 +84,14 @@ mod tests {
         assert!(s.contains("### T"));
         assert!(s.contains("| a | bb |"));
         assert!(s.contains("> hello"));
+        // Widths count characters, not bytes: `→` is three bytes but one
+        // column, so the non-ASCII cell ends where the ASCII ones do.
+        let mut t = Table::new("T", &["ab"]);
+        t.row(vec!["→→".into()]).row(vec!["cd".into()]);
+        assert!(
+            t.to_string().contains("| ab |\n|----|\n| →→ |\n| cd |\n"),
+            "{t}"
+        );
     }
 
     #[test]

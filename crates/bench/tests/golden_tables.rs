@@ -1,11 +1,13 @@
-//! Pins the paper: the E1–E12 tables of `tables --quick` (what it prints
-//! after its two header lines) against a committed golden.
+//! Pins the paper: the E1–E15 tables of `tables --quick` (what it prints
+//! after its header lines) against a committed golden.
 //!
-//! Every cell is a counted result — runs, passes, rounds, messages, moves —
-//! and a pure function of the seed range, identical in debug and release.
-//! A change that moves a row moved an experiment: regenerate the golden
-//! with `cargo run --release -p fd-bench --bin tables -- --quick | tail -n +4`
-//! only when the PR says which theorem's numbers moved and why.
+//! Every cell is a counted result and a pure function of the seed range,
+//! identical in debug and release. A change that moves a row moved an
+//! experiment: regenerate the golden with
+//! `cargo run --release -p fd-bench --bin tables -- --quick | tail -n +4`
+//! only when the change says which theorem's numbers moved and why. The
+//! full-mode `golden/tables_full.md` (E15 at n = 1024 is 20M events) is
+//! regenerated without `--quick` and compared by CI in release.
 
 use fd_detectors::scenario::Runner;
 

@@ -400,7 +400,10 @@ fn hydrate_into_moves_every_cell_once() {
     assert_eq!(store.hydrate_into(cache), 16);
     assert_eq!(store.hydrate_into(cache), 0);
     assert_eq!(store.hydrate_into(&ReportCache::new()), 0);
-    assert_eq!((store.loaded(), cache.hydrated(), cache.entries()), (16, 16, 16));
+    assert_eq!(
+        (store.loaded(), cache.hydrated(), cache.entries()),
+        (16, 16, 16)
+    );
     assert_eq!(swept_reports(cache, 0..16), decoded(&dir));
     assert_eq!((cache.hits(), cache.misses()), (16, 0));
     assert_eq!(store.close().expect("close").loaded, 16);
@@ -429,13 +432,21 @@ fn hydrate_into_a_busy_or_capped_cache_accounts_for_every_cell() {
     let store = SweepStore::open(&dir).expect("open run dir");
     let admitted = store.hydrate_into(capped);
     assert!(admitted <= 16, "the cap must cut some cells");
-    assert_eq!(admitted as u64 + capped.capped_inserts(), store.loaded() as u64);
+    assert_eq!(
+        admitted as u64 + capped.capped_inserts(),
+        store.loaded() as u64
+    );
     assert_eq!(capped.hydrated(), admitted as u64);
-    let summary = Runner::sequential()
-        .with_cache(capped)
-        .sweep_summary(&KsetScenario, &cell_spec(), 0..40);
+    let summary =
+        Runner::sequential()
+            .with_cache(capped)
+            .sweep_summary(&KsetScenario, &cell_spec(), 0..40);
     assert_eq!(summary, cold.summary);
-    assert_eq!(capped.hits(), admitted as u64, "exactly the admitted cells hit");
+    assert_eq!(
+        capped.hits(),
+        admitted as u64,
+        "exactly the admitted cells hit"
+    );
     store.close().expect("close");
 }
 

@@ -124,26 +124,6 @@ impl Json {
         out
     }
 
-    /// Serializes an object with one top-level member per line (each
-    /// member compact), so a line diff of two documents names the member
-    /// that moved. Anything but an object emits as [`Json::emit`] does.
-    pub fn emit_lines(&self) -> String {
-        let Json::Obj(m) = self else {
-            return self.emit();
-        };
-        let mut out = String::from("{\n");
-        for (i, (k, val)) in m.iter().enumerate() {
-            if i > 0 {
-                out.push_str(",\n");
-            }
-            escape_into(k, &mut out);
-            out.push(':');
-            val.emit_into(&mut out);
-        }
-        out.push_str("\n}\n");
-        out
-    }
-
     fn emit_into(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
@@ -785,18 +765,6 @@ mod tests {
         assert_eq!(parsed.emit(), doc);
         assert_eq!(parsed.get("a").unwrap().as_arr().unwrap().len(), 3);
         assert_eq!(parsed.get("d").unwrap().as_f64(), Some(-3.5));
-    }
-
-    #[test]
-    fn emit_lines_puts_one_top_level_member_per_line() {
-        let doc = parse(r#"{"b":{"x":[1,2]},"a":"s","c":[{"y":true}]}"#).unwrap();
-        let text = doc.emit_lines();
-        assert_eq!(
-            text,
-            "{\n\"a\":\"s\",\n\"b\":{\"x\":[1,2]},\n\"c\":[{\"y\":true}]\n}\n"
-        );
-        assert_eq!(parse(&text).unwrap(), doc);
-        assert_eq!(Json::Arr(vec![]).emit_lines(), "[]");
     }
 
     #[test]

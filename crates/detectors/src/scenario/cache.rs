@@ -34,12 +34,12 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 20;
 ///
 /// The map is sharded (`CACHE_SHARDS` mutexes, shard picked by key hash)
 /// so parallel sweep workers rarely contend; hit/miss tallies are atomics
-/// surfaced into `BENCH_sweep.json`. Insertion stops (deterministically —
+/// surfaced in each run directory's invocation log. Insertion stops (deterministically —
 /// the cached *values* are pure, so skipping an insert can never change a
 /// result) once the capacity is reached.
 ///
-/// **When to bypass it**: anything measuring *throughput* (the bench legs
-/// gate uncached runners), and anything whose spec mutates state outside
+/// **When to bypass it**: anything measuring *throughput* (the repo
+/// benchmark times uncached runners), and anything whose spec mutates state outside
 /// the report — engine scenarios never do. Attach a cache explicitly via
 /// [`Runner::with_cache`](super::Runner::with_cache); the default runner never caches.
 ///

@@ -14,8 +14,8 @@ use fd_sim::{
 ///
 /// # The reproducibility contract
 ///
-/// Every recorded number in this repository (tables, `BENCH_sweep.json`,
-/// the checked-in witnesses; see "Determinism" in README.md) is a function
+/// Every recorded number in this repository (the table goldens, the
+/// checked-in witnesses; see "Determinism" in README.md) is a function
 /// of `(spec, seed)` alone. That holds only because each consumer of
 /// randomness derives its stream as `root_seed` mixed with a fixed salt
 /// below, and draws from it in a fixed order. Consequently:

@@ -855,7 +855,10 @@ fn hydrate_routes_every_cell_to_its_own_shard() {
     for seed in 0..64 {
         assert_eq!(cache.lookup((9, seed)), Some(cell(seed).1), "seed {seed}");
     }
-    assert_eq!((cache.hits(), cache.misses(), cache.capped_inserts()), (64, 0, 0));
+    assert_eq!(
+        (cache.hits(), cache.misses(), cache.capped_inserts()),
+        (64, 0, 0)
+    );
 
     // One entry per shard: 16 admitted, the other 48 tallied as capped.
     let capped = ReportCache::with_capacity(CACHE_SHARDS);
