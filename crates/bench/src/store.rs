@@ -41,33 +41,42 @@
 //!
 //! ## Crash safety and batching
 //!
-//! Cells are never written in place: a background writer thread buffers
-//! cells per shard and flushes each batch as a fresh **segment** file —
-//! written to a temp name, `sync_all`'d, then atomically renamed. A crash
-//! loses at most the unflushed tail of a batch (those cells are simply
-//! recomputed on resume); it can never corrupt previously-flushed segments
-//! or leave a half-visible file. The sweep's critical path pays one clone
-//! and one channel send per computed cell — no I/O, no fsync.
+//! Cells are never written in place, and the store keeps none in memory.
+//! A writer thread holds at most one open segment per shard: a temp file
+//! (`.tmp-sNN`, a name the loader never reads) to which it appends each new
+//! cell's line as the cell arrives. At `BATCH` (128) lines, on
+//! [`SweepStore::flush`] and on close it **seals** the segment —
+//! `sync_all`, then an atomic rename to its `sNN-gGGGGGG.jsonl` name — so a
+//! segment is either fully visible or absent, never partial. A crash loses
+//! at most the unsealed lines of each shard (those cells are simply
+//! recomputed on resume, and the next open deletes the temp files they
+//! sat in); it can never corrupt a sealed segment. The sweep's critical
+//! path pays one clone and one channel send per computed cell — no I/O, no
+//! fsync — and the thread starts with the first spilled cell: a session
+//! that only resumes starts none.
 //!
 //! On open, the files in `shards/` that carry a segment's exact name are
-//! replayed in generation order (last-wins per key); any other file there
-//! is not the store's and is neither read, counted nor deleted. A line
-//! that does not decode — truncated, garbled, or nested deep enough to be
-//! an attack on a recursive parser — is one corrupt line: counted, dropped,
-//! its cell recomputed. Multi-segment or corruption-scarred shards are
-//! compacted back to a single clean segment.
+//! replayed in generation order (last-wins per key); the store's own temp
+//! names are deleted, and any other file there is not the store's and is
+//! neither read, counted nor deleted. A line that does not decode —
+//! truncated, garbled, or nested deep enough to be an attack on a
+//! recursive parser — is one corrupt line: counted, dropped, its cell
+//! recomputed. Multi-segment or corruption-scarred shards are compacted
+//! back to a single clean segment, through the same append-and-seal writer.
 //!
 //! ## One resident copy
 //!
-//! The store shards by the report cache's own shard function
+//! A cell is resident once, whether it was read back or computed. The
+//! store shards by the report cache's own shard function
 //! ([`ReportCache::shard_of`]), so open decodes each cell straight into
 //! the map of the cache shard it belongs to, and
 //! [`SweepStore::hydrate_into`] hands those maps over instead of cloning
-//! them: a resumed cell is resident once, and an empty cache shard adopts
-//! its map without re-hashing a key. The store keeps none of them; the
-//! writer thread deduplicates against its own set of the keys on disk,
-//! built at open, so a cell already persisted is never written twice even
-//! after its report has moved into a cache.
+//! them: an empty cache shard adopts its map without re-hashing a key. A
+//! computed cell lives in the cache; the writer holds it only while it
+//! encodes its line into the shard's open segment. The store keeps
+//! neither; the writer deduplicates against its own set of the keys on
+//! disk, built at open, so a cell already persisted is never written twice
+//! even after its report has moved into a cache.
 //!
 //! ## Mismatch semantics
 //!
@@ -112,7 +121,7 @@ pub const STORE_SHARDS: usize = CACHE_SHARDS;
 /// digests.
 pub const STORE_FORMAT: u64 = 3;
 
-/// Cells buffered per shard before the writer flushes a segment. Small
+/// Lines a shard's open segment takes before the writer seals it. Small
 /// enough that an interrupted sweep loses little; large enough that a
 /// million-seed campaign writes thousands — not millions — of files.
 const BATCH: usize = 128;
@@ -202,14 +211,18 @@ fn push_opt_time(out: &mut String, t: Option<Time>) {
 
 /// Encodes one cell as a single canonical JSON line (no trailing newline).
 pub fn encode_cell(salt: u64, seed: u64, slim: &SlimReport) -> String {
+    let mut out = String::with_capacity(cell_len(salt, seed, slim));
+    push_cell(&mut out, salt, seed, slim);
+    out
+}
+
+/// The length of [`encode_cell`]'s line: exact unless `detail` or a name
+/// needs escaping, so the line is allocated once.
+fn cell_len(salt: u64, seed: u64, slim: &SlimReport) -> usize {
     let (check, m) = (&slim.check, &slim.metrics);
-    let class = check.class.name();
-    let ok = if check.ok { "true" } else { "false" };
-    // Exact unless `detail` or a name needs escaping, so the line is
-    // allocated once and holds no spare capacity while it waits in a batch.
-    let len = CELL_LITERALS
-        + class.len()
-        + ok.len()
+    CELL_LITERALS
+        + check.class.name().len()
+        + if check.ok { "true" } else { "false" }.len()
         + check.detail.len()
         + slim.scenario.len()
         + [salt, seed, slim.num_faulty as u64]
@@ -228,55 +241,58 @@ pub fn encode_cell(salt: u64, seed: u64, slim: &SlimReport) -> String {
             .counters
             .iter()
             .map(|&(name, v)| "[\"\",]".len() + name.len() + digits(v))
-            .sum::<usize>();
-    let mut out = String::with_capacity(len);
+            .sum::<usize>()
+}
+
+/// Appends [`encode_cell`]'s line to `out`.
+fn push_cell(out: &mut String, salt: u64, seed: u64, slim: &SlimReport) {
+    let (check, m) = (&slim.check, &slim.metrics);
     out.push_str("{\"class\":\"");
-    out.push_str(class);
+    out.push_str(check.class.name());
     out.push_str("\",\"counters\":[");
     for (i, &(name, v)) in slim.counters.iter().enumerate() {
         out.push_str(if i == 0 { "[" } else { ",[" });
-        escape_into(name, &mut out);
+        escape_into(name, out);
         out.push(',');
-        push_u64(&mut out, v);
+        push_u64(out, v);
         out.push(']');
     }
     out.push_str("],\"detail\":");
-    escape_into(&check.detail, &mut out);
+    escape_into(&check.detail, out);
     out.push_str(",\"metrics\":{\"decided\":[");
     for (i, &v) in m.decided_values.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        push_u64(&mut out, v);
+        push_u64(out, v);
     }
     out.push_str("],\"delivered\":");
-    push_u64(&mut out, m.delivered);
+    push_u64(out, m.delivered);
     out.push_str(",\"events\":");
-    push_u64(&mut out, m.events);
+    push_u64(out, m.events);
     out.push_str(",\"first_decision\":");
-    push_opt_time(&mut out, m.first_decision);
+    push_opt_time(out, m.first_decision);
     out.push_str(",\"last_decision\":");
-    push_opt_time(&mut out, m.last_decision);
+    push_opt_time(out, m.last_decision);
     out.push_str(",\"max_round\":");
-    push_u64(&mut out, m.max_round);
+    push_u64(out, m.max_round);
     out.push_str(",\"msgs_sent\":");
-    push_u64(&mut out, m.msgs_sent);
+    push_u64(out, m.msgs_sent);
     out.push_str(",\"rb_sent\":");
-    push_u64(&mut out, m.rb_sent);
+    push_u64(out, m.rb_sent);
     out.push_str("},\"num_faulty\":");
-    push_u64(&mut out, slim.num_faulty as u64);
+    push_u64(out, slim.num_faulty as u64);
     out.push_str(",\"ok\":");
-    out.push_str(ok);
+    out.push_str(if check.ok { "true" } else { "false" });
     out.push_str(",\"salt\":");
-    push_u64(&mut out, salt);
+    push_u64(out, salt);
     out.push_str(",\"scenario\":");
-    escape_into(slim.scenario, &mut out);
+    escape_into(slim.scenario, out);
     out.push_str(",\"seed\":");
-    push_u64(&mut out, seed);
+    push_u64(out, seed);
     out.push_str(",\"stabilized_at\":");
-    push_opt_time(&mut out, check.stabilized_at);
+    push_opt_time(out, check.stabilized_at);
     out.push('}');
-    out
 }
 
 /// Decodes one cell line. Any structural problem — bad JSON, missing field,
@@ -608,27 +624,56 @@ fn segment_of(name: &str) -> Option<(usize, u64)> {
     (shard < STORE_SHARDS && segment_name(shard, generation) == name).then_some((shard, generation))
 }
 
-/// Writes `lines` as a single segment: temp file + `sync_all` + atomic
-/// rename. The segment is either fully visible or absent — never partial.
-fn write_segment(
-    shards_dir: &Path,
-    shard: usize,
-    generation: u64,
-    lines: &[String],
-) -> io::Result<()> {
-    let tmp = shards_dir.join(format!(".tmp-s{shard:02}-g{generation:06}"));
-    let final_path = shards_dir.join(segment_name(shard, generation));
-    {
-        let mut f = fs::File::create(&tmp)?;
-        let mut buf = String::with_capacity(lines.iter().map(|l| l.len() + 1).sum());
-        for line in lines {
-            buf.push_str(line);
-            buf.push('\n');
-        }
-        f.write_all(buf.as_bytes())?;
-        f.sync_all()?;
+/// The temp name of `shard`'s open segment. Not a segment name, so the
+/// loader never reads it; a killed writer leaves it behind, and the next
+/// open deletes it.
+fn temp_name(shard: usize) -> String {
+    format!(".tmp-s{shard:02}")
+}
+
+/// Whether `name` is one of the store's own temp names ([`temp_name`]).
+fn is_temp_name(name: &str) -> bool {
+    name.starts_with(".tmp-s") && (0..STORE_SHARDS).any(|shard| temp_name(shard) == name)
+}
+
+/// A shard's open segment: its temp file, to which cells are appended one
+/// line at a time, until [`Segment::seal`] makes it a segment.
+#[derive(Debug)]
+struct Segment {
+    file: fs::File,
+    lines: usize,
+}
+
+impl Segment {
+    fn create(shards_dir: &Path, shard: usize) -> io::Result<Segment> {
+        let file = fs::File::create(shards_dir.join(temp_name(shard)))?;
+        Ok(Segment { file, lines: 0 })
     }
-    fs::rename(&tmp, &final_path)
+
+    /// Appends the cell under `key`, encoded through the caller's reused
+    /// `line` buffer.
+    fn append(&mut self, line: &mut String, key: (u64, u64), slim: &SlimReport) -> io::Result<()> {
+        line.clear();
+        push_cell(line, key.0, key.1, slim);
+        line.push('\n');
+        self.file.write_all(line.as_bytes())?;
+        self.lines += 1;
+        Ok(())
+    }
+
+    /// `sync_all`, then the atomic rename to `shard`'s segment of
+    /// `generation`: the segment is either fully visible or absent — never
+    /// partial. Returns the lines it holds.
+    fn seal(self, shards_dir: &Path, shard: usize, generation: u64) -> io::Result<usize> {
+        let Segment { file, lines } = self;
+        file.sync_all()?;
+        drop(file);
+        fs::rename(
+            shards_dir.join(temp_name(shard)),
+            shards_dir.join(segment_name(shard, generation)),
+        )?;
+        Ok(lines)
+    }
 }
 
 /// Atomically replaces `path` with `contents` (temp + rename).
@@ -724,58 +769,103 @@ enum Msg {
     Shutdown,
 }
 
+#[derive(Debug)]
 struct Writer {
     shards_dir: PathBuf,
-    /// The keys on disk at open, then every key this writer has queued or
-    /// flushed. Its own set: the loaded cells themselves move into a cache.
+    /// The keys on disk at open, then every key this writer has appended.
+    /// Its own set: the loaded cells themselves move into a cache.
     keys: HashSet<(u64, u64)>,
-    buffers: Vec<Vec<String>>,
+    /// Each shard's open segment, if it has one.
+    open: Vec<Option<Segment>>,
+    /// The one buffer every cell line is encoded in.
+    line: String,
     generation: u64,
     wrote: Arc<AtomicU64>,
 }
 
 impl Writer {
+    /// Moves the writer onto a thread of its own.
+    fn start(self) -> WriterState {
+        let (tx, rx) = mpsc::channel();
+        match std::thread::Builder::new()
+            .name("sweep-store-writer".into())
+            .spawn(move || self.run(rx))
+        {
+            Ok(handle) => WriterState::Running(tx, handle),
+            Err(e) => WriterState::Stopped(Some(e)),
+        }
+    }
+
     fn run(mut self, rx: mpsc::Receiver<Msg>) -> io::Result<()> {
         while let Ok(msg) = rx.recv() {
             match msg {
                 Msg::Cell(salt, seed, slim) => {
                     let key = (salt, seed);
                     if !self.keys.insert(key) {
-                        continue; // already on disk or queued
+                        continue; // already on disk or appended
                     }
                     let shard = ReportCache::shard_of(key);
-                    self.buffers[shard].push(encode_cell(salt, seed, &slim));
-                    if self.buffers[shard].len() >= BATCH {
-                        self.flush_shard(shard)?;
+                    let segment = match &mut self.open[shard] {
+                        Some(segment) => segment,
+                        empty => empty.insert(Segment::create(&self.shards_dir, shard)?),
+                    };
+                    segment.append(&mut self.line, key, &slim)?;
+                    if segment.lines >= BATCH {
+                        self.seal(shard)?;
                     }
                 }
                 Msg::Barrier(ack) => {
-                    self.flush_all()?;
+                    self.seal_all()?;
                     let _ = ack.send(());
                 }
                 Msg::Shutdown => break,
             }
         }
-        // Drain: flush every partial batch before the thread exits. mpsc is
-        // FIFO, so everything sent before Shutdown has been received.
-        self.flush_all()
+        // Seal every open segment before the thread exits. mpsc is FIFO,
+        // so everything sent before Shutdown has been received.
+        self.seal_all()
     }
 
-    fn flush_all(&mut self) -> io::Result<()> {
-        for shard in 0..STORE_SHARDS {
-            if !self.buffers[shard].is_empty() {
-                self.flush_shard(shard)?;
-            }
+    fn seal_all(&mut self) -> io::Result<()> {
+        (0..STORE_SHARDS).try_for_each(|shard| self.seal(shard))
+    }
+
+    /// Seals `shard`'s open segment, if it has one, as the next generation.
+    fn seal(&mut self, shard: usize) -> io::Result<()> {
+        if let Some(segment) = self.open[shard].take() {
+            self.generation += 1;
+            let lines = segment.seal(&self.shards_dir, shard, self.generation)?;
+            self.wrote.fetch_add(lines as u64, Ordering::Relaxed);
         }
         Ok(())
     }
+}
 
-    fn flush_shard(&mut self, shard: usize) -> io::Result<()> {
-        self.generation += 1;
-        let lines = std::mem::take(&mut self.buffers[shard]);
-        write_segment(&self.shards_dir, shard, self.generation, &lines)?;
-        self.wrote.fetch_add(lines.len() as u64, Ordering::Relaxed);
-        Ok(())
+/// Where a store's writer is. The first spilled cell starts its thread, so
+/// a store that only resumes never starts one.
+#[derive(Debug)]
+enum WriterState {
+    /// No cell spilled yet.
+    Idle(Writer),
+    /// The writer thread, and the channel to it.
+    Running(Sender<Msg>, JoinHandle<io::Result<()>>),
+    /// Closed, or the thread could not be started (the error, which `close`
+    /// reports): spilled cells are dropped.
+    Stopped(Option<io::Error>),
+}
+
+impl WriterState {
+    /// Sends `msg` to the writer thread, starting it if it is idle.
+    fn send(&mut self, msg: Msg) {
+        if let WriterState::Idle(_) = self {
+            *self = match std::mem::replace(self, WriterState::Stopped(None)) {
+                WriterState::Idle(writer) => writer.start(),
+                state => state,
+            };
+        }
+        if let WriterState::Running(tx, _) = self {
+            let _ = tx.send(msg);
+        }
     }
 }
 
@@ -796,9 +886,9 @@ pub struct StoreSummary {
     pub archived_stale: bool,
 }
 
-/// An open run directory: loaded cells, a manifest, and a live writer
-/// thread persisting new cells. See the module docs for the layout and
-/// durability contract.
+/// An open run directory: loaded cells, a manifest, and a writer that
+/// persists new cells on a thread of its own, started by the first spilled
+/// cell. See the module docs for the layout and durability contract.
 #[derive(Debug)]
 pub struct SweepStore {
     dir: PathBuf,
@@ -814,8 +904,7 @@ pub struct SweepStore {
     // specs against an already-populated manifest stays O(1) per spec
     // instead of a linear label scan (quadratic over large campaigns).
     spec_index: Mutex<HashMap<String, usize>>,
-    tx: Option<Sender<Msg>>,
-    writer: Option<JoinHandle<io::Result<()>>>,
+    writer: Arc<Mutex<WriterState>>,
     wrote: Arc<AtomicU64>,
 }
 
@@ -827,6 +916,12 @@ impl SweepStore {
         let dir = dir.as_ref().to_path_buf();
         let shards_dir = dir.join("shards");
         fs::create_dir_all(&shards_dir)?;
+        for entry in fs::read_dir(&shards_dir)? {
+            let entry = entry?;
+            if entry.file_name().to_str().is_some_and(is_temp_name) {
+                fs::remove_file(entry.path())?;
+            }
+        }
 
         let manifest_path = dir.join("manifest.json");
         let mut archived_stale = false;
@@ -860,14 +955,15 @@ impl SweepStore {
 
         // Compact: rewrite multi-segment or corruption-scarred shards as a
         // single clean segment, then delete the segments it replaces.
+        let mut line = String::new();
         for &shard in &loaded.dirty_shards {
-            let lines: Vec<String> = loaded.maps[shard]
-                .iter()
-                .map(|(key, slim)| encode_cell(key.0, key.1, slim))
-                .collect();
             generation += 1;
-            if !lines.is_empty() {
-                write_segment(&shards_dir, shard, generation, &lines)?;
+            if !loaded.maps[shard].is_empty() {
+                let mut segment = Segment::create(&shards_dir, shard)?;
+                for (&key, slim) in &loaded.maps[shard] {
+                    segment.append(&mut line, key, slim)?;
+                }
+                segment.seal(&shards_dir, shard, generation)?;
             }
             for &(_, old) in loaded.segments.iter().filter(|s| s.0 == shard) {
                 fs::remove_file(shards_dir.join(segment_name(shard, old)))?;
@@ -881,14 +977,11 @@ impl SweepStore {
         let writer = Writer {
             shards_dir,
             keys,
-            buffers: (0..STORE_SHARDS).map(|_| Vec::new()).collect(),
+            open: (0..STORE_SHARDS).map(|_| None).collect(),
+            line: String::new(),
             generation,
             wrote: Arc::clone(&wrote),
         };
-        let (tx, rx) = mpsc::channel();
-        let handle = std::thread::Builder::new()
-            .name("sweep-store-writer".into())
-            .spawn(move || writer.run(rx))?;
 
         let spec_index = manifest
             .specs
@@ -904,8 +997,7 @@ impl SweepStore {
             archived_stale,
             manifest: Mutex::new(manifest),
             spec_index: Mutex::new(spec_index),
-            tx: Some(tx),
-            writer: Some(handle),
+            writer: Arc::new(Mutex::new(WriterState::Idle(writer))),
             wrote,
         })
     }
@@ -930,7 +1022,7 @@ impl SweepStore {
         self.archived_stale
     }
 
-    /// Cells flushed to disk so far by this store's writer.
+    /// Cells sealed into segments so far by this store's writer.
     pub fn wrote(&self) -> u64 {
         self.wrote.load(Ordering::Relaxed)
     }
@@ -954,14 +1046,18 @@ impl SweepStore {
 
     /// The spill hook to register on the cache
     /// (`cache.set_spill(Some(store.spill()))`): forwards every *computed*
-    /// cell to the writer thread. Cheap on the hot path (clone + channel
-    /// send); deduplication against already-persisted cells happens on the
-    /// writer side. Safe to leave registered after [`SweepStore::close`] —
-    /// sends to the closed channel are dropped.
+    /// cell to the writer thread, which the first one starts. Cheap on the
+    /// hot path (clone + channel send); deduplication against
+    /// already-persisted cells happens on the writer side. Safe to leave
+    /// registered after [`SweepStore::close`] — later cells are dropped.
     pub fn spill(&self) -> Arc<SpillFn> {
-        let tx = self.tx.as_ref().expect("store is open").clone();
+        let writer = Arc::clone(&self.writer);
         Arc::new(move |salt, seed, slim: &SlimReport| {
-            let _ = tx.send(Msg::Cell(salt, seed, slim.clone()));
+            let cell = Msg::Cell(salt, seed, slim.clone());
+            writer
+                .lock()
+                .expect("no panic while the writer is locked")
+                .send(cell);
         })
     }
 
@@ -998,8 +1094,8 @@ impl SweepStore {
     /// — half-written shards without one are archived, not loaded. Long
     /// campaigns therefore commit the manifest right after registering
     /// their specs, *before* computing: a `SIGKILL` at any later point
-    /// leaves a resumable directory in which every flushed segment loads,
-    /// and only the unflushed tail of each batch is recomputed.
+    /// leaves a resumable directory in which every sealed segment loads,
+    /// and only the cells of each shard's unsealed segment are recomputed.
     pub fn commit_manifest(&self) -> io::Result<()> {
         let manifest = self.manifest.lock().unwrap().emit();
         write_atomic(&self.dir.join("manifest.json"), &manifest)
@@ -1008,21 +1104,30 @@ impl SweepStore {
     /// Durability barrier: forces every cell spilled so far onto disk and
     /// waits for it. After this returns, [`SweepStore::wrote`] is exact —
     /// which is how invocation records report an accurate `wrote` count —
-    /// and a crash loses nothing already computed.
+    /// and a crash loses nothing already computed. A store nothing was
+    /// spilled to has nothing to flush.
     pub fn flush(&self) -> io::Result<u64> {
-        let (ack_tx, ack_rx) = mpsc::channel();
-        let tx = self.tx.as_ref().expect("store is open");
-        tx.send(Msg::Barrier(ack_tx))
-            .map_err(|_| io::Error::other("store writer stopped"))?;
-        ack_rx
-            .recv()
-            .map_err(|_| io::Error::other("store writer stopped"))?;
+        let stopped = || io::Error::other("store writer stopped");
+        let ack_rx = match &*self
+            .writer
+            .lock()
+            .expect("no panic while the writer is locked")
+        {
+            WriterState::Idle(_) => return Ok(self.wrote()),
+            WriterState::Running(tx, _) => {
+                let (ack_tx, ack_rx) = mpsc::channel();
+                tx.send(Msg::Barrier(ack_tx)).map_err(|_| stopped())?;
+                ack_rx
+            }
+            WriterState::Stopped(_) => return Err(stopped()),
+        };
+        ack_rx.recv().map_err(|_| stopped())?;
         Ok(self.wrote())
     }
 
-    /// Flushes every pending cell, stops the writer thread, and writes the
-    /// manifest (atomically). The directory is complete and resumable once
-    /// this returns.
+    /// Seals every open segment, stops the writer thread (if a spilled cell
+    /// started one), and writes the manifest (atomically). The directory is
+    /// complete and resumable once this returns.
     pub fn close(mut self) -> io::Result<StoreSummary> {
         self.shutdown()?;
         Ok(StoreSummary {
@@ -1034,17 +1139,26 @@ impl SweepStore {
     }
 
     fn shutdown(&mut self) -> io::Result<()> {
-        if let Some(tx) = self.tx.take() {
-            // Explicit sentinel: the spill closure holds Sender clones for
-            // as long as its cache lives — which may be longer than this
-            // store (a process-wide cache reused across stores) — so the
-            // writer cannot rely on channel disconnect to stop.
-            let _ = tx.send(Msg::Shutdown);
-        }
-        if let Some(handle) = self.writer.take() {
-            handle
-                .join()
-                .map_err(|_| io::Error::other("store writer panicked"))??;
+        let state = std::mem::replace(
+            &mut *self
+                .writer
+                .lock()
+                .expect("no panic while the writer is locked"),
+            WriterState::Stopped(None),
+        );
+        match state {
+            WriterState::Running(tx, handle) => {
+                // Explicit sentinel: the spill closure shares the writer for
+                // as long as its cache lives — which may be longer than this
+                // store (a process-wide cache reused across stores) — so the
+                // writer cannot rely on channel disconnect to stop.
+                let _ = tx.send(Msg::Shutdown);
+                handle
+                    .join()
+                    .map_err(|_| io::Error::other("store writer panicked"))??;
+            }
+            WriterState::Stopped(Some(e)) => return Err(e),
+            WriterState::Idle(_) | WriterState::Stopped(None) => {}
         }
         let manifest = self.manifest.lock().unwrap().emit();
         write_atomic(&self.dir.join("manifest.json"), &manifest)
@@ -1363,6 +1477,83 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The files in `shards_dir`, by name, with their bytes.
+    fn shard_files(shards_dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<_> = fs::read_dir(shards_dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .map(|p| {
+                (
+                    p.file_name().unwrap().to_str().unwrap().to_owned(),
+                    fs::read(&p).unwrap(),
+                )
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// A session that only resumes — open, hydrate, an all-hit sweep,
+    /// close — starts no writer thread and writes nothing but the
+    /// manifest; the first miss of a session starts the writer.
+    #[test]
+    fn a_resume_only_session_starts_no_writer() {
+        let dir = std::env::temp_dir().join(format!("fd-store-lazy-{}", std::process::id()));
+        fs::remove_dir_all(&dir).ok();
+        let spec = KsetScenario::spec(5, 2, 2).gst(Time(400));
+        let running = |session: &StoreSession| {
+            matches!(
+                *session.store.writer.lock().unwrap(),
+                WriterState::Running(..)
+            )
+        };
+        let sweep = |session: &StoreSession, seeds| {
+            Runner::sequential()
+                .with_cache(session.cache())
+                .sweep_summary(&KsetScenario, &spec, seeds)
+        };
+
+        let cold = StoreSession::open(&dir, |_| {}).unwrap();
+        assert!(!running(&cold), "open starts no thread");
+        let summary = sweep(&cold, 0..12);
+        assert!(running(&cold));
+        assert!(cold
+            .close(12, 0, false)
+            .unwrap()
+            .contains("wrote 12 new cell(s)"));
+        let (manifest, shards_dir) = (dir.join("manifest.json"), dir.join("shards"));
+        let (manifest_before, shards_before) =
+            (fs::read(&manifest).unwrap(), shard_files(&shards_dir));
+
+        let warm = StoreSession::open(&dir, |_| {}).unwrap();
+        assert_eq!(sweep(&warm, 0..12), summary);
+        assert!(!running(&warm), "an all-hit sweep spills nothing");
+        assert_eq!(warm.store.flush().unwrap(), 0);
+        warm.close(12, 0, true).unwrap();
+        assert_eq!(shard_files(&shards_dir), shards_before, "shards/ untouched");
+        assert_ne!(
+            fs::read(&manifest).unwrap(),
+            manifest_before,
+            "the invocation is recorded"
+        );
+        assert_eq!(
+            fs::read_dir(&dir).unwrap().count(),
+            2,
+            "manifest.json and shards/ only"
+        );
+
+        let resumed = StoreSession::open(&dir, |_| {}).unwrap();
+        sweep(&resumed, 0..12);
+        assert!(!running(&resumed));
+        sweep(&resumed, 12..13);
+        assert!(running(&resumed), "the first miss starts the writer");
+        assert!(resumed
+            .close(13, 0, false)
+            .unwrap()
+            .contains("wrote 1 new cell(s)"));
+        fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn segment_names_parse_strictly() {
         for shard in 0..STORE_SHARDS {
@@ -1396,6 +1587,23 @@ mod tests {
             "s01-g18446744073709551616.jsonl",
         ] {
             assert_eq!(segment_of(stray), None, "{stray:?} is not a segment name");
+        }
+        for shard in 0..STORE_SHARDS {
+            assert!(is_temp_name(&temp_name(shard)));
+            assert_eq!(segment_of(&temp_name(shard)), None);
+        }
+        for stray in [
+            ".tmp-s",
+            ".tmp-s1",
+            ".tmp-s001",
+            ".tmp-s+1",
+            ".tmp-s16",
+            ".tmp-s01-g000001",
+            ".tmp-s01.jsonl",
+            "tmp-s01",
+            "manifest.tmp",
+        ] {
+            assert!(!is_temp_name(stray), "{stray:?} is not a temp name");
         }
     }
 
@@ -2035,31 +2243,17 @@ mod tests {
         let computed = computed.lock().unwrap();
         let mut generation = 0;
         for shard in 0..STORE_SHARDS {
-            let lines: Vec<String> = computed
+            let lines: String = computed
                 .iter()
                 .filter(|(salt, seed, _)| ReportCache::shard_of((*salt, *seed)) == shard)
-                .map(|(salt, seed, slim)| reference_encode_cell(*salt, *seed, slim))
+                .map(|(salt, seed, slim)| reference_encode_cell(*salt, *seed, slim) + "\n")
                 .collect();
             if !lines.is_empty() {
                 generation += 1;
-                write_segment(&shards_dir, shard, generation, &lines).unwrap();
+                fs::write(shards_dir.join(segment_name(shard, generation)), lines).unwrap();
             }
         }
-        let on_disk = || -> Vec<(String, Vec<u8>)> {
-            let mut files: Vec<_> = fs::read_dir(&shards_dir)
-                .unwrap()
-                .map(|e| e.unwrap().path())
-                .map(|p| {
-                    (
-                        p.file_name().unwrap().to_str().unwrap().to_owned(),
-                        fs::read(&p).unwrap(),
-                    )
-                })
-                .collect();
-            files.sort();
-            files
-        };
-        let written = on_disk();
+        let written = shard_files(&shards_dir);
 
         let store = SweepStore::open(&dir).unwrap();
         assert!(!store.archived_stale());
@@ -2073,7 +2267,7 @@ mod tests {
         store.spill()(*salt, *seed, slim);
         assert_eq!(store.close().unwrap().wrote, 0);
         assert_eq!(
-            on_disk(),
+            shard_files(&shards_dir),
             written,
             "open must not compact or rewrite a clean directory"
         );

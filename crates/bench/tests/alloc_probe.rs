@@ -46,7 +46,10 @@
 //! list past the decoder's on-stack bound still decodes. Then
 //! `SweepStore::hydrate_into` hands the decoded cells to an empty cache
 //! without allocating at all: the store's per-shard maps become the
-//! cache's shards.
+//! cache's shards. A computed cell costs the cache no clone either: the
+//! spill hook sees it before it moves into its shard, so a cached sweep
+//! allocates what an uncached one does plus the runner's one clone of each
+//! report it folds.
 //!
 //! The probe binary holds exactly one `#[test]` so no concurrently
 //! running test can touch the process-global counter between the
@@ -57,7 +60,7 @@ use fd_bench::{decode_cell, encode_cell, CountingAlloc, SweepStore};
 use fd_core::{
     EchoSlab, KsetMsg, KsetOmega, KsetScenario, Phase1Slab, Phase2Slab, RoundSlab, RoundWindow,
 };
-use fd_detectors::scenario::{ReportCache, Runner};
+use fd_detectors::scenario::{CellMap, ReportCache, Runner, SlimReport, CACHE_SHARDS};
 use fd_detectors::{OmegaOracle, PhiOracle, Scope, SxOracle};
 use fd_sim::{
     run_shm, Automaton, Ctx, DelayModel, EventKind, EventQueue, FailurePattern, MsgArena, Network,
@@ -65,6 +68,8 @@ use fd_sim::{
     Time, Trace,
 };
 use fd_transforms::{AdditionShm, TwMsg, TwParams, TwoWheels, UpperMsg};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -520,11 +525,9 @@ fn routed_broadcast_is_allocation_free_after_warmup() {
     }
     drop(spill);
     store.close().expect("close run dir");
+    // A store nothing is spilled to starts no writer thread, so nothing
+    // allocates behind the count's back.
     let store = SweepStore::open(&dir).expect("reopen run dir");
-    // The writer thread allocates as it starts; let it settle into its
-    // idle wait before counting.
-    store.flush().expect("flush");
-    std::thread::sleep(std::time::Duration::from_millis(50));
     let cache = ReportCache::new();
     let before = ALLOC.allocations();
     let admitted = store.hydrate_into(&cache);
@@ -536,5 +539,46 @@ fn routed_broadcast_is_allocation_free_after_warmup() {
     assert_eq!((admitted, store.loaded(), cache.entries()), (40, 40, 40));
     store.close().expect("close run dir");
     std::fs::remove_dir_all(&dir).expect("remove run dir");
+
+    // Insert: with its shard maps sized up front and a spill hook that
+    // only counts, a cached sweep of 16 computed cells allocates what the
+    // uncached sweep does, plus the salt (once per sweep, measured on an
+    // empty range), plus one clone of each report: the runner's, of what
+    // it folds. The cache moves its own copy in after the spill.
+    let spec = KsetScenario::spec(5, 2, 1).gst(Time(400));
+    let spilled = Arc::new(AtomicU64::new(0));
+    let counter = Arc::clone(&spilled);
+    let cache = ReportCache::new();
+    cache.hydrate((0..CACHE_SHARDS).map(|_| CellMap::with_capacity(16)));
+    cache.set_spill(Some(Arc::new(move |_, _, _: &SlimReport| {
+        counter.fetch_add(1, Ordering::Relaxed);
+    })));
+    let sweep_allocs = |runner: Runner, seeds: std::ops::Range<u64>| {
+        let before = ALLOC.allocations();
+        std::hint::black_box(runner.sweep_summary(&KsetScenario, &spec, seeds));
+        ALLOC.allocations() - before
+    };
+    let extra = |seeds: std::ops::Range<u64>| {
+        let plain = sweep_allocs(Runner::sequential(), seeds.clone());
+        sweep_allocs(Runner::sequential().with_cache(&cache), seeds) - plain
+    };
+    let clones: u64 = (0..16)
+        .map(|seed| {
+            let slim = Runner::sequential()
+                .run(&KsetScenario, &spec.with_seed(seed))
+                .slim();
+            let before = ALLOC.allocations();
+            std::hint::black_box(slim.clone());
+            ALLOC.allocations() - before
+        })
+        .sum();
+    let salt = extra(0..0);
+    assert_eq!(
+        extra(0..16) - salt,
+        clones,
+        "a computed cell must cost the cache no clone of its own"
+    );
+    assert_eq!(spilled.load(Ordering::Relaxed), 16);
+    assert_eq!((cache.entries(), cache.capped_inserts()), (16, 0));
     std::hint::black_box(acc);
 }

@@ -17,6 +17,7 @@ use std::fs;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 /// A unique scratch run directory per call, pre-cleaned.
 fn scratch(name: &str) -> PathBuf {
@@ -112,6 +113,89 @@ fn early_manifest_commit_survives_a_kill() {
     assert_eq!(resumed.hydrated, 6);
     assert_eq!(resumed.hits, 6, "surviving cells must be served");
     assert_eq!(resumed.misses, 3, "only the lost seeds recompute");
+}
+
+/// The names in `dir`'s `shards/` that start with `.tmp-`, sorted.
+fn temps(dir: &Path) -> Vec<String> {
+    let mut found: Vec<String> = fs::read_dir(dir.join("shards"))
+        .expect("read shards dir")
+        .map(|e| e.expect("dir entry").file_name().into_string().unwrap())
+        .filter(|name| name.starts_with(".tmp-"))
+        .collect();
+    found.sort();
+    found
+}
+
+/// A writer killed before it sealed leaves each shard's open segment
+/// behind under its temp name. The next open deletes those and nothing
+/// else: no temp line loads, and exactly the cells they held recompute.
+#[test]
+fn a_killed_writers_open_segments_are_deleted_and_recomputed() {
+    let dir = scratch("killed-writer");
+    let cold = sweep_session(&dir, 0..8);
+    assert_eq!(cold.wrote, 8);
+    // Temp-like names that are not the store's own are strays: kept.
+    let strays = [".tmp-s01-g000001", ".tmp-s16", ".tmp-s1", ".tmp-s01.jsonl"];
+    for name in strays {
+        fs::write(dir.join("shards").join(name), "not a cell\n").expect("write stray");
+    }
+    {
+        let store = SweepStore::open(&dir).expect("open run dir");
+        let cache = &ReportCache::new();
+        assert_eq!(store.hydrate_into(cache), 8);
+        cache.set_spill(Some(store.spill()));
+        let runner = Runner::sequential().with_cache(cache);
+        let _ = runner.sweep_summary(&KsetScenario, &cell_spec(), 0..16);
+        cache.set_spill(None);
+        // Wait until the writer has appended all eight new cells — to
+        // segments it has not sealed — then kill it: no flush, no close.
+        let open = || {
+            let names: Vec<String> = temps(&dir)
+                .into_iter()
+                .filter(|name| !strays.contains(&name.as_str()))
+                .collect();
+            let lines = names
+                .iter()
+                .map(|name| fs::read_to_string(dir.join("shards").join(name)).unwrap())
+                .map(|text| text.lines().count())
+                .sum::<usize>();
+            (names.len(), lines)
+        };
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while open().1 < 8 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let (segments, lines) = open();
+        assert_eq!(lines, 8, "every new cell sits in an open segment");
+        assert!(segments >= 2, "the new cells span several shards");
+        std::mem::forget(store);
+    }
+
+    let store = SweepStore::open(&dir).expect("reopen run dir");
+    assert_eq!(
+        (store.loaded(), store.corrupt()),
+        (8, 0),
+        "no temp line loads"
+    );
+    let mut kept = strays.map(String::from).to_vec();
+    kept.sort();
+    assert_eq!(temps(&dir), kept, "the open segments are gone");
+    store.close().expect("close");
+
+    let resumed = sweep_session(&dir, 0..16);
+    assert_eq!(
+        (resumed.hits, resumed.misses),
+        (8, 8),
+        "only the lost cells recompute"
+    );
+    assert_eq!(resumed.wrote, 8);
+    let warm = sweep_session(&dir, 0..16);
+    assert_eq!((warm.hits, warm.misses, warm.wrote), (16, 0, 0));
+    assert_eq!(warm.summary, resumed.summary);
+    for name in strays {
+        let kept = fs::read_to_string(dir.join("shards").join(name)).expect("stray still there");
+        assert_eq!(kept, "not a cell\n", "{name} must be left as it was");
+    }
 }
 
 #[test]

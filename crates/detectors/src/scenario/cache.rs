@@ -58,10 +58,11 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 20;
 ///   *computed* insert (never for hits, never for hydrated cells) with the
 ///   cell's key and [`SlimReport`], so a store can persist fresh cells as
 ///   they are produced. The callback runs on the sweep worker that
-///   computed the run — keep it cheap (hand off to a writer thread; see
-///   `fd_bench::store`). It fires even when the capacity cap skips the
-///   in-memory insert: durability must not degrade when the process-local
-///   map fills.
+///   computed the run, before the report moves into its shard — keep it
+///   cheap (hand off to a writer thread, which encodes the cell straight
+///   into an open segment file; see `fd_bench::store`). It fires even when
+///   the capacity cap skips the in-memory insert: durability must not
+///   degrade when the process-local map fills.
 pub struct ReportCache {
     shards: Vec<Mutex<CellMap>>,
     hits: AtomicU64,
@@ -172,23 +173,21 @@ impl ReportCache {
         }
     }
 
-    /// Stores one computed run (the in-memory insert is a no-op once the
-    /// shard is at capacity, tallied in [`ReportCache::capped_inserts`]),
-    /// then hands the cell to the spill hook, if one is registered — the
-    /// spill fires even for capped inserts, so a durable store keeps
-    /// persisting after the process-local map fills.
+    /// Stores one computed run: hands the cell to the spill hook, if one is
+    /// registered, then moves it into its shard (a no-op once the shard is
+    /// at capacity, tallied in [`ReportCache::capped_inserts`]). The spill
+    /// fires even for capped inserts, so a durable store keeps persisting
+    /// after the process-local map fills.
     pub(super) fn insert(&self, key: (u64, u64), slim: SlimReport) {
-        {
-            let mut shard = self.shard(key).lock().unwrap();
-            if shard.len() < self.per_shard_capacity {
-                shard.insert(key, slim.clone());
-            } else {
-                self.capped.fetch_add(1, Ordering::Relaxed);
-            }
-        }
         let spill = self.spill.lock().unwrap().clone();
         if let Some(spill) = spill {
             spill(key.0, key.1, &slim);
+        }
+        let mut shard = self.shard(key).lock().unwrap();
+        if shard.len() < self.per_shard_capacity {
+            shard.insert(key, slim);
+        } else {
+            self.capped.fetch_add(1, Ordering::Relaxed);
         }
     }
 
