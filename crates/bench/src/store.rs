@@ -30,8 +30,9 @@
 //! line straight into one exactly-sized `String`, and [`decode_cell`] pulls
 //! the fields straight off a [`json::Reader`] into the [`SlimReport`],
 //! allocating only what the report owns (detail, decided values, counters),
-//! the two lists once each at exactly their length, since the decoded
-//! report is the copy a resume keeps. A resumed campaign decodes every
+//! the two lists once each at exactly their length. Opening a store
+//! decodes every line into one reused scratch report instead, which
+//! allocates only while its buffers grow. A resumed campaign decodes every
 //! stored cell before it computes anything, so this path is the store's
 //! recovery cost. What the decoder
 //! accepts is wider than what the encoder writes — any key order, unknown
@@ -64,19 +65,23 @@
 //! recomputed. Multi-segment or corruption-scarred shards are compacted
 //! back to a single clean segment, through the same append-and-seal writer.
 //!
-//! ## One resident copy
+//! ## One resident copy, packed
 //!
-//! A cell is resident once, whether it was read back or computed. The
-//! store shards by the report cache's own shard function
-//! ([`ReportCache::shard_of`]), so open decodes each cell straight into
-//! the map of the cache shard it belongs to, and
-//! [`SweepStore::hydrate_into`] hands those maps over instead of cloning
-//! them: an empty cache shard adopts its map without re-hashing a key. A
-//! computed cell lives in the cache; the writer holds it only while it
-//! encodes its line into the shard's open segment. The store keeps
-//! neither; the writer deduplicates against its own set of the keys on
-//! disk, built at open, so a cell already persisted is never written twice
-//! even after its report has moved into a cache.
+//! A cell is resident once, whether it was read back or computed, and as
+//! one exactly-sized block of packed bytes ([`CellMap`]: varint fields,
+//! names as ids into a per-shard table, the detail), not as a
+//! [`SlimReport`] and its three heap blocks. The store shards by the
+//! report cache's own shard function ([`ReportCache::shard_of`]), so open
+//! decodes each line into the scratch report and packs it straight into
+//! the map of the cache shard it belongs to — one allocation per cell —
+//! and [`SweepStore::hydrate_into`] hands those maps over instead of
+//! copying them: an empty cache shard adopts its map without repacking a
+//! cell or re-hashing a key. A computed cell is packed into the cache from
+//! the runner's borrow; the writer holds a clone only while it encodes its
+//! line into the shard's open segment. The store keeps neither; the
+//! writer deduplicates against its own set of the keys on disk, built at
+//! open, so a cell already persisted is never written twice even after it
+//! has moved into a cache.
 //!
 //! ## Mismatch semantics
 //!
@@ -104,10 +109,10 @@ use std::thread::JoinHandle;
 use fd_detectors::scenario::{
     CellMap, Metrics, ReportCache, ScenarioSpec, SlimReport, SpillFn, CACHE_SHARDS,
 };
-use fd_detectors::{CheckOutcome, ViolationClass};
+use fd_detectors::ViolationClass;
 use fd_sim::Time;
 
-use crate::json::{self, escape_into, Json, Reader};
+use crate::json::{self, escape_into, Reader};
 
 /// On-disk shard count: the cache's own. Segment `sNN` holds the cells of
 /// cache shard `NN` ([`ReportCache::shard_of`]), so a loaded shard is a
@@ -298,9 +303,20 @@ fn push_cell(out: &mut String, salt: u64, seed: u64, slim: &SlimReport) {
 /// Decodes one cell line. Any structural problem — bad JSON, missing field,
 /// wrong type — is an `Err`; the store counts it as corrupt and recomputes.
 pub fn decode_cell(line: &str) -> Result<((u64, u64), SlimReport), String> {
+    let mut slim = SlimReport::default();
+    let key = decode_cell_into(line, &mut slim)?;
+    Ok((key, slim))
+}
+
+/// [`decode_cell`] into `slim`, refilling the detail, decided values and
+/// counters it already owns: a load decodes every line of a run directory
+/// into one scratch report, which allocates only while its buffers grow.
+/// After an `Err`, `slim` holds whatever was read before it.
+fn decode_cell_into(line: &str, slim: &mut SlimReport) -> Result<(u64, u64), String> {
     let (mut salt, mut seed, mut num_faulty, mut ok) = (None, None, None, None);
-    let (mut scenario, mut detail, mut class) = (None, None, None);
-    let (mut metrics, mut counters) = (None, None);
+    let (mut scenario, mut class) = (None, None);
+    // Whether the last occurrence of each member read into `slim`.
+    let (mut detail, mut metrics, mut counters) = (false, false, false);
     let mut stabilized_at: OptTime = Some(None);
     // Scratch for strings with escapes; never allocated for the others.
     let buf = &mut String::new();
@@ -314,36 +330,57 @@ pub fn decode_cell(line: &str) -> Result<((u64, u64), SlimReport), String> {
             "ok" => ok = member(&mut r, buf, |r, _| r.bool())?,
             "stabilized_at" => stabilized_at = member(&mut r, buf, |r, _| r.opt_u64())?,
             "scenario" => scenario = member(&mut r, buf, |r, buf| Ok(intern(r.str(buf)?)))?,
-            "detail" => detail = member(&mut r, buf, |r, buf| Ok(r.str(buf)?.to_owned()))?,
+            "detail" => {
+                detail = member(&mut r, buf, |r, buf| {
+                    let text = r.str(buf)?;
+                    slim.check.detail.clear();
+                    slim.check.detail.push_str(text);
+                    Ok(())
+                })?
+                .is_some()
+            }
             "class" => {
                 class = member(&mut r, buf, |r, buf| {
                     ViolationClass::from_name(r.str(buf)?).ok_or_else(|| "bad class".into())
                 })?
             }
-            "metrics" => metrics = member(&mut r, buf, decode_metrics)?,
-            "counters" => counters = member(&mut r, buf, decode_counters)?,
+            "metrics" => {
+                metrics = member(&mut r, buf, |r, buf| {
+                    decode_metrics(r, buf, &mut slim.metrics)
+                })?
+                .is_some()
+            }
+            "counters" => {
+                counters = member(&mut r, buf, |r, buf| {
+                    decode_counters(r, buf, &mut slim.counters)
+                })?
+                .is_some()
+            }
             _ => r.skip(buf)?,
         }
     }
     r.end()?;
-    let (salt, seed) = (
+    let present = |read: bool, what: &str| {
+        if read {
+            Ok(())
+        } else {
+            Err(format!("missing/bad {what}"))
+        }
+    };
+    let key = (
         salt.ok_or("missing/bad salt")?,
         seed.ok_or("missing/bad seed")?,
     );
-    let slim = SlimReport {
-        scenario: scenario.ok_or("missing/bad scenario")?,
-        seed,
-        num_faulty: num_faulty.ok_or("missing/bad num_faulty")? as usize,
-        check: CheckOutcome {
-            ok: ok.ok_or("missing/bad ok")?,
-            stabilized_at: opt_time(stabilized_at, "stabilized_at")?,
-            detail: detail.ok_or("missing/bad detail")?,
-            class: class.ok_or("missing/bad class")?,
-        },
-        metrics: metrics.ok_or("missing/bad metrics")?,
-        counters: counters.ok_or("missing/bad counters")?,
-    };
-    Ok(((salt, seed), slim))
+    slim.scenario = scenario.ok_or("missing/bad scenario")?;
+    slim.seed = key.1;
+    slim.num_faulty = num_faulty.ok_or("missing/bad num_faulty")? as usize;
+    slim.check.ok = ok.ok_or("missing/bad ok")?;
+    slim.check.stabilized_at = opt_time(stabilized_at, "stabilized_at")?;
+    present(detail, "detail")?;
+    slim.check.class = class.ok_or("missing/bad class")?;
+    present(metrics, "metrics")?;
+    present(counters, "counters")?;
+    Ok(key)
 }
 
 /// Reads one member's value with `read`. A value of another shape is
@@ -376,32 +413,44 @@ fn opt_time(t: OptTime, what: &str) -> Result<Option<Time>, String> {
 /// Elements a decoded list gathers on the stack before it allocates.
 const LIST_ON_STACK: usize = 16;
 
-/// The elements `next` yields until it yields `None`, as a `Vec` allocated
-/// once at exactly their number — a decoded cell is what a resumed campaign
-/// keeps resident, so growth slack would stay with it. A list longer than
-/// [`LIST_ON_STACK`] grows as a `Vec` from there.
-fn exact_list<T: Copy>(
+/// Refills `list` with the elements `next` yields until it yields `None`.
+/// Up to [`LIST_ON_STACK`] of them are gathered on the stack first, so a
+/// list with room takes them without allocating and one without is
+/// allocated once, at exactly their number; a longer list grows as a `Vec`
+/// from there.
+fn fill_list<T: Copy>(
+    list: &mut Vec<T>,
     blank: T,
     mut next: impl FnMut() -> Result<Option<T>, String>,
-) -> Result<Vec<T>, String> {
+) -> Result<(), String> {
     let mut head = [blank; LIST_ON_STACK];
+    list.clear();
     for len in 0..LIST_ON_STACK {
         match next()? {
             Some(v) => head[len] = v,
-            None => return Ok(head[..len].to_vec()),
+            None => {
+                list.reserve_exact(len);
+                list.extend_from_slice(&head[..len]);
+                return Ok(());
+            }
         }
     }
-    let mut list = head.to_vec();
+    list.reserve_exact(LIST_ON_STACK);
+    list.extend_from_slice(&head);
     while let Some(v) = next()? {
         list.push(v);
     }
-    Ok(list)
+    Ok(())
 }
 
 /// `[["name", n], …]`: each element an array of exactly a string and a `u64`.
-fn decode_counters(r: &mut Reader, buf: &mut String) -> Result<Vec<(&'static str, u64)>, String> {
+fn decode_counters(
+    r: &mut Reader,
+    buf: &mut String,
+    counters: &mut Vec<(&'static str, u64)>,
+) -> Result<(), String> {
     r.begin_arr()?;
-    exact_list(("", 0), || {
+    fill_list(counters, ("", 0), || {
         if !r.more()? {
             return Ok(None);
         }
@@ -421,9 +470,10 @@ fn decode_counters(r: &mut Reader, buf: &mut String) -> Result<Vec<(&'static str
     })
 }
 
-fn decode_metrics(r: &mut Reader, buf: &mut String) -> Result<Metrics, String> {
+/// The `metrics` object into `m`, refilling its decided values.
+fn decode_metrics(r: &mut Reader, buf: &mut String, m: &mut Metrics) -> Result<(), String> {
     let (mut msgs_sent, mut rb_sent, mut delivered, mut events) = (None, None, None, None);
-    let (mut max_round, mut decided) = (None, None);
+    let (mut max_round, mut decided) = (None, false);
     let (mut first_decision, mut last_decision): (OptTime, OptTime) = (Some(None), Some(None));
     r.begin_obj()?;
     while let Some(key) = r.key(buf)? {
@@ -438,22 +488,26 @@ fn decode_metrics(r: &mut Reader, buf: &mut String) -> Result<Metrics, String> {
             "decided" => {
                 decided = member(r, buf, |r, _| {
                     r.begin_arr()?;
-                    exact_list(0, || r.more()?.then(|| r.u64()).transpose())
+                    fill_list(&mut m.decided_values, 0, || {
+                        r.more()?.then(|| r.u64()).transpose()
+                    })
                 })?
+                .is_some()
             }
             _ => r.skip(buf)?,
         }
     }
-    Ok(Metrics {
-        msgs_sent: msgs_sent.ok_or("missing/bad metrics.msgs_sent")?,
-        rb_sent: rb_sent.ok_or("missing/bad metrics.rb_sent")?,
-        delivered: delivered.ok_or("missing/bad metrics.delivered")?,
-        events: events.ok_or("missing/bad metrics.events")?,
-        max_round: max_round.ok_or("missing/bad metrics.max_round")?,
-        decided_values: decided.ok_or("missing/bad metrics.decided")?,
-        first_decision: opt_time(first_decision, "first_decision")?,
-        last_decision: opt_time(last_decision, "last_decision")?,
-    })
+    m.msgs_sent = msgs_sent.ok_or("missing/bad metrics.msgs_sent")?;
+    m.rb_sent = rb_sent.ok_or("missing/bad metrics.rb_sent")?;
+    m.delivered = delivered.ok_or("missing/bad metrics.delivered")?;
+    m.events = events.ok_or("missing/bad metrics.events")?;
+    m.max_round = max_round.ok_or("missing/bad metrics.max_round")?;
+    if !decided {
+        return Err("missing/bad metrics.decided".into());
+    }
+    m.first_decision = opt_time(first_decision, "first_decision")?;
+    m.last_decision = opt_time(last_decision, "last_decision")?;
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -525,45 +579,54 @@ impl Manifest {
             .map(|s| s.label.as_str())
     }
 
+    /// The manifest as one line of canonical JSON, written member by
+    /// member (keys in ascending order) through a [`json::Writer`]: no tree
+    /// of the document is built, so committing the manifest of a large
+    /// campaign holds only its text.
     fn emit(&self) -> String {
-        Json::obj([
-            ("format", Json::num_u64(self.format)),
-            ("engine", Json::str(&self.engine)),
-            (
-                "specs",
-                Json::Arr(
-                    self.specs
-                        .iter()
-                        .map(|s| {
-                            Json::obj([
-                                ("label", Json::str(&s.label)),
-                                ("scenario", Json::str(&s.scenario)),
-                                ("fingerprint", Json::num_u64(s.fingerprint)),
-                                ("salt", Json::num_u64(s.salt)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "invocations",
-                Json::Arr(
-                    self.invocations
-                        .iter()
-                        .map(|inv| {
-                            Json::obj([
-                                ("runs", Json::num_u64(inv.runs)),
-                                ("hits", Json::num_u64(inv.hits)),
-                                ("misses", Json::num_u64(inv.misses)),
-                                ("wrote", Json::num_u64(inv.wrote)),
-                                ("wall_us", Json::num_u64(inv.wall_us)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-        .emit()
+        let mut out = String::new();
+        let mut w = json::Writer::new(&mut out);
+        w.begin_obj();
+        w.key("engine");
+        w.str(&self.engine);
+        w.key("format");
+        w.u64(self.format);
+        w.key("invocations");
+        w.begin_arr();
+        for inv in &self.invocations {
+            w.item();
+            w.begin_obj();
+            for (key, v) in [
+                ("hits", inv.hits),
+                ("misses", inv.misses),
+                ("runs", inv.runs),
+                ("wall_us", inv.wall_us),
+                ("wrote", inv.wrote),
+            ] {
+                w.key(key);
+                w.u64(v);
+            }
+            w.end_obj();
+        }
+        w.end_arr();
+        w.key("specs");
+        w.begin_arr();
+        for spec in &self.specs {
+            w.item();
+            w.begin_obj();
+            w.key("fingerprint");
+            w.u64(spec.fingerprint);
+            w.key("label");
+            w.str(&spec.label);
+            w.key("salt");
+            w.u64(spec.salt);
+            w.key("scenario");
+            w.str(&spec.scenario);
+            w.end_obj();
+        }
+        w.end_arr();
+        w.end_obj();
+        out
     }
 
     /// `format` and `engine` decide whether the directory is ours and must
@@ -702,20 +765,20 @@ struct LoadedShards {
     dirty_shards: Vec<usize>,
 }
 
-/// Replays every segment under `shards_dir` in generation order.
+/// Replays every segment under `shards_dir` in generation order, decoding
+/// each line into one scratch report and packing it straight into its
+/// shard's map: one allocation per cell, its packed bytes.
 fn load_shards(shards_dir: &Path) -> io::Result<LoadedShards> {
     let mut maps: Vec<CellMap> = (0..STORE_SHARDS).map(|_| CellMap::new()).collect();
+    let mut scratch = SlimReport::default();
     let mut corrupt = 0u64;
     let mut segments_per_shard = [0u32; STORE_SHARDS];
     let mut corrupt_in_shard = [false; STORE_SHARDS];
     let mut segments: Vec<(usize, u64)> = Vec::new();
-    let mut bytes = [0u64; STORE_SHARDS];
     if shards_dir.is_dir() {
         for entry in fs::read_dir(shards_dir)? {
-            let entry = entry?;
-            if let Some(segment) = entry.file_name().to_str().and_then(segment_of) {
+            if let Some(segment) = entry?.file_name().to_str().and_then(segment_of) {
                 segments.push(segment);
-                bytes[segment.0] += entry.metadata()?.len();
             }
         }
     }
@@ -724,23 +787,16 @@ fn load_shards(shards_dir: &Path) -> io::Result<LoadedShards> {
     for &(shard, generation) in &segments {
         segments_per_shard[shard] += 1;
         let text = fs::read_to_string(shards_dir.join(segment_name(shard, generation)))?;
-        if segments_per_shard[shard] == 1 {
-            // Size the shard's map once, for all its segments at the first
-            // one's bytes per line (growing it re-hashes and moves every
-            // cell so far), and for no more cells than its bytes on disk
-            // could spell.
-            let bytes = bytes[shard];
-            let lines = text.lines().count() as f64 * (bytes as f64 / text.len().max(1) as f64);
-            maps[shard].reserve((lines as usize).min(bytes as usize / CELL_LITERALS));
-        }
+        // Room for the segment's lines, but for no more cells than its
+        // bytes could spell. A shard's one segment sizes its map exactly;
+        // a shard of several grows once per segment, and is compacted.
+        maps[shard].reserve(text.lines().count().min(text.len() / CELL_LITERALS));
         for line in text.lines() {
             if line.is_empty() {
                 continue;
             }
-            match decode_cell(line) {
-                Ok((key, slim)) => {
-                    maps[ReportCache::shard_of(key)].insert(key, slim);
-                }
+            match decode_cell_into(line, &mut scratch) {
+                Ok(key) => maps[ReportCache::shard_of(key)].insert(key, &scratch),
                 Err(_) => {
                     corrupt += 1;
                     corrupt_in_shard[shard] = true;
@@ -960,8 +1016,8 @@ impl SweepStore {
             generation += 1;
             if !loaded.maps[shard].is_empty() {
                 let mut segment = Segment::create(&shards_dir, shard)?;
-                for (&key, slim) in &loaded.maps[shard] {
-                    segment.append(&mut line, key, slim)?;
+                for (key, slim) in loaded.maps[shard].iter() {
+                    segment.append(&mut line, key, &slim)?;
                 }
                 segment.seal(&shards_dir, shard, generation)?;
             }
@@ -972,7 +1028,7 @@ impl SweepStore {
 
         let cells: usize = loaded.maps.iter().map(CellMap::len).sum();
         let mut keys = HashSet::with_capacity(cells);
-        keys.extend(loaded.maps.iter().flat_map(CellMap::keys).copied());
+        keys.extend(loaded.maps.iter().flat_map(CellMap::keys));
         let wrote = Arc::new(AtomicU64::new(0));
         let writer = Writer {
             shards_dir,
@@ -1331,7 +1387,7 @@ pub fn load_run_dir(dir: impl AsRef<Path>) -> io::Result<RunDir> {
     Ok(RunDir {
         dir,
         manifest,
-        cells: loaded.maps.into_iter().flatten().collect(),
+        cells: loaded.maps.iter().flat_map(CellMap::iter).collect(),
         corrupt: loaded.corrupt,
     })
 }
@@ -1339,8 +1395,10 @@ pub fn load_run_dir(dir: impl AsRef<Path>) -> io::Result<RunDir> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
     use fd_core::KsetScenario;
     use fd_detectors::scenario::{CrashPlan, Runner, Scenario};
+    use fd_detectors::CheckOutcome;
     use fd_sim::SplitMix64;
 
     fn sample_slim(seed: u64) -> SlimReport {
@@ -1427,6 +1485,46 @@ mod tests {
         assert_eq!(parsed.invocations, m.invocations);
         assert_eq!(parsed.label_for_salt(12345), Some("grid n=5"));
         assert_eq!(parsed.label_for_salt(1), None);
+    }
+
+    /// The streamed manifest is the tree emitter's, byte for byte: empty,
+    /// with labels and tags that need escaping, and over many invocations.
+    #[test]
+    fn streamed_manifest_equals_the_tree_emitter() {
+        let mut m = Manifest::fresh();
+        assert_eq!(m.emit(), reference_emit(&m));
+        let labels = [
+            "grid n=5 t=2 k=1 f=2",
+            "",
+            "quoted \"label\" \\ slash/",
+            "line\nbreak\r\ttab",
+            "\u{0}\u{1}\u{1f}\u{7f}",
+            "— π ≤ 𝔘 🦀",
+        ];
+        for (i, label) in labels.iter().enumerate() {
+            m.specs.push(SpecEntry {
+                label: label.to_string(),
+                scenario: format!("tag \"{i}\"\n"),
+                fingerprint: u64::MAX - i as u64,
+                salt: i as u64,
+            });
+        }
+        assert_eq!(m.emit(), reference_emit(&m));
+        let mut rng = SplitMix64::new(0x3A_41F3);
+        for i in 0..500u64 {
+            m.invocations.push(InvocationRecord {
+                runs: i,
+                hits: rng.next_u64(),
+                misses: rng.below(1000),
+                wrote: if i % 2 == 0 { u64::MAX } else { 0 },
+                wall_us: rng.next_u64() >> rng.below(64),
+            });
+        }
+        m.engine = "engine \"x\" \\ 1.0".into();
+        let streamed = m.emit();
+        assert_eq!(streamed, reference_emit(&m));
+        let parsed = Manifest::parse(&streamed).unwrap();
+        assert_eq!((parsed.specs, parsed.invocations), (m.specs, m.invocations));
     }
 
     #[test]
@@ -1661,6 +1759,49 @@ mod tests {
         }
     }
 
+    /// The tree emitter the manifest was written with before it streamed,
+    /// kept to pin the streaming one against, byte for byte.
+    fn reference_emit(m: &Manifest) -> String {
+        Json::obj([
+            ("format", Json::num_u64(m.format)),
+            ("engine", Json::str(&m.engine)),
+            (
+                "specs",
+                Json::Arr(
+                    m.specs
+                        .iter()
+                        .map(|s| {
+                            Json::obj([
+                                ("label", Json::str(&s.label)),
+                                ("scenario", Json::str(&s.scenario)),
+                                ("fingerprint", Json::num_u64(s.fingerprint)),
+                                ("salt", Json::num_u64(s.salt)),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ),
+            (
+                "invocations",
+                Json::Arr(
+                    m.invocations
+                        .iter()
+                        .map(|inv| {
+                            Json::obj([
+                                ("runs", Json::num_u64(inv.runs)),
+                                ("hits", Json::num_u64(inv.hits)),
+                                ("misses", Json::num_u64(inv.misses)),
+                                ("wrote", Json::num_u64(inv.wrote)),
+                                ("wall_us", Json::num_u64(inv.wall_us)),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ),
+        ])
+        .emit()
+    }
+
     // -----------------------------------------------------------------
     // Reference codec: the `Json`-tree round trip the store shipped with
     // through PR 18, kept to pin the streaming codec against — byte for
@@ -1831,8 +1972,8 @@ mod tests {
         rng.chance(2, 3).then(|| Time(any_u64(rng)))
     }
 
-    /// Plain, quoted, escaped, control, non-BMP and `—π` text, from empty
-    /// to a few hundred bytes.
+    /// Plain, quoted, escaped, control, non-BMP and `—π` text: empty, one
+    /// to five pieces, or forty (at most 40 × 66 = 2,640 bytes).
     fn any_text(rng: &mut SplitMix64) -> String {
         const PIECES: [&str; 18] = [
             "validity; 1 distinct decisions ≤ k = 1; termination; decide-once",

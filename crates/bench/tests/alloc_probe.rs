@@ -39,17 +39,18 @@
 //! allocate nothing, and `run_shm` allocates for its set-up and the
 //! trace's early growth only — twice the steps, not one allocation more.
 //!
-//! A sixth phase pins the sweep store's cell codec: `encode_cell` makes
-//! the one allocation of the line it returns, and `decode_cell` the three
-//! a `SlimReport` owns (detail, decided values, counters), the two lists
-//! at exactly their length — a resumed cell is resident as decoded. A
-//! list past the decoder's on-stack bound still decodes. Then
-//! `SweepStore::hydrate_into` hands the decoded cells to an empty cache
-//! without allocating at all: the store's per-shard maps become the
-//! cache's shards. A computed cell costs the cache no clone either: the
-//! spill hook sees it before it moves into its shard, so a cached sweep
-//! allocates what an uncached one does plus the runner's one clone of each
-//! report it folds.
+//! A sixth phase pins the sweep store's cell codec and the report cache's
+//! packed cells: `encode_cell` makes the one allocation of the line it
+//! returns, and `decode_cell` the three a `SlimReport` owns (detail,
+//! decided values, counters), the two lists at exactly their length. A
+//! list past the decoder's on-stack bound still decodes. Opening a store
+//! decodes every line into one scratch report and packs it into its shard:
+//! one allocation per cell. `SweepStore::hydrate_into` then hands the
+//! packed cells to an empty cache without allocating at all: the store's
+//! per-shard maps become the cache's shards. A computed cell costs the
+//! runner no clone and the cache one allocation, its packed bytes, within
+//! a per-cell bound: a cached sweep allocates what an uncached one does
+//! plus that one block per cell.
 //!
 //! The probe binary holds exactly one `#[test]` so no concurrently
 //! running test can touch the process-global counter between the
@@ -60,7 +61,7 @@ use fd_bench::{decode_cell, encode_cell, CountingAlloc, SweepStore};
 use fd_core::{
     EchoSlab, KsetMsg, KsetOmega, KsetScenario, Phase1Slab, Phase2Slab, RoundSlab, RoundWindow,
 };
-use fd_detectors::scenario::{CellMap, ReportCache, Runner, SlimReport, CACHE_SHARDS};
+use fd_detectors::scenario::{CellMap, ReportCache, Runner, Scenario, SlimReport, CACHE_SHARDS};
 use fd_detectors::{OmegaOracle, PhiOracle, Scope, SxOracle};
 use fd_sim::{
     run_shm, Automaton, Ctx, DelayModel, EventKind, EventQueue, FailurePattern, MsgArena, Network,
@@ -515,70 +516,122 @@ fn routed_broadcast_is_allocation_free_after_warmup() {
         "a 20-counter cell must decode"
     );
 
-    // Hydrate: a reopened run directory's cells move into an empty cache.
-    let dir = std::env::temp_dir().join(format!("fd-alloc-probe-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = SweepStore::open(&dir).expect("open run dir");
-    let spill = store.spill();
-    for seed in 0..40 {
-        spill(7, seed, &slim);
-    }
-    drop(spill);
-    store.close().expect("close run dir");
+    // Open: a run directory's cells decode into one scratch report and
+    // pack straight into their shards, so each cell costs the open one
+    // allocation, its packed bytes — measured as the difference between
+    // two directories alike but for 40 more cells (the same segments, one
+    // per shard, and the same manifest).
+    let dir = |cells: u64| {
+        let dir =
+            std::env::temp_dir().join(format!("fd-alloc-probe-{cells}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = SweepStore::open(&dir).expect("open run dir");
+        let spill = store.spill();
+        for seed in 0..cells {
+            spill(7, seed, &slim);
+        }
+        drop(spill);
+        store.close().expect("close run dir");
+        let segments = std::fs::read_dir(dir.join("shards"))
+            .expect("list shards")
+            .count();
+        (dir, segments)
+    };
+    let ((small, small_segments), (large, large_segments)) = (dir(40), dir(80));
+    assert_eq!(small_segments, CACHE_SHARDS);
+    assert_eq!(large_segments, CACHE_SHARDS);
     // A store nothing is spilled to starts no writer thread, so nothing
     // allocates behind the count's back.
-    let store = SweepStore::open(&dir).expect("reopen run dir");
+    let open_allocs = |dir: &std::path::Path| {
+        let before = ALLOC.allocations();
+        let store = SweepStore::open(dir).expect("reopen run dir");
+        (ALLOC.allocations() - before, store)
+    };
+    let (_, warm) = open_allocs(&small);
+    warm.close().expect("close run dir");
+    let (small_allocs, store) = open_allocs(&small);
+    assert_eq!(store.loaded(), 40);
+    store.close().expect("close run dir");
+    let (large_allocs, store) = open_allocs(&large);
+    assert_eq!(
+        large_allocs - small_allocs,
+        40,
+        "opening a store must allocate one block per cell for its cells"
+    );
+
+    // Hydrate: the reopened run directory's cells move into an empty cache.
     let cache = ReportCache::new();
     let before = ALLOC.allocations();
     let admitted = store.hydrate_into(&cache);
     assert_eq!(
         ALLOC.allocations() - before,
         0,
-        "hydrate_into must move the decoded cells, not copy them"
+        "hydrate_into must move the packed cells, not copy them"
     );
-    assert_eq!((admitted, store.loaded(), cache.entries()), (40, 40, 40));
+    assert_eq!((admitted, store.loaded(), cache.entries()), (80, 80, 80));
     store.close().expect("close run dir");
-    std::fs::remove_dir_all(&dir).expect("remove run dir");
+    for dir in [small, large] {
+        std::fs::remove_dir_all(&dir).expect("remove run dir");
+    }
 
-    // Insert: with its shard maps sized up front and a spill hook that
-    // only counts, a cached sweep of 16 computed cells allocates what the
+    // Insert: with its shard maps sized up front, every shard's name table
+    // warmed by one cell of the same scenario, and a spill hook that only
+    // counts, a cached sweep of 16 computed cells allocates what the
     // uncached sweep does, plus the salt (once per sweep, measured on an
-    // empty range), plus one clone of each report: the runner's, of what
-    // it folds. The cache moves its own copy in after the spill.
+    // empty range), plus one block per cell: its packed bytes. The runner
+    // clones nothing — the cache packs from a borrow — and the blocks stay
+    // within a per-cell bound set from the measured size: these 16 cells
+    // pack into 1,578 bytes, 98.6 a cell.
     let spec = KsetScenario::spec(5, 2, 1).gst(Time(400));
+    let salt = ReportCache::salt(&KsetScenario.cache_tag(), &spec);
     let spilled = Arc::new(AtomicU64::new(0));
     let counter = Arc::clone(&spilled);
     let cache = ReportCache::new();
-    cache.hydrate((0..CACHE_SHARDS).map(|_| CellMap::with_capacity(16)));
+    cache.hydrate((0..CACHE_SHARDS).map(|_| {
+        let mut shard = CellMap::new();
+        shard.reserve(16);
+        shard
+    }));
     cache.set_spill(Some(Arc::new(move |_, _, _: &SlimReport| {
         counter.fetch_add(1, Ordering::Relaxed);
     })));
-    let sweep_allocs = |runner: Runner, seeds: std::ops::Range<u64>| {
-        let before = ALLOC.allocations();
+    for shard in 0..CACHE_SHARDS {
+        let seed = (1_000..)
+            .find(|&seed| ReportCache::shard_of((salt, seed)) == shard)
+            .expect("every shard has seeds");
+        Runner::sequential()
+            .with_cache(&cache)
+            .sweep_summary(&KsetScenario, &spec, seed..seed + 1);
+    }
+    assert_eq!(cache.entries(), CACHE_SHARDS);
+    let sweep_cost = |runner: Runner, seeds: std::ops::Range<u64>| {
+        let (allocs, bytes) = (ALLOC.allocations(), ALLOC.bytes());
         std::hint::black_box(runner.sweep_summary(&KsetScenario, &spec, seeds));
-        ALLOC.allocations() - before
+        (ALLOC.allocations() - allocs, ALLOC.bytes() - bytes)
     };
     let extra = |seeds: std::ops::Range<u64>| {
-        let plain = sweep_allocs(Runner::sequential(), seeds.clone());
-        sweep_allocs(Runner::sequential().with_cache(&cache), seeds) - plain
+        let plain = sweep_cost(Runner::sequential(), seeds.clone());
+        let cached = sweep_cost(Runner::sequential().with_cache(&cache), seeds);
+        (cached.0 - plain.0, cached.1 - plain.1)
     };
-    let clones: u64 = (0..16)
-        .map(|seed| {
-            let slim = Runner::sequential()
-                .run(&KsetScenario, &spec.with_seed(seed))
-                .slim();
-            let before = ALLOC.allocations();
-            std::hint::black_box(slim.clone());
-            ALLOC.allocations() - before
-        })
-        .sum();
-    let salt = extra(0..0);
+    let salted = extra(0..0);
+    let (allocs, bytes) = extra(0..16);
     assert_eq!(
-        extra(0..16) - salt,
-        clones,
-        "a computed cell must cost the cache no clone of its own"
+        allocs - salted.0,
+        16,
+        "a computed cell must cost the cache one allocation, its packed bytes, \
+         and the runner no clone"
     );
-    assert_eq!(spilled.load(Ordering::Relaxed), 16);
-    assert_eq!((cache.entries(), cache.capped_inserts()), (16, 0));
+    const PACKED_BYTES_PER_CELL: u64 = 104;
+    let packed = bytes - salted.1;
+    assert!(
+        packed <= 16 * PACKED_BYTES_PER_CELL,
+        "16 computed cells packed into {packed} bytes, over {PACKED_BYTES_PER_CELL} per cell"
+    );
+    assert_eq!(spilled.load(Ordering::Relaxed), 2 * CACHE_SHARDS as u64);
+    assert_eq!(
+        (cache.entries(), cache.capped_inserts()),
+        (CACHE_SHARDS + 16, 0)
+    );
     std::hint::black_box(acc);
 }

@@ -329,7 +329,9 @@ fn hash_fd_value(v: FdValue, h: &mut impl Hasher) {
 }
 
 /// The streaming-sweep currency: metrics, verdict, and counters of one run
-/// *without* the [`Trace`]. A [`SlimReport`] is a few hundred bytes where a
+/// *without* the [`Trace`]. A [`SlimReport`] is a 200-byte struct and three
+/// small heap blocks (detail, decided values, counters) — about 100 bytes
+/// once a [`ReportCache`](super::ReportCache) packs it — where a
 /// full [`ScenarioReport`] holds every published history of the run, which
 /// is what lets [`Runner::sweep_fold`](super::Runner::sweep_fold) push millions of seeds while keeping
 /// only `O(threads)` full reports alive at any instant.
@@ -347,6 +349,21 @@ pub struct SlimReport {
     pub metrics: Metrics,
     /// The run's named counters, sorted by name.
     pub counters: Vec<(&'static str, u64)>,
+}
+
+impl Default for SlimReport {
+    /// An empty report: a passing check, no detail, no counters — the
+    /// scratch a decoder fills in place.
+    fn default() -> Self {
+        SlimReport {
+            scenario: "",
+            seed: 0,
+            num_faulty: 0,
+            check: CheckOutcome::pass(None, String::new()),
+            metrics: Metrics::default(),
+            counters: Vec::new(),
+        }
+    }
 }
 
 impl SlimReport {

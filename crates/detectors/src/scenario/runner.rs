@@ -155,7 +155,7 @@ impl<'c> Runner<'c> {
                     return slim;
                 }
                 let slim = scenario.run(&base.with_seed(seed)).slim();
-                cache.insert(key, slim.clone());
+                cache.insert(key, &slim);
                 return slim;
             }
             scenario.run(&base.with_seed(seed)).slim()

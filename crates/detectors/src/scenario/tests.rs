@@ -3,7 +3,10 @@
 use super::runner::ordered_fold;
 use super::*;
 use crate::check::CheckOutcome;
-use fd_sim::{DelayModel, DelayRule, FailurePattern, OracleSuite, PSet, ProcessId, Time, Trace};
+use crate::check::ViolationClass;
+use fd_sim::{
+    DelayModel, DelayRule, FailurePattern, OracleSuite, PSet, ProcessId, SplitMix64, Time, Trace,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -775,7 +778,9 @@ fn spill_hook_observes_every_computed_cell_exactly_once() {
         metrics: Metrics::default(),
         counters: Vec::new(),
     };
-    cache.hydrate([CellMap::from([((1, 7), slim)])]);
+    let mut cells = CellMap::new();
+    cells.insert((1, 7), &slim);
+    cache.hydrate([cells]);
     assert_eq!(spilled.lock().unwrap().len(), 100);
     cache.set_spill(None);
     runner.sweep_summary(&Probe, &base.clone().k(2), 0..5);
@@ -808,7 +813,7 @@ fn hydrated_cells_serve_hits_without_tallying() {
     // per shard as a store decodes them.
     let mut shards: Vec<CellMap> = (0..CACHE_SHARDS).map(|_| CellMap::new()).collect();
     for (salt, seed, slim) in captured.lock().unwrap().iter() {
-        shards[ReportCache::shard_of((*salt, *seed))].insert((*salt, *seed), slim.clone());
+        shards[ReportCache::shard_of((*salt, *seed))].insert((*salt, *seed), slim);
     }
     assert_eq!(cache.hydrate(shards), 50);
     assert_eq!(cache.hydrated(), 50);
@@ -827,44 +832,286 @@ fn hydrated_cells_serve_hits_without_tallying() {
 
 /// Whatever index a map is handed in under — its own shard's, another's,
 /// one past the last shard — each cell lands in the shard its key belongs
-/// to, and the cap and the tallies count cell by cell.
+/// to, repacked against that shard's name table (whose ids mean other
+/// names than the map's did), also into shards that already hold cells;
+/// and the cap and the tallies count cell by cell.
 #[test]
 fn hydrate_routes_every_cell_to_its_own_shard() {
-    let cell = |seed: u64| {
-        let slim = SlimReport {
-            scenario: "probe",
-            seed,
-            num_faulty: 0,
-            check: CheckOutcome::pass(None, "ok"),
-            metrics: Metrics::default(),
-            counters: Vec::new(),
-        };
-        ((9, seed), slim)
+    let names = leaked_names("hydrate", 6);
+    let cell = |seed: u64| SlimReport {
+        scenario: names[seed as usize % 6],
+        seed,
+        num_faulty: seed as usize % 3,
+        check: CheckOutcome::fail_as(ViolationClass::Termination, format!("p{seed} — π")),
+        metrics: Metrics {
+            events: seed * 1_000,
+            decided_values: vec![seed],
+            ..Metrics::default()
+        },
+        counters: vec![
+            (names[(seed as usize + 1) % 6], seed),
+            (names[(seed as usize + 4) % 6], 7),
+        ],
     };
-    let jumbled = || -> Vec<CellMap> {
+    // Each map meets the names in an order of its own, and most hold keys
+    // of several shards.
+    let jumbled = |seeds: std::ops::Range<u64>| -> Vec<CellMap> {
         let mut maps: Vec<CellMap> = (0..CACHE_SHARDS + 2).map(|_| CellMap::new()).collect();
-        for seed in 0..64 {
-            let (key, slim) = cell(seed);
-            maps[seed as usize % (CACHE_SHARDS + 2)].insert(key, slim);
+        for seed in seeds.rev() {
+            maps[seed as usize % (CACHE_SHARDS + 2)].insert((9, seed), &cell(seed));
         }
         maps
     };
     let cache = ReportCache::new();
-    assert_eq!(cache.hydrate(jumbled()), 64);
+    assert_eq!(cache.hydrate(jumbled(0..64)), 64);
     assert_eq!((cache.entries(), cache.hydrated()), (64, 64));
-    for seed in 0..64 {
-        assert_eq!(cache.lookup((9, seed)), Some(cell(seed).1), "seed {seed}");
+    assert_eq!(cache.hydrate(jumbled(64..200)), 136);
+    for seed in 0..200 {
+        assert_eq!(cache.lookup((9, seed)), Some(cell(seed)), "seed {seed}");
     }
     assert_eq!(
         (cache.hits(), cache.misses(), cache.capped_inserts()),
-        (64, 0, 0)
+        (200, 0, 0)
     );
 
     // One entry per shard: 16 admitted, the other 48 tallied as capped.
     let capped = ReportCache::with_capacity(CACHE_SHARDS);
-    assert_eq!(capped.hydrate(jumbled()), CACHE_SHARDS);
+    assert_eq!(capped.hydrate(jumbled(0..64)), CACHE_SHARDS);
     assert_eq!(capped.capped_inserts(), 64 - CACHE_SHARDS as u64);
     assert_eq!(capped.hydrated(), CACHE_SHARDS as u64);
+    let served = (0..64)
+        .filter_map(|seed| {
+            capped
+                .lookup((9, seed))
+                .map(|slim| assert_eq!(slim, cell(seed)))
+        })
+        .count();
+    assert_eq!(served, CACHE_SHARDS);
+}
+
+/// `count` distinct names no literal in the crate spells, leaked once each.
+fn leaked_names(prefix: &str, count: usize) -> Vec<&'static str> {
+    (0..count)
+        .map(|i| &*Box::leak(format!("{prefix}.{i}").into_boxed_str()))
+        .collect()
+}
+
+/// Every varint length from 1 to 10 bytes, and the bounds between them.
+fn any_packed_u64(rng: &mut SplitMix64) -> u64 {
+    const EDGES: [u64; 9] = [
+        0,
+        1,
+        127,
+        128,
+        16_383,
+        16_384,
+        1 << 63,
+        u64::MAX - 1,
+        u64::MAX,
+    ];
+    match rng.below(3) {
+        0 => EDGES[rng.below(EDGES.len() as u64) as usize],
+        1 => rng.below(1_000),
+        _ => rng.next_u64() >> rng.below(64),
+    }
+}
+
+/// `None`, `Some(Time(0))`, `Time(u64::MAX)`, or anything between.
+fn any_packed_time(rng: &mut SplitMix64) -> Option<Time> {
+    match rng.below(4) {
+        0 => None,
+        1 => Some(Time(0)),
+        2 => Some(Time::INFINITY),
+        _ => Some(Time(any_packed_u64(rng))),
+    }
+}
+
+/// Empty, plain, multibyte and escape-heavy, or 4 kB of detail.
+fn any_detail(rng: &mut SplitMix64) -> String {
+    const PIECES: [&str; 8] = [
+        "validity; 1 distinct decisions ≤ k = 1; termination; decide-once",
+        "\"quoted\" \\ slash/",
+        "\n\r\t\u{0}\u{1f}\u{7f}",
+        " — π ",
+        "𝔘𝕟𝕚",
+        "🦀",
+        "\u{fffd}\u{ffff}",
+        "p3 never decided",
+    ];
+    match rng.below(6) {
+        0 => String::new(),
+        1 => "x".repeat(4096),
+        _ => (0..rng.range(1, 8))
+            .map(|_| *rng.choose(&PIECES).unwrap())
+            .collect(),
+    }
+}
+
+/// A random report of class `class`, its names drawn from `names`; its
+/// counters number 0, 1–16, or 17–40.
+fn any_packed_slim(rng: &mut SplitMix64, names: &[&'static str], class: usize) -> SlimReport {
+    let name = |rng: &mut SplitMix64| *rng.choose(names).unwrap();
+    let counters = match rng.below(4) {
+        0 => 0,
+        1 => rng.range(17, 41),
+        _ => rng.range(1, 17),
+    };
+    SlimReport {
+        scenario: name(rng),
+        seed: any_packed_u64(rng),
+        num_faulty: any_packed_u64(rng) as usize,
+        check: CheckOutcome {
+            ok: rng.chance(1, 2),
+            stabilized_at: any_packed_time(rng),
+            detail: any_detail(rng),
+            class: ViolationClass::ALL[class % ViolationClass::ALL.len()],
+        },
+        metrics: Metrics {
+            msgs_sent: any_packed_u64(rng),
+            rb_sent: any_packed_u64(rng),
+            delivered: any_packed_u64(rng),
+            events: any_packed_u64(rng),
+            max_round: any_packed_u64(rng),
+            decided_values: (0..rng.below(5)).map(|_| any_packed_u64(rng)).collect(),
+            first_decision: any_packed_time(rng),
+            last_decision: any_packed_time(rng),
+        },
+        counters: (0..counters)
+            .map(|_| (name(rng), any_packed_u64(rng)))
+            .collect(),
+    }
+}
+
+/// Pack → unpack is the identity over random reports and the edges of
+/// every field, in one shard whose name table outgrows one-byte ids; every
+/// cell still reads back after the table has grown past it.
+#[test]
+fn packed_cells_unpack_to_what_was_packed() {
+    let mut rng = SplitMix64::new(0xCE11_9AC4);
+    let names = leaked_names("packed", 200);
+    let mut map = CellMap::new();
+    let mut packed: Vec<((u64, u64), SlimReport)> = Vec::new();
+    let mut put = |map: &mut CellMap, slim: SlimReport, salt: u64| {
+        let key = (salt, slim.seed);
+        map.insert(key, &slim);
+        assert_eq!(map.get(key).as_ref(), Some(&slim), "{slim:?}");
+        packed.push((key, slim));
+    };
+
+    let max = SlimReport {
+        scenario: names[199],
+        seed: u64::MAX,
+        num_faulty: usize::MAX,
+        check: CheckOutcome {
+            ok: true,
+            stabilized_at: Some(Time(u64::MAX)),
+            detail: "x".repeat(4096),
+            class: ViolationClass::Unclassified,
+        },
+        metrics: Metrics {
+            msgs_sent: u64::MAX,
+            rb_sent: u64::MAX,
+            delivered: u64::MAX,
+            events: u64::MAX,
+            max_round: u64::MAX,
+            decided_values: vec![u64::MAX; 3],
+            first_decision: Some(Time(u64::MAX)),
+            last_decision: Some(Time(u64::MAX)),
+        },
+        counters: names.iter().map(|&name| (name, u64::MAX)).collect(),
+    };
+    put(&mut map, max.clone(), u64::MAX);
+    // `None` and `Some(Time(0))` are two different cells.
+    let mut zero = SlimReport::default();
+    zero.check.stabilized_at = Some(Time(0));
+    zero.metrics.first_decision = Some(Time(0));
+    put(&mut map, SlimReport::default(), 0);
+    put(&mut map, zero.clone(), 1);
+    assert_ne!(map.get((0, 0)), map.get((1, 0)));
+    // Every class, passed and failed, with an empty and a multibyte detail.
+    for (i, class) in ViolationClass::ALL.into_iter().enumerate() {
+        for ok in [false, true] {
+            let mut slim = zero.clone();
+            slim.seed = i as u64;
+            slim.check.ok = ok;
+            slim.check.class = class;
+            slim.check.detail = if ok {
+                String::new()
+            } else {
+                "≤ \"π\"\n🦀".into()
+            };
+            put(&mut map, slim, 2 + ok as u64);
+        }
+    }
+    for i in 0..2_000 {
+        let slim = any_packed_slim(&mut rng, &names, i);
+        put(&mut map, slim, rng.next_u64());
+    }
+    // The same text at another address is the same name: it packs to the
+    // table's id, not to a new entry (whose id would take two bytes here).
+    let copy: &'static str = Box::leak(names[7].to_string().into_boxed_str());
+    let mut slim = max;
+    slim.scenario = names[7];
+    slim.counters = vec![(names[7], 1)];
+    let before = map.packed_bytes();
+    put(&mut map, slim.clone(), 2);
+    let original = map.packed_bytes() - before;
+    slim.scenario = copy;
+    slim.counters = vec![(copy, 1), (names[7], 2)];
+    put(&mut map, slim.clone(), 4);
+    slim.counters.pop();
+    let before = map.packed_bytes();
+    put(&mut map, slim, 5);
+    assert_eq!(map.packed_bytes() - before, original);
+
+    assert_eq!(map.len(), packed.len());
+    for (key, slim) in &packed {
+        assert_eq!(map.get(*key).as_ref(), Some(slim));
+    }
+    let mut all: Vec<_> = map.iter().collect();
+    all.sort_by_key(|(key, _)| *key);
+    packed.sort_by_key(|(key, _)| *key);
+    assert_eq!(all, packed);
+}
+
+/// The packed block is exactly its fields' bytes: a k-set-sized cell takes
+/// about 100 of them, and a cell costs one allocation of that size.
+#[test]
+fn a_packed_cell_is_exactly_its_bytes() {
+    let mut map = CellMap::new();
+    let slim = SlimReport {
+        scenario: "kset_omega",
+        seed: 3,
+        num_faulty: 2,
+        check: CheckOutcome::pass(
+            Some(Time(412)),
+            "validity; 1 distinct decisions ≤ k = 1; termination; decide-once",
+        ),
+        metrics: Metrics {
+            msgs_sent: 2_000,
+            rb_sent: 40,
+            delivered: 1_990,
+            events: 4_100,
+            max_round: 3,
+            decided_values: vec![101],
+            first_decision: Some(Time(430)),
+            last_decision: Some(Time(512)),
+        },
+        counters: vec![
+            ("sim.delivered", 1_990),
+            ("sim.events", 4_100),
+            ("sim.rb_sent", 40),
+            ("sim.sent", 2_000),
+        ],
+    };
+    map.insert((1, 3), &slim);
+    // num_faulty 1, ok 1, class 1, stabilized 1 + 2, five metrics
+    // 2 + 1 + 2 + 2 + 1, decided 1 + 1, two decisions 2 × (1 + 2),
+    // scenario 1, counters 1 + 4 × 1 + (2 + 2 + 1 + 2), detail 66.
+    let fields = 1 + 1 + 1 + 3 + 8 + 2 + 6 + 1 + 1 + 4 + 7;
+    assert_eq!(map.packed_bytes(), fields + slim.check.detail.len());
+    assert_eq!(map.packed_bytes(), 101);
+    assert_eq!(map.get((1, 3)), Some(slim));
 }
 
 // ---- runner.rs -------------------------------------------------------------
