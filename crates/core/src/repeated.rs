@@ -81,16 +81,6 @@ impl RepeatedKset {
         }
     }
 
-    /// The instance this process is currently in.
-    pub fn current_instance(&self) -> u32 {
-        self.cur
-    }
-
-    /// Whether all instances have decided.
-    pub fn is_finished(&self) -> bool {
-        self.finished
-    }
-
     /// Runs an inner activation, filtering the inner `Halt` (the inner
     /// algorithm halts after deciding; the repeated wrapper instead
     /// advances to the next instance) and tagging outgoing messages.

@@ -18,8 +18,8 @@
 //!    f64 round-trip silently corrupts them above 2^53. The reader hands
 //!    out a number as its raw token ([`Reader::number`]) or as a `u64`
 //!    parsed from that token ([`Reader::u64`]), and the tree keeps the raw
-//!    token (`as_u64` / `as_i64` / `as_f64` convert on demand), so a value
-//!    survives parse → emit byte-exactly.
+//!    token (`as_u64` / `as_f64` convert on demand), so a value survives
+//!    parse → emit byte-exactly.
 //! 2. **Never panic on malformed input.** Store files can be truncated or
 //!    corrupted mid-write; every reader method returns `Err`, callers skip
 //!    the cell. That includes hostile nesting: containers deeper than a
@@ -71,14 +71,6 @@ impl Json {
 
     /// The value as a `u64`, if it is a number that fits.
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The value as an `i64`, if it is a number that fits.
-    pub fn as_i64(&self) -> Option<i64> {
         match self {
             Json::Num(raw) => raw.parse().ok(),
             _ => None,

@@ -5,9 +5,9 @@
 use super::spec::ScenarioSpec;
 use crate::check::{CheckOutcome, ViolationClass};
 use fd_sim::{
-    counter, slot, Automaton, FailurePattern, FdValue, OracleSuite, ProcessId, Sim, Time, Trace,
+    counter, slot, Automaton, FailurePattern, FdValue, Fnv1a64, OracleSuite, ProcessId, Sim, Time,
+    Trace,
 };
-use std::hash::{Hash, Hasher};
 
 /// The canonical proposal vector: process `p_i` proposes `100 + i`.
 pub fn default_proposals(n: usize) -> Vec<u64> {
@@ -254,32 +254,78 @@ impl ScenarioReport {
     /// match — the currency of the determinism tests (parallel vs
     /// sequential, cached vs cold, recorded digests).
     ///
-    /// Uses [`std::collections::hash_map::DefaultHasher`], which hashes
-    /// with fixed keys — the digest is stable across runs and builds of
-    /// the same toolchain, but is not an on-disk format.
+    /// The digest is a format: FNV-1a-64 ([`fd_sim::Fnv1a64`]) of the
+    /// bytes below, in order, so it is the same on every build, toolchain
+    /// and platform. With `n = fp.n()`:
+    ///
+    /// | field | encoding |
+    /// |---|---|
+    /// | `spec.seed`, `n` | integers |
+    /// | per process `p_0 … p_{n−1}`: crash time | a tag byte (0 `None`, 1 `Some`), then the time |
+    /// | — then its start time | integer |
+    /// | `metrics.events`, `metrics.msgs_sent` | integers |
+    /// | `check.ok` | one byte, 0 or 1 |
+    /// | each decision, in time order | `at`, `by`, `value` as integers |
+    /// | each history, by process then slot | process and slot as integers, then per sample its time and its value |
+    /// | each counter, sorted by name | the name's bytes, a `0xff` byte, then the value |
+    ///
+    /// An integer (a time, a process index, a slot) is 8 little-endian
+    /// bytes. A value is a tag byte, then its payload: `Set` 0, then the
+    /// set's first ⌈n/64⌉ words as integers; `Proc` 1, then the index;
+    /// `Flag` 2, then one byte 0 or 1; `Num` 3, then the number. The
+    /// sections carry no counts or separators besides these.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.spec.seed.hash(&mut h);
-        self.fp.n().hash(&mut h);
-        for p in (0..self.fp.n()).map(ProcessId) {
-            self.fp.crash_time(p).map(|t| t.ticks()).hash(&mut h);
-            self.fp.start_time(p).ticks().hash(&mut h);
+        let n = self.fp.n();
+        let mut h = Fnv1a64::new();
+        let int = |h: &mut Fnv1a64, v: u64| h.write(&v.to_le_bytes());
+        int(&mut h, self.spec.seed);
+        int(&mut h, n as u64);
+        for p in (0..n).map(ProcessId) {
+            match self.fp.crash_time(p) {
+                None => h.write(&[0]),
+                Some(t) => {
+                    h.write(&[1]);
+                    int(&mut h, t.ticks());
+                }
+            }
+            int(&mut h, self.fp.start_time(p).ticks());
         }
-        self.metrics.events.hash(&mut h);
-        self.metrics.msgs_sent.hash(&mut h);
-        self.check.ok.hash(&mut h);
+        int(&mut h, self.metrics.events);
+        int(&mut h, self.metrics.msgs_sent);
+        h.write(&[self.check.ok as u8]);
         for d in self.trace.decisions() {
-            (d.at.ticks(), d.by.0, d.value).hash(&mut h);
+            for v in [d.at.ticks(), d.by.0 as u64, d.value] {
+                int(&mut h, v);
+            }
         }
         for ((p, slot), hist) in self.trace.histories() {
-            (p.0, slot).hash(&mut h);
+            int(&mut h, p.0 as u64);
+            int(&mut h, slot.into());
             for s in hist.samples() {
-                s.at.ticks().hash(&mut h);
-                hash_fd_value(s.value, &mut h);
+                int(&mut h, s.at.ticks());
+                match s.value {
+                    FdValue::Set(set) => {
+                        h.write(&[0]);
+                        for &w in &set.as_words()[..n.div_ceil(64)] {
+                            int(&mut h, w);
+                        }
+                    }
+                    FdValue::Proc(q) => {
+                        h.write(&[1]);
+                        int(&mut h, q.0 as u64);
+                    }
+                    FdValue::Flag(b) => h.write(&[2, b as u8]),
+                    FdValue::Num(x) => {
+                        h.write(&[3]);
+                        int(&mut h, x);
+                    }
+                }
             }
         }
         for (name, v) in self.trace.counters() {
-            (name, v).hash(&mut h);
+            h.write(name.as_bytes());
+            h.write(&[0xff]);
+            int(&mut h, v);
         }
         h.finish()
     }
@@ -294,36 +340,6 @@ impl ScenarioReport {
             check: self.check.clone(),
             metrics: self.metrics.clone(),
             counters: self.trace.counters(),
-        }
-    }
-}
-
-fn hash_fd_value(v: FdValue, h: &mut impl Hasher) {
-    match v {
-        FdValue::Set(s) => match s.try_bits() {
-            // Sets confined to 128 identities hash exactly as the
-            // historical u128 mask did — every recorded digest for n ≤ 128
-            // depends on it. Wider sets (n > 128 runs) get their own tag.
-            Some(bits) => {
-                0u8.hash(h);
-                bits.hash(h);
-            }
-            None => {
-                4u8.hash(h);
-                s.words().hash(h);
-            }
-        },
-        FdValue::Proc(p) => {
-            1u8.hash(h);
-            p.0.hash(h);
-        }
-        FdValue::Flag(b) => {
-            2u8.hash(h);
-            b.hash(h);
-        }
-        FdValue::Num(n) => {
-            3u8.hash(h);
-            n.hash(h);
         }
     }
 }

@@ -5,7 +5,8 @@ use super::*;
 use crate::check::CheckOutcome;
 use crate::check::ViolationClass;
 use fd_sim::{
-    DelayModel, DelayRule, FailurePattern, OracleSuite, PSet, ProcessId, SplitMix64, Time, Trace,
+    counter, slot, DelayModel, DelayRule, FailurePattern, FdValue, OracleSuite, PSet, ProcessId,
+    SplitMix64, Time, Trace,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -644,6 +645,102 @@ fn fingerprint_separates_runs_and_matches_reruns() {
     let c = Probe.run(&base.with_seed(2)).fingerprint();
     assert_eq!(a, b);
     assert_ne!(a, c);
+}
+
+/// A report built by hand at n = 3, no engine involved: one sample of each
+/// `FdValue` kind, one decision, a crash, a late start and two counters.
+fn hand_built_report() -> ScenarioReport {
+    let fp = FailurePattern::builder(3)
+        .crash(ProcessId(1), Time(40))
+        .join(ProcessId(2), Time(7))
+        .build();
+    let mut trace = Trace::new();
+    let set = PSet::from_iter([0, 2].map(ProcessId));
+    trace.publish(ProcessId(0), slot::TRUSTED, Time(5), FdValue::Set(set));
+    trace.publish(
+        ProcessId(0),
+        slot::REPR,
+        Time(6),
+        FdValue::Proc(ProcessId(2)),
+    );
+    trace.publish(ProcessId(2), slot::ROUND, Time(9), FdValue::Num(4));
+    trace.publish(ProcessId(2), slot::USER, Time(8), FdValue::Flag(true));
+    trace.decide(Time(30), ProcessId(0), 101);
+    trace.bump(counter::SENT, 9);
+    trace.bump(counter::EVENTS, 12);
+    let spec = ScenarioSpec::new(3, 1).seed(42);
+    let check = CheckOutcome::pass(Some(Time(30)), "hand-built");
+    ScenarioReport::new("hand", &spec, fp, trace, check)
+}
+
+#[test]
+fn fingerprint_is_fnv_of_the_documented_bytes() {
+    let int = |b: &mut Vec<u8>, v: u64| b.extend(v.to_le_bytes());
+    let mut b = Vec::new();
+    int(&mut b, 42); // seed
+    int(&mut b, 3); // n
+                    // p0 never crashes and starts at 0, p1 crashes at 40, p2 joins at 7.
+    b.push(0);
+    int(&mut b, 0);
+    b.push(1);
+    int(&mut b, 40);
+    int(&mut b, 0);
+    b.push(0);
+    int(&mut b, 7);
+    int(&mut b, 12); // events
+    int(&mut b, 9); // msgs_sent
+    b.push(1); // check.ok
+    for v in [30, 0, 101] {
+        int(&mut b, v); // the decision: at, by, value
+    }
+    // Histories by process, then slot: each is (p, slot), then per sample
+    // the time, the tag and the payload (a set is ⌈3/64⌉ = 1 word).
+    for v in [0, slot::TRUSTED.into(), 5] {
+        int(&mut b, v);
+    }
+    b.push(0);
+    int(&mut b, 0b101);
+    for v in [0, slot::REPR.into(), 6] {
+        int(&mut b, v);
+    }
+    b.push(1);
+    int(&mut b, 2);
+    for v in [2, slot::ROUND.into(), 9] {
+        int(&mut b, v);
+    }
+    b.push(3);
+    int(&mut b, 4);
+    for v in [2, slot::USER.into(), 8] {
+        int(&mut b, v);
+    }
+    b.extend([2, 1]);
+    // Counters sorted by name: bytes, 0xff, value.
+    b.extend(b"sim.events\xff");
+    int(&mut b, 12);
+    b.extend(b"sim.sent\xff");
+    int(&mut b, 9);
+
+    let rep = hand_built_report();
+    assert_eq!(rep.fingerprint(), fd_sim::fnv1a64(&b));
+    // Pinned: a change here is a change of the digest's bytes, not of the
+    // engine.
+    assert_eq!(rep.fingerprint(), 0xe97e_d2c1_88b4_94a9);
+}
+
+#[test]
+fn fingerprint_sees_every_word_of_a_wide_set() {
+    let report = |with_p129: bool| {
+        let mut set = PSet::singleton(ProcessId(3));
+        if with_p129 {
+            set.insert(ProcessId(129));
+        }
+        let mut trace = Trace::new();
+        trace.publish(ProcessId(0), slot::SUSPECTED, Time(1), FdValue::Set(set));
+        let fp = FailurePattern::builder(130).build();
+        let spec = ScenarioSpec::new(130, 1);
+        ScenarioReport::new("wide", &spec, fp, trace, CheckOutcome::pass(None, ""))
+    };
+    assert_ne!(report(false).fingerprint(), report(true).fingerprint());
 }
 
 #[test]

@@ -1,8 +1,9 @@
 //! FNV-1a-64, the workspace's owned hash.
 //!
 //! Every digest that is written down — a spec fingerprint, a sweep-store
-//! salt, a checked-in witness — must mean the same thing on every build,
-//! toolchain and platform, so it cannot come from
+//! salt, a checked-in witness, a recorded report digest
+//! (`ScenarioReport::fingerprint`) — must mean the same thing on every
+//! build, toolchain and platform, so it cannot come from
 //! `std::collections::hash_map::DefaultHasher`, whose algorithm std leaves
 //! unspecified. FNV-1a over bytes is fixed by its definition (offset basis
 //! `0xcbf2_9ce4_8422_2325`, prime `0x100_0000_01b3`; Fowler, Noll and Vo),
@@ -12,7 +13,7 @@
 //! integers in native byte order and adds its own separators, which is
 //! exactly the unspecified behaviour this module exists to avoid. Callers
 //! hash a byte encoding they define — the spec's canonical JSON text, a
-//! little-endian `u64`.
+//! little-endian `u64`, a report's documented field walk.
 
 use std::fmt;
 

@@ -131,20 +131,13 @@ impl PSet {
     /// # Panics
     ///
     /// Panics if the set has a member `≥ 128` (it no longer fits the
-    /// historical mask); see [`PSet::try_bits`] for the fallible form and
-    /// [`PSet::words`] for the full-width view.
+    /// historical mask); see [`PSet::words`] for the full-width view.
     pub fn bits(self) -> u128 {
-        self.try_bits()
-            .expect("PSet::bits: set has members ≥ 128; use words()")
-    }
-
-    /// The raw `u128` bitmask, or `None` if a member `≥ 128` exists.
-    pub fn try_bits(self) -> Option<u128> {
-        if self.0[2..].iter().any(|&w| w != 0) {
-            None
-        } else {
-            Some((self.0[1] as u128) << 64 | self.0[0] as u128)
-        }
+        assert!(
+            self.0[2..].iter().all(|&w| w == 0),
+            "PSet::bits: set has members ≥ 128; use words()"
+        );
+        (self.0[1] as u128) << 64 | self.0[0] as u128
     }
 
     /// The full-width word view (word `w` holds identities `64w..64w+63`,
@@ -542,9 +535,11 @@ mod tests {
         assert_eq!(s.min(), Some(ProcessId(127)));
         assert_eq!(s.max(), Some(ProcessId(900)));
         assert_eq!(s.iter().map(|p| p.0).collect::<Vec<_>>(), vec![127, 900]);
-        assert_eq!(s.try_bits(), None);
+        assert_eq!(s.words()[14], 1 << (900 % 64));
         assert!(s.remove(ProcessId(900)));
-        assert_eq!(s.try_bits(), Some(1u128 << 127));
+        let mut words = [0; WORDS];
+        words[1] = 1 << 63;
+        assert_eq!(s.words(), words);
         assert_eq!(s.complement(1024).len(), 1023);
     }
 

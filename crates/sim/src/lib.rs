@@ -21,8 +21,8 @@
 //! property checkers in the `fd-detectors` crate.
 //!
 //! Everything is deterministic in a single `u64` seed. Digests that are
-//! written down (spec fingerprints, store keys) use the owned hash in
-//! [`fnv`], never `std`'s unspecified `DefaultHasher`.
+//! written down (spec fingerprints, store keys, report digests) use the
+//! owned hash in [`fnv`], never `std`'s unspecified `DefaultHasher`.
 //!
 //! ## Quick example
 //!

@@ -23,9 +23,7 @@
 use crate::scenario::{PsiOmegaScenario, TwoWheelsScenario, DEFAULT_MARGIN};
 use crate::two_wheels::TwParams;
 use fd_detectors::scenario::{run_to_horizon, CrashPlan, Scenario, ScenarioReport, ScenarioSpec};
-use fd_detectors::{
-    check, CheckOutcome, PhiOracle, Scope, ScriptedOracle, SetSchedule, SxAdversary, SxOracle,
-};
+use fd_detectors::{check, PhiOracle, Scope, ScriptedOracle, SetSchedule, SxAdversary, SxOracle};
 use fd_sim::{
     Automaton, Ctx, DelayModel, DelayRule, FailurePattern, FdValue, OracleSuite, PSet, ProcessId,
     SuspectPlusQuery, Time, Trace,
@@ -301,14 +299,6 @@ pub fn find_addition_failure(
         }
     }
     None
-}
-
-/// Sanity check used by tests: the trusted histories in a failed `Ω_z`
-/// report really do misbehave (either disagree at the horizon, keep a
-/// faulty-only set, or keep changing).
-pub fn describe_omega_failure(rep: &ScenarioReport, z: usize) -> String {
-    let out: CheckOutcome = check::omega_z(&rep.trace, &rep.fp, z, DEFAULT_MARGIN);
-    format!("{out}")
 }
 
 #[cfg(test)]
