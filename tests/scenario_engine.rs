@@ -207,7 +207,7 @@ mod batching {
     /// loop); these are the same runs, re-recorded under FNV-1a-64 when
     /// the report digest became a format. If any of these moves, batch
     /// routing perturbed a draw or a pop.
-    pub(crate) const PRE_BATCH_N33_DIGESTS: [u64; 8] = [
+    const PRE_BATCH_N33_DIGESTS: [u64; 8] = [
         0x583a256465bec4ce,
         0xda7d882f2dbc7b66,
         0x36f82ef28c4d686b,
@@ -218,7 +218,7 @@ mod batching {
         0x78efe89c3d68de21,
     ];
 
-    pub(crate) fn n33_grid() -> Vec<fd_grid::ScenarioSpec> {
+    fn n33_grid() -> Vec<fd_grid::ScenarioSpec> {
         let mut specs = Vec::new();
         for seed in 0..4 {
             specs.push(
@@ -419,7 +419,7 @@ mod adversary {
     /// two-wheels under a drop rule and under a latency epoch (both take
     /// the per-recipient path), the pipeline, churn + catch-up (2 seeds)
     /// and the partition-during-join probe.
-    pub(crate) const UNICAST_DIGESTS: [u64; 8] = [
+    const UNICAST_DIGESTS: [u64; 8] = [
         0x4d9b099996342e3e,
         0xb6a2dfa46304923b,
         0x550c5ed052555128,
@@ -430,7 +430,7 @@ mod adversary {
         0xf2ff37e6d0ea1ffc,
     ];
 
-    pub(crate) fn unicast_runs() -> Vec<(&'static dyn Scenario, fd_grid::ScenarioSpec)> {
+    fn unicast_runs() -> Vec<(&'static dyn Scenario, fd_grid::ScenarioSpec)> {
         use fd_grid::fd_transforms::{TwParams, TwoWheelsScenario};
         use fd_grid::{ChurnKsetScenario, LinkOverride, PSet, PipelineScenario};
         use fd_grid::{TopologyEpoch, TopologySchedule};
@@ -1142,158 +1142,6 @@ fn grid_matrix_runs_in_spec_order() {
                 "threads={threads}: grid order scrambled"
             );
             assert!(rep.check.ok, "n={n} seed={seed}: {}", rep.check);
-        }
-    }
-}
-
-/// Temporary: the re-recorded digest tables are a pure hash swap. The
-/// `DefaultHasher` walk `ScenarioReport::fingerprint` used before it moved
-/// to FNV-1a-64 is copied here verbatim (`PSet::try_bits` inlined), and
-/// both digests are checked against their recorded constants on the same
-/// report values.
-mod digest_swap {
-    use super::*;
-    use fd_grid::fd_sim::FdValue;
-    use std::hash::{Hash, Hasher};
-
-    fn old_fingerprint(rep: &ScenarioReport) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        rep.spec.seed.hash(&mut h);
-        rep.fp.n().hash(&mut h);
-        for p in (0..rep.fp.n()).map(ProcessId) {
-            rep.fp.crash_time(p).map(|t| t.ticks()).hash(&mut h);
-            rep.fp.start_time(p).ticks().hash(&mut h);
-        }
-        rep.metrics.events.hash(&mut h);
-        rep.metrics.msgs_sent.hash(&mut h);
-        rep.check.ok.hash(&mut h);
-        for d in rep.trace.decisions() {
-            (d.at.ticks(), d.by.0, d.value).hash(&mut h);
-        }
-        for ((p, slot), hist) in rep.trace.histories() {
-            (p.0, slot).hash(&mut h);
-            for s in hist.samples() {
-                s.at.ticks().hash(&mut h);
-                hash_fd_value(s.value, &mut h);
-            }
-        }
-        for (name, v) in rep.trace.counters() {
-            (name, v).hash(&mut h);
-        }
-        h.finish()
-    }
-
-    fn try_bits(s: fd_grid::PSet) -> Option<u128> {
-        let w = s.words();
-        if w[2..].iter().any(|&w| w != 0) {
-            None
-        } else {
-            Some((w[1] as u128) << 64 | w[0] as u128)
-        }
-    }
-
-    fn hash_fd_value(v: FdValue, h: &mut impl Hasher) {
-        match v {
-            FdValue::Set(s) => match try_bits(s) {
-                Some(bits) => {
-                    0u8.hash(h);
-                    bits.hash(h);
-                }
-                None => {
-                    4u8.hash(h);
-                    s.words().hash(h);
-                }
-            },
-            FdValue::Proc(p) => {
-                1u8.hash(h);
-                p.0.hash(h);
-            }
-            FdValue::Flag(b) => {
-                2u8.hash(h);
-                b.hash(h);
-            }
-            FdValue::Num(n) => {
-                3u8.hash(h);
-                n.hash(h);
-            }
-        }
-    }
-
-    const OLD_PR3_DIGESTS: [u64; 24] = [
-        0x4cde60aaa105139c,
-        0x691b88ef8aae7d03,
-        0x75bdead03f0adc01,
-        0x7a78c5b05972d0da,
-        0x54231c179a6944aa,
-        0xb684e3b1aba6a196,
-        0x391e3e0c46ebf206,
-        0xf39dddf10817c498,
-        0x7311658e0b04b495,
-        0x0188791901f23516,
-        0x4f74f72a9e67c9dd,
-        0x5223f8cd5c0e44af,
-        0x112c611508dde608,
-        0xa28a989187fe9111,
-        0x74c06d0c89433139,
-        0xa89cd998a8642860,
-        0xf8f4c9444477c8c3,
-        0x08c5f03c8a2afbef,
-        0xe0f12bcdf14f9ddb,
-        0xbf9bfe57e1a7f9fa,
-        0x87cd15bfbec0e05f,
-        0xe0e227652f4783ee,
-        0x1b1221140992ba06,
-        0x067e213f6c2c1eff,
-    ];
-    const OLD_PRE_BATCH_N33_DIGESTS: [u64; 8] = [
-        0x4ff6a2224212ccb2,
-        0x611764dd8f5dc92a,
-        0x4bd34cdc15db096e,
-        0x5e18a66232c5a4a9,
-        0xfd754d48f291736e,
-        0xf62777da978dca71,
-        0x6ecb23a7ebddc328,
-        0x063b1ed0e4ccb5fc,
-    ];
-    const OLD_UNICAST_DIGESTS: [u64; 8] = [
-        0x8fb4097984f9ab05,
-        0xb79e4ccaf7c7e9b9,
-        0x725826b7bdf52c96,
-        0xc110402423bc4580,
-        0xe098a27f0972c1ac,
-        0x7fffd67ac39a868d,
-        0xf00cc2eea392f16f,
-        0xcb95a324dd198eb9,
-    ];
-
-    #[test]
-    fn re_recorded_digests_are_a_pure_hash_swap() {
-        let kset = |spec: fd_grid::ScenarioSpec| (&KsetScenario as &dyn Scenario, spec);
-        let runs: Vec<(&dyn Scenario, fd_grid::ScenarioSpec)> = adversary::pinned_grid()
-            .into_iter()
-            .map(kset)
-            .chain(batching::n33_grid().into_iter().map(kset))
-            .chain(adversary::unicast_runs())
-            .collect();
-        let old: Vec<u64> = [
-            &OLD_PR3_DIGESTS[..],
-            &OLD_PRE_BATCH_N33_DIGESTS,
-            &OLD_UNICAST_DIGESTS,
-        ]
-        .concat();
-        let new: Vec<u64> = [
-            &adversary::PR3_DIGESTS[..],
-            &batching::PRE_BATCH_N33_DIGESTS,
-            &adversary::UNICAST_DIGESTS,
-        ]
-        .concat();
-        assert_eq!(runs.len(), 40);
-        for (i, (scenario, spec)) in runs.iter().enumerate() {
-            let rep = scenario.run(spec);
-            let (was, now) = (old_fingerprint(&rep), rep.fingerprint());
-            println!("{i:2} {was:#018x} -> {now:#018x}");
-            assert_eq!(was, old[i], "run {i}: old walk moved");
-            assert_eq!(now, new[i], "run {i}: new digest");
         }
     }
 }
