@@ -261,8 +261,7 @@ impl ScenarioReport {
     /// | field | encoding |
     /// |---|---|
     /// | `spec.seed`, `n` | integers |
-    /// | per process `p_0 … p_{n−1}`: crash time | a tag byte (0 `None`, 1 `Some`), then the time |
-    /// | — then its start time | integer |
+    /// | each process `p_0 … p_{n−1}` | its crash time as a tag byte (0 `None`, 1 `Some`) and the time if present, then its start time |
     /// | `metrics.events`, `metrics.msgs_sent` | integers |
     /// | `check.ok` | one byte, 0 or 1 |
     /// | each decision, in time order | `at`, `by`, `value` as integers |

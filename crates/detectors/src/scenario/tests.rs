@@ -677,9 +677,12 @@ fn hand_built_report() -> ScenarioReport {
 fn fingerprint_is_fnv_of_the_documented_bytes() {
     let int = |b: &mut Vec<u8>, v: u64| b.extend(v.to_le_bytes());
     let mut b = Vec::new();
-    int(&mut b, 42); // seed
-    int(&mut b, 3); // n
-                    // p0 never crashes and starts at 0, p1 crashes at 40, p2 joins at 7.
+    // The seed and n, then each process's crash time (tag, time) and start
+    // time: p0 never crashes and starts at 0, p1 crashes at 40, p2 joins
+    // at 7.
+    for v in [42, 3] {
+        int(&mut b, v);
+    }
     b.push(0);
     int(&mut b, 0);
     b.push(1);

@@ -189,7 +189,7 @@ fn sample_delivery(
 /// then does the batch fall back to the scalar sampler.
 ///
 /// Why the twin stays: with it deleted (`route_to`'s clean path and
-/// `route_protected` each one [`sample_delivery`] loop, −190 lines, every
+/// `route_protected` each one [`sample_delivery`] loop, −180 lines, every
 /// count the benchmark checks unchanged), the benchmark lost
 /// `events_per_s` in 3 of 3 alternating 27-second pairs per workload on a
 /// 2-core x86-64 box: `scale_n128` medians 22.99M → 21.64M (−5.9%),
