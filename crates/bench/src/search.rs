@@ -24,16 +24,17 @@
 //!   estimates. A violation on any other spec is a genuine bug and is
 //!   surfaced separately.
 //!
-//! Every expected violation enters the [`shrink`]er: greedy structural
-//! passes (drop adversary rules, delay rules, topology epochs, islands
-//! and overrides; weaken the crash plan; reduce `n`) interleaved with
-//! binary searches over the numeric surface (horizon, GST, rule
-//! percentage, corruption bound, rule and epoch windows), each candidate
-//! re-run through the checker, iterated to a fixed point. The local
-//! minimum is emitted as a canonical [`MinimalWitness`]: spec description,
-//! fingerprint, seed, violated predicate, events-to-violation, and the
-//! shrink trail — serialized as canonical JSON (sorted keys) so two runs
-//! of the same search are bit-identical regardless of thread count.
+//! Every expected violation enters the [`shrink`]er, one walk over the
+//! spec's canonical encoding ([`ScenarioSpec::to_json`]) that knows no
+//! spec field: drop an array element, reset a top-level member to its
+//! default, or bisect a number down, each candidate decoded by
+//! [`ScenarioSpec::from_json`] and re-run through the checker, iterated to
+//! a fixed point. A spec member is shrinkable as soon as the codec
+//! encodes it. The local minimum is emitted as a canonical
+//! [`MinimalWitness`]: spec description, fingerprint, seed, violated
+//! predicate, events-to-violation, and the shrink trail — serialized as
+//! canonical JSON (sorted keys) so two runs of the same search are
+//! bit-identical regardless of thread count.
 
 use crate::json::Json;
 use fd_core::KsetScenario;
@@ -42,7 +43,7 @@ use fd_detectors::{CheckOutcome, Scenario, ViolationClass};
 use fd_grid::ChurnKsetScenario;
 use fd_sim::{
     DelayModel, DelayRule, MessageAdversary, MessageRule, PSet, ProcessId, RuleAction, SplitMix64,
-    Time, TopologyEpoch, TopologySchedule, MAX_PROCESSES,
+    Time, TopologySchedule, MAX_PROCESSES,
 };
 use std::collections::BTreeSet;
 
@@ -307,14 +308,16 @@ fn sample_spec(rng: &mut SplitMix64) -> ScenarioSpec {
 // Shrinker
 // ---------------------------------------------------------------------------
 
-/// One accepted shrink step: the pass that fired, what it did, and the
+/// One accepted shrink step: the move that fired, what it changed, and the
 /// spec it produced (still violating — the soundness tests replay each
 /// trail spec through the checker).
 #[derive(Clone, Debug)]
 pub struct ShrinkStep {
-    /// Name of the shrink pass that produced this step.
+    /// The move: `drop` (one array element), `reset` (one top-level member
+    /// back to its [`ScenarioSpec::new`] value) or `lower` (one number).
     pub pass: &'static str,
-    /// Human-readable account of the mutation.
+    /// The encoding path and its old and new value, e.g.
+    /// `adversary[0].pct 40 -> 22`.
     pub description: String,
     /// The spec after the step (re-verified to still violate).
     pub spec: ScenarioSpec,
@@ -323,7 +326,7 @@ pub struct ShrinkStep {
 /// Result of shrinking one witness to a local minimum.
 #[derive(Clone, Debug)]
 pub struct ShrinkOutcome {
-    /// The locally minimal spec (no single pass can simplify it further).
+    /// The locally minimal spec (no single move can shrink it further).
     pub spec: ScenarioSpec,
     /// Every accepted step, in order; replaying any trail spec reproduces
     /// the violation.
@@ -332,36 +335,112 @@ pub struct ShrinkOutcome {
     pub runs: u64,
 }
 
+/// One hop from the root of a spec document to a node.
+#[derive(Clone, Copy)]
+enum Seg<'d> {
+    Key(&'d str),
+    Index(usize),
+}
+
+/// The size the shrinker decreases: array elements anywhere in the
+/// document, then the sum of its numbers plus its `true` flags, compared
+/// lexicographically. Every accepted step lowers it, so shrinking ends.
+fn size(doc: &Json) -> (u64, u128) {
+    let add = |(a, b): (u64, u128), (c, d)| (a + c, b + d);
+    match doc {
+        Json::Arr(items) => items.iter().map(size).fold((items.len() as u64, 0), add),
+        Json::Obj(members) => members.values().map(size).fold((0, 0), add),
+        Json::Num(_) => (0, doc.as_u64().map_or(0, u128::from)),
+        Json::Bool(flag) => (0, u128::from(*flag)),
+        Json::Null | Json::Str(_) => (0, 0),
+    }
+}
+
+/// Every array element and every number of `doc` below `path`, in
+/// canonical order (pre-order, object keys ascending).
+fn sites<'d>(
+    doc: &'d Json,
+    path: &mut Vec<Seg<'d>>,
+    elements: &mut Vec<Vec<Seg<'d>>>,
+    numbers: &mut Vec<(Vec<Seg<'d>>, u64)>,
+) {
+    let mut visit = |seg, child, path: &mut Vec<Seg<'d>>| {
+        path.push(seg);
+        if matches!(seg, Seg::Index(_)) {
+            elements.push(path.clone());
+        }
+        sites(child, path, elements, numbers);
+        path.pop();
+    };
+    match doc {
+        Json::Arr(items) => {
+            for (i, item) in items.iter().enumerate() {
+                visit(Seg::Index(i), item, path);
+            }
+        }
+        Json::Obj(members) => {
+            for (key, member) in members {
+                visit(Seg::Key(key), member, path);
+            }
+        }
+        _ => {
+            if let Some(v) = doc.as_u64() {
+                numbers.push((path.clone(), v));
+            }
+        }
+    }
+}
+
+/// The node at `path` in `doc`.
+fn node_mut<'j>(doc: &'j mut Json, path: &[Seg<'_>]) -> &'j mut Json {
+    path.iter().fold(doc, |node, seg| match (node, *seg) {
+        (Json::Obj(members), Seg::Key(key)) => {
+            members.get_mut(key).expect("a path of the document")
+        }
+        (Json::Arr(items), Seg::Index(i)) => &mut items[i],
+        _ => unreachable!("a path of the document"),
+    })
+}
+
+/// `adversary[0].pct` for the path `adversary`, 0, `pct`.
+fn render(path: &[Seg<'_>]) -> String {
+    let mut out = String::new();
+    for seg in path {
+        match seg {
+            Seg::Key(key) if out.is_empty() => out.push_str(key),
+            Seg::Key(key) => out.push_str(&format!(".{key}")),
+            Seg::Index(i) => out.push_str(&format!("[{i}]")),
+        }
+    }
+    out
+}
+
 struct Shrinker<'a> {
     runner: &'a Runner<'a>,
     seed: u64,
     class: ViolationClass,
     runs: u64,
+    /// [`size`] of the current minimum.
+    size: (u64, u128),
 }
 
-type Pass = fn(&mut Shrinker<'_>, &ScenarioSpec) -> Option<(String, ScenarioSpec)>;
-
-/// Pass order matters for cost, not correctness: structural drops first
-/// (few candidates at the original horizon), then the horizon bisection —
-/// after which every remaining candidate runs at the shrunk horizon.
-const PASSES: [(&str, Pass); 11] = [
-    ("drop-adv-rule", pass_drop_adv_rule),
-    ("drop-delay-rule", pass_drop_delay_rule),
-    ("drop-topo-epoch", pass_drop_topo_epoch),
-    ("simplify-topo-epoch", pass_simplify_topo_epoch),
-    ("weaken-crashes", pass_weaken_crashes),
-    ("shrink-horizon", pass_shrink_horizon),
-    ("reduce-n", pass_reduce_n),
-    ("shrink-gst", pass_shrink_gst),
-    ("shrink-rule-pct", pass_shrink_rule_pct),
-    ("shrink-rule-bound", pass_shrink_rule_bound),
-    ("narrow-rule-window", pass_narrow_rule_window),
-];
-
-/// Shrinks `start` (known to violate `class` at `seed`) to a local
-/// minimum: repeatedly applies the first pass that yields a strictly
-/// simpler spec still violating the *same* class at the same seed, until
-/// no pass fires. Fully sequential and deterministic — the trail and the
+/// Shrinks `start` (known to violate `class` at `seed`) to a local minimum
+/// by walking its canonical encoding ([`ScenarioSpec::to_json`]), delta
+/// debugging style. Each round tries, in this order and each in canonical
+/// key order:
+///
+/// * **drop** one array element anywhere in the document;
+/// * **reset** one top-level member to its `ScenarioSpec::new(n, t)` value;
+/// * **lower** one number, bisecting `[0, v]`. A number is skipped when
+///   setting it to 0 leaves the run's [`SlimReport`] unchanged: the member
+///   does not shape this scenario (`max_steps` and `y` under Figure 3).
+///
+/// Every candidate is decoded by [`ScenarioSpec::from_json`] (a decode
+/// error does not violate). A candidate is accepted when it is strictly
+/// smaller in (array elements, sum of numbers plus `true` flags), compared
+/// lexicographically, and still violates the *same* class at the same
+/// seed; the round then restarts from the new minimum, until none is
+/// accepted. Fully sequential and deterministic — the trail and the
 /// minimum depend only on `(start, seed, class)`.
 pub fn shrink(
     runner: &Runner,
@@ -374,22 +453,14 @@ pub fn shrink(
         seed,
         class,
         runs: 0,
+        size: size(&start.to_json()),
     };
     let mut current = start.clone();
     let mut trail = Vec::new();
-    'outer: loop {
-        for (name, pass) in PASSES {
-            if let Some((description, next)) = pass(&mut sh, &current) {
-                trail.push(ShrinkStep {
-                    pass: name,
-                    description,
-                    spec: next.clone(),
-                });
-                current = next;
-                continue 'outer;
-            }
-        }
-        break;
+    while let Some(step) = sh.step(&current) {
+        current = step.spec.clone();
+        sh.size = size(&current.to_json());
+        trail.push(step);
     }
     ShrinkOutcome {
         spec: current,
@@ -399,23 +470,98 @@ pub fn shrink(
 }
 
 impl Shrinker<'_> {
-    /// Does `spec` still violate the same class at the witness seed?
-    fn violates(&mut self, spec: &ScenarioSpec) -> bool {
+    fn run(&mut self, spec: &ScenarioSpec) -> SlimReport {
         self.runs += 1;
-        let slim = run_one(self.runner, spec, self.seed);
+        run_one(self.runner, spec, self.seed)
+    }
+
+    fn violates(&self, slim: &SlimReport) -> bool {
         !slim.check.ok && slim.check.class == self.class
     }
 
-    /// Least `v` in `[lo, hi]` with `still(v)` violating, assuming
-    /// `still(hi)` does (delta-debugging style: the predicate need not be
-    /// monotone — the result is then just a deterministic local choice).
-    fn bisect_down(
-        &mut self,
-        lo: u64,
-        hi: u64,
-        mut still: impl FnMut(&mut Self, u64) -> bool,
-    ) -> u64 {
-        let (mut lo, mut hi) = (lo, hi);
+    /// The spec `doc` decodes to, if it is strictly smaller than the
+    /// current minimum and still violates.
+    fn accept(&mut self, doc: &Json) -> Option<ScenarioSpec> {
+        let spec = ScenarioSpec::from_json(doc).ok()?;
+        if size(&spec.to_json()) >= self.size {
+            return None;
+        }
+        let slim = self.run(&spec);
+        self.violates(&slim).then_some(spec)
+    }
+
+    /// The first accepted move from `spec`, if any.
+    fn step(&mut self, spec: &ScenarioSpec) -> Option<ShrinkStep> {
+        let doc = spec.to_json();
+        let (mut elements, mut numbers) = (Vec::new(), Vec::new());
+        sites(&doc, &mut Vec::new(), &mut elements, &mut numbers);
+        let found = |pass, description, spec| {
+            Some(ShrinkStep {
+                pass,
+                description,
+                spec,
+            })
+        };
+
+        for path in &elements {
+            let (Seg::Index(i), parent) = path.split_last().expect("an element path") else {
+                unreachable!("an element path ends at an index");
+            };
+            let mut cand = doc.clone();
+            if let Json::Arr(items) = node_mut(&mut cand, parent) {
+                items.remove(*i);
+            }
+            if let Some(next) = self.accept(&cand) {
+                return found("drop", format!("{} removed", render(path)), next);
+            }
+        }
+
+        let defaults = ScenarioSpec::new(spec.n, spec.t).to_json();
+        let (Json::Obj(ours), Json::Obj(defaults)) = (&doc, &defaults) else {
+            unreachable!("a spec encodes as an object");
+        };
+        for (key, value) in ours {
+            let default = &defaults[key];
+            if value == default {
+                continue;
+            }
+            let mut cand = doc.clone();
+            *node_mut(&mut cand, &[Seg::Key(key)]) = default.clone();
+            if let Some(next) = self.accept(&cand) {
+                let description = format!("{key} {} -> {}", value.emit(), default.emit());
+                return found("reset", description, next);
+            }
+        }
+
+        let here = self.run(spec);
+        for &(ref path, v) in &numbers {
+            let with = |x| {
+                let mut cand = doc.clone();
+                *node_mut(&mut cand, path) = Json::num_u64(x);
+                cand
+            };
+            // An inert member would shrink to 0 and tell the reader nothing.
+            let inert = |sh: &mut Self| match ScenarioSpec::from_json(&with(0)) {
+                Ok(zero) => sh.run(&zero) == here,
+                Err(_) => false,
+            };
+            if v == 0 || inert(self) {
+                continue;
+            }
+            let min = self.bisect_down(v, |sh, x| sh.accept(&with(x)).is_some());
+            if min < v {
+                let next = ScenarioSpec::from_json(&with(min)).expect("accepted above");
+                return found("lower", format!("{} {v} -> {min}", render(path)), next);
+            }
+        }
+        None
+    }
+
+    /// Least `v` in `[0, hi]` with `still(v)`, assuming `still(hi)`
+    /// (delta-debugging style: the predicate need not be monotone — the
+    /// result is then just a deterministic local choice).
+    fn bisect_down(&mut self, mut hi: u64, mut still: impl FnMut(&mut Self, u64) -> bool) -> u64 {
+        let mut lo = 0;
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
             if still(self, mid) {
@@ -426,326 +572,6 @@ impl Shrinker<'_> {
         }
         hi
     }
-
-    /// Greatest `v` in `[lo, hi]` with `still(v)` violating, assuming
-    /// `still(lo)` does.
-    fn bisect_up(
-        &mut self,
-        lo: u64,
-        hi: u64,
-        mut still: impl FnMut(&mut Self, u64) -> bool,
-    ) -> u64 {
-        let (mut lo, mut hi) = (lo, hi);
-        while lo < hi {
-            let mid = lo + (hi - lo).div_ceil(2);
-            if still(self, mid) {
-                lo = mid;
-            } else {
-                hi = mid - 1;
-            }
-        }
-        lo
-    }
-}
-
-fn pass_drop_adv_rule(
-    sh: &mut Shrinker<'_>,
-    spec: &ScenarioSpec,
-) -> Option<(String, ScenarioSpec)> {
-    for idx in 0..spec.adversary.rules().len() {
-        let mut cand = spec.clone();
-        cand.adversary = spec.adversary.without_rule(idx);
-        if sh.violates(&cand) {
-            return Some((format!("dropped message rule #{idx}"), cand));
-        }
-    }
-    None
-}
-
-fn pass_drop_delay_rule(
-    sh: &mut Shrinker<'_>,
-    spec: &ScenarioSpec,
-) -> Option<(String, ScenarioSpec)> {
-    for idx in 0..spec.rules.len() {
-        let mut cand = spec.clone();
-        cand.rules.remove(idx);
-        if sh.violates(&cand) {
-            return Some((format!("dropped delay rule #{idx}"), cand));
-        }
-    }
-    None
-}
-
-fn pass_drop_topo_epoch(
-    sh: &mut Shrinker<'_>,
-    spec: &ScenarioSpec,
-) -> Option<(String, ScenarioSpec)> {
-    for idx in 0..spec.topology.epochs().len() {
-        let mut cand = spec.clone();
-        cand.topology = spec.topology.without_epoch(idx);
-        if sh.violates(&cand) {
-            return Some((format!("dropped topology epoch #{idx}"), cand));
-        }
-    }
-    None
-}
-
-fn pass_simplify_topo_epoch(
-    sh: &mut Shrinker<'_>,
-    spec: &ScenarioSpec,
-) -> Option<(String, ScenarioSpec)> {
-    for (e, ep) in spec.topology.epochs().iter().enumerate() {
-        for i in 0..ep.islands.len() {
-            let mut cand = spec.clone();
-            cand.topology = spec
-                .topology
-                .with_epoch_replaced(e, ep.clone().without_island(i));
-            if sh.violates(&cand) {
-                return Some((format!("dropped island #{i} of epoch #{e}"), cand));
-            }
-        }
-        for o in 0..ep.overrides.len() {
-            let mut cand = spec.clone();
-            cand.topology = spec
-                .topology
-                .with_epoch_replaced(e, ep.clone().without_override(o));
-            if sh.violates(&cand) {
-                return Some((format!("dropped override #{o} of epoch #{e}"), cand));
-            }
-        }
-        // Heals past the horizon are all equivalent; clamp, then bisect
-        // the heal time down to the earliest still-violating tick.
-        let horizon_plus = spec.max_time.0 + 1;
-        if ep.until.0 > horizon_plus {
-            let mut cand = spec.clone();
-            cand.topology = spec
-                .topology
-                .with_epoch_replaced(e, ep.clone().with_window(ep.from, Time(horizon_plus)));
-            if sh.violates(&cand) {
-                return Some((format!("clamped epoch #{e} heal to horizon"), cand));
-            }
-        } else if ep.until.0 > ep.from.0 + 1 {
-            let with_until = |spec: &ScenarioSpec, ep: &TopologyEpoch, until: u64| {
-                let mut cand = spec.clone();
-                cand.topology = spec
-                    .topology
-                    .with_epoch_replaced(e, ep.clone().with_window(ep.from, Time(until)));
-                cand
-            };
-            let min = sh.bisect_down(ep.from.0 + 1, ep.until.0, |sh, v| {
-                sh.violates(&with_until(spec, ep, v))
-            });
-            if min < ep.until.0 {
-                return Some((
-                    format!("shrank epoch #{e} heal {} -> {min}", ep.until.0),
-                    with_until(spec, ep, min),
-                ));
-            }
-        }
-    }
-    None
-}
-
-fn pass_weaken_crashes(
-    sh: &mut Shrinker<'_>,
-    spec: &ScenarioSpec,
-) -> Option<(String, ScenarioSpec)> {
-    let mut candidates: Vec<(String, CrashPlan)> = Vec::new();
-    match spec.crashes {
-        CrashPlan::None => {}
-        CrashPlan::Random { f, by } => {
-            candidates.push(("removed crash plan".into(), CrashPlan::None));
-            if f > 0 {
-                candidates.push((
-                    format!("reduced random crashes {f} -> {}", f - 1),
-                    CrashPlan::Random { f: f - 1, by },
-                ));
-            }
-        }
-        CrashPlan::Initial { f } => {
-            candidates.push(("removed crash plan".into(), CrashPlan::None));
-            if f > 0 {
-                candidates.push((
-                    format!("reduced initial crashes {f} -> {}", f - 1),
-                    CrashPlan::Initial { f: f - 1 },
-                ));
-            }
-        }
-        CrashPlan::Anarchic { .. } | CrashPlan::Churn { .. } | CrashPlan::Explicit(_) => {
-            candidates.push(("removed crash plan".into(), CrashPlan::None));
-        }
-    }
-    for (description, crashes) in candidates {
-        let mut cand = spec.clone();
-        cand.crashes = crashes;
-        if sh.violates(&cand) {
-            return Some((description, cand));
-        }
-    }
-    if spec.catch_up {
-        let mut cand = spec.clone();
-        cand.catch_up = false;
-        if sh.violates(&cand) {
-            return Some(("disabled catch-up layer".into(), cand));
-        }
-    }
-    None
-}
-
-fn pass_shrink_horizon(
-    sh: &mut Shrinker<'_>,
-    spec: &ScenarioSpec,
-) -> Option<(String, ScenarioSpec)> {
-    let cur = spec.max_time.0;
-    if cur <= 1 {
-        return None;
-    }
-    let with_horizon = |v: u64| {
-        let mut cand = spec.clone();
-        cand.max_time = Time(v);
-        cand
-    };
-    let min = sh.bisect_down(1, cur, |sh, v| sh.violates(&with_horizon(v)));
-    (min < cur).then(|| (format!("shrank horizon {cur} -> {min}"), with_horizon(min)))
-}
-
-fn pass_reduce_n(sh: &mut Shrinker<'_>, spec: &ScenarioSpec) -> Option<(String, ScenarioSpec)> {
-    let n = spec.n;
-    if n <= 2 || n - 1 <= spec.t || n - 1 < spec.k {
-        return None;
-    }
-    if matches!(spec.crashes, CrashPlan::Churn { .. }) && 2 * spec.t > n - 1 {
-        return None;
-    }
-    let mut cand = spec.clone();
-    cand.n = n - 1;
-    sh.violates(&cand)
-        .then(|| (format!("reduced n {n} -> {}", n - 1), cand))
-}
-
-fn pass_shrink_gst(sh: &mut Shrinker<'_>, spec: &ScenarioSpec) -> Option<(String, ScenarioSpec)> {
-    let cur = spec.gst.0;
-    if cur == 0 {
-        return None;
-    }
-    let with_gst = |v: u64| {
-        let mut cand = spec.clone();
-        cand.gst = Time(v);
-        cand
-    };
-    let min = sh.bisect_down(0, cur, |sh, v| sh.violates(&with_gst(v)));
-    (min < cur).then(|| (format!("shrank gst {cur} -> {min}"), with_gst(min)))
-}
-
-fn pass_shrink_rule_pct(
-    sh: &mut Shrinker<'_>,
-    spec: &ScenarioSpec,
-) -> Option<(String, ScenarioSpec)> {
-    for (idx, rule) in spec.adversary.rules().iter().enumerate() {
-        if rule.pct <= 1 {
-            continue;
-        }
-        let with_pct = |p: u64| {
-            let mut cand = spec.clone();
-            cand.adversary = spec
-                .adversary
-                .with_rule_replaced(idx, rule.clone().with_pct(p as u8));
-            cand
-        };
-        let min = sh.bisect_down(1, rule.pct as u64, |sh, v| sh.violates(&with_pct(v)));
-        if min < rule.pct as u64 {
-            return Some((
-                format!("shrank rule #{idx} pct {} -> {min}", rule.pct),
-                with_pct(min),
-            ));
-        }
-    }
-    None
-}
-
-fn pass_shrink_rule_bound(
-    sh: &mut Shrinker<'_>,
-    spec: &ScenarioSpec,
-) -> Option<(String, ScenarioSpec)> {
-    for (idx, rule) in spec.adversary.rules().iter().enumerate() {
-        let RuleAction::Corrupt { bound } = rule.action else {
-            continue;
-        };
-        if bound <= 1 {
-            continue;
-        }
-        let with_bound = |b: u64| {
-            let mut cand = spec.clone();
-            cand.adversary = spec
-                .adversary
-                .with_rule_replaced(idx, rule.clone().with_bound(b));
-            cand
-        };
-        let min = sh.bisect_down(1, bound, |sh, v| sh.violates(&with_bound(v)));
-        if min < bound {
-            return Some((
-                format!("shrank rule #{idx} corruption bound {bound} -> {min}"),
-                with_bound(min),
-            ));
-        }
-    }
-    None
-}
-
-fn pass_narrow_rule_window(
-    sh: &mut Shrinker<'_>,
-    spec: &ScenarioSpec,
-) -> Option<(String, ScenarioSpec)> {
-    let horizon_plus = spec.max_time.0 + 1;
-    for (idx, rule) in spec.adversary.rules().iter().enumerate() {
-        let replace = |spec: &ScenarioSpec, rule: MessageRule| {
-            let mut cand = spec.clone();
-            cand.adversary = spec.adversary.with_rule_replaced(idx, rule);
-            cand
-        };
-        // Windows past the horizon are all equivalent; clamp first so the
-        // bisection below starts from a finite bound.
-        if rule.active_to.0 > horizon_plus {
-            let cand = replace(
-                spec,
-                rule.clone().window(rule.active_from, Time(horizon_plus)),
-            );
-            if sh.violates(&cand) {
-                return Some((format!("clamped rule #{idx} window to horizon"), cand));
-            }
-            continue;
-        }
-        if rule.active_to.0 > rule.active_from.0 + 1 {
-            let min = sh.bisect_down(rule.active_from.0 + 1, rule.active_to.0, |sh, v| {
-                sh.violates(&replace(
-                    spec,
-                    rule.clone().window(rule.active_from, Time(v)),
-                ))
-            });
-            if min < rule.active_to.0 {
-                return Some((
-                    format!(
-                        "shrank rule #{idx} window end {} -> {min}",
-                        rule.active_to.0
-                    ),
-                    replace(spec, rule.clone().window(rule.active_from, Time(min))),
-                ));
-            }
-            let max = sh.bisect_up(rule.active_from.0, rule.active_to.0 - 1, |sh, v| {
-                sh.violates(&replace(spec, rule.clone().window(Time(v), rule.active_to)))
-            });
-            if max > rule.active_from.0 {
-                return Some((
-                    format!(
-                        "raised rule #{idx} window start {} -> {max}",
-                        rule.active_from.0
-                    ),
-                    replace(spec, rule.clone().window(Time(max), rule.active_to)),
-                ));
-            }
-        }
-    }
-    None
 }
 
 // ---------------------------------------------------------------------------
@@ -757,9 +583,9 @@ fn pass_narrow_rule_window(
 /// in-memory on [`ShrinkOutcome`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShrinkStepRecord {
-    /// Name of the shrink pass.
+    /// The move: `drop`, `reset` or `lower` (see [`ShrinkStep::pass`]).
     pub pass: String,
-    /// What the pass did.
+    /// What the move changed (see [`ShrinkStep::description`]).
     pub description: String,
 }
 
@@ -958,7 +784,6 @@ impl SearchReport {
 /// and a killed campaign resumes without re-executing a single cell —
 /// shrink candidates included.
 pub fn run_search(runner: &Runner, cfg: &SearchConfig) -> SearchReport {
-    let probes = probe_specs().len() as u64;
     let specs = generate(cfg);
     let mut stats = SearchStats::default();
     let mut witnesses: Vec<MinimalWitness> = Vec::new();
@@ -968,7 +793,6 @@ pub fn run_search(runner: &Runner, cfg: &SearchConfig) -> SearchReport {
     // and per (minimal fingerprint, class) before emitting.
     let mut seen_start: BTreeSet<(u64, &'static str)> = BTreeSet::new();
     let mut seen_minimal: BTreeSet<(u64, &'static str)> = BTreeSet::new();
-    let _ = probes;
 
     for spec in &specs {
         stats.specs += 1;

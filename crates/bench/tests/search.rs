@@ -2,15 +2,16 @@
 //! minimizer must uphold for a checked-in reproducer to be trustworthy.
 //! Every accepted shrink step still violates the original predicate at
 //! the original seed (a trail is a chain of reproducers, not a log of
-//! guesses), the trail and the minimum are bit-identical across thread
-//! counts (shrinking is a pure function of
-//! `(start, seed, class)`), and a locally minimal witness is a fixed
-//! point — re-shrinking it accepts nothing.
+//! guesses), and the trail and the minimum are bit-identical across thread
+//! counts (shrinking is a pure function of `(start, seed, class)`). That
+//! every checked-in minimum is a fixed point is pinned beside the
+//! witnesses, in `tests/scenario_engine.rs` at the workspace root.
 
 use fd_bench::json::{self, Json};
 use fd_bench::{classify, probe_specs, scenario_for, shrink, MinimalWitness, RunClass};
-use fd_detectors::scenario::{ReportCache, Runner};
+use fd_detectors::scenario::{CrashPlan, ReportCache, Runner, ScenarioSpec};
 use fd_detectors::ViolationClass;
+use fd_sim::{FailurePattern, MessageAdversary, MessageRule, ProcessId, Time};
 
 /// A runner backed by `cache`.
 fn runner(threads: usize, cache: &ReportCache) -> Runner<'_> {
@@ -22,35 +23,64 @@ fn runner(threads: usize, cache: &ReportCache) -> Runner<'_> {
     runner.with_cache(cache)
 }
 
-/// The probe witness every test shrinks: seed 0 of the live-corruption
-/// probe spec violates validity (a corrupted estimate gets adopted and
-/// decided — Figure 3 has no authentication).
-fn probe_violation() -> (fd_detectors::scenario::ScenarioSpec, u64, ViolationClass) {
-    let spec = probe_specs().remove(0);
-    let rep = scenario_for(&spec).run(&spec.clone().seed(0));
+/// The violation `spec` shows at `seed`.
+fn violation(spec: ScenarioSpec, seed: u64) -> (ScenarioSpec, u64, ViolationClass) {
+    let rep = scenario_for(&spec).run(&spec.clone().seed(seed));
     assert_eq!(classify(&rep.check), RunClass::Violation, "{}", rep.check);
-    (spec, 0, rep.check.class)
+    (spec, seed, rep.check.class)
+}
+
+/// The probe witness: seed 0 of the live-corruption probe spec violates
+/// validity (a corrupted estimate gets adopted and decided — Figure 3 has
+/// no authentication).
+fn probe_violation() -> (ScenarioSpec, u64, ViolationClass) {
+    violation(probe_specs().remove(0), 0)
+}
+
+/// A validity violation that needs an explicit-pattern crash (p0 at tick
+/// 1): without it, the same corruption breaks nothing at seed 0. A
+/// shrinker that lowers `n` must not leave the 5-process pattern behind:
+/// the engine panics on a pattern of the wrong size ("failure pattern
+/// size mismatch").
+fn explicit_crash_violation() -> (ScenarioSpec, u64, ViolationClass) {
+    let spec = ScenarioSpec::new(5, 2)
+        .kz(1)
+        .adversary(MessageAdversary::from_rules(vec![MessageRule::corrupt(
+            3, 7,
+        )]))
+        .max_time(Time(3000));
+    let crash = FailurePattern::builder(5)
+        .crash(ProcessId(0), Time(1))
+        .build();
+    let fine = scenario_for(&spec).run(&spec.clone().seed(0));
+    assert_ne!(classify(&fine.check), RunClass::Violation, "{}", fine.check);
+    violation(spec.crashes(CrashPlan::Explicit(crash)), 0)
 }
 
 #[test]
 fn every_trail_spec_still_reproduces_the_violation() {
-    let (start, seed, class) = probe_violation();
-    let outcome = shrink(&runner(0, &ReportCache::new()), &start, seed, class);
-    assert!(!outcome.trail.is_empty(), "the probe must shrink");
-    for step in &outcome.trail {
-        let rep = scenario_for(&step.spec).run(&step.spec.clone().seed(seed));
+    for (start, seed, class) in [probe_violation(), explicit_crash_violation()] {
+        let outcome = shrink(&runner(0, &ReportCache::new()), &start, seed, class);
         assert!(
-            !rep.check.ok && rep.check.class == class,
-            "step `{}` ({}) no longer reproduces [{}]: {}",
-            step.pass,
-            step.description,
-            class.name(),
-            rep.check
+            !outcome.trail.is_empty(),
+            "{} must shrink",
+            start.describe()
         );
+        for step in &outcome.trail {
+            let rep = scenario_for(&step.spec).run(&step.spec.clone().seed(seed));
+            assert!(
+                !rep.check.ok && rep.check.class == class,
+                "step `{}` ({}) no longer reproduces [{}]: {}",
+                step.pass,
+                step.description,
+                class.name(),
+                rep.check
+            );
+        }
+        // The trail ends at the minimum it claims.
+        let last = &outcome.trail.last().unwrap().spec;
+        assert_eq!(last.fingerprint(), outcome.spec.fingerprint());
     }
-    // The trail ends at the minimum it claims.
-    let last = &outcome.trail.last().unwrap().spec;
-    assert_eq!(last.fingerprint(), outcome.spec.fingerprint());
 }
 
 #[test]
@@ -76,32 +106,10 @@ fn shrinking_is_deterministic_across_threads_and_event_cores() {
     );
 }
 
-/// The minimized validity witness the search emits for the probe spec
-/// (checked in as a regression document in `tests/scenario_engine.rs`
-/// at the workspace root; duplicated here only as a fixed-point input).
-const MINIMAL_VALIDITY_WITNESS: &str = r#"{"class":"validity","description":"n=5 t=2 adversary=[{\"action\":\"corrupt\",\"active_from\":0,\"active_to\":21,\"bound\":4,\"from\":\"all\",\"pct\":15,\"to\":\"all\"}] gst=1 max_time=28","detail":"validity: p3 decided 99 which was never proposed","events":137,"fingerprint":11130984197085071070,"scenario":"kset_omega","schema":"fd-minimal-witness/1","seed":0,"shrink_steps":[],"spec":{"adversary":[{"action":"corrupt","active_from":0,"active_to":21,"bound":4,"from":"all","pct":15,"to":"all"}],"catch_up":false,"crashes":{"kind":"none"},"delay":{"hi":10,"kind":"uniform","lo":1},"delay_rules":[],"gst":1,"k":1,"max_steps":200000,"max_time":28,"n":5,"oracle":"omega","t":2,"topology":[],"x":1,"y":1,"z":1}}"#;
-
-#[test]
-fn a_minimal_witness_is_a_fixed_point() {
-    let doc = json::parse(MINIMAL_VALIDITY_WITNESS).expect("parse witness");
-    let witness = MinimalWitness::from_json(&doc).expect("decode witness");
-    let again = shrink(
-        &runner(0, &ReportCache::new()),
-        &witness.spec,
-        witness.seed,
-        witness.class,
-    );
-    assert!(
-        again.trail.is_empty(),
-        "re-shrinking the minimum accepted steps: {:?}",
-        again
-            .trail
-            .iter()
-            .map(|s| format!("{}: {}", s.pass, s.description))
-            .collect::<Vec<_>>()
-    );
-    assert_eq!(again.spec.fingerprint(), witness.fingerprint);
-}
+/// The base document of the two decoder tests below: the validity witness
+/// the search emits for the probe spec (checked in as a regression in
+/// `tests/scenario_engine.rs` at the workspace root).
+const MINIMAL_VALIDITY_WITNESS: &str = r#"{"class":"validity","description":"n=5 t=1 adversary=[{\"action\":\"corrupt\",\"active_from\":0,\"active_to\":1,\"bound\":1,\"from\":\"all\",\"pct\":22,\"to\":\"all\"}] delay={\"hi\":2,\"kind\":\"uniform\",\"lo\":0} gst=1 max_time=7","detail":"validity: p1 decided 99 which was never proposed","events":121,"fingerprint":5052432489911056619,"scenario":"kset_omega","schema":"fd-minimal-witness/1","seed":0,"shrink_steps":[],"spec":{"adversary":[{"action":"corrupt","active_from":0,"active_to":1,"bound":1,"from":"all","pct":22,"to":"all"}],"catch_up":false,"crashes":{"kind":"none"},"delay":{"hi":2,"kind":"uniform","lo":0},"delay_rules":[],"gst":1,"k":1,"max_steps":200000,"max_time":7,"n":5,"oracle":"omega","t":1,"topology":[],"x":1,"y":1,"z":1}}"#;
 
 /// The decoder accepts any `u64` delay or epoch bound, so the engine must
 /// replay them: a `Fixed(u64::MAX)` delay and a cut that heals at
@@ -189,7 +197,7 @@ fn out_of_range_witness_fields_fail_the_load_by_name() {
         ("spec.k", "6", "`k` is 6"),
         ("spec.x", "0", "`x` is 0"),
         ("spec.x", "6", "`x` is 6"),
-        ("spec.y", "3", "`y` is 3"),
+        ("spec.y", "2", "`y` is 2"),
         ("spec.z", "0", "`z` is 0"),
         ("spec.z", "6", "`z` is 6"),
         (
@@ -218,7 +226,8 @@ fn out_of_range_witness_fields_fail_the_load_by_name() {
         assert!(err.contains(names), "{path} := {value}: {err}");
     }
     // Churn needs 2t ≤ n, as `CrashPlan::materialize` asserts.
-    let crowded = edited(&edited(&witness, "spec.crashes", CHURN), "spec.n", "3");
+    let churn = edited(&witness, "spec.crashes", CHURN);
+    let crowded = edited(&edited(&churn, "spec.t", "2"), "spec.n", "3");
     let err = MinimalWitness::from_json(&crowded).unwrap_err();
     assert!(err.contains("2t ≤ n"), "{err}");
     // The bounds themselves are accepted: the checks are not off by one.
@@ -230,10 +239,10 @@ fn out_of_range_witness_fields_fail_the_load_by_name() {
         ("spec.k", "5"),
         ("spec.x", "5"),
         ("spec.y", "0"),
-        ("spec.y", "2"),
+        ("spec.y", "1"),
         ("spec.z", "5"),
         ("spec.crashes", CHURN),
-        ("spec.crashes", r#"{"kind":"initial","f":2}"#),
+        ("spec.crashes", r#"{"kind":"initial","f":1}"#),
         (
             "spec.crashes",
             r#"{"kind":"explicit","crash_at":[null,null,null,null,3],"start_at":[0,0,0,0,0]}"#,

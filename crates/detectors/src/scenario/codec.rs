@@ -476,7 +476,8 @@ fn oracle_from_tag(tag: &str) -> Result<OracleChoice, String> {
 
 /// `t` bounds the crash count of the randomized plans and `n` the churn
 /// plan, exactly as `CrashPlan::materialize` asserts; an explicit pattern
-/// must cover the spec's `n` processes.
+/// must cover the spec's `n` processes and crash at most `t` of them, as
+/// `Sim::new` asserts.
 fn crashes_from_json(doc: &Json, n: usize, t: usize) -> Result<CrashPlan, String> {
     let f_at = |key| bounded_at(doc, key, 0..=t as u64, "crashes exceed the bound t");
     Ok(match doc.str_at("kind")? {
@@ -521,7 +522,14 @@ fn crashes_from_json(doc: &Json, n: usize, t: usize) -> Result<CrashPlan, String
                     fp = fp.crash(ProcessId(p), Time(at));
                 }
             }
-            CrashPlan::Explicit(fp.build())
+            let fp = fp.build();
+            if fp.num_faulty() > t {
+                return Err(format!(
+                    "an explicit pattern crashes {} processes, past the bound t = {t}",
+                    fp.num_faulty()
+                ));
+            }
+            CrashPlan::Explicit(fp)
         }
         other => return Err(format!("unknown kind {other:?}")),
     })

@@ -426,6 +426,15 @@ fn explicit_patterns_decode_only_for_their_n() {
         err.starts_with("crashes: an explicit pattern needs"),
         "{err}"
     );
+    // One crash needs t ≥ 1, as `Sim::new` asserts.
+    let mut doc = spec.to_json();
+    let crate::json::Json::Obj(members) = &mut doc else {
+        unreachable!()
+    };
+    members.insert("t".into(), crate::json::Json::num_u64(0));
+    members.insert("y".into(), crate::json::Json::num_u64(0));
+    let err = ScenarioSpec::from_json(&doc).unwrap_err();
+    assert!(err.contains("past the bound t = 0"), "{err}");
 }
 
 #[test]

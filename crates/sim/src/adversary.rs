@@ -164,23 +164,6 @@ impl MessageRule {
             && sent_at >= self.active_from
             && sent_at < self.active_to
     }
-
-    /// A copy with a different firing probability (clamped to 100). A
-    /// shrink-step primitive: binary-searching `pct` toward 0 keeps the
-    /// rule's scope and action intact.
-    pub fn with_pct(mut self, pct: u8) -> Self {
-        self.pct = pct.min(100);
-        self
-    }
-
-    /// A copy with a different corruption bound. No-op for non-corrupt
-    /// actions (drop/duplicate have no bound to shrink).
-    pub fn with_bound(mut self, bound: u64) -> Self {
-        if let RuleAction::Corrupt { bound: b } = &mut self.action {
-            *b = bound;
-        }
-        self
-    }
 }
 
 /// The message adversary of a run: nothing, or an ordered rule list.
@@ -236,36 +219,16 @@ impl MessageAdversary {
     }
 
     /// Canonicalizes a rule list: an empty list becomes
-    /// [`MessageAdversary::None`]. The scenario fingerprint distinguishes
-    /// `Rules(vec![])` from `None` (it hashes `is_none()`), so shrink
-    /// steps that empty the list must normalize or two behaviourally
-    /// identical specs would carry different fingerprints.
+    /// [`MessageAdversary::None`]. Both spell the same in a spec's
+    /// canonical encoding, and the spec decoder builds through here, so a
+    /// shrink step that drops the last rule decodes to the spec a builder
+    /// without rules makes.
     pub fn from_rules(rules: Vec<MessageRule>) -> Self {
         if rules.is_empty() {
             MessageAdversary::None
         } else {
             MessageAdversary::Rules(rules)
         }
-    }
-
-    /// A copy without rule `idx` (normalized; out-of-range `idx` returns
-    /// an unchanged copy). A shrink-step primitive.
-    pub fn without_rule(&self, idx: usize) -> Self {
-        let mut rules = self.rules().to_vec();
-        if idx < rules.len() {
-            rules.remove(idx);
-        }
-        Self::from_rules(rules)
-    }
-
-    /// A copy with rule `idx` replaced (out-of-range `idx` returns an
-    /// unchanged copy). A shrink-step primitive.
-    pub fn with_rule_replaced(&self, idx: usize, rule: MessageRule) -> Self {
-        let mut rules = self.rules().to_vec();
-        if idx < rules.len() {
-            rules[idx] = rule;
-        }
-        Self::from_rules(rules)
     }
 }
 
@@ -357,33 +320,6 @@ impl TopologyEpoch {
     #[inline]
     pub fn covers(&self, sent_at: Time) -> bool {
         sent_at >= self.from && sent_at < self.until
-    }
-
-    /// A copy with a different `[from, until)` window (a shrink-step
-    /// primitive: narrowing the window weakens the epoch).
-    pub fn with_window(mut self, from: Time, until: Time) -> Self {
-        self.from = from;
-        self.until = until;
-        self
-    }
-
-    /// A copy without island `idx` (out-of-range `idx` returns an
-    /// unchanged copy). Removing an island *weakens* the partition: its
-    /// members rejoin the implicit remainder island.
-    pub fn without_island(mut self, idx: usize) -> Self {
-        if idx < self.islands.len() {
-            self.islands.remove(idx);
-        }
-        self
-    }
-
-    /// A copy without override `idx` (out-of-range `idx` returns an
-    /// unchanged copy). A shrink-step primitive.
-    pub fn without_override(mut self, idx: usize) -> Self {
-        if idx < self.overrides.len() {
-            self.overrides.remove(idx);
-        }
-        self
     }
 
     /// The fate of one directed message inside this epoch.
@@ -496,26 +432,6 @@ impl TopologySchedule {
         } else {
             TopologySchedule::Epochs(epochs)
         }
-    }
-
-    /// A copy without epoch `idx` (normalized; out-of-range `idx` returns
-    /// an unchanged copy). A shrink-step primitive.
-    pub fn without_epoch(&self, idx: usize) -> Self {
-        let mut eps = self.epochs().to_vec();
-        if idx < eps.len() {
-            eps.remove(idx);
-        }
-        Self::from_epochs(eps)
-    }
-
-    /// A copy with epoch `idx` replaced (out-of-range `idx` returns an
-    /// unchanged copy). A shrink-step primitive.
-    pub fn with_epoch_replaced(&self, idx: usize, ep: TopologyEpoch) -> Self {
-        let mut eps = self.epochs().to_vec();
-        if idx < eps.len() {
-            eps[idx] = ep;
-        }
-        Self::from_epochs(eps)
     }
 
     /// A one-line description for bench reports and tables (`"none"` or
@@ -684,66 +600,7 @@ mod tests {
         assert!(!adv.is_none());
         assert_eq!(adv.rules().len(), 3);
         assert!(MessageAdversary::None.is_none());
-    }
-
-    #[test]
-    fn mutation_helpers_shrink_without_rebuilding() {
-        // Rule-level tweaks keep scope intact.
-        let r = MessageRule::corrupt(40, 7)
-            .window(Time(10), Time(20))
-            .links(PSet::singleton(ProcessId(0)), PSet::full(3));
-        let weaker = r.clone().with_pct(20).with_bound(3);
-        assert_eq!(weaker.pct, 20);
-        assert_eq!(weaker.action, RuleAction::Corrupt { bound: 3 });
-        assert_eq!((weaker.active_from, weaker.active_to), (Time(10), Time(20)));
-        assert_eq!(weaker.from, r.from);
-        // pct stays clamped; bound tweaks ignore non-corrupt actions.
-        assert_eq!(MessageRule::drop(10).with_pct(200).pct, 100);
-        assert_eq!(MessageRule::drop(10).with_bound(9).action, RuleAction::Drop);
-
-        // Adversary-level removal/replacement normalizes empty to None, so
-        // shrunk specs fingerprint identically to hand-built ones.
-        let adv = MessageAdversary::Rules(vec![MessageRule::drop(10), r.clone()]);
-        let only_corrupt = adv.without_rule(0);
-        assert_eq!(only_corrupt.rules(), std::slice::from_ref(&r));
-        assert_eq!(only_corrupt.without_rule(0), MessageAdversary::None);
-        assert_eq!(adv.without_rule(5), adv); // out of range: unchanged
-        let replaced = adv.with_rule_replaced(0, MessageRule::drop(5));
-        assert_eq!(replaced.rules()[0].pct, 5);
         assert_eq!(MessageAdversary::from_rules(vec![]), MessageAdversary::None);
-        assert_eq!(
-            MessageAdversary::None.without_rule(0),
-            MessageAdversary::None
-        );
-    }
-
-    #[test]
-    fn topology_mutation_helpers_normalize() {
-        let ep = TopologyEpoch::new(Time::ZERO, Time(500))
-            .islands(two_islands())
-            .link(LinkOverride::silence(
-                PSet::singleton(ProcessId(0)),
-                PSet::singleton(ProcessId(3)),
-            ));
-        // Window narrowing, island and override removal.
-        let narrowed = ep.clone().with_window(Time(100), Time(300));
-        assert_eq!((narrowed.from, narrowed.until), (Time(100), Time(300)));
-        assert_eq!(narrowed.islands, ep.islands);
-        assert_eq!(ep.clone().without_island(0).islands.len(), 1);
-        assert_eq!(ep.clone().without_island(9).islands.len(), 2);
-        assert!(ep.clone().without_override(0).overrides.is_empty());
-
-        let s =
-            TopologySchedule::Epochs(vec![ep.clone(), TopologyEpoch::new(Time(500), Time(900))]);
-        assert_eq!(s.without_epoch(0).epochs().len(), 1);
-        assert_eq!(s.without_epoch(7), s); // out of range: unchanged
-        assert_eq!(s.without_epoch(0).without_epoch(0), TopologySchedule::None);
-        let swapped = s.with_epoch_replaced(1, ep.clone().with_window(Time(500), Time(600)));
-        assert_eq!(swapped.epochs()[1].until, Time(600));
-        assert_eq!(
-            TopologySchedule::from_epochs(vec![]),
-            TopologySchedule::None
-        );
     }
 
     #[test]
@@ -1023,6 +880,10 @@ mod tests {
         assert_ne!(
             TopologySchedule::partition_until(two_islands(), Time(500)).describe(),
             TopologySchedule::partition_until(two_islands(), Time(501)).describe()
+        );
+        assert_eq!(
+            TopologySchedule::from_epochs(vec![]),
+            TopologySchedule::None
         );
     }
 }

@@ -1048,37 +1048,43 @@ mod negative {
 mod witnesses {
     //! Minimized adversary-search witnesses, checked in as permanent
     //! regression tests. Each document below is the verbatim
-    //! `MinimalWitness` JSON the `sweep search` campaign emitted (budget
-    //! 32, search seed 0) after shrinking: the smallest spec its passes
-    //! could reach that still violates the named predicate at the named
-    //! seed. The test replays each spec through the engine and holds the
-    //! violation class, the checker detail, the event count, and the
-    //! spec fingerprint — if any of these move, the engine's draw order
-    //! or a checker changed observable behavior.
+    //! `MinimalWitness` JSON that CI's `sweep search` campaign (budget 32,
+    //! search seed 0, 4 seeds per spec) emits after shrinking — pinned byte
+    //! for byte by `the_campaign_emits_the_checked_in_witnesses`. Each spec
+    //! is a local minimum of the shrinker's walk over the canonical
+    //! encoding (no dropped element, reset member or lowered number still
+    //! violates the named predicate at the named seed), and re-shrinking it
+    //! accepts nothing. The replay test holds the violation class, the
+    //! checker detail, the event count, and the spec fingerprint — if any
+    //! of these move, the engine's draw order or a checker changed
+    //! observable behavior.
     //!
     //! To promote a freshly found witness: copy its entry out of the
     //! search report (`--out`), paste it here, and assert its `class`.
 
-    use fd_bench::{json, MinimalWitness};
+    use fd_bench::{json, run_search, shrink, MinimalWitness, SearchConfig};
+    use fd_grid::fd_detectors::scenario::{ReportCache, Runner};
     use fd_grid::fd_detectors::ViolationClass;
 
-    /// Validity broken by live corruption: 15% of messages corrupted
-    /// (bound 4) in the first 21 ticks of a 28-tick horizon is enough
-    /// for a never-proposed value to be adopted and decided by p3.
-    const VALIDITY_CORRUPTION: &str = r#"{"class":"validity","description":"n=5 t=2 adversary=[{\"action\":\"corrupt\",\"active_from\":0,\"active_to\":21,\"bound\":4,\"from\":\"all\",\"pct\":15,\"to\":\"all\"}] gst=1 max_time=28","detail":"validity: p3 decided 99 which was never proposed","events":137,"fingerprint":11130984197085071070,"scenario":"kset_omega","schema":"fd-minimal-witness/1","seed":0,"shrink_steps":[{"description":"shrank horizon 60000 -> 67","pass":"shrink-horizon"},{"description":"shrank gst 300 -> 26","pass":"shrink-gst"},{"description":"shrank horizon 67 -> 47","pass":"shrink-horizon"},{"description":"shrank gst 26 -> 1","pass":"shrink-gst"},{"description":"shrank horizon 47 -> 28","pass":"shrink-horizon"},{"description":"shrank rule #0 pct 40 -> 15","pass":"shrink-rule-pct"},{"description":"shrank rule #0 corruption bound 7 -> 4","pass":"shrink-rule-bound"},{"description":"clamped rule #0 window to horizon","pass":"narrow-rule-window"},{"description":"shrank rule #0 window end 29 -> 21","pass":"narrow-rule-window"}],"spec":{"adversary":[{"action":"corrupt","active_from":0,"active_to":21,"bound":4,"from":"all","pct":15,"to":"all"}],"catch_up":false,"crashes":{"kind":"none"},"delay":{"hi":10,"kind":"uniform","lo":1},"delay_rules":[],"gst":1,"k":1,"max_steps":200000,"max_time":28,"n":5,"oracle":"omega","t":2,"topology":[],"x":1,"y":1,"z":1}}"#;
+    /// Validity broken by live corruption: 22% of messages corrupted
+    /// (bound 1) in tick [0, 1) of a 7-tick horizon, with delays of 1–2
+    /// ticks and `t = 1`, is enough for a never-proposed value to be
+    /// adopted and decided by p1.
+    const VALIDITY_CORRUPTION: &str = r#"{"class":"validity","description":"n=5 t=1 adversary=[{\"action\":\"corrupt\",\"active_from\":0,\"active_to\":1,\"bound\":1,\"from\":\"all\",\"pct\":22,\"to\":\"all\"}] delay={\"hi\":2,\"kind\":\"uniform\",\"lo\":0} gst=1 max_time=7","detail":"validity: p1 decided 99 which was never proposed","events":121,"fingerprint":5052432489911056619,"scenario":"kset_omega","schema":"fd-minimal-witness/1","seed":0,"shrink_steps":[{"description":"adversary[0].active_to 18446744073709551615 -> 62","pass":"lower"},{"description":"adversary[0].bound 7 -> 6","pass":"lower"},{"description":"adversary[0].pct 40 -> 26","pass":"lower"},{"description":"adversary[0].active_to 62 -> 57","pass":"lower"},{"description":"adversary[0].bound 6 -> 2","pass":"lower"},{"description":"gst 300 -> 58","pass":"lower"},{"description":"adversary[0].pct 26 -> 23","pass":"lower"},{"description":"max_time 60000 -> 77","pass":"lower"},{"description":"t 2 -> 1","pass":"lower"},{"description":"adversary[0].active_to 57 -> 39","pass":"lower"},{"description":"adversary[0].bound 2 -> 1","pass":"lower"},{"description":"adversary[0].active_to 39 -> 1","pass":"lower"},{"description":"adversary[0].pct 23 -> 22","pass":"lower"},{"description":"delay.hi 10 -> 2","pass":"lower"},{"description":"delay.lo 1 -> 0","pass":"lower"},{"description":"gst 58 -> 1","pass":"lower"},{"description":"max_time 77 -> 7","pass":"lower"}],"spec":{"adversary":[{"action":"corrupt","active_from":0,"active_to":1,"bound":1,"from":"all","pct":22,"to":"all"}],"catch_up":false,"crashes":{"kind":"none"},"delay":{"hi":2,"kind":"uniform","lo":0},"delay_rules":[],"gst":1,"k":1,"max_steps":200000,"max_time":7,"n":5,"oracle":"omega","t":1,"topology":[],"x":1,"y":1,"z":1}}"#;
 
     /// 1-agreement broken by a whisper of corruption: a *3%* corruption
-    /// rate (bound 2) active only in tick [0, 1) of a 13-tick horizon
-    /// still splits the decision — two legitimate proposals both
-    /// decided. The shrinker's 19-step trail took this from a
-    /// 60000-tick, 40%-corruption probe.
-    const AGREEMENT_CORRUPTION: &str = r#"{"class":"agreement","description":"n=5 t=2 adversary=[{\"action\":\"corrupt\",\"active_from\":0,\"active_to\":1,\"bound\":2,\"from\":\"all\",\"pct\":3,\"to\":\"all\"}] gst=0 max_time=13","detail":"agreement: 2 distinct values decided ([101, 102]) > k = 1","events":63,"fingerprint":14510577873027147604,"scenario":"kset_omega","schema":"fd-minimal-witness/1","seed":1,"shrink_steps":[{"description":"shrank horizon 60000 -> 318","pass":"shrink-horizon"},{"description":"shrank gst 300 -> 297","pass":"shrink-gst"},{"description":"shrank rule #0 corruption bound 7 -> 2","pass":"shrink-rule-bound"},{"description":"shrank gst 297 -> 275","pass":"shrink-gst"},{"description":"shrank horizon 318 -> 296","pass":"shrink-horizon"},{"description":"shrank gst 275 -> 248","pass":"shrink-gst"},{"description":"shrank horizon 296 -> 273","pass":"shrink-horizon"},{"description":"shrank gst 248 -> 167","pass":"shrink-gst"},{"description":"shrank horizon 273 -> 194","pass":"shrink-horizon"},{"description":"shrank gst 167 -> 22","pass":"shrink-gst"},{"description":"shrank horizon 194 -> 48","pass":"shrink-horizon"},{"description":"shrank gst 22 -> 1","pass":"shrink-gst"},{"description":"shrank horizon 48 -> 28","pass":"shrink-horizon"},{"description":"shrank rule #0 pct 40 -> 9","pass":"shrink-rule-pct"},{"description":"shrank gst 1 -> 0","pass":"shrink-gst"},{"description":"shrank horizon 28 -> 13","pass":"shrink-horizon"},{"description":"shrank rule #0 pct 9 -> 3","pass":"shrink-rule-pct"},{"description":"clamped rule #0 window to horizon","pass":"narrow-rule-window"},{"description":"shrank rule #0 window end 14 -> 1","pass":"narrow-rule-window"}],"spec":{"adversary":[{"action":"corrupt","active_from":0,"active_to":1,"bound":2,"from":"all","pct":3,"to":"all"}],"catch_up":false,"crashes":{"kind":"none"},"delay":{"hi":10,"kind":"uniform","lo":1},"delay_rules":[],"gst":0,"k":1,"max_steps":200000,"max_time":13,"n":5,"oracle":"omega","t":2,"topology":[],"x":1,"y":1,"z":1}}"#;
+    /// rate (bound 2) active only in tick [0, 1) of a 4-tick horizon still
+    /// splits the decision — two legitimate proposals both decided. The
+    /// shrinker's 21-step trail took this from a 60000-tick,
+    /// 40%-corruption probe.
+    const AGREEMENT_CORRUPTION: &str = r#"{"class":"agreement","description":"n=5 t=1 adversary=[{\"action\":\"corrupt\",\"active_from\":0,\"active_to\":1,\"bound\":2,\"from\":\"all\",\"pct\":3,\"to\":\"all\"}] delay={\"hi\":2,\"kind\":\"uniform\",\"lo\":0} gst=0 max_time=4","detail":"agreement: 2 distinct values decided ([101, 102]) > k = 1","events":71,"fingerprint":17539516855702461469,"scenario":"kset_omega","schema":"fd-minimal-witness/1","seed":1,"shrink_steps":[{"description":"adversary[0].active_to 18446744073709551615 -> 313","pass":"lower"},{"description":"adversary[0].bound 7 -> 2","pass":"lower"},{"description":"adversary[0].pct 40 -> 39","pass":"lower"},{"description":"adversary[0].active_to 313 -> 309","pass":"lower"},{"description":"adversary[0].pct 39 -> 34","pass":"lower"},{"description":"gst 300 -> 46","pass":"lower"},{"description":"adversary[0].active_to 309 -> 65","pass":"lower"},{"description":"adversary[0].pct 34 -> 17","pass":"lower"},{"description":"delay.hi 10 -> 9","pass":"lower"},{"description":"adversary[0].active_to 65 -> 59","pass":"lower"},{"description":"gst 46 -> 0","pass":"lower"},{"description":"adversary[0].active_to 59 -> 6","pass":"lower"},{"description":"adversary[0].pct 17 -> 3","pass":"lower"},{"description":"adversary[0].active_to 6 -> 1","pass":"lower"},{"description":"delay.hi 9 -> 7","pass":"lower"},{"description":"delay.hi 7 -> 3","pass":"lower"},{"description":"max_time 60000 -> 6","pass":"lower"},{"description":"t 2 -> 1","pass":"lower"},{"description":"delay.hi 3 -> 2","pass":"lower"},{"description":"delay.lo 1 -> 0","pass":"lower"},{"description":"max_time 6 -> 4","pass":"lower"}],"spec":{"adversary":[{"action":"corrupt","active_from":0,"active_to":1,"bound":2,"from":"all","pct":3,"to":"all"}],"catch_up":false,"crashes":{"kind":"none"},"delay":{"hi":2,"kind":"uniform","lo":0},"delay_rules":[],"gst":0,"k":1,"max_steps":200000,"max_time":4,"n":5,"oracle":"omega","t":1,"topology":[],"x":1,"y":1,"z":1}}"#;
 
-    /// A *sampled* (not probe) spec from the fuzzed space: n=4 under
-    /// fixed delay, a full-silence delay rule until tick 67, and 3%
-    /// corruption — the shrinker dropped one whole message rule and the
-    /// crash plan on its way to this 264-event validity reproducer.
-    const VALIDITY_SILENCE_CORRUPTION: &str = r#"{"class":"validity","description":"n=4 t=1 adversary=[{\"action\":\"corrupt\",\"active_from\":0,\"active_to\":100,\"bound\":2,\"from\":\"all\",\"pct\":3,\"to\":\"all\"}] delay={\"d\":5,\"kind\":\"fixed\"} delay_rules=[{\"active_from\":0,\"active_to\":67,\"deliver_not_before\":67,\"from\":[0,1,2,3],\"to\":[0,1,2,3]}] gst=85 max_time=109","detail":"validity: p1 decided 99 which was never proposed","events":264,"fingerprint":17110066388413079971,"scenario":"kset_omega","schema":"fd-minimal-witness/1","seed":0,"shrink_steps":[{"description":"dropped message rule #0","pass":"drop-adv-rule"},{"description":"removed crash plan","pass":"weaken-crashes"},{"description":"shrank horizon 2000 -> 199","pass":"shrink-horizon"},{"description":"shrank gst 300 -> 175","pass":"shrink-gst"},{"description":"shrank gst 175 -> 85","pass":"shrink-gst"},{"description":"shrank horizon 199 -> 109","pass":"shrink-horizon"},{"description":"shrank rule #0 pct 11 -> 3","pass":"shrink-rule-pct"},{"description":"shrank rule #0 corruption bound 7 -> 2","pass":"shrink-rule-bound"},{"description":"clamped rule #0 window to horizon","pass":"narrow-rule-window"},{"description":"shrank rule #0 window end 110 -> 100","pass":"narrow-rule-window"}],"spec":{"adversary":[{"action":"corrupt","active_from":0,"active_to":100,"bound":2,"from":"all","pct":3,"to":"all"}],"catch_up":false,"crashes":{"kind":"none"},"delay":{"d":5,"kind":"fixed"},"delay_rules":[{"active_from":0,"active_to":67,"deliver_not_before":67,"from":[0,1,2,3],"to":[0,1,2,3]}],"gst":85,"k":1,"max_steps":200000,"max_time":109,"n":4,"oracle":"omega","t":1,"topology":[],"x":1,"y":1,"z":1}}"#;
+    /// A *sampled* (not probe) spec from the fuzzed space: n=4 under fixed
+    /// delay, a delay rule holding p3's messages until tick 65, and 8%
+    /// corruption — the shrinker dropped one whole message rule, three of
+    /// the delay rule's senders and the crash plan on its way to this
+    /// 330-event validity reproducer.
+    const VALIDITY_SILENCE_CORRUPTION: &str = r#"{"class":"validity","description":"n=4 t=1 adversary=[{\"action\":\"corrupt\",\"active_from\":0,\"active_to\":74,\"bound\":4,\"from\":\"all\",\"pct\":8,\"to\":\"all\"}] delay={\"d\":5,\"kind\":\"fixed\"} delay_rules=[{\"active_from\":0,\"active_to\":60,\"deliver_not_before\":65,\"from\":[3],\"to\":[0,1,2,3]}] gst=69 max_time=83","detail":"validity: p1 decided 99 which was never proposed","events":330,"fingerprint":17665595199285274617,"scenario":"kset_omega","schema":"fd-minimal-witness/1","seed":0,"shrink_steps":[{"description":"adversary[0] removed","pass":"drop"},{"description":"delay_rules[0].from[0] removed","pass":"drop"},{"description":"delay_rules[0].from[0] removed","pass":"drop"},{"description":"delay_rules[0].from[0] removed","pass":"drop"},{"description":"crashes {\"by\":831,\"kind\":\"anarchic\"} -> {\"kind\":\"none\"}","pass":"reset"},{"description":"adversary[0].active_to 18446744073709551615 -> 76","pass":"lower"},{"description":"adversary[0].bound 7 -> 5","pass":"lower"},{"description":"adversary[0].pct 11 -> 8","pass":"lower"},{"description":"adversary[0].bound 5 -> 4","pass":"lower"},{"description":"delay_rules[0].active_to 67 -> 60","pass":"lower"},{"description":"delay_rules[0].deliver_not_before 67 -> 65","pass":"lower"},{"description":"adversary[0].active_to 76 -> 74","pass":"lower"},{"description":"gst 300 -> 69","pass":"lower"},{"description":"max_time 2000 -> 83","pass":"lower"}],"spec":{"adversary":[{"action":"corrupt","active_from":0,"active_to":74,"bound":4,"from":"all","pct":8,"to":"all"}],"catch_up":false,"crashes":{"kind":"none"},"delay":{"d":5,"kind":"fixed"},"delay_rules":[{"active_from":0,"active_to":60,"deliver_not_before":65,"from":[3],"to":[0,1,2,3]}],"gst":69,"k":1,"max_steps":200000,"max_time":83,"n":4,"oracle":"omega","t":1,"topology":[],"x":1,"y":1,"z":1}}"#;
 
     const WITNESSES: [(&str, ViolationClass); 3] = [
         (VALIDITY_CORRUPTION, ViolationClass::Validity),
@@ -1086,11 +1092,15 @@ mod witnesses {
         (VALIDITY_SILENCE_CORRUPTION, ViolationClass::Validity),
     ];
 
+    fn decoded(doc: &str) -> MinimalWitness {
+        MinimalWitness::from_json(&json::parse(doc).expect("witness must parse"))
+            .expect("witness must decode")
+    }
+
     #[test]
     fn checked_in_witnesses_still_reproduce_their_violations() {
         for (doc, want_class) in WITNESSES {
-            let w = MinimalWitness::from_json(&json::parse(doc).expect("witness must parse"))
-                .expect("witness must decode");
+            let w = decoded(doc);
             assert_eq!(w.class, want_class, "{}", w.description);
             assert_eq!(w.spec.fingerprint(), w.fingerprint, "{}", w.description);
             let rep = fd_bench::scenario_for(&w.spec).run(&w.spec.clone().seed(w.seed));
@@ -1112,8 +1122,47 @@ mod witnesses {
         // a document and re-emitting it reproduces the input bytes, so
         // two campaigns finding the same witness write identical files.
         for (doc, _) in WITNESSES {
-            let w = MinimalWitness::from_json(&json::parse(doc).unwrap()).unwrap();
+            let w = decoded(doc);
             assert_eq!(w.to_json().emit(), doc, "{}", w.description);
+        }
+    }
+
+    #[test]
+    fn the_campaign_emits_the_checked_in_witnesses() {
+        // `SearchConfig::default()` is CI's `--budget 32 --search-seed 0
+        // --seeds-per-spec 4`.
+        let cache = ReportCache::new();
+        let report = run_search(
+            &Runner::sequential().with_cache(&cache),
+            &SearchConfig::default(),
+        );
+        let emitted: Vec<String> = report
+            .witnesses
+            .iter()
+            .map(|w| w.to_json().emit())
+            .collect();
+        let checked_in: Vec<&str> = WITNESSES.iter().map(|(doc, _)| *doc).collect();
+        assert_eq!(emitted, checked_in);
+    }
+
+    #[test]
+    fn a_minimal_witness_is_a_fixed_point() {
+        let cache = ReportCache::new();
+        let runner = Runner::sequential().with_cache(&cache);
+        for (doc, _) in WITNESSES {
+            let w = decoded(doc);
+            let again = shrink(&runner, &w.spec, w.seed, w.class);
+            assert!(
+                again.trail.is_empty(),
+                "re-shrinking {} accepted steps: {:?}",
+                w.description,
+                again
+                    .trail
+                    .iter()
+                    .map(|s| format!("{}: {}", s.pass, s.description))
+                    .collect::<Vec<_>>()
+            );
+            assert_eq!(again.spec.fingerprint(), w.fingerprint);
         }
     }
 }
