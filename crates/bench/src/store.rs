@@ -26,7 +26,7 @@
 //!
 //! A cell is one line of canonical JSON — keys sorted, no whitespace, so a
 //! run directory stays `grep`-able and a cell has exactly one spelling.
-//! Neither direction builds a [`Json`] tree: [`encode_cell`] writes the
+//! Neither direction builds a [`json::Json`] tree: [`encode_cell`] writes the
 //! line straight into one exactly-sized `String`, and [`decode_cell`] pulls
 //! the fields straight off a [`json::Reader`] into the [`SlimReport`],
 //! allocating only what the report owns (detail, decided values, counters),

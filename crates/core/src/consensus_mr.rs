@@ -1,5 +1,5 @@
 //! Baseline: the classic `◇S`-based consensus algorithm
-//! (Mostéfaoui–Raynal, DISC 1999 — the paper's reference [18], of which
+//! (Mostéfaoui–Raynal, DISC 1999 — the paper's reference \[18\], of which
 //! Figure 3 is the `Ω_k` descendant).
 //!
 //! Rotating-coordinator structure, `t < n/2`:

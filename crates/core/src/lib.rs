@@ -9,7 +9,7 @@
 //! * [`KsetOmega`] — the Figure 3 algorithm (two-phase rounds on top of an
 //!   `Ω_z` oracle, `t < n/2`, at most `k ≥ z` distinct decisions);
 //! * [`ConsensusMr`] — the Mostéfaoui–Raynal `◇S` quorum-based consensus
-//!   (the paper's reference [18]), used as a baseline;
+//!   (the paper's reference \[18\]), used as a baseline;
 //! * [`spec`] — validity / k-agreement / termination checkers;
 //! * [`scenario`] — the [`Scenario`](fd_detectors::Scenario)
 //!   implementations driving the algorithms through the unified engine.

@@ -50,8 +50,8 @@ pub enum ViolationClass {
     /// No scope of the required size eventually protects a correct
     /// process (limited-scope accuracy).
     Accuracy,
-    /// The trusted outputs never converge to a valid leader set (`Ω_z` /
-    /// `Ω^S` eventual leadership).
+    /// The trusted outputs never converge to a valid leader set (`Ω_z`
+    /// eventual leadership).
     Leadership,
     /// A live process was suspected (perpetual accuracy of `P`).
     Slander,

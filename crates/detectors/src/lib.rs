@@ -2,9 +2,8 @@
 //!
 //! Implements every failure-detector class studied in *"Irreducibility and
 //! Additivity of Set Agreement-oriented Failure Detector Classes"* (PODC
-//! 2006) as a concrete, adversarially parameterizable oracle over a
-//! simulated run, plus mechanical checkers for each class's defining
-//! properties.
+//! 2006) as one fixed, oblivious oracle over a simulated run, plus
+//! mechanical checkers for each class's defining properties.
 //!
 //! ## The grid (paper Figure 1)
 //!
@@ -30,7 +29,18 @@
 //! noise before stabilization, permanent slander where permitted, leader
 //! sets packed with faulty processes, query answers as unhelpful as the
 //! class allows. An algorithm that works against these oracles works
-//! against any detector of the class.
+//! against any detector of the class. The envelope is fixed, one constant
+//! per number:
+//!
+//! | class | fixed envelope behaviour | constant |
+//! |---|---|---|
+//! | every eventual class | pre-stabilization answers re-drawn per window | [`noise::PERIOD`] = 7 ticks |
+//! | `S_x` / `◇S_x` | a crash is suspected everywhere after a lag | `COMPLETENESS_LAG` = 8 ticks |
+//! | `S_x` / `◇S_x` | each reader permanently slanders each unprotected correct process with a fixed chance | `SLANDER_PCT` = 35 % (the one per-oracle value: [`SxOracle::with_scope`] takes it) |
+//! | `Ω_z` | the eventual leader set is one correct process packed with faulty ones | — |
+//! | `φ_y` / `◇φ_y` / `Ψ_y` | a fully crashed set answers `true` after a lag | `LIVENESS_LAG` = 10 ticks |
+//! | `◇φ_y` | after stabilization a set of faulty processes answers `true` before its last member crashes | — |
+//! | `P` / `◇P` | a crash is suspected after a lag | `DETECTION_LAG` = 5 ticks |
 //!
 //! ## Checkers
 //!
@@ -57,7 +67,6 @@ pub mod check;
 pub mod json;
 pub mod noise;
 pub mod omega;
-pub mod omega_s;
 pub mod perfect;
 pub mod phi;
 pub mod scenario;
@@ -65,13 +74,12 @@ pub mod scripted;
 pub mod sx;
 
 pub use check::{CheckOutcome, ViolationClass};
-pub use omega::{OmegaAdversary, OmegaOracle};
-pub use omega_s::{check_omega_scoped, OmegaScopedOracle, PairsToOmega};
+pub use omega::OmegaOracle;
 pub use perfect::PerfectOracle;
-pub use phi::{PhiAdversary, PhiOracle, PsiOracle};
+pub use phi::{PhiOracle, PsiOracle};
 pub use scenario::{
     default_proposals, sample_oracle, CrashPlan, Flavour, Metrics, OracleChoice, OracleVisitor,
     ReportCache, Runner, SampledSlot, Scenario, ScenarioReport, ScenarioSpec, SweepSummary,
 };
 pub use scripted::{ScriptedOracle, SetSchedule};
-pub use sx::{Scope, SxAdversary, SxOracle};
+pub use sx::{Scope, SxOracle};

@@ -9,6 +9,10 @@
 
 use fd_sim::{PSet, ProcessId, SplitMix64, Time};
 
+/// The flicker period of all pre-stabilization noise, in ticks: an answer
+/// is re-drawn once per window of this length.
+pub const PERIOD: u64 = 7;
+
 /// Stateless mixing of up to three words into a fresh RNG stream.
 pub fn stream(seed: u64, a: u64, b: u64, c: u64) -> SplitMix64 {
     SplitMix64::new(seed)
@@ -17,16 +21,16 @@ pub fn stream(seed: u64, a: u64, b: u64, c: u64) -> SplitMix64 {
         .stream(c.wrapping_mul(0x1656_67B1_9E37_79F9) ^ 0x3C3C)
 }
 
-/// The time window index of `now` for a flicker period (≥ 1 tick).
-pub fn window(now: Time, period: u64) -> u64 {
-    now.ticks() / period.max(1)
+/// The index of the [`PERIOD`]-tick window containing `now`.
+fn window(now: Time) -> u64 {
+    now.ticks() / PERIOD
 }
 
 /// An arbitrary subset of `{p_1..p_n} \ {me}`, stable within one window.
 ///
 /// Each other process is included with probability 1/2.
-pub fn arbitrary_set(seed: u64, me: ProcessId, now: Time, period: u64, n: usize) -> PSet {
-    let mut rng = stream(seed, me.0 as u64, window(now, period), 0x00ba_d5e7);
+pub fn arbitrary_set(seed: u64, me: ProcessId, now: Time, n: usize) -> PSet {
+    let mut rng = stream(seed, me.0 as u64, window(now), 0x00ba_d5e7);
     let mut s = PSet::new();
     for i in 0..n {
         if i != me.0 && rng.chance(1, 2) {
@@ -42,11 +46,10 @@ pub fn arbitrary_leader_set(
     seed: u64,
     me: ProcessId,
     now: Time,
-    period: u64,
     n: usize,
     max_size: usize,
 ) -> PSet {
-    let mut rng = stream(seed, me.0 as u64, window(now, period), 0x001e_ade2);
+    let mut rng = stream(seed, me.0 as u64, window(now), 0x001e_ade2);
     let k = rng.range(1, max_size.max(1) as u64) as usize;
     rng.sample_indices(n, k.min(n), |s| {
         s.iter().map(|&i| ProcessId(i as usize)).collect()
@@ -54,39 +57,44 @@ pub fn arbitrary_leader_set(
 }
 
 /// An arbitrary boolean, stable within one window, keyed by a query set.
-pub fn arbitrary_bool(seed: u64, me: ProcessId, x: PSet, now: Time, period: u64) -> bool {
-    let mut rng = stream(
-        seed,
-        me.0 as u64 ^ (x.bits() as u64) ^ ((x.bits() >> 64) as u64),
-        window(now, period),
-        0xb001,
-    );
+///
+/// The set enters the stream as the XOR of its words, defined at every
+/// width up to `MAX_PROCESSES`.
+pub fn arbitrary_bool(seed: u64, me: ProcessId, x: PSet, now: Time) -> bool {
+    let mut rng = stream(seed, me.0 as u64 ^ set_key(x), window(now), 0xb001);
     rng.chance(1, 2)
+}
+
+/// The XOR of a set's words.
+fn set_key(x: PSet) -> u64 {
+    x.as_words().iter().fold(0, |key, w| key ^ w)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{PhiOracle, Scope};
+    use fd_sim::{FailurePattern, OracleSuite};
 
     #[test]
     fn stable_within_window() {
-        let a = arbitrary_set(1, ProcessId(0), Time(10), 10, 6);
-        let b = arbitrary_set(1, ProcessId(0), Time(19), 10, 6);
+        let a = arbitrary_set(1, ProcessId(0), Time(PERIOD), 6);
+        let b = arbitrary_set(1, ProcessId(0), Time(2 * PERIOD - 1), 6);
         assert_eq!(a, b);
     }
 
     #[test]
     fn changes_across_windows() {
         // With 20 windows at n=8, at least one must differ from the first.
-        let first = arbitrary_set(2, ProcessId(0), Time(0), 5, 8);
-        let changed = (1..20).any(|w| arbitrary_set(2, ProcessId(0), Time(w * 5), 5, 8) != first);
+        let first = arbitrary_set(2, ProcessId(0), Time(0), 8);
+        let changed = (1..20).any(|w| arbitrary_set(2, ProcessId(0), Time(w * PERIOD), 8) != first);
         assert!(changed);
     }
 
     #[test]
     fn excludes_self() {
         for w in 0..50 {
-            let s = arbitrary_set(3, ProcessId(2), Time(w), 1, 5);
+            let s = arbitrary_set(3, ProcessId(2), Time(w * PERIOD), 5);
             assert!(!s.contains(ProcessId(2)));
         }
     }
@@ -94,7 +102,7 @@ mod tests {
     #[test]
     fn leader_set_size_bounds() {
         for w in 0..50 {
-            let s = arbitrary_leader_set(4, ProcessId(1), Time(w), 1, 6, 3);
+            let s = arbitrary_leader_set(4, ProcessId(1), Time(w * PERIOD), 6, 3);
             assert!(!s.is_empty() && s.len() <= 3);
         }
     }
@@ -104,8 +112,8 @@ mod tests {
         let x1 = PSet::singleton(ProcessId(0));
         let x2 = PSet::singleton(ProcessId(1));
         let differs = (0..64).any(|w| {
-            arbitrary_bool(5, ProcessId(0), x1, Time(w), 1)
-                != arbitrary_bool(5, ProcessId(0), x2, Time(w), 1)
+            let now = Time(w * PERIOD);
+            arbitrary_bool(5, ProcessId(0), x1, now) != arbitrary_bool(5, ProcessId(0), x2, now)
         });
         assert!(differs);
     }
@@ -113,8 +121,24 @@ mod tests {
     #[test]
     fn deterministic() {
         assert_eq!(
-            arbitrary_set(9, ProcessId(3), Time(77), 4, 10),
-            arbitrary_set(9, ProcessId(3), Time(77), 4, 10)
+            arbitrary_set(9, ProcessId(3), Time(77), 10),
+            arbitrary_set(9, ProcessId(3), Time(77), 10)
         );
+    }
+
+    /// A pre-stabilization `◇φ_y` query over a set with members ≥ 128 is
+    /// answered (the key is defined at every width), and below 128 the
+    /// key equals the two-word fold of `bits()`, so no recorded run moves.
+    #[test]
+    fn bool_key_covers_wide_sets_and_keeps_narrow_ones() {
+        let wide: PSet = (101..200).map(ProcessId).collect();
+        let fp = FailurePattern::all_correct(200);
+        let mut fd = PhiOracle::new(fp, 99, 1, Scope::Eventual(Time(1000)), 1);
+        let _ = fd.query(ProcessId(0), wide, Time(5));
+        let mut rng = SplitMix64::new(0xb001);
+        for _ in 0..1000 {
+            let x = PSet::from_bits(u128::from(rng.next_u64()) << 64 | u128::from(rng.next_u64()));
+            assert_eq!(set_key(x), x.bits() as u64 ^ (x.bits() >> 64) as u64, "{x}");
+        }
     }
 }

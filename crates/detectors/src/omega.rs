@@ -14,24 +14,6 @@
 use crate::noise;
 use fd_sim::{FailurePattern, OracleSuite, PSet, ProcessId, SplitMix64, Time};
 
-/// Tuning of `Ω_z` adversarial behaviour.
-#[derive(Clone, Debug)]
-pub struct OmegaAdversary {
-    /// Flicker period of pre-stabilization noise.
-    pub noise_period: u64,
-    /// Pack the eventual leader set with faulty processes.
-    pub fill_with_faulty: bool,
-}
-
-impl Default for OmegaAdversary {
-    fn default() -> Self {
-        OmegaAdversary {
-            noise_period: 7,
-            fill_with_faulty: true,
-        }
-    }
-}
-
 /// An `Ω_z` oracle.
 ///
 /// # Examples
@@ -54,7 +36,6 @@ pub struct OmegaOracle {
     fp: FailurePattern,
     z: usize,
     gst: Time,
-    adv: OmegaAdversary,
     seed: u64,
     final_set: PSet,
 }
@@ -66,17 +47,6 @@ impl OmegaOracle {
     ///
     /// Panics unless `1 ≤ z ≤ n` and some process is correct.
     pub fn new(fp: FailurePattern, z: usize, gst: Time, seed: u64) -> Self {
-        Self::with_adversary(fp, z, gst, seed, OmegaAdversary::default())
-    }
-
-    /// As [`OmegaOracle::new`] with explicit adversary tuning.
-    pub fn with_adversary(
-        fp: FailurePattern,
-        z: usize,
-        gst: Time,
-        seed: u64,
-        adv: OmegaAdversary,
-    ) -> Self {
         let n = fp.n();
         assert!((1..=n).contains(&z), "need 1 <= z <= n");
         let correct = fp.correct();
@@ -84,22 +54,21 @@ impl OmegaOracle {
         let mut rng = SplitMix64::new(seed).stream(0x03e6);
         let correct_vec: Vec<ProcessId> = correct.iter().collect();
         let leader = *rng.choose(&correct_vec).expect("non-empty");
+        // Pack the eventual set with faulty processes: only one member
+        // needs to be correct.
         let mut final_set = PSet::singleton(leader);
-        if adv.fill_with_faulty {
-            let mut faulty: Vec<ProcessId> = fp.faulty().iter().collect();
-            rng.shuffle(&mut faulty);
-            for p in faulty {
-                if final_set.len() >= z {
-                    break;
-                }
-                final_set.insert(p);
+        let mut faulty: Vec<ProcessId> = fp.faulty().iter().collect();
+        rng.shuffle(&mut faulty);
+        for p in faulty {
+            if final_set.len() >= z {
+                break;
             }
+            final_set.insert(p);
         }
         OmegaOracle {
             fp,
             z,
             gst,
-            adv,
             seed,
             final_set,
         }
@@ -122,7 +91,6 @@ impl OmegaOracle {
             fp,
             z,
             gst,
-            adv: OmegaAdversary::default(),
             seed,
             final_set: set,
         }
@@ -157,14 +125,7 @@ impl OracleSuite for OmegaOracle {
         if now >= self.gst {
             self.final_set
         } else {
-            noise::arbitrary_leader_set(
-                self.seed,
-                p,
-                now,
-                self.adv.noise_period,
-                self.fp.n(),
-                self.z,
-            )
+            noise::arbitrary_leader_set(self.seed, p, now, self.fp.n(), self.z)
         }
     }
 }

@@ -10,6 +10,9 @@ use crate::noise;
 use crate::sx::Scope;
 use fd_sim::{FailurePattern, OracleSuite, PSet, ProcessId, Time};
 
+/// Ticks between a crash and its detection.
+const DETECTION_LAG: u64 = 5;
+
 /// A `P` / `◇P` oracle.
 ///
 /// # Examples
@@ -27,24 +30,14 @@ use fd_sim::{FailurePattern, OracleSuite, PSet, ProcessId, Time};
 pub struct PerfectOracle {
     fp: FailurePattern,
     scope: Scope,
-    /// Ticks between a crash and its detection.
-    pub detection_lag: u64,
-    /// Flicker period of pre-stabilization noise (`◇P` only).
-    pub noise_period: u64,
     seed: u64,
 }
 
 impl PerfectOracle {
     /// Creates a `P` (`Scope::Perpetual`) or `◇P` (`Scope::Eventual`)
-    /// oracle with default lag 5.
+    /// oracle; a crash is detected `DETECTION_LAG` (5) ticks after it happens.
     pub fn new(fp: FailurePattern, scope: Scope, seed: u64) -> Self {
-        PerfectOracle {
-            fp,
-            scope,
-            detection_lag: 5,
-            noise_period: 7,
-            seed,
-        }
+        PerfectOracle { fp, scope, seed }
     }
 
     fn crashed_with_lag(&self, now: Time) -> PSet {
@@ -52,7 +45,7 @@ impl PerfectOracle {
         for i in 0..self.fp.n() {
             let p = ProcessId(i);
             if let Some(tc) = self.fp.crash_time(p) {
-                if now >= tc + self.detection_lag {
+                if now >= tc + DETECTION_LAG {
                     s.insert(p);
                 }
             }
@@ -65,7 +58,7 @@ impl OracleSuite for PerfectOracle {
     fn suspected(&mut self, p: ProcessId, now: Time) -> PSet {
         match self.scope {
             Scope::Eventual(gst) if now < gst => {
-                let mut s = noise::arbitrary_set(self.seed, p, now, self.noise_period, self.fp.n());
+                let mut s = noise::arbitrary_set(self.seed, p, now, self.fp.n());
                 s.remove(p);
                 s
             }

@@ -19,29 +19,8 @@ use crate::noise;
 use crate::sx::Scope;
 use fd_sim::{FailurePattern, OracleSuite, PSet, ProcessId, Time};
 
-/// Tuning of `φ_y` adversarial behaviour.
-#[derive(Clone, Debug)]
-pub struct PhiAdversary {
-    /// Ticks after the last crash of `X` before queries turn `true`.
-    pub liveness_lag: u64,
-    /// Flicker period of pre-stabilization noise (`◇φ_y` only).
-    pub noise_period: u64,
-    /// `◇φ_y` only: after stabilization, answer `true` for sets whose
-    /// members are all *faulty* even if some are still alive — the eventual
-    /// safety property only protects sets containing a correct process, so
-    /// this lie is admissible and maximally misleading.
-    pub early_true_for_doomed: bool,
-}
-
-impl Default for PhiAdversary {
-    fn default() -> Self {
-        PhiAdversary {
-            liveness_lag: 10,
-            noise_period: 7,
-            early_true_for_doomed: true,
-        }
-    }
-}
+/// Ticks after the last crash of `X` before queries turn `true`.
+const LIVENESS_LAG: u64 = 10;
 
 /// A `φ_y` / `◇φ_y` oracle.
 ///
@@ -65,7 +44,6 @@ pub struct PhiOracle {
     t: usize,
     y: usize,
     scope: Scope,
-    adv: PhiAdversary,
     seed: u64,
 }
 
@@ -77,18 +55,6 @@ impl PhiOracle {
     ///
     /// Panics unless `y ≤ t` and the pattern's crash count respects `t`.
     pub fn new(fp: FailurePattern, t: usize, y: usize, scope: Scope, seed: u64) -> Self {
-        Self::with_adversary(fp, t, y, scope, seed, PhiAdversary::default())
-    }
-
-    /// As [`PhiOracle::new`] with explicit adversary tuning.
-    pub fn with_adversary(
-        fp: FailurePattern,
-        t: usize,
-        y: usize,
-        scope: Scope,
-        seed: u64,
-        adv: PhiAdversary,
-    ) -> Self {
         assert!(y <= t, "need y <= t");
         assert!(
             fp.num_faulty() <= t,
@@ -99,7 +65,6 @@ impl PhiOracle {
             t,
             y,
             scope,
-            adv,
             seed,
         }
     }
@@ -134,14 +99,15 @@ impl OracleSuite for PhiOracle {
         match self.scope {
             Scope::Eventual(gst) if now < gst => {
                 // Anarchy: any answer at all (may violate perpetual safety).
-                noise::arbitrary_bool(self.seed, p, x, now, self.adv.noise_period)
+                noise::arbitrary_bool(self.seed, p, x, now)
             }
             _ => match self.fp.all_crashed_by(x) {
-                Some(tc) if now >= tc + self.adv.liveness_lag => true,
-                Some(_) => {
-                    // All members faulty but not yet (stably) crashed.
-                    matches!(self.scope, Scope::Eventual(_)) && self.adv.early_true_for_doomed
-                }
+                Some(tc) if now >= tc + LIVENESS_LAG => true,
+                // All members faulty but not yet (stably) crashed: `◇φ_y`
+                // answers `true` early. Its eventual safety only protects
+                // sets containing a correct process, so this lie is
+                // admissible and maximally misleading.
+                Some(_) => matches!(self.scope, Scope::Eventual(_)),
                 None => false,
             },
         }
@@ -151,19 +117,15 @@ impl OracleSuite for PhiOracle {
 /// A `Ψ_y` oracle: `φ_y` plus the *containment* usage contract — any two
 /// queried sets must be comparable (`X ⊆ X'` or `X' ⊆ X`).
 ///
-/// The wrapper validates the contract across all queries of the run. With
-/// `strict` mode it panics on a violation (programming error in the caller);
-/// otherwise it records the violation count for inspection.
+/// The wrapper validates the contract across all queries of the run and
+/// panics at the first violation (a programming error in the caller).
 #[derive(Clone, Debug)]
 pub struct PsiOracle {
     inner: PhiOracle,
-    /// Every distinct set queried so far, each with whether some other
-    /// entry is incomparable with it. A new pair only ever appears when a
-    /// set is first queried, so the flags are settled at insertion (on
-    /// both sides) and a repeated query is answered by one equality scan.
-    chain: Vec<(PSet, bool)>,
-    strict: bool,
-    violations: u64,
+    /// Every distinct set queried so far. They are pairwise comparable (an
+    /// incomparable query panics before it is stored), so a repeated query
+    /// is answered by one equality scan.
+    chain: Vec<PSet>,
 }
 
 impl PsiOracle {
@@ -172,22 +134,7 @@ impl PsiOracle {
         PsiOracle {
             inner,
             chain: Vec::new(),
-            strict: true,
-            violations: 0,
         }
-    }
-
-    /// As [`PsiOracle::new`], but merely counts contract violations.
-    pub fn lenient(inner: PhiOracle) -> Self {
-        PsiOracle {
-            strict: false,
-            ..Self::new(inner)
-        }
-    }
-
-    /// Number of containment violations observed (lenient mode).
-    pub fn violations(&self) -> u64 {
-        self.violations
     }
 
     /// The underlying `φ_y` oracle.
@@ -198,29 +145,12 @@ impl PsiOracle {
 
 impl OracleSuite for PsiOracle {
     fn query(&mut self, p: ProcessId, x: PSet, now: Time) -> bool {
-        let known = self.chain.iter().position(|(prev, _)| *prev == x);
-        let conflicted = match known {
-            Some(i) => self.chain[i].1,
-            None => {
-                let mut conflicted = false;
-                for (prev, flag) in &mut self.chain {
-                    if !prev.comparable(x) {
-                        *flag = true;
-                        conflicted = true;
-                    }
-                }
-                conflicted
-            }
-        };
-        if conflicted {
-            self.violations += 1;
+        if !self.chain.contains(&x) {
             assert!(
-                !self.strict,
+                self.chain.iter().all(|prev| prev.comparable(x)),
                 "Ψ_y containment contract violated: {x} is incomparable with a previous query"
             );
-        }
-        if known.is_none() {
-            self.chain.push((x, conflicted));
+            self.chain.push(x);
         }
         self.inner.query(p, x, now)
     }
@@ -301,7 +231,7 @@ mod tests {
         assert!(fd.query(ProcessId(0), ps(&[3]), Time(0))); // |X| ≤ t−y
         let _ = fd.query(ProcessId(0), ps(&[3, 4]), Time(0));
         let _ = fd.query(ProcessId(0), ps(&[3, 4, 5]), Time(0));
-        assert_eq!(fd.violations(), 0);
+        let _ = fd.query(ProcessId(0), ps(&[3, 4]), Time(0)); // a repeat
     }
 
     #[test]
@@ -312,30 +242,18 @@ mod tests {
         let _ = fd.query(ProcessId(0), ps(&[4, 5]), Time(0));
     }
 
-    #[test]
-    fn psi_lenient_counts() {
-        let mut fd = PsiOracle::lenient(PhiOracle::new(fp(), 3, 1, Scope::Perpetual, 8));
-        let _ = fd.query(ProcessId(0), ps(&[3, 4]), Time(0));
-        let _ = fd.query(ProcessId(0), ps(&[4, 5]), Time(0));
-        assert_eq!(fd.violations(), 1);
-    }
-
     /// The containment rule as first written — every query is compared
-    /// against every distinct earlier set — kept as the model the flagged
-    /// chain is checked against.
+    /// against every distinct earlier set — kept as the model the chain
+    /// is checked against.
     #[derive(Default)]
     struct TwoScanModel {
         chain: Vec<PSet>,
-        violations: u64,
     }
 
     impl TwoScanModel {
         /// Records the query; returns whether it violated the contract.
         fn query(&mut self, x: PSet) -> bool {
             let comparable = self.chain.iter().all(|&prev| prev.comparable(x));
-            if !comparable {
-                self.violations += 1;
-            }
             if !self.chain.contains(&x) {
                 self.chain.push(x);
             }
@@ -347,40 +265,41 @@ mod tests {
     fn psi_matches_the_two_scan_model() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let mut rng = fd_sim::SplitMix64::new(0x9517);
-        // Queries that violate on a set already in the chain: the case the
-        // stored flag (not a fresh comparison) must answer.
-        let mut repeated_violations = 0;
+        // Rounds that violate the contract, and queries of a set already
+        // in the chain before that (the equality-scan path).
+        let (mut violating_rounds, mut repeats) = (0, 0);
         for round in 0..200 {
             let n = 3 + round % 6; // 3..=8
             let fp = FailurePattern::all_correct(n);
-            // A small pool makes repeats (of clean and of conflicted sets)
-            // common; half the pool is a chain, half is arbitrary.
+            // A small pool makes repeats common; half the pool is a chain,
+            // half is arbitrary.
             let mut pool: Vec<PSet> = (1..=n / 2 + 1).map(PSet::full).collect();
             for _ in 0..n / 2 + 1 {
                 pool.push(PSet::from_bits(rng.below(1 << n) as u128));
             }
             let queries: Vec<PSet> = (0..40).map(|_| *rng.choose(&pool).unwrap()).collect();
 
-            let phi = || PhiOracle::new(fp.clone(), n - 1, 1, Scope::Perpetual, round as u64);
-            let mut lenient = PsiOracle::lenient(phi());
-            let mut strict = PsiOracle::new(phi());
             let mut model = TwoScanModel::default();
-            let mut strict_alive = true;
-            for (idx, &x) in queries.iter().enumerate() {
+            let first_violation = queries.iter().position(|&x| model.query(x));
+            let phi = || PhiOracle::new(fp.clone(), n - 1, 1, Scope::Perpetual, round as u64);
+            let mut psi = PsiOracle::new(phi());
+            let panicked_at = queries.iter().enumerate().position(|(idx, &x)| {
                 let (p, now) = (ProcessId(idx % n), Time(idx as u64));
-                let repeat = model.chain.contains(&x);
-                let violated = model.query(x);
-                repeated_violations += u64::from(repeat && violated);
-                assert_eq!(lenient.query(p, x, now), phi().query(p, x, now));
-                assert_eq!(lenient.violations(), model.violations, "query {idx}");
-                if strict_alive {
-                    let r = catch_unwind(AssertUnwindSafe(|| strict.query(p, x, now)));
-                    assert_eq!(r.is_err(), violated, "strict mode at query {idx}");
-                    strict_alive = !violated;
+                repeats += u64::from(queries[..idx].contains(&x));
+                match catch_unwind(AssertUnwindSafe(|| psi.query(p, x, now))) {
+                    Ok(answer) => {
+                        assert_eq!(answer, phi().query(p, x, now), "round {round} query {idx}");
+                        false
+                    }
+                    Err(_) => true,
                 }
-            }
+            });
+            assert_eq!(panicked_at, first_violation, "round {round}");
+            violating_rounds += u64::from(first_violation.is_some());
         }
-        assert!(repeated_violations > 100, "{repeated_violations}");
+        // Both outcomes occur (189 rounds violate), and repeats are common.
+        assert!((100..200).contains(&violating_rounds), "{violating_rounds}");
+        assert!(repeats > 400, "{repeats}");
     }
 
     #[test]

@@ -45,27 +45,12 @@ impl Scope {
     }
 }
 
-/// Tuning of the adversarial behaviours a class permits.
-#[derive(Clone, Debug)]
-pub struct SxAdversary {
-    /// Ticks a crash needs before completeness reports it everywhere.
-    pub completeness_lag: u64,
-    /// Flicker period of pre-stabilization noise.
-    pub noise_period: u64,
-    /// Probability (percent) that a given process permanently slanders a
-    /// given correct process outside its own accuracy obligation.
-    pub slander_pct: u8,
-}
+/// Ticks a crash needs before completeness reports it everywhere.
+const COMPLETENESS_LAG: u64 = 8;
 
-impl Default for SxAdversary {
-    fn default() -> Self {
-        SxAdversary {
-            completeness_lag: 8,
-            noise_period: 7,
-            slander_pct: 35,
-        }
-    }
-}
+/// Probability (percent) that a given process permanently slanders a given
+/// correct process outside its own accuracy obligation.
+const SLANDER_PCT: u8 = 35;
 
 /// An `S_x` / `◇S_x` oracle.
 ///
@@ -90,7 +75,6 @@ pub struct SxOracle {
     t: usize,
     x: usize,
     scope_kind: Scope,
-    adv: SxAdversary,
     seed: u64,
     /// The accuracy scope `Q` (|Q| = x).
     q: PSet,
@@ -109,18 +93,6 @@ impl SxOracle {
     ///
     /// Panics unless `1 ≤ x ≤ n` and the pattern has a correct process.
     pub fn new(fp: FailurePattern, t: usize, x: usize, scope_kind: Scope, seed: u64) -> Self {
-        Self::with_adversary(fp, t, x, scope_kind, seed, SxAdversary::default())
-    }
-
-    /// As [`SxOracle::new`] with explicit adversary tuning.
-    pub fn with_adversary(
-        fp: FailurePattern,
-        t: usize,
-        x: usize,
-        scope_kind: Scope,
-        seed: u64,
-        adv: SxAdversary,
-    ) -> Self {
         let n = fp.n();
         assert!((1..=n).contains(&x), "need 1 <= x <= n");
         let correct = fp.correct();
@@ -150,12 +122,15 @@ impl SxOracle {
             q.insert(p);
         }
         assert_eq!(q.len(), x, "could not assemble a scope of size x");
-        Self::with_scope(fp, t, x, scope_kind, seed, q, pivot, adv)
+        Self::with_scope(fp, t, x, scope_kind, seed, q, pivot, SLANDER_PCT)
     }
 
-    /// As [`SxOracle::with_adversary`] but with an explicitly chosen scope
-    /// `Q` and pivot `ℓ` (used by witness scenarios that need full control
-    /// over the adversary's choices).
+    /// As [`SxOracle::new`] but with an explicitly chosen scope `Q`, pivot
+    /// `ℓ` and slander probability: after stabilization each reader
+    /// permanently suspects each correct process other than itself with
+    /// probability `slander_pct` percent (`new` uses 35), except that the
+    /// pivot is never suspected inside `Q`. Used by witness scenarios that
+    /// need full control over the adversary's choices.
     ///
     /// # Panics
     ///
@@ -169,7 +144,7 @@ impl SxOracle {
         seed: u64,
         q: PSet,
         pivot: ProcessId,
-        adv: SxAdversary,
+        slander_pct: u8,
     ) -> Self {
         assert_eq!(q.len(), x, "scope must have exactly x members");
         assert!(q.contains(pivot), "pivot must belong to the scope");
@@ -182,7 +157,7 @@ impl SxOracle {
                         continue;
                     }
                     let mut rng = noise::stream(seed, i as u64, j.0 as u64, 0x51a4de4);
-                    if rng.chance(adv.slander_pct as u64, 100) {
+                    if rng.chance(slander_pct as u64, 100) {
                         s.insert(j);
                     }
                 }
@@ -194,7 +169,6 @@ impl SxOracle {
             t,
             x,
             scope_kind,
-            adv,
             seed,
             q,
             pivot,
@@ -237,7 +211,7 @@ impl OracleSuite for SxOracle {
             for j in 0..n {
                 let pj = ProcessId(j);
                 if let Some(tc) = self.fp.crash_time(pj) {
-                    if now >= tc + self.adv.completeness_lag {
+                    if now >= tc + COMPLETENESS_LAG {
                         base.insert(pj);
                     }
                 }
@@ -247,7 +221,7 @@ impl OracleSuite for SxOracle {
             base | self.slander[p.0]
         } else {
             // Anarchy period of ◇S_x: anything at all.
-            noise::arbitrary_set(self.seed, p, now, self.adv.noise_period, n)
+            noise::arbitrary_set(self.seed, p, now, n)
         };
         s.remove(p);
         // The accuracy promise: inside Q, the pivot is never suspected —
@@ -359,6 +333,34 @@ mod tests {
         let fp = fp_with_crashes();
         let fd = SxOracle::new(fp.clone(), 2, 3, Scope::Eventual(Time(100)), 12);
         assert_eq!((fd.scope() & fp.faulty()).len(), 2);
+    }
+
+    #[test]
+    fn slander_pct_decides_who_is_slandered_after_stabilization() {
+        // After GST a reader's suspicion of correct processes is exactly
+        // its slander: everyone it may suspect at 100 %, no one at 0 %.
+        // A reader never suspects itself, and inside Q never the pivot.
+        let fp = fp_with_crashes();
+        let pivot = ProcessId(2);
+        let q = PSet::from_iter([ProcessId(1), pivot, ProcessId(3)]);
+        let scope = Scope::Eventual(Time(200));
+        for (pct, seed) in [(100, 13), (0, 14)] {
+            let mut fd = SxOracle::with_scope(fp.clone(), 2, 3, scope, seed, q, pivot, pct);
+            for i in 0..fp.n() {
+                let reader = ProcessId(i);
+                let mut spared = PSet::singleton(reader);
+                if q.contains(reader) {
+                    spared.insert(pivot);
+                }
+                let expected = if pct == 100 {
+                    fp.correct() - spared
+                } else {
+                    PSet::new()
+                };
+                let slandered = fd.suspected(reader, Time(1000)) & fp.correct();
+                assert_eq!(slandered, expected, "slander_pct {pct}, reader {reader}");
+            }
+        }
     }
 
     #[test]

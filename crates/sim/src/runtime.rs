@@ -37,6 +37,25 @@ pub mod counter {
     pub const PARTITIONED: &str = "sim.partitioned";
 }
 
+/// Periodic step interval bounds in ticks: each process takes its next
+/// step a uniform `STEP_MIN..=STEP_MAX` ticks after the previous one.
+const STEP_MIN: u64 = 1;
+const STEP_MAX: u64 = 5;
+
+/// Probability (percent) that an R-broadcast by a *faulty* process reaches
+/// no correct process (the partial-broadcast freedom the reliable-broadcast
+/// spec grants the adversary).
+const RB_PARTIAL_PCT: u64 = 30;
+
+/// The safety valve: a run stops after this many events. It scales with
+/// the O(n²) messages a broadcast round costs: a 20M floor for small
+/// systems (which no healthy n ≤ 128 run approaches) and ~200 full
+/// broadcast rounds of headroom at the n = 1024 frontier, where a single
+/// pre-GST round is already ~1M events.
+fn max_events(n: usize) -> u64 {
+    20_000_000u64.max((n as u64 * n as u64).saturating_mul(200))
+}
+
 /// Static configuration of a run.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
@@ -52,18 +71,6 @@ pub struct SimConfig {
     pub delay: DelayModel,
     /// Targeted-delay adversary rules.
     pub rules: Vec<DelayRule>,
-    /// Periodic step interval bounds `[step_min, step_max]`. Values below 1
-    /// are clamped up once at [`Sim::new`] (via [`SimConfig::normalized`]);
-    /// the per-activation draw then uses them as-is.
-    pub step_min: u64,
-    /// See `step_min`.
-    pub step_max: u64,
-    /// Probability (percent) that an R-broadcast by a *faulty* process
-    /// reaches no correct process (the partial-broadcast freedom the
-    /// reliable-broadcast spec grants the adversary).
-    pub rb_partial_pct: u8,
-    /// Safety valve: abort after this many events (0 = unlimited).
-    pub max_events: u64,
     /// The message adversary attacking the plain channels
     /// ([`MessageAdversary::None`] is bit-identical to no adversary at
     /// all; reliable-broadcast deliveries are exempt by construction).
@@ -88,15 +95,6 @@ impl SimConfig {
             max_time: Time(50_000),
             delay: DelayModel::default(),
             rules: Vec::new(),
-            step_min: 1,
-            step_max: 5,
-            rb_partial_pct: 30,
-            // The safety valve scales with the O(n²) messages a broadcast
-            // round actually costs: a 20M floor for small systems (the
-            // historical cap, which no healthy n ≤ 128 run approaches) and
-            // ~200 full broadcast rounds of headroom at the n = 1024
-            // frontier, where a single pre-GST round is already ~1M events.
-            max_events: 20_000_000u64.max((n as u64 * n as u64).saturating_mul(200)),
             adversary: MessageAdversary::None,
             topology: TopologySchedule::None,
         }
@@ -135,18 +133,6 @@ impl SimConfig {
     /// Adds a targeted-delay rule (builder style).
     pub fn rule(mut self, rule: DelayRule) -> Self {
         self.rules.push(rule);
-        self
-    }
-
-    /// Clamps the step-interval bounds into the engine's documented domain
-    /// (`step_min ≥ 1`, `step_max ≥ 1`) — once, at construction time,
-    /// instead of re-clamping on every per-activation draw. [`Sim::new`]
-    /// applies this to whatever configuration it is handed, so degenerate
-    /// values (a hand-built `step_min = 0`) behave exactly as they always
-    /// did: as if they were 1.
-    pub fn normalized(mut self) -> Self {
-        self.step_min = self.step_min.max(1);
-        self.step_max = self.step_max.max(1);
         self
     }
 }
@@ -222,6 +208,8 @@ pub struct Sim<A: Automaton, O: OracleSuite> {
     trace: Trace,
     now: Time,
     events: u64,
+    /// The event cap, fixed from `n` at construction.
+    max_events: u64,
 }
 
 impl<A: Automaton, O: OracleSuite> std::fmt::Debug for Sim<A, O> {
@@ -247,8 +235,6 @@ impl<A: Automaton, O: OracleSuite> Sim<A, O> {
         mut make: impl FnMut(ProcessId) -> A,
         oracle: O,
     ) -> Self {
-        // Normalize once: every later step-delay draw uses the bounds raw.
-        let cfg = cfg.normalized();
         assert_eq!(fp.n(), cfg.n, "failure pattern size mismatch");
         assert!(
             fp.num_faulty() <= cfg.t,
@@ -281,6 +267,7 @@ impl<A: Automaton, O: OracleSuite> Sim<A, O> {
             trace: Trace::new(),
             now: Time::ZERO,
             events: 0,
+            max_events: max_events(cfg.n),
             cfg,
             fp,
         };
@@ -308,8 +295,7 @@ impl<A: Automaton, O: OracleSuite> Sim<A, O> {
     }
 
     fn next_step_delay(&mut self, p: ProcessId) -> u64 {
-        // Bounds were normalized (≥ 1) once in `Sim::new`; no re-clamping.
-        self.step_rngs[p.0].range(self.cfg.step_min, self.cfg.step_max)
+        self.step_rngs[p.0].range(STEP_MIN, STEP_MAX)
     }
 
     /// Runs until `stop(&trace)` returns true (checked after each event),
@@ -325,7 +311,7 @@ impl<A: Automaton, O: OracleSuite> Sim<A, O> {
             if ev.at > self.cfg.max_time {
                 break;
             }
-            if self.cfg.max_events != 0 && self.events >= self.cfg.max_events {
+            if self.events >= self.max_events {
                 break;
             }
             self.now = ev.at;
@@ -501,27 +487,26 @@ impl<A: Automaton, O: OracleSuite> Sim<A, O> {
     ///   the message reach only a (possibly empty) subset of the faulty
     ///   processes — never a strict subset of the correct ones.
     fn rb_cast(&mut self, from: ProcessId, msg: A::Msg) {
-        let receivers: PSet = if !self.fp.is_correct(from)
-            && self.rb_rng.chance(self.cfg.rb_partial_pct as u64, 100)
-        {
-            // Partial broadcast: a random subset of the faulty processes,
-            // sampled as positions in the increasing-identity order of the
-            // faulty set.
-            let faulty = self.fp.faulty();
-            let len = faulty.len();
-            let k = self.rb_rng.below(len as u64 + 1) as usize;
-            let picked: PSet = self.rb_rng.sample_indices(len, k, |s| {
-                s.iter().map(|&i| ProcessId(i as usize)).collect()
-            });
-            faulty
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| picked.contains(ProcessId(i)))
-                .map(|(_, p)| p)
-                .collect()
-        } else {
-            PSet::full(self.cfg.n)
-        };
+        let receivers: PSet =
+            if !self.fp.is_correct(from) && self.rb_rng.chance(RB_PARTIAL_PCT, 100) {
+                // Partial broadcast: a random subset of the faulty processes,
+                // sampled as positions in the increasing-identity order of the
+                // faulty set.
+                let faulty = self.fp.faulty();
+                let len = faulty.len();
+                let k = self.rb_rng.below(len as u64 + 1) as usize;
+                let picked: PSet = self.rb_rng.sample_indices(len, k, |s| {
+                    s.iter().map(|&i| ProcessId(i as usize)).collect()
+                });
+                faulty
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, _)| picked.contains(ProcessId(i)))
+                    .map(|(_, p)| p)
+                    .collect()
+            } else {
+                PSet::full(self.cfg.n)
+            };
         // R-deliveries bypass the message adversary: the rb axioms (no
         // loss, alteration, or duplication) are a premise of the model.
         // Batched like plain broadcasts: delays drawn in receiver order,
@@ -721,38 +706,6 @@ mod tests {
         let sim = Sim::new(cfg, fp, counter, NoOracle);
         let rep = sim.run_into_trace(|_| false);
         assert!(!rep.deciders().contains(ProcessId(1)));
-    }
-
-    /// Regression for the hoisted step clamping: a degenerate
-    /// `step_min = 0` behaves exactly as it always did under the old
-    /// per-draw `.max(1)` — i.e. as `step_min = 1` — and `Sim::new`
-    /// normalizes instead of the hot path re-clamping.
-    #[test]
-    fn degenerate_step_bounds_behave_as_before() {
-        let run = |step_min: u64, step_max: u64| {
-            let mut cfg = SimConfig::new(5, 1).seed(17);
-            cfg.step_min = step_min;
-            cfg.step_max = step_max;
-            let sim = Sim::new(cfg, FailurePattern::all_correct(5), counter, NoOracle);
-            let rep = sim.run_into_trace(|_| false);
-            (
-                rep.counter(counter::EVENTS),
-                rep.counter(counter::SENT),
-                rep.decisions().to_vec(),
-            )
-        };
-        assert_eq!(run(0, 5), run(1, 5), "step_min = 0 must act as 1");
-        assert_eq!(run(0, 0), run(1, 1), "both bounds at 0 must act as 1");
-        assert_eq!(
-            SimConfig::new(4, 1).normalized().step_min,
-            1,
-            "defaults are already normal"
-        );
-        let mut degenerate = SimConfig::new(4, 1);
-        degenerate.step_min = 0;
-        degenerate.step_max = 0;
-        let n = degenerate.normalized();
-        assert_eq!((n.step_min, n.step_max), (1, 1));
     }
 
     #[test]

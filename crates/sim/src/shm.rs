@@ -180,12 +180,14 @@ pub struct ShmConfig {
     pub seed: u64,
     /// Total number of scheduled steps.
     pub max_steps: u64,
-    /// Maximum time advance between consecutive steps (≥ 1).
-    pub max_gap: u64,
 }
 
+/// Maximum time advance between consecutive scheduled steps: each gap is a
+/// uniform `1..=MAX_GAP` ticks.
+const MAX_GAP: u64 = 3;
+
 impl ShmConfig {
-    /// Defaults: 200 000 steps, gaps 1–3 ticks.
+    /// Defaults: 200 000 steps (gaps between steps are 1–3 ticks).
     pub fn new(n: usize, t: usize) -> Self {
         assert!(n >= 2 && t < n);
         ShmConfig {
@@ -193,7 +195,6 @@ impl ShmConfig {
             t,
             seed: 0,
             max_steps: 200_000,
-            max_gap: 3,
         }
     }
 
@@ -222,7 +223,7 @@ pub fn run_shm<P: ShmProcess, O: OracleSuite + ?Sized>(
     let mut live: Vec<usize> = Vec::with_capacity(cfg.n);
 
     for _ in 0..cfg.max_steps {
-        now += rng.range(1, cfg.max_gap.max(1));
+        now += rng.range(1, MAX_GAP);
         // Schedulable processes: alive now and not halted.
         live.clear();
         live.extend((0..cfg.n).filter(|&i| fp.is_alive_at(ProcessId(i), now) && !halted[i]));

@@ -23,7 +23,7 @@
 use crate::scenario::{PsiOmegaScenario, TwoWheelsScenario, DEFAULT_MARGIN};
 use crate::two_wheels::TwParams;
 use fd_detectors::scenario::{run_to_horizon, CrashPlan, Scenario, ScenarioReport, ScenarioSpec};
-use fd_detectors::{check, PhiOracle, Scope, ScriptedOracle, SetSchedule, SxAdversary, SxOracle};
+use fd_detectors::{check, PhiOracle, Scope, ScriptedOracle, SetSchedule, SxOracle};
 use fd_sim::{
     Automaton, Ctx, DelayModel, DelayRule, FailurePattern, FdValue, OracleSuite, PSet, ProcessId,
     SuspectPlusQuery, Time, Trace,
@@ -267,11 +267,7 @@ pub fn find_addition_failure(
         b.build()
     };
     for seed in seeds {
-        let adv = SxAdversary {
-            slander_pct: 100,
-            ..SxAdversary::default()
-        };
-        let sx = SxOracle::with_scope(fp.clone(), t, x, Scope::Perpetual, seed, q, pivot, adv);
+        let sx = SxOracle::with_scope(fp.clone(), t, x, Scope::Perpetual, seed, q, pivot, 100);
         let phi = PhiOracle::new(fp.clone(), t, y, Scope::Perpetual, seed ^ 0x77);
         let oracle = SuspectPlusQuery {
             suspect: sx,

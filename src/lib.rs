@@ -34,7 +34,7 @@
 //! ## Scenario sweeps
 //!
 //! Every algorithm and transformation implements
-//! [`Scenario`](fd_detectors::Scenario); the [`Runner`] executes seed
+//! [`Scenario`]; the [`Runner`] executes seed
 //! sweeps and grid matrices on a work-stealing thread pool with results
 //! identical to a sequential run:
 //!

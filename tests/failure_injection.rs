@@ -103,7 +103,7 @@ fn wheels_survive_staggered_crashes() {
 fn kset_survives_decider_crash() {
     // The lowest-id process (often first decider) crashes right around
     // decision time; the reliable broadcast's partial-delivery freedom for
-    // faulty senders is exercised by rb_partial_pct in the engine.
+    // faulty senders is exercised by the engine (30 % of their R-broadcasts).
     for seed in 0..6 {
         let fp = FailurePattern::builder(5)
             .crash(ProcessId(0), Time(450))

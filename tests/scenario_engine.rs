@@ -923,6 +923,13 @@ mod negative {
     use fd_grid::fd_sim::OracleSuite;
     use fd_grid::PSet;
 
+    /// `now` on a clock slowed so that one `noise::PERIOD` window lasts
+    /// `period` ticks: these out-of-class oracles keep their own flicker
+    /// rate (the recorded seeds below depend on it).
+    fn slowed(now: Time, period: u64) -> Time {
+        Time(now.ticks() / period * noise::PERIOD)
+    }
+
     /// A "leader" oracle that never leaves the anarchy period: arbitrary
     /// non-empty leader sets (of size up to `n`, far beyond any `z`),
     /// re-drawn every `period` ticks, forever. Violates `Ω_z`'s eventual
@@ -936,7 +943,7 @@ mod negative {
 
     impl OracleSuite for NoisyOmega {
         fn trusted(&mut self, p: ProcessId, now: Time) -> PSet {
-            noise::arbitrary_leader_set(self.seed, p, now, self.period, self.n, self.n)
+            noise::arbitrary_leader_set(self.seed, p, slowed(now, self.period), self.n, self.n)
         }
     }
 
@@ -951,7 +958,7 @@ mod negative {
 
     impl OracleSuite for NoisySuspect {
         fn suspected(&mut self, p: ProcessId, now: Time) -> PSet {
-            noise::arbitrary_set(self.seed, p, now, self.period, self.n)
+            noise::arbitrary_set(self.seed, p, slowed(now, self.period), self.n)
         }
     }
 
@@ -963,7 +970,7 @@ mod negative {
 
     impl OracleSuite for NoisyPhi {
         fn query(&mut self, p: ProcessId, x: PSet, now: Time) -> bool {
-            noise::arbitrary_bool(self.seed, p, x, now, 10)
+            noise::arbitrary_bool(self.seed, p, x, slowed(now, 10))
         }
     }
 
