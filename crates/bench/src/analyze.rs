@@ -29,7 +29,8 @@ use crate::table::Table;
 /// Aggregated view over one or more run directories.
 #[derive(Debug)]
 pub struct AnalyzeReport {
-    /// The loaded directories, in argument order.
+    /// The loaded directories, in argument order. Their cells have moved
+    /// into `cells`.
     pub dirs: Vec<RunDir>,
     /// Deduped cells across all directories, keyed `(salt, seed)`.
     pub cells: HashMap<(u64, u64), SlimReport>,
@@ -75,11 +76,9 @@ pub fn analyze_run_dirs(dirs: &[impl AsRef<Path>]) -> io::Result<AnalyzeReport> 
     let mut cells = HashMap::new();
     let mut corrupt = 0u64;
     for dir in dirs {
-        let run = load_run_dir(dir)?;
+        let mut run = load_run_dir(dir)?;
         corrupt += run.corrupt;
-        for (key, slim) in &run.cells {
-            cells.insert(*key, slim.clone());
-        }
+        cells.extend(std::mem::take(&mut run.cells));
         loaded.push(run);
     }
     Ok(AnalyzeReport {

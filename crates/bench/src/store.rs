@@ -43,18 +43,19 @@
 //! ## Crash safety and batching
 //!
 //! Cells are never written in place, and the store keeps none in memory.
-//! A writer thread holds at most one open segment per shard: a temp file
-//! (`.tmp-sNN`, a name the loader never reads) to which it appends each new
-//! cell's line as the cell arrives. At `BATCH` (128) lines, on
-//! [`SweepStore::flush`] and on close it **seals** the segment —
-//! `sync_all`, then an atomic rename to its `sNN-gGGGGGG.jsonl` name — so a
-//! segment is either fully visible or absent, never partial. A crash loses
-//! at most the unsealed lines of each shard (those cells are simply
-//! recomputed on resume, and the next open deletes the temp files they
-//! sat in); it can never corrupt a sealed segment. The sweep's critical
-//! path pays one clone and one channel send per computed cell — no I/O, no
-//! fsync — and the thread starts with the first spilled cell: a session
-//! that only resumes starts none.
+//! Its writer holds at most one open segment per shard: a temp file
+//! (`.tmp-sNN`, a name the loader never reads) to which the spill hook
+//! appends each new cell's line, on the sweep worker that computed it. At
+//! `BATCH` (128) lines, on [`SweepStore::flush`] and on close the writer
+//! **seals** the segment — `sync_all`, then an atomic rename to its
+//! `sNN-gGGGGGG.jsonl` name — so a segment is either fully visible or
+//! absent, never partial. A crash loses at most the unsealed lines of each
+//! shard (those cells are simply recomputed on resume, and the next open
+//! deletes the temp files they sat in); it can never corrupt a sealed
+//! segment. The sweep pays one unsynced `write` per computed cell, and the
+//! fsync of any segment that fills to `BATCH` lines; a session that only
+//! resumes opens no segment. The first I/O error stops the writer: later
+//! cells are dropped, and `flush` and `close` return it.
 //!
 //! On open, the files in `shards/` that carry a segment's exact name are
 //! replayed in generation order (last-wins per key); the store's own temp
@@ -77,11 +78,10 @@
 //! and [`SweepStore::hydrate_into`] hands those maps over instead of
 //! copying them: an empty cache shard adopts its map without repacking a
 //! cell or re-hashing a key. A computed cell is packed into the cache from
-//! the runner's borrow; the writer holds a clone only while it encodes its
-//! line into the shard's open segment. The store keeps neither; the
-//! writer deduplicates against its own set of the keys on disk, built at
-//! open, so a cell already persisted is never written twice even after it
-//! has moved into a cache.
+//! the runner's borrow, and the writer encodes its line from the same
+//! borrow. The store keeps neither; the writer deduplicates against its own
+//! set of the keys on disk, built at open, so a cell already persisted is
+//! never written twice even after it has moved into a cache.
 //!
 //! ## Mismatch semantics
 //!
@@ -101,10 +101,7 @@ use std::fmt::Write as _;
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::thread::JoinHandle;
 
 use fd_detectors::scenario::{
     CellMap, Metrics, ReportCache, ScenarioSpec, SlimReport, SpillFn, CACHE_SHARDS,
@@ -816,14 +813,8 @@ fn load_shards(shards_dir: &Path) -> io::Result<LoadedShards> {
 }
 
 // ---------------------------------------------------------------------------
-// Writer thread
+// Writer
 // ---------------------------------------------------------------------------
-
-enum Msg {
-    Cell(u64, u64, SlimReport),
-    Barrier(Sender<()>),
-    Shutdown,
-}
 
 #[derive(Debug)]
 struct Writer {
@@ -836,92 +827,55 @@ struct Writer {
     /// The one buffer every cell line is encoded in.
     line: String,
     generation: u64,
-    wrote: Arc<AtomicU64>,
+    /// Cells sealed into segments so far.
+    wrote: u64,
+    /// The first I/O error. Once it is set, spilled cells are dropped.
+    failed: Option<io::Error>,
 }
 
 impl Writer {
-    /// Moves the writer onto a thread of its own.
-    fn start(self) -> WriterState {
-        let (tx, rx) = mpsc::channel();
-        match std::thread::Builder::new()
-            .name("sweep-store-writer".into())
-            .spawn(move || self.run(rx))
-        {
-            Ok(handle) => WriterState::Running(tx, handle),
-            Err(e) => WriterState::Stopped(Some(e)),
+    /// Appends the cell under `key` to its shard's open segment, unless it
+    /// is already on disk or appended, or the writer has failed.
+    fn spill(&mut self, key: (u64, u64), slim: &SlimReport) {
+        if self.failed.is_none() && self.keys.insert(key) {
+            self.failed = self.append(key, slim).err();
         }
     }
 
-    fn run(mut self, rx: mpsc::Receiver<Msg>) -> io::Result<()> {
-        while let Ok(msg) = rx.recv() {
-            match msg {
-                Msg::Cell(salt, seed, slim) => {
-                    let key = (salt, seed);
-                    if !self.keys.insert(key) {
-                        continue; // already on disk or appended
-                    }
-                    let shard = ReportCache::shard_of(key);
-                    let segment = match &mut self.open[shard] {
-                        Some(segment) => segment,
-                        empty => empty.insert(Segment::create(&self.shards_dir, shard)?),
-                    };
-                    segment.append(&mut self.line, key, &slim)?;
-                    if segment.lines >= BATCH {
-                        self.seal(shard)?;
-                    }
-                }
-                Msg::Barrier(ack) => {
-                    self.seal_all()?;
-                    let _ = ack.send(());
-                }
-                Msg::Shutdown => break,
-            }
+    fn append(&mut self, key: (u64, u64), slim: &SlimReport) -> io::Result<()> {
+        let shard = ReportCache::shard_of(key);
+        let segment = match &mut self.open[shard] {
+            Some(segment) => segment,
+            empty => empty.insert(Segment::create(&self.shards_dir, shard)?),
+        };
+        segment.append(&mut self.line, key, slim)?;
+        if segment.lines >= BATCH {
+            self.seal(shard)?;
         }
-        // Seal every open segment before the thread exits. mpsc is FIFO,
-        // so everything sent before Shutdown has been received.
-        self.seal_all()
+        Ok(())
     }
 
-    fn seal_all(&mut self) -> io::Result<()> {
-        (0..STORE_SHARDS).try_for_each(|shard| self.seal(shard))
+    /// Seals every open segment; returns the cells sealed so far, or the
+    /// writer's first I/O error.
+    fn seal_all(&mut self) -> io::Result<u64> {
+        if self.failed.is_none() {
+            self.failed = (0..STORE_SHARDS)
+                .try_for_each(|shard| self.seal(shard))
+                .err();
+        }
+        match &self.failed {
+            Some(e) => Err(io::Error::new(e.kind(), e.to_string())),
+            None => Ok(self.wrote),
+        }
     }
 
     /// Seals `shard`'s open segment, if it has one, as the next generation.
     fn seal(&mut self, shard: usize) -> io::Result<()> {
         if let Some(segment) = self.open[shard].take() {
             self.generation += 1;
-            let lines = segment.seal(&self.shards_dir, shard, self.generation)?;
-            self.wrote.fetch_add(lines as u64, Ordering::Relaxed);
+            self.wrote += segment.seal(&self.shards_dir, shard, self.generation)? as u64;
         }
         Ok(())
-    }
-}
-
-/// Where a store's writer is. The first spilled cell starts its thread, so
-/// a store that only resumes never starts one.
-#[derive(Debug)]
-enum WriterState {
-    /// No cell spilled yet.
-    Idle(Writer),
-    /// The writer thread, and the channel to it.
-    Running(Sender<Msg>, JoinHandle<io::Result<()>>),
-    /// Closed, or the thread could not be started (the error, which `close`
-    /// reports): spilled cells are dropped.
-    Stopped(Option<io::Error>),
-}
-
-impl WriterState {
-    /// Sends `msg` to the writer thread, starting it if it is idle.
-    fn send(&mut self, msg: Msg) {
-        if let WriterState::Idle(_) = self {
-            *self = match std::mem::replace(self, WriterState::Stopped(None)) {
-                WriterState::Idle(writer) => writer.start(),
-                state => state,
-            };
-        }
-        if let WriterState::Running(tx, _) = self {
-            let _ = tx.send(msg);
-        }
     }
 }
 
@@ -943,8 +897,8 @@ pub struct StoreSummary {
 }
 
 /// An open run directory: loaded cells, a manifest, and a writer that
-/// persists new cells on a thread of its own, started by the first spilled
-/// cell. See the module docs for the layout and durability contract.
+/// appends each new cell on the thread that spills it. See the module docs
+/// for the layout and durability contract.
 #[derive(Debug)]
 pub struct SweepStore {
     dir: PathBuf,
@@ -956,12 +910,9 @@ pub struct SweepStore {
     corrupt: u64,
     archived_stale: bool,
     manifest: Mutex<Manifest>,
-    // label → index into `manifest.specs`, so re-registering a campaign's
-    // specs against an already-populated manifest stays O(1) per spec
-    // instead of a linear label scan (quadratic over large campaigns).
-    spec_index: Mutex<HashMap<String, usize>>,
-    writer: Arc<Mutex<WriterState>>,
-    wrote: Arc<AtomicU64>,
+    /// Shared with every spill hook; `None` once the store is closed, so
+    /// later cells are dropped and a second shutdown does nothing.
+    writer: Arc<Mutex<Option<Writer>>>,
 }
 
 impl SweepStore {
@@ -1029,22 +980,15 @@ impl SweepStore {
         let cells: usize = loaded.maps.iter().map(CellMap::len).sum();
         let mut keys = HashSet::with_capacity(cells);
         keys.extend(loaded.maps.iter().flat_map(CellMap::keys));
-        let wrote = Arc::new(AtomicU64::new(0));
         let writer = Writer {
             shards_dir,
             keys,
             open: (0..STORE_SHARDS).map(|_| None).collect(),
             line: String::new(),
             generation,
-            wrote: Arc::clone(&wrote),
+            wrote: 0,
+            failed: None,
         };
-
-        let spec_index = manifest
-            .specs
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.label.clone(), i))
-            .collect();
         Ok(SweepStore {
             dir,
             maps: Mutex::new(loaded.maps),
@@ -1052,9 +996,7 @@ impl SweepStore {
             corrupt: loaded.corrupt,
             archived_stale,
             manifest: Mutex::new(manifest),
-            spec_index: Mutex::new(spec_index),
-            writer: Arc::new(Mutex::new(WriterState::Idle(writer))),
-            wrote,
+            writer: Arc::new(Mutex::new(Some(writer))),
         })
     }
 
@@ -1078,11 +1020,6 @@ impl SweepStore {
         self.archived_stale
     }
 
-    /// Cells sealed into segments so far by this store's writer.
-    pub fn wrote(&self) -> u64 {
-        self.wrote.load(Ordering::Relaxed)
-    }
-
     /// Moves every loaded cell into `cache` ([`ReportCache::hydrate`]);
     /// returns how many were admitted. The store keeps no copy: a cleared
     /// cache adopts its per-shard maps whole, so a resumed cell is resident
@@ -1101,19 +1038,16 @@ impl SweepStore {
     }
 
     /// The spill hook to register on the cache
-    /// (`cache.set_spill(Some(store.spill()))`): forwards every *computed*
-    /// cell to the writer thread, which the first one starts. Cheap on the
-    /// hot path (clone + channel send); deduplication against
-    /// already-persisted cells happens on the writer side. Safe to leave
-    /// registered after [`SweepStore::close`] — later cells are dropped.
+    /// (`cache.set_spill(Some(store.spill()))`): appends every *computed*
+    /// cell not yet on disk to its shard's open segment, on the calling
+    /// thread, under the writer's lock. Safe to leave registered after
+    /// [`SweepStore::close`] — later cells are dropped.
     pub fn spill(&self) -> Arc<SpillFn> {
         let writer = Arc::clone(&self.writer);
         Arc::new(move |salt, seed, slim: &SlimReport| {
-            let cell = Msg::Cell(salt, seed, slim.clone());
-            writer
-                .lock()
-                .expect("no panic while the writer is locked")
-                .send(cell);
+            if let Some(writer) = writer.lock().unwrap().as_mut() {
+                writer.spill((salt, seed), slim);
+            }
         })
     }
 
@@ -1128,13 +1062,10 @@ impl SweepStore {
             fingerprint: spec.fingerprint(),
             salt,
         };
-        let mut index = self.spec_index.lock().unwrap();
         let mut manifest = self.manifest.lock().unwrap();
-        if let Some(&i) = index.get(&entry.label) {
-            manifest.specs[i] = entry;
-        } else {
-            index.insert(entry.label.clone(), manifest.specs.len());
-            manifest.specs.push(entry);
+        match manifest.specs.iter().position(|s| s.label == label) {
+            Some(i) => manifest.specs[i] = entry,
+            None => manifest.specs.push(entry),
         }
         salt
     }
@@ -1157,67 +1088,36 @@ impl SweepStore {
         write_atomic(&self.dir.join("manifest.json"), &manifest)
     }
 
-    /// Durability barrier: forces every cell spilled so far onto disk and
-    /// waits for it. After this returns, [`SweepStore::wrote`] is exact —
-    /// which is how invocation records report an accurate `wrote` count —
-    /// and a crash loses nothing already computed. A store nothing was
-    /// spilled to has nothing to flush.
+    /// Durability barrier: seals every open segment, so a crash loses
+    /// nothing already computed. Returns the cells this store has sealed so
+    /// far — which is how invocation records report an accurate `wrote`
+    /// count — or the writer's first I/O error.
     pub fn flush(&self) -> io::Result<u64> {
-        let stopped = || io::Error::other("store writer stopped");
-        let ack_rx = match &*self
-            .writer
-            .lock()
-            .expect("no panic while the writer is locked")
-        {
-            WriterState::Idle(_) => return Ok(self.wrote()),
-            WriterState::Running(tx, _) => {
-                let (ack_tx, ack_rx) = mpsc::channel();
-                tx.send(Msg::Barrier(ack_tx)).map_err(|_| stopped())?;
-                ack_rx
-            }
-            WriterState::Stopped(_) => return Err(stopped()),
-        };
-        ack_rx.recv().map_err(|_| stopped())?;
-        Ok(self.wrote())
+        let mut writer = self.writer.lock().unwrap();
+        writer.as_mut().map_or(Ok(0), Writer::seal_all)
     }
 
-    /// Seals every open segment, stops the writer thread (if a spilled cell
-    /// started one), and writes the manifest (atomically). The directory is
-    /// complete and resumable once this returns.
-    pub fn close(mut self) -> io::Result<StoreSummary> {
-        self.shutdown()?;
+    /// Seals every open segment and writes the manifest (atomically). The
+    /// directory is complete and resumable once this returns.
+    pub fn close(self) -> io::Result<StoreSummary> {
+        let wrote = self.shutdown()?;
         Ok(StoreSummary {
             loaded: self.loaded,
             corrupt: self.corrupt,
-            wrote: self.wrote.load(Ordering::Relaxed),
+            wrote,
             archived_stale: self.archived_stale,
         })
     }
 
-    fn shutdown(&mut self) -> io::Result<()> {
-        let state = std::mem::replace(
-            &mut *self
-                .writer
-                .lock()
-                .expect("no panic while the writer is locked"),
-            WriterState::Stopped(None),
-        );
-        match state {
-            WriterState::Running(tx, handle) => {
-                // Explicit sentinel: the spill closure shares the writer for
-                // as long as its cache lives — which may be longer than this
-                // store (a process-wide cache reused across stores) — so the
-                // writer cannot rely on channel disconnect to stop.
-                let _ = tx.send(Msg::Shutdown);
-                handle
-                    .join()
-                    .map_err(|_| io::Error::other("store writer panicked"))??;
-            }
-            WriterState::Stopped(Some(e)) => return Err(e),
-            WriterState::Idle(_) | WriterState::Stopped(None) => {}
-        }
-        let manifest = self.manifest.lock().unwrap().emit();
-        write_atomic(&self.dir.join("manifest.json"), &manifest)
+    /// Takes the writer, seals its segments and writes the manifest;
+    /// returns the cells sealed. A closed store has nothing left to do.
+    fn shutdown(&self) -> io::Result<u64> {
+        let Some(mut writer) = self.writer.lock().unwrap().take() else {
+            return Ok(0);
+        };
+        let wrote = writer.seal_all()?;
+        self.commit_manifest()?;
+        Ok(wrote)
     }
 }
 
@@ -1351,7 +1251,7 @@ impl StoreSession {
 // Read-only loading (analyze)
 // ---------------------------------------------------------------------------
 
-/// A run directory loaded read-only — no writer thread, no compaction, no
+/// A run directory loaded read-only — no writer, no compaction, no
 /// archiving. What `analyze` consumes.
 #[derive(Debug)]
 pub struct RunDir {
@@ -1592,18 +1492,17 @@ mod tests {
     }
 
     /// A session that only resumes — open, hydrate, an all-hit sweep,
-    /// close — starts no writer thread and writes nothing but the
-    /// manifest; the first miss of a session starts the writer.
+    /// close — opens no segment and writes nothing but the manifest; the
+    /// first miss of a session opens one.
     #[test]
-    fn a_resume_only_session_starts_no_writer() {
+    fn a_resume_only_session_opens_no_segment() {
         let dir = std::env::temp_dir().join(format!("fd-store-lazy-{}", std::process::id()));
         fs::remove_dir_all(&dir).ok();
         let spec = KsetScenario::spec(5, 2, 2).gst(Time(400));
-        let running = |session: &StoreSession| {
-            matches!(
-                *session.store.writer.lock().unwrap(),
-                WriterState::Running(..)
-            )
+        let (manifest, shards_dir) = (dir.join("manifest.json"), dir.join("shards"));
+        let open_segments = || {
+            let names = shard_files(&shards_dir).into_iter().map(|(name, _)| name);
+            names.filter(|name| is_temp_name(name)).count()
         };
         let sweep = |session: &StoreSession, seeds| {
             Runner::sequential()
@@ -1612,20 +1511,19 @@ mod tests {
         };
 
         let cold = StoreSession::open(&dir, |_| {}).unwrap();
-        assert!(!running(&cold), "open starts no thread");
+        assert_eq!(open_segments(), 0, "open opens no segment");
         let summary = sweep(&cold, 0..12);
-        assert!(running(&cold));
+        assert!(open_segments() > 0);
         assert!(cold
             .close(12, 0, false)
             .unwrap()
             .contains("wrote 12 new cell(s)"));
-        let (manifest, shards_dir) = (dir.join("manifest.json"), dir.join("shards"));
         let (manifest_before, shards_before) =
             (fs::read(&manifest).unwrap(), shard_files(&shards_dir));
 
         let warm = StoreSession::open(&dir, |_| {}).unwrap();
         assert_eq!(sweep(&warm, 0..12), summary);
-        assert!(!running(&warm), "an all-hit sweep spills nothing");
+        assert_eq!(open_segments(), 0, "an all-hit sweep spills nothing");
         assert_eq!(warm.store.flush().unwrap(), 0);
         warm.close(12, 0, true).unwrap();
         assert_eq!(shard_files(&shards_dir), shards_before, "shards/ untouched");
@@ -1642,13 +1540,27 @@ mod tests {
 
         let resumed = StoreSession::open(&dir, |_| {}).unwrap();
         sweep(&resumed, 0..12);
-        assert!(!running(&resumed));
+        assert_eq!(open_segments(), 0);
         sweep(&resumed, 12..13);
-        assert!(running(&resumed), "the first miss starts the writer");
+        assert_eq!(open_segments(), 1, "the first miss opens a segment");
         assert!(resumed
             .close(13, 0, false)
             .unwrap()
             .contains("wrote 1 new cell(s)"));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Closing writes the manifest once: the `Drop` that follows a
+    /// shutdown finds the writer gone and leaves the directory alone.
+    #[test]
+    fn a_closed_store_is_not_shut_down_again_on_drop() {
+        let dir = std::env::temp_dir().join(format!("fd-store-close-{}", std::process::id()));
+        fs::remove_dir_all(&dir).ok();
+        let store = SweepStore::open(&dir).unwrap();
+        store.shutdown().unwrap();
+        fs::write(dir.join("manifest.json"), "sentinel").unwrap();
+        drop(store);
+        assert_eq!(fs::read(dir.join("manifest.json")).unwrap(), b"sentinel");
         fs::remove_dir_all(&dir).ok();
     }
 

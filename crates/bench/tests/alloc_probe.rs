@@ -540,8 +540,8 @@ fn routed_broadcast_is_allocation_free_after_warmup() {
     let ((small, small_segments), (large, large_segments)) = (dir(40), dir(80));
     assert_eq!(small_segments, CACHE_SHARDS);
     assert_eq!(large_segments, CACHE_SHARDS);
-    // A store nothing is spilled to starts no writer thread, so nothing
-    // allocates behind the count's back.
+    // The store runs no thread of its own, so nothing allocates behind
+    // the count's back.
     let open_allocs = |dir: &std::path::Path| {
         let before = ALLOC.allocations();
         let store = SweepStore::open(dir).expect("reopen run dir");

@@ -17,7 +17,6 @@ use std::fs;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
 
 /// A unique scratch run directory per call, pre-cleaned.
 fn scratch(name: &str) -> PathBuf {
@@ -147,27 +146,19 @@ fn a_killed_writers_open_segments_are_deleted_and_recomputed() {
         let runner = Runner::sequential().with_cache(cache);
         let _ = runner.sweep_summary(&KsetScenario, &cell_spec(), 0..16);
         cache.set_spill(None);
-        // Wait until the writer has appended all eight new cells — to
-        // segments it has not sealed — then kill it: no flush, no close.
-        let open = || {
-            let names: Vec<String> = temps(&dir)
-                .into_iter()
-                .filter(|name| !strays.contains(&name.as_str()))
-                .collect();
-            let lines = names
-                .iter()
-                .map(|name| fs::read_to_string(dir.join("shards").join(name)).unwrap())
-                .map(|text| text.lines().count())
-                .sum::<usize>();
-            (names.len(), lines)
-        };
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while open().1 < 8 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let (segments, lines) = open();
+        // The sweep has appended all eight new cells to segments it has not
+        // sealed; kill the writer now: no flush, no close.
+        let open: Vec<String> = temps(&dir)
+            .into_iter()
+            .filter(|name| !strays.contains(&name.as_str()))
+            .collect();
+        let lines = open
+            .iter()
+            .map(|name| fs::read_to_string(dir.join("shards").join(name)).unwrap())
+            .map(|text| text.lines().count())
+            .sum::<usize>();
         assert_eq!(lines, 8, "every new cell sits in an open segment");
-        assert!(segments >= 2, "the new cells span several shards");
+        assert!(open.len() >= 2, "the new cells span several shards");
         std::mem::forget(store);
     }
 
@@ -532,6 +523,28 @@ fn hydrate_into_a_busy_or_capped_cache_accounts_for_every_cell() {
         "exactly the admitted cells hit"
     );
     store.close().expect("close");
+}
+
+/// A writer whose first segment cannot be created keeps the error: the
+/// sweep runs on, later cells are dropped, `flush` and `close` return it,
+/// and the lost cells recompute on the next open.
+#[test]
+fn a_failed_writer_reports_its_error_and_its_cells_recompute() {
+    let dir = scratch("failed-writer");
+    let store = SweepStore::open(&dir).expect("open run dir");
+    fs::remove_dir_all(dir.join("shards")).expect("remove shards/");
+    let cache = &ReportCache::new();
+    cache.set_spill(Some(store.spill()));
+    let runner = Runner::sequential().with_cache(cache);
+    let cold = runner.sweep_summary(&KsetScenario, &cell_spec(), 0..4);
+    cache.set_spill(None);
+    assert_eq!(cache.misses(), 4);
+    assert!(store.flush().is_err(), "flush returns the error");
+    assert!(store.close().is_err(), "close returns it too");
+
+    let resumed = sweep_session(&dir, 0..4);
+    assert_eq!((resumed.loaded, resumed.hits, resumed.misses), (0, 0, 4));
+    assert_eq!((resumed.wrote, resumed.summary), (4, cold));
 }
 
 /// The writer dedups against the keys on disk at open, not against the

@@ -297,11 +297,11 @@ impl Unpacker<'_> {
 ///   *computed* insert (never for hits, never for hydrated cells) with the
 ///   cell's key and [`SlimReport`], so a store can persist fresh cells as
 ///   they are produced. The callback runs on the sweep worker that
-///   computed the run, before the report is packed into its shard — keep it
-///   cheap (hand off to a writer thread, which encodes the cell straight
-///   into an open segment file; see `fd_bench::store`). It fires even when
-///   the capacity cap skips the in-memory insert: durability must not
-///   degrade when the process-local map fills.
+///   computed the run, before the report is packed into its shard, and
+///   borrows the report (`fd_bench::store` encodes it straight into an
+///   open segment file, on that worker). It fires even when the capacity
+///   cap skips the in-memory insert: durability must not degrade when the
+///   process-local map fills.
 pub struct ReportCache {
     shards: Vec<Mutex<CellMap>>,
     hits: AtomicU64,
