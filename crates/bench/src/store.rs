@@ -27,18 +27,24 @@
 //! A cell is one line of canonical JSON — keys sorted, no whitespace, so a
 //! run directory stays `grep`-able and a cell has exactly one spelling.
 //! Neither direction builds a [`json::Json`] tree: [`encode_cell`] writes the
-//! line straight into one exactly-sized `String`, and [`decode_cell`] pulls
-//! the fields straight off a [`json::Reader`] into the [`SlimReport`],
-//! allocating only what the report owns (detail, decided values, counters),
-//! the two lists once each at exactly their length. Opening a store
-//! decodes every line into one reused scratch report instead, which
-//! allocates only while its buffers grow. A resumed campaign decodes every
-//! stored cell before it computes anything, so this path is the store's
-//! recovery cost. What the decoder
-//! accepts is wider than what the encoder writes — any key order, unknown
-//! members, repeated keys (the last one decides): exactly what reading the
-//! members off a parsed tree accepts, which a `#[cfg(test)]` tree codec
-//! pins on a differential corpus.
+//! line straight into one exactly-sized `String`, and [`decode_cell`] reads
+//! that one spelling back into the [`SlimReport`] — each key a literal in
+//! the encoder's order, each number a `u64` in plain decimal (no sign, no
+//! leading zero), `null` only for the three optional times, and strings
+//! with only the escapes [`escape_into`] writes. It allocates only what the
+//! report owns (detail, decided values, counters), the two lists once each
+//! at exactly their length. Opening a store decodes every line into one
+//! reused scratch report instead, which allocates only while its buffers
+//! grow. A resumed campaign decodes every stored cell before it computes
+//! anything, so this path is the store's recovery cost.
+//!
+//! A line decodes if and only if [`encode_cell`] of its cell gives the line
+//! back, byte for byte. That is safe because every line the store reads
+//! was written by this encoder, and because anything else — reordered or
+//! repeated keys, whitespace, an unknown member, `+5`, `007`, `\/` — is one
+//! corrupt line, under the contract below: counted, dropped, recomputed and
+//! compacted back to the encoder's spelling. No other spelling can reach a
+//! report.
 //!
 //! ## Crash safety and batching
 //!
@@ -61,10 +67,10 @@
 //! replayed in generation order (last-wins per key); the store's own temp
 //! names are deleted, and any other file there is not the store's and is
 //! neither read, counted nor deleted. A line that does not decode —
-//! truncated, garbled, or nested deep enough to be an attack on a
-//! recursive parser — is one corrupt line: counted, dropped, its cell
-//! recomputed. Multi-segment or corruption-scarred shards are compacted
-//! back to a single clean segment, through the same append-and-seal writer.
+//! truncated, garbled, not UTF-8, or in any spelling but the encoder's —
+//! is one corrupt line: counted, dropped, its cell recomputed.
+//! Multi-segment or corruption-scarred shards are compacted back to a
+//! single clean segment, through the same append-and-seal writer.
 //!
 //! ## One resident copy, packed
 //!
@@ -101,15 +107,16 @@ use std::fmt::Write as _;
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
+use std::str::Utf8Error;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use fd_detectors::scenario::{
-    CellMap, Metrics, ReportCache, ScenarioSpec, SlimReport, SpillFn, CACHE_SHARDS,
+    CellMap, ReportCache, ScenarioSpec, SlimReport, SpillFn, CACHE_SHARDS,
 };
 use fd_detectors::ViolationClass;
 use fd_sim::Time;
 
-use crate::json::{self, escape_into, Reader};
+use crate::json::{self, escape_into};
 
 /// On-disk shard count: the cache's own. Segment `sNN` holds the cells of
 /// cache shard `NN` ([`ReportCache::shard_of`]), so a loaded shard is a
@@ -297,8 +304,11 @@ fn push_cell(out: &mut String, salt: u64, seed: u64, slim: &SlimReport) {
     out.push('}');
 }
 
-/// Decodes one cell line. Any structural problem — bad JSON, missing field,
-/// wrong type — is an `Err`; the store counts it as corrupt and recomputes.
+/// Decodes one cell line. A line decodes if and only if [`encode_cell`] of
+/// its cell reproduces it byte for byte; anything else — bad JSON, a
+/// missing, reordered, repeated or unknown member, another spelling of a
+/// number or string — is an `Err`, which the store counts as corrupt and
+/// recomputes.
 pub fn decode_cell(line: &str) -> Result<((u64, u64), SlimReport), String> {
     let mut slim = SlimReport::default();
     let key = decode_cell_into(line, &mut slim)?;
@@ -309,102 +319,188 @@ pub fn decode_cell(line: &str) -> Result<((u64, u64), SlimReport), String> {
 /// counters it already owns: a load decodes every line of a run directory
 /// into one scratch report, which allocates only while its buffers grow.
 /// After an `Err`, `slim` holds whatever was read before it.
+///
+/// The line is read in [`push_cell`]'s order, each key a literal.
 fn decode_cell_into(line: &str, slim: &mut SlimReport) -> Result<(u64, u64), String> {
-    let (mut salt, mut seed, mut num_faulty, mut ok) = (None, None, None, None);
-    let (mut scenario, mut class) = (None, None);
-    // Whether the last occurrence of each member read into `slim`.
-    let (mut detail, mut metrics, mut counters) = (false, false, false);
-    let mut stabilized_at: OptTime = Some(None);
+    let c = &mut Cursor { line, at: 0 };
     // Scratch for strings with escapes; never allocated for the others.
     let buf = &mut String::new();
-    let mut r = Reader::new(line);
-    r.begin_obj()?;
-    while let Some(key) = r.key(buf)? {
-        match key {
-            "salt" => salt = member(&mut r, buf, |r, _| r.u64())?,
-            "seed" => seed = member(&mut r, buf, |r, _| r.u64())?,
-            "num_faulty" => num_faulty = member(&mut r, buf, |r, _| r.u64())?,
-            "ok" => ok = member(&mut r, buf, |r, _| r.bool())?,
-            "stabilized_at" => stabilized_at = member(&mut r, buf, |r, _| r.opt_u64())?,
-            "scenario" => scenario = member(&mut r, buf, |r, buf| Ok(intern(r.str(buf)?)))?,
-            "detail" => {
-                detail = member(&mut r, buf, |r, buf| {
-                    let text = r.str(buf)?;
-                    slim.check.detail.clear();
-                    slim.check.detail.push_str(text);
-                    Ok(())
-                })?
-                .is_some()
-            }
-            "class" => {
-                class = member(&mut r, buf, |r, buf| {
-                    ViolationClass::from_name(r.str(buf)?).ok_or_else(|| "bad class".into())
-                })?
-            }
-            "metrics" => {
-                metrics = member(&mut r, buf, |r, buf| {
-                    decode_metrics(r, buf, &mut slim.metrics)
-                })?
-                .is_some()
-            }
-            "counters" => {
-                counters = member(&mut r, buf, |r, buf| {
-                    decode_counters(r, buf, &mut slim.counters)
-                })?
-                .is_some()
-            }
-            _ => r.skip(buf)?,
+    c.lit("{\"class\":")?;
+    slim.check.class = ViolationClass::from_name(c.str(buf)?).ok_or("bad class")?;
+    c.lit(",\"counters\":[")?;
+    fill_list(&mut slim.counters, ("", 0), || {
+        if !c.more()? {
+            return Ok(None);
         }
+        c.lit("[")?;
+        let name = intern(c.str(buf)?);
+        c.lit(",")?;
+        let counter = (name, c.u64()?);
+        c.lit("]")?;
+        Ok(Some(counter))
+    })?;
+    c.lit(",\"detail\":")?;
+    let detail = c.str(buf)?;
+    slim.check.detail.clear();
+    slim.check.detail.push_str(detail);
+    let m = &mut slim.metrics;
+    c.lit(",\"metrics\":{\"decided\":[")?;
+    fill_list(&mut m.decided_values, 0, || {
+        c.more()?.then(|| c.u64()).transpose()
+    })?;
+    m.delivered = c.u64_at(",\"delivered\":")?;
+    m.events = c.u64_at(",\"events\":")?;
+    m.first_decision = c.opt_time_at(",\"first_decision\":")?;
+    m.last_decision = c.opt_time_at(",\"last_decision\":")?;
+    m.max_round = c.u64_at(",\"max_round\":")?;
+    m.msgs_sent = c.u64_at(",\"msgs_sent\":")?;
+    m.rb_sent = c.u64_at(",\"rb_sent\":")?;
+    let num_faulty = c.u64_at("},\"num_faulty\":")?;
+    slim.num_faulty = usize::try_from(num_faulty).map_err(|e| e.to_string())?;
+    slim.check.ok = c.eat(",\"ok\":true");
+    if !slim.check.ok {
+        c.lit(",\"ok\":false")?;
     }
-    r.end()?;
-    let present = |read: bool, what: &str| {
-        if read {
+    let salt = c.u64_at(",\"salt\":")?;
+    c.lit(",\"scenario\":")?;
+    slim.scenario = intern(c.str(buf)?);
+    slim.seed = c.u64_at(",\"seed\":")?;
+    slim.check.stabilized_at = c.opt_time_at(",\"stabilized_at\":")?;
+    c.lit("}")?;
+    if c.at != line.len() {
+        return Err(format!("trailing bytes at byte {}", c.at));
+    }
+    Ok((salt, slim.seed))
+}
+
+/// A read position in one cell line. Every method consumes exactly the
+/// spelling [`push_cell`] writes, or returns an `Err`.
+struct Cursor<'a> {
+    line: &'a str,
+    at: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// Consumes `lit` if the line continues with it.
+    fn eat(&mut self, lit: &str) -> bool {
+        let found = self.line.as_bytes()[self.at..].starts_with(lit.as_bytes());
+        if found {
+            self.at += lit.len();
+        }
+        found
+    }
+
+    /// Consumes `lit`, which the line must continue with.
+    fn lit(&mut self, lit: &str) -> Result<(), String> {
+        if self.eat(lit) {
             Ok(())
         } else {
-            Err(format!("missing/bad {what}"))
-        }
-    };
-    let key = (
-        salt.ok_or("missing/bad salt")?,
-        seed.ok_or("missing/bad seed")?,
-    );
-    slim.scenario = scenario.ok_or("missing/bad scenario")?;
-    slim.seed = key.1;
-    slim.num_faulty = num_faulty.ok_or("missing/bad num_faulty")? as usize;
-    slim.check.ok = ok.ok_or("missing/bad ok")?;
-    slim.check.stabilized_at = opt_time(stabilized_at, "stabilized_at")?;
-    present(detail, "detail")?;
-    slim.check.class = class.ok_or("missing/bad class")?;
-    present(metrics, "metrics")?;
-    present(counters, "counters")?;
-    Ok(key)
-}
-
-/// Reads one member's value with `read`. A value of another shape is
-/// skipped (its syntax still checked) and reads as `None` — the member is
-/// then as good as absent, unless a later duplicate of its key supplies it.
-fn member<'a, T>(
-    r: &mut Reader<'a>,
-    buf: &mut String,
-    read: impl FnOnce(&mut Reader<'a>, &mut String) -> Result<T, String>,
-) -> Result<Option<T>, String> {
-    let start = *r;
-    match read(r, buf) {
-        Ok(value) => Ok(Some(value)),
-        Err(_) => {
-            *r = start;
-            r.skip(buf)?;
-            Ok(None)
+            Err(format!("expected {lit:?} at byte {}", self.at))
         }
     }
-}
 
-/// A `null`-or-`u64` member: `Some(None)` while absent or `null`, `None`
-/// once an occurrence had another shape.
-type OptTime = Option<Option<u64>>;
+    /// A `u64` in its one decimal spelling: digits only, no leading zero.
+    fn u64(&mut self) -> Result<u64, String> {
+        let rest = &self.line.as_bytes()[self.at..];
+        let digits = &rest[..rest.iter().take_while(|b| b.is_ascii_digit()).count()];
+        let value = match digits {
+            [] | [b'0', _, ..] => None,
+            _ => digits.iter().try_fold(0u64, |v, &d| {
+                v.checked_mul(10)?.checked_add(u64::from(d - b'0'))
+            }),
+        };
+        let value = value.ok_or_else(|| format!("not a u64 at byte {}", self.at))?;
+        self.at += digits.len();
+        Ok(value)
+    }
 
-fn opt_time(t: OptTime, what: &str) -> Result<Option<Time>, String> {
-    Ok(t.ok_or_else(|| format!("bad {what}"))?.map(Time))
+    /// The member `key` (with the comma before it), a `u64`.
+    fn u64_at(&mut self, key: &str) -> Result<u64, String> {
+        self.lit(key)?;
+        self.u64()
+    }
+
+    /// The member `key` (with the comma before it), `null` or a `u64`.
+    fn opt_time_at(&mut self, key: &str) -> Result<Option<Time>, String> {
+        self.lit(key)?;
+        if self.eat("null") {
+            Ok(None)
+        } else {
+            self.u64().map(|t| Some(Time(t)))
+        }
+    }
+
+    /// Steps to a list's next element: past the comma before it (there is
+    /// none right after the `[`), or past the `]` that ends the list.
+    fn more(&mut self) -> Result<bool, String> {
+        if self.eat("]") {
+            return Ok(false);
+        }
+        if self.line.as_bytes()[self.at - 1] != b'[' {
+            self.lit(",")?;
+        }
+        Ok(true)
+    }
+
+    /// A string in [`escape_into`]'s spelling: borrowed from the line when
+    /// it has no escape, unescaped into `buf` (cleared first) otherwise.
+    fn str<'b>(&mut self, buf: &'b mut String) -> Result<&'b str, String>
+    where
+        'a: 'b,
+    {
+        self.lit("\"")?;
+        let (line, bytes) = (self.line, self.line.as_bytes());
+        // `"` and `\` never occur inside a multi-byte UTF-8 sequence, so
+        // every run below starts and ends on a character boundary.
+        let (mut run, mut escaped) = (self.at, false);
+        loop {
+            match bytes.get(self.at) {
+                None => return Err("unterminated string".into()),
+                Some(b'"') => {
+                    let text = &line[run..self.at];
+                    self.at += 1;
+                    if !escaped {
+                        return Ok(text);
+                    }
+                    buf.push_str(text);
+                    return Ok(buf);
+                }
+                Some(b'\\') => {
+                    if !escaped {
+                        buf.clear();
+                        escaped = true;
+                    }
+                    buf.push_str(&line[run..self.at]);
+                    buf.push(self.escape()?);
+                    run = self.at;
+                }
+                Some(0..=0x1f) => return Err(format!("raw control byte at byte {}", self.at)),
+                Some(_) => self.at += 1,
+            }
+        }
+    }
+
+    /// One escape as [`escape_into`] writes it: `\"`, `\\`, `\n`, `\r`,
+    /// `\t`, or `\u00xx` in lowercase hex for every other control character
+    /// (so never `\u0009`, `\u000a` or `\u000d`).
+    fn escape(&mut self) -> Result<char, String> {
+        let (c, len) = match &self.line.as_bytes()[self.at..] {
+            [_, b'"', ..] => ('"', 2),
+            [_, b'\\', ..] => ('\\', 2),
+            [_, b'n', ..] => ('\n', 2),
+            [_, b'r', ..] => ('\r', 2),
+            [_, b't', ..] => ('\t', 2),
+            [_, b'u', b'0', b'0', hi @ b'0'..=b'1', lo @ (b'0'..=b'9' | b'a'..=b'f'), ..]
+                if !matches!([*hi, *lo], [b'0', b'9' | b'a' | b'd']) =>
+            {
+                let lo = char::from(*lo).to_digit(16).unwrap_or_default() as u8;
+                (char::from((*hi - b'0') << 4 | lo), 6)
+            }
+            _ => return Err(format!("bad escape at byte {}", self.at)),
+        };
+        self.at += len;
+        Ok(c)
+    }
 }
 
 /// Elements a decoded list gathers on the stack before it allocates.
@@ -437,73 +533,6 @@ fn fill_list<T: Copy>(
     while let Some(v) = next()? {
         list.push(v);
     }
-    Ok(())
-}
-
-/// `[["name", n], …]`: each element an array of exactly a string and a `u64`.
-fn decode_counters(
-    r: &mut Reader,
-    buf: &mut String,
-    counters: &mut Vec<(&'static str, u64)>,
-) -> Result<(), String> {
-    r.begin_arr()?;
-    fill_list(counters, ("", 0), || {
-        if !r.more()? {
-            return Ok(None);
-        }
-        r.begin_arr()?;
-        if !r.more()? {
-            return Err("bad counter".into());
-        }
-        let name = intern(r.str(buf)?);
-        if !r.more()? {
-            return Err("bad counter".into());
-        }
-        let counter = (name, r.u64()?);
-        if r.more()? {
-            return Err("bad counter".into());
-        }
-        Ok(Some(counter))
-    })
-}
-
-/// The `metrics` object into `m`, refilling its decided values.
-fn decode_metrics(r: &mut Reader, buf: &mut String, m: &mut Metrics) -> Result<(), String> {
-    let (mut msgs_sent, mut rb_sent, mut delivered, mut events) = (None, None, None, None);
-    let (mut max_round, mut decided) = (None, false);
-    let (mut first_decision, mut last_decision): (OptTime, OptTime) = (Some(None), Some(None));
-    r.begin_obj()?;
-    while let Some(key) = r.key(buf)? {
-        match key {
-            "msgs_sent" => msgs_sent = member(r, buf, |r, _| r.u64())?,
-            "rb_sent" => rb_sent = member(r, buf, |r, _| r.u64())?,
-            "delivered" => delivered = member(r, buf, |r, _| r.u64())?,
-            "events" => events = member(r, buf, |r, _| r.u64())?,
-            "max_round" => max_round = member(r, buf, |r, _| r.u64())?,
-            "first_decision" => first_decision = member(r, buf, |r, _| r.opt_u64())?,
-            "last_decision" => last_decision = member(r, buf, |r, _| r.opt_u64())?,
-            "decided" => {
-                decided = member(r, buf, |r, _| {
-                    r.begin_arr()?;
-                    fill_list(&mut m.decided_values, 0, || {
-                        r.more()?.then(|| r.u64()).transpose()
-                    })
-                })?
-                .is_some()
-            }
-            _ => r.skip(buf)?,
-        }
-    }
-    m.msgs_sent = msgs_sent.ok_or("missing/bad metrics.msgs_sent")?;
-    m.rb_sent = rb_sent.ok_or("missing/bad metrics.rb_sent")?;
-    m.delivered = delivered.ok_or("missing/bad metrics.delivered")?;
-    m.events = events.ok_or("missing/bad metrics.events")?;
-    m.max_round = max_round.ok_or("missing/bad metrics.max_round")?;
-    if !decided {
-        return Err("missing/bad metrics.decided".into());
-    }
-    m.first_decision = opt_time(first_decision, "first_decision")?;
-    m.last_decision = opt_time(last_decision, "last_decision")?;
     Ok(())
 }
 
@@ -762,37 +791,62 @@ struct LoadedShards {
     dirty_shards: Vec<usize>,
 }
 
-/// Replays every segment under `shards_dir` in generation order, decoding
-/// each line into one scratch report and packing it straight into its
-/// shard's map: one allocation per cell, its packed bytes.
-fn load_shards(shards_dir: &Path) -> io::Result<LoadedShards> {
+/// The segments in `shards_dir` as `(shard, generation)`, sorted into
+/// replay order; every other entry of the directory goes to `other`.
+fn list_segments(
+    shards_dir: &Path,
+    mut other: impl FnMut(&fs::DirEntry) -> io::Result<()>,
+) -> io::Result<Vec<(usize, u64)>> {
+    let mut segments = Vec::new();
+    for entry in fs::read_dir(shards_dir)? {
+        let entry = entry?;
+        match entry.file_name().to_str().and_then(segment_of) {
+            Some(segment) => segments.push(segment),
+            None => other(&entry)?,
+        }
+    }
+    // Last-wins dedup only cares about order *within* a shard.
+    segments.sort_unstable();
+    Ok(segments)
+}
+
+/// The lines of a segment. Each is checked for UTF-8 on its own only when
+/// the segment as a whole is not UTF-8, so one bad byte spoils its line,
+/// not the segment.
+fn segment_lines(bytes: &[u8]) -> impl Iterator<Item = Result<&str, Utf8Error>> + Clone {
+    let (text, damaged) = match std::str::from_utf8(bytes) {
+        Ok(text) => (Some(text.split('\n').map(Ok)), None),
+        Err(_) => (
+            None,
+            Some(bytes.split(|&b| b == b'\n').map(std::str::from_utf8)),
+        ),
+    };
+    text.into_iter()
+        .flatten()
+        .chain(damaged.into_iter().flatten())
+}
+
+/// Replays `segments` (from [`list_segments`]) in order, decoding each
+/// line into one scratch report and packing it straight into its shard's
+/// map: one allocation per cell, its packed bytes. A line that is not
+/// UTF-8 or does not decode is one corrupt line.
+fn load_shards(shards_dir: &Path, segments: Vec<(usize, u64)>) -> io::Result<LoadedShards> {
     let mut maps: Vec<CellMap> = (0..STORE_SHARDS).map(|_| CellMap::new()).collect();
     let mut scratch = SlimReport::default();
     let mut corrupt = 0u64;
     let mut segments_per_shard = [0u32; STORE_SHARDS];
     let mut corrupt_in_shard = [false; STORE_SHARDS];
-    let mut segments: Vec<(usize, u64)> = Vec::new();
-    if shards_dir.is_dir() {
-        for entry in fs::read_dir(shards_dir)? {
-            if let Some(segment) = entry?.file_name().to_str().and_then(segment_of) {
-                segments.push(segment);
-            }
-        }
-    }
-    // Last-wins dedup only cares about order *within* a shard.
-    segments.sort_unstable();
     for &(shard, generation) in &segments {
         segments_per_shard[shard] += 1;
-        let text = fs::read_to_string(shards_dir.join(segment_name(shard, generation)))?;
+        let bytes = fs::read(shards_dir.join(segment_name(shard, generation)))?;
+        let lines = segment_lines(&bytes).filter(|line| line != &Ok(""));
         // Room for the segment's lines, but for no more cells than its
         // bytes could spell. A shard's one segment sizes its map exactly;
         // a shard of several grows once per segment, and is compacted.
-        maps[shard].reserve(text.lines().count().min(text.len() / CELL_LITERALS));
-        for line in text.lines() {
-            if line.is_empty() {
-                continue;
-            }
-            match decode_cell_into(line, &mut scratch) {
+        maps[shard].reserve(lines.clone().count().min(bytes.len() / CELL_LITERALS));
+        for line in lines {
+            let line = line.map_err(|e| e.to_string());
+            match line.and_then(|line| decode_cell_into(line, &mut scratch)) {
                 Ok(key) => maps[ReportCache::shard_of(key)].insert(key, &scratch),
                 Err(_) => {
                     corrupt += 1;
@@ -923,22 +977,32 @@ impl SweepStore {
         let dir = dir.as_ref().to_path_buf();
         let shards_dir = dir.join("shards");
         fs::create_dir_all(&shards_dir)?;
-        for entry in fs::read_dir(&shards_dir)? {
-            let entry = entry?;
+        // One listing: the store's own temp names are deleted, and whether
+        // anything else is there decides below whether cells without a
+        // manifest are archived.
+        let mut others = false;
+        let mut segments = list_segments(&shards_dir, |entry| {
             if entry.file_name().to_str().is_some_and(is_temp_name) {
-                fs::remove_file(entry.path())?;
+                fs::remove_file(entry.path())
+            } else {
+                others = true;
+                Ok(())
             }
-        }
+        })?;
 
         let manifest_path = dir.join("manifest.json");
         let mut archived_stale = false;
-        let mut manifest = match fs::read_to_string(&manifest_path) {
-            Ok(text) => match Manifest::parse(&text) {
+        let mut manifest = match fs::read(&manifest_path) {
+            Ok(bytes) => match std::str::from_utf8(&bytes)
+                .map_err(|e| e.to_string())
+                .and_then(Manifest::parse)
+            {
                 Ok(m) if m.matches_engine() => m,
                 // Unreadable or mismatched: both mean "not our cells".
                 Ok(_) | Err(_) => {
                     archive_shards(&dir, &shards_dir)?;
                     archived_stale = true;
+                    segments.clear();
                     Manifest::fresh()
                 }
             },
@@ -946,9 +1010,10 @@ impl SweepStore {
                 // No manifest. If cells exist anyway (half-written run dir,
                 // crashed before first close), treat them as stale too: the
                 // salts cannot be trusted without a manifest.
-                if shards_dir.read_dir()?.next().is_some() {
+                if others || !segments.is_empty() {
                     archive_shards(&dir, &shards_dir)?;
                     archived_stale = true;
+                    segments.clear();
                 }
                 Manifest::fresh()
             }
@@ -957,7 +1022,7 @@ impl SweepStore {
         manifest.engine = engine_version();
         manifest.format = STORE_FORMAT;
 
-        let loaded = load_shards(&shards_dir)?;
+        let loaded = load_shards(&shards_dir, segments)?;
         let mut generation = loaded.segments.iter().map(|s| s.1).max().unwrap_or(0);
 
         // Compact: rewrite multi-segment or corruption-scarred shards as a
@@ -1283,7 +1348,13 @@ pub fn load_run_dir(dir: impl AsRef<Path>) -> io::Result<RunDir> {
         .ok()
         .and_then(|text| Manifest::parse(&text).ok())
         .unwrap_or_default();
-    let loaded = load_shards(&dir.join("shards"))?;
+    let shards_dir = dir.join("shards");
+    let segments = if shards_dir.is_dir() {
+        list_segments(&shards_dir, |_| Ok(()))?
+    } else {
+        Vec::new()
+    };
+    let loaded = load_shards(&shards_dir, segments)?;
     Ok(RunDir {
         dir,
         manifest,
@@ -1297,7 +1368,7 @@ mod tests {
     use super::*;
     use crate::json::Json;
     use fd_core::KsetScenario;
-    use fd_detectors::scenario::{CrashPlan, Runner, Scenario};
+    use fd_detectors::scenario::{CrashPlan, Metrics, Runner, Scenario};
     use fd_detectors::CheckOutcome;
     use fd_sim::SplitMix64;
 
@@ -1715,25 +1786,16 @@ mod tests {
     }
 
     // -----------------------------------------------------------------
-    // Reference codec: the `Json`-tree round trip the store shipped with
-    // through PR 18, kept to pin the streaming codec against — byte for
-    // byte on encode, verdict for verdict on decode.
+    // Reference encoder: the `Json`-tree encoder the store first shipped
+    // with, kept to pin the streaming one against, byte for byte.
+    // The decoder needs no reference: a line decodes only if it re-encodes
+    // to itself.
     // -----------------------------------------------------------------
 
     fn reference_opt_time(t: Option<Time>) -> Json {
         match t {
             Some(t) => Json::num_u64(t.0),
             None => Json::Null,
-        }
-    }
-
-    fn reference_decode_opt_time(v: Option<&Json>) -> Result<Option<Time>, String> {
-        match v {
-            None | Some(Json::Null) => Ok(None),
-            Some(j) => j
-                .as_u64()
-                .map(|t| Some(Time(t)))
-                .ok_or_else(|| "bad time".into()),
         }
     }
 
@@ -1780,84 +1842,8 @@ mod tests {
         .emit()
     }
 
-    fn reference_decode_cell(line: &str) -> Result<((u64, u64), SlimReport), String> {
-        let doc = json::parse(line)?;
-        let req_u64 = |key: &str| -> Result<u64, String> {
-            doc.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("missing/bad {key}"))
-        };
-        let salt = req_u64("salt")?;
-        let seed = req_u64("seed")?;
-        let scenario = doc
-            .get("scenario")
-            .and_then(Json::as_str)
-            .ok_or("missing scenario")?;
-        let ok = doc.get("ok").and_then(Json::as_bool).ok_or("missing ok")?;
-        let detail = doc
-            .get("detail")
-            .and_then(Json::as_str)
-            .ok_or("missing detail")?;
-        let class = doc
-            .get("class")
-            .and_then(Json::as_str)
-            .and_then(ViolationClass::from_name)
-            .ok_or("missing/bad class")?;
-        let m = doc.get("metrics").ok_or("missing metrics")?;
-        let m_u64 = |key: &str| -> Result<u64, String> {
-            m.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("missing/bad metrics.{key}"))
-        };
-        let decided = m
-            .get("decided")
-            .and_then(Json::as_arr)
-            .ok_or("missing decided")?
-            .iter()
-            .map(|v| v.as_u64().ok_or("bad decided value"))
-            .collect::<Result<Vec<u64>, _>>()?;
-        let counters = doc
-            .get("counters")
-            .and_then(Json::as_arr)
-            .ok_or("missing counters")?
-            .iter()
-            .map(|pair| {
-                let pair = pair
-                    .as_arr()
-                    .filter(|p| p.len() == 2)
-                    .ok_or("bad counter")?;
-                let name = pair[0].as_str().ok_or("bad counter name")?;
-                let v = pair[1].as_u64().ok_or("bad counter value")?;
-                Ok::<(&'static str, u64), String>((intern(name), v))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let slim = SlimReport {
-            scenario: intern(scenario),
-            seed,
-            num_faulty: req_u64("num_faulty")? as usize,
-            check: CheckOutcome {
-                ok,
-                stabilized_at: reference_decode_opt_time(doc.get("stabilized_at"))?,
-                detail: detail.to_string(),
-                class,
-            },
-            metrics: Metrics {
-                msgs_sent: m_u64("msgs_sent")?,
-                rb_sent: m_u64("rb_sent")?,
-                delivered: m_u64("delivered")?,
-                events: m_u64("events")?,
-                max_round: m_u64("max_round")?,
-                decided_values: decided,
-                first_decision: reference_decode_opt_time(m.get("first_decision"))?,
-                last_decision: reference_decode_opt_time(m.get("last_decision"))?,
-            },
-            counters,
-        };
-        Ok(((salt, seed), slim))
-    }
-
     // -----------------------------------------------------------------
-    // Differential corpus
+    // Random and mutated cells
     // -----------------------------------------------------------------
 
     const EDGE_U64: [u64; 8] = [
@@ -1971,19 +1957,16 @@ mod tests {
         }
     }
 
-    /// Runs both decoders over `line`; they must agree on the verdict and,
-    /// when it is `Ok`, on the cell. Returns the cell.
-    fn both_decode(line: &str) -> Option<((u64, u64), SlimReport)> {
-        match (decode_cell(line), reference_decode_cell(line)) {
-            (Ok(streamed), Ok(tree)) => {
-                assert_eq!(streamed, tree, "decoders disagree on the value of {line:?}");
-                Some(streamed)
-            }
-            (Err(_), Err(_)) => None,
-            (streamed, tree) => panic!(
-                "decoders disagree on {line:?}:\n  streaming: {streamed:?}\n  tree: {tree:?}"
-            ),
-        }
+    /// Decodes `line`, which must either be an `Err` or re-encode to
+    /// exactly `line`. Returns the cell.
+    fn decode_exactly(line: &str) -> Option<((u64, u64), SlimReport)> {
+        let (key, slim) = decode_cell(line).ok()?;
+        assert_eq!(
+            encode_cell(key.0, key.1, &slim),
+            line,
+            "{line:?} is not its cell's spelling"
+        );
+        Some((key, slim))
     }
 
     #[test]
@@ -2003,7 +1986,7 @@ mod tests {
                     "an escape-free line is sized exactly"
                 );
             }
-            assert_eq!(both_decode(&line), Some(((salt, slim.seed), slim)));
+            assert_eq!(decode_exactly(&line), Some(((salt, slim.seed), slim)));
         }
         assert_eq!(classes.len(), ViolationClass::ALL.len());
     }
@@ -2072,11 +2055,11 @@ mod tests {
     }
 
     #[test]
-    fn streaming_decoder_equals_the_tree_decoder_on_mutated_lines() {
+    fn a_mutated_line_decodes_only_if_it_reencodes_to_itself() {
         let mut rng = SplitMix64::new(0x19_D1FF);
         let (mut accepted, mut rejected) = (0u32, 0u32);
         let mut check = |line: &str| -> Option<((u64, u64), SlimReport)> {
-            let cell = both_decode(line);
+            let cell = decode_exactly(line);
             *(if cell.is_some() {
                 &mut accepted
             } else {
@@ -2090,9 +2073,10 @@ mod tests {
             let cell = Some(((salt, slim.seed), slim.clone()));
             let line = encode_cell(salt, slim.seed, &slim);
             let doc = json::parse(&line).unwrap();
+            assert_eq!(check(&line), cell);
 
-            // Truncation at every byte offset: no strict prefix of an
-            // object is a document.
+            // Truncation at every byte offset: no strict prefix of a line
+            // is a line.
             for cut in (0..line.len()).filter(|&cut| line.is_char_boundary(cut)) {
                 assert_eq!(check(&line[..cut]), None, "prefix of {cut} bytes");
             }
@@ -2106,11 +2090,12 @@ mod tests {
                 check(&String::from_utf8(bytes).unwrap());
             }
 
-            // Permuted keys and inter-token whitespace: the same cell.
+            // Permuted keys and inter-token whitespace: the same cell, in
+            // another spelling.
             for _ in 0..8 {
                 let mut scrambled = String::new();
                 emit_scrambled(&doc, &mut rng, &mut scrambled);
-                assert_eq!(check(&scrambled), cell, "{scrambled:?}");
+                assert_eq!(check(&scrambled), None, "{scrambled:?}");
             }
 
             // The escapes the encoder never writes, in values and in keys.
@@ -2123,133 +2108,125 @@ mod tests {
             let _ = write!(long, ":{salt},");
             let tail = line.replacen("{\"class\"", "\"class\"", 1);
             long.push_str(&tail);
-            // (`detail`, `scenario` and `salt` now occur twice, the long
-            // spelling first: the canonical one wins, and is equal anyway —
-            // except past the BMP, where a `\u` pair reads as two U+FFFD.)
-            assert_eq!(check(&long), cell, "{long:?}");
+            assert_eq!(check(&long), None, "{long:?}");
             let long_only = long.replacen(",\"detail\":", ",\"detail_\":", 1);
-            if slim.check.detail.chars().all(|c| (c as u32) < 0x1_0000) {
-                assert_eq!(check(&long_only), cell, "{long_only:?}");
-            } else {
-                let read = check(&long_only).expect("pairs of lone surrogates still read");
-                assert!(read.1.check.detail.contains('\u{fffd}'));
-            }
+            assert_eq!(check(&long_only), None, "{long_only:?}");
 
-            // Duplicated keys: the last occurrence alone decides, whatever
-            // an earlier one held.
+            // Duplicated keys, first or last, whatever the other occurrence
+            // holds.
             let body = &line[1..];
-            for (earlier, still_ok) in [
-                ("\"salt\":\"x\"", true),
-                ("\"seed\":[1,2]", true),
-                ("\"ok\":null", true),
-                ("\"detail\":7", true),
-                ("\"class\":\"no_such_class\"", true),
-                ("\"stabilized_at\":\"never\"", true),
-                ("\"metrics\":5", true),
-                ("\"metrics\":{\"events\":\"x\"}", true),
-                ("\"counters\":[[\"a\"]]", true),
-                ("\"counters\":[[\"a\",1,2]]", true),
-                ("\"counters\":[[1,\"a\"]]", true),
-                ("\"counters\":{}", true),
-                ("\"salt\":tru", false),
-                ("\"metrics\":{\"events\":}", false),
+            for earlier in [
+                "\"salt\":\"x\"",
+                "\"seed\":[1,2]",
+                "\"ok\":null",
+                "\"detail\":7",
+                "\"class\":\"no_such_class\"",
+                "\"stabilized_at\":\"never\"",
+                "\"metrics\":5",
+                "\"metrics\":{\"events\":\"x\"}",
+                "\"counters\":[[\"a\"]]",
+                "\"counters\":[[\"a\",1,2]]",
+                "\"counters\":[[1,\"a\"]]",
+                "\"counters\":{}",
+                "\"salt\":tru",
+                "\"metrics\":{\"events\":}",
             ] {
                 let first = format!("{{{earlier},{body}");
-                assert_eq!(
-                    check(&first),
-                    cell.clone().filter(|_| still_ok),
-                    "{first:?}"
-                );
-                if still_ok {
-                    let last = format!("{},{earlier}}}", &line[..line.len() - 1]);
-                    assert_eq!(check(&last), None, "{last:?}");
-                }
+                assert_eq!(check(&first), None, "{first:?}");
+                let last = format!("{},{earlier}}}", &line[..line.len() - 1]);
+                assert_eq!(check(&last), None, "{last:?}");
             }
             let later_salt = format!("{},\"salt\":{}}}", &line[..line.len() - 1], salt ^ 1);
-            assert_eq!(check(&later_salt).map(|c| c.0), Some((salt ^ 1, slim.seed)));
-            // … inside `metrics` too, and a repeated `metrics` replaces the
-            // earlier one whole rather than merging with it.
+            assert_eq!(check(&later_salt), None, "{later_salt:?}");
+            // … inside `metrics` too, and as a second `metrics`.
             let inner = line.replacen("\"metrics\":{", "\"metrics\":{\"events\":\"x\",", 1);
-            assert_eq!(check(&inner), cell, "{inner:?}");
+            assert_eq!(check(&inner), None, "{inner:?}");
             let partial = format!("{},\"metrics\":{{\"events\":1}}}}", &line[..line.len() - 1]);
             assert_eq!(check(&partial), None, "{partial:?}");
 
             // An unknown member — scalar, nested, malformed — at the top
             // level and inside `metrics`.
-            for (unknown, well_formed) in [
-                ("\"zz\":1", true),
-                ("\"zz\":-1.5e+3", true),
-                ("\"zz\":null", true),
-                ("\"zz\":\"s\\n\\u00e9\"", true),
-                ("\"zz\":{\"a\":[1,{\"b\":[]},\"]\"],\"salt\":0}", true),
-                ("\"\":[[[[]]]]", true),
-                ("\"zz\":[1,", false),
-                ("\"zz\":[1,]", false),
-                ("\"zz\":{\"a\"}", false),
-                ("\"zz\":tru", false),
-                ("\"zz\":nul", false),
-                ("\"zz\":1x", false),
-                ("\"zz\":\"\\q\"", false),
-                ("\"zz\":\"\\u12\"", false),
-                ("\"zz\"", false),
-                ("zz:1", false),
+            for unknown in [
+                "\"zz\":1",
+                "\"zz\":-1.5e+3",
+                "\"zz\":null",
+                "\"zz\":\"s\\n\\u00e9\"",
+                "\"zz\":{\"a\":[1,{\"b\":[]},\"]\"],\"salt\":0}",
+                "\"\":[[[[]]]]",
+                "\"zz\":[1,",
+                "\"zz\":[1,]",
+                "\"zz\":{\"a\"}",
+                "\"zz\":tru",
+                "\"zz\":nul",
+                "\"zz\":1x",
+                "\"zz\":\"\\q\"",
+                "\"zz\":\"\\u12\"",
+                "\"zz\"",
+                "zz:1",
             ] {
                 let top = format!("{{{unknown},{body}");
-                assert_eq!(check(&top), cell.clone().filter(|_| well_formed), "{top:?}");
+                assert_eq!(check(&top), None, "{top:?}");
                 let nested =
                     line.replacen("\"metrics\":{", &format!("\"metrics\":{{{unknown},"), 1);
-                assert_eq!(
-                    check(&nested),
-                    cell.clone().filter(|_| well_formed),
-                    "{nested:?}"
-                );
+                assert_eq!(check(&nested), None, "{nested:?}");
             }
 
-            // Numbers in other spellings, wherever a `u64` is read. The
-            // reader's number token is the tree parser's, so the two
-            // decoders have no known disagreement: what is not RFC 8259
-            // but was tolerated (`+5`, `007`) is tolerated by both.
+            // Numbers in other spellings, in place of each number of the
+            // line, and as a list element: only the one decimal spelling
+            // of a `u64` reads.
             let spellings = [
-                ("1.0", None),
-                ("1e3", None),
-                ("1E3", None),
-                ("-1", None),
-                ("-0", None),
-                ("1.", None),
-                (".5", None),
-                ("18446744073709551616", None),
-                ("99999999999999999999999", None),
-                ("0x10", None),
-                ("1 2", None),
-                ("", None),
-                ("+5", Some(5)),
-                ("007", Some(7)),
-                ("18446744073709551615", Some(u64::MAX)),
-                (" 12 ", Some(12)),
+                ("1.0", false),
+                ("1e3", false),
+                ("1E3", false),
+                ("-1", false),
+                ("-0", false),
+                ("1.", false),
+                (".5", false),
+                ("18446744073709551616", false),
+                ("99999999999999999999999", false),
+                ("0x10", false),
+                ("1 2", false),
+                ("", false),
+                ("+5", false),
+                ("007", false),
+                ("00", false),
+                (" 12 ", false),
+                ("0", true),
+                ("10", true),
+                ("18446744073709551615", true),
             ];
-            for (spelling, value) in spellings {
-                let seeded = format!("{},\"seed\":{spelling}}}", &line[..line.len() - 1]);
-                assert_eq!(check(&seeded).map(|c| c.0 .1), value, "{seeded:?}");
-                for (member, close) in [
-                    ("\"metrics\":{\"rb_sent\":", "}"),
-                    ("\"metrics\":{\"decided\":[3,", "]}"),
-                    ("\"metrics\":{\"last_decision\":", "}"),
-                    ("\"counters\":[[\"c\",", "]]"),
-                    ("\"stabilized_at\":", ""),
+            let mut listed = slim.clone();
+            listed.metrics.decided_values = vec![3, 0];
+            listed.counters = vec![("c", 0)];
+            let listed = encode_cell(salt, slim.seed, &listed);
+            for (spelling, canonical) in spellings {
+                for key in [
+                    "salt",
+                    "seed",
+                    "num_faulty",
+                    "delivered",
+                    "events",
+                    "max_round",
+                    "msgs_sent",
+                    "rb_sent",
+                    "first_decision",
+                    "last_decision",
+                    "stabilized_at",
                 ] {
-                    let head = if member.starts_with("\"metrics") {
-                        line.replacen("\"metrics\":{", member, 1)
-                    } else {
-                        format!("{},{member}", &line[..line.len() - 1])
-                    };
-                    // The member is cut short after the number, so only
-                    // the verdict is comparable — and only when the
-                    // shortened member is itself complete.
-                    let cut = format!("{head}{spelling}{close}}}");
-                    let read = check(&cut);
-                    if !member.starts_with("\"metrics") {
-                        assert_eq!(read.is_some(), value.is_some(), "{cut:?}");
-                    }
+                    let at = line.find(&format!("\"{key}\":")).unwrap() + key.len() + 3;
+                    let end = at + line[at..].find([',', '}']).unwrap();
+                    let respelled = format!("{}{spelling}{}", &line[..at], &line[end..]);
+                    assert_eq!(check(&respelled).is_some(), canonical, "{respelled:?}");
+                }
+                for (was, now) in [
+                    ("\"decided\":[3,0]", format!("\"decided\":[3,{spelling}]")),
+                    (
+                        "\"counters\":[[\"c\",0]]",
+                        format!("\"counters\":[[\"c\",{spelling}]]"),
+                    ),
+                ] {
+                    let respelled = listed.replacen(was, &now, 1);
+                    assert_eq!(check(&respelled).is_some(), canonical, "{respelled:?}");
                 }
             }
         }

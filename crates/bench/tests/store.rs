@@ -590,3 +590,79 @@ fn a_cell_in_another_shards_segment_still_hydrates_and_hits() {
     assert_eq!(warm.summary, cold.summary);
     assert_eq!(segments(&dir), found, "no compaction");
 }
+
+/// Sweeps 24 cells over the 16 shards, so some segment holds two or more;
+/// rewrites the first line of the fullest segment with `scar`; resumes.
+/// The scarred line must be one corrupt line: its cell alone recomputes,
+/// its shard is compacted back to exactly the lines the clean close wrote,
+/// and every other segment is left as it was.
+fn resume_one_scarred_line(name: &str, scar: impl Fn(&mut Vec<u8>)) -> (PathBuf, SweepSummary) {
+    let dir = scratch(name);
+    let cold = sweep_session(&dir, 0..24);
+    let read = |p: PathBuf| {
+        let bytes = fs::read(&p).expect("read segment");
+        (p, bytes)
+    };
+    let before: Vec<(PathBuf, Vec<u8>)> = segments(&dir).into_iter().map(read).collect();
+    let lines = |bytes: &[u8]| bytes.iter().filter(|&&b| b == b'\n').count();
+    let (scarred, clean) = before
+        .iter()
+        .max_by_key(|(_, b)| lines(b))
+        .expect("a segment");
+    assert!(lines(clean) >= 2);
+    let end = clean
+        .iter()
+        .position(|&b| b == b'\n')
+        .expect("a whole line");
+    let mut line = clean[..end].to_vec();
+    scar(&mut line);
+    fs::write(scarred, [&line[..], &clean[end..]].concat()).expect("scar a line");
+    assert_eq!(load_run_dir(&dir).expect("load run dir").corrupt, 1);
+
+    let warm = sweep_session(&dir, 0..24);
+    assert_eq!(warm.corrupt, 1, "the scarred line must be counted");
+    let counts = (warm.loaded, warm.hits, warm.misses, warm.wrote);
+    assert_eq!(counts, (23, 23, 1, 1), "exactly its cell recomputes");
+    assert_eq!(warm.summary, cold.summary);
+    let shard = |p: &Path| p.file_name().unwrap().to_str().unwrap()[..3].to_string();
+    let mut healed = Vec::new();
+    for (p, bytes) in segments(&dir).into_iter().map(read) {
+        if shard(&p) != shard(scarred) {
+            assert!(before.contains(&(p, bytes)), "no other segment is touched");
+        } else {
+            assert_ne!(&p, scarred, "the scarred shard is compacted");
+            healed.extend(String::from_utf8(bytes).unwrap().lines().map(String::from));
+        }
+    }
+    let clean = String::from_utf8(clean.clone()).expect("a clean segment is UTF-8");
+    let mut clean: Vec<&str> = clean.lines().collect();
+    healed.sort();
+    clean.sort();
+    assert_eq!(healed, clean, "the shard holds the encoder's lines again");
+    (dir, cold.summary)
+}
+
+/// One byte that is not UTF-8 spoils one line, not the run directory; in
+/// the manifest, it spoils the manifest, which is then archived.
+#[test]
+fn a_non_utf8_byte_is_one_corrupt_line() {
+    let (dir, summary) = resume_one_scarred_line("non-utf8", |line| line[10] = 0xFF);
+    let manifest = dir.join("manifest.json");
+    let mut bytes = fs::read(&manifest).expect("read manifest");
+    bytes[2] = 0xFF;
+    fs::write(&manifest, bytes).expect("scar manifest");
+    let restarted = sweep_session(&dir, 0..24);
+    assert!(restarted.archived_stale);
+    assert_eq!((restarted.loaded, restarted.misses), (0, 24));
+    assert_eq!(restarted.summary, summary);
+}
+
+/// A line in another spelling of the same JSON — a space after each comma
+/// — is not the encoder's line: one corrupt line, rewritten canonically.
+#[test]
+fn a_respelled_line_is_recomputed_and_rewritten_canonically() {
+    resume_one_scarred_line("respelled", |line| {
+        let respelled = String::from_utf8_lossy(line).replace(",\"", ", \"");
+        *line = respelled.into_bytes();
+    });
+}

@@ -1,35 +1,30 @@
-//! Minimal std-only JSON: one pull [`Reader`], a [`Json`] tree built on
-//! it, the tree's emitter, and a streaming [`Writer`].
+//! Minimal std-only JSON: a [`Json`] tree, its parser and emitter, and a
+//! streaming [`Writer`].
 //!
 //! The workspace is std-only by constraint, so every JSON document — the
 //! canonical spec encoding ([`ScenarioSpec::canonical`](crate::scenario::ScenarioSpec::canonical)),
-//! witness files, the sweep store's cells and manifests, reports — is read
-//! and written by this module instead of serde. There is one lexer,
-//! [`Reader`], with two consumers: [`parse`] builds a [`Json`] tree from it
-//! (manifests, witness files, reports — documents read once), and the
-//! store's cell decoder pulls a cell's fields straight off it, with no
-//! tree in between (millions of lines per resumed campaign). On the way
-//! out, [`Writer`] streams canonical text into any [`fmt::Write`] sink
-//! with no tree either: the spec encoder writes through it into a `String`
-//! or straight into the fingerprint hasher. Three properties matter more
-//! than generality:
+//! witness files, the sweep store's manifests, reports — is read and
+//! written by this module instead of serde. [`parse`] builds a [`Json`]
+//! tree from one private pull lexer; the sweep store's cell lines are the
+//! exception, read by a decoder of their one spelling in `fd_bench::store`.
+//! On the way out, [`Writer`] streams canonical text into any
+//! [`fmt::Write`] sink with no tree: the spec encoder writes through it
+//! into a `String` or straight into the fingerprint hasher. Three
+//! properties matter more than generality:
 //!
 //! 1. **u64 precision.** Cache salts and seeds are full-range `u64`s; an
-//!    f64 round-trip silently corrupts them above 2^53. The reader hands
-//!    out a number as its raw token ([`Reader::number`]) or as a `u64`
-//!    parsed from that token ([`Reader::u64`]), and the tree keeps the raw
-//!    token (`as_u64` / `as_f64` convert on demand), so a value survives
-//!    parse → emit byte-exactly.
-//! 2. **Never panic on malformed input.** Store files can be truncated or
-//!    corrupted mid-write; every reader method returns `Err`, callers skip
-//!    the cell. That includes hostile nesting: containers deeper than a
-//!    fixed cap are an `Err`, not a stack overflow.
-//! 3. **One grammar.** Both consumers accept exactly the same text, since
-//!    both are the same lexer. It is RFC 8259 plus what the previous
-//!    tree-only parser tolerated and run directories may therefore hold:
-//!    number tokens are any run of `0-9 . e E + -` that `f64` can parse
-//!    (so `+5`, `007`, `1.`), raw control characters may sit inside
-//!    strings, and a lone surrogate escape reads as U+FFFD.
+//!    f64 round-trip silently corrupts them above 2^53. The tree keeps a
+//!    number's raw token (`as_u64` / `as_f64` convert on demand), so a
+//!    value survives parse → emit byte-exactly.
+//! 2. **Never panic on malformed input.** Files can be truncated or
+//!    corrupted mid-write; [`parse`] returns `Err` and the caller decides.
+//!    That includes hostile nesting: containers deeper than a fixed cap
+//!    are an `Err`, not a stack overflow.
+//! 3. **One grammar, kept.** It is RFC 8259 plus what the first parser
+//!    tolerated and files written since may therefore hold: number tokens
+//!    are any run of `0-9 . e E + -` that `f64` can parse (so `+5`, `007`,
+//!    `1.`), raw control characters may sit inside strings, and a lone
+//!    surrogate escape reads as U+FFFD.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -81,14 +76,6 @@ impl Json {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The value as a bool, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -173,9 +160,10 @@ impl Json {
 
     /// The member `key`, which must be a bool.
     pub fn bool_at(&self, key: &str) -> Result<bool, String> {
-        self.at(key)?
-            .as_bool()
-            .ok_or_else(|| format!("`{key}` is not a bool"))
+        match self.at(key)? {
+            Json::Bool(b) => Ok(*b),
+            _ => Err(format!("`{key}` is not a bool")),
+        }
     }
 
     /// The member `key`, which must be an array.
@@ -259,7 +247,7 @@ pub fn escape_into(s: &str, out: &mut impl fmt::Write) {
 
 /// A streaming emitter of compact JSON into any [`fmt::Write`] sink — a
 /// `String`, or a hasher that digests the text without keeping it
-/// ([`fd_sim::Fnv1a64`]). It is driven like the [`Reader`] in reverse:
+/// ([`fd_sim::Fnv1a64`]). It is driven by the shape of the document:
 /// `begin_obj`, then [`key`](Writer::key) before each member's value, then
 /// `end_obj`; `begin_arr`, then [`item`](Writer::item) before each element,
 /// then `end_arr`. The writer places the commas; it does not check the
@@ -391,27 +379,21 @@ pub fn parse(input: &str) -> Result<Json, String> {
 }
 
 /// Containers nested deeper than this are an `Err`, so the recursive
-/// consumers ([`parse`], [`Reader::skip`]) use bounded stack on any input.
-/// Manifests and witness files nest at most 6 deep.
+/// [`parse`] uses bounded stack on any input. Manifests and witness files
+/// nest at most 6 deep.
 const MAX_DEPTH: u32 = 128;
 
-/// A pull reader over one JSON document: the module's only lexer.
+/// A pull reader over one JSON document: the module's only lexer, and
+/// [`parse`]'s.
 ///
 /// The caller drives it with the shape it expects — `begin_obj`, then
-/// `key` until it returns `None`, reading or [`skip`](Reader::skip)ping
-/// one value after each key; `begin_arr`, then one value after each `true`
-/// from `more` — and gets an `Err` wherever the text disagrees. Nothing is
-/// allocated: strings without an escape are borrowed from the input, the
-/// others are unescaped into a buffer the caller lends.
-///
-/// The reader is `Copy`: a caller that wants to retry a value under a
-/// different shape saves the reader before the attempt and restores it.
-///
-/// Its lexing methods are `#[inline]`: the store's cell decoder calls them
-/// once per token from another crate, and without LTO nothing else lets
-/// them inline there.
-#[derive(Clone, Copy, Debug)]
-pub struct Reader<'a> {
+/// `key` until it returns `None`, reading one value after each key;
+/// `begin_arr`, then one value after each `true` from `more` — and gets an
+/// `Err` wherever the text disagrees. Strings without an escape are
+/// borrowed from the input, the others are unescaped into a buffer the
+/// caller lends.
+#[derive(Debug)]
+struct Reader<'a> {
     src: &'a str,
     pos: usize,
     /// Containers currently open.
@@ -423,8 +405,7 @@ pub struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     /// A reader at the start of `src`.
-    #[inline]
-    pub fn new(src: &'a str) -> Self {
+    fn new(src: &'a str) -> Self {
         Reader {
             src,
             pos: 0,
@@ -434,7 +415,6 @@ impl<'a> Reader<'a> {
     }
 
     /// Skips whitespace and returns the next byte without consuming it.
-    #[inline]
     fn peek(&mut self) -> Option<u8> {
         let bytes = self.src.as_bytes();
         while let Some(&b) = bytes.get(self.pos) {
@@ -446,7 +426,6 @@ impl<'a> Reader<'a> {
         None
     }
 
-    #[inline]
     fn open(&mut self, bracket: u8) -> Result<(), String> {
         if self.peek() != Some(bracket) {
             return Err(format!(
@@ -467,21 +446,18 @@ impl<'a> Reader<'a> {
     }
 
     /// Consumes `{`.
-    #[inline]
-    pub fn begin_obj(&mut self) -> Result<(), String> {
+    fn begin_obj(&mut self) -> Result<(), String> {
         self.open(b'{')
     }
 
     /// Consumes `[`.
-    #[inline]
-    pub fn begin_arr(&mut self) -> Result<(), String> {
+    fn begin_arr(&mut self) -> Result<(), String> {
         self.open(b'[')
     }
 
     /// Steps to the open container's next element: consumes the comma
     /// before it (none before the first) and returns `true`, or consumes
     /// `close` and returns `false`.
-    #[inline]
     fn next_element(&mut self, close: u8) -> Result<bool, String> {
         match (self.peek(), self.fresh) {
             (Some(b), _) if b == close && self.depth > 0 => {
@@ -506,15 +482,13 @@ impl<'a> Reader<'a> {
     }
 
     /// Whether the open array has another element; consumes `]` if not.
-    #[inline]
-    pub fn more(&mut self) -> Result<bool, String> {
+    fn more(&mut self) -> Result<bool, String> {
         self.next_element(b']')
     }
 
     /// The open object's next key (with its `:` consumed), or `None` once
     /// `}` is consumed. `buf` is used as in [`Reader::str`].
-    #[inline]
-    pub fn key<'b>(&mut self, buf: &'b mut String) -> Result<Option<&'b str>, String>
+    fn key<'b>(&mut self, buf: &'b mut String) -> Result<Option<&'b str>, String>
     where
         'a: 'b,
     {
@@ -531,8 +505,7 @@ impl<'a> Reader<'a> {
 
     /// Reads a string: borrowed from the input when it has no escape,
     /// unescaped into `buf` (cleared first) otherwise.
-    #[inline]
-    pub fn str<'b>(&mut self, buf: &'b mut String) -> Result<&'b str, String>
+    fn str<'b>(&mut self, buf: &'b mut String) -> Result<&'b str, String>
     where
         'a: 'b,
     {
@@ -593,8 +566,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a number and returns its raw token (see the module docs).
-    #[inline]
-    pub fn number(&mut self) -> Result<&'a str, String> {
+    fn number(&mut self) -> Result<&'a str, String> {
         self.peek();
         let start = self.pos;
         let mut digits_only = true;
@@ -615,25 +587,8 @@ impl<'a> Reader<'a> {
         Ok(raw)
     }
 
-    /// Reads a number that is a `u64`.
-    #[inline]
-    pub fn u64(&mut self) -> Result<u64, String> {
-        let raw = self.number()?;
-        raw.parse().map_err(|_| format!("{raw:?} is not a u64"))
-    }
-
-    /// Reads `null` as `None`, anything else as [`Reader::u64`].
-    #[inline]
-    pub fn opt_u64(&mut self) -> Result<Option<u64>, String> {
-        if self.lit("null") {
-            return Ok(None);
-        }
-        self.u64().map(Some)
-    }
-
     /// Reads `null`.
-    #[inline]
-    pub fn null(&mut self) -> Result<(), String> {
+    fn null(&mut self) -> Result<(), String> {
         if self.lit("null") {
             Ok(())
         } else {
@@ -642,8 +597,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads `true` or `false`.
-    #[inline]
-    pub fn bool(&mut self) -> Result<bool, String> {
+    fn bool(&mut self) -> Result<bool, String> {
         if self.lit("true") {
             Ok(true)
         } else if self.lit("false") {
@@ -654,7 +608,6 @@ impl<'a> Reader<'a> {
     }
 
     /// Consumes `word` if the next token starts with it.
-    #[inline]
     fn lit(&mut self, word: &str) -> bool {
         self.peek();
         let found = self.src.as_bytes()[self.pos..].starts_with(word.as_bytes());
@@ -662,32 +615,6 @@ impl<'a> Reader<'a> {
             self.pos += word.len();
         }
         found
-    }
-
-    /// Reads one value of any shape and drops it, checking its syntax as
-    /// [`parse`] would. `buf` is scratch for its strings.
-    pub fn skip(&mut self, buf: &mut String) -> Result<(), String> {
-        match self.peek() {
-            Some(b'{') => {
-                self.begin_obj()?;
-                while self.key(buf)?.is_some() {
-                    self.skip(buf)?;
-                }
-                Ok(())
-            }
-            Some(b'[') => {
-                self.begin_arr()?;
-                while self.more()? {
-                    self.skip(buf)?;
-                }
-                Ok(())
-            }
-            Some(b'"') => self.str(buf).map(drop),
-            Some(b't' | b'f') => self.bool().map(drop),
-            Some(b'n') => self.null(),
-            Some(_) => self.number().map(drop),
-            None => Err("unexpected end of input".into()),
-        }
     }
 
     /// Reads one value of any shape into a tree.
@@ -719,8 +646,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Checks that only whitespace is left.
-    #[inline]
-    pub fn end(&mut self) -> Result<(), String> {
+    fn end(&mut self) -> Result<(), String> {
         match self.peek() {
             None => Ok(()),
             Some(_) => Err(format!("trailing data at byte {}", self.pos)),
@@ -798,8 +724,7 @@ mod tests {
         let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
         assert!(parse(&nested(MAX_DEPTH as usize)).is_ok());
         assert!(parse(&nested(MAX_DEPTH as usize + 1)).is_err());
-        let deep = "[".repeat(1 << 20);
-        assert!(Reader::new(&deep).skip(&mut String::new()).is_err());
+        assert!(parse(&"[".repeat(1 << 20)).is_err());
     }
 
     #[test]
@@ -811,9 +736,9 @@ mod tests {
         let mut r = Reader::new(doc);
         r.begin_obj().unwrap();
         assert_eq!(r.key(&mut buf), Ok(Some("n")));
-        assert_eq!(r.u64(), Ok(u64::MAX));
+        assert_eq!(r.number(), Ok("18446744073709551615"));
         assert_eq!(r.key(&mut buf), Ok(Some("t")));
-        assert_eq!(r.opt_u64(), Ok(None));
+        assert_eq!(r.null(), Ok(()));
         assert_eq!(r.key(&mut buf), Ok(Some("s")));
         // No escape: the string is a slice of the input, `buf` untouched.
         let plain = r.str(&mut buf).unwrap();
@@ -823,7 +748,10 @@ mod tests {
         assert_eq!(r.str(&mut buf), Ok("a\"b\\c/dé\n"));
         assert_eq!(buf, "a\"b\\c/dé\n");
         assert_eq!(r.key(&mut buf), Ok(Some("skip")));
-        r.skip(&mut buf).unwrap();
+        assert_eq!(
+            r.tree(&mut buf).unwrap().emit(),
+            r#"{"x":[1,{"y":[]},"]"]}"#
+        );
         assert_eq!(r.key(&mut buf), Ok(Some("l")));
         r.begin_arr().unwrap();
         assert_eq!(r.more(), Ok(true));
@@ -832,7 +760,7 @@ mod tests {
         assert_eq!(r.bool(), Ok(false));
         assert_eq!(r.more(), Ok(false));
         assert_eq!(r.key(&mut buf), Ok(Some("key")));
-        assert_eq!(r.opt_u64(), Ok(Some(7)));
+        assert_eq!(r.number(), Ok("7"));
         assert_eq!(r.key(&mut buf), Ok(None));
         assert_eq!(r.end(), Ok(()));
     }
@@ -842,14 +770,13 @@ mod tests {
         let buf = &mut String::new();
         assert!(Reader::new("[1]").begin_obj().is_err());
         assert!(Reader::new("{}").begin_arr().is_err());
-        assert!(Reader::new("\"1\"").u64().is_err());
+        assert!(Reader::new("\"1\"").number().is_err());
         assert!(Reader::new("1").str(buf).is_err());
         assert!(Reader::new("1").bool().is_err());
-        assert!(Reader::new("{} x").skip(buf).is_ok());
-        for (text, value) in [("1.0", None), ("-1", None), ("1e3", None), ("+5", Some(5))] {
-            assert_eq!(Reader::new(text).u64().ok(), value, "{text}");
+        assert!(Reader::new("1").null().is_err());
+        for (text, token) in [("1.0 ", Ok("1.0")), ("+5,", Ok("+5")), ("--1", Err(()))] {
+            assert_eq!(Reader::new(text).number().map_err(drop), token, "{text}");
         }
-        assert!(Reader::new("18446744073709551616").u64().is_err());
         // Closers are checked against the container they close, and none
         // is accepted with nothing open.
         assert!(Reader::new("]").more().is_err());
@@ -857,20 +784,8 @@ mod tests {
         let mut r = Reader::new("[1}");
         r.begin_arr().unwrap();
         assert_eq!(r.more(), Ok(true));
-        assert_eq!(r.u64(), Ok(1));
+        assert_eq!(r.number(), Ok("1"));
         assert!(r.more().is_err());
-        // A value skipped is a value checked.
-        for bad in ["[1,", "{\"a\":tru}", "\"\\q\"", "nul", "--1", "[1 2]"] {
-            assert!(Reader::new(bad).skip(buf).is_err(), "{bad:?}");
-        }
-        // The reader is `Copy`: a failed attempt is undone by restoring it.
-        let mut r = Reader::new("[\"x\", 2]");
-        r.begin_arr().unwrap();
-        assert_eq!(r.more(), Ok(true));
-        let before = r;
-        assert!(r.u64().is_err());
-        r = before;
-        assert_eq!(r.str(buf), Ok("x"));
     }
 
     #[test]
