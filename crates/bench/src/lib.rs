@@ -36,6 +36,6 @@ pub use search::{
 };
 pub use store::{
     decode_cell, encode_cell, load_run_dir, InvocationRecord, Manifest, RunDir, SpecEntry,
-    StoreSession, StoreSummary, SweepStore, STORE_FORMAT, STORE_SHARDS,
+    StoreSession, StoreSummary, SweepStore, STORE_FORMAT,
 };
 pub use table::Table;

@@ -16,10 +16,11 @@
 //!   manifest.json               # format + engine version, registered specs,
 //!                               # per-invocation bookkeeping
 //!   shards/
-//!     s03-g000001.jsonl         # cell segments: one canonical-JSON cell
-//!     s03-g000002.jsonl         # per line, sharded as the cache is, ordered
-//!     ...                       # by generation (last write wins)
-//!   stale-0/                    # shards archived on a manifest mismatch
+//!     g000001.jsonl             # cell segments: one canonical-JSON cell per
+//!     g000002.jsonl             # line, at most BATCH (128) lines each, of
+//!     ...                       # any cache shard; replayed in generation
+//!                               # order (last write wins)
+//!   stale-0/                    # shards/ archived on a manifest mismatch
 //! ```
 //!
 //! ## Cell codec
@@ -49,39 +50,47 @@
 //! ## Crash safety and batching
 //!
 //! Cells are never written in place, and the store keeps none in memory.
-//! Its writer holds at most one open segment per shard: a temp file
-//! (`.tmp-sNN`, a name the loader never reads) to which the spill hook
-//! appends each new cell's line, on the sweep worker that computed it. At
-//! `BATCH` (128) lines, on [`SweepStore::flush`] and on close the writer
-//! **seals** the segment — `sync_all`, then an atomic rename to its
-//! `sNN-gGGGGGG.jsonl` name — so a segment is either fully visible or
-//! absent, never partial. A crash loses at most the unsealed lines of each
-//! shard (those cells are simply recomputed on resume, and the next open
-//! deletes the temp files they sat in); it can never corrupt a sealed
-//! segment. The sweep pays one unsynced `write` per computed cell, and the
-//! fsync of any segment that fills to `BATCH` lines; a session that only
-//! resumes opens no segment. The first I/O error stops the writer: later
-//! cells are dropped, and `flush` and `close` return it.
+//! Its writer holds at most one open segment for the whole directory: a
+//! temp file (`.tmp-segment`, a name the loader never reads) to which the
+//! spill hook appends each new cell's line, whatever its cache shard, on
+//! the sweep worker that computed it. At `BATCH` (128) lines, on
+//! [`SweepStore::flush`] and on close the writer **seals** the segment —
+//! `sync_all`, then an atomic rename to its `gGGGGGG.jsonl` name — so a
+//! segment is either fully visible or absent, never partial. A kill loses
+//! at most the open segment's lines, 127 cells (they are simply recomputed
+//! on resume, and the next open deletes the temp file they sat in); it can
+//! never corrupt a sealed segment. The parent directory is not synced
+//! after a rename, so a power loss can also drop a sealed segment: its
+//! cells then recompute too, and a report can never come out wrong. The
+//! sweep pays one unsynced `write` per computed cell and one fsync per
+//! `BATCH` cells; a session that only resumes opens no segment. The first
+//! I/O error stops the writer: later cells are dropped, and `flush` and
+//! `close` return it.
 //!
 //! On open, the files in `shards/` that carry a segment's exact name are
-//! replayed in generation order (last-wins per key); the store's own temp
-//! names are deleted, and any other file there is not the store's and is
-//! neither read, counted nor deleted. A line that does not decode —
-//! truncated, garbled, not UTF-8, or in any spelling but the encoder's —
-//! is one corrupt line: counted, dropped, its cell recomputed.
-//! Multi-segment or corruption-scarred shards are compacted back to a
-//! single clean segment, through the same append-and-seal writer.
+//! replayed in generation order (last-wins per key), so a directory of
+//! `c` cells costs ⌈c/128⌉ file reads; the store's own temp name is
+//! deleted, and any other file there is not the store's and is neither
+//! read, counted nor deleted. A line that does not decode — truncated,
+//! garbled, not UTF-8, or in any spelling but the encoder's — is one
+//! corrupt line: counted, dropped, its cell recomputed. The store is
+//! compacted only when something is wrong: when a line was dropped, or
+//! superseded by a later line of the same key, open rewrites every cell
+//! into fresh `BATCH`-line segments through the same append-and-seal
+//! writer, and only then deletes the segments it replayed. A clean
+//! directory is never rewritten, however many sessions wrote it.
 //!
 //! ## One resident copy, packed
 //!
 //! A cell is resident once, whether it was read back or computed, and as
 //! one exactly-sized block of packed bytes ([`CellMap`]: varint fields,
 //! names as ids into a per-shard table, the detail), not as a
-//! [`SlimReport`] and its three heap blocks. The store shards by the
-//! report cache's own shard function ([`ReportCache::shard_of`]), so open
-//! decodes each line into the scratch report and packs it straight into
-//! the map of the cache shard it belongs to — one allocation per cell —
-//! and [`SweepStore::hydrate_into`] hands those maps over instead of
+//! [`SlimReport`] and its three heap blocks. Open decodes each line into
+//! the scratch report and packs it against the table of the cache shard
+//! its key belongs to ([`ReportCache::shard_of`]) — one allocation per
+//! cell — and stages the block; once every segment is read, each shard's
+//! map is sized once to its exact count and takes its blocks. So
+//! [`SweepStore::hydrate_into`] hands those maps over instead of
 //! copying them: an empty cache shard adopts its map without repacking a
 //! cell or re-hashing a key. A computed cell is packed into the cache from
 //! the runner's borrow, and the writer encodes its line from the same
@@ -118,20 +127,16 @@ use fd_sim::Time;
 
 use crate::json::{self, escape_into};
 
-/// On-disk shard count: the cache's own. Segment `sNN` holds the cells of
-/// cache shard `NN` ([`ReportCache::shard_of`]), so a loaded shard is a
-/// cache shard's map, ready to be adopted whole. The shard is a storage
-/// bucket, not part of the key.
-pub const STORE_SHARDS: usize = CACHE_SHARDS;
-
 /// Store format version; bumped on any layout, codec or key change.
 /// v2: cells carry the machine-readable `class` of a failed check.
 /// v3: salts are FNV-1a-64 of the canonical spec bytes, not `DefaultHasher`
 /// digests.
-pub const STORE_FORMAT: u64 = 3;
+/// v4: one segment stream per directory (`gGGGGGG.jsonl`, any shard's
+/// cells), not one per cache shard (`sNN-gGGGGGG.jsonl`).
+pub const STORE_FORMAT: u64 = 4;
 
-/// Lines a shard's open segment takes before the writer seals it. Small
-/// enough that an interrupted sweep loses little; large enough that a
+/// Lines the open segment takes before the writer seals it. Small enough
+/// that an interrupted sweep loses little; large enough that a
 /// million-seed campaign writes thousands — not millions — of files.
 const BATCH: usize = 128;
 
@@ -698,35 +703,28 @@ impl Manifest {
 // Segment I/O
 // ---------------------------------------------------------------------------
 
-fn segment_name(shard: usize, generation: u64) -> String {
-    format!("s{shard:02}-g{generation:06}.jsonl")
+fn segment_name(generation: u64) -> String {
+    format!("g{generation:06}.jsonl")
 }
 
 /// The inverse of [`segment_name`], and nothing more: `None` for every file
 /// name this store would not itself have written.
-fn segment_of(name: &str) -> Option<(usize, u64)> {
-    let (shard, generation) = name
-        .strip_prefix('s')?
+fn segment_of(name: &str) -> Option<u64> {
+    let generation = name
+        .strip_prefix('g')?
         .strip_suffix(".jsonl")?
-        .split_once("-g")?;
-    let (shard, generation) = (shard.parse().ok()?, generation.parse().ok()?);
-    (shard < STORE_SHARDS && segment_name(shard, generation) == name).then_some((shard, generation))
+        .parse()
+        .ok()?;
+    (segment_name(generation) == name).then_some(generation)
 }
 
-/// The temp name of `shard`'s open segment. Not a segment name, so the
-/// loader never reads it; a killed writer leaves it behind, and the next
-/// open deletes it.
-fn temp_name(shard: usize) -> String {
-    format!(".tmp-s{shard:02}")
-}
+/// The temp name of the open segment. Not a segment name, so the loader
+/// never reads it; a killed writer leaves it behind, and the next open
+/// deletes it.
+const TEMP_NAME: &str = ".tmp-segment";
 
-/// Whether `name` is one of the store's own temp names ([`temp_name`]).
-fn is_temp_name(name: &str) -> bool {
-    name.starts_with(".tmp-s") && (0..STORE_SHARDS).any(|shard| temp_name(shard) == name)
-}
-
-/// A shard's open segment: its temp file, to which cells are appended one
-/// line at a time, until [`Segment::seal`] makes it a segment.
+/// The open segment: its temp file, to which cells are appended one line
+/// at a time, until [`Segment::seal`] makes it a segment.
 #[derive(Debug)]
 struct Segment {
     file: fs::File,
@@ -734,8 +732,8 @@ struct Segment {
 }
 
 impl Segment {
-    fn create(shards_dir: &Path, shard: usize) -> io::Result<Segment> {
-        let file = fs::File::create(shards_dir.join(temp_name(shard)))?;
+    fn create(shards_dir: &Path) -> io::Result<Segment> {
+        let file = fs::File::create(shards_dir.join(TEMP_NAME))?;
         Ok(Segment { file, lines: 0 })
     }
 
@@ -750,16 +748,16 @@ impl Segment {
         Ok(())
     }
 
-    /// `sync_all`, then the atomic rename to `shard`'s segment of
-    /// `generation`: the segment is either fully visible or absent — never
-    /// partial. Returns the lines it holds.
-    fn seal(self, shards_dir: &Path, shard: usize, generation: u64) -> io::Result<usize> {
+    /// `sync_all`, then the atomic rename to the segment of `generation`:
+    /// the segment is either fully visible or absent — never partial.
+    /// Returns the lines it holds.
+    fn seal(self, shards_dir: &Path, generation: u64) -> io::Result<usize> {
         let Segment { file, lines } = self;
         file.sync_all()?;
         drop(file);
         fs::rename(
-            shards_dir.join(temp_name(shard)),
-            shards_dir.join(segment_name(shard, generation)),
+            shards_dir.join(TEMP_NAME),
+            shards_dir.join(segment_name(generation)),
         )?;
         Ok(lines)
     }
@@ -777,35 +775,34 @@ fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
 }
 
 struct LoadedShards {
-    /// Deduped cells, last write wins, one map per shard: `maps[s]` holds
-    /// the cells [`ReportCache::shard_of`] puts in shard `s`, whichever
-    /// segment they were read from.
+    /// Deduped cells, last write wins, one map per cache shard: `maps[s]`
+    /// holds the cells [`ReportCache::shard_of`] puts in shard `s`,
+    /// whichever segment they were read from.
     maps: Vec<CellMap>,
     /// Unreadable lines dropped during replay.
     corrupt: u64,
-    /// The segments replayed, as `(shard, generation)` in replay order.
-    /// Any other file in the directory is not the store's: never loaded,
-    /// never counted, never deleted.
-    segments: Vec<(usize, u64)>,
-    /// Shards that should be compacted (multiple segments, or corruption).
-    dirty_shards: Vec<usize>,
+    /// Lines whose key a later line of the replay wrote again.
+    superseded: u64,
+    /// The generations of the segments replayed, in replay order. Any other
+    /// file in the directory is not the store's: never loaded, never
+    /// counted, never deleted.
+    segments: Vec<u64>,
 }
 
-/// The segments in `shards_dir` as `(shard, generation)`, sorted into
-/// replay order; every other entry of the directory goes to `other`.
+/// The generations of the segments in `shards_dir`, sorted into replay
+/// order; every other entry of the directory goes to `other`.
 fn list_segments(
     shards_dir: &Path,
     mut other: impl FnMut(&fs::DirEntry) -> io::Result<()>,
-) -> io::Result<Vec<(usize, u64)>> {
+) -> io::Result<Vec<u64>> {
     let mut segments = Vec::new();
     for entry in fs::read_dir(shards_dir)? {
         let entry = entry?;
         match entry.file_name().to_str().and_then(segment_of) {
-            Some(segment) => segments.push(segment),
+            Some(generation) => segments.push(generation),
             None => other(&entry)?,
         }
     }
-    // Last-wins dedup only cares about order *within* a shard.
     segments.sort_unstable();
     Ok(segments)
 }
@@ -827,42 +824,47 @@ fn segment_lines(bytes: &[u8]) -> impl Iterator<Item = Result<&str, Utf8Error>> 
 }
 
 /// Replays `segments` (from [`list_segments`]) in order, decoding each
-/// line into one scratch report and packing it straight into its shard's
-/// map: one allocation per cell, its packed bytes. A line that is not
-/// UTF-8 or does not decode is one corrupt line.
-fn load_shards(shards_dir: &Path, segments: Vec<(usize, u64)>) -> io::Result<LoadedShards> {
-    let mut maps: Vec<CellMap> = (0..STORE_SHARDS).map(|_| CellMap::new()).collect();
+/// line into one scratch report and packing it against the name table of
+/// its cache shard's map: one allocation per cell, its packed bytes. The
+/// blocks are staged in replay order, and each map, sized once to its
+/// count, takes its own at the end. A line that is not UTF-8 or does not
+/// decode is one corrupt line.
+fn load_shards(shards_dir: &Path, segments: Vec<u64>) -> io::Result<LoadedShards> {
+    let mut maps: Vec<CellMap> = (0..CACHE_SHARDS).map(|_| CellMap::new()).collect();
+    let mut counts = [0usize; CACHE_SHARDS];
+    let mut staged = Vec::new();
     let mut scratch = SlimReport::default();
     let mut corrupt = 0u64;
-    let mut segments_per_shard = [0u32; STORE_SHARDS];
-    let mut corrupt_in_shard = [false; STORE_SHARDS];
-    for &(shard, generation) in &segments {
-        segments_per_shard[shard] += 1;
-        let bytes = fs::read(shards_dir.join(segment_name(shard, generation)))?;
+    for &generation in &segments {
+        let bytes = fs::read(shards_dir.join(segment_name(generation)))?;
         let lines = segment_lines(&bytes).filter(|line| line != &Ok(""));
         // Room for the segment's lines, but for no more cells than its
-        // bytes could spell. A shard's one segment sizes its map exactly;
-        // a shard of several grows once per segment, and is compacted.
-        maps[shard].reserve(lines.clone().count().min(bytes.len() / CELL_LITERALS));
+        // bytes could spell.
+        staged.reserve(lines.clone().count().min(bytes.len() / CELL_LITERALS));
         for line in lines {
             let line = line.map_err(|e| e.to_string());
             match line.and_then(|line| decode_cell_into(line, &mut scratch)) {
-                Ok(key) => maps[ReportCache::shard_of(key)].insert(key, &scratch),
-                Err(_) => {
-                    corrupt += 1;
-                    corrupt_in_shard[shard] = true;
+                Ok(key) => {
+                    let shard = ReportCache::shard_of(key);
+                    counts[shard] += 1;
+                    staged.push((key, maps[shard].pack(&scratch)));
                 }
+                Err(_) => corrupt += 1,
             }
         }
     }
-    let dirty_shards = (0..STORE_SHARDS)
-        .filter(|&s| segments_per_shard[s] > 1 || corrupt_in_shard[s])
-        .collect();
+    for (map, &count) in maps.iter_mut().zip(&counts) {
+        map.reserve(count);
+    }
+    let mut superseded = 0;
+    for (key, packed) in staged {
+        superseded += u64::from(maps[ReportCache::shard_of(key)].insert_packed(key, packed));
+    }
     Ok(LoadedShards {
         maps,
         corrupt,
+        superseded,
         segments,
-        dirty_shards,
     })
 }
 
@@ -876,8 +878,8 @@ struct Writer {
     /// The keys on disk at open, then every key this writer has appended.
     /// Its own set: the loaded cells themselves move into a cache.
     keys: HashSet<(u64, u64)>,
-    /// Each shard's open segment, if it has one.
-    open: Vec<Option<Segment>>,
+    /// The open segment, if there is one.
+    open: Option<Segment>,
     /// The one buffer every cell line is encoded in.
     line: String,
     generation: u64,
@@ -888,8 +890,8 @@ struct Writer {
 }
 
 impl Writer {
-    /// Appends the cell under `key` to its shard's open segment, unless it
-    /// is already on disk or appended, or the writer has failed.
+    /// Appends the cell under `key` to the open segment, unless it is
+    /// already on disk or appended, or the writer has failed.
     fn spill(&mut self, key: (u64, u64), slim: &SlimReport) {
         if self.failed.is_none() && self.keys.insert(key) {
             self.failed = self.append(key, slim).err();
@@ -897,25 +899,22 @@ impl Writer {
     }
 
     fn append(&mut self, key: (u64, u64), slim: &SlimReport) -> io::Result<()> {
-        let shard = ReportCache::shard_of(key);
-        let segment = match &mut self.open[shard] {
+        let segment = match &mut self.open {
             Some(segment) => segment,
-            empty => empty.insert(Segment::create(&self.shards_dir, shard)?),
+            empty => empty.insert(Segment::create(&self.shards_dir)?),
         };
         segment.append(&mut self.line, key, slim)?;
         if segment.lines >= BATCH {
-            self.seal(shard)?;
+            self.seal()?;
         }
         Ok(())
     }
 
-    /// Seals every open segment; returns the cells sealed so far, or the
+    /// Seals the open segment; returns the cells sealed so far, or the
     /// writer's first I/O error.
-    fn seal_all(&mut self) -> io::Result<u64> {
+    fn flush(&mut self) -> io::Result<u64> {
         if self.failed.is_none() {
-            self.failed = (0..STORE_SHARDS)
-                .try_for_each(|shard| self.seal(shard))
-                .err();
+            self.failed = self.seal().err();
         }
         match &self.failed {
             Some(e) => Err(io::Error::new(e.kind(), e.to_string())),
@@ -923,11 +922,11 @@ impl Writer {
         }
     }
 
-    /// Seals `shard`'s open segment, if it has one, as the next generation.
-    fn seal(&mut self, shard: usize) -> io::Result<()> {
-        if let Some(segment) = self.open[shard].take() {
+    /// Seals the open segment, if there is one, as the next generation.
+    fn seal(&mut self) -> io::Result<()> {
+        if let Some(segment) = self.open.take() {
             self.generation += 1;
-            self.wrote += segment.seal(&self.shards_dir, shard, self.generation)? as u64;
+            self.wrote += segment.seal(&self.shards_dir, self.generation)? as u64;
         }
         Ok(())
     }
@@ -977,12 +976,12 @@ impl SweepStore {
         let dir = dir.as_ref().to_path_buf();
         let shards_dir = dir.join("shards");
         fs::create_dir_all(&shards_dir)?;
-        // One listing: the store's own temp names are deleted, and whether
+        // One listing: the store's own temp name is deleted, and whether
         // anything else is there decides below whether cells without a
         // manifest are archived.
         let mut others = false;
         let mut segments = list_segments(&shards_dir, |entry| {
-            if entry.file_name().to_str().is_some_and(is_temp_name) {
+            if entry.file_name() == TEMP_NAME {
                 fs::remove_file(entry.path())
             } else {
                 others = true;
@@ -1023,37 +1022,33 @@ impl SweepStore {
         manifest.format = STORE_FORMAT;
 
         let loaded = load_shards(&shards_dir, segments)?;
-        let mut generation = loaded.segments.iter().map(|s| s.1).max().unwrap_or(0);
-
-        // Compact: rewrite multi-segment or corruption-scarred shards as a
-        // single clean segment, then delete the segments it replaces.
-        let mut line = String::new();
-        for &shard in &loaded.dirty_shards {
-            generation += 1;
-            if !loaded.maps[shard].is_empty() {
-                let mut segment = Segment::create(&shards_dir, shard)?;
-                for (key, slim) in loaded.maps[shard].iter() {
-                    segment.append(&mut line, key, &slim)?;
-                }
-                segment.seal(&shards_dir, shard, generation)?;
-            }
-            for &(_, old) in loaded.segments.iter().filter(|s| s.0 == shard) {
-                fs::remove_file(shards_dir.join(segment_name(shard, old)))?;
-            }
-        }
-
         let cells: usize = loaded.maps.iter().map(CellMap::len).sum();
         let mut keys = HashSet::with_capacity(cells);
         keys.extend(loaded.maps.iter().flat_map(CellMap::keys));
-        let writer = Writer {
+        let mut writer = Writer {
             shards_dir,
             keys,
-            open: (0..STORE_SHARDS).map(|_| None).collect(),
+            open: None,
             line: String::new(),
-            generation,
+            generation: loaded.segments.last().copied().unwrap_or(0),
             wrote: 0,
             failed: None,
         };
+
+        // Compact only a store with a dropped or superseded line: every
+        // cell into fresh segments, then the replayed ones deleted. The
+        // cells were on disk already, so `wrote` does not count them.
+        if loaded.corrupt + loaded.superseded > 0 {
+            for (key, slim) in loaded.maps.iter().flat_map(CellMap::iter) {
+                writer.append(key, &slim)?;
+            }
+            writer.seal()?;
+            writer.wrote = 0;
+            for &old in &loaded.segments {
+                fs::remove_file(writer.shards_dir.join(segment_name(old)))?;
+            }
+        }
+
         Ok(SweepStore {
             dir,
             maps: Mutex::new(loaded.maps),
@@ -1104,7 +1099,7 @@ impl SweepStore {
 
     /// The spill hook to register on the cache
     /// (`cache.set_spill(Some(store.spill()))`): appends every *computed*
-    /// cell not yet on disk to its shard's open segment, on the calling
+    /// cell not yet on disk to the open segment, on the calling
     /// thread, under the writer's lock. Safe to leave registered after
     /// [`SweepStore::close`] — later cells are dropped.
     pub fn spill(&self) -> Arc<SpillFn> {
@@ -1147,22 +1142,22 @@ impl SweepStore {
     /// campaigns therefore commit the manifest right after registering
     /// their specs, *before* computing: a `SIGKILL` at any later point
     /// leaves a resumable directory in which every sealed segment loads,
-    /// and only the cells of each shard's unsealed segment are recomputed.
+    /// and only the cells of the unsealed segment are recomputed.
     pub fn commit_manifest(&self) -> io::Result<()> {
         let manifest = self.manifest.lock().unwrap().emit();
         write_atomic(&self.dir.join("manifest.json"), &manifest)
     }
 
-    /// Durability barrier: seals every open segment, so a crash loses
+    /// Durability barrier: seals the open segment, so a crash loses
     /// nothing already computed. Returns the cells this store has sealed so
     /// far — which is how invocation records report an accurate `wrote`
     /// count — or the writer's first I/O error.
     pub fn flush(&self) -> io::Result<u64> {
         let mut writer = self.writer.lock().unwrap();
-        writer.as_mut().map_or(Ok(0), Writer::seal_all)
+        writer.as_mut().map_or(Ok(0), Writer::flush)
     }
 
-    /// Seals every open segment and writes the manifest (atomically). The
+    /// Seals the open segment and writes the manifest (atomically). The
     /// directory is complete and resumable once this returns.
     pub fn close(self) -> io::Result<StoreSummary> {
         let wrote = self.shutdown()?;
@@ -1174,13 +1169,13 @@ impl SweepStore {
         })
     }
 
-    /// Takes the writer, seals its segments and writes the manifest;
+    /// Takes the writer, seals its segment and writes the manifest;
     /// returns the cells sealed. A closed store has nothing left to do.
     fn shutdown(&self) -> io::Result<u64> {
         let Some(mut writer) = self.writer.lock().unwrap().take() else {
             return Ok(0);
         };
-        let wrote = writer.seal_all()?;
+        let wrote = writer.flush()?;
         self.commit_manifest()?;
         Ok(wrote)
     }
@@ -1332,7 +1327,9 @@ pub struct RunDir {
 
 /// Loads a run directory without mutating it. A path holding neither a
 /// `manifest.json` nor a `shards/` directory is not a run directory:
-/// [`io::ErrorKind::NotFound`], naming it.
+/// [`io::ErrorKind::NotFound`], naming it. A manifest written by another
+/// store format or engine is [`io::ErrorKind::InvalidData`], naming both:
+/// this binary cannot read that directory's segments.
 pub fn load_run_dir(dir: impl AsRef<Path>) -> io::Result<RunDir> {
     let dir = dir.as_ref().to_path_buf();
     if !dir.join("manifest.json").is_file() && !dir.join("shards").is_dir() {
@@ -1346,8 +1343,23 @@ pub fn load_run_dir(dir: impl AsRef<Path>) -> io::Result<RunDir> {
     }
     let manifest = fs::read_to_string(dir.join("manifest.json"))
         .ok()
-        .and_then(|text| Manifest::parse(&text).ok())
-        .unwrap_or_default();
+        .and_then(|text| Manifest::parse(&text).ok());
+    let manifest = match manifest {
+        Some(m) if !m.matches_engine() => {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "`{}` was written by store format {} ({}); this binary reads format {} ({})",
+                    dir.display(),
+                    m.format,
+                    m.engine,
+                    STORE_FORMAT,
+                    engine_version(),
+                ),
+            ))
+        }
+        m => m.unwrap_or_default(),
+    };
     let shards_dir = dir.join("shards");
     let segments = if shards_dir.is_dir() {
         list_segments(&shards_dir, |_| Ok(()))?
@@ -1368,7 +1380,7 @@ mod tests {
     use super::*;
     use crate::json::Json;
     use fd_core::KsetScenario;
-    use fd_detectors::scenario::{CrashPlan, Metrics, Runner, Scenario};
+    use fd_detectors::scenario::{CrashPlan, Metrics, Runner};
     use fd_detectors::CheckOutcome;
     use fd_sim::SplitMix64;
 
@@ -1546,6 +1558,38 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A directory another store format wrote is refused, naming both
+    /// formats, not read as one that holds no cell (its segments may carry
+    /// names this binary does not recognise).
+    #[test]
+    fn load_run_dir_refuses_another_formats_directory() {
+        let dir = std::env::temp_dir().join(format!("fd-store-v3-{}", std::process::id()));
+        fs::remove_dir_all(&dir).ok();
+        let store = SweepStore::open(&dir).unwrap();
+        let spill = store.spill();
+        for seed in 0..3 {
+            spill(7, seed, &sample_slim(seed));
+        }
+        store.close().unwrap();
+        assert_eq!(load_run_dir(&dir).unwrap().cells.len(), 3);
+
+        let manifest = dir.join("manifest.json");
+        let mut older = Manifest::parse(&fs::read_to_string(&manifest).unwrap()).unwrap();
+        older.format = STORE_FORMAT - 1;
+        write_atomic(&manifest, &older.emit()).unwrap();
+        let err = load_run_dir(&dir).expect_err("a format-3 directory");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let text = err.to_string();
+        for part in [
+            format!("format {}", STORE_FORMAT - 1),
+            format!("format {STORE_FORMAT}"),
+            engine_version(),
+        ] {
+            assert!(text.contains(&part), "{text:?} names {part:?}");
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
     /// The files in `shards_dir`, by name, with their bytes.
     fn shard_files(shards_dir: &Path) -> Vec<(String, Vec<u8>)> {
         let mut files: Vec<_> = fs::read_dir(shards_dir)
@@ -1573,7 +1617,7 @@ mod tests {
         let (manifest, shards_dir) = (dir.join("manifest.json"), dir.join("shards"));
         let open_segments = || {
             let names = shard_files(&shards_dir).into_iter().map(|(name, _)| name);
-            names.filter(|name| is_temp_name(name)).count()
+            names.filter(|name| name == TEMP_NAME).count()
         };
         let sweep = |session: &StoreSession, seeds| {
             Runner::sequential()
@@ -1637,84 +1681,32 @@ mod tests {
 
     #[test]
     fn segment_names_parse_strictly() {
-        for shard in 0..STORE_SHARDS {
-            for generation in [0, 1, 42, 999_999, 1_000_000, u64::MAX] {
-                let name = segment_name(shard, generation);
-                assert_eq!(segment_of(&name), Some((shard, generation)), "{name}");
-            }
+        for generation in [0, 1, 42, 999_999, 1_000_000, u64::MAX] {
+            let name = segment_name(generation);
+            assert_eq!(segment_of(&name), Some(generation), "{name}");
         }
         for stray in [
             "",
-            "s",
+            "g",
+            "g.jsonl",
+            "g1.jsonl",
+            "g00001.jsonl",
+            "g0000001.jsonl",
+            "g+00001.jsonl",
+            "g-00001.jsonl",
+            "gyyyyyy.jsonl",
+            "g００００01.jsonl",
+            "g000001.json",
+            "g000001.jsonl.tmp",
+            "G000001.jsonl",
+            "h000001.jsonl",
+            "s01-g000001.jsonl",
             "s.jsonl",
-            "s1.jsonl",
-            "s01.jsonl",
-            "s01-g.jsonl",
-            "s01-g1.jsonl",
-            "s1-g000001.jsonl",
-            "s001-g000001.jsonl",
-            "sxx-gyyyyyy.jsonl",
-            "s+1-g000001.jsonl",
-            "s01-g+00001.jsonl",
-            "s01-g0000001.jsonl",
-            "s16-g000001.jsonl",
-            "s99-g000001.jsonl",
-            "s01-g000001.jsonl.tmp",
-            ".tmp-s01-g000001",
-            "t01-g000001.jsonl",
-            "s01-h000001.jsonl",
-            "s０１-g000001.jsonl",
-            "sé-g000001.jsonl",
-            "s01-g18446744073709551616.jsonl",
+            "g18446744073709551616.jsonl",
+            TEMP_NAME,
+            ".tmp-g000001",
         ] {
             assert_eq!(segment_of(stray), None, "{stray:?} is not a segment name");
-        }
-        for shard in 0..STORE_SHARDS {
-            assert!(is_temp_name(&temp_name(shard)));
-            assert_eq!(segment_of(&temp_name(shard)), None);
-        }
-        for stray in [
-            ".tmp-s",
-            ".tmp-s1",
-            ".tmp-s001",
-            ".tmp-s+1",
-            ".tmp-s16",
-            ".tmp-s01-g000001",
-            ".tmp-s01.jsonl",
-            "tmp-s01",
-            "manifest.tmp",
-        ] {
-            assert!(!is_temp_name(stray), "{stray:?} is not a temp name");
-        }
-    }
-
-    /// The segment a key is written to, pinned to names the store's own
-    /// former shard function (`mix % 16`) gave, before the store took the
-    /// cache's (`mix & 15`): the on-disk layout did not move.
-    #[test]
-    fn segment_of_a_key_is_pinned() {
-        let spec = KsetScenario::spec(5, 2, 2)
-            .gst(Time(400))
-            .crashes(CrashPlan::Random {
-                f: 2,
-                by: Time(500),
-            });
-        let salt = ReportCache::salt(&KsetScenario.cache_tag(), &spec);
-        for (key, name) in [
-            ((salt, 0), "s06-g000001.jsonl"),
-            ((salt, 1), "s03-g000001.jsonl"),
-            ((salt, 2), "s12-g000001.jsonl"),
-            ((salt, 3), "s09-g000001.jsonl"),
-            ((salt, 4), "s02-g000001.jsonl"),
-            ((salt, 5), "s15-g000001.jsonl"),
-            ((0, 0), "s00-g000001.jsonl"),
-            ((1, 0), "s01-g000001.jsonl"),
-            ((0, 1), "s05-g000001.jsonl"),
-            ((u64::MAX, 7), "s12-g000001.jsonl"),
-            ((0xDEAD_BEEF, 42), "s13-g000001.jsonl"),
-            ((12345, 3), "s06-g000001.jsonl"),
-        ] {
-            assert_eq!(segment_name(ReportCache::shard_of(key), 1), name, "{key:?}");
         }
     }
 
@@ -2239,10 +2231,11 @@ mod tests {
     /// A run directory written by the tree codec (PR 18 and before) is read
     /// by the streaming one as it stands: all hits, nothing corrupt, and
     /// not a byte of it rewritten. (The cell lines are unchanged since;
-    /// format 3 changed only the salts they are keyed by.)
+    /// format 3 changed only the salts they are keyed by, and format 4
+    /// only the segments' names.)
     #[test]
     fn run_dir_written_by_the_tree_codec_resumes_untouched() {
-        assert_eq!(STORE_FORMAT, 3);
+        assert_eq!(STORE_FORMAT, 4);
         let dir = std::env::temp_dir().join(format!("fd-store-format-{}", std::process::id()));
         fs::remove_dir_all(&dir).ok();
         let shards_dir = dir.join("shards");
@@ -2268,21 +2261,14 @@ mod tests {
         let cold_summary = sweep(cold);
         cold.set_spill(None);
 
-        // One segment per non-empty shard, as a closed store leaves them.
+        // One segment of 40 lines, as a closed store leaves them.
         write_atomic(&dir.join("manifest.json"), &Manifest::fresh().emit()).unwrap();
         let computed = computed.lock().unwrap();
-        let mut generation = 0;
-        for shard in 0..STORE_SHARDS {
-            let lines: String = computed
-                .iter()
-                .filter(|(salt, seed, _)| ReportCache::shard_of((*salt, *seed)) == shard)
-                .map(|(salt, seed, slim)| reference_encode_cell(*salt, *seed, slim) + "\n")
-                .collect();
-            if !lines.is_empty() {
-                generation += 1;
-                fs::write(shards_dir.join(segment_name(shard, generation)), lines).unwrap();
-            }
-        }
+        let lines: String = computed
+            .iter()
+            .map(|(salt, seed, slim)| reference_encode_cell(*salt, *seed, slim) + "\n")
+            .collect();
+        fs::write(shards_dir.join("g000001.jsonl"), lines).unwrap();
         let written = shard_files(&shards_dir);
 
         let store = SweepStore::open(&dir).unwrap();

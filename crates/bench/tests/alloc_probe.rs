@@ -519,8 +519,8 @@ fn routed_broadcast_is_allocation_free_after_warmup() {
     // Open: a run directory's cells decode into one scratch report and
     // pack straight into their shards, so each cell costs the open one
     // allocation, its packed bytes — measured as the difference between
-    // two directories alike but for 40 more cells (the same segments, one
-    // per shard, and the same manifest).
+    // two directories alike but for 40 more cells (one segment each, and
+    // the same manifest).
     let dir = |cells: u64| {
         let dir =
             std::env::temp_dir().join(format!("fd-alloc-probe-{cells}-{}", std::process::id()));
@@ -538,8 +538,8 @@ fn routed_broadcast_is_allocation_free_after_warmup() {
         (dir, segments)
     };
     let ((small, small_segments), (large, large_segments)) = (dir(40), dir(80));
-    assert_eq!(small_segments, CACHE_SHARDS);
-    assert_eq!(large_segments, CACHE_SHARDS);
+    assert_eq!(small_segments, 1);
+    assert_eq!(large_segments, 1);
     // The store runs no thread of its own, so nothing allocates behind
     // the count's back.
     let open_allocs = |dir: &std::path::Path| {

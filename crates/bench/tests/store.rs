@@ -125,16 +125,26 @@ fn temps(dir: &Path) -> Vec<String> {
     found
 }
 
-/// A writer killed before it sealed leaves each shard's open segment
-/// behind under its temp name. The next open deletes those and nothing
-/// else: no temp line loads, and exactly the cells they held recompute.
+/// A writer killed before it sealed leaves its one open segment behind
+/// under its temp name. The next open deletes that and nothing else: no
+/// temp line loads, and exactly the cells it held recompute.
 #[test]
 fn a_killed_writers_open_segments_are_deleted_and_recomputed() {
     let dir = scratch("killed-writer");
     let cold = sweep_session(&dir, 0..8);
     assert_eq!(cold.wrote, 8);
-    // Temp-like names that are not the store's own are strays: kept.
-    let strays = [".tmp-s01-g000001", ".tmp-s16", ".tmp-s1", ".tmp-s01.jsonl"];
+    // Temp-like names that are not the store's own are strays: kept. The
+    // per-shard temp names of format 3 (`.tmp-sNN`) are among them.
+    let strays = [
+        ".tmp-s01",
+        ".tmp-s15",
+        ".tmp-s01-g000001",
+        ".tmp-s16",
+        ".tmp-s1",
+        ".tmp-s01.jsonl",
+        ".tmp-segment.jsonl",
+        ".tmp-segment1",
+    ];
     for name in strays {
         fs::write(dir.join("shards").join(name), "not a cell\n").expect("write stray");
     }
@@ -146,19 +156,15 @@ fn a_killed_writers_open_segments_are_deleted_and_recomputed() {
         let runner = Runner::sequential().with_cache(cache);
         let _ = runner.sweep_summary(&KsetScenario, &cell_spec(), 0..16);
         cache.set_spill(None);
-        // The sweep has appended all eight new cells to segments it has not
-        // sealed; kill the writer now: no flush, no close.
+        // The sweep has appended all eight new cells to the segment it has
+        // not sealed; kill the writer now: no flush, no close.
         let open: Vec<String> = temps(&dir)
             .into_iter()
             .filter(|name| !strays.contains(&name.as_str()))
             .collect();
-        let lines = open
-            .iter()
-            .map(|name| fs::read_to_string(dir.join("shards").join(name)).unwrap())
-            .map(|text| text.lines().count())
-            .sum::<usize>();
-        assert_eq!(lines, 8, "every new cell sits in an open segment");
-        assert!(open.len() >= 2, "the new cells span several shards");
+        assert_eq!(open, [".tmp-segment"], "one open segment for every shard");
+        let text = fs::read_to_string(dir.join("shards").join(&open[0])).unwrap();
+        assert_eq!(text.lines().count(), 8, "every new cell sits in it");
         std::mem::forget(store);
     }
 
@@ -241,7 +247,7 @@ fn corrupted_cell_line_is_dropped_recomputed_and_rewritten() {
     let cold = sweep_session(&dir, 0..8);
     assert_eq!(cold.wrote, 8);
 
-    // Garble the first line of one shard segment — one cell's record.
+    // Garble the first line of one segment — one cell's record.
     let shards = dir.join("shards");
     let segment = fs::read_dir(&shards)
         .expect("read shards dir")
@@ -321,7 +327,7 @@ fn garbled_manifest_never_panics() {
     assert_eq!(warm.summary, cold.summary);
 }
 
-/// The shard segments of `dir`, sorted by name.
+/// The segments of `dir`, sorted by name.
 fn segments(dir: &Path) -> Vec<PathBuf> {
     let mut found: Vec<PathBuf> = fs::read_dir(dir.join("shards"))
         .expect("read shards dir")
@@ -373,6 +379,83 @@ fn stray_files_in_shards_are_ignored_and_kept() {
     assert_eq!(after, before, "no stray may trigger a compaction");
 }
 
+/// The segments of `dir` with their bytes, sorted by name.
+fn segment_files(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let read = |p: PathBuf| {
+        let bytes = fs::read(&p).expect("read segment");
+        (p, bytes)
+    };
+    segments(dir).into_iter().map(read).collect()
+}
+
+/// Two sessions that each wrote and closed leave a clean directory: the
+/// next open replays it as it stands — every segment's name and bytes
+/// unchanged — loads all 32 cells and writes nothing.
+#[test]
+fn a_clean_run_directory_is_never_rewritten_on_open() {
+    let dir = scratch("clean");
+    assert_eq!(sweep_session(&dir, 0..16).wrote, 16);
+    assert_eq!(sweep_session(&dir, 16..32).wrote, 16);
+    let before = segment_files(&dir);
+
+    let untouched = || {
+        let after = segment_files(&dir);
+        let names = |files: &[(PathBuf, Vec<u8>)]| -> Vec<PathBuf> {
+            files.iter().map(|f| f.0.clone()).collect()
+        };
+        assert_eq!(names(&after), names(&before), "no segment renamed");
+        assert!(after == before, "no segment rewritten");
+    };
+    let store = SweepStore::open(&dir).expect("open run dir");
+    assert_eq!((store.loaded(), store.corrupt()), (32, 0));
+    untouched();
+    assert_eq!(before.len(), 2, "one segment per session");
+    assert_eq!(store.close().expect("close").wrote, 0);
+    let third = sweep_session(&dir, 0..32);
+    assert_eq!((third.loaded, third.corrupt, third.wrote), (32, 0, 0));
+    assert_eq!((third.hits, third.misses), (32, 0));
+    untouched();
+}
+
+/// The writer seals every 128 lines, whichever shards the cells belong to:
+/// a 300-cell session leaves three segments, of 128, 128 and 44 lines. A
+/// writer killed mid-sweep leaves exactly one open segment, of fewer than
+/// 128 lines, and only its cells recompute.
+#[test]
+fn segments_are_sealed_every_128_lines() {
+    let dir = scratch("batches");
+    assert_eq!(sweep_session(&dir, 0..300).wrote, 300);
+    let lines = |p: &Path| fs::read_to_string(p).expect("read").lines().count();
+    let sizes: Vec<usize> = segments(&dir).iter().map(|p| lines(p)).collect();
+    assert_eq!(sizes, [128, 128, 44]);
+    {
+        let store = SweepStore::open(&dir).expect("open run dir");
+        let cache = &ReportCache::new();
+        assert_eq!(store.hydrate_into(cache), 300);
+        cache.set_spill(Some(store.spill()));
+        let runner = Runner::sequential().with_cache(cache);
+        let _ = runner.sweep_summary(&KsetScenario, &cell_spec(), 0..500);
+        cache.set_spill(None);
+        // SIGKILL: no flush, no close, no drop.
+        std::mem::forget(store);
+    }
+    assert_eq!(temps(&dir), [".tmp-segment"]);
+    let open = lines(&dir.join("shards").join(".tmp-segment"));
+    assert!(open < 128, "{open} lines in the open segment");
+    assert_eq!(
+        open,
+        200 - 128,
+        "the 200 new cells: one sealed segment and the rest"
+    );
+    assert_eq!(segments(&dir).len(), 4);
+    let resumed = sweep_session(&dir, 0..500);
+    assert_eq!(
+        (resumed.loaded, resumed.misses, resumed.wrote),
+        (428, 72, 72)
+    );
+    assert!(temps(&dir).is_empty());
+}
+
 /// A megabyte of `[` on one line used to overflow the parser's stack and
 /// abort the process; it is one corrupt line like any other.
 #[test]
@@ -397,7 +480,7 @@ fn deeply_nested_garbage_line_is_dropped_and_compacted_away() {
     let after = segments(&dir);
     assert!(
         !after.contains(scarred),
-        "the scarred shard must be compacted"
+        "the scarred store must be compacted"
     );
     assert_eq!(after.len(), before.len());
     assert!(after
@@ -566,50 +649,19 @@ fn spilling_a_resumed_cell_writes_nothing() {
     assert_eq!(store.close().expect("close").wrote, 0);
 }
 
-/// A cell line moved by hand into another shard's segment file is still
-/// the store's: it loads, hydrates into the shard its key belongs to, and
-/// hits — and, the segment counts unchanged, nothing is compacted.
-#[test]
-fn a_cell_in_another_shards_segment_still_hydrates_and_hits() {
-    let dir = scratch("misplaced");
-    let cold = sweep_session(&dir, 0..16);
-    let found = segments(&dir);
-    assert!(found.len() >= 2, "16 cells span several shards");
-    let (from, to) = (&found[0], &found[1]);
-    let text = fs::read_to_string(from).expect("read segment");
-    let (moved, rest) = text.split_once('\n').expect("a segment holds a line");
-    fs::write(from, rest).expect("rewrite source segment");
-    let mut target = fs::read_to_string(to).expect("read target segment");
-    target.push_str(moved);
-    target.push('\n');
-    fs::write(to, target).expect("rewrite target segment");
-
-    let warm = sweep_session(&dir, 0..16);
-    assert_eq!((warm.loaded, warm.corrupt, warm.hydrated), (16, 0, 16));
-    assert_eq!((warm.hits, warm.misses, warm.wrote), (16, 0, 0));
-    assert_eq!(warm.summary, cold.summary);
-    assert_eq!(segments(&dir), found, "no compaction");
-}
-
-/// Sweeps 24 cells over the 16 shards, so some segment holds two or more;
-/// rewrites the first line of the fullest segment with `scar`; resumes.
-/// The scarred line must be one corrupt line: its cell alone recomputes,
-/// its shard is compacted back to exactly the lines the clean close wrote,
-/// and every other segment is left as it was.
+/// Sweeps 24 cells, one segment; rewrites its first line with `scar`;
+/// resumes. The scarred line must be one corrupt line: its cell alone
+/// recomputes, and open compacts the whole store — the 23 surviving cells
+/// into ⌈23/128⌉ = 1 new segment, every old segment deleted — while the
+/// recomputed cell is sealed at close in a segment of its own. Together
+/// the two hold exactly the lines the clean close wrote.
 fn resume_one_scarred_line(name: &str, scar: impl Fn(&mut Vec<u8>)) -> (PathBuf, SweepSummary) {
     let dir = scratch(name);
     let cold = sweep_session(&dir, 0..24);
-    let read = |p: PathBuf| {
-        let bytes = fs::read(&p).expect("read segment");
-        (p, bytes)
-    };
-    let before: Vec<(PathBuf, Vec<u8>)> = segments(&dir).into_iter().map(read).collect();
-    let lines = |bytes: &[u8]| bytes.iter().filter(|&&b| b == b'\n').count();
-    let (scarred, clean) = before
-        .iter()
-        .max_by_key(|(_, b)| lines(b))
-        .expect("a segment");
-    assert!(lines(clean) >= 2);
+    let before = segments(&dir);
+    assert_eq!(before.len(), 1, "24 cells are one segment");
+    let scarred = &before[0];
+    let clean = fs::read(scarred).expect("read segment");
     let end = clean
         .iter()
         .position(|&b| b == b'\n')
@@ -624,21 +676,20 @@ fn resume_one_scarred_line(name: &str, scar: impl Fn(&mut Vec<u8>)) -> (PathBuf,
     let counts = (warm.loaded, warm.hits, warm.misses, warm.wrote);
     assert_eq!(counts, (23, 23, 1, 1), "exactly its cell recomputes");
     assert_eq!(warm.summary, cold.summary);
-    let shard = |p: &Path| p.file_name().unwrap().to_str().unwrap()[..3].to_string();
-    let mut healed = Vec::new();
-    for (p, bytes) in segments(&dir).into_iter().map(read) {
-        if shard(&p) != shard(scarred) {
-            assert!(before.contains(&(p, bytes)), "no other segment is touched");
-        } else {
-            assert_ne!(&p, scarred, "the scarred shard is compacted");
-            healed.extend(String::from_utf8(bytes).unwrap().lines().map(String::from));
-        }
-    }
-    let clean = String::from_utf8(clean.clone()).expect("a clean segment is UTF-8");
+    let after = segments(&dir);
+    assert!(!after.contains(scarred), "every old segment is deleted");
+    let lines = |p: &PathBuf| -> Vec<String> {
+        let text = fs::read_to_string(p).expect("a healed segment is UTF-8");
+        text.lines().map(String::from).collect()
+    };
+    let sizes: Vec<usize> = after.iter().map(|p| lines(p).len()).collect();
+    assert_eq!(sizes, [23, 1], "the survivors, then the recomputed cell");
+    let mut healed: Vec<String> = after.iter().flat_map(lines).collect();
+    let clean = String::from_utf8(clean).expect("a clean segment is UTF-8");
     let mut clean: Vec<&str> = clean.lines().collect();
     healed.sort();
     clean.sort();
-    assert_eq!(healed, clean, "the shard holds the encoder's lines again");
+    assert_eq!(healed, clean, "the store holds the encoder's lines again");
     (dir, cold.summary)
 }
 

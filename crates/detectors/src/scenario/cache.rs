@@ -89,7 +89,15 @@ impl CellMap {
     /// packing buffer while it grows to the largest cell it has packed.)
     pub fn insert(&mut self, key: (u64, u64), slim: &SlimReport) {
         let packed = self.pack(slim);
-        self.cells.insert(key, packed);
+        self.insert_packed(key, packed);
+    }
+
+    /// Stores a block [`CellMap::pack`] of this map returned under `key`;
+    /// returns whether it replaced a cell. A store that decodes a whole
+    /// run directory packs each cell as it reads it and inserts the blocks
+    /// once it knows how many each map takes.
+    pub fn insert_packed(&mut self, key: (u64, u64), packed: Box<[u8]>) -> bool {
+        self.cells.insert(key, packed).is_some()
     }
 
     /// The cell under `key`, unpacked (its seed is `key.1`).
@@ -126,7 +134,10 @@ impl CellMap {
         id as u64
     }
 
-    fn pack(&mut self, slim: &SlimReport) -> Box<[u8]> {
+    /// `slim` as one exactly-sized block, its names ids into this map's
+    /// table (which grows the first time it meets a name): a block for
+    /// [`CellMap::insert_packed`] of this map, and of no other.
+    pub fn pack(&mut self, slim: &SlimReport) -> Box<[u8]> {
         thread_local! {
             /// The buffer this thread packs cells in; each is then copied
             /// out at its exact length.
@@ -383,8 +394,7 @@ impl ReportCache {
 
     /// The shard (`0..CACHE_SHARDS`) that holds `key`. Public so a durable
     /// store can decode its cells straight into per-shard maps that
-    /// [`ReportCache::hydrate`] then adopts whole; `fd_bench::store` also
-    /// names its on-disk segments by it.
+    /// [`ReportCache::hydrate`] then adopts whole.
     #[inline]
     pub fn shard_of(key: (u64, u64)) -> usize {
         // Mix both halves so sweeps (varying seeds) spread across shards.
