@@ -323,7 +323,7 @@ impl TopologyEpoch {
     }
 
     /// The fate of one directed message inside this epoch.
-    fn link_fate(&self, from: ProcessId, to: ProcessId) -> LinkFate {
+    pub(crate) fn link_fate(&self, from: ProcessId, to: ProcessId) -> LinkFate {
         for o in &self.overrides {
             if o.from.contains(from) && o.to.contains(to) {
                 return match o.latency {

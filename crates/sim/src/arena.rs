@@ -11,6 +11,13 @@
 //! fixed size independent of `M`, and deliveries to crashed recipients
 //! ([`MsgArena::release`]) never pay for a clone at all.
 //!
+//! A clone happens in exactly two places: at a delivery that is not the
+//! slot's last ([`MsgArena::take`]), and at routing time when the message
+//! adversary corrupts one copy of a send — that copy is cloned out of the
+//! shared slot ([`MsgArena::get`]), mutated and staged in a slot of its
+//! own. Every other surviving copy, duplicates included, shares the send's
+//! one slot; a dropped or severed copy costs neither a clone nor a slot.
+//!
 //! Slots are recycled through a free list, so steady-state traffic — where
 //! deliveries drain as fast as broadcasts stage them — allocates nothing
 //! (the `alloc_per_broadcast` probe in `fd-bench` pins this at n = 128).
@@ -159,6 +166,15 @@ impl<M> MsgArena<M> {
         } else {
             s.msg.as_ref().expect("live slot without a payload").clone()
         }
+    }
+
+    /// The payload stored in a live `slot`, borrowed — what the network
+    /// clones when the message adversary corrupts one copy of a send.
+    pub fn get(&self, slot: MsgSlot) -> &M {
+        self.slots[slot.0 as usize]
+            .msg
+            .as_ref()
+            .expect("live slot without a payload")
     }
 
     /// Drops one delivery of `slot`'s payload without materializing it —

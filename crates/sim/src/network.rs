@@ -147,15 +147,14 @@ pub struct Network {
 
 /// Draws one delivery time from `delay` + `rules` using `rng`. Together
 /// with its draw-identical batched twin [`sample_delivery_bulk`], this is
-/// the *only* place a delivery time is ever sampled:
-/// [`Network::delivery_time`], both route paths (regular copies draw from
-/// the delay stream, duplicate copies from the adversary stream), and the
-/// protected reliable-broadcast path all funnel through these two. Part
-/// of the reproducibility contract: the delay draw happens *before* the
-/// message adversary is consulted (see [`Network::route_with`]), so the
-/// delivered subset of messages keeps exactly the delivery times it would
-/// have had in a clean run, and adding/removing adversary rules never
-/// shifts this stream.
+/// the *only* place a delivery time is ever sampled. It runs on its own in
+/// two places: as the bulk sampler's fallback when a delay rule is in
+/// scope, and for a duplicate's delay (drawn from the adversary stream).
+/// Part of the reproducibility contract: every base delay of a send is
+/// drawn *before* the topology and the message adversary decide any
+/// copy's fate (see [`Network::route_to`]), so the delivered subset of
+/// messages keeps exactly the delivery times it would have had in a clean
+/// run, and adding/removing adversary rules never shifts this stream.
 #[inline]
 fn sample_delivery(
     delay: &DelayModel,
@@ -294,27 +293,41 @@ impl Network {
         &self.topology
     }
 
-    /// Delivery time for a message `from → to` sent at `sent_at`.
-    pub fn delivery_time(&mut self, from: ProcessId, to: ProcessId, sent_at: Time) -> Time {
-        sample_delivery(&self.delay, &self.rules, &mut self.rng, from, to, sent_at)
-    }
-
     /// Routes one send of `msg` by `from` to every process in `recipients`
     /// — a unicast is `once(to)`, a broadcast `0..n` — over the plain
-    /// channels the message adversary attacks: draws the delivery times,
-    /// applies the topology schedule and the adversary, stages the
-    /// surviving deliveries into the caller-recycled `staging` buffer and
-    /// inserts them through one [`Scheduler::push_batch`] call. The
-    /// `?Sized` bound admits `&mut dyn Scheduler` where a trait object is
-    /// genuinely needed.
+    /// channels the message adversary attacks, in one pass: the payload is
+    /// staged once in `arena`, every recipient's base delay comes from one
+    /// bulk draw (`sample_delivery_bulk`, draw for draw what a
+    /// per-recipient loop would draw), the surviving deliveries are staged
+    /// into the caller-recycled `staging` buffer in recipient order, go in
+    /// through one [`Scheduler::push_batch`] call, and the slot is
+    /// committed once with its delivery count. The `?Sized` bound admits
+    /// `&mut dyn Scheduler` where a trait object is genuinely needed.
     ///
-    /// On the clean path (no adversary, no topology epoch covering the send
-    /// time) the payload is stored **once** — one arena slot with one
-    /// pending delivery per recipient, no clone of `M` at all — and the
-    /// delays come from one bulk pass, draw for draw what a per-recipient
-    /// loop would draw. Otherwise each recipient's copy goes through the
-    /// per-recipient core (the payload moves into the last copy), so each
-    /// link can have its own fate and each copy is attacked apart.
+    /// When no adversary is installed and no topology epoch covers the
+    /// send time, that is all: one slot, one delivery per recipient, no
+    /// clone of `M`. Otherwise each copy, after its base delay, meets the
+    /// topology first (the covering epoch is resolved once per send;
+    /// structure trumps probability) and then the message rules in order:
+    ///
+    /// - a **severed** copy is lost with zero adversary draws; a latency
+    ///   override replaces its delivery time with one draw from the
+    ///   topology stream;
+    /// - each in-scope rule costs one `chance` draw from the adversary
+    ///   stream. **Drop** loses the copy at once (earlier duplications and
+    ///   corruptions of it are moot). **Duplicate** adds a second delivery
+    ///   of the same slot, its delay drawn from the adversary stream after
+    ///   the rules, staged right after the original so at equal times the
+    ///   original keeps the smaller sequence number. **Corrupt** clones the
+    ///   shared payload on its first firing and mutates that private copy;
+    ///   later Corrupts mutate the same copy.
+    ///
+    /// So every surviving copy shares the send's one slot except a
+    /// corrupted one: bounded corruption alters *one* copy, and the other
+    /// recipients must still read the original, so only that copy is
+    /// stored apart. Dropped and severed copies cost neither a clone nor a
+    /// slot. Each stream (delay, topology, adversary) is drawn in recipient
+    /// order, so no stream's position depends on another stream's draws.
     ///
     /// Returns the counted sum of what the adversary and the topology did
     /// across the recipients ([`RouteEffects::is_clean`] under
@@ -335,28 +348,89 @@ impl Network {
         staging: &mut Vec<Staged>,
     ) -> RouteEffects {
         debug_assert!(staging.is_empty(), "staging buffer must arrive empty");
-        let fx = if self.adversary.is_none() && self.topology.epoch_at(sent_at).is_none() {
-            let slot = arena.stage(msg);
+        let Network {
+            delay,
+            rules,
+            rng,
+            adversary,
+            adv_rng,
+            topology,
+            topo_rng,
+        } = self;
+        let epoch = topology.epoch_at(sent_at);
+        let slot = arena.stage(msg);
+        let mut fx = RouteEffects::default();
+        if adversary.is_none() && epoch.is_none() {
+            sample_delivery_bulk(delay, rules, rng, from, recipients, sent_at, |to, at| {
+                staging.push(Staged {
+                    at,
+                    to,
+                    kind: EventKind::Deliver { from, slot },
+                });
+            });
+            arena.commit(slot, staging.len() as u32);
+        } else {
+            let mut shared = 0;
             sample_delivery_bulk(
-                &self.delay,
-                &self.rules,
-                &mut self.rng,
+                delay,
+                rules,
+                rng,
                 from,
                 recipients,
                 sent_at,
-                |to, at| {
-                    staging.push(Staged {
-                        at,
-                        to,
-                        kind: EventKind::Deliver { from, slot },
-                    });
+                |to, mut at| {
+                    match epoch.map_or(LinkFate::Open, |ep| ep.link_fate(from, to)) {
+                        LinkFate::Open => {}
+                        LinkFate::Severed { .. } => {
+                            fx.severed += 1;
+                            return;
+                        }
+                        LinkFate::Latency { lo, hi } => {
+                            at = sent_at + topo_rng.range(lo.min(hi), hi.max(lo)).max(1);
+                        }
+                    }
+                    let (mut duplicated, mut corrupted, mut own) = (false, false, None::<M>);
+                    for rule in adversary.rules() {
+                        if !rule.applies(from, to, sent_at) || !adv_rng.chance(rule.pct as u64, 100)
+                        {
+                            continue;
+                        }
+                        match rule.action {
+                            RuleAction::Drop => {
+                                fx.dropped += 1;
+                                return;
+                            }
+                            RuleAction::Duplicate => duplicated = true,
+                            RuleAction::Corrupt { bound } => {
+                                let copy = own.get_or_insert_with(|| arena.get(slot).clone());
+                                corrupted |= copy.corrupt(bound, adv_rng);
+                            }
+                        }
+                    }
+                    let refs = 1 + duplicated as u32;
+                    let slot = match own {
+                        Some(copy) => {
+                            let own_slot = arena.stage(copy);
+                            arena.commit(own_slot, refs);
+                            own_slot
+                        }
+                        None => {
+                            shared += refs;
+                            slot
+                        }
+                    };
+                    let kind = EventKind::Deliver { from, slot };
+                    staging.push(Staged { at, to, kind });
+                    if duplicated {
+                        let at = sample_delivery(delay, rules, adv_rng, from, to, sent_at);
+                        staging.push(Staged { at, to, kind });
+                    }
+                    fx.duplicated += duplicated as u64;
+                    fx.corrupted += corrupted as u64;
                 },
             );
-            arena.commit(slot, staging.len() as u32);
-            RouteEffects::default()
-        } else {
-            self.route_with(arena, from, recipients, sent_at, msg, staging)
-        };
+            arena.commit(slot, shared);
+        }
         queue.push_batch(staging);
         staging.clear();
         fx
@@ -380,142 +454,22 @@ impl Network {
         self.route_to(queue, arena, from, recipients, sent_at, msg, staging)
     }
 
-    /// The per-recipient path of [`Network::route_to`], one copy per
-    /// recipient in iteration order (every copy but the last is a clone;
-    /// the last takes the payload): draws the delivery time, applies the
-    /// message adversary (corruption mutates the still-owned copy *before*
-    /// it is stored), stages one arena slot per surviving copy and pushes
-    /// its delivery (or two) onto `staging`. Keeping it in one place is
-    /// what pins the draw-order contract down: per copy, delay draw first
-    /// (from the delay stream), then one `chance` draw per in-scope rule in
-    /// rule order (from the adversary stream), then one extra delay draw
-    /// per duplicate (adversary stream again). A duplicated copy stores its
-    /// payload once (one slot, two pending deliveries); the original is
-    /// staged first, so at equal delivery times it keeps the smaller
-    /// sequence number.
-    ///
-    /// The topology schedule is resolved *before* the message adversary
-    /// (structure trumps probability): a severed copy consumes its base
-    /// delay draw — keeping the delay stream at clean-run positions — and
-    /// is then lost with zero adversary draws; a latency override replaces
-    /// the drawn delivery time with one draw from the topology stream
-    /// (again leaving the delay stream clean-run-identical) and the copy
-    /// then faces the adversary rules as usual. Duplicates of a
-    /// latency-overridden copy keep the base-model delay from the adversary
-    /// stream, like every duplicate. Dropped and severed copies never touch
-    /// the arena.
-    fn route_with<M: Clone + Corruptible>(
-        &mut self,
-        arena: &mut MsgArena<M>,
-        from: ProcessId,
-        recipients: impl IntoIterator<Item = ProcessId>,
-        sent_at: Time,
-        msg: M,
-        staging: &mut Vec<Staged>,
-    ) -> RouteEffects {
-        let mut fx = RouteEffects::default();
-        let mut recipients = recipients.into_iter().peekable();
-        let mut payload = Some(msg);
-        'copies: while let Some(to) = recipients.next() {
-            let mut msg = match recipients.peek() {
-                Some(_) => payload.clone(),
-                None => payload.take(),
-            }
-            .expect("one payload per copy");
-            let fate = if self.topology.is_none() {
-                LinkFate::Open
-            } else {
-                self.topology.fate(from, to, sent_at)
-            };
-            let mut at = self.delivery_time(from, to, sent_at);
-            let (mut duplicated, mut corrupted) = (false, false);
-            match fate {
-                LinkFate::Open => {}
-                LinkFate::Severed { .. } => {
-                    // Cut: lost structurally, no adversary draws, no arena
-                    // slot. The base delay draw above already happened, so
-                    // delivered copies keep their clean-run times.
-                    fx.severed += 1;
-                    continue;
-                }
-                LinkFate::Latency { lo, hi } => {
-                    at = sent_at + self.topo_rng.range(lo.min(hi), hi.max(lo)).max(1);
-                }
-            }
-            // Disjoint-field borrows: rules read-only, adversary stream
-            // mutable. One `chance` draw per in-scope rule per copy, in rule
-            // order — the determinism contract of the dropped set.
-            let Network {
-                adversary, adv_rng, ..
-            } = self;
-            for rule in adversary.rules() {
-                if !rule.applies(from, to, sent_at) || !adv_rng.chance(rule.pct as u64, 100) {
-                    continue;
-                }
-                match rule.action {
-                    RuleAction::Drop => {
-                        // Lost: nothing is scheduled or stored, later rules
-                        // are moot, and earlier duplications/corruptions of
-                        // this copy are moot too — only the drop counts.
-                        fx.dropped += 1;
-                        continue 'copies;
-                    }
-                    RuleAction::Duplicate => duplicated = true,
-                    RuleAction::Corrupt { bound } => {
-                        // Only plain deliveries carry corruptible payloads:
-                        // rb deliveries take `route_protected`, which never
-                        // consults the adversary, keeping the rb exemption
-                        // structural rather than incidental. The copy is
-                        // still owned here, so corruption happens in place,
-                        // before the arena ever sees it.
-                        corrupted |= msg.corrupt(bound, adv_rng);
-                    }
-                }
-            }
-            let slot = arena.stage(msg);
-            staging.push(Staged {
-                at,
-                to,
-                kind: EventKind::Deliver { from, slot },
-            });
-            if duplicated {
-                // The copy's delay comes from the adversary stream, so the
-                // next regular message's delay draw is unaffected. One slot
-                // with two pending deliveries — the payload is stored once.
-                let Network {
-                    delay,
-                    rules,
-                    adv_rng,
-                    ..
-                } = self;
-                let dup_at = sample_delivery(delay, rules, adv_rng, from, to, sent_at);
-                staging.push(Staged {
-                    at: dup_at,
-                    to,
-                    kind: EventKind::Deliver { from, slot },
-                });
-            }
-            arena.commit(slot, 1 + duplicated as u32);
-            fx.duplicated += duplicated as u64;
-            fx.corrupted += corrupted as u64;
-        }
-        fx
-    }
-
     /// Routes one reliable-broadcast delivery of `msg` to each process in
     /// `receivers`, on a channel the message adversary cannot touch — the
     /// rb axioms (no loss, no alteration, no duplication) are a premise of
-    /// the model. The payload is stored once (one slot, one pending
-    /// delivery per receiver), delays are drawn in iteration order, and
-    /// the deliveries go in through one [`Scheduler::push_batch`] call.
+    /// the model. One pass, like [`Network::route_to`]: the payload is
+    /// stored once (one slot, one pending delivery per receiver), base
+    /// delays come from one bulk draw in iteration order, and the
+    /// deliveries go in through one [`Scheduler::push_batch`] call.
     ///
-    /// The topology schedule *delays* rb messages but never loses them: a
-    /// severed link holds the message until just past the epoch's heal
-    /// time (release jitter from the topology stream keeps heals from
-    /// synchronizing into one mega-tick), and a latency override replaces
-    /// the drawn delivery time. This is exactly the model's delay-only
-    /// adversary — arbitrary finite delays over reliable channels.
-    /// `staging` must arrive empty and is cleared again before returning.
+    /// The topology schedule *delays* rb messages but never loses them:
+    /// under a covering epoch (resolved once per send), a severed link
+    /// holds the message until just past the epoch's heal time (release
+    /// jitter from the topology stream keeps heals from synchronizing into
+    /// one mega-tick), and a latency override replaces the drawn delivery
+    /// time. This is exactly the model's delay-only adversary — arbitrary
+    /// finite delays over reliable channels. `staging` must arrive empty
+    /// and is cleared again before returning.
     #[allow(clippy::too_many_arguments)]
     pub fn route_protected<M, Q: Scheduler + ?Sized>(
         &mut self,
@@ -528,53 +482,30 @@ impl Network {
         staging: &mut Vec<Staged>,
     ) {
         debug_assert!(staging.is_empty(), "staging buffer must arrive empty");
+        let Network {
+            delay,
+            rules,
+            rng,
+            topology,
+            topo_rng,
+            ..
+        } = self;
+        let epoch = topology.epoch_at(sent_at);
         let slot = arena.stage(msg);
-        if self.topology.epoch_at(sent_at).is_none() {
-            sample_delivery_bulk(
-                &self.delay,
-                &self.rules,
-                &mut self.rng,
-                from,
-                receivers,
-                sent_at,
-                |to, at| {
-                    staging.push(Staged {
-                        at,
-                        to,
-                        kind: EventKind::RbDeliver { from, slot },
-                    });
-                },
-            );
-        } else {
-            // A topology epoch covers this send: each link can have its own
-            // fate, so draw per receiver (base delay first, draw-identical
-            // to the clean bulk pass, then the fate from the topology
-            // stream). Severed links hold the message until just past the
-            // heal; latency overrides replace the base draw.
-            let Network {
-                delay,
-                rules,
-                rng,
-                topology,
-                topo_rng,
-                ..
-            } = self;
-            for to in receivers {
-                let base = sample_delivery(delay, rules, rng, from, to, sent_at);
-                let at = match topology.fate(from, to, sent_at) {
-                    LinkFate::Open => base,
-                    LinkFate::Severed { heal } => base.max(heal + topo_rng.range(0, 3)),
-                    LinkFate::Latency { lo, hi } => {
-                        sent_at + topo_rng.range(lo.min(hi), hi.max(lo)).max(1)
-                    }
-                };
-                staging.push(Staged {
-                    at,
-                    to,
-                    kind: EventKind::RbDeliver { from, slot },
-                });
-            }
-        }
+        sample_delivery_bulk(delay, rules, rng, from, receivers, sent_at, |to, base| {
+            let at = match epoch.map_or(LinkFate::Open, |ep| ep.link_fate(from, to)) {
+                LinkFate::Open => base,
+                LinkFate::Severed { heal } => base.max(heal + topo_rng.range(0, 3)),
+                LinkFate::Latency { lo, hi } => {
+                    sent_at + topo_rng.range(lo.min(hi), hi.max(lo)).max(1)
+                }
+            };
+            staging.push(Staged {
+                at,
+                to,
+                kind: EventKind::RbDeliver { from, slot },
+            });
+        });
         arena.commit(slot, staging.len() as u32);
         queue.push_batch(staging);
         staging.clear();
@@ -593,6 +524,11 @@ mod tests {
 
     fn rng() -> SplitMix64 {
         SplitMix64::new(99)
+    }
+
+    /// One delivery time `from → to` from `net`'s delay stream and rules.
+    fn draw(net: &mut Network, from: ProcessId, to: ProcessId, sent_at: Time) -> Time {
+        sample_delivery(&net.delay, &net.rules, &mut net.rng, from, to, sent_at)
     }
 
     /// One side of a routing test: a network with its own queue and arena.
@@ -690,14 +626,14 @@ mod tests {
     #[test]
     fn fixed_delay() {
         let mut net = Network::new(DelayModel::Fixed(4), vec![], rng());
-        let at = net.delivery_time(ProcessId(0), ProcessId(1), Time(10));
+        let at = draw(&mut net, ProcessId(0), ProcessId(1), Time(10));
         assert_eq!(at, Time(14));
     }
 
     #[test]
     fn delay_at_least_one() {
         let mut net = Network::new(DelayModel::Fixed(0), vec![], rng());
-        let at = net.delivery_time(ProcessId(0), ProcessId(1), Time(10));
+        let at = draw(&mut net, ProcessId(0), ProcessId(1), Time(10));
         assert_eq!(at, Time(11));
     }
 
@@ -742,7 +678,7 @@ mod tests {
     fn uniform_within_bounds() {
         let mut net = Network::new(DelayModel::Uniform { lo: 2, hi: 6 }, vec![], rng());
         for _ in 0..200 {
-            let at = net.delivery_time(ProcessId(0), ProcessId(1), Time(0));
+            let at = draw(&mut net, ProcessId(0), ProcessId(1), Time(0));
             assert!((2..=6).contains(&at.0));
         }
     }
@@ -761,7 +697,7 @@ mod tests {
         );
         let mut spiked = false;
         for _ in 0..100 {
-            let at = net.delivery_time(ProcessId(0), ProcessId(1), Time(0));
+            let at = draw(&mut net, ProcessId(0), ProcessId(1), Time(0));
             if at.0 >= 100 {
                 spiked = true;
             }
@@ -855,6 +791,55 @@ mod tests {
         assert_eq!(lane.q.len(), 1, "rb deliveries must never be dropped");
         let (_, from, msg) = lane.pop().unwrap();
         assert_eq!((from, msg), (P0, 7));
+    }
+
+    /// An armed broadcast stores its payload once: duplicates and the
+    /// copies a partition spares share the send's slot, a dropped copy
+    /// costs none, and only a corrupted copy is stored apart.
+    #[test]
+    fn armed_sends_store_one_payload_unless_corrupted() {
+        let n = 9;
+        let armed = |adv: MessageAdversary, topo: TopologySchedule| {
+            Lane::new(
+                Network::new(DelayModel::default(), vec![], rng())
+                    .with_adversary(adv, SplitMix64::new(17).stream(0xADE5))
+                    .with_topology(topo, SplitMix64::new(17).stream(0x7090)),
+            )
+        };
+        let rules = |rule| MessageAdversary::Rules(vec![rule]);
+
+        let mut dup = armed(rules(MessageRule::duplicate(100)), TopologySchedule::None);
+        assert_eq!(dup.broadcast(P0, n, Time(3), 7).duplicated, 9);
+        assert_eq!((dup.arena.live(), dup.q.len()), (1, 18));
+
+        let mut lost = armed(rules(MessageRule::drop(100)), TopologySchedule::None);
+        assert_eq!(lost.broadcast(P0, n, Time(3), 7).dropped, 9);
+        assert!(lost.arena.is_empty() && lost.q.is_empty());
+
+        let mut bent = armed(rules(MessageRule::corrupt(100, 4)), TopologySchedule::None);
+        let fx = bent.broadcast(P0, n, Time(3), 1_000);
+        assert_eq!(fx.corrupted, 9);
+        assert_eq!(
+            bent.arena.live(),
+            9,
+            "one slot per corrupted copy, none shared"
+        );
+        while let Some((.., msg)) = bent.pop() {
+            assert!(msg.abs_diff(1_000) <= 4, "1000 -> {msg}");
+        }
+
+        let islands = vec![
+            (0..4).map(ProcessId).collect(),
+            (4..9).map(ProcessId).collect(),
+        ];
+        let topo = TopologySchedule::partition_until(islands, Time(100));
+        let mut cut = armed(MessageAdversary::None, topo);
+        assert_eq!(cut.broadcast(P0, n, Time(3), 7).severed, 5);
+        assert_eq!((cut.arena.live(), cut.q.len()), (1, 4));
+        while let Some((e, _, msg)) = cut.pop() {
+            assert!(e.to.0 < 4 && msg == 7, "{e:?}");
+        }
+        assert!(cut.arena.is_empty());
     }
 
     #[test]
@@ -1039,13 +1024,13 @@ mod tests {
         let rule = DelayRule::silence_until(e, all, Time(100));
         let mut net = Network::new(DelayModel::Fixed(1), vec![rule], rng());
         // Sent inside the window: held back to >= 100.
-        let at = net.delivery_time(ProcessId(0), ProcessId(1), Time(5));
+        let at = draw(&mut net, ProcessId(0), ProcessId(1), Time(5));
         assert!(at >= Time(100));
         // Different sender: unaffected.
-        let at = net.delivery_time(ProcessId(2), ProcessId(1), Time(5));
+        let at = draw(&mut net, ProcessId(2), ProcessId(1), Time(5));
         assert_eq!(at, Time(6));
         // Sent after the window: unaffected.
-        let at = net.delivery_time(ProcessId(0), ProcessId(1), Time(200));
+        let at = draw(&mut net, ProcessId(0), ProcessId(1), Time(200));
         assert_eq!(at, Time(201));
     }
 
@@ -1060,10 +1045,10 @@ mod tests {
         let rule = DelayRule::silence_until(PSet::full(3), PSet::full(3), gst);
         let mut net = Network::new(DelayModel::Fixed(1), vec![rule], rng());
         // Sent one tick before the edge: still silenced.
-        let at = net.delivery_time(ProcessId(0), ProcessId(1), Time(gst.0 - 1));
+        let at = draw(&mut net, ProcessId(0), ProcessId(1), Time(gst.0 - 1));
         assert!(at >= gst);
         // Sent exactly AT gst: the rule no longer applies.
-        let at = net.delivery_time(ProcessId(0), ProcessId(1), gst);
+        let at = draw(&mut net, ProcessId(0), ProcessId(1), gst);
         assert_eq!(at, gst + 1);
 
         // active_from == active_to: an empty window never fires, even AT
@@ -1077,7 +1062,7 @@ mod tests {
         };
         let mut net = Network::new(DelayModel::Fixed(1), vec![empty], rng());
         for t in [39u64, 40, 41] {
-            let at = net.delivery_time(ProcessId(0), ProcessId(1), Time(t));
+            let at = draw(&mut net, ProcessId(0), ProcessId(1), Time(t));
             assert_eq!(at, Time(t + 1), "sent at {t}");
         }
     }
@@ -1184,8 +1169,8 @@ mod tests {
             // send above still consumed its base draw, so after burning
             // that draw on the free network the next clean send (the
             // non-overridden reverse direction) must agree draw-for-draw.
-            let _ = free.delivery_time(P0, P1, sent);
-            let expect = free.delivery_time(P1, P0, sent);
+            let _ = draw(&mut free, P0, P1, sent);
+            let expect = draw(&mut free, P1, P0, sent);
             assert!(slow.send(P1, P0, sent, i).is_clean());
             let (e, ..) = slow.pop().unwrap();
             assert_eq!(e.at, expect, "delay stream diverged at i={i}");

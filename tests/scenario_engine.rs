@@ -416,8 +416,9 @@ mod adversary {
     /// FNV-1a-64 when the report digest became a format.
     /// Every [`PR3_DIGESTS`] run is broadcasts and R-broadcasts only, so
     /// this table is what pins the send path: clean two-wheels (2 seeds),
-    /// two-wheels under a drop rule and under a latency epoch (both take
-    /// the per-recipient path), the pipeline, churn + catch-up (2 seeds)
+    /// two-wheels under a drop rule and under a latency epoch (both run
+    /// each copy through the topology fate and the message rules), the
+    /// pipeline, churn + catch-up (2 seeds)
     /// and the partition-during-join probe.
     const UNICAST_DIGESTS: [u64; 8] = [
         0x4d9b099996342e3e,
