@@ -54,9 +54,10 @@
 //! declaring partition islands (messages crossing island boundaries are
 //! severed — dropped with certainty, no coin flipped) and per-direction
 //! [`LinkOverride`]s (asymmetric latency ranges, or one-way silences). The
-//! schedule answers one question per message, [`TopologySchedule::fate`]:
-//! is this link open, severed until a heal time, or rerouted through an
-//! override latency range?
+//! schedule answers one question per message, its [`LinkFate`] in the
+//! epoch covering the send time ([`TopologySchedule::epoch_at`]): is this
+//! link open, severed until a heal time, or rerouted through an override
+//! latency range?
 //!
 //! Semantics chosen to preserve the model's axioms:
 //!
@@ -321,29 +322,6 @@ impl TopologyEpoch {
     pub fn covers(&self, sent_at: Time) -> bool {
         sent_at >= self.from && sent_at < self.until
     }
-
-    /// The fate of one directed message inside this epoch.
-    pub(crate) fn link_fate(&self, from: ProcessId, to: ProcessId) -> LinkFate {
-        for o in &self.overrides {
-            if o.from.contains(from) && o.to.contains(to) {
-                return match o.latency {
-                    Some((lo, hi)) => LinkFate::Latency { lo, hi },
-                    None => LinkFate::Severed { heal: self.until },
-                };
-            }
-        }
-        if from == to || self.islands.is_empty() {
-            return LinkFate::Open;
-        }
-        let home = self.islands.iter().position(|i| i.contains(from));
-        let dest = self.islands.iter().position(|i| i.contains(to));
-        // Unlisted processes form an implicit remainder island (None == None).
-        if home == dest {
-            LinkFate::Open
-        } else {
-            LinkFate::Severed { heal: self.until }
-        }
-    }
 }
 
 /// What the topology schedule decides for one directed message.
@@ -365,6 +343,37 @@ pub enum LinkFate {
         /// Upper latency bound (ticks).
         hi: u64,
     },
+}
+
+impl LinkFate {
+    /// The fate of one directed message under `epoch`, the epoch covering
+    /// its send time ([`TopologySchedule::epoch_at`]; `None` when none
+    /// does, and then every link is open).
+    #[inline]
+    pub(crate) fn under(epoch: Option<&TopologyEpoch>, from: ProcessId, to: ProcessId) -> Self {
+        let Some(ep) = epoch else {
+            return LinkFate::Open;
+        };
+        for o in &ep.overrides {
+            if o.from.contains(from) && o.to.contains(to) {
+                return match o.latency {
+                    Some((lo, hi)) => LinkFate::Latency { lo, hi },
+                    None => LinkFate::Severed { heal: ep.until },
+                };
+            }
+        }
+        if from == to || ep.islands.is_empty() {
+            return LinkFate::Open;
+        }
+        let home = ep.islands.iter().position(|i| i.contains(from));
+        let dest = ep.islands.iter().position(|i| i.contains(to));
+        // Unlisted processes form an implicit remainder island (None == None).
+        if home == dest {
+            LinkFate::Open
+        } else {
+            LinkFate::Severed { heal: ep.until }
+        }
+    }
 }
 
 /// The structural topology adversary of a run: nothing, or a time-indexed
@@ -411,15 +420,6 @@ impl TopologySchedule {
         match self {
             TopologySchedule::None => None,
             TopologySchedule::Epochs(eps) => eps.iter().find(|e| e.covers(sent_at)),
-        }
-    }
-
-    /// The fate of one directed message sent at `sent_at`.
-    #[inline]
-    pub fn fate(&self, from: ProcessId, to: ProcessId, sent_at: Time) -> LinkFate {
-        match self.epoch_at(sent_at) {
-            None => LinkFate::Open,
-            Some(ep) => ep.link_fate(from, to),
         }
     }
 
@@ -724,6 +724,11 @@ mod tests {
 
     // --- topology schedule ---
 
+    /// The fate of one message `from → to` sent at `sent_at` under `s`.
+    fn fate(s: &TopologySchedule, from: ProcessId, to: ProcessId, sent_at: Time) -> LinkFate {
+        LinkFate::under(s.epoch_at(sent_at), from, to)
+    }
+
     fn two_islands() -> Vec<PSet> {
         let a: PSet = [ProcessId(0), ProcessId(1), ProcessId(2)]
             .into_iter()
@@ -740,7 +745,7 @@ mod tests {
         assert!(s.is_none());
         assert!(s.epochs().is_empty());
         assert_eq!(
-            s.fate(ProcessId(0), ProcessId(5), Time(100)),
+            fate(&s, ProcessId(0), ProcessId(5), Time(100)),
             LinkFate::Open
         );
         assert_eq!(s.describe(), "none");
@@ -754,25 +759,25 @@ mod tests {
         let s = TopologySchedule::partition_until(two_islands(), heal);
         // Cross-island: severed strictly before heal, open AT heal (half-open).
         assert_eq!(
-            s.fate(ProcessId(0), ProcessId(3), Time(499)),
+            fate(&s, ProcessId(0), ProcessId(3), Time(499)),
             LinkFate::Severed { heal }
         );
-        assert_eq!(s.fate(ProcessId(0), ProcessId(3), heal), LinkFate::Open);
+        assert_eq!(fate(&s, ProcessId(0), ProcessId(3), heal), LinkFate::Open);
         assert_eq!(
-            s.fate(ProcessId(4), ProcessId(1), Time::ZERO),
+            fate(&s, ProcessId(4), ProcessId(1), Time::ZERO),
             LinkFate::Severed { heal }
         );
         // Intra-island and self-sends stay open throughout.
         assert_eq!(
-            s.fate(ProcessId(0), ProcessId(2), Time(100)),
+            fate(&s, ProcessId(0), ProcessId(2), Time(100)),
             LinkFate::Open
         );
         assert_eq!(
-            s.fate(ProcessId(3), ProcessId(4), Time(100)),
+            fate(&s, ProcessId(3), ProcessId(4), Time(100)),
             LinkFate::Open
         );
         assert_eq!(
-            s.fate(ProcessId(0), ProcessId(0), Time(100)),
+            fate(&s, ProcessId(0), ProcessId(0), Time(100)),
             LinkFate::Open
         );
     }
@@ -785,13 +790,16 @@ mod tests {
             vec![[ProcessId(0), ProcessId(1)].into_iter().collect()],
             Time(500),
         );
-        assert_eq!(s.fate(ProcessId(6), ProcessId(7), Time(10)), LinkFate::Open);
         assert_eq!(
-            s.fate(ProcessId(0), ProcessId(6), Time(10)),
+            fate(&s, ProcessId(6), ProcessId(7), Time(10)),
+            LinkFate::Open
+        );
+        assert_eq!(
+            fate(&s, ProcessId(0), ProcessId(6), Time(10)),
             LinkFate::Severed { heal: Time(500) }
         );
         assert_eq!(
-            s.fate(ProcessId(6), ProcessId(1), Time(10)),
+            fate(&s, ProcessId(6), ProcessId(1), Time(10)),
             LinkFate::Severed { heal: Time(500) }
         );
     }
@@ -814,21 +822,24 @@ mod tests {
             ));
         let s = TopologySchedule::Epochs(vec![ep]);
         assert_eq!(
-            s.fate(ProcessId(0), ProcessId(3), Time(10)),
+            fate(&s, ProcessId(0), ProcessId(3), Time(10)),
             LinkFate::Latency { lo: 40, hi: 90 }
         );
         // The reverse direction is not overridden: still severed.
         assert_eq!(
-            s.fate(ProcessId(3), ProcessId(0), Time(10)),
+            fate(&s, ProcessId(3), ProcessId(0), Time(10)),
             LinkFate::Severed { heal: Time(800) }
         );
         // One-way silence beats the open intra-island default...
         assert_eq!(
-            s.fate(ProcessId(1), ProcessId(2), Time(10)),
+            fate(&s, ProcessId(1), ProcessId(2), Time(10)),
             LinkFate::Severed { heal: Time(800) }
         );
         // ...and only in that direction.
-        assert_eq!(s.fate(ProcessId(2), ProcessId(1), Time(10)), LinkFate::Open);
+        assert_eq!(
+            fate(&s, ProcessId(2), ProcessId(1), Time(10)),
+            LinkFate::Open
+        );
     }
 
     #[test]
@@ -837,19 +848,22 @@ mod tests {
         let e2 = TopologyEpoch::new(Time(200), Time(300)); // overrides-only, open
         let s = TopologySchedule::Epochs(vec![e1, e2]);
         // Before any epoch: open.
-        assert_eq!(s.fate(ProcessId(0), ProcessId(3), Time(99)), LinkFate::Open);
+        assert_eq!(
+            fate(&s, ProcessId(0), ProcessId(3), Time(99)),
+            LinkFate::Open
+        );
         // Inside e1: severed; AT the e1/e2 edge e2 governs (empty islands = open).
         assert_eq!(
-            s.fate(ProcessId(0), ProcessId(3), Time(100)),
+            fate(&s, ProcessId(0), ProcessId(3), Time(100)),
             LinkFate::Severed { heal: Time(200) }
         );
         assert_eq!(
-            s.fate(ProcessId(0), ProcessId(3), Time(200)),
+            fate(&s, ProcessId(0), ProcessId(3), Time(200)),
             LinkFate::Open
         );
         // Past the last epoch: open.
         assert_eq!(
-            s.fate(ProcessId(0), ProcessId(3), Time(300)),
+            fate(&s, ProcessId(0), ProcessId(3), Time(300)),
             LinkFate::Open
         );
         // An empty epoch window (from == until) never covers anything.
@@ -857,7 +871,7 @@ mod tests {
             TopologyEpoch::new(Time(40), Time(40)).islands(two_islands())
         ]);
         assert_eq!(
-            empty.fate(ProcessId(0), ProcessId(3), Time(40)),
+            fate(&empty, ProcessId(0), ProcessId(3), Time(40)),
             LinkFate::Open
         );
     }

@@ -14,7 +14,7 @@
 //! A clone happens in exactly two places: at a delivery that is not the
 //! slot's last ([`MsgArena::take`]), and at routing time when the message
 //! adversary corrupts one copy of a send — that copy is cloned out of the
-//! shared slot ([`MsgArena::get`]), mutated and staged in a slot of its
+//! shared slot (`MsgArena::get`), mutated and staged in a slot of its
 //! own. Every other surviving copy, duplicates included, shares the send's
 //! one slot; a dropped or severed copy costs neither a clone nor a slot.
 //!
@@ -170,7 +170,7 @@ impl<M> MsgArena<M> {
 
     /// The payload stored in a live `slot`, borrowed — what the network
     /// clones when the message adversary corrupts one copy of a send.
-    pub fn get(&self, slot: MsgSlot) -> &M {
+    pub(crate) fn get(&self, slot: MsgSlot) -> &M {
         self.slots[slot.0 as usize]
             .msg
             .as_ref()
