@@ -22,7 +22,7 @@ pub fn stream(seed: u64, a: u64, b: u64, c: u64) -> SplitMix64 {
 }
 
 /// The index of the [`PERIOD`]-tick window containing `now`.
-fn window(now: Time) -> u64 {
+pub(crate) fn window(now: Time) -> u64 {
     now.ticks() / PERIOD
 }
 

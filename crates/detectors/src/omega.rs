@@ -38,6 +38,50 @@ pub struct OmegaOracle {
     gst: Time,
     seed: u64,
     final_set: PSet,
+    /// The last pre-stabilization answer drawn per process: the answer is
+    /// a pure function of `(seed, p, window)`, so a repeat read within a
+    /// window is served from here instead of re-drawing it.
+    memo: NoiseMemo,
+}
+
+/// One record per process — its window index, then the low `⌈n/64⌉` words
+/// of the leader set drawn for that window — in one flat buffer, allocated
+/// with the oracle (empty if it is stable from time zero) so that no read
+/// allocates. An unfilled record holds [`NoiseMemo::EMPTY`], which no
+/// window index reaches.
+#[derive(Clone, Debug)]
+struct NoiseMemo {
+    records: Vec<u64>,
+}
+
+impl NoiseMemo {
+    const EMPTY: u64 = u64::MAX;
+
+    fn new(n: usize, gst: Time) -> Self {
+        let len = if gst > Time::ZERO {
+            n * (1 + n.div_ceil(64))
+        } else {
+            0
+        };
+        NoiseMemo {
+            records: vec![NoiseMemo::EMPTY; len],
+        }
+    }
+
+    /// The answer of `p` in `window`, drawn by `draw` unless the record of
+    /// `p` already holds that window's.
+    fn get(&mut self, p: ProcessId, n: usize, window: u64, draw: impl FnOnce() -> PSet) -> PSet {
+        let words = n.div_ceil(64);
+        let stride = 1 + words;
+        let record = &mut self.records[p.0 * stride..][..stride];
+        if record[0] == window {
+            return PSet::from_words(&record[1..]);
+        }
+        let set = draw();
+        record[0] = window;
+        record[1..].copy_from_slice(&set.as_words()[..words]);
+        set
+    }
 }
 
 impl OmegaOracle {
@@ -71,6 +115,7 @@ impl OmegaOracle {
             gst,
             seed,
             final_set,
+            memo: NoiseMemo::new(n, gst),
         }
     }
 
@@ -88,6 +133,7 @@ impl OmegaOracle {
             "the eventual leader set must contain a correct process"
         );
         OmegaOracle {
+            memo: NoiseMemo::new(fp.n(), gst),
             fp,
             z,
             gst,
@@ -123,10 +169,12 @@ impl OmegaOracle {
 impl OracleSuite for OmegaOracle {
     fn trusted(&mut self, p: ProcessId, now: Time) -> PSet {
         if now >= self.gst {
-            self.final_set
-        } else {
-            noise::arbitrary_leader_set(self.seed, p, now, self.fp.n(), self.z)
+            return self.final_set;
         }
+        let (seed, n, z) = (self.seed, self.fp.n(), self.z);
+        self.memo.get(p, n, noise::window(now), || {
+            noise::arbitrary_leader_set(seed, p, now, n, z)
+        })
     }
 }
 
@@ -150,6 +198,56 @@ mod tests {
         for now in [100u64, 500, 9999] {
             for i in 0..6 {
                 assert_eq!(fd.trusted(ProcessId(i), Time(now)), expected);
+            }
+        }
+    }
+
+    /// The memo is invisible: interleaved reads across processes, `now`
+    /// jumping back and forth over window edges (`7w − 1`, `7w`, `7w + 6`),
+    /// and a clone taken mid-stream all answer exactly the direct draw,
+    /// call for call — at a one-word, a two-word and a sixteen-word `n`,
+    /// with leader sets up to all of `n` wide.
+    #[test]
+    fn memoized_noise_equals_the_direct_draw_call_for_call() {
+        let gst = Time(noise::PERIOD * 40);
+        for n in [5, 128, 1024] {
+            for z in [1, 3, n] {
+                let seed = 0x0e6a ^ (n * z) as u64;
+                let mut rng = SplitMix64::new(seed);
+                let procs = [0, 1, n / 2, n - 1].map(ProcessId);
+                let mut fd = OmegaOracle::new(FailurePattern::all_correct(n), z, gst, seed);
+                let mut twin = None;
+                // What each process's record holds, to count the reads the
+                // memo serves; `w` walks back and forth across the windows.
+                let (mut held, mut hits, mut w) = (vec![None; n], 0, 20);
+                for i in 0..2_000 {
+                    let p = procs[rng.below(procs.len() as u64) as usize];
+                    w = (w + rng.below(3)).saturating_sub(1).min(44);
+                    let now = Time(match rng.below(5) {
+                        0 => (noise::PERIOD * w).saturating_sub(1),
+                        1 => noise::PERIOD * w,
+                        2 => noise::PERIOD * w + noise::PERIOD - 1,
+                        3 => noise::PERIOD * w + rng.below(noise::PERIOD),
+                        _ => rng.below(gst.ticks() + 40),
+                    });
+                    if now < gst {
+                        hits += usize::from(held[p.0] == Some(noise::window(now)));
+                        held[p.0] = Some(noise::window(now));
+                    }
+                    let want = if now >= gst {
+                        fd.final_set()
+                    } else {
+                        noise::arbitrary_leader_set(seed, p, now, n, z)
+                    };
+                    assert_eq!(fd.trusted(p, now), want, "n {n}, z {z}, {p} at {now}");
+                    if i == 1_000 {
+                        twin = Some(fd.clone());
+                    }
+                    if let Some(twin) = &mut twin {
+                        assert_eq!(twin.trusted(p, now), want, "clone, n {n}, {p} at {now}");
+                    }
+                }
+                assert!(hits > 100, "n {n}, z {z}: only {hits} reads served");
             }
         }
     }

@@ -500,9 +500,14 @@ fn crashes_from_json(doc: &Json, n: usize, t: usize) -> Result<CrashPlan, String
             rejoin_after: doc.u64_at("rejoin_after")?,
         },
         "explicit" => {
+            // `u64::MAX` is `Time::INFINITY`, the end of the clock: a crash
+            // there never happens, and a never-crashing process is `null`.
             let crash_at = doc.decode_each_at("crash_at", |at| match at {
                 Json::Null => Ok(None),
-                at => at.as_u64().map(Some).ok_or("not a tick or null".into()),
+                at => match at.as_u64() {
+                    Some(u64::MAX) => Err("a crash at the end of the clock never happens".into()),
+                    at => at.map(Some).ok_or("not a tick or null".into()),
+                },
             })?;
             let start_at = doc.decode_each_at("start_at", |at| {
                 at.as_u64().ok_or_else(|| "not a tick".to_string())

@@ -437,6 +437,34 @@ fn explicit_patterns_decode_only_for_their_n() {
     assert!(err.contains("past the bound t = 0"), "{err}");
 }
 
+/// A crash tick of `u64::MAX` (`Time::INFINITY`) is refused with an error,
+/// as the builder refuses it: a process that never crashes is `null`. The
+/// tick below it still decodes, and re-encodes to the same bytes.
+#[test]
+fn explicit_patterns_reject_a_crash_at_the_end_of_the_clock() {
+    let text = |crash: u64| {
+        format!(r#"{{"crash_at":[null,null,{crash}],"kind":"explicit","start_at":[0,0,0]}}"#)
+    };
+    let spec = ScenarioSpec::new(3, 1).crashes(CrashPlan::Explicit(
+        FailurePattern::builder(3)
+            .crash(ProcessId(2), Time(u64::MAX - 1))
+            .build(),
+    ));
+    let canonical = spec.canonical();
+    assert!(canonical.contains(&text(u64::MAX - 1)), "{canonical}");
+    let back = crate::json::parse(&canonical).unwrap();
+    assert_eq!(
+        ScenarioSpec::from_json(&back).unwrap().canonical(),
+        canonical
+    );
+    let never = canonical.replace(&text(u64::MAX - 1), &text(u64::MAX));
+    let err = ScenarioSpec::from_json(&crate::json::parse(&never).unwrap()).unwrap_err();
+    assert!(
+        err.contains("crash_at[2]: a crash at the end of the clock"),
+        "{err}"
+    );
+}
+
 #[test]
 fn describe_names_what_differs_from_the_defaults() {
     assert_eq!(ScenarioSpec::new(5, 2).describe(), "n=5 t=2");

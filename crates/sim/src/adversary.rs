@@ -490,6 +490,17 @@ impl RouteEffects {
     }
 }
 
+impl std::ops::AddAssign for RouteEffects {
+    /// Field-wise sum: the engine keeps one running total per run.
+    #[inline]
+    fn add_assign(&mut self, fx: RouteEffects) {
+        self.dropped += fx.dropped;
+        self.duplicated += fx.duplicated;
+        self.corrupted += fx.corrupted;
+        self.severed += fx.severed;
+    }
+}
+
 /// Payloads the adversary can corrupt in a *bounded* way.
 ///
 /// The default implementation is a no-op (`false`): a message type opts into

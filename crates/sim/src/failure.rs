@@ -34,8 +34,29 @@ use crate::time::Time;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FailurePattern {
     n: usize,
-    crash_at: Vec<Option<Time>>,
-    start_at: Vec<Time>,
+    /// One record per process, so a liveness test reads one place.
+    life: Vec<Life>,
+}
+
+/// When one process runs: from `start` (inclusive) to `end` (exclusive),
+/// where `end` is its crash time, or [`Time::INFINITY`] if it never
+/// crashes. A crash *at* `Time::INFINITY` is rejected by the builder, so
+/// the sentinel is unambiguous.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Life {
+    start: Time,
+    end: Time,
+}
+
+impl Life {
+    const CORRECT: Life = Life {
+        start: Time::ZERO,
+        end: Time::INFINITY,
+    };
+
+    fn crash(self) -> Option<Time> {
+        (self.end != Time::INFINITY).then_some(self.end)
+    }
 }
 
 impl FailurePattern {
@@ -43,8 +64,7 @@ impl FailurePattern {
     pub fn all_correct(n: usize) -> Self {
         FailurePattern {
             n,
-            crash_at: vec![None; n],
-            start_at: vec![Time::ZERO; n],
+            life: vec![Life::CORRECT; n],
         }
     }
 
@@ -123,41 +143,39 @@ impl FailurePattern {
 
     /// The crash time of `p`, if `p` is faulty.
     pub fn crash_time(&self, p: ProcessId) -> Option<Time> {
-        self.crash_at[p.0]
+        self.life[p.0].crash()
     }
 
     /// The start time of `p` (`Time::ZERO` unless `p` joins the run late).
     pub fn start_time(&self, p: ProcessId) -> Time {
-        self.start_at[p.0]
+        self.life[p.0].start
     }
 
     /// Whether `p` joins the run after time zero (a churn reincarnation).
     pub fn joins_late(&self, p: ProcessId) -> bool {
-        self.start_at[p.0] > Time::ZERO
+        self.life[p.0].start > Time::ZERO
     }
 
     /// Whether any process joins the run after time zero.
     pub fn has_late_joiners(&self) -> bool {
-        self.start_at.iter().any(|&s| s > Time::ZERO)
+        self.life.iter().any(|l| l.start > Time::ZERO)
     }
 
     /// Whether `p` never crashes in this run.
     pub fn is_correct(&self, p: ProcessId) -> bool {
-        self.crash_at[p.0].is_none()
+        self.life[p.0].end == Time::INFINITY
     }
 
     /// Whether `p` is running at time `now`: it has started (start takes
     /// effect at its scheduled instant) and has not yet crashed (crash
-    /// takes effect at its scheduled instant).
+    /// takes effect at its scheduled instant). A correct process that has
+    /// started is alive at every instant, `Time::INFINITY` included.
     #[inline]
     pub fn is_alive_at(&self, p: ProcessId, now: Time) -> bool {
-        if now < self.start_at[p.0] {
-            return false;
-        }
-        match self.crash_at[p.0] {
-            None => true,
-            Some(tc) => now < tc,
-        }
+        let Life { start, end } = self.life[p.0];
+        // `now < end` misses one instant of a correct process's life,
+        // `Time::INFINITY` itself; the sentinel test covers it.
+        start <= now && (now < end || end == Time::INFINITY)
     }
 
     /// The set `C` of correct processes.
@@ -183,7 +201,7 @@ impl FailurePattern {
     pub fn crashed_at(&self, now: Time) -> PSet {
         (0..self.n)
             .map(ProcessId)
-            .filter(|&p| matches!(self.crash_at[p.0], Some(tc) if now >= tc))
+            .filter(|&p| matches!(self.crash_time(p), Some(tc) if now >= tc))
             .collect()
     }
 
@@ -205,7 +223,7 @@ impl FailurePattern {
     pub fn all_crashed_by(&self, xs: PSet) -> Option<Time> {
         let mut worst = Time::ZERO;
         for p in xs {
-            match self.crash_at[p.0] {
+            match self.crash_time(p) {
                 None => return None,
                 Some(tc) => worst = worst.max(tc),
             }
@@ -215,10 +233,9 @@ impl FailurePattern {
 
     /// The last crash instant of the run (`Time::ZERO` if failure-free).
     pub fn last_crash(&self) -> Time {
-        self.crash_at
+        self.life
             .iter()
-            .flatten()
-            .copied()
+            .filter_map(|l| l.crash())
             .max()
             .unwrap_or(Time::ZERO)
     }
@@ -235,10 +252,16 @@ impl FailurePatternBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if `p` is out of range.
+    /// Panics if `p` is out of range, or if `at` is `Time::INFINITY` (the
+    /// end of the clock, never reached: a process that crashes there is
+    /// one that never crashes, so leave it correct).
     pub fn crash(mut self, p: ProcessId, at: Time) -> Self {
         assert!(p.0 < self.fp.n, "{p} out of range (n={})", self.fp.n);
-        self.fp.crash_at[p.0] = Some(at);
+        assert!(
+            at != Time::INFINITY,
+            "{p} cannot crash at {at}: a crash at the end of the clock never happens"
+        );
+        self.fp.life[p.0].end = at;
         self
     }
 
@@ -258,7 +281,7 @@ impl FailurePatternBuilder {
     /// Panics if `p` is out of range.
     pub fn join(mut self, p: ProcessId, at: Time) -> Self {
         assert!(p.0 < self.fp.n, "{p} out of range (n={})", self.fp.n);
-        self.fp.start_at[p.0] = at;
+        self.fp.life[p.0].start = at;
         self
     }
 
@@ -430,6 +453,126 @@ mod tests {
         // process is a *late* joiner.
         assert!(!fp.has_late_joiners());
         assert_eq!(fp.num_faulty(), 2);
+    }
+
+    /// The one-record-per-process pattern against the two-vector model it
+    /// replaced, under random builder sequences: crashes at zero, joins
+    /// then crashes, crashes at the join instant, crashes before the join,
+    /// late joiners, and overwrites (the builder's last call wins). Every
+    /// accessor is compared, at every instant where an answer can change
+    /// and at both ends of the clock.
+    #[test]
+    fn liveness_record_matches_the_two_vector_model() {
+        struct Model {
+            crash_at: Vec<Option<Time>>,
+            start_at: Vec<Time>,
+        }
+        impl Model {
+            fn alive(&self, p: usize, now: Time) -> bool {
+                now >= self.start_at[p] && self.crash_at[p].is_none_or(|tc| now < tc)
+            }
+        }
+        for case in 0..300u64 {
+            let mut rng = SplitMix64::new(0x11fe).stream(case);
+            let n = 1 + rng.below(9) as usize;
+            let mut model = Model {
+                crash_at: vec![None; n],
+                start_at: vec![Time::ZERO; n],
+            };
+            let mut b = FailurePattern::builder(n);
+            let tick = |rng: &mut SplitMix64| {
+                Time(match rng.below(4) {
+                    0 => 0,
+                    1 => rng.below(8),
+                    2 => rng.below(1_000),
+                    _ => u64::MAX - 1 - rng.below(3),
+                })
+            };
+            for _ in 0..rng.below(12) {
+                let p = rng.below(n as u64) as usize;
+                match rng.below(4) {
+                    0 => {
+                        let at = tick(&mut rng);
+                        b = b.crash(ProcessId(p), at);
+                        model.crash_at[p] = Some(at);
+                    }
+                    1 => {
+                        let at = tick(&mut rng);
+                        b = b.join(ProcessId(p), at);
+                        model.start_at[p] = at;
+                    }
+                    // A crash at the join instant, or a join then a crash.
+                    2 => {
+                        let at = tick(&mut rng);
+                        let later = at.0.saturating_add(rng.below(9)).min(u64::MAX - 1);
+                        let crash = if rng.chance(1, 2) { at } else { Time(later) };
+                        b = b.join(ProcessId(p), at).crash(ProcessId(p), crash);
+                        (model.start_at[p], model.crash_at[p]) = (at, Some(crash));
+                    }
+                    // Crashed at zero, whenever it was to start.
+                    _ => {
+                        b = b.crash(ProcessId(p), Time::ZERO);
+                        model.crash_at[p] = Some(Time::ZERO);
+                    }
+                }
+            }
+            let fp = b.build();
+            let mut instants = vec![Time::ZERO, Time(1), Time::INFINITY];
+            for p in 0..n {
+                for at in model.crash_at[p].into_iter().chain([model.start_at[p]]) {
+                    instants.extend([at, Time(at.0.saturating_sub(1)), at + 1]);
+                }
+            }
+            let correct: PSet = (0..n)
+                .filter(|&p| model.crash_at[p].is_none())
+                .map(ProcessId)
+                .collect();
+            assert_eq!(fp.correct(), correct, "case {case}");
+            assert_eq!(fp.faulty(), correct.complement(n), "case {case}");
+            assert_eq!(fp.num_faulty(), n - correct.len(), "case {case}");
+            let late = model.start_at.iter().any(|&s| s > Time::ZERO);
+            assert_eq!(fp.has_late_joiners(), late, "case {case}");
+            let last = model.crash_at.iter().flatten().max().copied();
+            assert_eq!(fp.last_crash(), last.unwrap_or(Time::ZERO), "case {case}");
+            for p in 0..n {
+                let id = ProcessId(p);
+                assert_eq!(fp.crash_time(id), model.crash_at[p], "case {case}, {id}");
+                assert_eq!(fp.start_time(id), model.start_at[p], "case {case}, {id}");
+                assert_eq!(fp.is_correct(id), model.crash_at[p].is_none());
+                assert_eq!(fp.joins_late(id), model.start_at[p] > Time::ZERO);
+                for &now in &instants {
+                    let alive = model.alive(p, now);
+                    assert_eq!(fp.is_alive_at(id, now), alive, "case {case}, {id} at {now}");
+                }
+            }
+            for &now in &instants {
+                let alive: PSet = (0..n)
+                    .filter(|&p| model.alive(p, now))
+                    .map(ProcessId)
+                    .collect();
+                assert_eq!(fp.alive_at(now), alive, "case {case} at {now}");
+                let crashed: PSet = (0..n)
+                    .filter(|&p| model.crash_at[p].is_some_and(|tc| now >= tc))
+                    .map(ProcessId)
+                    .collect();
+                assert_eq!(fp.crashed_at(now), crashed, "case {case} at {now}");
+            }
+            for bits in 0..1u64 << n.min(6) {
+                let xs = PSet::from_words(&[bits]);
+                let want = xs.iter().try_fold(Time::ZERO, |worst, p| {
+                    model.crash_at[p.0].map(|tc| worst.max(tc))
+                });
+                assert_eq!(fp.all_crashed_by(xs), want, "case {case}, {xs}");
+            }
+        }
+    }
+
+    /// A crash at `Time::INFINITY` is refused, not stored: the record's
+    /// end-of-clock sentinel means "never crashes".
+    #[test]
+    #[should_panic(expected = "cannot crash at")]
+    fn a_crash_at_the_end_of_the_clock_is_rejected() {
+        let _ = FailurePattern::builder(3).crash(ProcessId(1), Time::INFINITY);
     }
 
     #[test]

@@ -16,7 +16,8 @@ use crate::rng::SplitMix64;
 use crate::time::Time;
 use crate::trace::Trace;
 
-/// Counter names bumped by the engine itself.
+/// Counter names of the engine itself, written into the trace once per run
+/// (each only if non-zero) when [`Sim::run_into_trace`] returns.
 pub mod counter {
     /// Point-to-point messages sent (a broadcast counts `n`).
     pub const SENT: &str = "sim.sent";
@@ -208,6 +209,14 @@ pub struct Sim<A: Automaton, O: OracleSuite> {
     trace: Trace,
     now: Time,
     events: u64,
+    /// The engine's own counters, kept as plain fields and folded into the
+    /// trace once, when the run ends: point-to-point messages sent,
+    /// reliable-broadcast invocations, deliveries handed to live processes,
+    /// and the running sum of what the adversary and the topology did.
+    sent: u64,
+    rb_sent: u64,
+    delivered: u64,
+    effects: RouteEffects,
     /// The event cap, fixed from `n` at construction.
     max_events: u64,
 }
@@ -267,6 +276,10 @@ impl<A: Automaton, O: OracleSuite> Sim<A, O> {
             trace: Trace::new(),
             now: Time::ZERO,
             events: 0,
+            sent: 0,
+            rb_sent: 0,
+            delivered: 0,
+            effects: RouteEffects::default(),
             max_events: max_events(cfg.n),
             cfg,
             fp,
@@ -304,7 +317,9 @@ impl<A: Automaton, O: OracleSuite> Sim<A, O> {
     ///
     /// The trace's horizon is the last event's time if `stop` fired, else
     /// the configured `max_time`; its `sim.events` counter is the number
-    /// of processed events.
+    /// of processed events. The engine's [`counter`]s are written once, at
+    /// the end: the stop predicate sees only what the automata published,
+    /// decided and bumped.
     pub fn run_into_trace(mut self, mut stop: impl FnMut(&Trace) -> bool) -> Trace {
         let mut stopped_early = false;
         while let Some(ev) = self.queue.pop() {
@@ -345,10 +360,22 @@ impl<A: Automaton, O: OracleSuite> Sim<A, O> {
                 break;
             }
         }
-        // One counter bump per run, not per event: the stop predicate sees
-        // the trace after every event, but nothing reads `sim.events` there.
-        if self.events > 0 {
-            self.trace.bump(counter::EVENTS, self.events);
+        // One bump per counter per run, not per event. A zero count leaves
+        // its key absent, so an adversary-free trace lists no effect keys.
+        let fx = self.effects;
+        for (name, by) in [
+            (counter::EVENTS, self.events),
+            (counter::SENT, self.sent),
+            (counter::RB_SENT, self.rb_sent),
+            (counter::DELIVERED, self.delivered),
+            (counter::DROPPED, fx.dropped),
+            (counter::DUPLICATED, fx.duplicated),
+            (counter::CORRUPTED, fx.corrupted),
+            (counter::PARTITIONED, fx.severed),
+        ] {
+            if by > 0 {
+                self.trace.bump(name, by);
+            }
         }
         // If the run stopped early the observation window ends at the last
         // event; otherwise (horizon reached or queue drained — after which
@@ -387,7 +414,7 @@ impl<A: Automaton, O: OracleSuite> Sim<A, O> {
             self.arena.release(slot);
             return;
         }
-        self.trace.bump(counter::DELIVERED, 1);
+        self.delivered += 1;
         let (proc, arena, mut ctx) = self.ctx(to);
         if rb {
             proc.on_rb_deliver(from, arena.take(slot), &mut ctx);
@@ -408,27 +435,6 @@ impl<A: Automaton, O: OracleSuite> Sim<A, O> {
         self.apply_ops(p, ops);
     }
 
-    /// Records what the adversary and the topology did to one routed
-    /// send, one bump per non-zero counter. On the clean path (and always
-    /// under [`MessageAdversary::None`]) this bumps nothing, keeping
-    /// adversary-free traces bit-identical.
-    #[inline]
-    fn note_effects(&mut self, fx: RouteEffects) {
-        if fx.is_clean() {
-            return;
-        }
-        for (name, by) in [
-            (counter::DROPPED, fx.dropped),
-            (counter::DUPLICATED, fx.duplicated),
-            (counter::CORRUPTED, fx.corrupted),
-            (counter::PARTITIONED, fx.severed),
-        ] {
-            if by > 0 {
-                self.trace.bump(name, by);
-            }
-        }
-    }
-
     /// Applies the operations one activation buffered and keeps the
     /// (drained) buffer for the next one.
     fn apply_ops(&mut self, from: ProcessId, mut ops: Vec<Op<A::Msg>>) {
@@ -437,8 +443,8 @@ impl<A: Automaton, O: OracleSuite> Sim<A, O> {
                 Op::Send { to, msg } => {
                     // A unicast is a one-recipient broadcast: same staged
                     // path, same draws as the `to` copy of a broadcast.
-                    self.trace.bump(counter::SENT, 1);
-                    let fx = self.net.route_to(
+                    self.sent += 1;
+                    self.effects += self.net.route_to(
                         &mut self.queue,
                         &mut self.arena,
                         from,
@@ -447,14 +453,13 @@ impl<A: Automaton, O: OracleSuite> Sim<A, O> {
                         msg,
                         &mut self.staging,
                     );
-                    self.note_effects(fx);
                 }
                 Op::Broadcast { msg } => {
                     // All n delivery delays drawn in one pass, the payload
                     // stored once in the arena, and all deliveries inserted
                     // through a single `push_batch`.
-                    self.trace.bump(counter::SENT, self.cfg.n as u64);
-                    let fx = self.net.route_broadcast(
+                    self.sent += self.cfg.n as u64;
+                    self.effects += self.net.route_broadcast(
                         &mut self.queue,
                         &mut self.arena,
                         from,
@@ -463,10 +468,9 @@ impl<A: Automaton, O: OracleSuite> Sim<A, O> {
                         msg,
                         &mut self.staging,
                     );
-                    self.note_effects(fx);
                 }
                 Op::RBroadcast { msg } => {
-                    self.trace.bump(counter::RB_SENT, 1);
+                    self.rb_sent += 1;
                     self.rb_cast(from, msg);
                 }
                 Op::Timer { delay } => {

@@ -270,9 +270,11 @@ impl ExactSizeIterator for Samples<'_> {}
 /// after the first few ticks of a run) allocates nothing. Opening a *new*
 /// slot shifts the later ranges — rare by construction, since a run
 /// publishes into a handful of slots, once each. Counters are an interned
-/// `(&'static str, u64)` vector scanned linearly. The observable API (and
-/// iteration order, matching the original `BTreeMap` storage) is
-/// unchanged.
+/// `(&'static str, u64)` vector scanned linearly; while a run is live only
+/// the automata bump it, and the engine's own counters
+/// ([`crate::counter`]) are folded in once, when the run ends. The
+/// observable API (and iteration order, matching the original `BTreeMap`
+/// storage) is unchanged.
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
     /// `ranges[p]` is the `[start, end)` window of process `p`'s entries
@@ -332,9 +334,9 @@ impl Trace {
     #[inline]
     pub fn bump(&mut self, name: &'static str, by: u64) {
         for (k, v) in self.counters.iter_mut() {
-            // Pointer equality first: the engine's counters are interned
-            // `&'static str` literals, so the hot path (bumped every
-            // event) resolves without comparing bytes.
+            // Pointer equality first: counter names are interned
+            // `&'static str` literals, so an automaton's repeat bump
+            // resolves without comparing bytes.
             if std::ptr::eq(*k, name) || *k == name {
                 *v += by;
                 return;
