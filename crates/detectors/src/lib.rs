@@ -64,6 +64,8 @@
 #![warn(missing_debug_implementations)]
 
 pub mod check;
+#[cfg(test)]
+mod crash_model;
 pub mod json;
 pub mod noise;
 pub mod omega;

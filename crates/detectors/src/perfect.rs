@@ -8,7 +8,7 @@
 
 use crate::noise;
 use crate::sx::Scope;
-use fd_sim::{FailurePattern, OracleSuite, PSet, ProcessId, Time};
+use fd_sim::{CrashSchedule, FailurePattern, OracleSuite, PSet, ProcessId, Time};
 
 /// Ticks between a crash and its detection.
 const DETECTION_LAG: u64 = 5;
@@ -28,7 +28,9 @@ const DETECTION_LAG: u64 = 5;
 /// ```
 #[derive(Clone, Debug)]
 pub struct PerfectOracle {
-    fp: FailurePattern,
+    n: usize,
+    /// The run's crashes, each visible `DETECTION_LAG` ticks after it.
+    crashes: CrashSchedule,
     scope: Scope,
     seed: u64,
 }
@@ -37,20 +39,12 @@ impl PerfectOracle {
     /// Creates a `P` (`Scope::Perpetual`) or `◇P` (`Scope::Eventual`)
     /// oracle; a crash is detected `DETECTION_LAG` (5) ticks after it happens.
     pub fn new(fp: FailurePattern, scope: Scope, seed: u64) -> Self {
-        PerfectOracle { fp, scope, seed }
-    }
-
-    fn crashed_with_lag(&self, now: Time) -> PSet {
-        let mut s = PSet::new();
-        for i in 0..self.fp.n() {
-            let p = ProcessId(i);
-            if let Some(tc) = self.fp.crash_time(p) {
-                if now >= tc + DETECTION_LAG {
-                    s.insert(p);
-                }
-            }
+        PerfectOracle {
+            n: fp.n(),
+            crashes: fp.crash_schedule(DETECTION_LAG),
+            scope,
+            seed,
         }
-        s
     }
 }
 
@@ -58,12 +52,12 @@ impl OracleSuite for PerfectOracle {
     fn suspected(&mut self, p: ProcessId, now: Time) -> PSet {
         match self.scope {
             Scope::Eventual(gst) if now < gst => {
-                let mut s = noise::arbitrary_set(self.seed, p, now, self.fp.n());
+                let mut s = noise::arbitrary_set(self.seed, p, now, self.n);
                 s.remove(p);
                 s
             }
             _ => {
-                let mut s = self.crashed_with_lag(now);
+                let mut s = self.crashes.detected(now);
                 s.remove(p);
                 s
             }
@@ -98,6 +92,35 @@ mod tests {
         let mut fd = PerfectOracle::new(fp(), Scope::Perpetual, 0);
         assert!(!fd.suspected(ProcessId(0), Time(24)).contains(ProcessId(1)));
         assert!(fd.suspected(ProcessId(0), Time(25)).contains(ProcessId(1)));
+    }
+
+    /// `P` and `◇P` against the per-call scan they replaced: seeded
+    /// patterns at n ∈ {2…9, 64, 65, 128}, every reader, at every instant
+    /// where an answer can change.
+    #[test]
+    fn perfect_matches_the_per_call_model() {
+        for case in crate::crash_model::cases(0x9e7f, 4) {
+            let n = case.fp.n();
+            let instants = crate::crash_model::instants(&case, DETECTION_LAG);
+            for scope in [Scope::Perpetual, Scope::Eventual(case.gst)] {
+                let mut fd = PerfectOracle::new(case.fp.clone(), scope, 5);
+                for &now in &instants {
+                    for p in (0..n).map(ProcessId) {
+                        let mut want = if scope.active(now) {
+                            crate::crash_model::per_call_detected(&case.fp, now, DETECTION_LAG)
+                        } else {
+                            noise::arbitrary_set(5, p, now, n)
+                        };
+                        want.remove(p);
+                        assert_eq!(
+                            fd.suspected(p, now),
+                            want,
+                            "{case:?} {scope:?} {p} at {now}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

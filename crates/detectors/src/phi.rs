@@ -17,7 +17,7 @@
 
 use crate::noise;
 use crate::sx::Scope;
-use fd_sim::{FailurePattern, OracleSuite, PSet, ProcessId, Time};
+use fd_sim::{CrashSchedule, FailurePattern, OracleSuite, PSet, ProcessId, Time};
 
 /// Ticks after the last crash of `X` before queries turn `true`.
 const LIVENESS_LAG: u64 = 10;
@@ -28,7 +28,7 @@ const LIVENESS_LAG: u64 = 10;
 ///
 /// ```
 /// use fd_detectors::{PhiOracle, Scope};
-/// use fd_sim::{FailurePattern, OracleSuite, PSet, ProcessId, Time};
+/// use fd_sim::{CrashSchedule, FailurePattern, OracleSuite, PSet, ProcessId, Time};
 ///
 /// // n = 5, t = 2, y = 1: meaningful query sizes are |X| = 2.
 /// let fp = FailurePattern::builder(5).crash(ProcessId(4), Time(10)).build();
@@ -40,7 +40,8 @@ const LIVENESS_LAG: u64 = 10;
 /// ```
 #[derive(Clone, Debug)]
 pub struct PhiOracle {
-    fp: FailurePattern,
+    /// The run's crashes, each visible `LIVENESS_LAG` ticks after it.
+    crashes: CrashSchedule,
     t: usize,
     y: usize,
     scope: Scope,
@@ -61,7 +62,7 @@ impl PhiOracle {
             "failure pattern exceeds resilience bound"
         );
         PhiOracle {
-            fp,
+            crashes: fp.crash_schedule(LIVENESS_LAG),
             t,
             y,
             scope,
@@ -101,15 +102,16 @@ impl OracleSuite for PhiOracle {
                 // Anarchy: any answer at all (may violate perpetual safety).
                 noise::arbitrary_bool(self.seed, p, x, now)
             }
-            _ => match self.fp.all_crashed_by(x) {
-                Some(tc) if now >= tc + LIVENESS_LAG => true,
-                // All members faulty but not yet (stably) crashed: `◇φ_y`
-                // answers `true` early. Its eventual safety only protects
-                // sets containing a correct process, so this lie is
-                // admissible and maximally misleading.
-                Some(_) => matches!(self.scope, Scope::Eventual(_)),
-                None => false,
-            },
+            // `X ⊆ detected(now)`, counted: every member crashed at least
+            // `LIVENESS_LAG` ago. A member outside Π never crashes, so it
+            // is never counted.
+            _ if self.crashes.count_detected(x, now) == sz => true,
+            // `X ⊆ faulty`: all members faulty but not yet (stably)
+            // crashed. `◇φ_y` answers `true` early: its eventual safety
+            // only protects sets containing a correct process, so this lie
+            // is admissible and maximally misleading.
+            Scope::Eventual(_) => self.crashes.count_detected(x, Time::INFINITY) == sz,
+            Scope::Perpetual => false,
         }
     }
 }
@@ -159,6 +161,7 @@ impl OracleSuite for PsiOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crash_model;
 
     fn ps(ids: &[usize]) -> PSet {
         ids.iter().map(|&i| ProcessId(i)).collect()
@@ -189,6 +192,22 @@ mod tests {
         assert!(!fd.query(ProcessId(0), ps(&[3, 4, 5]), Time(15)));
         // A set with a correct member is never true.
         assert!(!fd.query(ProcessId(0), ps(&[0, 4, 5]), Time(9999)));
+    }
+
+    /// A member outside Π never crashed: the answer is `false`, not an
+    /// out-of-bounds read of the crash record.
+    #[test]
+    fn a_member_outside_the_system_is_never_crashed() {
+        // n = 5, t = 2, y = 1; p5 crashes, p8 is no process of the run.
+        let fp = FailurePattern::builder(5)
+            .crash(ProcessId(4), Time(10))
+            .build();
+        let x = ps(&[4, 7]);
+        for scope in [Scope::Perpetual, Scope::Eventual(Time(100))] {
+            let mut fd = PhiOracle::new(fp.clone(), 2, 1, scope, 11);
+            assert!(!fd.query(ProcessId(0), x, Time(5000)), "{scope:?}");
+            assert!(!fd.query(ProcessId(0), x, Time::INFINITY), "{scope:?}");
+        }
     }
 
     #[test]
@@ -300,6 +319,96 @@ mod tests {
         // Both outcomes occur (189 rounds violate), and repeats are common.
         assert!((100..200).contains(&violating_rounds), "{violating_rounds}");
         assert!(repeats > 400, "{repeats}");
+    }
+
+    /// `query` as it read the crash record on every call, before the
+    /// oracle held a crash schedule: the model for the two tests below.
+    fn model_query(fd: &PhiOracle, fp: &FailurePattern, p: ProcessId, x: PSet, now: Time) -> bool {
+        let sz = x.len();
+        if sz <= fd.t.saturating_sub(fd.y) {
+            return true;
+        }
+        if sz > fd.t {
+            return false;
+        }
+        match fd.scope {
+            Scope::Eventual(gst) if now < gst => noise::arbitrary_bool(fd.seed, p, x, now),
+            _ => match crash_model::per_call_last_crash(fp, x) {
+                Some(tc) if now >= tc + LIVENESS_LAG => true,
+                Some(_) => matches!(fd.scope, Scope::Eventual(_)),
+                None => false,
+            },
+        }
+    }
+
+    /// `φ_y` and `◇φ_y` against the per-call model: seeded patterns at
+    /// n ∈ {2…9, 64, 65, 128}, y ∈ {0, random, t}, random query sets, at
+    /// every instant where an answer can change.
+    #[test]
+    fn phi_matches_the_per_call_model() {
+        let (mut answers, mut trues) = (0u64, 0u64);
+        for mut case in crash_model::cases(0x9417, 6) {
+            let t = case.t;
+            let ys = [0, case.rng.below(t as u64 + 1) as usize, t];
+            let instants = crash_model::instants(&case, LIVENESS_LAG);
+            let fp = case.fp.clone();
+            for (k, y) in ys.into_iter().enumerate() {
+                for scope in [Scope::Perpetual, Scope::Eventual(case.gst)] {
+                    let mut fd = PhiOracle::new(fp.clone(), t, y, scope, k as u64);
+                    for q in 0..12 {
+                        let x = crash_model::query_set(&mut case);
+                        for &now in &instants {
+                            let p = ProcessId(q % fp.n());
+                            let want = model_query(&fd, &fp, p, x, now);
+                            assert_eq!(
+                                fd.query(p, x, now),
+                                want,
+                                "{case:?} y={y} {scope:?} {x} at {now}"
+                            );
+                            answers += 1;
+                            trues += u64::from(want);
+                        }
+                    }
+                }
+            }
+        }
+        // Both answers are common.
+        assert!(
+            trues * 5 > answers && trues * 5 < answers * 4,
+            "{trues}/{answers}"
+        );
+    }
+
+    /// `Ψ_y` forwards every query of a containment chain to `φ_y`
+    /// unchanged: its answers equal the per-call model's.
+    #[test]
+    fn psi_matches_the_per_call_model() {
+        for mut case in crash_model::cases(0x9518, 3) {
+            let (t, n) = (case.t, case.fp.n());
+            let y = case.rng.below(t as u64 + 1) as usize;
+            let instants = crash_model::instants(&case, LIVENESS_LAG);
+            let fp = case.fp.clone();
+            // A chain: the faulty processes first, then the rest, in a
+            // random order within each group.
+            let mut order: Vec<ProcessId> = fp.faulty().iter().collect();
+            case.rng.shuffle(&mut order);
+            let mut rest: Vec<ProcessId> = fp.correct().iter().collect();
+            case.rng.shuffle(&mut rest);
+            order.extend(rest);
+            let chain: Vec<PSet> = (1..=n.min(t + 2))
+                .map(|k| order[..k].iter().copied().collect())
+                .collect();
+            let scope = Scope::Eventual(case.gst);
+            let mut psi = PsiOracle::new(PhiOracle::new(fp.clone(), t, y, scope, 3));
+            for (i, &now) in instants.iter().enumerate() {
+                for j in 0..chain.len() {
+                    let x = chain[(i + j * 7) % chain.len()];
+                    let p = ProcessId(j % n);
+                    let want = model_query(psi.inner(), &fp, p, x, now);
+                    assert_eq!(psi.query(p, x, now), want, "{case:?} y={y} {x} at {now}");
+                }
+            }
+        }
     }
 
     #[test]

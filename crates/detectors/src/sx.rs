@@ -19,7 +19,7 @@
 //! whenever possible.
 
 use crate::noise;
-use fd_sim::{FailurePattern, OracleSuite, PSet, ProcessId, SplitMix64, Time};
+use fd_sim::{CrashSchedule, FailurePattern, OracleSuite, PSet, ProcessId, SplitMix64, Time};
 
 /// Whether a class property must hold from the start or only eventually.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -71,7 +71,9 @@ const SLANDER_PCT: u8 = 35;
 /// ```
 #[derive(Clone, Debug)]
 pub struct SxOracle {
-    fp: FailurePattern,
+    n: usize,
+    /// The run's crashes, each visible `COMPLETENESS_LAG` ticks after it.
+    crashes: CrashSchedule,
     t: usize,
     x: usize,
     scope_kind: Scope,
@@ -165,7 +167,8 @@ impl SxOracle {
             })
             .collect();
         SxOracle {
-            fp,
+            n: fp.n(),
+            crashes: fp.crash_schedule(COMPLETENESS_LAG),
             t,
             x,
             scope_kind,
@@ -204,24 +207,14 @@ impl SxOracle {
 
 impl OracleSuite for SxOracle {
     fn suspected(&mut self, p: ProcessId, now: Time) -> PSet {
-        let n = self.fp.n();
         let mut s = if self.scope_kind.active(now) {
-            // Completeness core: crashes surface after the lag…
-            let mut base = PSet::new();
-            for j in 0..n {
-                let pj = ProcessId(j);
-                if let Some(tc) = self.fp.crash_time(pj) {
-                    if now >= tc + COMPLETENESS_LAG {
-                        base.insert(pj);
-                    }
-                }
-            }
-            // …plus permanent slander of unprotected correct processes,
-            // which the class permits.
-            base | self.slander[p.0]
+            // Completeness core: crashes surface after the lag, plus
+            // permanent slander of unprotected correct processes, which
+            // the class permits.
+            self.crashes.detected(now) | self.slander[p.0]
         } else {
             // Anarchy period of ◇S_x: anything at all.
-            noise::arbitrary_set(self.seed, p, now, n)
+            noise::arbitrary_set(self.seed, p, now, self.n)
         };
         s.remove(p);
         // The accuracy promise: inside Q, the pivot is never suspected —
@@ -240,6 +233,7 @@ impl OracleSuite for SxOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crash_model;
 
     fn fp_with_crashes() -> FailurePattern {
         FailurePattern::builder(6)
@@ -359,6 +353,41 @@ mod tests {
                 };
                 let slandered = fd.suspected(reader, Time(1000)) & fp.correct();
                 assert_eq!(slandered, expected, "slander_pct {pct}, reader {reader}");
+            }
+        }
+    }
+
+    /// `S_x` and `◇S_x` against `suspected` as it scanned every process
+    /// on every call (the completeness core), the rest of the rule copied
+    /// unchanged: seeded patterns at n ∈ {2…9, 64, 65, 128}, every reader,
+    /// at every instant where an answer can change.
+    #[test]
+    fn sx_matches_the_per_call_model() {
+        for mut case in crash_model::cases(0x5c17, 4) {
+            let n = case.fp.n();
+            let x = 1 + case.rng.below(n as u64) as usize;
+            let instants = crash_model::instants(&case, COMPLETENESS_LAG);
+            for scope in [Scope::Perpetual, Scope::Eventual(case.gst)] {
+                let mut fd = SxOracle::new(case.fp.clone(), case.t, x, scope, 7);
+                for &now in &instants {
+                    for p in (0..n).map(ProcessId) {
+                        let mut want = if scope.active(now) {
+                            crash_model::per_call_detected(&case.fp, now, COMPLETENESS_LAG)
+                                | fd.slander[p.0]
+                        } else {
+                            noise::arbitrary_set(fd.seed, p, now, n)
+                        };
+                        want.remove(p);
+                        if scope.active(now) && fd.q.contains(p) {
+                            want.remove(fd.pivot);
+                        }
+                        assert_eq!(
+                            fd.suspected(p, now),
+                            want,
+                            "{case:?} {scope:?} {p} at {now}"
+                        );
+                    }
+                }
             }
         }
     }

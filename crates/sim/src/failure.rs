@@ -215,20 +215,15 @@ impl FailurePattern {
             .collect()
     }
 
-    /// The earliest time at which every member of `xs` has crashed, or
-    /// `None` if some member is correct.
-    ///
-    /// This is the instant from which `φ_y`'s liveness clock starts for a
-    /// query on `xs`.
-    pub fn all_crashed_by(&self, xs: PSet) -> Option<Time> {
-        let mut worst = Time::ZERO;
-        for p in xs {
-            match self.crash_time(p) {
-                None => return None,
-                Some(tc) => worst = worst.max(tc),
-            }
-        }
-        Some(worst)
+    /// The run's crashes as an oracle that reports each one `lag` ticks
+    /// after it happens sees them: see [`CrashSchedule`].
+    pub fn crash_schedule(&self, lag: u64) -> CrashSchedule {
+        let mut steps: Vec<(Time, ProcessId)> = (0..self.n)
+            .map(ProcessId)
+            .filter_map(|p| Some((self.crash_time(p)? + lag, p)))
+            .collect();
+        steps.sort_unstable();
+        CrashSchedule { steps }
     }
 
     /// The last crash instant of the run (`Time::ZERO` if failure-free).
@@ -238,6 +233,57 @@ impl FailurePattern {
             .filter_map(|l| l.crash())
             .max()
             .unwrap_or(Time::ZERO)
+    }
+}
+
+/// The crashes of a run, each paired with the instant `tc + lag` from
+/// which a failure detector with detection lag `lag` reports it, sorted by
+/// that instant. Built once per oracle, so a read walks only the crashes
+/// already detected instead of every process; the instant saturates at
+/// [`Time::INFINITY`] rather than wrapping.
+///
+/// # Examples
+///
+/// ```
+/// use fd_sim::{FailurePattern, PSet, ProcessId, Time};
+/// let fp = FailurePattern::builder(4)
+///     .crash(ProcessId(2), Time(10))
+///     .crash(ProcessId(0), Time(3))
+///     .build();
+/// let crashes = fp.crash_schedule(5);
+/// assert_eq!(crashes.detected(Time(7)), PSet::EMPTY);
+/// assert_eq!(crashes.detected(Time(8)), PSet::singleton(ProcessId(0)));
+/// assert_eq!(crashes.detected(Time(15)), fp.faulty());
+/// let x = PSet::from_iter([ProcessId(0), ProcessId(1)]);
+/// assert_eq!(crashes.count_detected(x, Time(15)), 1);
+/// ```
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CrashSchedule {
+    /// `(tc + lag, p)` for every faulty `p`, in increasing order.
+    steps: Vec<(Time, ProcessId)>,
+}
+
+impl CrashSchedule {
+    /// The crashes detected at `now`: every `p` with `tc(p) + lag ≤ now`.
+    /// At `Time::INFINITY` that is every faulty process.
+    fn due(&self, now: Time) -> impl Iterator<Item = ProcessId> + '_ {
+        self.steps
+            .iter()
+            .take_while(move |&&(at, _)| at <= now)
+            .map(|&(_, p)| p)
+    }
+
+    /// The processes whose crash is detected at `now`.
+    #[inline]
+    pub fn detected(&self, now: Time) -> PSet {
+        self.due(now).collect()
+    }
+
+    /// How many members of `x` are detected at `now`: `|x ∩ detected(now)|`,
+    /// without building the set. It equals `x.len()` iff `x ⊆ detected(now)`.
+    #[inline]
+    pub fn count_detected(&self, x: PSet, now: Time) -> usize {
+        self.due(now).filter(|&p| x.contains(p)).count()
     }
 }
 
@@ -317,17 +363,46 @@ mod tests {
     }
 
     #[test]
-    fn all_crashed_by() {
+    fn crash_schedule() {
         let fp = FailurePattern::builder(4)
             .crash(ProcessId(0), Time(3))
             .crash(ProcessId(2), Time(8))
             .build();
         let both = PSet::from_iter([ProcessId(0), ProcessId(2)]);
-        assert_eq!(fp.all_crashed_by(both), Some(Time(8)));
-        let with_correct = both | PSet::singleton(ProcessId(1));
-        assert_eq!(fp.all_crashed_by(with_correct), None);
-        assert_eq!(fp.all_crashed_by(PSet::EMPTY), Some(Time::ZERO));
+        let crashes = fp.crash_schedule(0);
+        assert_eq!(crashes.detected(Time(2)), PSet::EMPTY);
+        assert_eq!(crashes.detected(Time(3)), PSet::singleton(ProcessId(0)));
+        assert_eq!(crashes.detected(Time(8)), both);
+        assert_eq!(crashes.detected(Time::INFINITY), both);
+        // The lag delays every report; no correct process is ever reported.
+        let lagged = fp.crash_schedule(10);
+        assert_eq!(lagged.detected(Time(17)), PSet::singleton(ProcessId(0)));
+        assert_eq!(lagged.detected(Time(18)), both);
+        assert_eq!(
+            FailurePattern::all_correct(3)
+                .crash_schedule(5)
+                .detected(Time::INFINITY),
+            PSet::EMPTY
+        );
         assert_eq!(fp.last_crash(), Time(8));
+    }
+
+    /// `tc + lag` saturates: a crash near the end of the clock is
+    /// reported at `Time::INFINITY` itself, never at a wrapped instant.
+    #[test]
+    fn crash_schedule_saturates_at_the_end_of_the_clock() {
+        let late = ProcessId(1);
+        let fp = FailurePattern::builder(2)
+            .crash(late, Time(u64::MAX - 3))
+            .build();
+        let crashes = fp.crash_schedule(10);
+        assert_eq!(crashes.detected(Time::ZERO), PSet::EMPTY);
+        assert_eq!(crashes.detected(Time(u64::MAX - 1)), PSet::EMPTY);
+        assert_eq!(crashes.detected(Time::INFINITY), PSet::singleton(late));
+        assert_eq!(
+            fp.crash_schedule(3).detected(Time(u64::MAX)),
+            PSet::singleton(late)
+        );
     }
 
     #[test]
@@ -557,12 +632,36 @@ mod tests {
                     .collect();
                 assert_eq!(fp.crashed_at(now), crashed, "case {case} at {now}");
             }
-            for bits in 0..1u64 << n.min(6) {
-                let xs = PSet::from_words(&[bits]);
-                let want = xs.iter().try_fold(Time::ZERO, |worst, p| {
-                    model.crash_at[p.0].map(|tc| worst.max(tc))
-                });
-                assert_eq!(fp.all_crashed_by(xs), want, "case {case}, {xs}");
+            let lag = rng.below(12);
+            let crashes = fp.crash_schedule(lag);
+            assert_eq!(
+                crashes.detected(Time::INFINITY),
+                correct.complement(n),
+                "case {case}"
+            );
+            for tc in model.crash_at.iter().flatten() {
+                let at = *tc + lag;
+                instants.extend([at, Time(at.0.saturating_sub(1))]);
+            }
+            for &now in &instants {
+                let detected: PSet = (0..n)
+                    .filter(|&p| model.crash_at[p].is_some_and(|tc| now >= tc + lag))
+                    .map(ProcessId)
+                    .collect();
+                assert_eq!(
+                    crashes.detected(now),
+                    detected,
+                    "case {case} at {now}, lag {lag}"
+                );
+                for bits in 0..1u64 << n.min(6) {
+                    let xs = PSet::from_words(&[bits]);
+                    let want = (xs & detected).len();
+                    assert_eq!(
+                        crashes.count_detected(xs, now),
+                        want,
+                        "case {case}, {xs} at {now}"
+                    );
+                }
             }
         }
     }

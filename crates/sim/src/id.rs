@@ -6,6 +6,7 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Number of `u64` words in a [`PSet`].
 const WORDS: usize = 16;
@@ -72,7 +73,13 @@ impl From<usize> for ProcessId {
 /// assert!(a.contains(ProcessId(0)));
 /// assert!(!(a - b).contains(ProcessId(1)));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+///
+/// Sets of small systems populate word 0 only, so the kernels that read
+/// every word ([`PSet::len`], `==`, [`PSet::is_empty`]) test the other
+/// fifteen with an OR-fold before doing more: no fifteen popcounts (the
+/// target has no `POPCNT`, so each is a dozen instructions) and no
+/// `memcmp` call.
+#[derive(Clone, Copy)]
 pub struct PSet([u64; WORDS]);
 
 impl PSet {
@@ -94,15 +101,7 @@ impl PSet {
             n <= MAX_PROCESSES,
             "PSet supports at most {MAX_PROCESSES} processes"
         );
-        let mut words = [0u64; WORDS];
-        let (whole, rem) = (n / 64, n % 64);
-        for w in words.iter_mut().take(whole) {
-            *w = u64::MAX;
-        }
-        if rem > 0 {
-            words[whole] = (1u64 << rem) - 1;
-        }
-        PSet(words)
+        PSet(std::array::from_fn(|i| full_word(i, n)))
     }
 
     /// The singleton `{p}`.
@@ -134,7 +133,7 @@ impl PSet {
     /// historical mask); see [`PSet::words`] for the full-width view.
     pub fn bits(self) -> u128 {
         assert!(
-            self.0[2..].iter().all(|&w| w == 0),
+            or_fold(&self.0[2..]) == 0,
             "PSet::bits: set has members ≥ 128; use words()"
         );
         (self.0[1] as u128) << 64 | self.0[0] as u128
@@ -166,16 +165,39 @@ impl PSet {
         PSet(words)
     }
 
-    /// Number of processes in the set.
+    /// Number of processes in the set. Words past the first are counted
+    /// only if one of them is non-zero.
     #[inline]
     pub fn len(self) -> usize {
-        self.0.iter().map(|w| w.count_ones() as usize).sum()
+        let high = if self.below_64() {
+            0
+        } else {
+            self.0[1..].iter().map(|w| w.count_ones()).sum()
+        };
+        (self.0[0].count_ones() + high) as usize
+    }
+
+    /// Word 0 — the mask of identities `0..64` — if the set has no member
+    /// `≥ 64`.
+    #[inline]
+    pub(crate) fn low_word(&self) -> Option<u64> {
+        self.below_64().then_some(self.0[0])
+    }
+
+    /// Whether no member is `≥ 64`. Word 1 is tested on its own and the
+    /// rest folded from word 2 on (the `&&` keeps the compiler from
+    /// merging them into one fold from word 1), so every vector load sits
+    /// on the 16-byte boundaries a copied set was stored at: a load
+    /// straddling two stores cannot be forwarded from them, and stalls.
+    #[inline]
+    fn below_64(&self) -> bool {
+        self.0[1] == 0 && or_fold(&self.0[2..]) == 0
     }
 
     /// Whether the set is empty.
     #[inline]
     pub fn is_empty(self) -> bool {
-        self.0 == [0; WORDS]
+        or_fold(&self.0) == 0
     }
 
     /// Whether `p` belongs to the set.
@@ -264,15 +286,70 @@ impl PSet {
         }
     }
 
-    /// The complement within `{p_1, …, p_n}`.
+    /// The complement within `{p_1, …, p_n}`: `PSet::full(n) - self` in
+    /// one pass over the words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > 1024`.
+    #[inline]
     pub fn complement(self, n: usize) -> PSet {
-        PSet::full(n) - self
+        assert!(
+            n <= MAX_PROCESSES,
+            "PSet supports at most {MAX_PROCESSES} processes"
+        );
+        PSet(std::array::from_fn(|i| full_word(i, n) & !self.0[i]))
     }
+}
+
+/// Word `i` of `PSet::full(n)`: identities `64i..64i + 63` that are below
+/// `n`.
+#[inline]
+fn full_word(i: usize, n: usize) -> u64 {
+    match n.saturating_sub(64 * i) {
+        0 => 0,
+        m if m >= 64 => u64::MAX,
+        m => (1u64 << m) - 1,
+    }
+}
+
+/// The OR of `words`: zero iff every word is. A fold, not `all`, so it
+/// vectorises and has no early exit to mispredict.
+#[inline]
+fn or_fold(words: &[u64]) -> u64 {
+    words.iter().fold(0, |any, &w| any | w)
 }
 
 impl Default for PSet {
     fn default() -> Self {
         PSet::EMPTY
+    }
+}
+
+/// Word 0 decides most inequalities; the others are compared as in
+/// [`PSet::len`] — word 1, then one XOR-OR fold from word 2 on — rather
+/// than by a `memcmp` call.
+impl PartialEq for PSet {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (&self.0, &other.0);
+        a[0] == b[0]
+            && a[1] == b[1]
+            && a[2..]
+                .iter()
+                .zip(&b[2..])
+                .fold(0, |diff, (x, y)| diff | (x ^ y))
+                == 0
+    }
+}
+
+impl Eq for PSet {}
+
+/// Hashes exactly as `#[derive(Hash)]` on the word array did (the length
+/// prefix, then the words), so every hashed map keeps its layout.
+impl Hash for PSet {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.hash(state);
     }
 }
 
@@ -579,6 +656,90 @@ mod tests {
         let w = PSet::singleton(ProcessId(130)).words();
         assert_eq!(w[2], 0b100);
         assert!(w.iter().enumerate().all(|(i, &x)| i == 2 || x == 0));
+    }
+
+    /// `len`, `==`, `is_empty` and `Hash` against a word-by-word model
+    /// (the derived implementations they replace), at every width: a
+    /// random set confined to `{0..width}`, the same set with one random
+    /// member toggled, and with its highest possible member toggled, so
+    /// for every width past 64 a pair differs only in a high word.
+    #[test]
+    fn kernels_match_a_word_by_word_model() {
+        use crate::rng::SplitMix64;
+
+        #[derive(Hash)]
+        struct Derived([u64; WORDS]);
+        /// Every byte a `Hash` impl feeds its hasher, in order.
+        #[derive(Default)]
+        struct Fed(Vec<u8>);
+        impl Hasher for Fed {
+            fn write(&mut self, bytes: &[u8]) {
+                self.0.extend_from_slice(bytes);
+            }
+            fn finish(&self) -> u64 {
+                unreachable!("the fed bytes are compared, not a digest")
+            }
+        }
+        fn hash_of(h: &impl Hash) -> Vec<u8> {
+            let mut state = Fed::default();
+            h.hash(&mut state);
+            state.0
+        }
+        fn check(a: PSet, b: PSet) {
+            let (wa, wb) = (a.words(), b.words());
+            let len: u32 = wa.iter().map(|w| w.count_ones()).sum();
+            assert_eq!(a.len(), len as usize, "{a}");
+            assert_eq!(a.is_empty(), wa.iter().all(|&w| w == 0), "{a}");
+            assert_eq!(a == b, (0..WORDS).all(|i| wa[i] == wb[i]), "{a} vs {b}");
+            assert_eq!(hash_of(&a), hash_of(&Derived(wa)), "{a}");
+        }
+        let toggled = |mut s: PSet, p: usize| {
+            if !s.remove(ProcessId(p)) {
+                s.insert(ProcessId(p));
+            }
+            s
+        };
+
+        let mut rng = SplitMix64::new(0x9e7);
+        for width in 1..=MAX_PROCESSES {
+            let density = 1 + rng.below(8);
+            let a: PSet = (0..width)
+                .filter(|_| rng.chance(1, density))
+                .map(ProcessId)
+                .collect();
+            let b = toggled(a, rng.below(width as u64) as usize);
+            let top = toggled(a, width - 1);
+            let full: PSet = (0..width).map(ProcessId).collect();
+            assert_eq!(PSet::full(width).words(), full.words(), "width {width}");
+            let rest: Vec<u64> = (0..WORDS).map(|i| full.0[i] & !a.0[i]).collect();
+            assert_eq!(a.complement(width).words()[..], rest[..], "width {width}");
+            for (x, y) in [(a, a), (a, b), (b, a), (a, top), (top, a), (a, PSet::EMPTY)] {
+                check(x, y);
+            }
+        }
+
+        // Members only in word 15, and the last identity, 1023.
+        let last = PSet::singleton(ProcessId(MAX_PROCESSES - 1));
+        assert_eq!(last.len(), 1);
+        assert_ne!(last, PSet::EMPTY);
+        for _ in 0..200 {
+            let mut words = [0u64; WORDS];
+            words[WORDS - 1] = rng.next_u64() | 1 << 63;
+            let high = PSet::from_words(&words);
+            words[WORDS - 1] ^= 1 << rng.below(64);
+            let other = PSet::from_words(&words);
+            let low = PSet::from_words(&[high.words()[WORDS - 1]]);
+            for (x, y) in [
+                (high, high),
+                (high, other),
+                (high, low),
+                (high, last),
+                (low, high),
+            ] {
+                check(x, y);
+            }
+        }
+        check(PSet::full(MAX_PROCESSES), PSet::full(MAX_PROCESSES) - last);
     }
 
     #[test]

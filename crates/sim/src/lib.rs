@@ -86,7 +86,7 @@ pub use arena::{MsgArena, MsgSlot};
 pub use automaton::{forward_ops, Automaton, Ctx, Op};
 pub use echo::{EchoMsg, EchoRb};
 pub use event::{Event, EventKind, EventQueue, Scheduler, Staged};
-pub use failure::{FailurePattern, FailurePatternBuilder};
+pub use failure::{CrashSchedule, FailurePattern, FailurePatternBuilder};
 pub use fnv::{fnv1a64, Fnv1a64};
 pub use id::{PSet, PSetIter, ProcessId, MAX_PROCESSES};
 pub use network::{DelayModel, DelayRule, Network};

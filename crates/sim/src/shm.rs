@@ -14,7 +14,6 @@ use crate::oracle::OracleSuite;
 use crate::rng::SplitMix64;
 use crate::time::Time;
 use crate::trace::{FdValue, Trace};
-use std::collections::BTreeMap;
 
 /// A register address: register `reg` owned (written) by `owner`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -25,11 +24,17 @@ pub struct RegAddr {
     pub reg: u32,
 }
 
-/// The shared memory: a map of SWMR registers holding `u128` words
-/// (a [`PSet`] fits via its bit representation; counters fit trivially).
+/// The shared memory: SWMR registers holding `u128` words (a [`PSet`] fits
+/// via its bit representation; counters fit trivially).
+///
+/// Each owner's registers are one short vector of `(index, value)` pairs,
+/// in the order they were first written, found by a linear scan: an
+/// algorithm owns a handful of registers, and an index is a name, never a
+/// size, so writing register `u32::MAX` stores one pair.
 #[derive(Clone, Debug, Default)]
 pub struct SharedMem {
-    words: BTreeMap<RegAddr, u128>,
+    /// `owners[p]`: the registers `p` has written.
+    owners: Vec<Vec<(u32, u128)>>,
 }
 
 impl SharedMem {
@@ -39,11 +44,24 @@ impl SharedMem {
     }
 
     fn read(&self, addr: RegAddr) -> u128 {
-        self.words.get(&addr).copied().unwrap_or(0)
+        self.owners
+            .get(addr.owner.0)
+            .into_iter()
+            .flatten()
+            .find(|&&(reg, _)| reg == addr.reg)
+            .map_or(0, |&(_, value)| value)
     }
 
     fn write(&mut self, addr: RegAddr, value: u128) {
-        self.words.insert(addr, value);
+        let RegAddr { owner, reg } = addr;
+        if self.owners.len() <= owner.0 {
+            self.owners.resize_with(owner.0 + 1, Vec::new);
+        }
+        let regs = &mut self.owners[owner.0];
+        match regs.iter_mut().find(|(r, _)| *r == reg) {
+            Some((_, v)) => *v = value,
+            None => regs.push((reg, value)),
+        }
     }
 }
 
@@ -335,15 +353,52 @@ mod tests {
         let _ = run_shm(&cfg, &fp, |_| TwoOps, &mut oracle);
     }
 
+    fn addr(owner: usize, reg: u32) -> RegAddr {
+        RegAddr {
+            owner: ProcessId(owner),
+            reg,
+        }
+    }
+
     #[test]
     fn registers_default_to_zero() {
-        let mem = SharedMem::new();
+        let mut mem = SharedMem::new();
+        assert_eq!(mem.read(addr(0, 7)), 0);
+        mem.write(addr(1, 0), 5);
+        // An owner that never wrote, and an index its owner never wrote.
+        assert_eq!(mem.read(addr(0, 0)), 0);
+        assert_eq!(mem.read(addr(9, 0)), 0);
+        assert_eq!(mem.read(addr(1, 1)), 0);
+        assert_eq!(mem.read(addr(1, u32::MAX)), 0);
+        assert_eq!(mem.read(addr(1, 0)), 5);
+    }
+
+    #[test]
+    fn registers_are_single_writer_words() {
+        let mut mem = SharedMem::new();
+        mem.write(addr(2, 1), u128::MAX);
+        mem.write(addr(2, 0), 3);
+        mem.write(addr(0, 1), 4);
+        mem.write(addr(2, 1), 6);
         assert_eq!(
-            mem.read(RegAddr {
-                owner: ProcessId(0),
-                reg: 7
-            }),
-            0
+            [addr(2, 0), addr(2, 1), addr(0, 1), addr(1, 1)].map(|a| mem.read(a)),
+            [3, 6, 4, 0]
+        );
+    }
+
+    /// A register index names a register; it does not size a vector.
+    #[test]
+    fn a_huge_register_index_stores_one_pair() {
+        let mut mem = SharedMem::new();
+        mem.write(addr(0, u32::MAX), 7);
+        mem.write(addr(0, u32::MAX - 1), 8);
+        assert_eq!(mem.read(addr(0, u32::MAX)), 7);
+        assert_eq!(mem.read(addr(0, u32::MAX - 1)), 8);
+        assert_eq!(mem.owners.len(), 1);
+        assert!(
+            mem.owners[0].capacity() < 64,
+            "{}",
+            mem.owners[0].capacity()
         );
     }
 }

@@ -169,12 +169,9 @@ impl History {
             FdValue::Num(v) => (Tag::Num, v),
             FdValue::Proc(p) => (Tag::Proc, p.0 as u64),
             FdValue::Flag(b) => (Tag::Flag, u64::from(b)),
-            FdValue::Set(s) => match s.as_words() {
-                // (OR-folded, not `all`: the fold vectorises.)
-                [mask, rest @ ..] if rest.iter().fold(0, |any, &w| any | w) == 0 => {
-                    (Tag::Set, *mask)
-                }
-                _ => {
+            FdValue::Set(s) => match s.low_word() {
+                Some(mask) => (Tag::Set, mask),
+                None => {
                     // A fresh index equals no stored one: a wide set is
                     // compared by value, here.
                     if last

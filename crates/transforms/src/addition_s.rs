@@ -197,10 +197,12 @@ impl AdditionMp {
     }
 
     fn scan<O: OracleSuite + ?Sized>(&mut self, ctx: &mut Ctx<'_, Heartbeat, O>) {
-        let live: PSet = (0..self.n)
-            .map(ProcessId)
-            .filter(|p| self.latest_count[p.0] > self.prev[p.0])
-            .collect();
+        let mut live = PSet::EMPTY;
+        for (j, (count, prev)) in self.latest_count.iter().zip(&self.prev).enumerate() {
+            if count > prev {
+                live.insert(ProcessId(j));
+            }
+        }
         let x = live.complement(self.n);
         if ctx.query(x) {
             self.prev.copy_from_slice(&self.latest_count);

@@ -68,7 +68,11 @@ pub struct UpperWheel {
     ring: NestedRing,
     /// Current pair `(L_i, Y_i)`.
     cur: (PSet, PSet),
+    /// Buffered `L_MOVE`s for pairs other than the current one, by masks.
     pending: BTreeMap<(u128, u128), u32>,
+    /// Buffered `L_MOVE`s for the current pair: what `drain` consumes.
+    /// Kept out of `pending` so a step that received none does no lookup.
+    here: u32,
     advances: u64,
     sent_for: Option<u64>,
     inquiry_seq: u64,
@@ -96,6 +100,7 @@ impl UpperWheel {
             ring,
             cur: ring.start(),
             pending: BTreeMap::new(),
+            here: 0,
             advances: 0,
             sent_for: None,
             inquiry_seq: 0,
@@ -127,21 +132,23 @@ impl UpperWheel {
         self.advances
     }
 
-    /// Task T4 consumption rule: drain matching buffered `L_MOVE`s.
+    /// The `L_MOVE` key of the current pair.
+    fn key(&self) -> (u128, u128) {
+        (self.cur.0.bits(), self.cur.1.bits())
+    }
+
+    /// Task T4 consumption rule: drain matching buffered `L_MOVE`s. Each
+    /// one consumed advances the pair; the rest of its pair's count goes
+    /// back to `pending`, and the next pair's count comes out of it.
     fn drain(&mut self) {
-        loop {
-            let key = (self.cur.0.bits(), self.cur.1.bits());
-            match self.pending.get_mut(&key) {
-                Some(c) if *c > 0 => {
-                    *c -= 1;
-                    if *c == 0 {
-                        self.pending.remove(&key);
-                    }
-                    self.cur = self.ring.next(self.cur);
-                    self.advances += 1;
-                }
-                _ => return,
+        while self.here > 0 {
+            let left = self.here - 1;
+            if left > 0 {
+                self.pending.insert(self.key(), left);
             }
+            self.cur = self.ring.next(self.cur);
+            self.advances += 1;
+            self.here = self.pending.remove(&self.key()).unwrap_or(0);
         }
     }
 
@@ -180,18 +187,14 @@ impl UpperWheel {
         if !from_y && !ctx.query(y) {
             return; // line 03: keep waiting
         }
-        // Line 04: representatives reported by members of Y_i.
-        let rec_from: PSet = self
+        // Line 04: the representatives reported by members of Y_i — a set
+        // that is non-empty iff `from_y`. Lines 05-06 ask only whether one
+        // of them lies in L_i.
+        let repr_in_l = self
             .responses
             .iter()
-            .filter(|&&(from, _)| y.contains(from))
-            .map(|&(_, repr)| repr)
-            .collect();
-        // Lines 05-06.
-        if !rec_from.is_empty()
-            && (rec_from & l).is_empty()
-            && (!self.throttle || self.sent_for != Some(self.advances))
-        {
+            .any(|&(from, repr)| y.contains(from) && l.contains(repr));
+        if from_y && !repr_in_l && (!self.throttle || self.sent_for != Some(self.advances)) {
             self.sent_for = Some(self.advances);
             ctx.bump("upper.l_move");
             ctx.rb_broadcast(UpperMsg::LMove {
@@ -244,7 +247,11 @@ impl UpperWheel {
                 }
             }
             UpperMsg::LMove { l, y } => {
-                *self.pending.entry((l, y)).or_insert(0) += 1;
+                if (l, y) == self.key() {
+                    self.here += 1;
+                } else {
+                    *self.pending.entry((l, y)).or_insert(0) += 1;
+                }
                 self.drain();
                 self.publish_trusted(ctx);
             }
