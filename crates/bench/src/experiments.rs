@@ -16,35 +16,33 @@
 //! session behind it (`tables --store`), every swept cell persists as it
 //! lands and a rerun resumes those cells from disk.
 //!
-//! E1, E2 and E6 do not sweep a `(spec, seed)` grid: E1 audits oracles and
-//! adapters directly (no automaton runs), E2 and E6 hunt for a witness run
-//! and stop at the first seed that shows one. E11 reads the per-instance
-//! statistics of `run_repeated_spec`, which a slim report does not carry. None
-//! of the four flows through the runner, so its cache and the store never
-//! see them and they recompute on every invocation. E13 and E14 build
-//! every row from full reports through `Runner::sweep` — their verdicts
-//! read decider sets, which a slim report does not carry — so they bypass
-//! the cache too.
+//! A witness search (E2, E3, E6, E9) is `Runner::sweep_find`: seeds in
+//! order, one cached cell each, up to the first run showing the violation.
+//! These rows stay outside the runner, and recompute on every invocation,
+//! because what they read is not in a slim report (what a cell stores):
+//!
+//! * E1 audits oracles and adapters directly — no automaton runs;
+//! * E2's Theorem 8 row compares the histories of two traces;
+//! * E11 reads the per-instance statistics of `run_repeated_spec`;
+//! * E13's no-catch-up churn row and every row of E14 read decider sets.
 
 use crate::table::Table;
-use fd_core::lower_bound;
-use fd_core::spec;
-use fd_core::{ConsensusScenario, KsetScenario};
+use fd_core::{ConsensusScenario, KsetScenario, LowerBoundScenario};
 use fd_detectors::scenario::{
-    default_proposals, sample_oracle, CrashPlan, Flavour, MessageAdversary, MessageRule, Runner,
-    SampledSlot, Scenario, ScenarioReport, ScenarioSpec, SweepSummary,
+    sample_oracle, CrashPlan, Flavour, MessageAdversary, MessageRule, Runner, SampledSlot,
+    Scenario, ScenarioReport, ScenarioSpec, SlimReport, SweepSummary,
 };
-use fd_detectors::{check, OmegaOracle, PerfectOracle, PhiOracle, Scope, SxOracle};
+use fd_detectors::{check, OmegaOracle, PerfectOracle, PhiOracle, Scope, SxOracle, ViolationClass};
 use fd_grid::pipeline::PipelineScenario;
 use fd_grid::ChurnKsetScenario;
 use fd_sim::counter::{DROPPED, DUPLICATED, EVENTS, PARTITIONED, SENT};
 use fd_sim::{
     FailurePattern, OracleSuite, PSet, ProcessId, SplitMix64, Time, TopologySchedule, Trace,
 };
-use fd_transforms::witness;
+use fd_transforms::witness::{self, AdditionBoundaryScenario};
 use fd_transforms::{
-    AdditionScenario, OmegaToDiamondS, PToPhi, PhiToP, Substrate, TwParams, TwoWheelsScenario,
-    WeakenPhi,
+    AdditionScenario, OmegaToDiamondS, PToPhi, PhiToP, PsiOmegaScenario, Substrate, TwParams,
+    TwoWheelsScenario, WeakenPhi,
 };
 
 /// How many seeds per configuration (trimmed in `quick` mode).
@@ -58,6 +56,29 @@ pub fn seeds(quick: bool) -> u64 {
 
 fn random_fp(n: usize, t: usize, seed: u64, horizon: Time) -> FailurePattern {
     CrashPlan::Anarchic { by: horizon }.materialize(n, t, seed)
+}
+
+/// A failing run's cell of a witness row: its seed and check, or the
+/// unexpected miss.
+fn violation(found: Option<SlimReport>) -> String {
+    match found {
+        Some(slim) => format!("violation at seed {}: {}", slim.seed, slim.check),
+        None => "no violation found (unexpected)".into(),
+    }
+}
+
+/// Theorem 7's witness: the two wheels one line below `at`'s bound, at
+/// `z − 1` (`x + y + z = t + 1` for optimal `at`), failure-free, GST 400,
+/// horizon 25000. Some seed fails the `Ω_z` check.
+fn wheels_below_bound(at: TwParams) -> ScenarioSpec {
+    TwoWheelsScenario::spec(TwParams { z: at.z - 1, ..at })
+        .gst(Time(400))
+        .max_time(Time(25_000))
+}
+
+/// The witness predicate of a boundary search: the run fails its check.
+fn fails(slim: &SlimReport) -> bool {
+    !slim.check.ok
 }
 
 /// **E1 — Figure 1 grid, bold arrows.** Every structural reduction's output
@@ -133,7 +154,7 @@ pub fn e1_grid_reductions(quick: bool) -> Table {
 
 /// **E2 — Figure 1 grid, dotted arrows (Theorems 8–11).** Executable
 /// irreducibility witnesses.
-pub fn e2_irreducibility(quick: bool) -> Table {
+pub fn e2_irreducibility(quick: bool, r: Runner) -> Table {
     let mut t = Table::new(
         "E2 — irreducibility witnesses (dotted arrows, Thms 8–11)",
         &["witness", "construction", "result"],
@@ -153,43 +174,31 @@ pub fn e2_irreducibility(quick: bool) -> Table {
         format!("{fired}/{runs} runs: liveness-forced answer violates safety in R″"),
     ]);
 
-    let rep = witness::psi_boundary_violation(5, 2, 1, 1);
+    let psi = witness::psi_boundary_spec(5, 2, 1);
+    let psi = r.sweep_find(&PsiOmegaScenario, &psi, 1..2, fails);
     t.row(vec![
         "Ψ_y → Ω_z needs y+z ≥ t+1 (Thm 12 tight)".into(),
         "crash the (z+1)-th chain member at y+z = t".into(),
-        format!("Ω_z check: {}", rep.check),
+        match psi {
+            Some(slim) => format!("Ω_z check: {}", slim.check),
+            None => "no violation found (unexpected)".into(),
+        },
     ]);
 
-    let tw = witness::find_two_wheels_failure(
-        TwParams {
-            n: 5,
-            t: 2,
-            x: 1,
-            y: 1,
-            z: 1, // x+y+z = 3 = t+1 < t+2
-        },
-        FailurePattern::all_correct(5),
-        Time(400),
-        0..seeds(quick) * 3,
-        Time(25_000),
-    );
+    let tw = wheels_below_bound(TwParams::optimal(5, 2, 1, 1)); // x+y+z = t+1
+    let tw = r.sweep_find(&TwoWheelsScenario::default(), &tw, 0..runs * 3, fails);
     t.row(vec![
         "◇S_x + ◇φ_y → Ω_z needs x+y+z ≥ t+2 (Thm 7 tight)".into(),
         "two wheels at x+y+z = t+1".into(),
-        match &tw {
-            Some((seed, rep)) => format!("violation at seed {seed}: {}", rep.check),
-            None => "no violation found (unexpected)".into(),
-        },
+        violation(tw),
     ]);
 
-    let add = witness::find_addition_failure(5, 2, 1, 1, 0..seeds(quick) * 4, Time(30_000));
+    let add = witness::addition_boundary_spec(5, 2, 1, 1);
+    let add = r.sweep_find(&AdditionBoundaryScenario, &add, 0..runs * 4, fails);
     t.row(vec![
         "φ_y + S_x → S needs x+y > t (Thm 13 tight)".into(),
         "scope loses all members but the pivot; survivors slander".into(),
-        match &add {
-            Some((seed, rep)) => format!("violation at seed {seed}: {}", rep.check),
-            None => "no violation found (unexpected)".into(),
-        },
+        violation(add),
     ]);
     t.note("paper claim: the dotted arrows of Figure 1 are impossibilities; each row exhibits the proof's failing run");
     t
@@ -221,19 +230,9 @@ pub fn e3_additivity_boundary(quick: bool, r: Runner) -> Table {
                 .max_time(Time(40_000));
             let summary = r.sweep_summary(&TwoWheelsScenario::default(), &base, 0..runs);
             let below = if params.z >= 2 {
-                let infeasible = TwParams {
-                    z: params.z - 1,
-                    ..params
-                };
-                witness::find_two_wheels_failure(
-                    infeasible,
-                    FailurePattern::all_correct(n),
-                    Time(400),
-                    0..runs * 3,
-                    Time(25_000),
-                )
-                .map(|(s, _)| format!("yes (seed {s})"))
-                .unwrap_or_else(|| "no".into())
+                let spec = wheels_below_bound(params);
+                let found = r.sweep_find(&TwoWheelsScenario::default(), &spec, 0..runs * 3, fails);
+                found.map_or("no".into(), |slim| format!("yes (seed {})", slim.seed))
             } else {
                 "n/a (z−1 = 0)".into()
             };
@@ -340,44 +339,49 @@ pub fn e5_zero_degradation(quick: bool, r: Runner) -> Table {
 }
 
 /// **E6 — Theorem 5: lower bounds `z ≤ k` and `t < n/2`.**
-pub fn e6_lower_bounds(quick: bool) -> Table {
+pub fn e6_lower_bounds(quick: bool, r: Runner) -> Table {
     let mut t = Table::new(
         "E6 — Theorem 5 lower bounds for k-set agreement with Ω_z",
         &["bound", "witness run", "result"],
     );
     let budget = seeds(quick) * 6;
-    match lower_bound::find_z_violation(5, 2, 1, 0..budget) {
-        Some((seed, rep)) => {
-            t.row(vec![
-                "z ≤ k necessary".into(),
-                format!("Ω_2 feeding 1-set agreement, seed {seed}"),
-                format!(
-                    "agreement broken: decided {:?} (validity still {})",
-                    rep.metrics.decided_values,
-                    if spec::validity(&rep.trace, &default_proposals(rep.spec.n)).ok {
-                        "holds"
-                    } else {
-                        "broken"
-                    }
-                ),
-            ]);
-        }
-        None => {
-            t.row(vec![
-                "z ≤ k necessary".into(),
-                format!("Ω_2 feeding 1-set agreement ({budget} seeds)"),
-                "no violation found (unexpected)".into(),
-            ]);
-        }
-    }
-    let rep = lower_bound::partition_blocks(4, 2, 0);
+    let spec = LowerBoundScenario::z_violation(5, 2, 1);
+    let found = r.sweep_find(&LowerBoundScenario, &spec, 0..budget, |slim| {
+        slim.metrics.decided_values.len() > 1
+    });
+    t.row(match found {
+        Some(slim) => vec![
+            "z ≤ k necessary".into(),
+            format!("Ω_2 feeding 1-set agreement, seed {}", slim.seed),
+            format!(
+                "agreement broken: decided {:?} (validity still {})",
+                slim.metrics.decided_values,
+                // The k-set check tries validity first.
+                if slim.check.class == ViolationClass::Validity {
+                    "broken"
+                } else {
+                    "holds"
+                }
+            ),
+        ],
+        None => vec![
+            "z ≤ k necessary".into(),
+            format!("Ω_2 feeding 1-set agreement ({budget} seeds)"),
+            "no violation found (unexpected)".into(),
+        ],
+    });
+    let spec = LowerBoundScenario::partition(4, 2);
+    let slim = r
+        .sweep_find(&LowerBoundScenario, &spec, 0..1, |_| true)
+        .expect("a one-seed sweep yields one report");
     t.row(vec![
         "t < n/2 necessary".into(),
         "n = 4, t = 2, two silent halves".into(),
         format!(
+            // Distinct decided values: zero exactly when nobody decided.
             "decisions: {} — termination {}",
-            rep.trace.decisions().len(),
-            if rep.check.ok {
+            slim.metrics.decided_values.len(),
+            if slim.check.ok {
                 "held (unexpected)"
             } else {
                 "starved, as predicted"
@@ -549,7 +553,8 @@ pub fn e9_addition(quick: bool, r: Runner) -> Table {
         summary.pass_cell(),
     ]);
     // Boundary.
-    let found = witness::find_addition_failure(n, tt, 1, 1, 0..runs * 4, Time(30_000));
+    let boundary = witness::addition_boundary_spec(n, tt, 1, 1);
+    let found = r.sweep_find(&AdditionBoundaryScenario, &boundary, 0..runs * 4, fails);
     t.row(vec![
         "message passing".into(),
         "boundary x+y = t".into(),
@@ -558,7 +563,7 @@ pub fn e9_addition(quick: bool, r: Runner) -> Table {
         "2".into(),
         format!("≤{}", runs * 4),
         match found {
-            Some((seed, _)) => format!("violation found (seed {seed}) — as predicted"),
+            Some(slim) => format!("violation found (seed {}) — as predicted", slim.seed),
             None => "no violation (unexpected)".into(),
         },
     ]);
@@ -753,18 +758,23 @@ fn churn_probe_spec() -> ScenarioSpec {
         .crashes(CrashPlan::Explicit(fp))
 }
 
-/// A row of E13 or E14: `label`, runs, passes, then each trace counter in
-/// `counters` summed over `reps`.
-fn leg_row(label: &str, reps: &[ScenarioReport], counters: &[&str]) -> Vec<String> {
-    let passes = reps.iter().filter(|rep| rep.check.ok).count();
+/// A row of E13 or E14: `label`, runs, passes, then each counter in
+/// `counters` summed over `slims`.
+fn leg_row(label: &str, slims: &[SlimReport], counters: &[&str]) -> Vec<String> {
+    let passes = slims.iter().filter(|slim| slim.check.ok).count();
     let mut row = vec![
         label.into(),
-        reps.len().to_string(),
-        format!("{passes}/{}", reps.len()),
+        slims.len().to_string(),
+        format!("{passes}/{}", slims.len()),
     ];
-    let sum = |c: &&str| reps.iter().map(|rep| rep.trace.counter(c)).sum::<u64>();
+    let sum = |c: &&str| slims.iter().map(|slim| slim.counter(c)).sum::<u64>();
     row.extend(counters.iter().map(|c| sum(c).to_string()));
     row
+}
+
+/// The slim views of full reports, for a row built from both.
+fn slims(reps: &[ScenarioReport]) -> Vec<SlimReport> {
+    reps.iter().map(ScenarioReport::slim).collect()
 }
 
 /// The seeds of the runs in `reps` that satisfy `pred`, comma-separated.
@@ -803,8 +813,11 @@ pub fn e13_adversary(r: Runner) -> Table {
             "duplicated",
         ],
     );
-    let row = |label: &str, reps: &[ScenarioReport]| {
-        leg_row(label, reps, &[EVENTS, SENT, DROPPED, DUPLICATED])
+    let row = |label: &str, slims: &[SlimReport]| {
+        leg_row(label, slims, &[EVENTS, SENT, DROPPED, DUPLICATED])
+    };
+    let cells = |sc: &dyn Scenario, spec: &ScenarioSpec| {
+        r.sweep_fold(sc, spec, 0..LEG_SEEDS, vec![], Vec::push)
     };
     let mut all = Vec::new();
     for (n, tt) in [(5, 2), (9, 4), (17, 8), (33, 16), (65, 32)] {
@@ -814,9 +827,9 @@ pub fn e13_adversary(r: Runner) -> Table {
             .gst(gst)
             .adversary(adv.clone())
             .crashes(CrashPlan::None);
-        let reps = r.sweep(&KsetScenario, &spec, 0..LEG_SEEDS);
-        t.row(row(&format!("adv_n{n}_t{tt}_k2_f0"), &reps));
-        all.extend(reps);
+        let cell = cells(&KsetScenario, &spec);
+        t.row(row(&format!("adv_n{n}_t{tt}_k2_f0"), &cell));
+        all.extend(cell);
     }
     t.row(row("all adv cells", &all));
     // Quorum slack (one crash < t) + a drop window closing at the join:
@@ -826,10 +839,11 @@ pub fn e13_adversary(r: Runner) -> Table {
         MessageRule::drop(pct).window(Time::ZERO, Time(600)),
         MessageRule::duplicate(pct).window(Time::ZERO, Time(1_200)),
     ]));
-    let live = r.sweep(&ChurnKsetScenario, &churn, 0..LEG_SEEDS);
+    let live = cells(&ChurnKsetScenario, &churn);
     t.row(row("churn n6, catch-up", &live));
+    // Full reports: the finding below reads the joiner's decision.
     let bare = r.sweep(&ChurnKsetScenario, &churn.catch_up(false), 0..LEG_SEEDS);
-    t.row(row("churn n6, no catch-up", &bare));
+    t.row(row("churn n6, no catch-up", &slims(&bare)));
     // On some seeds every decision lands after the join and the joiner
     // decides via the (exempt) reliable broadcast anyway; at least one
     // seed must witness the genuinely stuck joiner.
@@ -839,7 +853,7 @@ pub fn e13_adversary(r: Runner) -> Table {
         .all(|rep| rep.check.ok && rep.check.detail.contains("liveness not claimed"));
     t.note(format!(
         "finding: churn + catch-up passes the liveness envelope under the adversary — {}",
-        verdict(live.iter().all(|rep| rep.check.ok))
+        verdict(live.iter().all(|slim| slim.check.ok))
     ));
     t.note(format!(
         "finding: without catch-up every churn run is scored safety-only and the joiner stays \
@@ -891,7 +905,7 @@ pub fn e14_heal_time(r: Runner) -> Table {
     );
     let deciders = |rep: &ScenarioReport| rep.trace.deciders().len();
     let row = |label: &str, reps: &[ScenarioReport], witnesses: String| {
-        let mut row = leg_row(label, reps, &[EVENTS, PARTITIONED]);
+        let mut row = leg_row(label, &slims(reps), &[EVENTS, PARTITIONED]);
         row.push(reps.iter().map(deciders).min().unwrap_or(0).to_string());
         row.push(witnesses);
         row
@@ -990,16 +1004,15 @@ fn events_vs_n(ns: &[usize], r: Runner) -> Table {
     t
 }
 
-/// Runs every experiment; the swept ones (E3–E5, E7–E10, E12–E15) through
-/// `runner`.
+/// Runs every experiment; all but E1 and E11 through `runner`.
 pub fn all(quick: bool, runner: Runner) -> Vec<Table> {
     vec![
         e1_grid_reductions(quick),
-        e2_irreducibility(quick),
+        e2_irreducibility(quick, runner),
         e3_additivity_boundary(quick, runner),
         e4_kset(quick, runner),
         e5_zero_degradation(quick, runner),
-        e6_lower_bounds(quick),
+        e6_lower_bounds(quick, runner),
         e7_wheels(quick, runner),
         e8_psi(quick, runner),
         e9_addition(quick, runner),
@@ -1022,6 +1035,35 @@ mod tests {
         // Perfect-oracle rows decide in round 1 in every run.
         assert!(t.rows[0][2].starts_with(&format!("{}", seeds(true) * 2)));
         assert!(t.rows[1][2].starts_with(&format!("{}", seeds(true) * 2)));
+    }
+
+    #[test]
+    fn e3_witness_cells_are_the_same_at_every_thread_count_and_cached() {
+        use fd_detectors::scenario::ReportCache;
+        use std::sync::{Arc, Mutex};
+        // The table, the tallies and the stored keys of one cold E3 on a
+        // fresh cache; a second E3 on the same cache must compute nothing.
+        let e3 = |threads: usize| {
+            let cache = ReportCache::new();
+            let stored: Arc<Mutex<Vec<(u64, u64)>>> = Arc::default();
+            let sink = Arc::clone(&stored);
+            cache.set_spill(Some(Arc::new(move |salt, seed, _slim| {
+                sink.lock().unwrap().push((salt, seed));
+            })));
+            let r = Runner::with_threads(threads).with_cache(&cache);
+            let table = e3_additivity_boundary(true, r).to_string();
+            let mut keys = stored.lock().unwrap().clone();
+            keys.sort_unstable();
+            let cold = (table, cache.hits(), cache.misses(), keys);
+            assert_eq!(e3_additivity_boundary(true, r).to_string(), cold.0);
+            assert_eq!(cache.misses(), cold.2, "threads={threads}: warm E3 missed");
+            cold
+        };
+        let sequential = e3(1);
+        // Six swept rows of 5 seeds, and the three witness searches that
+        // each stop at seed 0.
+        assert_eq!((sequential.1, sequential.2), (0, 6 * 5 + 3));
+        assert_eq!(e3(4), sequential, "threads=4");
     }
 
     #[test]

@@ -110,21 +110,6 @@ pub fn scenario_for(spec: &ScenarioSpec) -> &'static dyn Scenario {
     }
 }
 
-/// One cached, cache-keyed run of `spec` at `seed` (goes through
-/// [`Runner::sweep_fold`], the engine's only cache-aware path, so shrink
-/// candidates hit the sweep store on resumed campaigns).
-fn run_one(runner: &Runner, spec: &ScenarioSpec, seed: u64) -> SlimReport {
-    runner
-        .sweep_fold(
-            scenario_for(spec),
-            spec,
-            seed..seed + 1,
-            None,
-            |acc: &mut Option<SlimReport>, slim| *acc = Some(slim),
-        )
-        .expect("single-seed sweep produces exactly one report")
-}
-
 /// One line summarizing a spec for labels and witness descriptions:
 /// [`ScenarioSpec::describe`], under the name the benchmark package uses.
 pub fn describe_spec(spec: &ScenarioSpec) -> String {
@@ -472,7 +457,12 @@ pub fn shrink(
 impl Shrinker<'_> {
     fn run(&mut self, spec: &ScenarioSpec) -> SlimReport {
         self.runs += 1;
-        run_one(self.runner, spec, self.seed)
+        // One cached cell, so shrink candidates hit the sweep store on
+        // resumed campaigns.
+        let seeds = self.seed..self.seed + 1;
+        self.runner
+            .sweep_find(scenario_for(spec), spec, seeds, |_| true)
+            .expect("a one-seed sweep yields one report")
     }
 
     fn violates(&self, slim: &SlimReport) -> bool {
@@ -828,13 +818,16 @@ pub fn run_search(runner: &Runner, cfg: &SearchConfig) -> SearchReport {
                     let outcome = shrink(runner, spec, slim.seed, slim.check.class);
                     stats.shrink_runs += outcome.runs;
                     stats.runs += outcome.runs;
-                    let fin = run_one(runner, &outcome.spec, slim.seed);
+                    let sc = scenario_for(&outcome.spec);
+                    let fin = runner
+                        .sweep_find(sc, &outcome.spec, slim.seed..slim.seed + 1, |_| true)
+                        .expect("a one-seed sweep yields one report");
                     stats.runs += 1;
                     if !seen_minimal.insert((outcome.spec.fingerprint(), fin.check.class.name())) {
                         continue;
                     }
                     witnesses.push(MinimalWitness {
-                        scenario: scenario_for(&outcome.spec).name().to_string(),
+                        scenario: sc.name().to_string(),
                         description: outcome.spec.describe(),
                         fingerprint: outcome.spec.fingerprint(),
                         seed: slim.seed,

@@ -39,6 +39,7 @@ pub mod spec;
 
 pub use consensus_mr::{ConsensusMr, MrMsg};
 pub use kset_omega::{KsetMsg, KsetOmega, LeaderInput};
+pub use lower_bound::LowerBoundScenario;
 pub use repeated::{run_repeated_spec, RepMsg, RepeatedKset, RepeatedReport};
 pub use rounds::{CoordSlab, EchoSlab, Phase1Slab, Phase2Slab, RoundSlab, RoundWindow};
 pub use scenario::{run_kset_with, ConsensusScenario, KsetScenario, RepeatedScenario};

@@ -163,6 +163,25 @@ impl<'c> Runner<'c> {
         ordered_fold(n, self.threads, run_one, init, fold)
     }
 
+    /// A witness search: the slim report of the first seed in `seeds`, in
+    /// order, that satisfies `pred`. Each seed is one cached one-seed
+    /// [`Runner::sweep_fold`], walked sequentially up to the witness, so the
+    /// cells looked up, computed and stored are the same at every thread
+    /// count.
+    pub fn sweep_find(
+        &self,
+        scenario: &dyn Scenario,
+        base: &ScenarioSpec,
+        seeds: Range<u64>,
+        pred: impl Fn(&SlimReport) -> bool,
+    ) -> Option<SlimReport> {
+        seeds
+            .filter_map(|seed| {
+                self.sweep_fold(scenario, base, seed..seed + 1, None, |f, s| *f = Some(s))
+            })
+            .find(pred)
+    }
+
     /// Streams a sweep directly into a [`SweepSummary`] — the constant-memory
     /// replacement for `SweepSummary::of(&runner.sweep(..))`.
     pub fn sweep_summary(

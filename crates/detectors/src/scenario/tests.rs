@@ -1337,6 +1337,59 @@ fn sweep_fold_empty_range() {
     assert_eq!(s, SweepSummary::default());
 }
 
+#[test]
+fn sweep_find_is_the_same_search_at_every_thread_count() {
+    // The probe decides its seed, so the first witness of "decided 13"
+    // in 10..40 is seed 13; a miss walks the whole range.
+    let base = ScenarioSpec::new(5, 2);
+    let decided_13 = |slim: &SlimReport| slim.metrics.decided_values == [13];
+    let never = |_: &SlimReport| false;
+    // One search per thread count, each on a fresh cache: the seed found,
+    // the tallies and the keys the cache stored (seen by the spill hook).
+    let search = |threads: usize| {
+        let cache = ReportCache::new();
+        let stored: Arc<Mutex<Vec<(u64, u64)>>> = Arc::default();
+        let sink = Arc::clone(&stored);
+        cache.set_spill(Some(Arc::new(move |salt, seed, _slim| {
+            sink.lock().unwrap().push((salt, seed));
+        })));
+        let r = Runner::with_threads(threads).with_cache(&cache);
+        let found = r
+            .sweep_find(&Probe, &base, 10..40, decided_13)
+            .map(|s| s.seed);
+        let missed = r.sweep_find(&Probe, &base.clone().k(2), 0..5, never);
+        assert_eq!(missed, None, "threads={threads}");
+        let cold = (
+            found,
+            cache.hits(),
+            cache.misses(),
+            stored.lock().unwrap().clone(),
+        );
+        // A second pass over the warm cache computes nothing.
+        assert_eq!(
+            r.sweep_find(&Probe, &base, 10..40, decided_13)
+                .map(|s| s.seed),
+            found
+        );
+        assert_eq!(r.sweep_find(&Probe, &base.clone().k(2), 0..5, never), None);
+        assert_eq!(
+            cache.misses(),
+            cold.2,
+            "threads={threads}: warm pass missed"
+        );
+        assert_eq!(cache.hits(), cold.1 + cold.2, "threads={threads}");
+        cold
+    };
+    let sequential = search(1);
+    assert_eq!(sequential.0, Some(13));
+    // Seeds 10..=13 of the first search, all five of the second.
+    assert_eq!((sequential.1, sequential.2), (0, 9));
+    assert_eq!(sequential.3.len(), 9);
+    for threads in [2, 4] {
+        assert_eq!(search(threads), sequential, "threads={threads}");
+    }
+}
+
 // ---- summary.rs ------------------------------------------------------------
 
 #[test]

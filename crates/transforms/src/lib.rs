@@ -12,8 +12,8 @@
 //! * [`inclusion`] — the grid's structural arrows (local adapters);
 //! * [`ring`] — the combinatorial rings both wheels scan (Figure 4);
 //! * [`witness`] — *executable* renderings of the irreducibility proofs
-//!   (indistinguishable-run adversaries, boundary violations, and the
-//!   Theorem 5 lower bounds);
+//!   (the Theorem 8 indistinguishable-run pair, and the boundary-violation
+//!   specs of Theorems 12 and 13);
 //! * [`catch_up`] — the churn catch-up layer (rebroadcast / state
 //!   transfer), lifting any algorithm so late joiners recover prior-round
 //!   state — what upgrades `CrashPlan::Churn` scenarios from safety-only

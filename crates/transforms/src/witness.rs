@@ -11,17 +11,27 @@
 //!   candidate query-builder sees *identical* failure-detector outputs and
 //!   local schedules in a run where the probed set `E` has crashed and in a
 //!   run where `E` is merely silent; its liveness-mandated `true` answer in
-//!   the first run is therefore a safety violation in the second.
-//! * [`psi_boundary_violation`] — Figure 8 run at `y + z = t` (one below
-//!   Theorem 12's bound): the triviality property masks the first chain
-//!   set and a crashed process is elected forever.
-//! * [`find_two_wheels_failure`] / [`find_addition_failure`] — seed
-//!   searches exhibiting concrete runs where the two-wheels construction
-//!   (below `x+y+z = t+2`, Theorem 7) and the Figure 9 addition (below
-//!   `x+y = t+1`, Theorem 13) violate their target class.
+//!   the first run is therefore a safety violation in the second. It
+//!   compares two traces, so it is the one witness that is not a sweep.
+//! * [`psi_boundary_spec`] — Figure 8 at `y + z = t` (one below Theorem
+//!   12's bound), run under [`PsiOmegaScenario`](crate::PsiOmegaScenario):
+//!   the triviality property masks the first chain set and a crashed
+//!   process is elected forever.
+//! * [`AdditionBoundaryScenario`] with [`addition_boundary_spec`] — the
+//!   Figure 9 addition at `x + y = t` (one below Theorem 13's bound) under
+//!   the proof's own oracles.
+//!
+//! Theorem 7's witness needs no code of its own: the two-wheels spec
+//! ([`TwoWheelsScenario::spec`](crate::TwoWheelsScenario::spec)) at
+//! `x + y + z = t + 1` fails the `Ω_z` check at some seed.
+//!
+//! Every witness search is a sweep: a
+//! [`Runner::sweep_find`](fd_detectors::scenario::Runner::sweep_find) over
+//! the scenario and spec, stopped at the first failing seed, so the
+//! runner's cache and a sweep store see each witness cell like any other.
 
-use crate::scenario::{PsiOmegaScenario, TwoWheelsScenario, DEFAULT_MARGIN};
-use crate::two_wheels::TwParams;
+use crate::addition_s::AdditionMp;
+use crate::scenario::DEFAULT_MARGIN;
 use fd_detectors::scenario::{run_to_horizon, CrashPlan, Scenario, ScenarioReport, ScenarioSpec};
 use fd_detectors::{check, PhiOracle, Scope, ScriptedOracle, SetSchedule, SxOracle};
 use fd_sim::{
@@ -187,114 +197,72 @@ pub fn theorem8(n: usize, t: usize, y: usize, seed: u64) -> Theorem8Witness {
     }
 }
 
-/// Deterministic Figure 8 failure at `y + z = t` (one below Theorem 12's
-/// bound): crash the `(z+1)`-th chain process. The first chain set (size
-/// `z = t − y`) is masked by triviality, so every process forever elects
-/// the crashed `p_{z+1}` — the returned check must fail.
-pub fn psi_boundary_violation(n: usize, t: usize, y: usize, seed: u64) -> ScenarioReport {
+/// The Figure 8 witness at `y + z = t` (one below Theorem 12's bound),
+/// for [`PsiOmegaScenario`](crate::PsiOmegaScenario): `z = t − y`, and the
+/// `(z+1)`-th chain process `p_z` crashes at tick 50. The first chain set
+/// (size `z`) is masked by triviality, so every process forever elects the
+/// crashed `p_z` — the `Ω_z` check fails at every seed.
+pub fn psi_boundary_spec(n: usize, t: usize, y: usize) -> ScenarioSpec {
+    assert!(y < t, "need y < t at the boundary");
     let z = t - y;
-    assert!(z >= 1, "need y < t at the boundary");
     // The (z+1)-th identity is the one Figure 8's rule will elect.
-    let victim = ProcessId(z);
-    let fp = FailurePattern::builder(n).crash(victim, Time(50)).build();
-    let spec = ScenarioSpec::new(n, t)
+    let fp = FailurePattern::builder(n)
+        .crash(ProcessId(z), Time(50))
+        .build();
+    ScenarioSpec::new(n, t)
         .y(y)
         .z(z)
         .crashes(CrashPlan::Explicit(fp))
         .gst(Time(200))
-        .seed(seed)
-        .max_time(Time(20_000));
-    PsiOmegaScenario.run(&spec)
+        .max_time(Time(20_000))
 }
 
-/// Searches seeds for a run where the two-wheels construction with
-/// infeasible parameters (`x + y + z ≤ t + 1`) fails the `Ω_z` check
-/// (Theorem 7's necessity half: some run must fail).
-pub fn find_two_wheels_failure(
-    params: TwParams,
-    fp: FailurePattern,
-    gst: Time,
-    seeds: std::ops::Range<u64>,
-    max_time: Time,
-) -> Option<(u64, ScenarioReport)> {
-    assert!(
-        !params.feasible(),
-        "parameters are feasible; no failure is promised"
-    );
-    let base = TwoWheelsScenario::spec(params)
-        .crashes(CrashPlan::Explicit(fp))
-        .gst(gst)
-        .max_time(max_time);
-    for seed in seeds {
-        let rep = TwoWheelsScenario::default().run(&base.with_seed(seed));
-        if !rep.check.ok {
-            return Some((seed, rep));
-        }
-    }
-    None
-}
-
-/// Exhibits a Figure 9 failure at `x + y = t` (one below Theorem 13's
-/// bound), using the proof's own scenario: the accuracy scope `Q`
-/// (pivot `p_1` plus `x−1` processes) loses all members but the pivot to
-/// crashes, every survivor permanently slanders every correct process, and
-/// the `φ_y` triviality property (`|X| ≤ t−y` answers `true`) lets scans
-/// that transiently miss a correct process publish suspicion of it — so no
-/// correct process is ever *permanently* unsuspected.
-pub fn find_addition_failure(
-    n: usize,
-    t: usize,
-    x: usize,
-    y: usize,
-    seeds: std::ops::Range<u64>,
-    max_time: Time,
-) -> Option<(u64, ScenarioReport)> {
-    assert!(
-        x + y <= t,
-        "parameters are feasible; no failure is promised"
-    );
-    assert!(x >= 1 && y < t);
-    let pivot = ProcessId(0);
-    let q: PSet = (0..x).map(ProcessId).collect();
+/// The Figure 9 witness at `x + y = t` (one below Theorem 13's bound), for
+/// [`AdditionBoundaryScenario`]: the accuracy scope `Q = {p_0 … p_{x−1}}`
+/// loses every member but the pivot `p_0` to crashes at tick 100.
+pub fn addition_boundary_spec(n: usize, t: usize, x: usize, y: usize) -> ScenarioSpec {
+    assert!(x >= 1 && x + y <= t, "need 1 ≤ x ≤ t − y below the bound");
     // Crash Q \ {pivot}: x−1 ≤ t crashes.
-    let fp = {
-        let mut b = FailurePattern::builder(n);
-        for p in q {
-            if p != pivot {
-                b = b.crash(p, Time(100));
-            }
-        }
-        b.build()
-    };
-    for seed in seeds {
-        let sx = SxOracle::with_scope(fp.clone(), t, x, Scope::Perpetual, seed, q, pivot, 100);
-        let phi = PhiOracle::new(fp.clone(), t, y, Scope::Perpetual, seed ^ 0x77);
-        let oracle = SuspectPlusQuery {
-            suspect: sx,
-            query: phi,
-        };
-        let spec = ScenarioSpec::new(n, t)
-            .x(x)
-            .y(y)
-            .crashes(CrashPlan::Explicit(fp.clone()))
-            .seed(seed)
-            .max_time(max_time);
-        let trace = run_to_horizon(
-            &spec,
-            &fp,
-            |_| crate::addition_s::AdditionMp::new(n),
-            oracle,
-        );
+    let mut fp = FailurePattern::builder(n);
+    for p in 1..x {
+        fp = fp.crash(ProcessId(p), Time(100));
+    }
+    ScenarioSpec::new(n, t)
+        .x(x)
+        .y(y)
+        .crashes(CrashPlan::Explicit(fp.build()))
+        .max_time(Time(30_000))
+}
+
+/// The Figure 9 message-passing addition under the Theorem 13 proof's
+/// oracles, judged as class `S` (full-scope accuracy). The `S_x` input's
+/// accuracy scope is `Q = {p_0 … p_{x−1}}` with pivot `p_0`, and every
+/// survivor permanently slanders every correct process; the `φ_y`
+/// triviality property (`|X| ≤ t−y` answers `true`) lets scans that
+/// transiently miss a correct process publish suspicion of it — so at
+/// `x + y ≤ t` ([`addition_boundary_spec`]) some seed leaves no correct
+/// process *permanently* unsuspected.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct AdditionBoundaryScenario;
+
+impl Scenario for AdditionBoundaryScenario {
+    fn name(&self) -> &'static str {
+        "witness_addition_boundary"
+    }
+
+    fn run(&self, spec: &ScenarioSpec) -> ScenarioReport {
+        let fp = spec.materialize();
+        let (n, t, x, seed) = (spec.n, spec.t, spec.x, spec.seed);
+        let q: PSet = (0..x).map(ProcessId).collect();
+        let pivot = ProcessId(0);
+        let suspect = SxOracle::with_scope(fp.clone(), t, x, Scope::Perpetual, seed, q, pivot, 100);
+        let query = PhiOracle::new(fp.clone(), t, spec.y, Scope::Perpetual, seed ^ 0x77);
+        let oracle = SuspectPlusQuery { suspect, query };
+        let trace = run_to_horizon(spec, &fp, |_| AdditionMp::new(n), oracle);
         // The output claims class S (= S_n): full-scope accuracy.
         let check = check::limited_scope_accuracy(&trace, &fp, n, false, DEFAULT_MARGIN, 0);
-        if !check.ok {
-            return Some((
-                seed,
-                ScenarioReport::new("witness_addition_boundary", &spec, fp.clone(), trace, check),
-            ));
-        }
+        ScenarioReport::new(self.name(), spec, fp, trace, check)
     }
-    None
 }
 
 #[cfg(test)]
@@ -321,7 +289,8 @@ mod tests {
     #[test]
     fn psi_boundary_fails_deterministically() {
         // n = 5, t = 2, y = 1 ⇒ z = 1 and y + z = t: below the bound.
-        let rep = psi_boundary_violation(5, 2, 1, 3);
+        let spec = psi_boundary_spec(5, 2, 1).seed(3);
+        let rep = crate::PsiOmegaScenario.run(&spec);
         assert!(
             !rep.check.ok,
             "boundary run unexpectedly passed: {}",
@@ -338,9 +307,21 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "need y < t at the boundary")]
+    fn psi_boundary_checks_y_before_subtracting() {
+        psi_boundary_spec(5, 2, 3);
+    }
+
+    #[test]
     fn addition_boundary_failure_found() {
         // n = 5, t = 2, x = 1, y = 1: x + y = t (below x + y ≥ t + 1).
-        let found = find_addition_failure(5, 2, 1, 1, 0..20, Time(30_000));
+        let spec = addition_boundary_spec(5, 2, 1, 1);
+        let found = fd_detectors::scenario::Runner::sequential().sweep_find(
+            &AdditionBoundaryScenario,
+            &spec,
+            0..20,
+            |slim| !slim.check.ok,
+        );
         assert!(found.is_some(), "no failing run found at the boundary");
     }
 }

@@ -11,8 +11,10 @@
 //!
 //! Run with: `cargo run --example irreducibility_demo`
 
-use fd_grid::fd_core::lower_bound;
-use fd_grid::fd_transforms::witness;
+use fd_grid::fd_core::LowerBoundScenario;
+use fd_grid::fd_detectors::ViolationClass;
+use fd_grid::fd_transforms::{witness, PsiOmegaScenario};
+use fd_grid::Runner;
 
 fn main() {
     println!("1) Theorem 8: S_x cannot build ◇φ_y");
@@ -29,30 +31,34 @@ fn main() {
     assert!(w.prefix_identical && w.safety_violated);
 
     println!("\n2) Theorem 12 tightness: Ψ_y → Ω_z fails at y + z = t");
-    let rep = witness::psi_boundary_violation(5, 2, 1, 1);
-    println!("   {}", rep.check);
-    assert!(!rep.check.ok);
+    let r = Runner::sequential();
+    let psi = witness::psi_boundary_spec(5, 2, 1);
+    let found = r.sweep_find(&PsiOmegaScenario, &psi, 1..2, |s| !s.check.ok);
+    let slim = found.expect("Ψ_y → Ω_z held below the bound (unexpected)");
+    println!("   {}", slim.check);
 
     println!("\n3) Theorem 5 tightness: Ω_2 breaks consensus (k = 1)");
-    match lower_bound::find_z_violation(5, 2, 1, 0..60) {
-        Some((seed, rep)) => {
-            println!(
-                "   seed {seed}: decided {:?} — more than one value!",
-                rep.metrics.decided_values
-            );
-            assert!(rep.metrics.decided_values.len() > 1);
-        }
-        None => panic!("no violation found (unexpected)"),
-    }
+    let spec = LowerBoundScenario::z_violation(5, 2, 1);
+    let found = r.sweep_find(&LowerBoundScenario, &spec, 0..60, |s| {
+        s.metrics.decided_values.len() > 1
+    });
+    let slim = found.expect("no violation found (unexpected)");
+    println!(
+        "   seed {}: decided {:?} — more than one value!",
+        slim.seed, slim.metrics.decided_values
+    );
+    assert_eq!(slim.check.class, ViolationClass::Agreement);
 
     println!("\n4) Theorem 5 tightness: t ≥ n/2 starves termination");
-    let rep = lower_bound::partition_blocks(4, 2, 0);
+    let spec = LowerBoundScenario::partition(4, 2);
+    let found = r.sweep_find(&LowerBoundScenario, &spec, 0..1, |s| !s.check.ok);
+    let slim = found.expect("termination held at t ≥ n/2 (unexpected)");
     println!(
-        "   partition run: {} decisions by the horizon — {}",
-        rep.trace.decisions().len(),
-        rep.check
+        "   partition run: decided {:?} by the horizon — {}",
+        slim.metrics.decided_values, slim.check
     );
-    assert!(rep.trace.decisions().is_empty());
+    assert!(slim.metrics.first_decision.is_none());
+    assert_eq!(slim.check.class, ViolationClass::Termination);
 
     println!("\nall four impossibility witnesses fired, as the paper predicts");
 }

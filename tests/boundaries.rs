@@ -1,12 +1,15 @@
 //! Tightness of every bound in the paper, as an integration suite:
 //! constructions pass *at* their bound and fail *below* it.
 
-use fd_grid::fd_core::lower_bound;
+use fd_grid::fd_core::LowerBoundScenario;
+use fd_grid::fd_detectors::ViolationClass;
+use fd_grid::fd_transforms::witness::{self, AdditionBoundaryScenario};
 use fd_grid::fd_transforms::{
-    witness, AdditionScenario, PsiOmegaScenario, Substrate, TwParams, TwoWheelsScenario,
+    AdditionScenario, PsiOmegaScenario, Substrate, TwParams, TwoWheelsScenario,
 };
 use fd_grid::{
-    CrashPlan, FailurePattern, Flavour, PipelineScenario, ProcessId, Scenario, ScenarioSpec, Time,
+    CrashPlan, FailurePattern, Flavour, PipelineScenario, ProcessId, Runner, Scenario,
+    ScenarioSpec, Time,
 };
 
 #[test]
@@ -42,13 +45,12 @@ fn theorem7_below_bound_fails() {
         y: 0,
         z: 1, // x+y+z = 3 = t+1
     };
-    let found = witness::find_two_wheels_failure(
-        infeasible,
-        FailurePattern::all_correct(5),
-        Time(400),
-        0..15,
-        Time(25_000),
-    );
+    assert!(!infeasible.feasible());
+    let spec = TwoWheelsScenario::spec(infeasible)
+        .gst(Time(400))
+        .max_time(Time(25_000));
+    let found = Runner::sequential()
+        .sweep_find(&TwoWheelsScenario::default(), &spec, 0..15, |s| !s.check.ok);
     assert!(found.is_some());
 }
 
@@ -73,7 +75,7 @@ fn theorem12_psi_at_and_below_bound() {
         }
     }
     // Below (y + z = t): deterministic failure.
-    let rep = witness::psi_boundary_violation(n, t, 1, 9);
+    let rep = PsiOmegaScenario.run(&witness::psi_boundary_spec(n, t, 1).seed(9));
     assert!(!rep.check.ok);
 }
 
@@ -102,17 +104,35 @@ fn theorem13_addition_at_and_below_bound() {
         }
     }
     // Below (x + y = t).
-    let found = witness::find_addition_failure(n, t, 1, 1, 0..20, Time(30_000));
+    let spec = witness::addition_boundary_spec(n, t, 1, 1);
+    let found =
+        Runner::sequential().sweep_find(&AdditionBoundaryScenario, &spec, 0..20, |s| !s.check.ok);
     assert!(found.is_some());
 }
 
 #[test]
 fn theorem5_bounds() {
-    // z ≤ k is necessary.
-    assert!(lower_bound::find_z_violation(5, 2, 1, 0..60).is_some());
-    // t < n/2 is necessary.
-    let rep = lower_bound::partition_blocks(4, 2, 1);
+    // z ≤ k is necessary: more than k = 1 values decided.
+    let spec = LowerBoundScenario::z_violation(5, 2, 1);
+    let found = Runner::sequential().sweep_find(&LowerBoundScenario, &spec, 0..60, |s| {
+        s.metrics.decided_values.len() > 1
+    });
+    let slim = found.expect("no agreement violation in 60 seeds");
+    assert_eq!(
+        slim.check.class,
+        ViolationClass::Agreement,
+        "{}",
+        slim.check
+    );
+    // t < n/2 is necessary: nobody decides.
+    let rep = LowerBoundScenario.run(&LowerBoundScenario::partition(4, 2).seed(1));
     assert!(rep.trace.decisions().is_empty());
+    assert_eq!(
+        rep.check.class,
+        ViolationClass::Termination,
+        "{}",
+        rep.check
+    );
 }
 
 #[test]

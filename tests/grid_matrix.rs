@@ -5,8 +5,10 @@ use fd_grid::fd_detectors::{
     check, sample_oracle, OmegaOracle, PerfectOracle, PhiOracle, SampledSlot, Scope, SxOracle,
 };
 use fd_grid::fd_sim::SplitMix64;
-use fd_grid::fd_transforms::{witness, OmegaToDiamondS, PToPhi, PhiToP, TwParams, WeakenPhi};
-use fd_grid::{FailurePattern, Time};
+use fd_grid::fd_transforms::{
+    witness, OmegaToDiamondS, PToPhi, PhiToP, TwParams, TwoWheelsScenario, WeakenPhi,
+};
+use fd_grid::{FailurePattern, Runner, Time};
 
 const N: usize = 6;
 const T: usize = 2;
@@ -114,12 +116,11 @@ fn two_wheels_infeasible_fails_somewhere() {
         y: 1,
         z: 1,
     };
-    let found = witness::find_two_wheels_failure(
-        infeasible,
-        FailurePattern::all_correct(N),
-        Time(400),
-        0..15,
-        Time(25_000),
-    );
+    assert!(!infeasible.feasible());
+    let spec = TwoWheelsScenario::spec(infeasible)
+        .gst(Time(400))
+        .max_time(Time(25_000));
+    let found = Runner::sequential()
+        .sweep_find(&TwoWheelsScenario::default(), &spec, 0..15, |s| !s.check.ok);
     assert!(found.is_some(), "no infeasible-parameters failure found");
 }
