@@ -378,8 +378,8 @@ pub fn e6_lower_bounds(quick: bool, r: Runner) -> Table {
         "t < n/2 necessary".into(),
         "n = 4, t = 2, two silent halves".into(),
         format!(
-            // Distinct decided values: zero exactly when nobody decided.
-            "decisions: {} — termination {}",
+            // Zero exactly when nobody decided.
+            "decided values: {} — termination {}",
             slim.metrics.decided_values.len(),
             if slim.check.ok {
                 "held (unexpected)"

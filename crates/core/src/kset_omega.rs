@@ -72,8 +72,11 @@ impl Corruptible for KsetMsg {
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Stage {
+    /// Before `on_start`: no round begun, `r_i = 0`.
+    Unstarted,
     Phase1,
     Phase2,
+    /// Finished: sent the line-14 `DECISION`, or decided.
     Done,
 }
 
@@ -124,7 +127,7 @@ impl KsetOmega {
             est: proposal,
             r: 0,
             li: PSet::EMPTY,
-            stage: Stage::Done, // set properly in on_start
+            stage: Stage::Unstarted,
             aux: None,
             p1: RoundWindow::new(),
             p2: RoundWindow::new(),
@@ -155,6 +158,23 @@ impl KsetOmega {
         self.r
     }
 
+    /// Whether a guard can still read round `r`'s Phase-1 state: `r` is
+    /// a later round, or the current one while the process is in its
+    /// Phase 1. Before `on_start` `r_i = 0`, so every round is ahead.
+    fn reads_phase1(&self, r: u32) -> bool {
+        match self.stage {
+            Stage::Unstarted | Stage::Phase1 => r >= self.r,
+            Stage::Phase2 => r > self.r,
+            Stage::Done => false,
+        }
+    }
+
+    /// Whether a guard can still read round `r`'s Phase-2 state: `r` is
+    /// not below the current round and the process has not finished.
+    fn reads_phase2(&self, r: u32) -> bool {
+        r >= self.r && self.stage != Stage::Done
+    }
+
     fn read_leaders<O: OracleSuite + ?Sized>(&mut self, ctx: &mut Ctx<'_, KsetMsg, O>) -> PSet {
         match self.leader_input {
             LeaderInput::Oracle => ctx.trusted(),
@@ -183,7 +203,7 @@ impl KsetOmega {
     fn try_advance<O: OracleSuite + ?Sized>(&mut self, ctx: &mut Ctx<'_, KsetMsg, O>) {
         loop {
             match self.stage {
-                Stage::Done => return,
+                Stage::Unstarted | Stage::Done => return,
                 Stage::Phase1 => {
                     let (n, quorum) = (ctx.n(), ctx.n() - ctx.t());
                     let slab = self.p1.entry(self.r, || Phase1Slab::new(n));
@@ -250,18 +270,19 @@ impl Automaton for KsetOmega {
         msg: KsetMsg,
         ctx: &mut Ctx<'_, KsetMsg, O>,
     ) {
+        // Only what a guard can still read is recorded (the reference
+        // implementation stored every message, write-only). A PHASE1 that
+        // arrives after its round's Phase 1 ended, or anything after the
+        // process finished, is dropped: on an n = 128, t = 63 run that is
+        // nearly half of the PHASE1 deliveries.
         match msg {
-            // Messages for rounds already finished were write-only state in
-            // the reference implementation (the guards only ever read the
-            // current round); here they are dropped outright so retired
-            // slabs stay retired.
-            KsetMsg::Phase1 { r, leaders, est } if r >= self.r => {
+            KsetMsg::Phase1 { r, leaders, est } if self.reads_phase1(r) => {
                 let n = ctx.n();
                 self.p1
                     .entry(r, || Phase1Slab::new(n))
                     .insert(from, leaders, est);
             }
-            KsetMsg::Phase2 { r, aux } if r >= self.r => {
+            KsetMsg::Phase2 { r, aux } if self.reads_phase2(r) => {
                 self.p2.entry(r, Phase2Slab::default).insert(from, aux);
             }
             KsetMsg::Phase1 { .. } | KsetMsg::Phase2 { .. } => {}
@@ -342,6 +363,119 @@ mod tests {
         for v in tr.decided_values() {
             assert!((100..106).contains(&v));
         }
+    }
+
+    /// Drives process 0 of an `n = 3, t = 1` system (quorum 2) by hand,
+    /// with the external leader set `{p0}` so no oracle is read.
+    struct Harness {
+        p: KsetOmega,
+        oracle: fd_sim::NoOracle,
+        trace: fd_sim::Trace,
+    }
+
+    impl Harness {
+        fn new() -> Self {
+            let mut p = KsetOmega::new(7).with_external_leaders();
+            p.set_external_leaders(PSet::singleton(ProcessId(0)));
+            Harness {
+                p,
+                oracle: fd_sim::NoOracle,
+                trace: fd_sim::Trace::new(),
+            }
+        }
+
+        fn ctx(&mut self) -> (&mut KsetOmega, Ctx<'_, KsetMsg, fd_sim::NoOracle>) {
+            let ctx = Ctx::new(
+                ProcessId(0),
+                3,
+                1,
+                Time(1),
+                &mut self.oracle,
+                &mut self.trace,
+            );
+            (&mut self.p, ctx)
+        }
+
+        fn start(&mut self) {
+            let (p, mut ctx) = self.ctx();
+            p.on_start(&mut ctx);
+        }
+
+        fn deliver(&mut self, from: usize, msg: KsetMsg) {
+            let (p, mut ctx) = self.ctx();
+            p.on_message(ProcessId(from), msg, &mut ctx);
+        }
+
+        fn phase1(&mut self, from: usize, r: u32) {
+            let leaders = PSet::singleton(ProcessId(0));
+            self.deliver(from, KsetMsg::Phase1 { r, leaders, est: 7 });
+        }
+
+        fn phase1_count(&self, r: u32) -> Option<usize> {
+            self.p.p1.get(r).map(Phase1Slab::count)
+        }
+
+        fn phase2_count(&self, r: u32) -> Option<usize> {
+            self.p.p2.get(r).map(Phase2Slab::count)
+        }
+    }
+
+    #[test]
+    fn late_phase1_leaves_a_closed_round_untouched() {
+        let mut h = Harness::new();
+        h.start();
+        h.phase1(0, 1);
+        assert_eq!(h.p.stage, Stage::Phase1);
+        h.phase1(1, 1);
+        // Quorum and a leader heard: on to Phase 2 of round 1.
+        assert_eq!(h.p.stage, Stage::Phase2);
+        assert_eq!(h.phase1_count(1), Some(2));
+        h.phase1(2, 1);
+        assert_eq!(h.phase1_count(1), Some(2), "late PHASE1(1) recorded");
+        // A PHASE1 for a later round is still ahead of the process.
+        h.phase1(2, 2);
+        assert_eq!(h.phase1_count(2), Some(1));
+    }
+
+    #[test]
+    fn finished_process_records_nothing() {
+        let mut h = Harness::new();
+        h.start();
+        h.phase1(0, 1);
+        h.phase1(1, 1);
+        h.deliver(0, KsetMsg::Phase2 { r: 1, aux: Some(7) });
+        h.deliver(1, KsetMsg::Phase2 { r: 1, aux: Some(7) });
+        // No ⊥ among n − t PHASE2s: line 14's DECISION went out.
+        assert_eq!(h.p.stage, Stage::Done);
+        assert!(!h.p.has_decided());
+        h.deliver(2, KsetMsg::Phase2 { r: 1, aux: None });
+        assert_eq!(h.phase2_count(1), Some(2), "PHASE2 recorded after DECISION");
+        h.phase1(2, 2);
+        h.deliver(2, KsetMsg::Phase2 { r: 2, aux: None });
+        assert_eq!(h.phase1_count(2), None, "PHASE1 recorded after DECISION");
+        assert_eq!(h.phase2_count(2), None, "PHASE2 recorded after DECISION");
+        h.deliver(1, KsetMsg::Decision { v: 7 });
+        assert!(h.p.has_decided());
+        h.phase1(1, 3);
+        assert_eq!(h.phase1_count(3), None, "PHASE1 recorded after deciding");
+    }
+
+    #[test]
+    fn unstarted_process_records_both_phases() {
+        let mut h = Harness::new();
+        h.deliver(1, KsetMsg::Phase2 { r: 1, aux: Some(9) });
+        h.phase1(1, 1);
+        assert_eq!(h.p.round(), 0);
+        assert_eq!(h.phase2_count(1), Some(1), "early PHASE2 dropped");
+        assert_eq!(h.phase1_count(1), Some(1), "early PHASE1 dropped");
+        h.start();
+        h.phase1(0, 1);
+        assert_eq!(h.p.stage, Stage::Phase2);
+        h.deliver(0, KsetMsg::Phase2 { r: 1, aux: Some(7) });
+        // The buffered PHASE2 counts toward the quorum: the process
+        // adopts the smallest value heard and sends its DECISION.
+        assert_eq!(h.p.stage, Stage::Done);
+        assert_eq!(h.p.est, 7);
     }
 
     #[test]

@@ -132,10 +132,12 @@ impl<S: RoundSlab> RoundWindow<S> {
 /// tally of every set seen — and before GST an `Ω_z` oracle may hand every
 /// sender a different one, so a tally is as long as the quorum. The slab
 /// keeps a Boyer–Moore vote instead: a candidate sender and a vote count,
-/// updated with one row compare per insert. A set held by a strict
-/// majority of the senders heard is always the surviving candidate, so
-/// [`Phase1Slab::majority`] only has to recount that one row — once per
-/// process per round, and not at all when the votes already settle it.
+/// updated with one compare per insert: against a copy of the candidate's
+/// `ids` kept in the header while packed, against its row otherwise. A set
+/// held by a strict majority of the senders heard is always the surviving
+/// candidate, so [`Phase1Slab::majority`] only has to recount that one
+/// row — once per process per round, and not at all when the votes
+/// already settle it.
 ///
 /// Who has been heard from is a bitset of the same `⌈n/64⌉` words, kept
 /// at the head of the record allocation: the slab is one allocation of
@@ -157,6 +159,10 @@ pub struct Phase1Slab {
     /// Boyer–Moore candidate: the sender whose leader set is the candidate.
     /// Meaningful only while `votes > 0`.
     cand: u32,
+    /// The candidate's packed `ids`, kept here so a packed insert compares
+    /// without reading the candidate's record. Meaningful only while
+    /// `votes > 0` and the records are packed.
+    cand_ids: u64,
     /// Boyer–Moore votes: at least `votes` and at most
     /// `(heard + votes) / 2` senders reported the candidate's set, and at
     /// most `(heard − votes) / 2` reported any other one set.
@@ -228,6 +234,7 @@ impl Phase1Slab {
             heard: 0,
             low: low as u32,
             cand: 0,
+            cand_ids: 0,
             votes: 0,
             packed: true,
         }
@@ -291,19 +298,21 @@ impl Phase1Slab {
         self.heard += 1;
         let at = self.at(from.0);
         self.recs[at] = est;
-        let cand = self.cand as usize;
         let same = match ids {
             Some(ids) => {
                 self.recs[at + 1] = ids;
-                self.recs[self.at(cand) + 1] == ids
+                self.cand_ids == ids
             }
             None => {
                 self.recs[at + 1..][..FULL].copy_from_slice(leaders.as_words());
-                same_words(self.row(cand), leaders.as_words())
+                same_words(self.row(self.cand as usize), leaders.as_words())
             }
         };
         if self.votes == 0 {
             self.cand = from.0 as u32;
+            if let Some(ids) = ids {
+                self.cand_ids = ids;
+            }
             self.votes = 1;
         } else if same {
             self.votes += 1;

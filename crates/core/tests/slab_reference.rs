@@ -18,7 +18,7 @@
 mod reference;
 
 use fd_core::{ConsensusScenario, KsetScenario};
-use fd_detectors::scenario::{Runner, Scenario, ScenarioSpec};
+use fd_detectors::scenario::{CrashPlan, Runner, Scenario, ScenarioSpec};
 use fd_sim::{MessageAdversary, MessageRule, Time};
 use reference::{ConsensusReferenceScenario, KsetReferenceScenario};
 
@@ -82,6 +82,36 @@ fn kset_slab_matches_reference_across_n_queues_adversary() {
                     &format!("kset adv={adv}"),
                 );
             }
+        }
+    }
+}
+
+/// Crash-heavy runs: `f = t` random crashes before GST at n ∈ {33, 128},
+/// adversary off and on. Rounds that begin before the crashes still see
+/// PHASE1s arrive after their Phase 1 closed (about a third of the PHASE1
+/// deliveries of each run), which the slab automaton drops and the
+/// reference records. Once the crashes leave exactly `n − t` senders, a
+/// drop before GST starves the quorum, so the armed runs end undecided at
+/// the horizon; their fingerprints must agree all the same. (Deliveries
+/// after a process finished occur in the failure-free grid above.)
+#[test]
+fn kset_slab_matches_reference_under_t_crashes_before_gst() {
+    for n in [33usize, 128] {
+        for adv in [false, true] {
+            let t = (n - 1) / 2;
+            let mut spec = base(n).seed(3).crashes(CrashPlan::Random {
+                f: t,
+                by: Time(400),
+            });
+            if adv {
+                spec = spec.adversary(armed());
+            }
+            assert_identical(
+                &KsetScenario,
+                &KsetReferenceScenario,
+                &spec,
+                &format!("kset f=t adv={adv}"),
+            );
         }
     }
 }

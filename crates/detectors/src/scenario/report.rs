@@ -35,8 +35,12 @@ pub fn run_to_decision<A: Automaton, O: OracleSuite>(
     oracle: O,
 ) -> Trace {
     let correct = fp.correct();
+    // Every decider has a decision, so `deciders ⊇ correct` needs at least
+    // `|correct|` decisions: a length compare rejects most events before
+    // the superset test reads sixteen words.
+    let needed = correct.len();
     run_scenario_until(spec, fp, make, oracle, move |tr| {
-        tr.deciders().is_superset(correct)
+        tr.decisions().len() >= needed && tr.deciders().is_superset(correct)
     })
 }
 

@@ -85,6 +85,18 @@ pub struct SxOracle {
     /// Per reading process, the correct processes it permanently slanders:
     /// a per-(i, j) coin, fixed for the whole run.
     slander: Vec<PSet>,
+    /// Per reading process, its last answer after stabilization and the
+    /// instants it holds between.
+    memo: Vec<Memo>,
+}
+
+/// A reader's answer after stabilization, which only changes when the
+/// next crash becomes due: valid for reads at `from ≤ now < until`.
+#[derive(Clone, Copy, Debug)]
+struct Memo {
+    from: Time,
+    until: Time,
+    set: PSet,
 }
 
 impl SxOracle {
@@ -176,6 +188,14 @@ impl SxOracle {
             q,
             pivot,
             slander,
+            memo: vec![
+                Memo {
+                    from: Time::INFINITY,
+                    until: Time::ZERO,
+                    set: PSet::EMPTY,
+                };
+                fp.n()
+            ],
         }
     }
 
@@ -207,25 +227,33 @@ impl SxOracle {
 
 impl OracleSuite for SxOracle {
     fn suspected(&mut self, p: ProcessId, now: Time) -> PSet {
-        let mut s = if self.scope_kind.active(now) {
-            // Completeness core: crashes surface after the lag, plus
-            // permanent slander of unprotected correct processes, which
-            // the class permits.
-            self.crashes.detected(now) | self.slander[p.0]
-        } else {
-            // Anarchy period of ◇S_x: anything at all.
-            noise::arbitrary_set(self.seed, p, now, self.n)
-        };
+        if !self.scope_kind.active(now) {
+            // Anarchy period of ◇S_x: anything at all, the accuracy
+            // promise not yet in force.
+            let mut s = noise::arbitrary_set(self.seed, p, now, self.n);
+            s.remove(p);
+            return s;
+        }
+        let memo = &mut self.memo[p.0];
+        if memo.from <= now && now < memo.until {
+            return memo.set;
+        }
+        // Completeness core: crashes surface after the lag, plus permanent
+        // slander of unprotected correct processes, which the class
+        // permits.
+        let (detected, until) = self.crashes.detected_until(now);
+        let mut s = detected | self.slander[p.0];
         s.remove(p);
         // The accuracy promise: inside Q, the pivot is never suspected —
         // from the very beginning for S_x, after stabilization for ◇S_x.
-        let promise_active = match self.scope_kind {
-            Scope::Perpetual => true,
-            Scope::Eventual(gst) => now >= gst,
-        };
-        if promise_active && self.q.contains(p) {
+        if self.q.contains(p) {
             s.remove(self.pivot);
         }
+        *memo = Memo {
+            from: now,
+            until,
+            set: s,
+        };
         s
     }
 }
@@ -360,16 +388,25 @@ mod tests {
     /// `S_x` and `◇S_x` against `suspected` as it scanned every process
     /// on every call (the completeness core), the rest of the rule copied
     /// unchanged: seeded patterns at n ∈ {2…9, 64, 65, 128}, every reader,
-    /// at every instant where an answer can change.
+    /// at every instant where an answer can change. The instants are read
+    /// out of order, then in time order, each twice, so the per-reader
+    /// memo is hit, missed and moved backwards as well as forwards.
     #[test]
     fn sx_matches_the_per_call_model() {
         for mut case in crash_model::cases(0x5c17, 4) {
             let n = case.fp.n();
             let x = 1 + case.rng.below(n as u64) as usize;
             let instants = crash_model::instants(&case, COMPLETENESS_LAG);
+            let mut in_order = instants.clone();
+            in_order.sort_unstable();
+            let reads: Vec<Time> = instants
+                .iter()
+                .chain(&in_order)
+                .flat_map(|&now| [now, now])
+                .collect();
             for scope in [Scope::Perpetual, Scope::Eventual(case.gst)] {
                 let mut fd = SxOracle::new(case.fp.clone(), case.t, x, scope, 7);
-                for &now in &instants {
+                for &now in &reads {
                     for p in (0..n).map(ProcessId) {
                         let mut want = if scope.active(now) {
                             crash_model::per_call_detected(&case.fp, now, COMPLETENESS_LAG)

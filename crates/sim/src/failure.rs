@@ -254,6 +254,9 @@ impl FailurePattern {
 /// assert_eq!(crashes.detected(Time(7)), PSet::EMPTY);
 /// assert_eq!(crashes.detected(Time(8)), PSet::singleton(ProcessId(0)));
 /// assert_eq!(crashes.detected(Time(15)), fp.faulty());
+/// let first = PSet::singleton(ProcessId(0));
+/// assert_eq!(crashes.detected_until(Time(9)), (first, Time(15)));
+/// assert_eq!(crashes.detected_until(Time(15)), (fp.faulty(), Time::INFINITY));
 /// let x = PSet::from_iter([ProcessId(0), ProcessId(1)]);
 /// assert_eq!(crashes.count_detected(x, Time(15)), 1);
 /// ```
@@ -277,6 +280,15 @@ impl CrashSchedule {
     #[inline]
     pub fn detected(&self, now: Time) -> PSet {
         self.due(now).collect()
+    }
+
+    /// [`CrashSchedule::detected`] at `now`, and the instant the next
+    /// crash becomes due: the answer holds from `now` until just before
+    /// it. [`Time::INFINITY`] if no crash is left to come.
+    pub fn detected_until(&self, now: Time) -> (PSet, Time) {
+        let due = self.steps.partition_point(|&(at, _)| at <= now);
+        let until = self.steps.get(due).map_or(Time::INFINITY, |&(at, _)| at);
+        (self.steps[..due].iter().map(|&(_, p)| p).collect(), until)
     }
 
     /// How many members of `x` are detected at `now`: `|x ∩ detected(now)|`,

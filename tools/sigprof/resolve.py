@@ -4,6 +4,9 @@ or (--heap) a heapshim.c dump into a live-heap census.
 
     python3 tools/sigprof/resolve.py run.prof path/to/binary
     python3 tools/sigprof/resolve.py --heap run.heap path/to/binary
+    python3 tools/sigprof/resolve.py --rows 60 run.prof path/to/binary
+
+`--rows N` sets how many rows each table prints (default 30).
 
 Frames inside the binary are resolved with `addr2line -f -C -i` (build with
 CARGO_PROFILE_RELEASE_DEBUG=1 so inlined callees get their own rows); the
@@ -19,6 +22,7 @@ rest are return addresses (one past the call, hence the -1). A heap dump's
 stacks are return addresses throughout, and begin inside the shim.
 """
 
+import argparse
 import collections
 import os
 import re
@@ -26,7 +30,7 @@ import signal
 import subprocess
 import sys
 
-ROWS = 30  # per table
+ROWS = 30  # per table, by default
 
 # The global allocator's entry points, and the plumbing between them and
 # the code that asked: a sample is attributed to the first frame past both.
@@ -135,7 +139,7 @@ def asked(fs):
     return next((f for f in fs if not ALLOCATOR.search(f) and not PLUMBING.search(f)), "?")
 
 
-def profile_tables(profile, binary):
+def profile_tables(profile, binary, rows):
     maps, stacks = parse(profile, "STACKS", 0)
     stacks = [s[2:] for _, s in stacks if len(s) > 2]
     frames = namer(profile, binary, maps, stacks, exact_first=True)
@@ -163,7 +167,7 @@ def profile_tables(profile, binary):
 
     def table(title, counter):
         print(f"\n{title}")
-        for name, c in counter.most_common(ROWS):
+        for name, c in counter.most_common(rows):
             print(f"{100 * c / total:6.2f}%  {c:6d}  {name}")
 
     print(f"{total} samples, {os.path.basename(profile)}, {os.path.basename(binary)}")
@@ -173,7 +177,7 @@ def profile_tables(profile, binary):
     table("allocator samples by the nearest caller outside std", sites)
 
 
-def heap_census(profile, binary):
+def heap_census(profile, binary, rows):
     """Live bytes and blocks by the nearest caller outside std, each row
     with its three heaviest block sizes."""
     maps, blocks = parse(profile, "BLOCKS", 1)
@@ -183,17 +187,17 @@ def heap_census(profile, binary):
         fs = frames(stack)
         shim = fs[0]  # the stack starts in the shim's own mapping
         sizes_by[asked([f for f in fs if f != shim])][size] += 1
-    rows = sorted(
+    callers = sorted(
         ((sum(b * c for b, c in sizes.items()), sum(sizes.values()), who)
          for who, sizes in sizes_by.items()),
         reverse=True,
     )
-    total = sum(size for size, _, _ in rows)
+    total = sum(size for size, _, _ in callers)
     print(f"{total} live bytes in {len(blocks)} blocks, {os.path.basename(profile)}, "
           f"{os.path.basename(binary)}")
     print("\nlive bytes by the nearest caller outside std (share, bytes, blocks, caller, "
           "largest block sizes as count x bytes)")
-    for size, count, who in rows[:ROWS]:
+    for size, count, who in callers[:rows]:
         top = sorted(sizes_by[who].items(), key=lambda kv: -kv[0] * kv[1])[:3]
         shapes = ", ".join(f"{c} x {b}" for b, c in top)
         print(f"{100 * size / total:6.2f}%  {size:9d}  {count:5d}  {who}  [{shapes}]")
@@ -203,11 +207,23 @@ def main():
     # Die quietly when the reader goes away (`resolve.py … | head`), as a
     # command-line filter should, instead of a BrokenPipeError traceback.
     signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    args = [a for a in sys.argv[1:] if a != "--heap"]
-    if len(args) != 2:
-        sys.exit("usage: resolve.py [--heap] <dump> <binary>")
-    tables = heap_census if "--heap" in sys.argv[1:] else profile_tables
-    tables(args[0], os.path.realpath(args[1]))
+    ap = argparse.ArgumentParser(
+        prog="resolve.py", description="Resolve a shim.c or heapshim.c dump into tables.")
+    ap.add_argument("--heap", action="store_true", help="census a heapshim.c dump")
+    ap.add_argument("--rows", type=rows_arg, default=ROWS, metavar="N",
+                    help=f"rows per table (default {ROWS})")
+    ap.add_argument("dump")
+    ap.add_argument("binary")
+    args = ap.parse_args()
+    tables = heap_census if args.heap else profile_tables
+    tables(args.dump, os.path.realpath(args.binary), args.rows)
+
+
+def rows_arg(text):
+    """A positive row count."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 if __name__ == "__main__":
