@@ -175,10 +175,17 @@ impl KsetOmega {
         r >= self.r && self.stage != Stage::Done
     }
 
-    fn read_leaders<O: OracleSuite + ?Sized>(&mut self, ctx: &mut Ctx<'_, KsetMsg, O>) -> PSet {
-        match self.leader_input {
+    /// The leader set the process reads now. It takes the two fields it
+    /// reads, not `self`, so `try_advance` can call it while it holds the
+    /// current round's slab.
+    fn read_leaders<O: OracleSuite + ?Sized>(
+        input: LeaderInput,
+        external: PSet,
+        ctx: &mut Ctx<'_, KsetMsg, O>,
+    ) -> PSet {
+        match input {
             LeaderInput::Oracle => ctx.trusted(),
-            LeaderInput::External => self.external_leaders,
+            LeaderInput::External => external,
         }
     }
 
@@ -190,7 +197,7 @@ impl KsetOmega {
         self.p1.retire_below(self.r);
         self.p2.retire_below(self.r);
         ctx.publish(slot::ROUND, FdValue::Num(self.r as u64));
-        self.li = self.read_leaders(ctx);
+        self.li = Self::read_leaders(self.leader_input, self.external_leaders, ctx);
         self.stage = Stage::Phase1;
         ctx.broadcast(KsetMsg::Phase1 {
             r: self.r,
@@ -216,12 +223,14 @@ impl KsetOmega {
                     // (`read_leaders` queries the oracle, so it must stay
                     // short-circuited: read only once line 05 holds and no
                     // member of L_i has been heard.)
-                    if !slab.heard_from(self.li) && self.read_leaders(ctx) == self.li {
+                    if !slab.heard_from(self.li)
+                        && Self::read_leaders(self.leader_input, self.external_leaders, ctx)
+                            == self.li
+                    {
                         return;
                     }
                     // Lines 07–08: aux_i := v_L if a majority agrees on one
                     // leader set L and some member of L supplied a value.
-                    let slab = self.p1.get(self.r).expect("entry created above");
                     self.aux = slab.majority(n).and_then(|l| slab.min_member_est(l));
                     // Line 10: broadcast PHASE2.
                     self.stage = Stage::Phase2;

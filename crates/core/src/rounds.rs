@@ -57,6 +57,10 @@ pub struct RoundWindow<S> {
     /// slab awaiting reuse; the others are live — current and future
     /// rounds.
     slabs: Vec<(u32, S)>,
+    /// Where [`RoundWindow::entry`] last found or placed a slab. Only a
+    /// hint: `entry` trusts it only if the round stored there is the one
+    /// asked for, so retiring or reusing that slot cannot mislead it.
+    last: usize,
 }
 
 /// The round number of a retired slab. Rounds start at 1.
@@ -65,17 +69,33 @@ const RETIRED: u32 = 0;
 impl<S: RoundSlab> RoundWindow<S> {
     /// An empty window.
     pub fn new() -> Self {
-        RoundWindow { slabs: Vec::new() }
+        RoundWindow {
+            slabs: Vec::new(),
+            last: 0,
+        }
     }
 
     /// The slab for round `r ≥ 1`, created (out of a retired one if
     /// possible, else by `make`) if absent.
     pub fn entry(&mut self, r: u32, make: impl FnOnce() -> S) -> &mut S {
         debug_assert_ne!(r, RETIRED, "rounds start at 1");
+        // A process asks for the same round many times in a row — the
+        // message's round, then its current one, mostly the same.
+        let i = match self.slabs.get(self.last) {
+            Some((rr, _)) if *rr == r => self.last,
+            _ => self.find_or_place(r, make),
+        };
+        self.last = i;
+        &mut self.slabs[i].1
+    }
+
+    /// The index of round `r`'s slab, after taking a retired slab (or a
+    /// new one from `make`) for it if it has none.
+    fn find_or_place(&mut self, r: u32, make: impl FnOnce() -> S) -> usize {
         let round_at = |slabs: &[(u32, S)], r| slabs.iter().position(|(rr, _)| *rr == r);
         // Once per message the round is there; once per round it is not.
         if let Some(i) = round_at(&self.slabs, r) {
-            return &mut self.slabs[i].1;
+            return i;
         }
         let i = round_at(&self.slabs, RETIRED).unwrap_or_else(|| {
             self.slabs.reserve_exact(1);
@@ -83,7 +103,7 @@ impl<S: RoundSlab> RoundWindow<S> {
             self.slabs.len() - 1
         });
         self.slabs[i].0 = r;
-        &mut self.slabs[i].1
+        i
     }
 
     /// The slab for round `r ≥ 1`, if one exists.
@@ -633,6 +653,9 @@ mod tests {
     /// share one), `len` counts live rounds only, retired rounds are gone,
     /// and `make` runs only when every slab made so far is live — the
     /// window never holds more slabs than rounds were ever live at once.
+    /// One move makes `entry`'s remembered index stale on purpose: it
+    /// retires the slab the index points at, has that slot taken over by
+    /// another round, and asks for both rounds.
     #[test]
     fn window_matches_a_map_model_and_reuses_before_it_makes() {
         use std::collections::HashMap;
@@ -641,15 +664,63 @@ mod tests {
             let mut w: RoundWindow<Marks> = RoundWindow::new();
             let mut model: HashMap<u32, Vec<u64>> = HashMap::new();
             let (mut cur, mut made, mut most_live) = (1u32, 0usize, 0usize);
+            let mut stale_reuses = 0;
             for step in 0..2_000u64 {
                 let r = cur + rng.below(4) as u32;
-                match rng.below(5) {
+                match rng.below(6) {
                     0 => {
                         cur += rng.below(3) as u32;
                         w.retire_below(cur);
                         model.retain(|&r, _| r >= cur);
                     }
                     1 => assert_eq!(w.get(r).map(|s| &s.0), model.get(&r), "round {r}"),
+                    2 if !model.contains_key(&r) => {
+                        // Round r is placed, so `entry` remembers its slot,
+                        // and retired. Then r and a round not yet live are
+                        // asked for, in either order: `later` first takes
+                        // the first retired slot — often r's old one — and
+                        // r must come back fresh; r first must claim a
+                        // slot, not just reuse the one it remembers.
+                        w.entry(r, || {
+                            made += 1;
+                            Marks::default()
+                        })
+                        .0
+                        .push(step);
+                        model.insert(r, vec![step]);
+                        most_live = most_live.max(model.len());
+                        let hinted = w.last;
+                        cur = r + 1;
+                        w.retire_below(cur);
+                        model.retain(|&r, _| r >= cur);
+                        let later = (cur..).find(|q| !model.contains_key(q)).unwrap();
+                        let order = if rng.below(2) == 0 {
+                            [later, r]
+                        } else {
+                            [r, later]
+                        };
+                        for q in order {
+                            let slab = w.entry(q, || {
+                                made += 1;
+                                Marks::default()
+                            });
+                            slab.0.push(step);
+                            let marks = model.entry(q).or_default();
+                            marks.push(step);
+                            assert_eq!(slab.0, *marks, "seed {seed}: round {q} at step {step}");
+                            most_live = most_live.max(model.len());
+                            if q == later && order[0] == later && w.last == hinted {
+                                stale_reuses += 1;
+                            }
+                        }
+                        for q in [r, later] {
+                            let got = w.get(q).map(|s| &s.0);
+                            assert_eq!(got, model.get(&q), "seed {seed}: round {q}");
+                        }
+                        // r is below the current round again.
+                        w.retire_below(cur);
+                        model.retain(|&r, _| r >= cur);
+                    }
                     _ => {
                         let live_before = model.len();
                         let slab = w.entry(r, || {
@@ -671,6 +742,7 @@ mod tests {
                 assert!((1..cur).rev().take(8).all(|r| w.get(r).is_none()));
             }
             assert!(most_live >= 4 && cur > 100, "seed {seed}: a weak draw");
+            assert!(stale_reuses >= 10, "seed {seed}: {stale_reuses} reuses");
         }
     }
 

@@ -234,6 +234,10 @@ pub fn forward_ops<M1, M2, O: OracleSuite + ?Sized>(
     ops: &mut Vec<Op<M1>>,
     mut f: impl FnMut(M1) -> M2,
 ) {
+    // Most inner activations emit nothing: skip the drain's set-up.
+    if ops.is_empty() {
+        return;
+    }
     for op in ops.drain(..) {
         match op {
             Op::Send { to, msg } => ctx.send(to, f(msg)),

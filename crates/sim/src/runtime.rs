@@ -191,9 +191,11 @@ pub struct Sim<A: Automaton, O: OracleSuite> {
     /// crashed recipients never pay for a clone at all).
     arena: MsgArena<A::Msg>,
     /// The recycled operation buffer: the hot loop hands it to each
-    /// activation's [`Ctx`] and takes it back (emptied) after applying the
-    /// ops, so steady-state event processing allocates no `Vec<Op>`.
-    /// Activations never nest, so one buffer is all there is to recycle.
+    /// activation's [`Ctx`] and takes it back when the activation ends —
+    /// drained by `apply_ops` if the activation emitted ops, as it
+    /// came otherwise — so steady-state event processing allocates no
+    /// `Vec<Op>`. Activations never nest, so one buffer is all there is
+    /// to recycle.
     ops: Vec<Op<A::Msg>>,
     /// Recycled staging buffer: every send (unicast, broadcast or
     /// R-broadcast) stages its deliveries here and flushes them through one
@@ -422,7 +424,7 @@ impl<A: Automaton, O: OracleSuite> Sim<A, O> {
             proc.on_message(from, arena.take(slot), &mut ctx);
         }
         let ops = ctx.take_ops();
-        self.apply_ops(to, ops);
+        self.finish(to, ops);
     }
 
     fn activate(&mut self, p: ProcessId, what: Activation) {
@@ -432,7 +434,24 @@ impl<A: Automaton, O: OracleSuite> Sim<A, O> {
             Activation::Step => proc.on_step(&mut ctx),
         }
         let ops = ctx.take_ops();
-        self.apply_ops(p, ops);
+        self.finish(p, ops);
+    }
+
+    /// Ends an activation of `p`: applies what it buffered, if anything,
+    /// and keeps the (empty) buffer for the next one. Most activations
+    /// emit nothing — a guard re-checked and still closed — and go
+    /// straight back.
+    #[inline(always)]
+    fn finish(&mut self, p: ProcessId, ops: Vec<Op<A::Msg>>) {
+        if ops.is_empty() {
+            // `ctx` left `Vec::new()` in `self.ops`, which owns no memory:
+            // forgetting it instead of dropping it skips a capacity test
+            // and a call that never frees anything.
+            debug_assert_eq!(self.ops.capacity(), 0, "activations never nest");
+            std::mem::forget(std::mem::replace(&mut self.ops, ops));
+        } else {
+            self.apply_ops(p, ops);
+        }
     }
 
     /// Applies the operations one activation buffered and keeps the
@@ -662,6 +681,82 @@ mod tests {
                 Some(FdValue::Num(3))
             );
         }
+    }
+
+    /// Emits ops on some activations only: a broadcast on every third
+    /// delivery, a timer on every fourth, and a halt once ten deliveries
+    /// from at least `n − t` distinct senders were heard. Its steps only
+    /// count themselves, and a step of a halted process counts as an
+    /// error.
+    struct Sparse {
+        delivered: u64,
+        heard: PSet,
+        halted: bool,
+    }
+
+    impl Automaton for Sparse {
+        type Msg = ();
+        fn on_start<O: OracleSuite + ?Sized>(&mut self, ctx: &mut Ctx<'_, (), O>) {
+            ctx.broadcast(());
+        }
+        fn on_message<O: OracleSuite + ?Sized>(
+            &mut self,
+            from: ProcessId,
+            _m: (),
+            ctx: &mut Ctx<'_, (), O>,
+        ) {
+            if self.halted {
+                return;
+            }
+            self.delivered += 1;
+            self.heard.insert(from);
+            if self.delivered.is_multiple_of(3) {
+                ctx.broadcast(());
+            }
+            if self.delivered.is_multiple_of(4) {
+                ctx.set_timer(2);
+            }
+            if self.heard.len() >= ctx.n() - ctx.t() && self.delivered >= 10 {
+                self.halted = true;
+                ctx.halt();
+            }
+        }
+        fn on_step<O: OracleSuite + ?Sized>(&mut self, ctx: &mut Ctx<'_, (), O>) {
+            let name = if self.halted {
+                "steps_after_halt"
+            } else {
+                "steps"
+            };
+            ctx.bump(name);
+        }
+    }
+
+    /// Activations that emit nothing skip applying ops; the ones that emit
+    /// lose none. The counts are those of the engine that applied every
+    /// activation's (possibly empty) buffer.
+    #[test]
+    fn skipped_activations_drop_no_op() {
+        let run = |seed| {
+            let cfg = SimConfig::new(7, 3).seed(seed);
+            let fp = FailurePattern::builder(7)
+                .crash(ProcessId(4), Time(6))
+                .build();
+            let sparse = |_| Sparse {
+                delivered: 0,
+                heard: PSet::EMPTY,
+                halted: false,
+            };
+            let rep = Sim::new(cfg, fp, sparse, NoOracle).run_into_trace(|_| false);
+            assert_eq!(rep.counter("steps_after_halt"), 0, "seed {seed}");
+            [counter::SENT, counter::DELIVERED, counter::EVENTS, "steps"].map(|c| rep.counter(c))
+        };
+        // [sent, delivered, events, steps] for seeds 0, 1, 2.
+        let want = [
+            [189, 168, 232, 23],
+            [182, 160, 225, 23],
+            [182, 160, 231, 29],
+        ];
+        assert_eq!((0..3).map(run).collect::<Vec<_>>(), want);
     }
 
     #[test]

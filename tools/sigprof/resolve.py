@@ -5,8 +5,14 @@ or (--heap) a heapshim.c dump into a live-heap census.
     python3 tools/sigprof/resolve.py run.prof path/to/binary
     python3 tools/sigprof/resolve.py --heap run.heap path/to/binary
     python3 tools/sigprof/resolve.py --rows 60 run.prof path/to/binary
+    python3 tools/sigprof/resolve.py --lines 'Sim<..>::apply_ops$' run.prof path/to/binary
 
-`--rows N` sets how many rows each table prints (default 30).
+`--rows N` sets how many rows each table prints (default 30). `--lines
+PATTERN` prints one table instead: self samples per source line, for the
+leaves whose inline chain (any function name or file:line in it) matches
+the regular expression PATTERN. A row is the leaf's line and up to three
+frames it is inlined into, each as the line of the call, so a function's
+own rows split its self share by line — prologue, loop, epilogue.
 
 Frames inside the binary are resolved with `addr2line -f -C -i` (build with
 CARGO_PROFILE_RELEASE_DEBUG=1 so inlined callees get their own rows); the
@@ -80,7 +86,9 @@ def short(name):
 
 
 def symbolize(binary, base, addrs):
-    """addr -> [innermost inlined function, ..., the physical function]."""
+    """addr -> [(function, file:line), ...], innermost inlined function
+    first, the physical function last; each line is where that function
+    was executing (for an outer frame, the call it inlined)."""
     addrs = sorted(addrs)
     proc = subprocess.run(
         ["addr2line", "-a", "-f", "-C", "-i", "-e", binary],
@@ -95,15 +103,23 @@ def symbolize(binary, base, addrs):
             cur = table.setdefault(int(lines[i], 16) + base, [])
             i += 1
         else:
-            cur.append(short(lines[i]))  # lines[i + 1] is file:line
+            cur.append((short(lines[i]), source_line(lines[i + 1])))
             i += 2
     return table
 
 
+def source_line(loc):
+    """`file:line` of an addr2line location, without the directory or a
+    `(discriminator N)` suffix."""
+    return os.path.basename(loc.split(" ")[0])
+
+
 def namer(profile, binary, maps, stacks, exact_first):
-    """A function from a stack to its function names, innermost first and
-    inlines expanded. Every frame is a return address (resolved one byte
-    back, inside the call), except the first when `exact_first`."""
+    """Two functions of a stack: its function names, innermost first and
+    inlines expanded; and its first frame's inline chain as
+    `(function, file:line)` pairs, or None outside the binary. Every frame
+    is a return address (resolved one byte back, inside the call), except
+    the first when `exact_first`."""
     mine = [(lo, hi) for lo, hi, path in maps if path == binary]
     if not mine:
         # Moved or rebuilt since the run (maps then says "(deleted)"), or
@@ -124,13 +140,16 @@ def namer(profile, binary, maps, stacks, exact_first):
         for d in range(len(sample)):
             a = pc(sample, d)
             if a in names:
-                out.extend(names[a])
+                out.extend(name for name, _ in names[a])
             else:
                 where = next((p for lo, hi, p in maps if lo <= a < hi), "")
                 out.append(f"[{os.path.basename(where) or 'anon'}]")
         return out
 
-    return frames
+    def leaf_chain(sample):
+        return names.get(pc(sample, 0))
+
+    return frames, leaf_chain
 
 
 def asked(fs):
@@ -139,10 +158,24 @@ def asked(fs):
     return next((f for f in fs if not ALLOCATOR.search(f) and not PLUMBING.search(f)), "?")
 
 
-def profile_tables(profile, binary, rows):
+def top(counter, rows):
+    """The `rows` largest counts, ties by name: `Counter.most_common` keeps
+    insertion order, which follows set iteration and so Python's per-run
+    string hashing, and one dump would resolve to tables in different
+    row orders."""
+    return sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))[:rows]
+
+
+def samples(profile):
+    """A shim.c dump's mappings and its stacks, past the two signal
+    frames every sample begins with."""
     maps, stacks = parse(profile, "STACKS", 0)
-    stacks = [s[2:] for _, s in stacks if len(s) > 2]
-    frames = namer(profile, binary, maps, stacks, exact_first=True)
+    return maps, [s[2:] for _, s in stacks if len(s) > 2]
+
+
+def profile_tables(profile, binary, rows):
+    maps, stacks = samples(profile)
+    frames, _ = namer(profile, binary, maps, stacks, exact_first=True)
 
     self_, incl, sites = (collections.Counter() for _ in range(3))
     in_allocator = 0
@@ -167,7 +200,7 @@ def profile_tables(profile, binary, rows):
 
     def table(title, counter):
         print(f"\n{title}")
-        for name, c in counter.most_common(rows):
+        for name, c in top(counter, rows):
             print(f"{100 * c / total:6.2f}%  {c:6d}  {name}")
 
     print(f"{total} samples, {os.path.basename(profile)}, {os.path.basename(binary)}")
@@ -177,11 +210,31 @@ def profile_tables(profile, binary, rows):
     table("allocator samples by the nearest caller outside std", sites)
 
 
+def line_table(profile, binary, rows, pattern):
+    """Self samples by source line, for the leaves inside the binary whose
+    inline chain matches `pattern`: the leaf's line and up to three frames
+    it is inlined into."""
+    maps, stacks = samples(profile)
+    _, leaf_chain = namer(profile, binary, maps, stacks, exact_first=True)
+    by_line = collections.Counter()
+    for s in stacks:
+        chain = leaf_chain(s)
+        if chain and any(pattern.search(name) or pattern.search(loc) for name, loc in chain):
+            by_line[" <- ".join(f"{loc} {name}" for name, loc in chain[:4])] += 1
+    total, matched = len(stacks), sum(by_line.values())
+    print(f"{total} samples, {os.path.basename(profile)}, {os.path.basename(binary)}")
+    print(f"\nself by source line, leaves matching {pattern.pattern!r}: {matched} samples, "
+          f"{100 * matched / total:.2f}% of all (share of all samples, samples, "
+          "leaf line, then up to three frames it is inlined into)")
+    for key, c in top(by_line, rows):
+        print(f"{100 * c / total:6.2f}%  {c:6d}  {key}")
+
+
 def heap_census(profile, binary, rows):
     """Live bytes and blocks by the nearest caller outside std, each row
     with its three heaviest block sizes."""
     maps, blocks = parse(profile, "BLOCKS", 1)
-    frames = namer(profile, binary, maps, [s for _, s in blocks], exact_first=False)
+    frames, _ = namer(profile, binary, maps, [s for _, s in blocks], exact_first=False)
     sizes_by = collections.defaultdict(collections.Counter)  # caller -> size -> blocks
     for (size,), stack in blocks:
         fs = frames(stack)
@@ -212,11 +265,20 @@ def main():
     ap.add_argument("--heap", action="store_true", help="census a heapshim.c dump")
     ap.add_argument("--rows", type=rows_arg, default=ROWS, metavar="N",
                     help=f"rows per table (default {ROWS})")
+    ap.add_argument("--lines", type=pattern_arg, metavar="PATTERN",
+                    help="self samples per source line of the leaves whose inline chain "
+                         "matches the regular expression PATTERN")
     ap.add_argument("dump")
     ap.add_argument("binary")
     args = ap.parse_args()
-    tables = heap_census if args.heap else profile_tables
-    tables(args.dump, os.path.realpath(args.binary), args.rows)
+    binary = os.path.realpath(args.binary)
+    if args.lines and args.heap:
+        ap.error("--lines reads a shim.c dump, not a --heap one")
+    if args.lines:
+        line_table(args.dump, binary, args.rows, args.lines)
+    else:
+        tables = heap_census if args.heap else profile_tables
+        tables(args.dump, binary, args.rows)
 
 
 def rows_arg(text):
@@ -224,6 +286,14 @@ def rows_arg(text):
     if not text.isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
+
+
+def pattern_arg(text):
+    """A regular expression."""
+    try:
+        return re.compile(text)
+    except re.error as e:
+        raise argparse.ArgumentTypeError(f"not a regular expression: {text!r} ({e})")
 
 
 if __name__ == "__main__":
