@@ -10,7 +10,8 @@
 //!   `Ω_z` oracle, `t < n/2`, at most `k ≥ z` distinct decisions);
 //! * [`ConsensusMr`] — the Mostéfaoui–Raynal `◇S` quorum-based consensus
 //!   (the paper's reference \[18\]), used as a baseline;
-//! * [`spec`] — validity / k-agreement / termination checkers;
+//! * [`spec`] — `kset_spec`, the trace-level face of the one `k`-set
+//!   agreement judge in `fd_detectors::check`;
 //! * [`scenario`] — the [`Scenario`](fd_detectors::Scenario)
 //!   implementations driving the algorithms through the unified engine.
 //!
@@ -40,6 +41,6 @@ pub mod spec;
 pub use consensus_mr::{ConsensusMr, MrMsg};
 pub use kset_omega::{KsetMsg, KsetOmega, LeaderInput};
 pub use lower_bound::LowerBoundScenario;
-pub use repeated::{run_repeated_spec, RepMsg, RepeatedKset, RepeatedReport};
+pub use repeated::{instance_decisions, repeated_spec, run_repeated_spec, RepMsg, RepeatedKset};
 pub use rounds::{CoordSlab, EchoSlab, Phase1Slab, Phase2Slab, RoundSlab, RoundWindow};
 pub use scenario::{run_kset_with, ConsensusScenario, KsetScenario, RepeatedScenario};

@@ -14,10 +14,11 @@
 //! longitudinal.
 
 use crate::kset_omega::{KsetMsg, KsetOmega};
-use fd_detectors::scenario::ScenarioSpec;
+use fd_detectors::check::{self, ChurnGuarantee};
+use fd_detectors::scenario::{run_scenario_until, ScenarioReport, ScenarioSpec};
 use fd_detectors::CheckOutcome;
 use fd_sim::{
-    counter, forward_ops, Automaton, Ctx, FailurePattern, Op, OracleSuite, ProcessId, Time, Trace,
+    forward_ops, Automaton, Ctx, Decision, FailurePattern, Op, OracleSuite, ProcessId, Trace,
 };
 
 /// Message of the repeated protocol: an inner Figure 3 message tagged with
@@ -205,49 +206,55 @@ impl Automaton for RepeatedKset {
     }
 }
 
-/// Per-instance statistics of a repeated run.
-#[derive(Clone, Debug)]
-pub struct InstanceStats {
-    /// Instance number.
-    pub inst: u32,
-    /// Distinct values decided in this instance.
-    pub distinct_values: Vec<u64>,
-    /// Time of the instance's last decision among correct processes.
-    pub last_decision: Time,
+/// The instance-`inst` decisions of a repeated run at `n` processes: a
+/// process's `i`-th decision, in its own decision order, is its
+/// instance-`i` decision. Faulty processes count like correct ones.
+pub fn instance_decisions(decisions: &[Decision], n: usize, inst: u32) -> Vec<Decision> {
+    let mut made = vec![0u32; n];
+    decisions
+        .iter()
+        .filter(|d| {
+            made[d.by.0] += 1;
+            made[d.by.0] == inst + 1
+        })
+        .copied()
+        .collect()
 }
 
-/// Report of a repeated run.
-#[derive(Clone, Debug)]
-pub struct RepeatedReport {
-    /// The run's trace.
-    pub trace: Trace,
-    /// The run's failure pattern.
-    pub fp: FailurePattern,
-    /// Per-instance statistics (length = instances iff all completed).
-    pub per_instance: Vec<InstanceStats>,
-    /// The combined specification outcome: every instance satisfies
-    /// validity, k-agreement and termination.
-    pub spec: CheckOutcome,
-    /// Total messages sent across all instances.
-    pub msgs_sent: u64,
+/// Judges a repeated run's trace: each of its `instances` instances
+/// ([`instance_decisions`]) goes to [`check::kset_agreement`] against that
+/// instance's proposals ([`proposal`]), termination claimed. The verdict
+/// is the first failing instance's, its detail prefixed with the instance,
+/// or a pass reading "`m` instances".
+pub fn repeated_spec(trace: &Trace, fp: &FailurePattern, k: usize, instances: u32) -> CheckOutcome {
+    let n = fp.n();
+    let judge = |inst| {
+        let proposals: Vec<u64> = (0..n).map(|q| proposal(ProcessId(q), inst)).collect();
+        let decided = instance_decisions(trace.decisions(), n, inst);
+        check::kset_agreement(&decided, fp, k, &proposals, ChurnGuarantee::Liveness)
+    };
+    (0..instances)
+        .map(|inst| (inst, judge(inst)))
+        .find(|(_, out)| !out.ok)
+        .map(|(inst, out)| CheckOutcome {
+            detail: format!("instance {inst}: {}", out.detail),
+            ..out
+        })
+        .unwrap_or_else(|| CheckOutcome::pass(None, format!("{instances} instances")))
 }
 
 /// Runs `instances` successive `spec.k`-set agreement instances under
-/// `spec` and checks the specification of every one of them.
-///
-/// A process's `i`-th decision (in its own decision order) is its
-/// instance-`i` decision; validity is checked against [`proposal`].
+/// `spec`, until every correct process decided all of them, and judges
+/// the run with [`repeated_spec`].
 pub fn run_repeated_spec(
     spec: &ScenarioSpec,
     instances: u32,
     fp: FailurePattern,
     oracle: impl fd_sim::OracleSuite,
-) -> RepeatedReport {
-    let n = spec.n;
-    let k = spec.k;
+) -> ScenarioReport {
     let correct = fp.correct();
     let want = instances as usize * correct.len();
-    let trace = fd_detectors::scenario::run_scenario_until(
+    let trace = run_scenario_until(
         spec,
         &fp,
         |p| RepeatedKset::new(p, instances),
@@ -260,71 +267,28 @@ pub fn run_repeated_spec(
                 >= want
         },
     );
-
-    // Group decisions: process p's i-th decision belongs to instance i.
-    let mut spec = CheckOutcome::pass(None, format!("{instances} instances"));
-    let mut per_instance = Vec::new();
-    for inst in 0..instances {
-        let mut values = Vec::new();
-        let mut last = Time::ZERO;
-        let mut missing = fd_sim::PSet::new();
-        for p in fp.correct() {
-            let ds: Vec<_> = trace.decisions().iter().filter(|d| d.by == p).collect();
-            match ds.get(inst as usize) {
-                None => {
-                    missing.insert(p);
-                }
-                Some(d) => {
-                    values.push(d.value);
-                    last = last.max(d.at);
-                    // Validity: the value is some process's proposal for
-                    // this instance.
-                    let valid = (0..n).any(|q| d.value == proposal(ProcessId(q), inst));
-                    if !valid {
-                        spec = spec.and(CheckOutcome::fail_as(
-                            fd_detectors::ViolationClass::Validity,
-                            format!("instance {inst}: {p} decided foreign value {}", d.value),
-                        ));
-                    }
-                }
-            }
-        }
-        if !missing.is_empty() {
-            spec = spec.and(CheckOutcome::fail_as(
-                fd_detectors::ViolationClass::Termination,
-                format!("instance {inst}: correct {missing} never decided"),
-            ));
-        }
-        values.sort_unstable();
-        values.dedup();
-        if values.len() > k {
-            spec = spec.and(CheckOutcome::fail_as(
-                fd_detectors::ViolationClass::Agreement,
-                format!(
-                    "instance {inst}: {} distinct values (> k = {k})",
-                    values.len()
-                ),
-            ));
-        }
-        per_instance.push(InstanceStats {
-            inst,
-            distinct_values: values,
-            last_decision: last,
-        });
-    }
-    RepeatedReport {
-        msgs_sent: trace.counter(counter::SENT),
-        per_instance,
-        spec,
-        fp,
-        trace,
-    }
+    let check = repeated_spec(&trace, &fp, spec.k, instances);
+    ScenarioReport::new("repeated_kset", spec, fp, trace, check)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use fd_detectors::OmegaOracle;
+    use fd_sim::Time;
+
+    /// The distinct values and the last decision time of each instance.
+    fn per_instance(rep: &ScenarioReport, instances: u32) -> Vec<(Vec<u64>, Time)> {
+        (0..instances)
+            .map(|inst| {
+                let ds = instance_decisions(rep.trace.decisions(), rep.fp.n(), inst);
+                let mut values: Vec<u64> = ds.iter().map(|d| d.value).collect();
+                values.sort_unstable();
+                values.dedup();
+                (values, ds.iter().map(|d| d.at).max().unwrap_or(Time::ZERO))
+            })
+            .collect()
+    }
 
     #[test]
     fn five_instances_all_correct() {
@@ -338,10 +302,10 @@ mod tests {
                     .max_time(Time(400_000));
                 run_repeated_spec(&spec, 5, fp, oracle)
             };
-            assert!(rep.spec.ok, "seed {seed}: {}", rep.spec);
-            assert_eq!(rep.per_instance.len(), 5);
-            for s in &rep.per_instance {
-                assert_eq!(s.distinct_values.len(), 1, "instance {}", s.inst);
+            assert!(rep.check.ok, "seed {seed}: {}", rep.check);
+            assert_eq!(rep.check.detail, "5 instances");
+            for (inst, (values, _)) in per_instance(&rep, 5).iter().enumerate() {
+                assert_eq!(values.len(), 1, "instance {inst}");
             }
         }
     }
@@ -357,11 +321,11 @@ mod tests {
                 .max_time(Time(200_000));
             run_repeated_spec(&spec, 3, fp, oracle)
         };
-        assert!(rep.spec.ok, "{}", rep.spec);
+        assert!(rep.check.ok, "{}", rep.check);
         let mut prev = Time::ZERO;
-        for s in &rep.per_instance {
-            assert!(s.last_decision >= prev);
-            prev = s.last_decision;
+        for (_, last) in per_instance(&rep, 3) {
+            assert!(last >= prev);
+            prev = last;
         }
     }
 
@@ -380,7 +344,7 @@ mod tests {
                     .max_time(Time(400_000));
                 run_repeated_spec(&spec, 4, fp, oracle)
             };
-            assert!(rep.spec.ok, "seed {seed}: {}", rep.spec);
+            assert!(rep.check.ok, "seed {seed}: {}", rep.check);
         }
     }
 
@@ -395,9 +359,9 @@ mod tests {
                 .max_time(Time(400_000));
             run_repeated_spec(&spec, 3, fp, oracle)
         };
-        assert!(rep.spec.ok, "{}", rep.spec);
-        for s in &rep.per_instance {
-            assert!(s.distinct_values.len() <= 2);
+        assert!(rep.check.ok, "{}", rep.check);
+        for (values, _) in per_instance(&rep, 3) {
+            assert!(values.len() <= 2);
         }
     }
 }

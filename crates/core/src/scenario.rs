@@ -7,7 +7,7 @@
 
 use crate::consensus_mr::ConsensusMr;
 use crate::kset_omega::KsetOmega;
-use crate::repeated::{run_repeated_spec, RepeatedReport};
+use crate::repeated::run_repeated_spec;
 use crate::spec;
 use fd_detectors::scenario::{
     churn_envelope, default_proposals, run_to_decision, salt, ChurnGuarantee, CrashPlan, Flavour,
@@ -99,9 +99,8 @@ impl Scenario for ConsensusScenario {
 }
 
 /// `m` successive `k`-set agreement instances (the zero-degradation
-/// experiment made longitudinal). The combined per-instance specification
-/// becomes the report's check; use [`run_repeated_spec`] directly when the
-/// per-instance statistics are needed.
+/// experiment made longitudinal), run by [`run_repeated_spec`]: every
+/// instance is judged, and the first failing one is the report's check.
 #[derive(Clone, Copy, Debug)]
 pub struct RepeatedScenario {
     /// Number of successive instances.
@@ -126,8 +125,8 @@ impl Scenario for RepeatedScenario {
             fp: FailurePattern,
         }
         impl OracleVisitor for RunRepeated<'_> {
-            type Out = RepeatedReport;
-            fn visit<O: OracleSuite + 'static>(self, oracle: O) -> RepeatedReport {
+            type Out = ScenarioReport;
+            fn visit<O: OracleSuite + 'static>(self, oracle: O) -> ScenarioReport {
                 run_repeated_spec(self.spec, self.instances, self.fp, oracle)
             }
         }
@@ -136,8 +135,7 @@ impl Scenario for RepeatedScenario {
             instances: self.instances,
             fp: fp.clone(),
         };
-        let rep = spec.with_oracle(&fp, v);
-        ScenarioReport::new(self.name(), spec, rep.fp, rep.trace, rep.spec)
+        spec.with_oracle(&fp, v)
     }
 }
 
@@ -305,8 +303,14 @@ mod tests {
             let rep = KsetScenario.run(&cfg);
             assert_eq!(rep.fp.num_faulty(), 2, "seed {seed}");
             let proposals = default_proposals(5);
-            assert!(spec::validity(&rep.trace, &proposals).ok, "seed {seed}");
-            assert!(spec::k_agreement(&rep.trace, 2).ok, "seed {seed}");
+            assert!(
+                spec::validity(rep.trace.decisions(), &proposals).ok,
+                "seed {seed}"
+            );
+            assert!(
+                spec::k_agreement(rep.trace.decisions(), 2).ok,
+                "seed {seed}"
+            );
             // Bit-identical on a rerun.
             let again = KsetScenario.run(&cfg);
             assert_eq!(rep.fingerprint(), again.fingerprint(), "seed {seed}");

@@ -4,90 +4,34 @@
 //! non-faulty process must decide (termination) such that at most `k`
 //! different values are decided (agreement) and every decided value is a
 //! proposed value (validity). `k = 1` is consensus.
+//!
+//! The clauses are written once, over a slice of decisions, beside the
+//! class checkers in [`fd_detectors::check`]; this module re-exports them
+//! and reads a whole run's [`Trace`] into the judge.
 
-use fd_detectors::{CheckOutcome, ViolationClass};
+pub use fd_detectors::check::{decide_once, k_agreement, termination, validity};
+
+use fd_detectors::check::{self, ChurnGuarantee};
+use fd_detectors::CheckOutcome;
 use fd_sim::{FailurePattern, Trace};
 
-/// **Validity**: every decided value was proposed.
-pub fn validity(trace: &Trace, proposals: &[u64]) -> CheckOutcome {
-    for d in trace.decisions() {
-        if !proposals.contains(&d.value) {
-            return CheckOutcome::fail_as(
-                ViolationClass::Validity,
-                format!(
-                    "validity: {} decided {} which was never proposed",
-                    d.by, d.value
-                ),
-            );
-        }
-    }
-    CheckOutcome::pass(None, "validity")
-}
-
-/// **k-Agreement**: at most `k` distinct values are decided.
-pub fn k_agreement(trace: &Trace, k: usize) -> CheckOutcome {
-    let distinct = trace.decided_values();
-    if distinct.len() > k {
-        CheckOutcome::fail_as(
-            ViolationClass::Agreement,
-            format!(
-                "agreement: {} distinct values decided ({distinct:?}) > k = {k}",
-                distinct.len()
-            ),
-        )
-    } else {
-        CheckOutcome::pass(
-            None,
-            format!("{} distinct decisions ≤ k = {k}", distinct.len()),
-        )
-    }
-}
-
-/// **Termination**: every correct process decides (within the horizon).
-pub fn termination(trace: &Trace, fp: &FailurePattern) -> CheckOutcome {
-    let missing = fp.correct() - trace.deciders();
-    if missing.is_empty() {
-        CheckOutcome::pass(None, "termination")
-    } else {
-        CheckOutcome::fail_as(
-            ViolationClass::Termination,
-            format!("termination: correct {missing} never decided"),
-        )
-    }
-}
-
-/// **No duplicate decisions**: a process decides at most once.
-pub fn decide_once(trace: &Trace) -> CheckOutcome {
-    let mut seen = fd_sim::PSet::new();
-    for d in trace.decisions() {
-        if !seen.insert(d.by) {
-            return CheckOutcome::fail_as(
-                ViolationClass::DecideOnce,
-                format!("{} decided twice", d.by),
-            );
-        }
-    }
-    CheckOutcome::pass(None, "decide-once")
-}
-
-/// The full `k`-set agreement specification. A safety violation outranks a
-/// liveness one: a process that decides twice fails the run as
-/// [`ViolationClass::DecideOnce`] even when a correct process also never
-/// decided. (`and` keeps its first failure, so decide-once is conjoined
-/// before termination when it fails; a pass still reads "validity; …;
-/// termination; decide-once".)
+/// The full `k`-set agreement specification, liveness claimed
+/// ([`check::kset_agreement`]). A safety violation outranks a liveness
+/// one; a pass reads "validity; …; termination; decide-once".
 pub fn kset_spec(trace: &Trace, fp: &FailurePattern, k: usize, proposals: &[u64]) -> CheckOutcome {
-    let safety = validity(trace, proposals).and(k_agreement(trace, k));
-    let once = decide_once(trace);
-    if !once.ok {
-        return safety.and(once);
-    }
-    safety.and(termination(trace, fp)).and(once)
+    check::kset_agreement(
+        trace.decisions(),
+        fp,
+        k,
+        proposals,
+        ChurnGuarantee::Liveness,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fd_detectors::ViolationClass;
     use fd_sim::{ProcessId, Time};
 
     fn fp() -> FailurePattern {
@@ -100,8 +44,8 @@ mod tests {
     fn validity_pass_fail() {
         let mut tr = Trace::new();
         tr.decide(Time(5), ProcessId(0), 7);
-        assert!(validity(&tr, &[7, 9]).ok);
-        assert!(!validity(&tr, &[9]).ok);
+        assert!(validity(tr.decisions(), &[7, 9]).ok);
+        assert!(!validity(tr.decisions(), &[9]).ok);
     }
 
     #[test]
@@ -110,17 +54,17 @@ mod tests {
         tr.decide(Time(1), ProcessId(0), 1);
         tr.decide(Time(2), ProcessId(1), 2);
         tr.decide(Time(3), ProcessId(2), 1);
-        assert!(k_agreement(&tr, 2).ok);
-        assert!(!k_agreement(&tr, 1).ok);
+        assert!(k_agreement(tr.decisions(), 2).ok);
+        assert!(!k_agreement(tr.decisions(), 1).ok);
     }
 
     #[test]
     fn termination_needs_all_correct() {
         let mut tr = Trace::new();
         tr.decide(Time(1), ProcessId(0), 1);
-        assert!(!termination(&tr, &fp()).ok);
+        assert!(!termination(tr.decisions(), &fp()).ok);
         tr.decide(Time(2), ProcessId(1), 1);
-        assert!(termination(&tr, &fp()).ok); // p3 is faulty, excused
+        assert!(termination(tr.decisions(), &fp()).ok); // p3 is faulty, excused
     }
 
     #[test]
@@ -128,7 +72,7 @@ mod tests {
         let mut tr = Trace::new();
         tr.decide(Time(1), ProcessId(0), 1);
         tr.decide(Time(2), ProcessId(0), 1);
-        assert!(!decide_once(&tr).ok);
+        assert!(!decide_once(tr.decisions(), &fp()).ok);
     }
 
     #[test]
@@ -154,7 +98,7 @@ mod tests {
         let mut tr = Trace::new();
         tr.decide(Time(1), ProcessId(0), 5);
         tr.decide(Time(2), ProcessId(0), 5);
-        assert!(!termination(&tr, &fp()).ok);
+        assert!(!termination(tr.decisions(), &fp()).ok);
         let out = kset_spec(&tr, &fp(), 1, &[5]);
         assert!(!out.ok);
         assert_eq!(out.class, ViolationClass::DecideOnce, "{out}");

@@ -46,7 +46,8 @@
 //!
 //! [`check`] verifies recorded traces against class definitions
 //! (completeness, limited-scope accuracy, eventual leadership, perfection),
-//! suffix-style with explicit stabilization margins.
+//! suffix-style with explicit stabilization margins, and holds the one
+//! `k`-set agreement judge, [`check::kset_agreement`].
 //!
 //! ## The scenario engine
 //!

@@ -75,11 +75,12 @@ mod summary;
 #[cfg(test)]
 mod tests;
 
+pub use crate::check::ChurnGuarantee;
 pub use cache::{CellMap, ReportCache, SpillFn, CACHE_SHARDS, DEFAULT_CACHE_CAPACITY};
 pub use oracle::{sample_oracle, OracleVisitor, SampledSlot};
 pub use report::{
     churn_envelope, default_proposals, run_scenario_until, run_to_decision, run_to_horizon,
-    ChurnGuarantee, Metrics, ScenarioReport, SlimReport,
+    Metrics, ScenarioReport, SlimReport,
 };
 pub use runner::{Runner, Scenario};
 pub use spec::{salt, CrashPlan, Flavour, OracleChoice, ScenarioSpec};

@@ -3,7 +3,7 @@
 //! [`ScenarioReport`] / [`SlimReport`] every scenario reports through.
 
 use super::spec::ScenarioSpec;
-use crate::check::{CheckOutcome, ViolationClass};
+use crate::check::{self, CheckOutcome, ChurnGuarantee};
 use fd_sim::{
     counter, slot, Automaton, FailurePattern, FdValue, Fnv1a64, OracleSuite, ProcessId, Sim, Time,
     Trace,
@@ -55,32 +55,14 @@ pub fn run_to_horizon<A: Automaton, O: OracleSuite>(
     run_scenario_until(spec, fp, make, oracle, |_| false)
 }
 
-/// The guarantee level a churn scenario claims — the verdict envelope for
-/// runs under [`CrashPlan::Churn`](super::CrashPlan::Churn).
+/// The engine-level churn verdict: the `k`-set agreement judge
+/// ([`check::kset_agreement`]) under the scenario's claim — safety
+/// unconditionally, termination only under [`ChurnGuarantee::Liveness`],
+/// whose pass stabilizes at the run's last decision.
 ///
-/// PR 3 landed churn with safety-only guarantees because the Figure 3
-/// algorithm has no catch-up for late joiners; the catch-up layer upgrades
-/// churn scenarios to [`ChurnGuarantee::Liveness`]. The envelope keeps the
-/// two claims honest: a safety-only run must never be scored as if it
-/// promised termination, and a liveness run must actually deliver it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ChurnGuarantee {
-    /// Only safety is promised: whatever was decided is valid, within `k`,
-    /// and decided once per process. Late joiners may never decide.
-    SafetyOnly,
-    /// Safety plus termination: every correct process — *including* every
-    /// late joiner — decides within the horizon.
-    Liveness,
-}
-
-/// The engine-level churn verdict: safety unconditionally, termination only
-/// when the scenario claims [`ChurnGuarantee::Liveness`].
-///
-/// This is deliberately self-contained (decisions and the failure pattern
-/// are everything it reads) so that every churn-aware scenario — core
-/// algorithms, transformations, the facade pipeline — can share one
-/// envelope; the per-algorithm problem specs (e.g. `fd_core::spec`) remain
-/// the checkers for non-churn runs.
+/// Decisions and the failure pattern are everything it reads, so every
+/// churn-aware scenario — core algorithms, transformations, the facade
+/// pipeline — shares one verdict.
 pub fn churn_envelope(
     trace: &Trace,
     fp: &FailurePattern,
@@ -88,75 +70,11 @@ pub fn churn_envelope(
     proposals: &[u64],
     guarantee: ChurnGuarantee,
 ) -> CheckOutcome {
-    // Safety 1: validity — every decided value was proposed.
-    for d in trace.decisions() {
-        if !proposals.contains(&d.value) {
-            return CheckOutcome::fail_as(
-                ViolationClass::Validity,
-                format!(
-                    "churn validity: {} decided {} which was never proposed",
-                    d.by, d.value
-                ),
-            );
-        }
+    let mut out = check::kset_agreement(trace.decisions(), fp, k, proposals, guarantee);
+    if out.ok && guarantee == ChurnGuarantee::Liveness {
+        out.stabilized_at = trace.decisions().last().map(|d| d.at);
     }
-    // Safety 2: at most k distinct decisions.
-    let distinct = trace.decided_values();
-    if distinct.len() > k {
-        return CheckOutcome::fail_as(
-            ViolationClass::Agreement,
-            format!(
-                "churn agreement: {} distinct values decided ({distinct:?}) > k = {k}",
-                distinct.len()
-            ),
-        );
-    }
-    // Safety 3: decide-once, and only by processes that were started.
-    let mut seen = fd_sim::PSet::new();
-    for d in trace.decisions() {
-        if !seen.insert(d.by) {
-            return CheckOutcome::fail_as(
-                ViolationClass::DecideOnce,
-                format!("churn decide-once: {} decided twice", d.by),
-            );
-        }
-        if d.at < fp.start_time(d.by) {
-            return CheckOutcome::fail_as(
-                ViolationClass::DecideOnce,
-                format!(
-                    "churn structure: {} decided at {} before joining at {}",
-                    d.by,
-                    d.at,
-                    fp.start_time(d.by)
-                ),
-            );
-        }
-    }
-    match guarantee {
-        ChurnGuarantee::SafetyOnly => CheckOutcome::pass(
-            None,
-            format!(
-                "churn safety envelope: {} decisions within k = {k} (liveness not claimed)",
-                trace.decisions().len()
-            ),
-        ),
-        ChurnGuarantee::Liveness => {
-            let missing = fp.correct() - trace.deciders();
-            if missing.is_empty() {
-                CheckOutcome::pass(
-                    trace.decisions().last().map(|d| d.at),
-                    format!("churn liveness envelope: all correct decided within k = {k}"),
-                )
-            } else {
-                CheckOutcome::fail_as(
-                    ViolationClass::Termination,
-                    format!(
-                        "churn liveness: correct {missing} never decided (late joiners included)"
-                    ),
-                )
-            }
-        }
-    }
+    out
 }
 
 /// Uniform run statistics, extracted from the trace once, consumed by

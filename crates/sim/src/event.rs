@@ -55,7 +55,8 @@ use crate::time::Time;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// What happens when an event fires.
+/// What happens when an event fires. A crash is not an event: the engine
+/// reads crashes from [`FailurePattern::is_alive_at`](crate::FailurePattern::is_alive_at).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EventKind {
     /// Point-to-point delivery of the payload in `slot`, sent by `from`.
@@ -79,8 +80,6 @@ pub enum EventKind {
     /// A late-starting process joins the run (churn: a fresh process id
     /// beginning its `on_start` only now).
     Join,
-    /// The process crashes.
-    Crash,
 }
 
 /// A scheduled event targeting process `to` at time `at`.
@@ -189,7 +188,6 @@ const TAG_DELIVER: u32 = 0;
 const TAG_RB_DELIVER: u32 = 1;
 const TAG_STEP: u32 = 2;
 const TAG_JOIN: u32 = 3;
-const TAG_CRASH: u32 = 4;
 
 /// A wheel entry: an [`Event`] minus its tick (the bucket holds that), with
 /// `seq` stored as an offset from its page's first, the identities
@@ -214,7 +212,6 @@ impl Node {
             EventKind::RbDeliver { from, slot } => (TAG_RB_DELIVER, from.0, slot.index()),
             EventKind::Step => (TAG_STEP, 0, 0),
             EventKind::Join => (TAG_JOIN, 0, 0),
-            EventKind::Crash => (TAG_CRASH, 0, 0),
         };
         if slot >> (u32::BITS - TAG_BITS) != 0 {
             return None;
@@ -235,10 +232,9 @@ impl Node {
             TAG_DELIVER => EventKind::Deliver { from, slot },
             TAG_RB_DELIVER => EventKind::RbDeliver { from, slot },
             TAG_STEP => EventKind::Step,
-            TAG_JOIN => EventKind::Join,
             tag => {
-                debug_assert_eq!(tag, TAG_CRASH, "pack writes no other tag");
-                EventKind::Crash
+                debug_assert_eq!(tag, TAG_JOIN, "pack writes no other tag");
+                EventKind::Join
             }
         };
         Event {
@@ -506,7 +502,7 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(Time(5), ProcessId(0), EventKind::Step);
         q.push(Time(1), ProcessId(1), EventKind::Step);
-        q.push(Time(3), ProcessId(2), EventKind::Crash);
+        q.push(Time(3), ProcessId(2), EventKind::Join);
         let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.at.0).collect();
         assert_eq!(order, vec![1, 3, 5]);
     }
@@ -712,7 +708,6 @@ mod tests {
                 EventKind::RbDeliver { from, slot },
                 EventKind::Step,
                 EventKind::Join,
-                EventKind::Crash,
             ] {
                 for (first, off) in [(0, 9), (1 << 40, u32::MAX)] {
                     let e = Node::pack(off, from, kind).unwrap().unpack(Time(3), first);

@@ -294,7 +294,7 @@ impl<A: Automaton, O: OracleSuite> Sim<A, O> {
         for i in 0..self.cfg.n {
             let p = ProcessId(i);
             if self.fp.is_alive_at(p, Time::ZERO) {
-                self.activate(p, Activation::Start);
+                self.activate(p, true);
                 let d = self.next_step_delay(p);
                 self.queue.push(Time(d), p, EventKind::Step);
             } else if self.fp.joins_late(p) {
@@ -337,25 +337,15 @@ impl<A: Automaton, O: OracleSuite> Sim<A, O> {
             match ev.kind {
                 EventKind::Deliver { from, slot } => self.deliver(to, from, slot, false),
                 EventKind::RbDeliver { from, slot } => self.deliver(to, from, slot, true),
-                EventKind::Step => {
+                EventKind::Step | EventKind::Join => {
                     if self.fp.is_alive_at(to, self.now) && !self.halted[to.0] {
-                        self.activate(to, Activation::Step);
+                        self.activate(to, matches!(ev.kind, EventKind::Join));
                         if !self.halted[to.0] {
                             let d = self.next_step_delay(to);
                             self.queue.push(self.now + d, to, EventKind::Step);
                         }
                     }
                 }
-                EventKind::Join => {
-                    if self.fp.is_alive_at(to, self.now) && !self.halted[to.0] {
-                        self.activate(to, Activation::Start);
-                        if !self.halted[to.0] {
-                            let d = self.next_step_delay(to);
-                            self.queue.push(self.now + d, to, EventKind::Step);
-                        }
-                    }
-                }
-                EventKind::Crash => {}
             }
             if stop(&self.trace) {
                 stopped_early = true;
@@ -427,11 +417,13 @@ impl<A: Automaton, O: OracleSuite> Sim<A, O> {
         self.finish(to, ops);
     }
 
-    fn activate(&mut self, p: ProcessId, what: Activation) {
+    /// Runs `p`'s `on_start` if `start`, else its `on_step`.
+    fn activate(&mut self, p: ProcessId, start: bool) {
         let (proc, _, mut ctx) = self.ctx(p);
-        match what {
-            Activation::Start => proc.on_start(&mut ctx),
-            Activation::Step => proc.on_step(&mut ctx),
+        if start {
+            proc.on_start(&mut ctx)
+        } else {
+            proc.on_step(&mut ctx)
         }
         let ops = ctx.take_ops();
         self.finish(p, ops);
@@ -544,11 +536,6 @@ impl<A: Automaton, O: OracleSuite> Sim<A, O> {
             &mut self.staging,
         );
     }
-}
-
-enum Activation {
-    Start,
-    Step,
 }
 
 #[cfg(test)]

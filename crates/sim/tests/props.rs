@@ -103,7 +103,7 @@ impl Lockstep {
             .map(|at| Staged {
                 at,
                 to: ProcessId(at.ticks() as usize % 8),
-                kind: EventKind::Crash,
+                kind: EventKind::Join,
             })
             .collect();
         self.queue.push_batch(&batch);

@@ -39,7 +39,7 @@ use fd_detectors::scenario::{
     churn_envelope, default_proposals, run_to_decision, ChurnGuarantee, OracleVisitor, Scenario,
     ScenarioReport, ScenarioSpec,
 };
-use fd_sim::{FailurePattern, OracleSuite, Trace};
+use fd_sim::{FailurePattern, OracleSuite, ProcessId, Trace};
 use fd_transforms::catch_up::CatchUp;
 
 /// `k`-set agreement under churn, with (or, for the negative control,
@@ -71,32 +71,22 @@ impl Scenario for ChurnKsetScenario {
             proposals: &'a [u64],
         }
         impl OracleVisitor for RunChurn<'_> {
-            type Out = (Trace, ChurnGuarantee);
-            fn visit<O: OracleSuite + 'static>(self, oracle: O) -> (Trace, ChurnGuarantee) {
+            type Out = Trace;
+            fn visit<O: OracleSuite + 'static>(self, oracle: O) -> Trace {
                 let RunChurn {
                     spec,
                     fp,
                     proposals,
                 } = self;
                 if spec.catch_up {
-                    (
-                        run_to_decision(
-                            spec,
-                            fp,
-                            |p| CatchUp::new(KsetOmega::new(proposals[p.0])),
-                            oracle,
-                        ),
-                        ChurnGuarantee::Liveness,
-                    )
+                    let make = |p: ProcessId| CatchUp::new(KsetOmega::new(proposals[p.0]));
+                    run_to_decision(spec, fp, make, oracle)
                 } else {
-                    (
-                        run_to_decision(spec, fp, |p| KsetOmega::new(proposals[p.0]), oracle),
-                        ChurnGuarantee::SafetyOnly,
-                    )
+                    run_to_decision(spec, fp, |p| KsetOmega::new(proposals[p.0]), oracle)
                 }
             }
         }
-        let (trace, guarantee) = spec.with_oracle(
+        let trace = spec.with_oracle(
             &fp,
             RunChurn {
                 spec,
@@ -104,6 +94,11 @@ impl Scenario for ChurnKsetScenario {
                 proposals: &proposals,
             },
         );
+        let guarantee = if spec.catch_up {
+            ChurnGuarantee::Liveness
+        } else {
+            ChurnGuarantee::SafetyOnly
+        };
         let check = churn_envelope(&trace, &fp, spec.k, &proposals, guarantee);
         ScenarioReport::new(self.name(), spec, fp, trace, check)
     }

@@ -53,17 +53,17 @@ fn smoke_matrix_satisfies_kset_spec() {
                     // individually too so a failure names the culprit.
                     let proposals = fd_grid::scenario::default_proposals(n);
                     assert!(
-                        spec::validity(&rep.trace, &proposals).ok,
+                        spec::validity(rep.trace.decisions(), &proposals).ok,
                         "validity n={n} k={k} plan={label} seed={}",
                         rep.seed()
                     );
                     assert!(
-                        spec::k_agreement(&rep.trace, k).ok,
+                        spec::k_agreement(rep.trace.decisions(), k).ok,
                         "k-agreement n={n} k={k} plan={label} seed={}",
                         rep.seed()
                     );
                     assert!(
-                        spec::termination(&rep.trace, &rep.fp).ok,
+                        spec::termination(rep.trace.decisions(), &rep.fp).ok,
                         "termination n={n} k={k} plan={label} seed={}",
                         rep.seed()
                     );
@@ -892,7 +892,7 @@ fn churn_edge_cases_run_deterministically() {
             // Decisions (if any — liveness is not promised under churn)
             // stay within the k-set envelope.
             assert!(
-                spec::k_agreement(&rep.trace, 2).ok,
+                spec::k_agreement(rep.trace.decisions(), 2).ok,
                 "{label} seed {seed}: agreement violated"
             );
             assert_eq!(
