@@ -11,6 +11,13 @@
 //! process counts up to the n = 128 tier and one past it (n = 130, three
 //! words of identities), sequential and 4-thread runners, and armed/unarmed
 //! adversaries.
+//!
+//! The reference also activates the process on every delivery and
+//! re-checks its guards after each one, so the same rows pin
+//! [`KsetOmega`]'s two delivery shortcuts: a delivery it ignores is
+//! released unread, and a recorded one re-checks the guards only if it
+//! can open one. `tests/shortcut_counts.rs` counts what those
+//! shortcuts skip.
 
 // Verbatim pre-slab code: the accessors the differential never calls
 // (external leader inputs, `has_decided`, `round`) stay for fidelity.
@@ -29,6 +36,15 @@ fn base(n: usize) -> ScenarioSpec {
         .kz(2)
         .gst(Time(400))
         .max_time(Time(30_000))
+}
+
+/// A long pre-GST period: `Ω_z`'s noise keeps processes waiting at line
+/// 06, where [`KsetOmega`] ignores nothing and every activation re-reads
+/// `trusted_i`. `tests/shortcut_counts.rs` checks that these specs
+/// reach line 06.
+fn long_noise(n: usize) -> ScenarioSpec {
+    let gst = if n >= 128 { 1_500 } else { 4_000 };
+    base(n).gst(Time(gst)).max_time(Time(60_000)).seed(1)
 }
 
 /// The standard armed adversary of the engine tests: early drops,
@@ -61,13 +77,13 @@ fn assert_identical(
     assert!(p.metrics.msgs_sent > 0, "{what}: empty run");
 }
 
-/// Tentpole differential: n ∈ {5, 33, 128, 130} × adversary off/on, full
+/// Tentpole differential: n ∈ {5, 9, 33, 128, 130} × adversary off/on, full
 /// scenario fingerprints. `Phase1Slab` packs a leader set out of its
 /// `⌈n/64⌉` low words; 130 adds a width (3) that is neither a `u64`, a
 /// `u128` nor the full `PSet`.
 #[test]
 fn kset_slab_matches_reference_across_n_queues_adversary() {
-    for n in [5usize, 33, 128, 130] {
+    for n in [5usize, 9, 33, 128, 130] {
         let seeds = if n >= 128 { 1 } else { 2 };
         for adv in [false, true] {
             for seed in 0..seeds {
@@ -86,7 +102,7 @@ fn kset_slab_matches_reference_across_n_queues_adversary() {
     }
 }
 
-/// Crash-heavy runs: `f = t` random crashes before GST at n ∈ {33, 128},
+/// Crash-heavy runs: `f = t` random crashes before GST at n ∈ {5, 9, 33, 128},
 /// adversary off and on. Rounds that begin before the crashes still see
 /// PHASE1s arrive after their Phase 1 closed (about a third of the PHASE1
 /// deliveries of each run), which the slab automaton drops and the
@@ -96,7 +112,7 @@ fn kset_slab_matches_reference_across_n_queues_adversary() {
 /// after a process finished occur in the failure-free grid above.)
 #[test]
 fn kset_slab_matches_reference_under_t_crashes_before_gst() {
-    for n in [33usize, 128] {
+    for n in [5usize, 9, 33, 128] {
         for adv in [false, true] {
             let t = (n - 1) / 2;
             let mut spec = base(n).seed(3).crashes(CrashPlan::Random {
@@ -113,6 +129,19 @@ fn kset_slab_matches_reference_under_t_crashes_before_gst() {
                 &format!("kset f=t adv={adv}"),
             );
         }
+    }
+}
+
+/// Line 06 held open by leader noise before GST, at n ∈ {5, 9, 33, 128}.
+#[test]
+fn kset_slab_matches_reference_under_long_leader_noise() {
+    for n in [5usize, 9, 33, 128] {
+        assert_identical(
+            &KsetScenario,
+            &KsetReferenceScenario,
+            &long_noise(n),
+            "kset long leader noise",
+        );
     }
 }
 

@@ -9,14 +9,17 @@
 //! payload out on the last one). Routing a broadcast storm is therefore
 //! O(n) index writes instead of O(n) clones of `M`, queue nodes shrink to a
 //! fixed size independent of `M`, and deliveries to crashed recipients
-//! ([`MsgArena::release`]) never pay for a clone at all.
+//! ([`MsgArena::release`]) never pay for a clone at all. Neither do
+//! deliveries the recipient's automaton ignores (`Automaton::ignores`,
+//! asked on the borrowed payload): the engine releases them the same way.
 //!
-//! A clone happens in exactly two places: at a delivery that is not the
-//! slot's last ([`MsgArena::take`]), and at routing time when the message
-//! adversary corrupts one copy of a send — that copy is cloned out of the
-//! shared slot (`MsgArena::get`), mutated and staged in a slot of its
-//! own. Every other surviving copy, duplicates included, shares the send's
-//! one slot; a dropped or severed copy costs neither a clone nor a slot.
+//! A clone happens in exactly two places: at a delivery the recipient
+//! reads that is not the slot's last ([`MsgArena::take`]), and at routing
+//! time when the message adversary corrupts one copy of a send — that
+//! copy is cloned out of the shared slot (`MsgArena::get`), mutated and
+//! staged in a slot of its own. Every other surviving copy, duplicates
+//! included, shares the send's one slot; a dropped or severed copy costs
+//! neither a clone nor a slot.
 //!
 //! Slots are recycled through a free list, so steady-state traffic — where
 //! deliveries drain as fast as broadcasts stage them — allocates nothing
@@ -169,7 +172,8 @@ impl<M> MsgArena<M> {
     }
 
     /// The payload stored in a live `slot`, borrowed — what the network
-    /// clones when the message adversary corrupts one copy of a send.
+    /// clones when the message adversary corrupts one copy of a send, and
+    /// what the engine asks the recipient whether it ignores.
     pub(crate) fn get(&self, slot: MsgSlot) -> &M {
         self.slots[slot.0 as usize]
             .msg
@@ -178,8 +182,9 @@ impl<M> MsgArena<M> {
     }
 
     /// Drops one delivery of `slot`'s payload without materializing it —
-    /// the engine's path for deliveries to crashed recipients, which
-    /// therefore never pay for a clone.
+    /// the engine's path for deliveries to crashed recipients and for
+    /// deliveries the recipient ignores, which therefore never pay for a
+    /// clone.
     pub fn release(&mut self, slot: MsgSlot) {
         let s = &mut self.slots[slot.0 as usize];
         debug_assert!(s.refs > 0, "release on a dead slot");

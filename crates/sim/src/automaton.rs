@@ -2,8 +2,9 @@
 //!
 //! Each process of the paper's pseudo-code is implemented as a deterministic
 //! state machine reacting to deliveries and local steps. The pseudo-code's
-//! `wait until` statements become guards re-evaluated on every event; its
-//! `repeat forever` tasks run on periodic [`EventKind::Step`] events.
+//! `wait until` statements become guards re-evaluated on every event that
+//! can move them (a delivery the automaton [`Automaton::ignores`] cannot);
+//! its `repeat forever` tasks run on periodic [`EventKind::Step`] events.
 //!
 //! [`EventKind::Step`]: crate::event::EventKind::Step
 
@@ -297,6 +298,21 @@ pub trait Automaton {
     /// Called on periodic local steps (drives `repeat forever` tasks and
     /// re-evaluates time-dependent guards such as oracle reads).
     fn on_step<O: OracleSuite + ?Sized>(&mut self, ctx: &mut Ctx<'_, Self::Msg, O>);
+
+    /// Whether a delivery of `msg` would be a no-op, asked before the
+    /// payload leaves the arena. If so, the engine releases the delivery
+    /// as it releases one to a crashed recipient: no clone, no [`Ctx`], no
+    /// callback. It still counts in `sim.delivered`.
+    ///
+    /// Return `true` only if neither [`Automaton::on_message`] nor
+    /// [`Automaton::on_rb_deliver`] would, given `msg` now, change state
+    /// (a pure lookup hint aside), emit an op, read the oracle, or write
+    /// the trace. The default never skips. Wrappers that log or forward
+    /// every inner message keep it: an inner no-op is not theirs.
+    fn ignores(&self, msg: &Self::Msg) -> bool {
+        let _ = msg;
+        false
+    }
 }
 
 #[cfg(test)]

@@ -187,8 +187,10 @@ pub struct Sim<A: Automaton, O: OracleSuite> {
     /// exactly once while any of its deliveries are pending; queued events
     /// carry only a `Copy` [`crate::arena::MsgSlot`] handle. A clean
     /// broadcast therefore clones nothing at routing time — per-recipient
-    /// copies materialize lazily when the delivery pops (and deliveries to
-    /// crashed recipients never pay for a clone at all).
+    /// copies materialize lazily when the delivery pops, and only for a
+    /// recipient that reads them: deliveries to crashed recipients and
+    /// deliveries the recipient [`Automaton::ignores`] never pay for a
+    /// clone at all.
     arena: MsgArena<A::Msg>,
     /// The recycled operation buffer: the hot loop hands it to each
     /// activation's [`Ctx`] and takes it back when the activation ends —
@@ -399,14 +401,20 @@ impl<A: Automaton, O: OracleSuite> Sim<A, O> {
 
     /// Hands one popped delivery to its recipient. The payload goes from
     /// the arena slot straight into the by-value callback argument — the
-    /// clone [`MsgArena::take`] makes is the only copy — and a crashed
-    /// recipient's delivery is released without materializing it at all.
+    /// clone [`MsgArena::take`] makes is the only copy. A crashed
+    /// recipient's delivery, and one the recipient [`Automaton::ignores`],
+    /// is released without materializing it at all; the latter still
+    /// counts as delivered.
     fn deliver(&mut self, to: ProcessId, from: ProcessId, slot: MsgSlot, rb: bool) {
         if !self.fp.is_alive_at(to, self.now) {
             self.arena.release(slot);
             return;
         }
         self.delivered += 1;
+        if self.procs[to.0].ignores(self.arena.get(slot)) {
+            self.arena.release(slot);
+            return;
+        }
         let (proc, arena, mut ctx) = self.ctx(to);
         if rb {
             proc.on_rb_deliver(from, arena.take(slot), &mut ctx);
