@@ -11,13 +11,14 @@ use crate::repeated::run_repeated_spec;
 use crate::spec;
 use fd_detectors::scenario::{
     churn_envelope, default_proposals, run_to_decision, salt, ChurnGuarantee, CrashPlan, Flavour,
-    OracleVisitor, Scenario, ScenarioReport, ScenarioSpec,
+    Scenario, ScenarioReport, ScenarioSpec,
 };
 use fd_sim::{FailurePattern, OracleSuite};
 
 /// The Figure 3 `Ω_z`-based `k`-set agreement algorithm, run under the
-/// spec's oracle choice (an adversarial `Ω_z` by default; set `z > k` to
-/// reproduce the Theorem 5 violation).
+/// spec's `Ω_z` ([`ScenarioSpec::omega_oracle`] keyed by [`salt::OMEGA`],
+/// adversarial before `gst`; set `z > k` to reproduce the Theorem 5
+/// violation).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct KsetScenario;
 
@@ -35,21 +36,8 @@ impl Scenario for KsetScenario {
 
     fn run(&self, spec: &ScenarioSpec) -> ScenarioReport {
         let fp = spec.materialize();
-        struct RunKset<'a> {
-            spec: &'a ScenarioSpec,
-            fp: FailurePattern,
-        }
-        impl OracleVisitor for RunKset<'_> {
-            type Out = ScenarioReport;
-            fn visit<O: OracleSuite + 'static>(self, oracle: O) -> ScenarioReport {
-                run_kset_with(self.spec, self.fp, oracle)
-            }
-        }
-        let v = RunKset {
-            spec,
-            fp: fp.clone(),
-        };
-        spec.with_oracle(&fp, v)
+        let oracle = spec.omega_oracle(&fp, salt::OMEGA);
+        run_kset_with(spec, fp, oracle)
     }
 }
 
@@ -78,8 +66,8 @@ pub fn run_kset_with(
     ScenarioReport::new("kset_omega", spec, fp, trace, check)
 }
 
-/// The Mostéfaoui–Raynal `◇S` quorum-based consensus baseline. Ignores the
-/// spec's oracle choice: the algorithm is defined for `◇S = ◇S_n` only.
+/// The Mostéfaoui–Raynal `◇S` quorum-based consensus baseline, run under
+/// `◇S = ◇S_n` (the algorithm is defined for it only).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ConsensusScenario;
 
@@ -119,23 +107,8 @@ impl Scenario for RepeatedScenario {
 
     fn run(&self, spec: &ScenarioSpec) -> ScenarioReport {
         let fp = spec.materialize();
-        struct RunRepeated<'a> {
-            spec: &'a ScenarioSpec,
-            instances: u32,
-            fp: FailurePattern,
-        }
-        impl OracleVisitor for RunRepeated<'_> {
-            type Out = ScenarioReport;
-            fn visit<O: OracleSuite + 'static>(self, oracle: O) -> ScenarioReport {
-                run_repeated_spec(self.spec, self.instances, self.fp, oracle)
-            }
-        }
-        let v = RunRepeated {
-            spec,
-            instances: self.instances,
-            fp: fp.clone(),
-        };
-        spec.with_oracle(&fp, v)
+        let oracle = spec.omega_oracle(&fp, salt::OMEGA);
+        run_repeated_spec(spec, self.instances, fp, oracle)
     }
 }
 

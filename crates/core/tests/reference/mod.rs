@@ -15,11 +15,10 @@
 use fd_core::spec;
 use fd_detectors::scenario::{
     churn_envelope, default_proposals, run_to_decision, salt, ChurnGuarantee, CrashPlan, Flavour,
-    OracleVisitor, Scenario, ScenarioReport, ScenarioSpec,
+    Scenario, ScenarioReport, ScenarioSpec,
 };
 use fd_sim::{
-    slot, Automaton, Corruptible, Ctx, FailurePattern, FdValue, OracleSuite, PSet, ProcessId,
-    SplitMix64,
+    slot, Automaton, Corruptible, Ctx, FdValue, OracleSuite, PSet, ProcessId, SplitMix64,
 };
 use std::collections::HashMap;
 
@@ -382,31 +381,15 @@ impl Scenario for KsetReferenceScenario {
 
     fn run(&self, spec: &ScenarioSpec) -> ScenarioReport {
         let fp = spec.materialize();
-        struct RunKset<'a> {
-            spec: &'a ScenarioSpec,
-            fp: FailurePattern,
-        }
-        impl OracleVisitor for RunKset<'_> {
-            type Out = ScenarioReport;
-            fn visit<O: OracleSuite + 'static>(self, oracle: O) -> ScenarioReport {
-                let spec = self.spec;
-                let fp = self.fp;
-                let proposals = default_proposals(spec.n);
-                let trace =
-                    run_to_decision(spec, &fp, |p| KsetOmegaRef::new(proposals[p.0]), oracle);
-                let check = if matches!(spec.crashes, CrashPlan::Churn { .. }) {
-                    churn_envelope(&trace, &fp, spec.k, &proposals, ChurnGuarantee::SafetyOnly)
-                } else {
-                    spec::kset_spec(&trace, &fp, spec.k, &proposals)
-                };
-                ScenarioReport::new("kset_omega", spec, fp, trace, check)
-            }
-        }
-        let v = RunKset {
-            spec,
-            fp: fp.clone(),
+        let proposals = default_proposals(spec.n);
+        let oracle = spec.omega_oracle(&fp, salt::OMEGA);
+        let trace = run_to_decision(spec, &fp, |p| KsetOmegaRef::new(proposals[p.0]), oracle);
+        let check = if matches!(spec.crashes, CrashPlan::Churn { .. }) {
+            churn_envelope(&trace, &fp, spec.k, &proposals, ChurnGuarantee::SafetyOnly)
+        } else {
+            spec::kset_spec(&trace, &fp, spec.k, &proposals)
         };
-        spec.with_oracle(&fp, v)
+        ScenarioReport::new(self.name(), spec, fp, trace, check)
     }
 }
 

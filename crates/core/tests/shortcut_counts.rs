@@ -19,12 +19,9 @@
 
 use fd_core::{spec, KsetMsg, KsetOmega, KsetScenario};
 use fd_detectors::scenario::{
-    default_proposals, run_to_decision, CrashPlan, OracleVisitor, Scenario, ScenarioReport,
-    ScenarioSpec,
+    default_proposals, run_to_decision, salt, CrashPlan, Scenario, ScenarioReport, ScenarioSpec,
 };
-use fd_sim::{
-    counter, forward_ops, Automaton, Ctx, FailurePattern, Op, OracleSuite, ProcessId, Time,
-};
+use fd_sim::{counter, forward_ops, Automaton, Ctx, Op, OracleSuite, ProcessId, Time};
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -112,30 +109,12 @@ impl Automaton for Counted {
 /// [`KsetOmega`]: same oracle wiring, same stop rule, same check and
 /// report name, so the fingerprints compare.
 fn run_as_kset<A: Automaton>(spec: &ScenarioSpec, make: impl Fn(u64) -> A) -> ScenarioReport {
-    struct Visit<'a, F> {
-        spec: &'a ScenarioSpec,
-        fp: FailurePattern,
-        make: F,
-    }
-    impl<A: Automaton, F: Fn(u64) -> A> OracleVisitor for Visit<'_, F> {
-        type Out = ScenarioReport;
-        fn visit<O: OracleSuite + 'static>(self, oracle: O) -> ScenarioReport {
-            let Visit { spec, fp, make } = self;
-            let proposals = default_proposals(spec.n);
-            let trace = run_to_decision(spec, &fp, |p| make(proposals[p.0]), oracle);
-            let check = spec::kset_spec(&trace, &fp, spec.k, &proposals);
-            ScenarioReport::new("kset_omega", spec, fp, trace, check)
-        }
-    }
     let fp = spec.materialize();
-    spec.with_oracle(
-        &fp,
-        Visit {
-            spec,
-            fp: fp.clone(),
-            make,
-        },
-    )
+    let proposals = default_proposals(spec.n);
+    let oracle = spec.omega_oracle(&fp, salt::OMEGA);
+    let trace = run_to_decision(spec, &fp, |p| make(proposals[p.0]), oracle);
+    let check = spec::kset_spec(&trace, &fp, spec.k, &proposals);
+    ScenarioReport::new("kset_omega", spec, fp, trace, check)
 }
 
 /// The production run, counted, after checking that it equals the run

@@ -81,8 +81,8 @@ pub use omega::OmegaOracle;
 pub use perfect::PerfectOracle;
 pub use phi::{PhiOracle, PsiOracle};
 pub use scenario::{
-    default_proposals, sample_oracle, CrashPlan, Flavour, Metrics, OracleChoice, OracleVisitor,
-    ReportCache, Runner, SampledSlot, Scenario, ScenarioReport, ScenarioSpec, SweepSummary,
+    default_proposals, sample_oracle, CrashPlan, Flavour, Metrics, ReportCache, Runner,
+    SampledSlot, Scenario, ScenarioReport, ScenarioSpec, SweepSummary,
 };
 pub use scripted::{ScriptedOracle, SetSchedule};
 pub use sx::{Scope, SxOracle};

@@ -21,14 +21,23 @@
 //! `MessageAdversary::Rules` list encodes as `MessageAdversary::None` and
 //! an empty `TopologySchedule::Epochs` list as `TopologySchedule::None`,
 //! as `from_rules` / `from_epochs` normalize them.
+//!
+//! The encoding still carries `"oracle":"omega"`, a constant: the spec
+//! once named one of several oracle bundles, and every fingerprint, store
+//! salt and checked-in witness hashes or embeds these bytes. Dropping the
+//! key would re-key them all, so the encoder writes it and the decoder
+//! accepts that one value and nothing else.
 
-use super::spec::{CrashPlan, Flavour, OracleChoice, ScenarioSpec};
+use super::spec::{CrashPlan, ScenarioSpec};
 use crate::json::{self, Json, Writer};
 use fd_sim::{
     DelayModel, DelayRule, FailurePattern, Fnv1a64, LinkOverride, MessageAdversary, MessageRule,
     PSet, ProcessId, RuleAction, Time, TopologyEpoch, TopologySchedule, MAX_PROCESSES,
 };
 use std::fmt;
+
+/// The `oracle` member's one value (see the module doc).
+const ORACLE: &str = "omega";
 
 impl ScenarioSpec {
     /// The canonical encoding: compact JSON of every run-shaping field,
@@ -89,7 +98,7 @@ impl ScenarioSpec {
     /// `CrashPlan::materialize` — and percentages to `0..=100`: an
     /// out-of-range value is an `Err` naming the field, where an `as` cast
     /// would have wrapped it (`"pct": 300` → 44) or the engine would have
-    /// panicked mid-replay.
+    /// panicked mid-replay. `oracle` must be `"omega"`, its one value.
     pub fn from_json(doc: &Json) -> Result<ScenarioSpec, String> {
         let n = bounded_at(
             doc,
@@ -108,7 +117,10 @@ impl ScenarioSpec {
         spec.y = bounded_at(doc, "y", 0..=t as u64, "φ_y needs y ≤ t")?;
         spec.z = bounded_at(doc, "z", 1..=n as u64, "the leader sets of Ω_z")?;
         spec.k = bounded_at(doc, "k", 1..=n as u64, "k-set agreement")?;
-        spec.oracle = oracle_from_tag(doc.str_at("oracle")?)?;
+        match doc.str_at("oracle")? {
+            ORACLE => {}
+            other => return Err(format!("`oracle` is {other:?}, not {ORACLE:?}")),
+        }
         spec.crashes = doc.decode_at("crashes", |c| crashes_from_json(c, n, t))?;
         spec.delay = doc.decode_at("delay", delay_from_json)?;
         spec.rules = doc.decode_each_at("delay_rules", delay_rule_from_json)?;
@@ -137,7 +149,6 @@ impl ScenarioSpec {
             y,
             z,
             k,
-            oracle,
             crashes,
             delay,
             rules,
@@ -183,7 +194,7 @@ impl ScenarioSpec {
         w.u64(max_time.0);
         count(w, "n", *n);
         w.key("oracle");
-        w.str(oracle_tag(*oracle));
+        w.str(ORACLE);
         count(w, "t", *t);
         w.key("topology");
         w.begin_arr();
@@ -214,22 +225,6 @@ fn pset<W: fmt::Write>(w: &mut Writer<'_, W>, set: PSet) {
             w.u64(p.0 as u64);
         }
         w.end_arr();
-    }
-}
-
-fn oracle_tag(oracle: OracleChoice) -> &'static str {
-    match oracle {
-        OracleChoice::None => "none",
-        OracleChoice::Omega => "omega",
-        OracleChoice::Sx(Flavour::Perpetual) => "sx:perpetual",
-        OracleChoice::Sx(Flavour::Eventual) => "sx:eventual",
-        OracleChoice::Phi(Flavour::Perpetual) => "phi:perpetual",
-        OracleChoice::Phi(Flavour::Eventual) => "phi:eventual",
-        OracleChoice::Psi => "psi",
-        OracleChoice::SxPlusPhi(Flavour::Perpetual) => "sx_plus_phi:perpetual",
-        OracleChoice::SxPlusPhi(Flavour::Eventual) => "sx_plus_phi:eventual",
-        OracleChoice::Perfect(Flavour::Perpetual) => "perfect:perpetual",
-        OracleChoice::Perfect(Flavour::Eventual) => "perfect:eventual",
     }
 }
 
@@ -455,23 +450,6 @@ fn pset_from_json(doc: &Json) -> Result<PSet, String> {
         };
     }
     Ok(set)
-}
-
-fn oracle_from_tag(tag: &str) -> Result<OracleChoice, String> {
-    Ok(match tag {
-        "none" => OracleChoice::None,
-        "omega" => OracleChoice::Omega,
-        "sx:perpetual" => OracleChoice::Sx(Flavour::Perpetual),
-        "sx:eventual" => OracleChoice::Sx(Flavour::Eventual),
-        "phi:perpetual" => OracleChoice::Phi(Flavour::Perpetual),
-        "phi:eventual" => OracleChoice::Phi(Flavour::Eventual),
-        "psi" => OracleChoice::Psi,
-        "sx_plus_phi:perpetual" => OracleChoice::SxPlusPhi(Flavour::Perpetual),
-        "sx_plus_phi:eventual" => OracleChoice::SxPlusPhi(Flavour::Eventual),
-        "perfect:perpetual" => OracleChoice::Perfect(Flavour::Perpetual),
-        "perfect:eventual" => OracleChoice::Perfect(Flavour::Eventual),
-        other => return Err(format!("unknown oracle {other:?}")),
-    })
 }
 
 /// `t` bounds the crash count of the randomized plans and `n` the churn

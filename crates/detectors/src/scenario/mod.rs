@@ -55,9 +55,9 @@
 //!   its views: [`ScenarioSpec::fingerprint`] (FNV-1a-64 of it),
 //!   [`ScenarioSpec::to_json`] / [`ScenarioSpec::from_json`] and
 //!   [`ScenarioSpec::describe`];
-//! * `oracle` — [`ScenarioSpec::with_oracle`] + [`OracleVisitor`], the only
-//!   way a runtime [`OracleChoice`] becomes an oracle, and
-//!   [`sample_oracle`];
+//! * `oracle` — the per-class constructors each scenario builds its
+//!   detectors with (Figure 3's `Ω_z` is [`ScenarioSpec::omega_oracle`];
+//!   a spec names no oracle), and [`sample_oracle`];
 //! * `report` — the run drivers, [`churn_envelope`], [`Metrics`],
 //!   [`ScenarioReport`], [`SlimReport`];
 //! * `cache` — [`ReportCache`];
@@ -83,7 +83,7 @@ pub use report::{
     Metrics, ScenarioReport, SlimReport,
 };
 pub use runner::{Runner, Scenario};
-pub use spec::{salt, CrashPlan, Flavour, OracleChoice, ScenarioSpec};
+pub use spec::{salt, CrashPlan, Flavour, ScenarioSpec};
 pub use summary::SweepSummary;
 
 // Spec authors pick their message adversary through `adversary` and their

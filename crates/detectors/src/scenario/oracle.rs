@@ -1,16 +1,18 @@
-//! The oracle half of a spec: the per-class constructors, the
-//! [`ScenarioSpec::with_oracle`] dispatch that turns a runtime
-//! [`OracleChoice`] into a concrete oracle type, and [`sample_oracle`] for
-//! auditing an oracle on its own.
+//! The oracle half of a spec: the per-class constructors each scenario
+//! builds its detectors with, and [`sample_oracle`] for auditing an oracle
+//! on its own.
 
-use super::spec::{salt, Flavour, OracleChoice, ScenarioSpec};
-use crate::{OmegaOracle, PerfectOracle, PhiOracle, PsiOracle, SxOracle};
+use super::spec::{salt, Flavour, ScenarioSpec};
+use crate::{OmegaOracle, PhiOracle, SxOracle};
 use fd_sim::{
     slot, FailurePattern, FdValue, OracleSuite, ProcessId, SuspectPlusQuery, Time, Trace,
 };
 
 impl ScenarioSpec {
     /// An `Ω_z` oracle over `fp`, seeded from this spec's seed and `salt`.
+    ///
+    /// Figure 3's scenarios pass [`salt::OMEGA`], the only salt in use;
+    /// the parameter stays because the repo benchmark calls this with it.
     pub fn omega_oracle(&self, fp: &FailurePattern, salt: u64) -> OmegaOracle {
         OmegaOracle::new(fp.clone(), self.z, self.gst, self.seed ^ salt)
     }
@@ -58,51 +60,25 @@ impl ScenarioSpec {
         }
     }
 
-    /// Resolves the spec's [`OracleChoice`] to its concrete oracle type
-    /// (with the canonical salt for each choice) and runs `v` with it.
+    /// Runs `v` with the spec's one `Ω_z`,
+    /// [`omega_oracle`](ScenarioSpec::omega_oracle)`(fp, salt::OMEGA)`.
     ///
-    /// This is the only way a runtime oracle choice becomes an oracle:
-    /// everything the visitor runs — typically a whole [`fd_sim::Sim`] —
-    /// is monomorphized per oracle type, so detector reads inside the
-    /// activation loop stay static calls, and there is no erased bundle
-    /// to fall back to. [`OracleChoice::None`] resolves to
-    /// [`fd_sim::NoOracle`]: the visit succeeds, but any detector access
-    /// during the run panics — an algorithm for the pure asynchronous
-    /// model must never consult a detector.
+    /// No scenario calls this: each builds its oracle directly. It stays,
+    /// with [`OracleVisitor`], only because the repo benchmark's
+    /// re-composed runs call it and its API allow-list names both; the
+    /// benchmark's v2 (ROADMAP item 1) deletes them.
     pub fn with_oracle<V: OracleVisitor>(&self, fp: &FailurePattern, v: V) -> V::Out {
-        match self.oracle {
-            OracleChoice::None => v.visit(fd_sim::NoOracle),
-            OracleChoice::Omega => v.visit(self.omega_oracle(fp, salt::OMEGA)),
-            OracleChoice::Sx(f) => v.visit(self.sx_oracle(fp, self.x, f, salt::SX)),
-            OracleChoice::Phi(f) => v.visit(self.phi_oracle(fp, f, salt::PHI)),
-            OracleChoice::Psi => v.visit(PsiOracle::new(self.phi_oracle(
-                fp,
-                Flavour::Eventual,
-                salt::PSI_PHI,
-            ))),
-            OracleChoice::SxPlusPhi(f) => {
-                v.visit(self.sx_plus_phi(fp, f, salt::ADDITION_SX, salt::ADDITION_PHI))
-            }
-            OracleChoice::Perfect(f) => v.visit(PerfectOracle::new(
-                fp.clone(),
-                f.scope(self.gst),
-                self.seed ^ salt::PERFECT,
-            )),
-        }
+        v.visit(self.omega_oracle(fp, salt::OMEGA))
     }
 }
 
-/// One monomorphic continuation over a runtime-chosen oracle bundle,
-/// consumed by [`ScenarioSpec::with_oracle`].
-///
-/// Implementors get called with the *concrete* oracle type named by the
-/// spec's [`OracleChoice`], so a simulation started inside `visit` keeps
-/// every oracle read statically dispatched end to end.
+/// A continuation over the spec's oracle, consumed by
+/// [`ScenarioSpec::with_oracle`] (kept for the repo benchmark only).
 pub trait OracleVisitor {
     /// The continuation's result.
     type Out;
 
-    /// Runs the continuation with the resolved oracle bundle.
+    /// Runs the continuation with the oracle.
     fn visit<O: OracleSuite + 'static>(self, oracle: O) -> Self::Out;
 }
 

@@ -57,8 +57,10 @@ pub fn run_to_horizon<A: Automaton, O: OracleSuite>(
 
 /// The engine-level churn verdict: the `k`-set agreement judge
 /// ([`check::kset_agreement`]) under the scenario's claim — safety
-/// unconditionally, termination only under [`ChurnGuarantee::Liveness`],
-/// whose pass stabilizes at the run's last decision.
+/// unconditionally, termination only under [`ChurnGuarantee::Liveness`].
+/// It is the judge alone, so its verdict, `stabilized_at` (`None`)
+/// included, is `kset_spec`'s; the run's last decision is
+/// [`Metrics::last_decision`].
 ///
 /// Decisions and the failure pattern are everything it reads, so every
 /// churn-aware scenario — core algorithms, transformations, the facade
@@ -70,11 +72,7 @@ pub fn churn_envelope(
     proposals: &[u64],
     guarantee: ChurnGuarantee,
 ) -> CheckOutcome {
-    let mut out = check::kset_agreement(trace.decisions(), fp, k, proposals, guarantee);
-    if out.ok && guarantee == ChurnGuarantee::Liveness {
-        out.stabilized_at = trace.decisions().last().map(|d| d.at);
-    }
-    out
+    check::kset_agreement(trace.decisions(), fp, k, proposals, guarantee)
 }
 
 /// Uniform run statistics, extracted from the trace once, consumed by

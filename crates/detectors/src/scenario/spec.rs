@@ -12,6 +12,11 @@ use fd_sim::{
 /// Seed-mixing constants, one per oracle role, so that the detectors of a
 /// bundle draw from independent streams of the run's root seed.
 ///
+/// A spec names no oracle: each scenario builds the detectors its
+/// algorithm reads from the spec's grid parameters, and keys each one by
+/// its role's salt below (Figure 3's `Ω_z` by [`salt::OMEGA`], through
+/// [`ScenarioSpec::omega_oracle`]).
+///
 /// # The reproducibility contract
 ///
 /// Every recorded number in this repository (the table goldens, the
@@ -34,10 +39,6 @@ pub mod salt {
     pub const OMEGA: u64 = 0x0A11;
     /// `◇S` oracle of the MR consensus baseline.
     pub const DIAMOND_S: u64 = 0x0511;
-    /// Standalone `S_x` bundle built via `OracleChoice::Sx`.
-    pub const SX: u64 = 0x5c0e;
-    /// Standalone `φ_y` bundle built via `OracleChoice::Phi`.
-    pub const PHI: u64 = 0x0f1e;
     /// `◇S_x` component of the two-wheels bundle.
     pub const WHEELS_SX: u64 = 0x5e5e;
     /// `◇φ_y` component of the two-wheels bundle.
@@ -52,8 +53,6 @@ pub mod salt {
     pub const PIPELINE_SX: u64 = 0xAA55;
     /// `◇φ_y` component of the end-to-end pipeline bundle.
     pub const PIPELINE_PHI: u64 = 0x55AA;
-    /// Perfect-detector oracle.
-    pub const PERFECT: u64 = 0x9e37;
     /// Crash-plan materialization stream.
     pub const CRASHES: u64 = 0xC4A5;
     /// Anarchic crash-plan stream (random crash count).
@@ -196,29 +195,9 @@ impl Flavour {
     }
 }
 
-/// Which failure-detector bundle a scenario consults, built from the grid
-/// parameters of the spec (`x` for `S_x`, `y` for `φ_y`, `z` for `Ω_z`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OracleChoice {
-    /// No detector: the pure asynchronous model `AS_{n,t}[∅]`.
-    None,
-    /// `Ω_z` (eventual multiple leadership), stabilizing at `gst`.
-    Omega,
-    /// `S_x` / `◇S_x` (limited-scope accuracy).
-    Sx(Flavour),
-    /// `φ_y` / `◇φ_y` (query detectors).
-    Phi(Flavour),
-    /// `Ψ_y` (strict query detector), eventual at `gst`.
-    Psi,
-    /// The `S_x` + `φ_y` bundle used by the additions.
-    SxPlusPhi(Flavour),
-    /// `P` / `◇P` (the perfect detector).
-    Perfect(Flavour),
-}
-
 /// Full description of one run (or of a family of runs differing only in
-/// seed): system size, grid parameters, oracle choice, crash plan, delay
-/// adversary, stabilization time, seed, and horizons.
+/// seed): system size, grid parameters, crash plan, delay adversary,
+/// stabilization time, seed, and horizons.
 #[derive(Clone, Debug)]
 pub struct ScenarioSpec {
     /// System size.
@@ -233,8 +212,6 @@ pub struct ScenarioSpec {
     pub z: usize,
     /// Agreement degree `k` checked against the run.
     pub k: usize,
-    /// The failure-detector bundle consulted by the scenario.
-    pub oracle: OracleChoice,
     /// Crash injection.
     pub crashes: CrashPlan,
     /// Base message-delay distribution.
@@ -266,8 +243,8 @@ pub struct ScenarioSpec {
 }
 
 impl ScenarioSpec {
-    /// A sensible default spec: `k = x = y = z = 1`, an `Ω_z` oracle
-    /// stabilizing at 300, no crashes, default delays.
+    /// A sensible default spec: `k = x = y = z = 1`, oracles stabilizing
+    /// at 300, no crashes, default delays.
     pub fn new(n: usize, t: usize) -> Self {
         ScenarioSpec {
             n,
@@ -276,7 +253,6 @@ impl ScenarioSpec {
             y: 1,
             z: 1,
             k: 1,
-            oracle: OracleChoice::Omega,
             crashes: CrashPlan::None,
             delay: DelayModel::default(),
             rules: Vec::new(),
@@ -318,12 +294,6 @@ impl ScenarioSpec {
     pub fn kz(mut self, kz: usize) -> Self {
         self.k = kz;
         self.z = kz;
-        self
-    }
-
-    /// Sets the oracle choice (builder style).
-    pub fn oracle(mut self, oracle: OracleChoice) -> Self {
-        self.oracle = oracle;
         self
     }
 

@@ -215,8 +215,6 @@ fn spec_fingerprint_covers_the_knobs_but_not_seed() {
         base.clone().gst(Time(501)),
         base.clone().max_time(Time(99_999)),
         base.clone().max_steps(7),
-        base.clone().oracle(OracleChoice::Sx(Flavour::Perpetual)),
-        base.clone().oracle(OracleChoice::Sx(Flavour::Eventual)),
         base.clone().crashes(CrashPlan::Anarchic { by: Time(50) }),
         base.clone().crashes(CrashPlan::Initial { f: 1 }),
         base.clone().crashes(CrashPlan::Explicit(
@@ -300,7 +298,6 @@ fn kitchen_sink_spec() -> ScenarioSpec {
         .kz(2)
         .x(3)
         .y(2)
-        .oracle(OracleChoice::SxPlusPhi(Flavour::Eventual))
         .crashes(CrashPlan::Churn {
             crash_by: Time(900),
             rejoin_after: 77,
@@ -340,22 +337,6 @@ fn every_variant() -> Vec<ScenarioSpec> {
     let mut specs = vec![kitchen_sink_spec()];
     specs.extend(
         [
-            OracleChoice::None,
-            OracleChoice::Omega,
-            OracleChoice::Sx(Flavour::Perpetual),
-            OracleChoice::Sx(Flavour::Eventual),
-            OracleChoice::Phi(Flavour::Perpetual),
-            OracleChoice::Phi(Flavour::Eventual),
-            OracleChoice::Psi,
-            OracleChoice::SxPlusPhi(Flavour::Perpetual),
-            OracleChoice::SxPlusPhi(Flavour::Eventual),
-            OracleChoice::Perfect(Flavour::Perpetual),
-            OracleChoice::Perfect(Flavour::Eventual),
-        ]
-        .map(|o| base.clone().oracle(o)),
-    );
-    specs.extend(
-        [
             CrashPlan::Random { f: 2, by: Time(40) },
             CrashPlan::Initial { f: 1 },
             CrashPlan::Anarchic { by: Time(7) },
@@ -390,11 +371,10 @@ fn spec_codec_round_trips_every_field() {
 }
 
 #[test]
-fn spec_codec_covers_every_oracle_and_infinity() {
+fn spec_codec_covers_every_variant_and_infinity() {
     let mut prints = std::collections::BTreeSet::new();
     for spec in every_variant() {
         let back = ScenarioSpec::from_json(&spec.to_json()).expect("decode");
-        assert_eq!(back.oracle, spec.oracle);
         assert_eq!(format!("{:?}", back.crashes), format!("{:?}", spec.crashes));
         assert!(prints.insert(spec.fingerprint()), "{}", spec.describe());
     }
@@ -465,6 +445,35 @@ fn explicit_patterns_reject_a_crash_at_the_end_of_the_clock() {
     );
 }
 
+/// A spec names one oracle: the decoder takes `"oracle":"omega"` and
+/// refuses the tags of the retired oracle bundles and a document without
+/// the key, each with an error naming `oracle`.
+#[test]
+fn spec_decoder_accepts_only_the_omega_oracle() {
+    let canonical = ScenarioSpec::new(6, 2).canonical();
+    let decode = |text: String| ScenarioSpec::from_json(&crate::json::parse(&text).unwrap());
+    assert_eq!(decode(canonical.clone()).unwrap().canonical(), canonical);
+    let retired = [
+        "none",
+        "sx:perpetual",
+        "sx:eventual",
+        "phi:perpetual",
+        "phi:eventual",
+        "psi",
+        "sx_plus_phi:perpetual",
+        "sx_plus_phi:eventual",
+        "perfect:perpetual",
+        "perfect:eventual",
+    ];
+    for tag in retired {
+        let text = canonical.replace(r#""oracle":"omega""#, &format!(r#""oracle":"{tag}""#));
+        let err = decode(text).unwrap_err();
+        assert!(err.contains("`oracle`"), "{tag}: {err}");
+    }
+    let err = decode(canonical.replace(r#""oracle":"omega","#, "")).unwrap_err();
+    assert_eq!(err, "missing `oracle`");
+}
+
 #[test]
 fn describe_names_what_differs_from_the_defaults() {
     assert_eq!(ScenarioSpec::new(5, 2).describe(), "n=5 t=2");
@@ -489,114 +498,43 @@ fn describe_names_what_differs_from_the_defaults() {
 
 // ---- oracle.rs -------------------------------------------------------------
 
-/// Which primitives an oracle choice answers (the others panic by
-/// contract, so the probe must not touch them), and the concrete oracle
-/// type the choice must resolve to.
-fn primitives(choice: OracleChoice) -> (bool, bool, bool, &'static str) {
-    // (suspected, trusted, query, type)
-    match choice {
-        OracleChoice::None => (false, false, false, "NoOracle"),
-        OracleChoice::Omega => (false, true, false, "OmegaOracle"),
-        OracleChoice::Sx(_) => (true, false, false, "SxOracle"),
-        OracleChoice::Phi(_) => (false, false, true, "PhiOracle"),
-        OracleChoice::Psi => (false, false, true, "PsiOracle"),
-        OracleChoice::SxPlusPhi(_) => (true, false, true, "SuspectPlusQuery"),
-        OracleChoice::Perfect(_) => (true, false, false, "PerfectOracle"),
-    }
+/// Every `trusted_i` answer of an oracle over a grid of processes and times
+/// spanning the GST: two `Ω_z` oracles are draw-for-draw equal iff their
+/// transcripts are.
+fn trusted_transcript<O: OracleSuite>(oracle: &mut O, n: usize) -> Vec<PSet> {
+    let grid = (0..40u64).flat_map(|step| (0..n).map(move |p| (ProcessId(p), Time(step * 25))));
+    grid.map(|(p, now)| oracle.trusted(p, now)).collect()
 }
 
-/// Drives an oracle through a fixed probe schedule — every process, a time
-/// grid spanning the GST, and (for query oracles) a family of probe sets —
-/// and transcribes every answer. Two oracles are draw-for-draw equal iff
-/// their transcripts are.
-fn transcript<O: OracleSuite>(
-    oracle: &mut O,
-    fp: &FailurePattern,
-    choice: OracleChoice,
-) -> Vec<String> {
-    let (suspected, trusted, query, _) = primitives(choice);
-    let n = fp.n();
-    let mut out = Vec::new();
-    for step in 0..40u64 {
-        let now = Time(step * 25);
-        for p in (0..n).map(ProcessId) {
-            if suspected {
-                out.push(format!("s:{p}@{now}={}", oracle.suspected(p, now)));
-            }
-            if trusted {
-                out.push(format!("t:{p}@{now}={}", oracle.trusted(p, now)));
-            }
-            if query {
-                for width in 1..=n.min(4) {
-                    let x: PSet = (0..width).map(ProcessId).collect();
-                    out.push(format!("q:{p}@{now}:{x}={}", oracle.query(p, x, now)));
-                }
-            }
-        }
-    }
-    out
-}
+/// Transcribes the oracle `with_oracle` hands over.
+struct Transcribe(usize);
 
-/// The probing visitor: names the concrete type it was handed and
-/// transcribes its answers.
-struct ProbeOracle<'a> {
-    fp: &'a FailurePattern,
-    choice: OracleChoice,
-}
-
-impl OracleVisitor for ProbeOracle<'_> {
-    type Out = (&'static str, Vec<String>);
-    fn visit<O: OracleSuite + 'static>(self, mut oracle: O) -> Self::Out {
-        (
-            std::any::type_name::<O>(),
-            transcript(&mut oracle, self.fp, self.choice),
-        )
+impl OracleVisitor for Transcribe {
+    type Out = Vec<PSet>;
+    fn visit<O: OracleSuite + 'static>(self, mut oracle: O) -> Vec<PSet> {
+        trusted_transcript(&mut oracle, self.0)
     }
 }
 
 #[test]
-fn with_oracle_honours_choice() {
-    let mut choices = vec![OracleChoice::None, OracleChoice::Omega, OracleChoice::Psi];
-    for f in [Flavour::Perpetual, Flavour::Eventual] {
-        choices.push(OracleChoice::Sx(f));
-        choices.push(OracleChoice::Phi(f));
-        choices.push(OracleChoice::SxPlusPhi(f));
-        choices.push(OracleChoice::Perfect(f));
-    }
-    for choice in choices {
-        let spec = ScenarioSpec::new(7, 3)
-            .x(2)
-            .z(2)
-            .seed(1)
-            .gst(Time(400))
-            .oracle(choice)
-            .crashes(CrashPlan::Random {
-                f: 3,
-                by: Time(500),
-            });
-        let fp = spec.materialize();
-        let probe = || ProbeOracle { fp: &fp, choice };
-        let (ty, answers) = spec.with_oracle(&fp, probe());
-        // The arm resolves to the class's concrete type …
-        let want = primitives(choice).3;
-        assert!(ty.contains(want), "{choice:?} resolved to {ty}");
-        // … which answers exactly the primitives of its class …
-        assert_eq!(
-            answers.is_empty(),
-            choice == OracleChoice::None,
-            "{choice:?}"
-        );
-        // … as a pure function of (spec, seed).
-        assert_eq!(spec.with_oracle(&fp, probe()).1, answers, "{choice:?}");
-        // The stream is keyed by the choice's canonical salt.
-        if choice == OracleChoice::Omega {
-            let mut direct = spec.omega_oracle(&fp, salt::OMEGA);
-            assert_eq!(transcript(&mut direct, &fp, choice), answers);
-            // Ω_z after GST: at least one leader, at most z.
-            let leaders = direct.trusted(ProcessId(0), Time(10_000));
-            assert!((1..=spec.z).contains(&leaders.len()), "{leaders}");
-        }
-    }
+fn with_oracle_hands_over_the_specs_omega() {
+    let spec = ScenarioSpec::new(7, 3)
+        .z(2)
+        .seed(1)
+        .gst(Time(400))
+        .crashes(CrashPlan::Random {
+            f: 3,
+            by: Time(500),
+        });
+    let fp = spec.materialize();
+    let mut direct = spec.omega_oracle(&fp, salt::OMEGA);
+    assert_eq!(
+        spec.with_oracle(&fp, Transcribe(spec.n)),
+        trusted_transcript(&mut direct, spec.n)
+    );
+    // Ω_z after GST: at least one leader, at most z.
+    let leaders = direct.trusted(ProcessId(0), Time(10_000));
+    assert!((1..=spec.z).contains(&leaders.len()), "{leaders}");
 }
 
 // ---- report.rs -------------------------------------------------------------
@@ -641,7 +579,8 @@ fn churn_envelope_scores_safety_and_liveness() {
     tr.decide(Time(90), ProcessId(3), 101);
     let live = churn_envelope(&tr, &fp, 1, &proposals, ChurnGuarantee::Liveness);
     assert!(live.ok, "{live}");
-    assert_eq!(live.stabilized_at, Some(Time(90)));
+    // The judge alone: no stabilization time, as `kset_spec` reports.
+    assert_eq!(live.stabilized_at, None);
 }
 
 #[test]

@@ -262,8 +262,8 @@ pub fn forward_ops<M1, M2, O: OracleSuite + ?Sized>(
 /// bundle the run was built with. The generic methods make the trait
 /// non-object-safe, which is deliberate — automata are always statically
 /// known to the engine ([`crate::Sim`] is generic over `A`), and so are
-/// oracles: a runtime oracle choice is resolved to its concrete type
-/// before the run starts, never erased behind a `dyn`.
+/// oracles: each run is built with its concrete oracle type, never one
+/// erased behind a `dyn`.
 pub trait Automaton {
     /// The message alphabet of the algorithm. The
     /// [`Corruptible`](crate::adversary::Corruptible) bound is what lets

@@ -60,12 +60,10 @@ pub trait OracleSuite {
 /// There is no impl for a boxed trait object, on purpose. The activation
 /// hot loop is generic end to end: `Sim<A, O>` threads its concrete
 /// `O: OracleSuite` through [`crate::Ctx`] into every [`crate::Automaton`]
-/// callback, so oracle reads compile to static calls. Callers that pick
-/// the oracle at runtime (the scenario layer's `OracleChoice`) resolve it
-/// to a concrete type once, at the spec boundary
-/// (`ScenarioSpec::with_oracle` + `OracleVisitor` in `fd-detectors`), and
-/// run the whole simulation inside that monomorphic continuation — the
-/// stack has no erased-oracle path.
+/// callback, so oracle reads compile to static calls. Every scenario
+/// builds its concrete oracle from the spec (Figure 3's is
+/// `ScenarioSpec::omega_oracle` in `fd-detectors`) and hands it to the
+/// run by value — the stack has no erased-oracle path.
 impl<O: OracleSuite + ?Sized> OracleSuite for &mut O {
     fn suspected(&mut self, p: ProcessId, now: Time) -> PSet {
         (**self).suspected(p, now)

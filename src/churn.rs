@@ -36,10 +36,10 @@
 
 use fd_core::kset_omega::KsetOmega;
 use fd_detectors::scenario::{
-    churn_envelope, default_proposals, run_to_decision, ChurnGuarantee, OracleVisitor, Scenario,
+    churn_envelope, default_proposals, run_to_decision, salt, ChurnGuarantee, Scenario,
     ScenarioReport, ScenarioSpec,
 };
-use fd_sim::{FailurePattern, OracleSuite, ProcessId, Trace};
+use fd_sim::ProcessId;
 use fd_transforms::catch_up::CatchUp;
 
 /// `k`-set agreement under churn, with (or, for the negative control,
@@ -65,35 +65,13 @@ impl Scenario for ChurnKsetScenario {
     fn run(&self, spec: &ScenarioSpec) -> ScenarioReport {
         let fp = spec.materialize();
         let proposals = default_proposals(spec.n);
-        struct RunChurn<'a> {
-            spec: &'a ScenarioSpec,
-            fp: &'a FailurePattern,
-            proposals: &'a [u64],
-        }
-        impl OracleVisitor for RunChurn<'_> {
-            type Out = Trace;
-            fn visit<O: OracleSuite + 'static>(self, oracle: O) -> Trace {
-                let RunChurn {
-                    spec,
-                    fp,
-                    proposals,
-                } = self;
-                if spec.catch_up {
-                    let make = |p: ProcessId| CatchUp::new(KsetOmega::new(proposals[p.0]));
-                    run_to_decision(spec, fp, make, oracle)
-                } else {
-                    run_to_decision(spec, fp, |p| KsetOmega::new(proposals[p.0]), oracle)
-                }
-            }
-        }
-        let trace = spec.with_oracle(
-            &fp,
-            RunChurn {
-                spec,
-                fp: &fp,
-                proposals: &proposals,
-            },
-        );
+        let oracle = spec.omega_oracle(&fp, salt::OMEGA);
+        let trace = if spec.catch_up {
+            let make = |p: ProcessId| CatchUp::new(KsetOmega::new(proposals[p.0]));
+            run_to_decision(spec, &fp, make, oracle)
+        } else {
+            run_to_decision(spec, &fp, |p| KsetOmega::new(proposals[p.0]), oracle)
+        };
         let guarantee = if spec.catch_up {
             ChurnGuarantee::Liveness
         } else {

@@ -78,8 +78,8 @@ pub use fd_transforms;
 pub use fd_detectors::scenario;
 
 pub use fd_detectors::scenario::{
-    CrashPlan, Flavour, Metrics, OracleChoice, ReportCache, Runner, Scenario, ScenarioReport,
-    ScenarioSpec, SlimReport, SweepSummary,
+    CrashPlan, Flavour, Metrics, ReportCache, Runner, Scenario, ScenarioReport, ScenarioSpec,
+    SlimReport, SweepSummary,
 };
 
 pub use fd_sim::{
