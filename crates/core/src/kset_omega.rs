@@ -25,7 +25,7 @@
 
 use crate::rounds::{Phase1Slab, Phase2Slab, RoundWindow};
 use fd_sim::{
-    slot, Automaton, Corruptible, Ctx, FdValue, OracleSuite, PSet, ProcessId, SplitMix64,
+    slot, Automaton, Corruptible, Ctx, FdValue, OracleSuite, PSet, ProcessId, Quiet, SplitMix64,
 };
 
 /// Message alphabet of the Figure 3 algorithm.
@@ -109,18 +109,21 @@ pub enum LeaderInput {
 /// `tests/slab_reference.rs` retains the original `HashMap`-of-`Vec`
 /// implementation (`KsetOmegaRef`) and pins both bit-identical.
 ///
-/// A delivery the process would not record — a PHASE1 or PHASE2 for a
-/// round whose phase it has left, anything once it has finished, a second
-/// `DECISION` — is a no-op, and [`Automaton::ignores`] says so exactly:
-/// the engine releases it like a delivery to a crashed recipient, without
-/// cloning the payload or activating the process. The one exception is
-/// line 06, where every activation re-reads `trusted_i`, so nothing is
-/// ignored there. A recorded message re-checks the guards only if it can
-/// open the one the process waits on: it completes the `n−t` quorum of
-/// the current round's current phase, or the process is at line 06.
-/// `tests/slab_reference.rs` pins runs with both shortcuts bit-identical
-/// to the reference, which activates the process on every delivery, and
-/// `tests/shortcut_counts.rs` counts what they skip.
+/// Only an event that can open the guard the process waits on pays for
+/// an activation; [`Automaton::settle`] handles every other one exactly,
+/// before the engine clones a payload or builds a context. A step is
+/// settled in Phase 1, Phase 2 and once finished: outside an activation
+/// the current round's quorum there is short, so the guards stay shut. A
+/// delivery the process would not record — a PHASE1 or PHASE2 for a round
+/// whose phase it has left, anything once it has finished, a second
+/// `DECISION` — is settled as a no-op, and a PHASE1 or PHASE2 it records
+/// is recorded from the borrowed payload and settled, unless it completes
+/// the `n−t` quorum of the current round's current phase: only then does
+/// the activation re-check the guards. The one exception is line 06,
+/// where every activation re-reads `trusted_i`, so nothing is settled
+/// there. `tests/slab_reference.rs` pins runs bit-identical to the
+/// reference, which activates the process on every event, and
+/// `tests/shortcut_counts.rs` counts what the hook skips.
 ///
 /// # Examples
 ///
@@ -184,6 +187,17 @@ impl KsetOmega {
         self.stage == Stage::AwaitLeader
     }
 
+    /// Whether a guard can still read `msg`: a PHASE1 or PHASE2 that
+    /// [`Automaton::on_message`] would record, or a `DECISION` before the
+    /// process has decided.
+    pub fn reads(&self, msg: &KsetMsg) -> bool {
+        match *msg {
+            KsetMsg::Phase1 { r, .. } => self.reads_phase1(r),
+            KsetMsg::Phase2 { r, .. } => self.reads_phase2(r),
+            KsetMsg::Decision { .. } => !self.decided,
+        }
+    }
+
     /// Whether a guard can still read round `r`'s Phase-1 state: `r` is
     /// a later round, or the current one while the process is in its
     /// Phase 1. Before `on_start` `r_i = 0`, so every round is ahead.
@@ -215,6 +229,37 @@ impl KsetOmega {
         }
     }
 
+    /// Records a PHASE1 or PHASE2 from `from` if a guard can still read it,
+    /// and says whether it opens one: whether it completes the `n−t`
+    /// quorum of the current round's current phase. The count only grows,
+    /// so it was short before.
+    ///
+    /// Only what a guard can still read is recorded (the reference
+    /// implementation stored every message, write-only). A PHASE1 that
+    /// arrives after its round's Phase 1 ended, or anything after the
+    /// process finished, is dropped: on an n = 128, t = 63 run that is
+    /// nearly half of the PHASE1 deliveries. Re-checking the guards only
+    /// when one opens, rather than after every recorded message, is worth
+    /// about 5 % of `scale_n128`'s events_per_s: twenty alternating 27 s
+    /// pairs on a 2-vCPU host, median per-pair ratio 1.048, faster in 17
+    /// of 20.
+    fn record(&mut self, from: ProcessId, msg: &KsetMsg, n: usize, t: usize) -> bool {
+        let quorum = n - t;
+        match *msg {
+            KsetMsg::Phase1 { r, leaders, est } if self.reads_phase1(r) => {
+                let slab = self.p1.entry(r, || Phase1Slab::new(n));
+                slab.insert(from, leaders, est);
+                r == self.r && slab.count() >= quorum
+            }
+            KsetMsg::Phase2 { r, aux } if self.reads_phase2(r) => {
+                let slab = self.p2.entry(r, Phase2Slab::default);
+                slab.insert(from, aux);
+                r == self.r && self.stage == Stage::Phase2 && slab.count() >= quorum
+            }
+            _ => false,
+        }
+    }
+
     /// Lines 03–04: enter round `r+1` and broadcast `PHASE1`.
     fn begin_round<O: OracleSuite + ?Sized>(&mut self, ctx: &mut Ctx<'_, KsetMsg, O>) {
         self.r += 1;
@@ -230,6 +275,16 @@ impl KsetOmega {
             leaders: self.li,
             est: self.est,
         });
+    }
+
+    /// Whether the current round's quorum for the current phase is short
+    /// of `quorum` (the invariant a settled step rests on).
+    fn quorum_short(&self, quorum: usize) -> bool {
+        let count = match self.stage {
+            Stage::Phase2 => self.p2.get(self.r).map_or(0, Phase2Slab::count),
+            _ => self.p1.get(self.r).map_or(0, Phase1Slab::count),
+        };
+        count < quorum
     }
 
     /// Re-evaluates the `wait until` guards; makes all enabled transitions.
@@ -306,31 +361,7 @@ impl Automaton for KsetOmega {
         msg: KsetMsg,
         ctx: &mut Ctx<'_, KsetMsg, O>,
     ) {
-        // Only what a guard can still read is recorded (the reference
-        // implementation stored every message, write-only). A PHASE1 that
-        // arrives after its round's Phase 1 ended, or anything after the
-        // process finished, is dropped: on an n = 128, t = 63 run that is
-        // nearly half of the PHASE1 deliveries. A recorded message opens a
-        // guard only by completing the n−t quorum of the current round's
-        // current phase (the count only grows, so it was short before).
-        // Re-checking only then, rather than after every recorded message,
-        // is worth about 5 % of `scale_n128`'s events_per_s: twenty
-        // alternating 27 s pairs on a 2-vCPU host, median per-pair ratio
-        // 1.048, faster in 17 of 20.
-        let quorum = ctx.n() - ctx.t();
         let opens = match msg {
-            KsetMsg::Phase1 { r, leaders, est } if self.reads_phase1(r) => {
-                let n = ctx.n();
-                let slab = self.p1.entry(r, || Phase1Slab::new(n));
-                slab.insert(from, leaders, est);
-                r == self.r && slab.count() >= quorum
-            }
-            KsetMsg::Phase2 { r, aux } if self.reads_phase2(r) => {
-                let slab = self.p2.entry(r, Phase2Slab::default);
-                slab.insert(from, aux);
-                r == self.r && self.stage == Stage::Phase2 && slab.count() >= quorum
-            }
-            KsetMsg::Phase1 { .. } | KsetMsg::Phase2 { .. } => false,
             // Plain channels never carry decisions, but be permissive: a
             // composed wrapper may re-route them. Deciding finishes the
             // process, so no guard is left to check.
@@ -338,6 +369,7 @@ impl Automaton for KsetOmega {
                 self.on_rb_deliver(from, KsetMsg::Decision { v }, ctx);
                 false
             }
+            _ => self.record(from, &msg, ctx.n(), ctx.t()),
         };
         // Line 06 also opens when trusted_i moves, which any activation
         // must re-read.
@@ -369,14 +401,33 @@ impl Automaton for KsetOmega {
         self.try_advance(ctx);
     }
 
-    /// Exactly the deliveries `on_message` would not record, outside line
-    /// 06 (where the activation itself re-reads `trusted_i`), and a
-    /// `DECISION` once the process has decided.
-    fn ignores(&self, msg: &KsetMsg) -> bool {
-        match *msg {
-            KsetMsg::Phase1 { r, .. } => self.stage != Stage::AwaitLeader && !self.reads_phase1(r),
-            KsetMsg::Phase2 { r, .. } => self.stage != Stage::AwaitLeader && !self.reads_phase2(r),
-            KsetMsg::Decision { .. } => self.decided,
+    /// Exactly the events whose activation would change nothing but the
+    /// slab a delivery is recorded in, outside line 06 (where every
+    /// activation re-reads `trusted_i`).
+    fn settle(&mut self, ev: Quiet<'_, KsetMsg>, n: usize, t: usize) -> bool {
+        match ev {
+            Quiet::Step => match self.stage {
+                // `try_advance` runs whenever a quorum completes, so
+                // between activations the current one is short and
+                // `on_step` would return at line 05 or 11.
+                Stage::Phase1 | Stage::Phase2 => {
+                    debug_assert!(self.quorum_short(n - t), "a step met an open quorum");
+                    true
+                }
+                Stage::Done => true,
+                Stage::Unstarted | Stage::AwaitLeader => false,
+            },
+            Quiet::Deliver {
+                msg: KsetMsg::Decision { .. },
+                ..
+            } => self.decided,
+            // `on_rb_deliver` drops all but a DECISION.
+            Quiet::Deliver { rb: true, .. } => true,
+            Quiet::Deliver { .. } if self.stage == Stage::AwaitLeader => false,
+            // A slab insert keeps the first message per sender, so the
+            // activation of one that opens a guard records it again as a
+            // no-op.
+            Quiet::Deliver { from, msg, .. } => !self.record(from, msg, n, t),
         }
     }
 }
@@ -470,6 +521,37 @@ mod tests {
             p.on_message(ProcessId(from), msg, &mut ctx);
         }
 
+        /// Offers `ev` to the hook, with this harness's `n` and `t`.
+        fn settle(&mut self, ev: Quiet<'_, KsetMsg>) -> bool {
+            self.p.settle(ev, 3, 1)
+        }
+
+        /// Offers a delivery of `msg` from `from` to the hook.
+        fn settle_msg(&mut self, from: usize, msg: &KsetMsg, rb: bool) -> bool {
+            let from = ProcessId(from);
+            self.settle(Quiet::Deliver { from, msg, rb })
+        }
+
+        /// Runs `ev` through the callback the engine would activate, and
+        /// returns the ops it emitted, formatted.
+        fn activate(&mut self, ev: Quiet<'_, KsetMsg>) -> String {
+            let (p, mut ctx) = self.ctx();
+            match ev {
+                Quiet::Step => p.on_step(&mut ctx),
+                Quiet::Deliver {
+                    from,
+                    msg,
+                    rb: true,
+                } => p.on_rb_deliver(from, msg.clone(), &mut ctx),
+                Quiet::Deliver {
+                    from,
+                    msg,
+                    rb: false,
+                } => p.on_message(from, msg.clone(), &mut ctx),
+            }
+            format!("{:?}", ctx.take_ops())
+        }
+
         fn phase1(&mut self, from: usize, r: u32) {
             let leaders = PSet::singleton(ProcessId(0));
             self.deliver(from, KsetMsg::Phase1 { r, leaders, est: 7 });
@@ -543,7 +625,7 @@ mod tests {
     }
 
     #[test]
-    fn ignores_what_is_not_recorded_except_at_line_06() {
+    fn settles_what_cannot_open_a_guard_except_at_line_06() {
         let mut h = Harness::new();
         let p1 = |r| KsetMsg::Phase1 {
             r,
@@ -552,30 +634,152 @@ mod tests {
         };
         let p2 = |r| KsetMsg::Phase2 { r, aux: None };
         h.start();
+        assert!(h.settle(Quiet::Step), "a step in Phase 1");
         h.phase1(1, 1);
-        assert!(!h.p.ignores(&p2(1)), "an early PHASE2 is recorded");
-        // Quorum, but no word from the leader p0 and no change of L_i.
+        assert!(h.settle_msg(1, &p2(1), false), "an early PHASE2");
+        assert_eq!(h.phase2_count(1), Some(1), "an early PHASE2 is recorded");
+        assert!(h.settle_msg(1, &p1(2), true), "an R-delivered PHASE1");
+        assert_eq!(h.phase1_count(2), None, "an R-delivered PHASE1 is recorded");
+        // p2's PHASE1 completes the quorum: recorded, but not settled.
+        assert!(!h.settle_msg(2, &p1(1), false));
+        assert_eq!(h.phase1_count(1), Some(2));
+        // The activation the hook declined records it again, as a no-op.
         h.phase1(2, 1);
+        assert_eq!(h.phase1_count(1), Some(2));
+        // Quorum, but no word from the leader p0 and no change of L_i:
+        // at line 06 every activation re-reads the leader set.
         assert!(h.p.awaits_leader());
+        assert!(!h.settle(Quiet::Step));
+        assert!(!h.settle_msg(1, &p1(1), false) && !h.settle_msg(1, &p2(1), false));
         h.phase1(0, 1);
         assert_eq!(h.p.stage, Stage::Phase2);
-        assert!(h.p.ignores(&p1(1)), "a late PHASE1(1) in Phase 2");
-        assert!(!h.p.ignores(&p1(2)));
+        assert!(h.settle(Quiet::Step), "a step in Phase 2");
+        assert!(
+            h.settle_msg(1, &p1(1), false),
+            "a late PHASE1(1) in Phase 2"
+        );
+        // p0's PHASE2 completes the Phase 2 quorum.
+        assert!(!h.settle_msg(0, &p2(1), false));
         h.deliver(0, p2(1));
-        h.deliver(1, p2(1));
         // A ⊥ among the PHASE2s: on to round 2.
         assert_eq!((h.p.round(), h.p.stage), (2, Stage::Phase1));
-        assert!(h.p.ignores(&p1(1)) && h.p.ignores(&p2(1)));
+        assert!(h.settle_msg(1, &p1(1), false) && h.settle_msg(1, &p2(1), false));
+        assert_eq!((h.phase1_count(1), h.phase2_count(1)), (None, None));
         h.phase1(1, 2);
         h.phase1(2, 2);
         assert!(h.p.awaits_leader());
-        // At line 06 every activation re-reads the leader set.
-        assert!(!h.p.ignores(&p1(1)) && !h.p.ignores(&p2(1)));
         let decision = KsetMsg::Decision { v: 7 };
-        assert!(!h.p.ignores(&decision));
+        assert!(!h.settle_msg(1, &decision, true));
         h.deliver(1, decision.clone());
         assert!(h.p.has_decided());
-        assert!(h.p.ignores(&decision) && h.p.ignores(&p1(3)) && h.p.ignores(&p2(3)));
+        assert!(h.settle(Quiet::Step) && h.settle_msg(1, &decision, true));
+        assert!(h.settle_msg(1, &p1(3), false) && h.settle_msg(1, &p2(3), false));
+        assert_eq!((h.phase1_count(3), h.phase2_count(3)), (None, None));
+    }
+
+    /// An event of the exactness test: a step, a change of the external
+    /// leader set, or a delivery `(from, msg, rb)`.
+    enum Event {
+        Step,
+        Leaders(PSet),
+        Deliver(usize, KsetMsg, bool),
+    }
+
+    /// One random event for process 0 of the harness: a step, a change of
+    /// the external leader set, or a PHASE1, PHASE2 or (rarely) DECISION
+    /// from any sender, for the round before, at or after `r`, on either
+    /// channel. Senders repeat, leader sets often miss the senders heard,
+    /// so quorums form at line 06 and wait there for a leader change, and
+    /// PHASE2s mostly carry `⊥`, so rounds go on rather than end.
+    fn random_event(rng: &mut SplitMix64, r: u32) -> Event {
+        let set = |rng: &mut SplitMix64| -> PSet {
+            let bits = rng.range(1, 7);
+            (0..3)
+                .filter(|i| bits >> i & 1 == 1)
+                .map(ProcessId)
+                .collect()
+        };
+        let round = |rng: &mut SplitMix64| (r + rng.range(0, 2) as u32).max(2) - 1;
+        match rng.below(400) {
+            0..=119 => Event::Step,
+            120..=159 => Event::Leaders(set(rng)),
+            kind => {
+                let msg = match kind {
+                    160..=279 => KsetMsg::Phase1 {
+                        r: round(rng),
+                        leaders: set(rng),
+                        est: rng.range(1, 3),
+                    },
+                    280..=398 => KsetMsg::Phase2 {
+                        r: round(rng),
+                        aux: rng.chance(1, 4).then(|| rng.range(1, 3)),
+                    },
+                    _ => KsetMsg::Decision { v: rng.range(1, 3) },
+                };
+                Event::Deliver(rng.below(3) as usize, msg, rng.chance(1, 8))
+            }
+        }
+    }
+
+    /// The hook is exact: one process offered every event first (and
+    /// activated only if the hook declines) and one that is activated on
+    /// every event, as the reference is, stay equal in state, emitted ops
+    /// and trace through random event sequences. The sequences must reach
+    /// every stage a step can find, line 06 included.
+    #[test]
+    fn settle_is_exact_against_the_callbacks() {
+        let (mut settled, mut declined) = (0, 0);
+        let mut steps_in = std::collections::BTreeMap::new();
+        for seed in 0..64 {
+            let mut rng = SplitMix64::new(seed);
+            let (mut hooked, mut plain) = (Harness::new(), Harness::new());
+            hooked.start();
+            plain.start();
+            for step in 0..200 {
+                let ev = random_event(&mut rng, plain.p.round());
+                let ev = match &ev {
+                    Event::Leaders(l) => {
+                        hooked.p.set_external_leaders(*l);
+                        plain.p.set_external_leaders(*l);
+                        continue;
+                    }
+                    Event::Step => {
+                        *steps_in.entry(format!("{:?}", plain.p.stage)).or_insert(0) += 1;
+                        Quiet::Step
+                    }
+                    Event::Deliver(from, msg, rb) => Quiet::Deliver {
+                        from: ProcessId(*from),
+                        msg,
+                        rb: *rb,
+                    },
+                };
+                let hooked_ops = if hooked.settle(ev) {
+                    settled += 1;
+                    format!("{:?}", Vec::<fd_sim::Op<KsetMsg>>::new())
+                } else {
+                    declined += 1;
+                    hooked.activate(ev)
+                };
+                let plain_ops = plain.activate(ev);
+                let at = format!("seed {seed}, event {step}: {ev:?}");
+                assert_eq!(hooked_ops, plain_ops, "{at}: ops");
+                assert_eq!(
+                    format!("{:?}", hooked.p),
+                    format!("{:?}", plain.p),
+                    "{at}: state"
+                );
+                assert_eq!(
+                    format!("{:?}", hooked.trace),
+                    format!("{:?}", plain.trace),
+                    "{at}: trace"
+                );
+            }
+        }
+        assert!(
+            settled > 0 && declined > 0,
+            "{settled} settled, {declined} declined"
+        );
+        assert_eq!(steps_in.len(), 4, "steps by stage: {steps_in:?}");
     }
 
     #[test]

@@ -1,44 +1,52 @@
-//! What Figure 3's two delivery shortcuts skip, counted and pinned.
+//! What Figure 3's shortcuts skip, counted and pinned.
 //!
-//! [`KsetOmega`] tells the engine which deliveries it would not record
-//! ([`Automaton::ignores`]), and the engine releases those without cloning
-//! the payload or activating the process. Of the deliveries it does
-//! record, only one that can open the guard the process waits on
-//! re-checks the guards. `tests/slab_reference.rs` pins runs with both
+//! The engine offers [`KsetOmega`] every step and delivery before it
+//! builds an activation ([`Automaton::settle`]). A delivery the process
+//! would not record is released without cloning the payload; one it
+//! records is recorded from the borrowed payload, and only one that can
+//! open the guard the process waits on goes on to an activation that
+//! re-checks the guards. A step is settled wherever the guards cannot
+//! open without a delivery. `tests/slab_reference.rs` pins runs with these
 //! shortcuts bit-identical to the pre-slab reference, which activates the
-//! process and re-checks its guards on every delivery; this file counts
-//! what the shortcuts skip.
+//! process and re-checks its guards on every event; this file counts what
+//! the shortcuts skip.
 //!
 //! [`Counted`] is the production automaton behind a wrapper that counts,
-//! asked through the same `ignores` call the engine makes; its runs must
+//! asked through the same `settle` call the engine makes; its runs must
 //! equal [`KsetScenario`]'s. The counts go through the wrapper, not a
 //! trace counter, because a new counter key would move every fingerprint.
 //! One test checks that the reference's long-noise rows reach line 06,
-//! the one place nothing is ignored; the other pins the counts for the
+//! the one place nothing is settled; the other pins the counts for the
 //! repo benchmark's `scale_n128` cell and one `grid_small` cell.
 
 use fd_core::{spec, KsetMsg, KsetOmega, KsetScenario};
 use fd_detectors::scenario::{
     default_proposals, run_to_decision, salt, CrashPlan, Scenario, ScenarioReport, ScenarioSpec,
 };
-use fd_sim::{counter, forward_ops, Automaton, Ctx, Op, OracleSuite, ProcessId, Time};
+use fd_sim::{counter, forward_ops, Automaton, Ctx, Op, OracleSuite, ProcessId, Quiet, Time};
 use std::cell::Cell;
 use std::rc::Rc;
 
 /// What the shortcuts skipped in one run, summed over its processes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct Counts {
-    /// Deliveries to a live process: the engine asks `ignores` once each.
+    /// Deliveries to a live process: the engine offers `settle` each one.
     delivered: u64,
-    /// Deliveries `ignores` released unread.
+    /// Deliveries settled unrecorded, released unread: what the process
+    /// would not record, outside line 06.
     ignored: u64,
     /// Recorded PHASE1/PHASE2 deliveries that did not re-check the guards:
     /// the process was not at line 06 before, and the delivery neither
     /// emitted an op nor brought it there. (A delivery that re-checks
-    /// them completes a quorum, which always does one of the two.)
+    /// them completes a quorum, which always does one of the two.) The
+    /// hook settles these after recording them.
     skipped: u64,
     /// Deliveries that found the process at line 06.
     at_line_06: u64,
+    /// Steps of a live, running process: the engine offers `settle` each.
+    steps: u64,
+    /// Steps `settle` handled without an activation.
+    settled_steps: u64,
 }
 
 /// The production automaton, counting into a tally its run shares.
@@ -93,15 +101,30 @@ impl Automaton for Counted {
         self.inner.on_step(ctx);
     }
 
-    fn ignores(&self, msg: &KsetMsg) -> bool {
-        let ignored = self.inner.ignores(msg);
+    fn settle(&mut self, ev: Quiet<'_, KsetMsg>, n: usize, t: usize) -> bool {
         let at_06 = self.inner.awaits_leader();
-        self.count(|c| {
-            c.delivered += 1;
-            c.ignored += u64::from(ignored);
-            c.at_line_06 += u64::from(at_06);
-        });
-        ignored
+        let reads = match ev {
+            Quiet::Deliver { msg, .. } => self.inner.reads(msg),
+            Quiet::Step => true,
+        };
+        let settled = self.inner.settle(ev, n, t);
+        match ev {
+            Quiet::Step => self.count(|c| {
+                c.steps += 1;
+                c.settled_steps += u64::from(settled);
+            }),
+            Quiet::Deliver { msg, rb, .. } => {
+                let ignored = !at_06 && !reads;
+                let guarded = !rb && !matches!(msg, KsetMsg::Decision { .. });
+                self.count(|c| {
+                    c.delivered += 1;
+                    c.ignored += u64::from(ignored);
+                    c.at_line_06 += u64::from(at_06);
+                    c.skipped += u64::from(settled && guarded && !ignored);
+                });
+            }
+        }
+        settled
     }
 }
 
@@ -163,30 +186,35 @@ fn long_leader_noise_reaches_line_06() {
         );
         assert!(c.ignored > 0, "n = {n}: nothing ignored");
         assert!(c.skipped > 0, "n = {n}: every recorded delivery re-checked");
+        assert!(c.settled_steps > 0, "n = {n}: no step settled");
     }
 }
 
 /// The counted work of the shortcuts, pinned: the repo benchmark's
 /// `scale_n128` cell (failure-free, n = 128, t = 63, k = 2, GST 100) at
 /// run seeds 0 and 1, and `grid_small`'s `n9_t4_k2_f4` cell at its 25
-/// run seeds. Each tuple is (delivered, ignored, skipped).
+/// run seeds. Each triple is (delivered, ignored, skipped), each pair
+/// (steps, settled steps).
 #[test]
 fn shortcut_counts_are_pinned() {
     let tally = |spec: ScenarioSpec, seeds: std::ops::Range<u64>| {
-        seeds.fold((0, 0, 0), |(d, i, s), seed| {
+        seeds.fold(((0, 0, 0), (0, 0)), |((d, i, s), (st, ss)), seed| {
             let c = counted(&spec.clone().seed(seed));
-            (d + c.delivered, i + c.ignored, s + c.skipped)
+            (
+                (d + c.delivered, i + c.ignored, s + c.skipped),
+                (st + c.steps, ss + c.settled_steps),
+            )
         })
     };
     let scale = KsetScenario::spec(128, 63, 2).gst(Time(100));
     assert_eq!(
         tally(scale.clone(), 0..1),
-        (354_843, 166_459, 178_341),
+        ((354_843, 166_459, 178_341), (5_376, 5_231)),
         "scale_n128 seed 0"
     );
     assert_eq!(
         tally(scale, 1..2),
-        (322_515, 153_283, 162_897),
+        ((322_515, 153_283, 162_897), (4_767, 4_701)),
         "scale_n128 seed 1"
     );
     let grid = KsetScenario::spec(9, 4, 2)
@@ -197,7 +225,7 @@ fn shortcut_counts_are_pinned() {
         });
     assert_eq!(
         tally(grid, 0..25),
-        (88_505, 29_695, 46_338),
+        ((88_505, 29_695, 46_338), (25_472, 25_202)),
         "grid_small n9_t4_k2_f4"
     );
 }

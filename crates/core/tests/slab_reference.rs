@@ -12,12 +12,14 @@
 //! words of identities), sequential and 4-thread runners, and armed/unarmed
 //! adversaries.
 //!
-//! The reference also activates the process on every delivery and
-//! re-checks its guards after each one, so the same rows pin
-//! [`KsetOmega`]'s two delivery shortcuts: a delivery it ignores is
-//! released unread, and a recorded one re-checks the guards only if it
-//! can open one. `tests/shortcut_counts.rs` counts what those
-//! shortcuts skip.
+//! The reference also activates the process on every event and re-checks
+//! its guards after each one, so the same rows pin [`KsetOmega`]'s
+//! `settle` hook: a step that cannot open a guard is settled without an
+//! activation, a delivery it would not record is released unread, and a
+//! recorded one re-checks the guards only if it can open one. Two rows
+//! keep processes stepping for long with short quorums, where most steps
+//! are settled: a partition that lasts past the horizon, and churn without
+//! catch-up. `tests/shortcut_counts.rs` counts what the hook skips.
 
 // Verbatim pre-slab code: the accessors the differential never calls
 // (external leader inputs, `has_decided`, `round`) stay for fidelity.
@@ -25,8 +27,8 @@
 mod reference;
 
 use fd_core::{ConsensusScenario, KsetScenario};
-use fd_detectors::scenario::{CrashPlan, Runner, Scenario, ScenarioSpec};
-use fd_sim::{MessageAdversary, MessageRule, Time};
+use fd_detectors::scenario::{CrashPlan, Runner, Scenario, ScenarioReport, ScenarioSpec};
+use fd_sim::{MessageAdversary, MessageRule, PSet, ProcessId, Time, TopologySchedule};
 use reference::{ConsensusReferenceScenario, KsetReferenceScenario};
 
 /// The conventional spec at size `n`: `k = z = 2`, `t` maximal (`< n/2`).
@@ -39,7 +41,7 @@ fn base(n: usize) -> ScenarioSpec {
 }
 
 /// A long pre-GST period: `Ω_z`'s noise keeps processes waiting at line
-/// 06, where [`KsetOmega`] ignores nothing and every activation re-reads
+/// 06, where [`KsetOmega`] settles nothing and every activation re-reads
 /// `trusted_i`. `tests/shortcut_counts.rs` checks that these specs
 /// reach line 06.
 fn long_noise(n: usize) -> ScenarioSpec {
@@ -58,12 +60,14 @@ fn armed() -> MessageAdversary {
     ])
 }
 
+/// Runs `spec` under both implementations, checks the fingerprints are
+/// equal, and returns the production report.
 fn assert_identical(
     prod: &dyn Scenario,
     reference: &dyn Scenario,
     spec: &ScenarioSpec,
     what: &str,
-) {
+) -> ScenarioReport {
     let p = prod.run(spec);
     let r = reference.run(spec);
     assert_eq!(
@@ -75,6 +79,7 @@ fn assert_identical(
     );
     // The differential is only meaningful if the runs go somewhere.
     assert!(p.metrics.msgs_sent > 0, "{what}: empty run");
+    p
 }
 
 /// Tentpole differential: n ∈ {5, 9, 33, 128, 130} × adversary off/on, full
@@ -161,6 +166,53 @@ fn kset_slab_matches_reference_on_late_majority_rounds() {
             &KsetReferenceScenario,
             &spec,
             &format!("kset late majority gst={gst}"),
+        );
+    }
+}
+
+/// Quorums starved to the horizon: three islands, none as large as the
+/// `n − t` quorum, cut apart from time zero until after the horizon.
+/// Every process completes no round, so nearly every step meets a short
+/// quorum, and plain messages across islands are cut.
+#[test]
+fn kset_slab_matches_reference_under_a_partition_past_the_horizon() {
+    for n in [5usize, 9, 33] {
+        let third = n.div_ceil(3);
+        let islands = (0..n)
+            .step_by(third)
+            .map(|lo| (lo..n.min(lo + third)).map(ProcessId).collect::<PSet>())
+            .collect();
+        let spec = base(n).topology(TopologySchedule::partition_until(islands, Time(40_000)));
+        let p = assert_identical(
+            &KsetScenario,
+            &KsetReferenceScenario,
+            &spec,
+            "kset partition past the horizon",
+        );
+        assert!(
+            p.trace.deciders().is_empty() && p.trace.horizon() == spec.max_time,
+            "n = {n}: the partition did not starve the quorums"
+        );
+    }
+}
+
+/// Churn without catch-up, the bare Figure 3 algorithm the churn
+/// scenarios run when catch-up is off: `t` processes crash by time 300
+/// and fresh ids join 400 ticks after each crash, starting at round 1
+/// with no way to learn the rounds they missed.
+#[test]
+fn kset_slab_matches_reference_under_churn_without_catch_up() {
+    for n in [5usize, 9, 33] {
+        let spec = base(n).seed(2).crashes(CrashPlan::Churn {
+            crash_by: Time(300),
+            rejoin_after: 400,
+        });
+        assert!(!spec.catch_up);
+        assert_identical(
+            &KsetScenario,
+            &KsetReferenceScenario,
+            &spec,
+            "kset churn without catch-up",
         );
     }
 }

@@ -10,8 +10,8 @@
 //! O(n) index writes instead of O(n) clones of `M`, queue nodes shrink to a
 //! fixed size independent of `M`, and deliveries to crashed recipients
 //! ([`MsgArena::release`]) never pay for a clone at all. Neither do
-//! deliveries the recipient's automaton ignores (`Automaton::ignores`,
-//! asked on the borrowed payload): the engine releases them the same way.
+//! deliveries the recipient's automaton settles from the borrowed payload
+//! (`Automaton::settle`): the engine releases them the same way.
 //!
 //! A clone happens in exactly two places: at a delivery the recipient
 //! reads that is not the slot's last ([`MsgArena::take`]), and at routing
@@ -173,7 +173,7 @@ impl<M> MsgArena<M> {
 
     /// The payload stored in a live `slot`, borrowed — what the network
     /// clones when the message adversary corrupts one copy of a send, and
-    /// what the engine asks the recipient whether it ignores.
+    /// what the engine offers the recipient to settle without a clone.
     pub(crate) fn get(&self, slot: MsgSlot) -> &M {
         self.slots[slot.0 as usize]
             .msg
@@ -183,7 +183,7 @@ impl<M> MsgArena<M> {
 
     /// Drops one delivery of `slot`'s payload without materializing it —
     /// the engine's path for deliveries to crashed recipients and for
-    /// deliveries the recipient ignores, which therefore never pay for a
+    /// deliveries the recipient settles, which therefore never pay for a
     /// clone.
     pub fn release(&mut self, slot: MsgSlot) {
         let s = &mut self.slots[slot.0 as usize];

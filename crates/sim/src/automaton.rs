@@ -3,8 +3,9 @@
 //! Each process of the paper's pseudo-code is implemented as a deterministic
 //! state machine reacting to deliveries and local steps. The pseudo-code's
 //! `wait until` statements become guards re-evaluated on every event that
-//! can move them (a delivery the automaton [`Automaton::ignores`] cannot);
-//! its `repeat forever` tasks run on periodic [`EventKind::Step`] events.
+//! can move them (an event the automaton [`Automaton::settle`]s without a
+//! context cannot); its `repeat forever` tasks run on periodic
+//! [`EventKind::Step`] events.
 //!
 //! [`EventKind::Step`]: crate::event::EventKind::Step
 
@@ -250,6 +251,34 @@ pub fn forward_ops<M1, M2, O: OracleSuite + ?Sized>(
     }
 }
 
+/// An event as [`Automaton::settle`] sees it, before the engine builds an
+/// activation for it: a periodic step, or a delivery whose payload is
+/// still borrowed from the engine.
+#[derive(Debug)]
+pub enum Quiet<'a, M> {
+    /// A periodic step ([`Automaton::on_step`]).
+    Step,
+    /// A delivery from `from`: reliable ([`Automaton::on_rb_deliver`]) if
+    /// `rb`, plain ([`Automaton::on_message`]) otherwise.
+    Deliver {
+        /// The sender (the original broadcaster for an R-delivery).
+        from: ProcessId,
+        /// The payload.
+        msg: &'a M,
+        /// Whether the delivery is an R-delivery.
+        rb: bool,
+    },
+}
+
+// By hand: a derive would ask for `M: Copy`, and the payload is borrowed.
+impl<M> Clone for Quiet<'_, M> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<M> Copy for Quiet<'_, M> {}
+
 /// A deterministic per-process state machine.
 ///
 /// The runtime activates exactly one callback per event; callbacks must not
@@ -299,18 +328,20 @@ pub trait Automaton {
     /// re-evaluates time-dependent guards such as oracle reads).
     fn on_step<O: OracleSuite + ?Sized>(&mut self, ctx: &mut Ctx<'_, Self::Msg, O>);
 
-    /// Whether a delivery of `msg` would be a no-op, asked before the
-    /// payload leaves the arena. If so, the engine releases the delivery
-    /// as it releases one to a crashed recipient: no clone, no [`Ctx`], no
-    /// callback. It still counts in `sim.delivered`.
+    /// Handles `ev` without a context if it can, asked before the engine
+    /// builds an activation for it. Returns whether it did: the engine
+    /// then skips the callback. A settled step still counts as an event
+    /// and schedules the next step; a settled delivery still counts in
+    /// `sim.delivered`, and its payload is released uncloned, as a
+    /// delivery to a crashed recipient is. `n` and `t` are the run's.
     ///
-    /// Return `true` only if neither [`Automaton::on_message`] nor
-    /// [`Automaton::on_rb_deliver`] would, given `msg` now, change state
-    /// (a pure lookup hint aside), emit an op, read the oracle, or write
-    /// the trace. The default never skips. Wrappers that log or forward
-    /// every inner message keep it: an inner no-op is not theirs.
-    fn ignores(&self, msg: &Self::Msg) -> bool {
-        let _ = msg;
+    /// Return `true` only if the callback would have emitted no op, read
+    /// no oracle and written no trace, and the state left here equals
+    /// the state the callback would have left (a lookup hint aside). The
+    /// default settles nothing. Wrappers that log or forward every inner
+    /// event keep it: an inner no-op is not theirs.
+    fn settle(&mut self, ev: Quiet<'_, Self::Msg>, n: usize, t: usize) -> bool {
+        let _ = (ev, n, t);
         false
     }
 }

@@ -83,7 +83,7 @@ pub use adversary::{
     RuleAction, TopologyEpoch, TopologySchedule,
 };
 pub use arena::{MsgArena, MsgSlot};
-pub use automaton::{forward_ops, Automaton, Ctx, Op};
+pub use automaton::{forward_ops, Automaton, Ctx, Op, Quiet};
 pub use echo::{EchoMsg, EchoRb};
 pub use event::{Event, EventKind, EventQueue, Scheduler, Staged};
 pub use failure::{CrashSchedule, FailurePattern, FailurePatternBuilder};

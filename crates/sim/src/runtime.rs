@@ -6,7 +6,7 @@
 
 use crate::adversary::{MessageAdversary, RouteEffects, TopologySchedule};
 use crate::arena::{MsgArena, MsgSlot};
-use crate::automaton::{Automaton, Ctx, Op};
+use crate::automaton::{Automaton, Ctx, Op, Quiet};
 use crate::event::{EventKind, EventQueue, Scheduler, Staged};
 use crate::failure::FailurePattern;
 use crate::id::{PSet, ProcessId};
@@ -189,8 +189,8 @@ pub struct Sim<A: Automaton, O: OracleSuite> {
     /// broadcast therefore clones nothing at routing time — per-recipient
     /// copies materialize lazily when the delivery pops, and only for a
     /// recipient that reads them: deliveries to crashed recipients and
-    /// deliveries the recipient [`Automaton::ignores`] never pay for a
-    /// clone at all.
+    /// deliveries the recipient [`Automaton::settle`]s from the borrowed
+    /// payload never pay for a clone at all.
     arena: MsgArena<A::Msg>,
     /// The recycled operation buffer: the hot loop hands it to each
     /// activation's [`Ctx`] and takes it back when the activation ends —
@@ -341,7 +341,11 @@ impl<A: Automaton, O: OracleSuite> Sim<A, O> {
                 EventKind::RbDeliver { from, slot } => self.deliver(to, from, slot, true),
                 EventKind::Step | EventKind::Join => {
                     if self.fp.is_alive_at(to, self.now) && !self.halted[to.0] {
-                        self.activate(to, matches!(ev.kind, EventKind::Join));
+                        let join = matches!(ev.kind, EventKind::Join);
+                        let (n, t) = (self.cfg.n, self.cfg.t);
+                        if join || !self.procs[to.0].settle(Quiet::Step, n, t) {
+                            self.activate(to, join);
+                        }
                         if !self.halted[to.0] {
                             let d = self.next_step_delay(to);
                             self.queue.push(self.now + d, to, EventKind::Step);
@@ -402,16 +406,18 @@ impl<A: Automaton, O: OracleSuite> Sim<A, O> {
     /// Hands one popped delivery to its recipient. The payload goes from
     /// the arena slot straight into the by-value callback argument — the
     /// clone [`MsgArena::take`] makes is the only copy. A crashed
-    /// recipient's delivery, and one the recipient [`Automaton::ignores`],
-    /// is released without materializing it at all; the latter still
-    /// counts as delivered.
+    /// recipient's delivery, and one the recipient [`Automaton::settle`]s
+    /// from the borrowed payload, is released without materializing it
+    /// at all; the latter still counts as delivered.
     fn deliver(&mut self, to: ProcessId, from: ProcessId, slot: MsgSlot, rb: bool) {
         if !self.fp.is_alive_at(to, self.now) {
             self.arena.release(slot);
             return;
         }
         self.delivered += 1;
-        if self.procs[to.0].ignores(self.arena.get(slot)) {
+        let msg = self.arena.get(slot);
+        let (n, t) = (self.cfg.n, self.cfg.t);
+        if self.procs[to.0].settle(Quiet::Deliver { from, msg, rb }, n, t) {
             self.arena.release(slot);
             return;
         }
