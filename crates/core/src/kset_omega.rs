@@ -70,19 +70,41 @@ impl Corruptible for KsetMsg {
     }
 }
 
+/// The `wait until` guard of Figure 3 a process rests at.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Stage {
+pub enum Wait {
     /// Before `on_start`: no round begun, `r_i = 0`.
     Unstarted,
-    /// Lines 03–05: waiting for `n−t` PHASE1 messages of the round.
+    /// Line 05 (PHASE1) or line 11 (PHASE2) of round `r`: `have` distinct
+    /// senders are in, of the `need = n − t` the line waits for.
+    Quorum {
+        /// The paper line: 5 or 11.
+        line: u8,
+        /// The round.
+        r: u32,
+        /// Distinct senders recorded for the round and phase.
+        have: usize,
+        /// `n − t`.
+        need: usize,
+    },
+    /// Line 06 of round `r`: line 05 holds; awaiting a member of `li` or a move of `trusted_i`.
+    Leader {
+        /// The round.
+        r: u32,
+        /// `L_i`, the leader set read at line 03.
+        li: PSet,
+    },
+    /// Finished: sent line 14's `DECISION`, or decided.
+    Done,
+}
+
+/// Which [`Wait`] the process is at, without its counts.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Stage {
+    Unstarted,
     Phase1,
-    /// Line 06: the line 05 quorum holds; waiting for a message from a
-    /// member of `L_i` or a change of `trusted_i`, so every activation
-    /// re-reads the leader set.
     AwaitLeader,
-    /// Line 11: waiting for `n−t` PHASE2 messages of the round.
     Phase2,
-    /// Finished: sent the line-14 `DECISION`, or decided.
     Done,
 }
 
@@ -101,29 +123,20 @@ pub enum LeaderInput {
 /// One process of the `Ω_k`-based `k`-set agreement algorithm (Figure 3).
 ///
 /// Round state lives in the bitset slabs of [`crate::rounds`]: sender
-/// dedup is a bit test, the `n−t` quorum counts and the line 13 value
-/// choice are running aggregates, the line 07 majority is a running vote
-/// settled by one recount when the Phase 1 guards pass, and slabs of
-/// finished rounds are recycled — steady-state progress allocates
-/// nothing, independent of `n`.
-/// `tests/slab_reference.rs` retains the original `HashMap`-of-`Vec`
-/// implementation (`KsetOmegaRef`) and pins both bit-identical.
+/// dedup is a bit test, quorum counts and the line 13 value choice are
+/// running aggregates, the line 07 majority is a running vote recounted
+/// once when the Phase 1 guards pass, and finished rounds' slabs are
+/// recycled, so steady-state progress allocates nothing.
 ///
-/// Only an event that can open the guard the process waits on pays for
-/// an activation; [`Automaton::settle`] handles every other one exactly,
-/// before the engine clones a payload or builds a context. A step is
-/// settled in Phase 1, Phase 2 and once finished: outside an activation
-/// the current round's quorum there is short, so the guards stay shut. A
-/// delivery the process would not record — a PHASE1 or PHASE2 for a round
-/// whose phase it has left, anything once it has finished, a second
-/// `DECISION` — is settled as a no-op, and a PHASE1 or PHASE2 it records
-/// is recorded from the borrowed payload and settled, unless it completes
-/// the `n−t` quorum of the current round's current phase: only then does
-/// the activation re-check the guards. The one exception is line 06,
-/// where every activation re-reads `trusted_i`, so nothing is settled
-/// there. `tests/slab_reference.rs` pins runs bit-identical to the
-/// reference, which activates the process on every event, and
-/// `tests/shortcut_counts.rs` counts what the hook skips.
+/// The process rests at one [`Wait`] (`Quorum`: line 05 or 11; `Leader`:
+/// line 06; `Done`: after line 14 or deciding). The guards, the quorum
+/// test of a recorded delivery and [`KsetOmega::waiting_on`] read that one
+/// value, the only place `n − t` is computed. The activation that
+/// completes a quorum takes its line, so between activations a quorum
+/// wait is short, and [`Automaton::settle`] handles every event that
+/// cannot open the wait exactly, with no payload clone and no context.
+/// `tests/slab_reference.rs` pins runs to the `HashMap`-of-`Vec`
+/// reference, which activates on every event.
 ///
 /// # Examples
 ///
@@ -180,11 +193,33 @@ impl KsetOmega {
         self.r
     }
 
-    /// Whether the process waits at line 06: the line 05 quorum of its
-    /// round is in, and no member of `L_i` has been heard while
-    /// `trusted_i` still equals `L_i`.
-    pub fn awaits_leader(&self) -> bool {
-        self.stage == Stage::AwaitLeader
+    /// The guard the process waits at, for `n` processes, `t` faulty.
+    pub fn waiting_on(&self, n: usize, t: usize) -> Wait {
+        self.waiting(n, t, |line| match line {
+            5 => self.p1.get(self.r).map_or(0, Phase1Slab::count),
+            _ => self.p2.get(self.r).map_or(0, Phase2Slab::count),
+        })
+    }
+
+    /// The guard the process waits at. `have(line)` counts the current
+    /// round's messages for line 05 or 11; only a quorum wait asks it, so
+    /// `record` can pass the count of the slab it has just filled rather
+    /// than look it up again. `need = n − t` is computed here alone.
+    fn waiting(&self, n: usize, t: usize, have: impl FnOnce(u8) -> usize) -> Wait {
+        let r = self.r;
+        let line = match self.stage {
+            Stage::Unstarted => return Wait::Unstarted,
+            Stage::Phase1 => 5,
+            Stage::AwaitLeader => return Wait::Leader { r, li: self.li },
+            Stage::Phase2 => 11,
+            Stage::Done => return Wait::Done,
+        };
+        Wait::Quorum {
+            line,
+            r,
+            have: have(line),
+            need: n - t,
+        }
     }
 
     /// Whether a guard can still read `msg`: a PHASE1 or PHASE2 that
@@ -230,31 +265,31 @@ impl KsetOmega {
     }
 
     /// Records a PHASE1 or PHASE2 from `from` if a guard can still read it,
-    /// and says whether it opens one: whether it completes the `n−t`
-    /// quorum of the current round's current phase. The count only grows,
-    /// so it was short before.
+    /// and says whether it opens the current wait: the slab it went into
+    /// is that wait's and now has `have == need` (the wait was short). Each
+    /// arm asks with its own line, so the test compiles to compares, not a
+    /// jump on the stage; `opens` takes the count first, ending the slab's borrow.
     ///
-    /// Only what a guard can still read is recorded (the reference
-    /// implementation stored every message, write-only). A PHASE1 that
-    /// arrives after its round's Phase 1 ended, or anything after the
-    /// process finished, is dropped: on an n = 128, t = 63 run that is
-    /// nearly half of the PHASE1 deliveries. Re-checking the guards only
-    /// when one opens, rather than after every recorded message, is worth
-    /// about 5 % of `scale_n128`'s events_per_s: twenty alternating 27 s
-    /// pairs on a 2-vCPU host, median per-pair ratio 1.048, faster in 17
-    /// of 20.
+    /// The reference stored every message; a PHASE1 after its round's
+    /// Phase 1, or anything once finished, is dropped here (nearly half of
+    /// the PHASE1s at n = 128, t = 63). Re-checking the guards only when a
+    /// wait opens is worth ~5 % of `scale_n128`'s events_per_s (twenty 27 s
+    /// pairs on a 2-vCPU host: median ratio 1.048, faster in 17 of 20).
     fn record(&mut self, from: ProcessId, msg: &KsetMsg, n: usize, t: usize) -> bool {
-        let quorum = n - t;
+        let opens = |count, p: &Self, line, r| {
+            matches!(p.waiting(n, t, |_| count), Wait::Quorum { line: l, r: at, have, need }
+                if (l, at) == (line, r) && have == need)
+        };
         match *msg {
             KsetMsg::Phase1 { r, leaders, est } if self.reads_phase1(r) => {
                 let slab = self.p1.entry(r, || Phase1Slab::new(n));
                 slab.insert(from, leaders, est);
-                r == self.r && slab.count() >= quorum
+                opens(slab.count(), self, 5, r)
             }
             KsetMsg::Phase2 { r, aux } if self.reads_phase2(r) => {
                 let slab = self.p2.entry(r, Phase2Slab::default);
                 slab.insert(from, aux);
-                r == self.r && self.stage == Stage::Phase2 && slab.count() >= quorum
+                opens(slab.count(), self, 11, r)
             }
             _ => false,
         }
@@ -277,33 +312,19 @@ impl KsetOmega {
         });
     }
 
-    /// Whether the current round's quorum for the current phase is short
-    /// of `quorum` (the invariant a settled step rests on).
-    fn quorum_short(&self, quorum: usize) -> bool {
-        let count = match self.stage {
-            Stage::Phase2 => self.p2.get(self.r).map_or(0, Phase2Slab::count),
-            _ => self.p1.get(self.r).map_or(0, Phase1Slab::count),
-        };
-        count < quorum
-    }
-
-    /// Re-evaluates the `wait until` guards; makes all enabled transitions.
+    /// Takes the line of every wait that is open, until one is not.
     fn try_advance<O: OracleSuite + ?Sized>(&mut self, ctx: &mut Ctx<'_, KsetMsg, O>) {
+        let n = ctx.n();
         loop {
-            match self.stage {
-                Stage::Unstarted | Stage::Done => return,
-                Stage::Phase1 | Stage::AwaitLeader => {
-                    let (n, quorum) = (ctx.n(), ctx.n() - ctx.t());
+            match self.waiting_on(n, ctx.t()) {
+                Wait::Unstarted | Wait::Done => return,
+                // Line 05 or 11: fewer than n−t messages of the round.
+                Wait::Quorum { have, need, .. } if have < need => return,
+                Wait::Quorum { line: 5, .. } | Wait::Leader { .. } => {
                     let slab = self.p1.entry(self.r, || Phase1Slab::new(n));
-                    // Line 05: n−t PHASE1(r) messages. Checked first: it
-                    // rejects most calls, and line 06 costs set algebra.
-                    if slab.count() < quorum {
-                        return;
-                    }
-                    // Line 06: one from a member of L_i, or trusted_i moved.
-                    // (`read_leaders` queries the oracle, so it must stay
-                    // short-circuited: read only once line 05 holds and no
-                    // member of L_i has been heard.)
+                    // Line 06: one from a member of L_i, or trusted_i moved
+                    // (read last: it queries the oracle, and must not be
+                    // read before line 05 holds or once L_i is heard).
                     if !slab.heard_from(self.li)
                         && Self::read_leaders(self.leader_input, self.external_leaders, ctx)
                             == self.li
@@ -321,21 +342,15 @@ impl KsetOmega {
                         aux: self.aux,
                     });
                 }
-                Stage::Phase2 => {
-                    let quorum = ctx.n() - ctx.t();
+                Wait::Quorum { .. } => {
                     let slab = self.p2.entry(self.r, Phase2Slab::default);
-                    // Line 11: n−t PHASE2(r) messages.
-                    if slab.count() < quorum {
-                        return;
-                    }
-                    let (min_val, all_non_bot) = (slab.min_val(), slab.all_non_bot());
                     // Line 13: adopt any non-⊥ value (deterministically the
                     // smallest, any choice is correct).
-                    if let Some(v) = min_val {
+                    if let Some(v) = slab.min_val() {
                         self.est = v;
                     }
                     // Line 14: decide if no ⊥ was received.
-                    if all_non_bot {
+                    if slab.all_non_bot() {
                         ctx.rb_broadcast(KsetMsg::Decision { v: self.est });
                         self.stage = Stage::Done;
                         return;
@@ -361,19 +376,13 @@ impl Automaton for KsetOmega {
         msg: KsetMsg,
         ctx: &mut Ctx<'_, KsetMsg, O>,
     ) {
-        let opens = match msg {
+        if matches!(msg, KsetMsg::Decision { .. }) {
             // Plain channels never carry decisions, but be permissive: a
-            // composed wrapper may re-route them. Deciding finishes the
-            // process, so no guard is left to check.
-            KsetMsg::Decision { v } => {
-                self.on_rb_deliver(from, KsetMsg::Decision { v }, ctx);
-                false
-            }
-            _ => self.record(from, &msg, ctx.n(), ctx.t()),
-        };
-        // Line 06 also opens when trusted_i moves, which any activation
-        // must re-read.
-        if opens || self.stage == Stage::AwaitLeader {
+            // composed wrapper may re-route them.
+            self.on_rb_deliver(from, msg, ctx);
+        } else if self.record(from, &msg, ctx.n(), ctx.t()) || self.stage == Stage::AwaitLeader {
+            // Line 06 also opens when trusted_i moves, which any activation
+            // must re-read.
             self.try_advance(ctx);
         }
     }
@@ -385,13 +394,11 @@ impl Automaton for KsetOmega {
         ctx: &mut Ctx<'_, KsetMsg, O>,
     ) {
         // Task T2: on R-delivery of DECISION(v), return v.
-        if let KsetMsg::Decision { v } = msg {
-            if !self.decided {
-                self.decided = true;
-                self.stage = Stage::Done;
-                ctx.decide(v);
-                ctx.halt();
-            }
+        if let (KsetMsg::Decision { v }, false) = (msg, self.decided) {
+            self.decided = true;
+            self.stage = Stage::Done;
+            ctx.decide(v);
+            ctx.halt();
         }
     }
 
@@ -402,31 +409,22 @@ impl Automaton for KsetOmega {
     }
 
     /// Exactly the events whose activation would change nothing but the
-    /// slab a delivery is recorded in, outside line 06 (where every
-    /// activation re-reads `trusted_i`).
+    /// slab a delivery is recorded in, by three rules on the [`Wait`].
     fn settle(&mut self, ev: Quiet<'_, KsetMsg>, n: usize, t: usize) -> bool {
         match ev {
-            Quiet::Step => match self.stage {
-                // `try_advance` runs whenever a quorum completes, so
-                // between activations the current one is short and
-                // `on_step` would return at line 05 or 11.
-                Stage::Phase1 | Stage::Phase2 => {
-                    debug_assert!(self.quorum_short(n - t), "a step met an open quorum");
-                    true
-                }
-                Stage::Done => true,
-                Stage::Unstarted | Stage::AwaitLeader => false,
-            },
+            // Nothing at line 06: `on_step` and `on_message` re-read `trusted_i` there.
+            _ if self.stage == Stage::AwaitLeader => false,
+            // A step records nothing, so it never opens a quorum wait.
+            Quiet::Step => self.stage != Stage::Unstarted,
             Quiet::Deliver {
                 msg: KsetMsg::Decision { .. },
                 ..
             } => self.decided,
             // `on_rb_deliver` drops all but a DECISION.
             Quiet::Deliver { rb: true, .. } => true,
-            Quiet::Deliver { .. } if self.stage == Stage::AwaitLeader => false,
-            // A slab insert keeps the first message per sender, so the
-            // activation of one that opens a guard records it again as a
-            // no-op.
+            // A delivery opens a quorum wait only if, recorded, it completes
+            // it. A slab insert keeps the first message per sender, so the
+            // activation of one that opens it records it again as a no-op.
             Quiet::Deliver { from, msg, .. } => !self.record(from, msg, n, t),
         }
     }
@@ -538,16 +536,10 @@ mod tests {
             let (p, mut ctx) = self.ctx();
             match ev {
                 Quiet::Step => p.on_step(&mut ctx),
-                Quiet::Deliver {
-                    from,
-                    msg,
-                    rb: true,
-                } => p.on_rb_deliver(from, msg.clone(), &mut ctx),
-                Quiet::Deliver {
-                    from,
-                    msg,
-                    rb: false,
-                } => p.on_message(from, msg.clone(), &mut ctx),
+                Quiet::Deliver { from, msg, rb } => match rb {
+                    true => p.on_rb_deliver(from, msg.clone(), &mut ctx),
+                    false => p.on_message(from, msg.clone(), &mut ctx),
+                },
             }
             format!("{:?}", ctx.take_ops())
         }
@@ -563,6 +555,11 @@ mod tests {
 
         fn phase2_count(&self, r: u32) -> Option<usize> {
             self.p.p2.get(r).map(Phase2Slab::count)
+        }
+
+        /// The wait [`KsetOmega::waiting_on`] reports, as `{:?}` prints it.
+        fn wait(&self) -> String {
+            format!("{:?}", self.p.waiting_on(3, 1))
         }
     }
 
@@ -633,9 +630,11 @@ mod tests {
             est: 7,
         };
         let p2 = |r| KsetMsg::Phase2 { r, aux: None };
+        let li = PSet::singleton(ProcessId(0));
         h.start();
         assert!(h.settle(Quiet::Step), "a step in Phase 1");
         h.phase1(1, 1);
+        assert_eq!(h.wait(), "Quorum { line: 5, r: 1, have: 1, need: 2 }");
         assert!(h.settle_msg(1, &p2(1), false), "an early PHASE2");
         assert_eq!(h.phase2_count(1), Some(1), "an early PHASE2 is recorded");
         assert!(h.settle_msg(1, &p1(2), true), "an R-delivered PHASE1");
@@ -648,11 +647,12 @@ mod tests {
         assert_eq!(h.phase1_count(1), Some(2));
         // Quorum, but no word from the leader p0 and no change of L_i:
         // at line 06 every activation re-reads the leader set.
-        assert!(h.p.awaits_leader());
+        assert_eq!(h.p.waiting_on(3, 1), Wait::Leader { r: 1, li });
         assert!(!h.settle(Quiet::Step));
         assert!(!h.settle_msg(1, &p1(1), false) && !h.settle_msg(1, &p2(1), false));
+        assert!(!h.settle_msg(1, &p1(2), true), "R-delivered at line 06");
         h.phase1(0, 1);
-        assert_eq!(h.p.stage, Stage::Phase2);
+        assert_eq!(h.wait(), "Quorum { line: 11, r: 1, have: 1, need: 2 }");
         assert!(h.settle(Quiet::Step), "a step in Phase 2");
         assert!(
             h.settle_msg(1, &p1(1), false),
@@ -662,16 +662,17 @@ mod tests {
         assert!(!h.settle_msg(0, &p2(1), false));
         h.deliver(0, p2(1));
         // A ⊥ among the PHASE2s: on to round 2.
-        assert_eq!((h.p.round(), h.p.stage), (2, Stage::Phase1));
+        assert_eq!(h.wait(), "Quorum { line: 5, r: 2, have: 0, need: 2 }");
         assert!(h.settle_msg(1, &p1(1), false) && h.settle_msg(1, &p2(1), false));
         assert_eq!((h.phase1_count(1), h.phase2_count(1)), (None, None));
         h.phase1(1, 2);
         h.phase1(2, 2);
-        assert!(h.p.awaits_leader());
+        assert_eq!(h.p.waiting_on(3, 1), Wait::Leader { r: 2, li });
         let decision = KsetMsg::Decision { v: 7 };
         assert!(!h.settle_msg(1, &decision, true));
         h.deliver(1, decision.clone());
         assert!(h.p.has_decided());
+        assert_eq!(h.wait(), "Done");
         assert!(h.settle(Quiet::Step) && h.settle_msg(1, &decision, true));
         assert!(h.settle_msg(1, &p1(3), false) && h.settle_msg(1, &p2(3), false));
         assert_eq!((h.phase1_count(3), h.phase2_count(3)), (None, None));
@@ -724,12 +725,14 @@ mod tests {
     /// The hook is exact: one process offered every event first (and
     /// activated only if the hook declines) and one that is activated on
     /// every event, as the reference is, stay equal in state, emitted ops
-    /// and trace through random event sequences. The sequences must reach
-    /// every stage a step can find, line 06 included.
+    /// and trace through random event sequences, and both rest at the same
+    /// wait, never at a met quorum. The sequences must reach every stage a
+    /// step can find, line 06 included.
     #[test]
     fn settle_is_exact_against_the_callbacks() {
         let (mut settled, mut declined) = (0, 0);
         let mut steps_in = std::collections::BTreeMap::new();
+        let snap = |h: &Harness| format!("{:?}\n{:?}\n{}", h.p, h.trace, h.wait());
         for seed in 0..64 {
             let mut rng = SplitMix64::new(seed);
             let (mut hooked, mut plain) = (Harness::new(), Harness::new());
@@ -763,16 +766,10 @@ mod tests {
                 let plain_ops = plain.activate(ev);
                 let at = format!("seed {seed}, event {step}: {ev:?}");
                 assert_eq!(hooked_ops, plain_ops, "{at}: ops");
-                assert_eq!(
-                    format!("{:?}", hooked.p),
-                    format!("{:?}", plain.p),
-                    "{at}: state"
-                );
-                assert_eq!(
-                    format!("{:?}", hooked.trace),
-                    format!("{:?}", plain.trace),
-                    "{at}: trace"
-                );
+                assert_eq!(snap(&hooked), snap(&plain), "{at}: state, trace, wait");
+                if let Wait::Quorum { have, need, .. } = plain.p.waiting_on(3, 1) {
+                    assert!(have < need, "{at}: rests at a met quorum");
+                }
             }
         }
         assert!(

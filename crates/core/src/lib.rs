@@ -39,7 +39,7 @@ pub mod scenario;
 pub mod spec;
 
 pub use consensus_mr::{ConsensusMr, MrMsg};
-pub use kset_omega::{KsetMsg, KsetOmega, LeaderInput};
+pub use kset_omega::{KsetMsg, KsetOmega, LeaderInput, Wait};
 pub use lower_bound::LowerBoundScenario;
 pub use repeated::{instance_decisions, repeated_spec, run_repeated_spec, RepMsg, RepeatedKset};
 pub use rounds::{CoordSlab, EchoSlab, Phase1Slab, Phase2Slab, RoundSlab, RoundWindow};

@@ -19,7 +19,7 @@
 //! the one place nothing is settled; the other pins the counts for the
 //! repo benchmark's `scale_n128` cell and one `grid_small` cell.
 
-use fd_core::{spec, KsetMsg, KsetOmega, KsetScenario};
+use fd_core::{spec, KsetMsg, KsetOmega, KsetScenario, Wait};
 use fd_detectors::scenario::{
     default_proposals, run_to_decision, salt, CrashPlan, Scenario, ScenarioReport, ScenarioSpec,
 };
@@ -78,10 +78,12 @@ impl Automaton for Counted {
         ctx: &mut Ctx<'_, KsetMsg, O>,
     ) {
         let guarded = !matches!(msg, KsetMsg::Decision { .. });
-        let was_at_06 = self.inner.awaits_leader();
+        let (n, t) = (ctx.n(), ctx.t());
+        let at_06 = |p: &KsetOmega| matches!(p.waiting_on(n, t), Wait::Leader { .. });
+        let was_at_06 = at_06(&self.inner);
         let Counted { inner, ops, .. } = self;
         ctx.reborrow_inner(ops, |c| inner.on_message(from, msg, c));
-        let rechecked = was_at_06 || !ops.is_empty() || inner.awaits_leader();
+        let rechecked = was_at_06 || !ops.is_empty() || at_06(inner);
         forward_ops(ctx, ops, |m| m);
         if guarded && !rechecked {
             self.count(|c| c.skipped += 1);
@@ -102,7 +104,7 @@ impl Automaton for Counted {
     }
 
     fn settle(&mut self, ev: Quiet<'_, KsetMsg>, n: usize, t: usize) -> bool {
-        let at_06 = self.inner.awaits_leader();
+        let at_06 = matches!(self.inner.waiting_on(n, t), Wait::Leader { .. });
         let reads = match ev {
             Quiet::Deliver { msg, .. } => self.inner.reads(msg),
             Quiet::Step => true,
